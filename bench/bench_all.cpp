@@ -61,8 +61,8 @@ struct FigureResult {
     /// verdict from its JSON telemetry (benches without a verdict
     /// report "pass" when they exit 0).
     std::string status = "fail";
-    /// Execution tier the child reported ("step"/"fast"/"block";
-    /// "unknown" for records predating schema v4).
+    /// Execution tier the child reported ("step"/"block"; "unknown"
+    /// for records predating schema v4).
     std::string execBackend = "unknown";
     double corruptedRestores = 0.0;
     double crcRejects = 0.0;

@@ -148,9 +148,10 @@ std::vector<CaseSpec> makeCampaignCases(const CampaignConfig& config);
  * @param watchdogBudget machine-level livelock budget; 0 resolves from
  *        GECKO_WATCHDOG, falling back to 400000.
  * @param backend execution tier of the victim machine.  The injection
- *        schedule and the oracle are tier-independent, so any two
- *        backends must produce identical CaseResults — the three-way
- *        differential in fuzz_test holds the campaign to that.
+ *        schedule and the oracle are tier-independent, so both
+ *        backends must produce identical CaseResults — the
+ *        step-versus-block differential in fuzz_test holds the
+ *        campaign to that.
  */
 CaseResult runCase(const CaseSpec& spec, double simTimeBudgetS = 1.5,
                    std::uint64_t watchdogBudget = 0,

@@ -165,50 +165,6 @@ mnemonic(Opcode op)
     return "?";
 }
 
-std::uint32_t
-evalBinary(Opcode op, std::uint32_t a, std::uint32_t b)
-{
-    switch (op) {
-      case Opcode::kAdd: return a + b;
-      case Opcode::kSub: return a - b;
-      case Opcode::kMul: return a * b;
-      case Opcode::kDivu: return b == 0 ? 0xffffffffu : a / b;
-      case Opcode::kRemu: return b == 0 ? a : a % b;
-      case Opcode::kAnd: return a & b;
-      case Opcode::kOr: return a | b;
-      case Opcode::kXor: return a ^ b;
-      case Opcode::kShl: return a << (b & 31u);
-      case Opcode::kShr: return a >> (b & 31u);
-      default: return 0;
-    }
-}
-
-std::uint32_t
-evalUnary(Opcode op, std::uint32_t a)
-{
-    switch (op) {
-      case Opcode::kNot: return ~a;
-      case Opcode::kNeg: return 0u - a;
-      default: return 0;
-    }
-}
-
-bool
-evalBranch(Opcode op, std::uint32_t a, std::uint32_t b)
-{
-    switch (op) {
-      case Opcode::kBeq: return a == b;
-      case Opcode::kBne: return a != b;
-      case Opcode::kBlt:
-        return static_cast<std::int32_t>(a) < static_cast<std::int32_t>(b);
-      case Opcode::kBge:
-        return static_cast<std::int32_t>(a) >= static_cast<std::int32_t>(b);
-      case Opcode::kBltu: return a < b;
-      case Opcode::kBgeu: return a >= b;
-      default: return false;
-    }
-}
-
 int
 cycleCost(const Instr& ins)
 {

@@ -153,20 +153,62 @@ const char* mnemonic(Opcode op);
 /**
  * Evaluate a binary ALU opcode on two operand values.
  *
- * Shared by the interpreter and the compiler's constant folder so both
- * agree on ISA semantics (division by zero yields all-ones, shifts mask
- * the amount to 5 bits, all arithmetic wraps modulo 2^32).
+ * The single definition of the ALU rules (division by zero yields
+ * all-ones, remainder by zero yields `a`, shifts mask the amount to 5
+ * bits, all arithmetic wraps modulo 2^32), shared by every execution
+ * tier and the compiler's constant folder.  A call with a constant `op`
+ * folds to the bare operation, which is why the block tier's dispatch
+ * keeps one case per opcode.
  */
-std::uint32_t evalBinary(Opcode op, std::uint32_t a, std::uint32_t b);
+constexpr std::uint32_t
+evalBinary(Opcode op, std::uint32_t a, std::uint32_t b)
+{
+    switch (op) {
+      case Opcode::kAdd: return a + b;
+      case Opcode::kSub: return a - b;
+      case Opcode::kMul: return a * b;
+      case Opcode::kDivu: return b == 0 ? 0xffffffffu : a / b;
+      case Opcode::kRemu: return b == 0 ? a : a % b;
+      case Opcode::kAnd: return a & b;
+      case Opcode::kOr: return a | b;
+      case Opcode::kXor: return a ^ b;
+      case Opcode::kShl: return a << (b & 31u);
+      case Opcode::kShr: return a >> (b & 31u);
+      default: return 0;
+    }
+}
 
 /** Evaluate a unary ALU opcode (kNot/kNeg). */
-std::uint32_t evalUnary(Opcode op, std::uint32_t a);
+constexpr std::uint32_t
+evalUnary(Opcode op, std::uint32_t a)
+{
+    switch (op) {
+      case Opcode::kNot: return ~a;
+      case Opcode::kNeg: return 0u - a;
+      default: return 0;
+    }
+}
 
 /**
- * Evaluate a conditional-branch predicate.
+ * Evaluate a conditional-branch predicate (kBlt/kBge compare signed,
+ * kBltu/kBgeu unsigned).
  * @return true if the branch is taken.
  */
-bool evalBranch(Opcode op, std::uint32_t a, std::uint32_t b);
+constexpr bool
+evalBranch(Opcode op, std::uint32_t a, std::uint32_t b)
+{
+    switch (op) {
+      case Opcode::kBeq: return a == b;
+      case Opcode::kBne: return a != b;
+      case Opcode::kBlt:
+        return static_cast<std::int32_t>(a) < static_cast<std::int32_t>(b);
+      case Opcode::kBge:
+        return static_cast<std::int32_t>(a) >= static_cast<std::int32_t>(b);
+      case Opcode::kBltu: return a < b;
+      case Opcode::kBgeu: return a >= b;
+      default: return false;
+    }
+}
 
 /**
  * Architectural cycle cost of one instruction.

@@ -48,8 +48,9 @@ struct SweepRecord {
  *    paper's fixed detectors, "adaptive" when the online controller
  *    was armed).  `threads` was already the effective pool width.
  *  - 4: added `exec_backend` (the sim::Machine execution tier the run
- *    used: "step", "fast", or "block") so throughput numbers are
- *    attributable to a dispatch strategy.
+ *    used: "step" or "block"; older records may name the since-removed
+ *    "fast" tier) so throughput numbers are attributable to a dispatch
+ *    strategy.
  *  - 5: added the quantum-loop telemetry `quanta`, `coalesced_quanta`
  *    and `quanta_per_s` (monitor-sample quanta simulated, the subset
  *    absorbed by the coalescing fast path — DESIGN.md §14 — and the
@@ -79,8 +80,8 @@ struct BenchReport {
     /// Defense configuration the victims ran with: "static" (paper
     /// default) or "adaptive" (online controller armed).
     std::string defenseMode = "static";
-    /// Execution tier the victims' machines dispatched with ("step",
-    /// "fast", or "block"; see sim::ExecBackend).
+    /// Execution tier the victims' machines dispatched with ("step" or
+    /// "block"; see sim::ExecBackend).
     std::string execBackend = "block";
     /// Process wall time from bench::init to report write (s).
     double wallS = 0.0;

@@ -1,7 +1,3 @@
-#include <cstdio>
-#include <cstdlib>
-#include <stdexcept>
-
 #include "compiler/block_metadata.hpp"
 #include "sim/machine.hpp"
 #include "trace/trace.hpp"
@@ -35,42 +31,28 @@
  *     conservative block-entry energy check: a superblock can never run
  *     past the point where the capacitor could cross an armed
  *     threshold.  Budget tails, cold blocks, and mid-block entry PCs
- *     (JIT-checkpoint image restores land anywhere) fall back to an
- *     inline per-instruction interpreter (a clone of runFast's switch)
- *     that re-enters block dispatch after every instruction — so a
- *     quantum that stopped mid-block realigns to the next leader within
- *     a few instructions instead of losing the whole following quantum.
- *     Every architectural event — faults, halts, commits, trace events
- *     — happens at the same instruction with the same counters as the
- *     step/fast tiers.  machine_test and fuzz_test assert this
- *     three-way equivalence.
+ *     (JIT-checkpoint image restores land anywhere) fall back to a
+ *     per-instruction interpreter over the predecoded program
+ *     (stepDecoded) that re-enters block dispatch after every
+ *     instruction — so a quantum that stopped mid-block realigns to the
+ *     next leader within a few instructions instead of losing the whole
+ *     following quantum.  Every architectural event — faults, halts,
+ *     commits, trace events — happens at the same instruction with the
+ *     same counters as the step tier.  machine_test and fuzz_test assert
+ *     this equivalence.
+ *
+ * The ALU and branch rules are not restated here: stepDecoded and the
+ * micro-op handlers call ir::evalBinary/evalUnary/evalBranch with a
+ * constant opcode, which folds to the bare operation.  The executor is
+ * GNU computed-goto threaded code, which every compiler that builds the
+ * library (GCC, Clang) supports.
  */
-
-// Threaded dispatch needs GNU computed goto.  Elsewhere the block tier
-// degrades to the fast tier — identical semantics, lower throughput.
-#if defined(__GNUC__) || defined(__clang__)
-#define GECKO_COMPUTED_GOTO 1
-#else
-#define GECKO_COMPUTED_GOTO 0
-#endif
 
 namespace gecko::sim {
 
 using ir::Opcode;
 
-
-
 namespace {
-
-/** Committed output-words total, the exactly-once I/O witness. */
-[[maybe_unused]] std::uint64_t
-committedOutTotal(const Nvm& nvm)
-{
-    std::uint64_t total = 0;
-    for (int p = 0; p < kIoPorts; ++p)
-        total += nvm.outCount[static_cast<std::size_t>(p)];
-    return total;
-}
 
 /** Binary-ALU micro-op kind (relies on matching enum layouts). */
 UopKind
@@ -544,15 +526,6 @@ Machine::compileBlock(SuperBlock& b)
             uops.assign(1, f);
         }
     }
-    if (std::getenv("GECKO_DUMP_BLOCKS")) {
-        std::fprintf(stderr, "block@%u len=%u cost=%u uops=%zu:", b.start,
-                     b.len, b.cost, uops.size());
-        for (const Uop& du : uops)
-            std::fprintf(stderr, " %d(rd%u rs%u,%u rx%u rd2:%u i%u i2:%u a%u)",
-                         static_cast<int>(du.kind), du.rd, du.rs1, du.rs2,
-                         du.rx, du.rd2, du.imm, du.imm2, du.aux);
-        std::fprintf(stderr, "\n");
-    }
     b.uopStart = static_cast<std::uint32_t>(uopPool_.size());
     b.uopCount = static_cast<std::uint32_t>(uops.size());
     uopPool_.insert(uopPool_.end(), uops.begin(), uops.end());
@@ -565,10 +538,11 @@ Machine::StepExit
 Machine::stepDecoded(std::uint32_t& pc, std::uint64_t& cycles,
                      std::uint64_t& instrs)
 {
-    // One instruction of runFast's dispatch body, verbatim: the block
-    // backend's precise fallback for budget tails, cold blocks and
-    // mid-block entry pcs.  The caller re-enters block dispatch after
-    // every instruction, so execution realigns with the next leader.
+    // One predecoded instruction: the block backend's precise fallback
+    // for budget tails, cold blocks and mid-block entry pcs.  The caller
+    // re-enters block dispatch after every instruction, so execution
+    // realigns with the next leader.  One case per opcode keeps every
+    // ir:: evaluator call on a constant opcode.
     const Decoded& d = decoded_[pc];
     const std::uint32_t size = static_cast<std::uint32_t>(decoded_.size());
     const bool staged = stagedIo_;
@@ -577,6 +551,20 @@ Machine::stepDecoded(std::uint32_t& pc, std::uint64_t& cycles,
     cycles += d.cost;
     ++instrs;
     std::uint32_t next = pc + 1;
+#define GECKO_BINARY_CASE(op)                                               \
+      case Opcode::op:                                                      \
+        regs[d.rd] = ir::evalBinary(Opcode::op, regs[d.rs1],                \
+                                    d.useImm ? d.imm : regs[d.rs2]);        \
+        break;
+#define GECKO_UNARY_CASE(op)                                                \
+      case Opcode::op:                                                      \
+        regs[d.rd] = ir::evalUnary(Opcode::op, regs[d.rs1]);                \
+        break;
+#define GECKO_BRANCH_CASE(op)                                               \
+      case Opcode::op:                                                      \
+        if (ir::evalBranch(Opcode::op, regs[d.rs1], regs[d.rs2]))           \
+            next = d.target;                                                \
+        break;
     switch (d.op) {
       case Opcode::kNop:
         break;
@@ -586,46 +574,18 @@ Machine::stepDecoded(std::uint32_t& pc, std::uint64_t& cycles,
       case Opcode::kMov:
         regs[d.rd] = regs[d.rs1];
         break;
-      case Opcode::kAdd:
-        regs[d.rd] = regs[d.rs1] + (d.useImm ? d.imm : regs[d.rs2]);
-        break;
-      case Opcode::kSub:
-        regs[d.rd] = regs[d.rs1] - (d.useImm ? d.imm : regs[d.rs2]);
-        break;
-      case Opcode::kMul:
-        regs[d.rd] = regs[d.rs1] * (d.useImm ? d.imm : regs[d.rs2]);
-        break;
-      case Opcode::kDivu: {
-        const std::uint32_t v = d.useImm ? d.imm : regs[d.rs2];
-        regs[d.rd] = v == 0 ? 0xffffffffu : regs[d.rs1] / v;
-        break;
-      }
-      case Opcode::kRemu: {
-        const std::uint32_t v = d.useImm ? d.imm : regs[d.rs2];
-        regs[d.rd] = v == 0 ? regs[d.rs1] : regs[d.rs1] % v;
-        break;
-      }
-      case Opcode::kAnd:
-        regs[d.rd] = regs[d.rs1] & (d.useImm ? d.imm : regs[d.rs2]);
-        break;
-      case Opcode::kOr:
-        regs[d.rd] = regs[d.rs1] | (d.useImm ? d.imm : regs[d.rs2]);
-        break;
-      case Opcode::kXor:
-        regs[d.rd] = regs[d.rs1] ^ (d.useImm ? d.imm : regs[d.rs2]);
-        break;
-      case Opcode::kShl:
-        regs[d.rd] = regs[d.rs1] << ((d.useImm ? d.imm : regs[d.rs2]) & 31u);
-        break;
-      case Opcode::kShr:
-        regs[d.rd] = regs[d.rs1] >> ((d.useImm ? d.imm : regs[d.rs2]) & 31u);
-        break;
-      case Opcode::kNot:
-        regs[d.rd] = ~regs[d.rs1];
-        break;
-      case Opcode::kNeg:
-        regs[d.rd] = 0u - regs[d.rs1];
-        break;
+      GECKO_BINARY_CASE(kAdd)
+      GECKO_BINARY_CASE(kSub)
+      GECKO_BINARY_CASE(kMul)
+      GECKO_BINARY_CASE(kDivu)
+      GECKO_BINARY_CASE(kRemu)
+      GECKO_BINARY_CASE(kAnd)
+      GECKO_BINARY_CASE(kOr)
+      GECKO_BINARY_CASE(kXor)
+      GECKO_BINARY_CASE(kShl)
+      GECKO_BINARY_CASE(kShr)
+      GECKO_UNARY_CASE(kNot)
+      GECKO_UNARY_CASE(kNeg)
       case Opcode::kLoad: {
         const std::uint32_t addr = regs[d.rs1] + d.imm;
         if (!nvm.inRange(addr))
@@ -640,32 +600,12 @@ Machine::stepDecoded(std::uint32_t& pc, std::uint64_t& cycles,
         nvm.store(addr, regs[d.rs2]);
         break;
       }
-      case Opcode::kBeq:
-        if (regs[d.rs1] == regs[d.rs2])
-            next = d.target;
-        break;
-      case Opcode::kBne:
-        if (regs[d.rs1] != regs[d.rs2])
-            next = d.target;
-        break;
-      case Opcode::kBlt:
-        if (static_cast<std::int32_t>(regs[d.rs1]) <
-            static_cast<std::int32_t>(regs[d.rs2]))
-            next = d.target;
-        break;
-      case Opcode::kBge:
-        if (static_cast<std::int32_t>(regs[d.rs1]) >=
-            static_cast<std::int32_t>(regs[d.rs2]))
-            next = d.target;
-        break;
-      case Opcode::kBltu:
-        if (regs[d.rs1] < regs[d.rs2])
-            next = d.target;
-        break;
-      case Opcode::kBgeu:
-        if (regs[d.rs1] >= regs[d.rs2])
-            next = d.target;
-        break;
+      GECKO_BRANCH_CASE(kBeq)
+      GECKO_BRANCH_CASE(kBne)
+      GECKO_BRANCH_CASE(kBlt)
+      GECKO_BRANCH_CASE(kBge)
+      GECKO_BRANCH_CASE(kBltu)
+      GECKO_BRANCH_CASE(kBgeu)
       case Opcode::kJmp:
         next = d.target;
         break;
@@ -709,7 +649,7 @@ Machine::stepDecoded(std::uint32_t& pc, std::uint64_t& cycles,
         if (staged)
             commitIo();
         GECKO_TRACE_EVENT(trace::EventKind::kCompletion, 0,
-                          stats.completions, committedOutTotal(nvm));
+                          stats.completions, committedOutTotal());
         if (continuous_) {
             restartProgram();
             pc = 0;
@@ -732,11 +672,12 @@ Machine::stepDecoded(std::uint32_t& pc, std::uint64_t& cycles,
         ++stats.ckptStores;
         break;
     }
+#undef GECKO_BINARY_CASE
+#undef GECKO_UNARY_CASE
+#undef GECKO_BRANCH_CASE
     pc = next;
     return StepExit::kContinue;
 }
-
-#if GECKO_COMPUTED_GOTO
 
 RunExit
 Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
@@ -780,9 +721,11 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
     std::uint32_t* const regs = regs_.data();
     const bool btrace = blockTrace_;
 
-    // Hot state in locals (mirrors runFast); counters flush on every
-    // exit edge.  `instrs`/`cycles` advance at block granularity — the
-    // fault path reconstructs mid-block counts from Uop::costPrefix.
+    // Hot state lives in locals so the dispatch loop keeps it in
+    // registers; counters flush on every exit edge (including
+    // exceptions) to stay bit-compatible with the step tier.
+    // `instrs`/`cycles` advance at block granularity — the fault path
+    // reconstructs mid-block counts from Uop::costPrefix.
     std::uint32_t pc = pc_;
     std::uint64_t cycles = 0;
     std::uint64_t instrs = 0;
@@ -797,42 +740,50 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         goto* u->handler;                                                   \
     } while (0)
 
-// Straight ALU micro-ops.
+// Straight ALU micro-ops; the binary forms evaluate through the ISA's
+// one definition with a constant opcode.
 #define GECKO_ALU(label, expr)                                              \
     label:                                                                  \
     regs[u->rd] = (expr);                                                   \
     GECKO_NEXT;
+#define GECKO_ALU_RR(label, op)                                             \
+    GECKO_ALU(label, ir::evalBinary(Opcode::op, regs[u->rs1], regs[u->rs2]))
+#define GECKO_ALU_RI(label, op)                                             \
+    GECKO_ALU(label, ir::evalBinary(Opcode::op, regs[u->rs1], u->imm))
 
-// Conditional-branch terminator: account the block, then either chain
-// straight back into this block's micro-ops (hot self-loop) or re-enter
-// the dispatch preamble.
-#define GECKO_BRANCH_TERM(label, cond)                                      \
-    label: {                                                                \
+// Block terminator: account the whole block, then either chain straight
+// back into this block's micro-ops (hot self-loop) or re-enter the
+// dispatch preamble at `target`.
+#define GECKO_END_BLOCK(target)                                             \
+    do {                                                                    \
         cycles += b->cost;                                                  \
         instrs += b->len;                                                   \
-        const std::uint32_t nx = (cond) ? u->aux : b->start + b->len;       \
+        const std::uint32_t nx = (target);                                  \
         if (nx == b->start && cycles + b->cost <= cycleBudget) {            \
-            u = pool + b->uopStart;                                             \
+            u = pool + b->uopStart;                                         \
             goto* u->handler;                                               \
         }                                                                   \
         pc = nx;                                                            \
         goto chain;                                                         \
-    }
+    } while (0)
+
+// Conditional branch on `lhs <op> rhs`: taken to Uop::aux, else fall
+// through to the next block.
+#define GECKO_BRANCH_TO(op, lhs, rhs)                                       \
+    GECKO_END_BLOCK(ir::evalBranch(Opcode::op, (lhs), (rhs))                \
+                        ? u->aux                                            \
+                        : b->start + b->len)
+#define GECKO_BRANCH_TERM(label, op)                                        \
+    label:                                                                  \
+    GECKO_BRANCH_TO(op, regs[u->rs1], regs[u->rs2]);
 
 // Fused loop latch: immediate add/sub, then branch on the result.
-#define GECKO_LATCH_TERM(label, op, cond)                                   \
+#define GECKO_LATCH_TERM(label, alu, op)                                    \
     label: {                                                                \
-        const std::uint32_t v = regs[u->rs1] op u->imm;                     \
+        const std::uint32_t v = ir::evalBinary(Opcode::alu, regs[u->rs1],   \
+                                               u->imm);                     \
         regs[u->rd] = v;                                                    \
-        cycles += b->cost;                                                  \
-        instrs += b->len;                                                   \
-        const std::uint32_t nx = (cond) ? u->aux : b->start + b->len;       \
-        if (nx == b->start && cycles + b->cost <= cycleBudget) {            \
-            u = pool + b->uopStart;                                             \
-            goto* u->handler;                                               \
-        }                                                                   \
-        pc = nx;                                                            \
-        goto chain;                                                         \
+        GECKO_BRANCH_TO(op, v, regs[u->rs2]);                               \
     }
 
     try {
@@ -897,10 +848,10 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         goto enter;
 
         // ---- Per-instruction fallback -----------------------------
-        // stepDecoded executes exactly one instruction (a clone of
-        // runFast's dispatch body), then control re-enters block
-        // dispatch: deopts are instruction-precise and threaded
-        // execution resumes at the very next leader.
+        // stepDecoded executes exactly one predecoded instruction, then
+        // control re-enters block dispatch: deopts are
+        // instruction-precise and threaded execution resumes at the very
+        // next leader.
       deopt:
         if (btrace)
             GECKO_TRACE_EVENT(trace::EventKind::kBlockDeopt, deoptReason,
@@ -920,9 +871,10 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         }
 
       fault_common:
-        // Mirror runFast's fault_instr: the faulting instruction is
-        // counted, the PC stays on it, and a non-tolerant machine throws
-        // with this run's cycles uncounted.
+        // Mirror step(): the faulting instruction is counted, the PC
+        // stays on it, and a non-tolerant machine throws with this run's
+        // cycles uncounted (as the step tier loses them when step()
+        // throws out of its loop).
         pc_ = pc;
         stats.instrs += instrs;
         instrs = 0;
@@ -937,38 +889,26 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         GECKO_NEXT;
         GECKO_ALU(u_movi, u->imm)
         GECKO_ALU(u_mov, regs[u->rs1])
-        GECKO_ALU(u_not, ~regs[u->rs1])
-        GECKO_ALU(u_neg, 0u - regs[u->rs1])
-        GECKO_ALU(u_add_rr, regs[u->rs1] + regs[u->rs2])
-        GECKO_ALU(u_sub_rr, regs[u->rs1] - regs[u->rs2])
-        GECKO_ALU(u_mul_rr, regs[u->rs1] * regs[u->rs2])
-      u_divu_rr: {
-        const std::uint32_t v = regs[u->rs2];
-        regs[u->rd] = v == 0 ? 0xffffffffu : regs[u->rs1] / v;
-        GECKO_NEXT;
-      }
-      u_remu_rr: {
-        const std::uint32_t v = regs[u->rs2];
-        regs[u->rd] = v == 0 ? regs[u->rs1] : regs[u->rs1] % v;
-        GECKO_NEXT;
-      }
-        GECKO_ALU(u_and_rr, regs[u->rs1] & regs[u->rs2])
-        GECKO_ALU(u_or_rr, regs[u->rs1] | regs[u->rs2])
-        GECKO_ALU(u_xor_rr, regs[u->rs1] ^ regs[u->rs2])
-        GECKO_ALU(u_shl_rr, regs[u->rs1] << (regs[u->rs2] & 31u))
-        GECKO_ALU(u_shr_rr, regs[u->rs1] >> (regs[u->rs2] & 31u))
-        GECKO_ALU(u_add_ri, regs[u->rs1] + u->imm)
-        GECKO_ALU(u_sub_ri, regs[u->rs1] - u->imm)
-        GECKO_ALU(u_mul_ri, regs[u->rs1] * u->imm)
-      u_divu_ri:
-        regs[u->rd] = u->imm == 0 ? 0xffffffffu : regs[u->rs1] / u->imm;
-        GECKO_NEXT;
-      u_remu_ri:
-        regs[u->rd] = u->imm == 0 ? regs[u->rs1] : regs[u->rs1] % u->imm;
-        GECKO_NEXT;
-        GECKO_ALU(u_and_ri, regs[u->rs1] & u->imm)
-        GECKO_ALU(u_or_ri, regs[u->rs1] | u->imm)
-        GECKO_ALU(u_xor_ri, regs[u->rs1] ^ u->imm)
+        GECKO_ALU(u_not, ir::evalUnary(Opcode::kNot, regs[u->rs1]))
+        GECKO_ALU(u_neg, ir::evalUnary(Opcode::kNeg, regs[u->rs1]))
+        GECKO_ALU_RR(u_add_rr, kAdd)
+        GECKO_ALU_RR(u_sub_rr, kSub)
+        GECKO_ALU_RR(u_mul_rr, kMul)
+        GECKO_ALU_RR(u_divu_rr, kDivu)
+        GECKO_ALU_RR(u_remu_rr, kRemu)
+        GECKO_ALU_RR(u_and_rr, kAnd)
+        GECKO_ALU_RR(u_or_rr, kOr)
+        GECKO_ALU_RR(u_xor_rr, kXor)
+        GECKO_ALU_RR(u_shl_rr, kShl)
+        GECKO_ALU_RR(u_shr_rr, kShr)
+        GECKO_ALU_RI(u_add_ri, kAdd)
+        GECKO_ALU_RI(u_sub_ri, kSub)
+        GECKO_ALU_RI(u_mul_ri, kMul)
+        GECKO_ALU_RI(u_divu_ri, kDivu)
+        GECKO_ALU_RI(u_remu_ri, kRemu)
+        GECKO_ALU_RI(u_and_ri, kAnd)
+        GECKO_ALU_RI(u_or_ri, kOr)
+        GECKO_ALU_RI(u_xor_ri, kXor)
         GECKO_ALU(u_shl_ri, regs[u->rs1] << u->imm)  // pre-masked
         GECKO_ALU(u_shr_ri, regs[u->rs1] >> u->imm)  // pre-masked
       u_load: {
@@ -1120,27 +1060,14 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         goto uop_fault;
 
         // ---- Terminators ------------------------------------------
-        GECKO_BRANCH_TERM(u_beq, regs[u->rs1] == regs[u->rs2])
-        GECKO_BRANCH_TERM(u_bne, regs[u->rs1] != regs[u->rs2])
-        GECKO_BRANCH_TERM(u_blt,
-                          static_cast<std::int32_t>(regs[u->rs1]) <
-                              static_cast<std::int32_t>(regs[u->rs2]))
-        GECKO_BRANCH_TERM(u_bge,
-                          static_cast<std::int32_t>(regs[u->rs1]) >=
-                              static_cast<std::int32_t>(regs[u->rs2]))
-        GECKO_BRANCH_TERM(u_bltu, regs[u->rs1] < regs[u->rs2])
-        GECKO_BRANCH_TERM(u_bgeu, regs[u->rs1] >= regs[u->rs2])
-      u_jmp: {
-        cycles += b->cost;
-        instrs += b->len;
-        const std::uint32_t nx = u->aux;
-        if (nx == b->start && cycles + b->cost <= cycleBudget) {
-            u = pool + b->uopStart;
-            goto* u->handler;
-        }
-        pc = nx;
-        goto chain;
-      }
+        GECKO_BRANCH_TERM(u_beq, kBeq)
+        GECKO_BRANCH_TERM(u_bne, kBne)
+        GECKO_BRANCH_TERM(u_blt, kBlt)
+        GECKO_BRANCH_TERM(u_bge, kBge)
+        GECKO_BRANCH_TERM(u_bltu, kBltu)
+        GECKO_BRANCH_TERM(u_bgeu, kBgeu)
+      u_jmp:
+        GECKO_END_BLOCK(u->aux);
       u_call:
         regs[ir::kLinkReg] = u->imm;
         cycles += b->cost;
@@ -1163,7 +1090,7 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         if (stagedIo_)
             commitIo();
         GECKO_TRACE_EVENT(trace::EventKind::kCompletion, 0,
-                          stats.completions, committedOutTotal(nvm));
+                          stats.completions, committedOutTotal());
         if (continuous_) {
             restartProgram();
             pc = 0;
@@ -1185,63 +1112,31 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         goto chain;
 
         // ---- Fused loop latches -----------------------------------
-        // clang-format off
-        GECKO_LATCH_TERM(u_addi_beq, +, v == regs[u->rs2])
-        GECKO_LATCH_TERM(u_addi_bne, +, v != regs[u->rs2])
-        GECKO_LATCH_TERM(u_addi_blt, +,
-                         static_cast<std::int32_t>(v) <
-                             static_cast<std::int32_t>(regs[u->rs2]))
-        GECKO_LATCH_TERM(u_addi_bge, +,
-                         static_cast<std::int32_t>(v) >=
-                             static_cast<std::int32_t>(regs[u->rs2]))
-        GECKO_LATCH_TERM(u_addi_bltu, +, v < regs[u->rs2])
-        GECKO_LATCH_TERM(u_addi_bgeu, +, v >= regs[u->rs2])
-        GECKO_LATCH_TERM(u_subi_beq, -, v == regs[u->rs2])
-        GECKO_LATCH_TERM(u_subi_bne, -, v != regs[u->rs2])
-        GECKO_LATCH_TERM(u_subi_blt, -,
-                         static_cast<std::int32_t>(v) <
-                             static_cast<std::int32_t>(regs[u->rs2]))
-        GECKO_LATCH_TERM(u_subi_bge, -,
-                         static_cast<std::int32_t>(v) >=
-                             static_cast<std::int32_t>(regs[u->rs2]))
-        GECKO_LATCH_TERM(u_subi_bltu, -, v < regs[u->rs2])
-        GECKO_LATCH_TERM(u_subi_bgeu, -, v >= regs[u->rs2])
-        // clang-format on
+        GECKO_LATCH_TERM(u_addi_beq, kAdd, kBeq)
+        GECKO_LATCH_TERM(u_addi_bne, kAdd, kBne)
+        GECKO_LATCH_TERM(u_addi_blt, kAdd, kBlt)
+        GECKO_LATCH_TERM(u_addi_bge, kAdd, kBge)
+        GECKO_LATCH_TERM(u_addi_bltu, kAdd, kBltu)
+        GECKO_LATCH_TERM(u_addi_bgeu, kAdd, kBgeu)
+        GECKO_LATCH_TERM(u_subi_beq, kSub, kBeq)
+        GECKO_LATCH_TERM(u_subi_bne, kSub, kBne)
+        GECKO_LATCH_TERM(u_subi_blt, kSub, kBlt)
+        GECKO_LATCH_TERM(u_subi_bge, kSub, kBge)
+        GECKO_LATCH_TERM(u_subi_bltu, kSub, kBltu)
+        GECKO_LATCH_TERM(u_subi_bgeu, kSub, kBgeu)
 
         // ---- Latch triples (leading ALU op + self-counted latch) ----
       u_addrr_addi_blt: {
         regs[u->rd] = regs[u->rs1] + regs[u->rs2];
         const std::uint32_t v = regs[u->rd2] + u->imm2;
         regs[u->rd2] = v;
-        cycles += b->cost;
-        instrs += b->len;
-        const std::uint32_t nx = static_cast<std::int32_t>(v) <
-                                         static_cast<std::int32_t>(regs[u->rx])
-                                     ? u->aux
-                                     : b->start + b->len;
-        if (nx == b->start && cycles + b->cost <= cycleBudget) {
-            u = pool + b->uopStart;
-            goto* u->handler;
-        }
-        pc = nx;
-        goto chain;
+        GECKO_BRANCH_TO(kBlt, v, regs[u->rx]);
       }
       u_shrri_addi_blt: {
         regs[u->rd] = regs[u->rs1] >> u->imm;
         const std::uint32_t v = regs[u->rd2] + u->imm2;
         regs[u->rd2] = v;
-        cycles += b->cost;
-        instrs += b->len;
-        const std::uint32_t nx = static_cast<std::int32_t>(v) <
-                                         static_cast<std::int32_t>(regs[u->rx])
-                                     ? u->aux
-                                     : b->start + b->len;
-        if (nx == b->start && cycles + b->cost <= cycleBudget) {
-            u = pool + b->uopStart;
-            goto* u->handler;
-        }
-        pc = nx;
-        goto chain;
+        GECKO_BRANCH_TO(kBlt, v, regs[u->rx]);
       }
 
       u_movi_fall: {
@@ -1429,19 +1324,13 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
 
 #undef GECKO_NEXT
 #undef GECKO_ALU
+#undef GECKO_ALU_RR
+#undef GECKO_ALU_RI
+#undef GECKO_END_BLOCK
+#undef GECKO_BRANCH_TO
 #undef GECKO_BRANCH_TERM
 #undef GECKO_LATCH_TERM
 }
-
-#else  // !GECKO_COMPUTED_GOTO
-
-RunExit
-Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
-{
-    return runFast(cycleBudget, consumed);
-}
-
-#endif  // GECKO_COMPUTED_GOTO
 
 }  // namespace gecko::sim
 

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "campaign/archive.hpp"
 #include "trace/trace.hpp"
@@ -12,28 +13,12 @@ namespace gecko::sim {
 using ir::Instr;
 using ir::Opcode;
 
-namespace {
-
-/** Committed output-words total, the exactly-once I/O witness. */
-[[maybe_unused]] std::uint64_t
-committedOutTotal(const Nvm& nvm)
-{
-    std::uint64_t total = 0;
-    for (int p = 0; p < kIoPorts; ++p)
-        total += nvm.outCount[static_cast<std::size_t>(p)];
-    return total;
-}
-
-}  // namespace
-
 const char*
 execBackendName(ExecBackend backend)
 {
     switch (backend) {
       case ExecBackend::kStep:
         return "step";
-      case ExecBackend::kFast:
-        return "fast";
       case ExecBackend::kBlock:
         return "block";
     }
@@ -41,18 +26,22 @@ execBackendName(ExecBackend backend)
 }
 
 ExecBackend
+parseExecBackend(const char* value)
+{
+    if (value == nullptr || *value == '\0' ||
+        std::strcmp(value, "block") == 0)
+        return ExecBackend::kBlock;
+    if (std::strcmp(value, "step") == 0)
+        return ExecBackend::kStep;
+    throw std::invalid_argument(std::string("GECKO_EXEC=") + value +
+                                ": expected step or block");
+}
+
+ExecBackend
 defaultExecBackend()
 {
-    static const ExecBackend backend = [] {
-        const char* env = std::getenv("GECKO_EXEC");
-        if (env == nullptr || *env == '\0')
-            return ExecBackend::kBlock;
-        if (std::strcmp(env, "step") == 0 || std::strcmp(env, "slow") == 0)
-            return ExecBackend::kStep;
-        if (std::strcmp(env, "fast") == 0)
-            return ExecBackend::kFast;
-        return ExecBackend::kBlock;
-    }();
+    static const ExecBackend backend =
+        parseExecBackend(std::getenv("GECKO_EXEC"));
     return backend;
 }
 
@@ -120,6 +109,15 @@ Machine::fault()
     ++stats.faults;
     GECKO_TRACE_EVENT(trace::EventKind::kMachineFault, 0, pc_, 0);
     return false;
+}
+
+std::uint64_t
+Machine::committedOutTotal() const
+{
+    std::uint64_t total = 0;
+    for (int p = 0; p < kIoPorts; ++p)
+        total += nvm_->outCount[static_cast<std::size_t>(p)];
+    return total;
 }
 
 void
@@ -218,7 +216,7 @@ Machine::step(std::uint64_t* cycles)
         if (stagedIo_)
             commitIo();
         GECKO_TRACE_EVENT(trace::EventKind::kCompletion, 0,
-                          stats.completions, committedOutTotal(*nvm_));
+                          stats.completions, committedOutTotal());
         if (continuous_) {
             restartProgram();
             return true;
@@ -279,19 +277,13 @@ Machine::run(std::uint64_t cycleBudget, std::uint64_t* consumed)
             *consumed = cycleBudget;
         return faulted_ ? RunExit::kFaulted : RunExit::kHalted;
     }
-    switch (backend_) {
-      case ExecBackend::kStep:
-        return runSlow(cycleBudget, consumed);
-      case ExecBackend::kFast:
-        return runFast(cycleBudget, consumed);
-      case ExecBackend::kBlock:
-        break;
-    }
+    if (backend_ == ExecBackend::kStep)
+        return runStep(cycleBudget, consumed);
     return runBlock(cycleBudget, consumed);
 }
 
 RunExit
-Machine::runSlow(std::uint64_t cycleBudget, std::uint64_t* consumed)
+Machine::runStep(std::uint64_t cycleBudget, std::uint64_t* consumed)
 {
     std::uint64_t cycles = 0;
     RunExit exit = RunExit::kBudget;
@@ -301,236 +293,6 @@ Machine::runSlow(std::uint64_t cycleBudget, std::uint64_t* consumed)
             break;
         }
     }
-    stats.cycles += cycles;
-    if (consumed)
-        *consumed = cycles;
-    return exit;
-}
-
-RunExit
-Machine::runFast(std::uint64_t cycleBudget, std::uint64_t* consumed)
-{
-    const Decoded* code = decoded_.data();
-    const std::uint32_t size = static_cast<std::uint32_t>(decoded_.size());
-    const bool staged = stagedIo_;
-    Nvm& nvm = *nvm_;
-
-    // Hot state lives in locals so the dispatch loop keeps it in
-    // registers; instruction/cycle counters flush on every exit edge
-    // (including exceptions) to stay bit-compatible with runSlow.
-    std::uint32_t pc = pc_;
-    std::uint64_t cycles = 0;
-    std::uint64_t instrs = 0;
-    RunExit exit = RunExit::kBudget;
-
-    try {
-        while (cycles < cycleBudget) {
-            if (pc >= size) {
-                pc_ = pc;
-                stats.instrs += instrs;
-                instrs = 0;
-                fault();  // throws unless fault-tolerant
-                exit = RunExit::kFaulted;
-                break;
-            }
-            const Decoded& d = code[pc];
-            cycles += d.cost;
-            ++instrs;
-            std::uint32_t next = pc + 1;
-            switch (d.op) {
-              case Opcode::kNop:
-                break;
-              case Opcode::kMovi:
-                regs_[d.rd] = d.imm;
-                break;
-              case Opcode::kMov:
-                regs_[d.rd] = regs_[d.rs1];
-                break;
-              case Opcode::kAdd:
-                regs_[d.rd] =
-                    regs_[d.rs1] + (d.useImm ? d.imm : regs_[d.rs2]);
-                break;
-              case Opcode::kSub:
-                regs_[d.rd] =
-                    regs_[d.rs1] - (d.useImm ? d.imm : regs_[d.rs2]);
-                break;
-              case Opcode::kMul:
-                regs_[d.rd] =
-                    regs_[d.rs1] * (d.useImm ? d.imm : regs_[d.rs2]);
-                break;
-              case Opcode::kDivu: {
-                std::uint32_t b = d.useImm ? d.imm : regs_[d.rs2];
-                regs_[d.rd] = b == 0 ? 0xffffffffu : regs_[d.rs1] / b;
-                break;
-              }
-              case Opcode::kRemu: {
-                std::uint32_t b = d.useImm ? d.imm : regs_[d.rs2];
-                regs_[d.rd] = b == 0 ? regs_[d.rs1] : regs_[d.rs1] % b;
-                break;
-              }
-              case Opcode::kAnd:
-                regs_[d.rd] =
-                    regs_[d.rs1] & (d.useImm ? d.imm : regs_[d.rs2]);
-                break;
-              case Opcode::kOr:
-                regs_[d.rd] =
-                    regs_[d.rs1] | (d.useImm ? d.imm : regs_[d.rs2]);
-                break;
-              case Opcode::kXor:
-                regs_[d.rd] =
-                    regs_[d.rs1] ^ (d.useImm ? d.imm : regs_[d.rs2]);
-                break;
-              case Opcode::kShl:
-                regs_[d.rd] = regs_[d.rs1]
-                              << ((d.useImm ? d.imm : regs_[d.rs2]) & 31u);
-                break;
-              case Opcode::kShr:
-                regs_[d.rd] =
-                    regs_[d.rs1] >>
-                    ((d.useImm ? d.imm : regs_[d.rs2]) & 31u);
-                break;
-              case Opcode::kNot:
-                regs_[d.rd] = ~regs_[d.rs1];
-                break;
-              case Opcode::kNeg:
-                regs_[d.rd] = 0u - regs_[d.rs1];
-                break;
-              case Opcode::kLoad: {
-                std::uint32_t addr = regs_[d.rs1] + d.imm;
-                if (!nvm.inRange(addr))
-                    goto fault_instr;
-                regs_[d.rd] = nvm.load(addr);
-                break;
-              }
-              case Opcode::kStore: {
-                std::uint32_t addr = regs_[d.rs1] + d.imm;
-                if (!nvm.inRange(addr))
-                    goto fault_instr;
-                nvm.store(addr, regs_[d.rs2]);
-                break;
-              }
-              case Opcode::kBeq:
-                if (regs_[d.rs1] == regs_[d.rs2])
-                    next = d.target;
-                break;
-              case Opcode::kBne:
-                if (regs_[d.rs1] != regs_[d.rs2])
-                    next = d.target;
-                break;
-              case Opcode::kBlt:
-                if (static_cast<std::int32_t>(regs_[d.rs1]) <
-                    static_cast<std::int32_t>(regs_[d.rs2]))
-                    next = d.target;
-                break;
-              case Opcode::kBge:
-                if (static_cast<std::int32_t>(regs_[d.rs1]) >=
-                    static_cast<std::int32_t>(regs_[d.rs2]))
-                    next = d.target;
-                break;
-              case Opcode::kBltu:
-                if (regs_[d.rs1] < regs_[d.rs2])
-                    next = d.target;
-                break;
-              case Opcode::kBgeu:
-                if (regs_[d.rs1] >= regs_[d.rs2])
-                    next = d.target;
-                break;
-              case Opcode::kJmp:
-                next = d.target;
-                break;
-              case Opcode::kCall:
-                regs_[ir::kLinkReg] = pc + 1;
-                next = d.target;
-                break;
-              case Opcode::kRet:
-                next = regs_[ir::kLinkReg];
-                if (next > size)
-                    goto fault_instr;
-                break;
-              case Opcode::kIn: {
-                int port = static_cast<std::int32_t>(d.imm);
-                if (port < 0 || port >= kIoPorts)
-                    goto fault_instr;
-                auto pi = static_cast<std::size_t>(port);
-                std::uint64_t index = nvm.inCount[pi] + pendingIn_[pi];
-                regs_[d.rd] = io_->input(port).valueAt(index);
-                if (staged)
-                    ++pendingIn_[pi];
-                else
-                    ++nvm.inCount[pi];
-                break;
-              }
-              case Opcode::kOut: {
-                int port = static_cast<std::int32_t>(d.imm);
-                if (port < 0 || port >= kIoPorts)
-                    goto fault_instr;
-                auto pi = static_cast<std::size_t>(port);
-                std::uint64_t index = nvm.outCount[pi] + pendingOut_[pi];
-                io_->output(port).set(index, regs_[d.rs1]);
-                if (staged)
-                    ++pendingOut_[pi];
-                else
-                    ++nvm.outCount[pi];
-                break;
-              }
-              case Opcode::kHalt:
-                ++stats.completions;
-                if (staged)
-                    commitIo();
-                GECKO_TRACE_EVENT(trace::EventKind::kCompletion, 0,
-                                  stats.completions,
-                                  committedOutTotal(nvm));
-                if (continuous_) {
-                    restartProgram();
-                    pc = 0;
-                    continue;
-                }
-                halted_ = true;
-                pc_ = pc;
-                stats.instrs += instrs;
-                stats.cycles += cycles;
-                if (consumed)
-                    *consumed = cycles;
-                return RunExit::kHalted;
-              case Opcode::kBoundary:
-                if (staged) {
-                    nvm.committedRegion = d.imm;
-                    ++nvm.commitCount;
-                    commitIo();
-                    GECKO_TRACE_EVENT(trace::EventKind::kRegionCommit, 0,
-                                      nvm.committedRegion, nvm.commitCount);
-                }
-                ++stats.boundaryCommits;
-                break;
-              case Opcode::kCkpt:
-                nvm.writeSlot(d.rs1, static_cast<std::int32_t>(d.imm),
-                              regs_[d.rs1]);
-                ++stats.ckptStores;
-                break;
-            }
-            pc = next;
-            continue;
-
-          fault_instr:
-            // Mirror step(): the faulting instruction was counted, the
-            // PC stays on it, and a non-tolerant machine throws with
-            // this run's cycles uncounted (as the slow path loses them
-            // when step() throws out of the loop).
-            pc_ = pc;
-            stats.instrs += instrs;
-            instrs = 0;
-            fault();
-            exit = RunExit::kFaulted;
-            break;
-        }
-    } catch (...) {
-        stats.instrs += instrs;
-        pc_ = pc;
-        throw;
-    }
-
-    pc_ = pc;
-    stats.instrs += instrs;
     stats.cycles += cycles;
     if (consumed)
         *consumed = cycles;

@@ -32,24 +32,29 @@ class Archive;
 namespace gecko::sim {
 
 /**
- * Execution tier used by Machine::run.  All three are architecturally
+ * Execution tier used by Machine::run.  Both are architecturally
  * bit-identical — machine_test/fuzz_test assert equal ExecStats, NVM
  * images, I/O and trace streams on every workload×scheme — and differ
  * only in throughput.
  */
 enum class ExecBackend {
     kStep,   ///< re-reads the encoded program each step (reference tier)
-    kFast,   ///< predecoded switch dispatch (PR-1 tier)
     kBlock,  ///< block-compiled superinstructions as threaded code
 };
 
-/** Stable lowercase backend name ("step", "fast", "block"). */
+/** Stable lowercase backend name ("step", "block"). */
 const char* execBackendName(ExecBackend backend);
 
 /**
+ * Parse a GECKO_EXEC value: "step" or "block"; null or empty means
+ * kBlock.
+ * @throws std::invalid_argument on any other value.
+ */
+ExecBackend parseExecBackend(const char* value);
+
+/**
  * Process-wide default tier for newly constructed machines: the
- * GECKO_EXEC environment variable ("step"|"fast"|"block"), read once;
- * kBlock when unset or unrecognized.
+ * GECKO_EXEC environment variable, read once through parseExecBackend.
  */
 ExecBackend defaultExecBackend();
 
@@ -107,21 +112,15 @@ class Machine
 
     /**
      * Select the execution tier (default: defaultExecBackend(), i.e.
-     * GECKO_EXEC or the block compiler).  kFast interprets a predecoded
-     * instruction array (resolved branch targets, cycle costs folded
-     * with the scheme's pseudo-op surcharges, inlined ALU evaluation);
-     * kStep re-reads the encoded program each step; kBlock additionally
-     * compiles hot straight-line blocks into threaded superinstructions
-     * with precise deoptimization to the fast tier (see exec_block.cpp).
+     * GECKO_EXEC or the block compiler).  kStep re-reads the encoded
+     * program each step; kBlock runs a predecoded instruction array
+     * (resolved branch targets, cycle costs folded with the scheme's
+     * pseudo-op surcharges), compiling hot straight-line blocks into
+     * threaded superinstructions with precise per-instruction
+     * deoptimization (see exec_block.cpp).
      */
     void setExecBackend(ExecBackend backend) { backend_ = backend; }
     ExecBackend execBackend() const { return backend_; }
-
-    /** Legacy two-tier selector: true → kFast, false → kStep. */
-    void setFastDispatch(bool fast)
-    {
-        backend_ = fast ? ExecBackend::kFast : ExecBackend::kStep;
-    }
 
     /**
      * Drop all compiled superblocks and profile counts.  The program is
@@ -146,7 +145,7 @@ class Machine
      * staging, halt/fault latches, ExecStats).  Configuration flags and
      * the predecode/block caches are *not* archived: the program is
      * immutable, so restore just invalidates the block cache and lets
-     * it re-warm — all tiers are architecturally bit-identical, so a
+     * it re-warm — both tiers are architecturally bit-identical, so a
      * cold cache cannot change observable state.
      */
     void archiveState(campaign::Archive& ar);
@@ -212,9 +211,10 @@ class Machine
     };
 
     void commitIo();
+    /** Committed output-words total, the exactly-once I/O witness. */
+    std::uint64_t committedOutTotal() const;
     bool step(std::uint64_t* cycles);
-    RunExit runSlow(std::uint64_t cycleBudget, std::uint64_t* cycles);
-    RunExit runFast(std::uint64_t cycleBudget, std::uint64_t* cycles);
+    RunExit runStep(std::uint64_t cycleBudget, std::uint64_t* cycles);
     RunExit runBlock(std::uint64_t cycleBudget, std::uint64_t* cycles);
     void ensureBlocks();
     void compileBlock(SuperBlock& block);
@@ -230,7 +230,7 @@ class Machine
     IoHub* io_;
     // Branch targets resolved to instruction indices at load time.
     std::vector<std::uint32_t> targets_;
-    // Predecoded program for the fast dispatch path.
+    // Predecoded program for the block tier.
     std::vector<Decoded> decoded_;
     // Superblock partition for the block backend (built lazily on the
     // first runBlock; blocks compile individually once hot).

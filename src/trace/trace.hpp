@@ -24,7 +24,7 @@
  *    own Buffer; the Collector merges buffers keyed by (label, index)
  *    — never by OS-thread identity — and events by
  *    (sim-time, buffer, seq), so the merged trace is byte-identical
- *    across GECKO_THREADS settings and across step()/fast-dispatch.
+ *    across GECKO_THREADS settings and across execution tiers.
  *
  * Instrumentation lives in .cpp files only; no public simulator header
  * includes this one.

@@ -84,7 +84,7 @@ echo "== backend invariance"
 # same campaign under each explicit backend renders the same bytes as
 # the ambient-backend reference (so the kill/resume property proven
 # above transfers to every backend).
-for be in step fast block; do
+for be in step block; do
     if ! GECKO_EXEC=$be "$RUNNER" "${ARGS[@]}" --fresh \
         --dir="$WORK/be_$be" >/dev/null 2>>"$WORK/cut.err"; then
         echo "FAIL: backend $be campaign failed"

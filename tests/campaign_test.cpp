@@ -187,7 +187,7 @@ TEST(ArchiveTest, GuardsRejectDamage)
 
 // ---------------------------------------------------------------------
 // Simulator snapshot/resume: bit-exact lockstep under every injector
-// family, across all three execution backends.
+// family, across both execution backends.
 // ---------------------------------------------------------------------
 
 enum class Injector {
@@ -448,7 +448,6 @@ TEST_P(SnapshotLockstepTest, RestoreMatchesUninterruptedUnderAllInjectors)
 
 INSTANTIATE_TEST_SUITE_P(Backends, SnapshotLockstepTest,
                          ::testing::Values(sim::ExecBackend::kStep,
-                                           sim::ExecBackend::kFast,
                                            sim::ExecBackend::kBlock),
                          [](const auto& info) {
                              return std::string(

@@ -152,8 +152,7 @@ runQuiet(int coalesceQuanta, sim::ExecBackend backend)
 TEST(CoalesceQuietTest, QuietRunEngagesAndMatchesSlowPath)
 {
     for (sim::ExecBackend backend :
-         {sim::ExecBackend::kStep, sim::ExecBackend::kFast,
-          sim::ExecBackend::kBlock}) {
+         {sim::ExecBackend::kStep, sim::ExecBackend::kBlock}) {
         const char* name = sim::execBackendName(backend);
         Obs on = runQuiet(64, backend);
         Obs off = runQuiet(0, backend);
@@ -244,8 +243,7 @@ TEST_P(CoalesceEmiFuzzTest, RandomEmiSchedulesUnchangedByCoalescing)
         static_cast<std::uint32_t>(exp::applyGlobalSeed(GetParam()));
     std::uint64_t engaged = 0;
     for (sim::ExecBackend backend :
-         {sim::ExecBackend::kStep, sim::ExecBackend::kFast,
-          sim::ExecBackend::kBlock}) {
+         {sim::ExecBackend::kStep, sim::ExecBackend::kBlock}) {
         const char* name = sim::execBackendName(backend);
         Obs on = runEmi(seed, backend, 64);
         Obs off = runEmi(seed, backend, 0);

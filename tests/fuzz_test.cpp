@@ -339,10 +339,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest,
                          });
 
 // ---------------------------------------------------------------------
-// Three-way execution-tier differential: the step, fast, and block
-// backends must be observationally indistinguishable under hostile
-// environments — random EMI attack schedules and every fault injector —
-// down to the trace stream.
+// Execution-tier differential: the step and block backends must be
+// observationally indistinguishable under hostile environments —
+// random EMI attack schedules and every fault injector — down to the
+// trace stream.
 // ---------------------------------------------------------------------
 
 /** Everything observable about one intermittent run. */
@@ -421,20 +421,15 @@ TEST_P(BackendFuzzTest, RandomEmiSchedulesAgreeAcrossTiers)
         exp::applyGlobalSeed(GetParam()));
     TierObservation ref = runEmiTier(seed, sim::ExecBackend::kStep);
     ASSERT_GT(ref.stats.cycles, 0u);
-    for (sim::ExecBackend backend :
-         {sim::ExecBackend::kFast, sim::ExecBackend::kBlock}) {
-        TierObservation obs = runEmiTier(seed, backend);
-        const char* name = sim::execBackendName(backend);
-        EXPECT_TRUE(obs.stats == ref.stats)
-            << name << " diverged in ExecStats (seed " << seed << ")";
-        EXPECT_EQ(obs.regs, ref.regs) << name << " seed " << seed;
-        EXPECT_EQ(obs.out, ref.out) << name << " seed " << seed;
-        EXPECT_EQ(obs.memory, ref.memory) << name << " seed " << seed;
-        EXPECT_TRUE(obs.events == ref.events)
-            << name << " diverged in the trace stream (seed " << seed
-            << ": " << obs.events.size() << " vs " << ref.events.size()
-            << " events)";
-    }
+    TierObservation obs = runEmiTier(seed, sim::ExecBackend::kBlock);
+    EXPECT_TRUE(obs.stats == ref.stats)
+        << "block diverged in ExecStats (seed " << seed << ")";
+    EXPECT_EQ(obs.regs, ref.regs) << "seed " << seed;
+    EXPECT_EQ(obs.out, ref.out) << "seed " << seed;
+    EXPECT_EQ(obs.memory, ref.memory) << "seed " << seed;
+    EXPECT_TRUE(obs.events == ref.events)
+        << "block diverged in the trace stream (seed " << seed << ": "
+        << obs.events.size() << " vs " << ref.events.size() << " events)";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BackendFuzzTest,
@@ -550,8 +545,7 @@ TEST_P(SnapshotFuzzTest, MidRunSnapshotRestoreIsInvisible)
     auto seed = static_cast<std::uint32_t>(
         exp::applyGlobalSeed(GetParam()));
     for (sim::ExecBackend backend :
-         {sim::ExecBackend::kStep, sim::ExecBackend::kFast,
-          sim::ExecBackend::kBlock}) {
+         {sim::ExecBackend::kStep, sim::ExecBackend::kBlock}) {
         const char* name = sim::execBackendName(backend);
         TierObservation ref = runEmiSliced(seed, backend, -1);
         ASSERT_GT(ref.stats.cycles, 0u) << name << " seed " << seed;
@@ -610,51 +604,34 @@ TEST(BackendFaultDifferentialTest, AllInjectorsAgreeAcrossTiers)
 
             // Warm the golden-oracle cache outside any trace buffer so
             // the first tier doesn't record the oracle's own events.
-            fault::runCase(spec, 0.5, 0, sim::ExecBackend::kFast);
+            fault::runCase(spec, 0.5, 0, sim::ExecBackend::kBlock);
 
-            CaseResult ref;
-            std::vector<trace::Event> refEvents;
-            bool first = true;
-            for (sim::ExecBackend backend :
-                 {sim::ExecBackend::kStep, sim::ExecBackend::kFast,
-                  sim::ExecBackend::kBlock}) {
-                trace::Buffer buffer;
-                CaseResult r;
-                {
-                    trace::BufferScope scope(&buffer);
-                    r = fault::runCase(spec, 0.5, 0, backend);
-                }
-                if (first) {
-                    ref = r;
-                    refEvents = buffer.events();
-                    first = false;
-                    continue;
-                }
-                const char* name = sim::execBackendName(backend);
-                const char* inj = fault::injectorName(kind);
-                EXPECT_EQ(r.outcome, ref.outcome) << inj << " " << name;
-                EXPECT_EQ(r.detail, ref.detail) << inj << " " << name;
-                EXPECT_EQ(r.injectAt, ref.injectAt) << inj << " " << name;
-                EXPECT_EQ(r.word, ref.word) << inj << " " << name;
-                EXPECT_EQ(r.corruptedRestores, ref.corruptedRestores)
-                    << inj << " " << name;
-                EXPECT_EQ(r.crcRejects, ref.crcRejects)
-                    << inj << " " << name;
-                EXPECT_EQ(r.slotRepairs, ref.slotRepairs)
-                    << inj << " " << name;
-                EXPECT_EQ(r.ckptSaveRetries, ref.ckptSaveRetries)
-                    << inj << " " << name;
-                EXPECT_EQ(r.retriesExhausted, ref.retriesExhausted)
-                    << inj << " " << name;
-                EXPECT_EQ(r.defenseEscalations, ref.defenseEscalations)
-                    << inj << " " << name;
-                EXPECT_EQ(r.defended, ref.defended) << inj << " " << name;
-                EXPECT_TRUE(buffer.events() == refEvents)
-                    << inj << " " << name
-                    << " diverged in the trace stream ("
-                    << buffer.events().size() << " vs "
-                    << refEvents.size() << " events)";
+            trace::Buffer refBuffer, buffer;
+            CaseResult ref, r;
+            {
+                trace::BufferScope scope(&refBuffer);
+                ref = fault::runCase(spec, 0.5, 0, sim::ExecBackend::kStep);
             }
+            {
+                trace::BufferScope scope(&buffer);
+                r = fault::runCase(spec, 0.5, 0, sim::ExecBackend::kBlock);
+            }
+            const char* inj = fault::injectorName(kind);
+            EXPECT_EQ(r.outcome, ref.outcome) << inj;
+            EXPECT_EQ(r.detail, ref.detail) << inj;
+            EXPECT_EQ(r.injectAt, ref.injectAt) << inj;
+            EXPECT_EQ(r.word, ref.word) << inj;
+            EXPECT_EQ(r.corruptedRestores, ref.corruptedRestores) << inj;
+            EXPECT_EQ(r.crcRejects, ref.crcRejects) << inj;
+            EXPECT_EQ(r.slotRepairs, ref.slotRepairs) << inj;
+            EXPECT_EQ(r.ckptSaveRetries, ref.ckptSaveRetries) << inj;
+            EXPECT_EQ(r.retriesExhausted, ref.retriesExhausted) << inj;
+            EXPECT_EQ(r.defenseEscalations, ref.defenseEscalations) << inj;
+            EXPECT_EQ(r.defended, ref.defended) << inj;
+            EXPECT_TRUE(buffer.events() == refBuffer.events())
+                << inj << " diverged in the trace stream ("
+                << buffer.events().size() << " vs "
+                << refBuffer.events().size() << " events)";
         }
     }
 }

@@ -66,6 +66,10 @@ TEST(InstrTest, EvalBinarySemantics)
     EXPECT_EQ(evalBinary(Opcode::kRemu, 7u, 0u), 7u);
     EXPECT_EQ(evalBinary(Opcode::kShl, 1u, 33u), 2u);  // amount masked
     EXPECT_EQ(evalBinary(Opcode::kShr, 0x80000000u, 31u), 1u);
+    // The rules are constexpr, so they also hold at compile time.
+    static_assert(evalBinary(Opcode::kDivu, 7u, 0u) == 0xffffffffu);
+    static_assert(evalBinary(Opcode::kShr, 0x80000000u, 33u) == 0x40000000u);
+    static_assert(evalUnary(Opcode::kNeg, 1u) == 0xffffffffu);
 }
 
 TEST(InstrTest, EvalBranchSemantics)
@@ -77,6 +81,7 @@ TEST(InstrTest, EvalBranchSemantics)
     EXPECT_FALSE(evalBranch(Opcode::kBltu, 0xffffffffu, 0u));
     EXPECT_TRUE(evalBranch(Opcode::kBgeu, 0xffffffffu, 0u));
     EXPECT_TRUE(evalBranch(Opcode::kBge, 0u, 0xffffffffu));
+    static_assert(evalBranch(Opcode::kBlt, 0xffffffffu, 0u));
 }
 
 TEST(InstrTest, CycleCostsDistinguishMemoryFromAlu)

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "compiler/pipeline.hpp"
@@ -250,145 +250,143 @@ TEST_P(WorkloadGoldenTest, InstrumentationPreservesSemantics)
     EXPECT_EQ(ra.io.output(0).values(), rc.io.output(0).values());
 }
 
-TEST_P(WorkloadGoldenTest, FastAndSlowDispatchBitIdentical)
+TEST_P(WorkloadGoldenTest, StepAndBlockTiersBitIdentical)
 {
-    // The predecoded fast path must be architecturally indistinguishable
-    // from the reference step() loop: same counters, same NVM image,
-    // same outputs, same resting PC — on every workload and scheme,
-    // with an odd budget slice so runs stop at varied mid-program PCs.
+    // The block-compiled superinstruction backend must be
+    // architecturally indistinguishable from the reference step() loop:
+    // same counters, same NVM image, same outputs, same registers, same
+    // resting PC — on every workload and scheme.  The odd budget slice
+    // stops runs at varied mid-block PCs, exercising the block
+    // backend's budget-tail deoptimization every slice.
     Program p = workloads::build(GetParam());
     for (Scheme scheme : {Scheme::kNvp, Scheme::kRatchet, Scheme::kGecko}) {
         CompiledProgram c = compiler::compile(p, scheme);
-        Rig fast_rig, slow_rig;
-        workloads::setupIo(GetParam(), fast_rig.io);
-        workloads::setupIo(GetParam(), slow_rig.io);
-        Machine fast(c, fast_rig.nvm, fast_rig.io);
-        Machine slow(c, slow_rig.nvm, slow_rig.io);
-        fast.setFastDispatch(true);
-        slow.setFastDispatch(false);
-        fast.setStagedIo(scheme != Scheme::kNvp);
-        slow.setStagedIo(scheme != Scheme::kNvp);
+        Rig step_rig, block_rig;
+        workloads::setupIo(GetParam(), step_rig.io);
+        workloads::setupIo(GetParam(), block_rig.io);
+        Machine step(c, step_rig.nvm, step_rig.io);
+        Machine block(c, block_rig.nvm, block_rig.io);
+        step.setExecBackend(ExecBackend::kStep);
+        block.setExecBackend(ExecBackend::kBlock);
+        step.setStagedIo(scheme != Scheme::kNvp);
+        block.setStagedIo(scheme != Scheme::kNvp);
 
-        while (!fast.halted() || !slow.halted()) {
-            std::uint64_t fast_consumed = 0, slow_consumed = 0;
-            RunExit fast_exit = fast.run(777, &fast_consumed);
-            RunExit slow_exit = slow.run(777, &slow_consumed);
-            ASSERT_EQ(fast_exit, slow_exit) << GetParam();
-            ASSERT_EQ(fast_consumed, slow_consumed) << GetParam();
-            ASSERT_EQ(fast.pc(), slow.pc()) << GetParam();
-            ASSERT_TRUE(fast.stats == slow.stats) << GetParam();
-            ASSERT_LT(fast.stats.cycles, 1ull << 32) << "non-terminating";
+        while (!step.halted() || !block.halted()) {
+            std::uint64_t step_consumed = 0, block_consumed = 0;
+            RunExit step_exit = step.run(777, &step_consumed);
+            RunExit block_exit = block.run(777, &block_consumed);
+            ASSERT_EQ(block_exit, step_exit) << GetParam();
+            ASSERT_EQ(block_consumed, step_consumed) << GetParam();
+            ASSERT_EQ(block.pc(), step.pc()) << GetParam();
+            ASSERT_TRUE(block.stats == step.stats) << GetParam();
+            ASSERT_LT(step.stats.cycles, 1ull << 32) << "non-terminating";
         }
-        EXPECT_EQ(fast.regs(), slow.regs());
-        EXPECT_EQ(fast_rig.nvm.data(), slow_rig.nvm.data());
-        EXPECT_EQ(fast_rig.io.output(0).values(),
-                  slow_rig.io.output(0).values());
-        EXPECT_FALSE(fast_rig.io.output(0).values().empty());
+        EXPECT_EQ(block.regs(), step.regs());
+        EXPECT_EQ(block_rig.nvm.data(), step_rig.nvm.data());
+        EXPECT_EQ(block_rig.io.output(0).values(),
+                  step_rig.io.output(0).values());
+        EXPECT_FALSE(step_rig.io.output(0).values().empty());
     }
 }
 
-TEST_P(WorkloadGoldenTest, ThreeTierDifferentialBitIdentical)
+TEST(MachineTest, BlockContinuousModeMatchesStep)
 {
-    // The full tier ladder: reference step(), predecoded fast dispatch,
-    // and the block-compiled superinstruction backend must be pairwise
-    // indistinguishable — counters, NVM, outputs, registers, resting
-    // PC — on every workload and scheme.  The odd budget slice stops
-    // runs at varied mid-block PCs, exercising the block backend's
-    // budget-tail deoptimization every slice.
-    Program p = workloads::build(GetParam());
-    for (Scheme scheme : {Scheme::kNvp, Scheme::kRatchet, Scheme::kGecko}) {
-        CompiledProgram c = compiler::compile(p, scheme);
-        Rig rigs[3];
-        std::vector<std::unique_ptr<Machine>> tiers;
-        const ExecBackend kinds[3] = {ExecBackend::kStep,
-                                      ExecBackend::kFast,
-                                      ExecBackend::kBlock};
-        for (int i = 0; i < 3; ++i) {
-            workloads::setupIo(GetParam(), rigs[i].io);
-            tiers.push_back(std::make_unique<Machine>(c, rigs[i].nvm,
-                                                      rigs[i].io));
-            tiers[i]->setExecBackend(kinds[i]);
-            tiers[i]->setStagedIo(scheme != Scheme::kNvp);
-        }
-        Machine& ref = *tiers[0];
-
-        while (!ref.halted() || !tiers[1]->halted() ||
-               !tiers[2]->halted()) {
-            std::uint64_t refConsumed = 0;
-            RunExit refExit = ref.run(777, &refConsumed);
-            for (int i = 1; i < 3; ++i) {
-                std::uint64_t consumed = 0;
-                RunExit exit = tiers[i]->run(777, &consumed);
-                ASSERT_EQ(exit, refExit)
-                    << GetParam() << " tier " << execBackendName(kinds[i]);
-                ASSERT_EQ(consumed, refConsumed)
-                    << GetParam() << " tier " << execBackendName(kinds[i]);
-                ASSERT_EQ(tiers[i]->pc(), ref.pc())
-                    << GetParam() << " tier " << execBackendName(kinds[i]);
-                ASSERT_TRUE(tiers[i]->stats == ref.stats)
-                    << GetParam() << " tier " << execBackendName(kinds[i]);
-            }
-            ASSERT_LT(ref.stats.cycles, 1ull << 32) << "non-terminating";
-        }
-        for (int i = 1; i < 3; ++i) {
-            EXPECT_EQ(tiers[i]->regs(), ref.regs());
-            EXPECT_EQ(rigs[i].nvm.data(), rigs[0].nvm.data());
-            EXPECT_EQ(rigs[i].io.output(0).values(),
-                      rigs[0].io.output(0).values());
-        }
-        EXPECT_FALSE(rigs[0].io.output(0).values().empty());
-    }
-}
-
-TEST(MachineTest, FastDispatchContinuousModeMatchesSlow)
-{
-    // Continuous sensing mode restarts the program at kHalt; both
-    // dispatch paths must agree across many restarts, including the
-    // pending-I/O staging counters.
+    // Continuous sensing mode restarts the program at kHalt; both tiers
+    // must agree across many restarts, including the pending-I/O
+    // staging counters.
     Program p = workloads::build("sensor_loop");
     CompiledProgram c = compiler::compile(p, Scheme::kGecko);
-    Rig fast_rig, slow_rig;
-    workloads::setupIo("sensor_loop", fast_rig.io);
-    workloads::setupIo("sensor_loop", slow_rig.io);
-    Rig block_rig;
+    Rig step_rig, block_rig;
+    workloads::setupIo("sensor_loop", step_rig.io);
     workloads::setupIo("sensor_loop", block_rig.io);
-    Machine fast(c, fast_rig.nvm, fast_rig.io);
-    Machine slow(c, slow_rig.nvm, slow_rig.io);
+    Machine step(c, step_rig.nvm, step_rig.io);
     Machine block(c, block_rig.nvm, block_rig.io);
-    fast.setExecBackend(ExecBackend::kFast);
-    slow.setExecBackend(ExecBackend::kStep);
+    step.setExecBackend(ExecBackend::kStep);
     block.setExecBackend(ExecBackend::kBlock);
-    for (Machine* m : {&fast, &slow, &block}) {
+    for (Machine* m : {&step, &block}) {
         m->setStagedIo(true);
         m->setContinuous(true);
     }
 
     for (int slice = 0; slice < 64; ++slice) {
-        std::uint64_t fast_consumed = 0, slow_consumed = 0,
-                      block_consumed = 0;
-        RunExit fast_exit = fast.run(1231, &fast_consumed);
-        RunExit slow_exit = slow.run(1231, &slow_consumed);
+        std::uint64_t step_consumed = 0, block_consumed = 0;
+        RunExit step_exit = step.run(1231, &step_consumed);
         RunExit block_exit = block.run(1231, &block_consumed);
-        ASSERT_EQ(fast_exit, slow_exit);
-        ASSERT_EQ(block_exit, slow_exit);
-        ASSERT_EQ(fast_consumed, slow_consumed);
-        ASSERT_EQ(block_consumed, slow_consumed);
-        ASSERT_EQ(fast.pc(), slow.pc());
-        ASSERT_EQ(block.pc(), slow.pc());
-        ASSERT_TRUE(fast.stats == slow.stats);
-        ASSERT_TRUE(block.stats == slow.stats);
+        ASSERT_EQ(block_exit, step_exit);
+        ASSERT_EQ(block_consumed, step_consumed);
+        ASSERT_EQ(block.pc(), step.pc());
+        ASSERT_TRUE(block.stats == step.stats);
     }
-    EXPECT_GT(fast.stats.completions, 0u);
-    EXPECT_EQ(fast.pendingIn(), slow.pendingIn());
-    EXPECT_EQ(fast.pendingOut(), slow.pendingOut());
-    EXPECT_EQ(block.pendingIn(), slow.pendingIn());
-    EXPECT_EQ(block.pendingOut(), slow.pendingOut());
-    EXPECT_EQ(fast_rig.nvm.data(), slow_rig.nvm.data());
-    EXPECT_EQ(block_rig.nvm.data(), slow_rig.nvm.data());
-    EXPECT_EQ(fast_rig.io.output(0).values(),
-              slow_rig.io.output(0).values());
+    EXPECT_GT(step.stats.completions, 0u);
+    EXPECT_EQ(block.pendingIn(), step.pendingIn());
+    EXPECT_EQ(block.pendingOut(), step.pendingOut());
+    EXPECT_EQ(block_rig.nvm.data(), step_rig.nvm.data());
     EXPECT_EQ(block_rig.io.output(0).values(),
-              slow_rig.io.output(0).values());
+              step_rig.io.output(0).values());
+}
+
+TEST(MachineTest, EdgeOperandsAgreeAcrossTiers)
+{
+    // Zero divisors, shift amounts above 31 and sign-bit compares (the
+    // operands an EMFI operand flip produces), in register and
+    // immediate form.  Six passes cross the hot threshold, so the block
+    // tier runs them both through stepDecoded and as compiled micro-ops.
+    Program p = ir::Assembler::assemble("t", R"(
+        movi r1, 7
+        movi r2, 0
+        movi r5, 33
+        movi r6, -1
+        movi r7, 6
+loop:
+        divu r3, r1, r2
+        out  0, r3
+        remu r3, r1, #0
+        out  0, r3
+        shl  r3, r1, r5
+        out  0, r3
+        shr  r3, r6, #33
+        out  0, r3
+        movi r3, 1
+        blt  r6, r2, signed
+        movi r3, 2
+signed:
+        out  0, r3
+        movi r3, 1
+        bltu r6, r2, unsigned
+        movi r3, 2
+unsigned:
+        out  0, r3
+        sub  r7, r7, #1
+        bne  r7, r2, loop
+        halt
+)");
+    CompiledProgram c = wrap(std::move(p));
+    const std::vector<std::uint32_t> pass = {0xffffffffu, 7u, 14u,
+                                             0x7fffffffu, 1u, 2u};
+    std::vector<std::uint32_t> expected;
+    for (int i = 0; i < 6; ++i)
+        expected.insert(expected.end(), pass.begin(), pass.end());
+    for (ExecBackend backend : {ExecBackend::kStep, ExecBackend::kBlock}) {
+        Rig rig;
+        Machine m(c, rig.nvm, rig.io);
+        m.setExecBackend(backend);
+        std::uint64_t consumed = 0;
+        EXPECT_EQ(m.run(1'000'000, &consumed), RunExit::kHalted);
+        EXPECT_EQ(rig.io.output(0).values(), expected)
+            << execBackendName(backend);
+    }
+}
+
+TEST(MachineTest, ExecBackendParsingAcceptsOnlyStepAndBlock)
+{
+    EXPECT_EQ(parseExecBackend("step"), ExecBackend::kStep);
+    EXPECT_EQ(parseExecBackend("block"), ExecBackend::kBlock);
+    EXPECT_EQ(parseExecBackend(""), ExecBackend::kBlock);
+    EXPECT_EQ(parseExecBackend(nullptr), ExecBackend::kBlock);
+    // The removed tier, its legacy alias and a typo are rejected rather
+    // than silently mapped to the default.
+    for (const char* bad : {"fast", "slow", "blok"})
+        EXPECT_THROW(parseExecBackend(bad), std::invalid_argument) << bad;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, WorkloadGoldenTest,

@@ -18,14 +18,15 @@
 /**
  * @file
  * Perf smoke (ctest label `perf`): a short fig13 slice — the attacked
- * sensor app on duty-cycled power — run under the fast-dispatch and
- * block-compiled backends.  Fails if
- *  - the block backend diverges from fast dispatch in any observable
- *    final state (the figures' byte-identical-stdout guarantee), or
- *  - the block backend is more than 10% *slower* than fast dispatch
- *    (a regression guard, not a speedup assertion: wall-clock ratios
- *    on shared CI hosts are too noisy to gate the 3x target, which is
- *    recorded in BENCH_sweeps.json instead).
+ * sensor app on duty-cycled power — run under the reference step tier
+ * and the block-compiled backend.  Fails if
+ *  - the block backend diverges from step in any observable final
+ *    state (the figures' byte-identical-stdout guarantee), or
+ *  - the block backend takes more than half the step tier's time (a
+ *    regression guard with wide headroom, not a speedup assertion:
+ *    wall-clock ratios on shared CI hosts are too noisy to gate the
+ *    measured speedup, which is recorded in BENCH_sweeps.json
+ *    instead).
  * Each backend takes the best of three timed runs to damp scheduler
  * noise.
  */
@@ -91,28 +92,28 @@ runSlice(sim::ExecBackend backend, int reps)
     return result;
 }
 
-TEST(PerfSmokeTest, BlockBackendKeepsPaceWithFastDispatch)
+TEST(PerfSmokeTest, BlockBackendOutpacesStep)
 {
-    SliceResult fast = runSlice(sim::ExecBackend::kFast, 3);
+    SliceResult step = runSlice(sim::ExecBackend::kStep, 3);
     SliceResult block = runSlice(sim::ExecBackend::kBlock, 3);
 
     // Divergence in final machine state fails regardless of timing.
-    EXPECT_TRUE(block.stats == fast.stats)
+    EXPECT_TRUE(block.stats == step.stats)
         << "block backend diverged in ExecStats";
-    EXPECT_EQ(block.regs, fast.regs);
-    EXPECT_EQ(block.pc, fast.pc);
-    EXPECT_EQ(block.out, fast.out);
-    EXPECT_EQ(block.memory, fast.memory);
-    ASSERT_GT(fast.stats.cycles, 1'000'000u) << "slice too short to time";
+    EXPECT_EQ(block.regs, step.regs);
+    EXPECT_EQ(block.pc, step.pc);
+    EXPECT_EQ(block.out, step.out);
+    EXPECT_EQ(block.memory, step.memory);
+    ASSERT_GT(step.stats.cycles, 1'000'000u) << "slice too short to time";
 
-    EXPECT_LE(block.bestWallS, fast.bestWallS * 1.10)
+    EXPECT_LE(block.bestWallS, step.bestWallS * 0.50)
         << "block backend regressed: " << block.bestWallS
-        << "s vs fast " << fast.bestWallS << "s";
+        << "s vs step " << step.bestWallS << "s";
 
     // Informational: the recorded speedup lives in BENCH_sweeps.json.
-    std::cout << "[perf_smoke] fast " << fast.bestWallS << "s, block "
+    std::cout << "[perf_smoke] step " << step.bestWallS << "s, block "
               << block.bestWallS << "s ("
-              << fast.bestWallS / block.bestWallS << "x)\n";
+              << step.bestWallS / block.bestWallS << "x)\n";
 }
 
 /**

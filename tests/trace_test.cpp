@@ -32,9 +32,10 @@
  * (plus EMI-attack scenarios), records its protocol events, and the
  * merged JSONL trace is diffed byte-for-byte against the checked-in
  * goldens in tests/golden/.  On top of the golden match, the suite
- * asserts the determinism contracts directly: step() and fast dispatch
+ * asserts the determinism contracts directly: the step and block tiers
  * trace identically, and the merged trace is byte-identical across
- * thread-pool widths.
+ * thread-pool widths.  Everything else, the goldens included, runs on
+ * the block tier every figure uses.
  *
  * Regenerating goldens (after an intentional schema or protocol
  * change — never to silence a diff you can't explain):
@@ -84,7 +85,8 @@ scenarioMatrix()
  * scenarios are order-independent (no shared lazy caches).
  */
 void
-runScenario(const Scenario& sc, bool fastDispatch)
+runScenario(const Scenario& sc,
+            sim::ExecBackend backend = sim::ExecBackend::kBlock)
 {
     const auto& dev = device::DeviceDb::msp430fr5994();
     auto compiled =
@@ -106,7 +108,7 @@ runScenario(const Scenario& sc, bool fastDispatch)
             3.3, 5.0, 0.004, 0.004);
 
     sim::IntermittentSim simulation(compiled, dev, cfg, *harvester, io);
-    simulation.machine().setFastDispatch(fastDispatch);
+    simulation.machine().setExecBackend(backend);
 
     attack::RemoteRig rig(dev, analog::MonitorKind::kAdc, 0.1);
     attack::EmiSource source(rig, 27e6, 35.0);
@@ -121,13 +123,14 @@ runScenario(const Scenario& sc, bool fastDispatch)
 
 /** Trace one scenario into a standalone buffer. */
 trace::Buffer
-traceScenario(const Scenario& sc, bool fastDispatch)
+traceScenario(const Scenario& sc,
+              sim::ExecBackend backend = sim::ExecBackend::kBlock)
 {
     trace::Buffer buffer;
     buffer.setLabel(sc.label());
     {
         trace::BufferScope scope(&buffer);
-        runScenario(sc, fastDispatch);
+        runScenario(sc, backend);
     }
     return buffer;
 }
@@ -197,7 +200,7 @@ traceMatrix(trace::Collector& collector, exp::ThreadPool& pool)
         trace::CaseScope scope(
             &collector, sc.label(),
             static_cast<std::uint64_t>(&sc - matrix.data()));
-        runScenario(sc, true);
+        runScenario(sc);
         return 0;
     });
     {
@@ -344,15 +347,15 @@ TEST_F(TraceTest, MacroIsInertWithoutACurrentBuffer)
     EXPECT_EQ(trace::current(), nullptr);
 }
 
-TEST_F(TraceTest, FastAndSlowDispatchTraceIdentically)
+TEST_F(TraceTest, StepAndBlockTiersTraceIdentically)
 {
     for (const Scenario& sc : scenarioMatrix()) {
-        trace::Buffer fast = traceScenario(sc, true);
-        trace::Buffer slow = traceScenario(sc, false);
-        ASSERT_GT(fast.size(), 0u) << sc.label();
-        EXPECT_TRUE(fast.events() == slow.events())
+        trace::Buffer block = traceScenario(sc, sim::ExecBackend::kBlock);
+        trace::Buffer step = traceScenario(sc, sim::ExecBackend::kStep);
+        ASSERT_GT(block.size(), 0u) << sc.label();
+        EXPECT_TRUE(block.events() == step.events())
             << sc.label()
-            << ": step() and fast dispatch must emit identical traces";
+            << ": the step and block tiers must emit identical traces";
     }
 }
 
@@ -375,7 +378,7 @@ TEST_F(TraceTest, MergedTraceIsThreadCountInvariant)
 TEST_F(TraceTest, ProtocolInvariantsHoldPerScenario)
 {
     for (const Scenario& sc : scenarioMatrix()) {
-        trace::Buffer buffer = traceScenario(sc, true);
+        trace::Buffer buffer = traceScenario(sc);
         std::vector<std::string> violations =
             trace::checkInvariants(buffer.events());
         EXPECT_TRUE(violations.empty())
@@ -391,7 +394,7 @@ TEST_F(TraceTest, AttackScenarioCarriesTheAttackStoryline)
     // figures tell: tone keyed on, monitor trips flagged as
     // attack-window trips, and under GECKO a detection event.
     trace::Buffer buffer =
-        traceScenario({"sensor_loop", Scheme::kGecko, true}, true);
+        traceScenario({"sensor_loop", Scheme::kGecko, true});
     bool sawEmiOn = false, sawEmiOff = false, sawAttackTrip = false;
     for (const trace::Event& e : buffer.events()) {
         const auto kind = static_cast<trace::EventKind>(e.kind);
@@ -513,7 +516,7 @@ TEST_F(TraceTest, ExportersAgreeWithExtension)
     trace::Collector collector;
     {
         trace::CaseScope scope(&collector, "export", 0);
-        runScenario({"crc16", Scheme::kGecko, false}, true);
+        runScenario({"crc16", Scheme::kGecko, false});
     }
 
     const std::string jsonl = trace::toJsonl(collector);
