@@ -38,11 +38,12 @@
  * identity guard working, not a bug; finish old dirs with the explicit
  * flags that describe their space.
  *
- * --spec=FILE loads a declarative scenario spec (src/fault/spec.hpp):
- * its `engine` section sets devices/seeds/sim/slice, its `scenario`
- * section replaces the default scenario list (clean is always kept as
- * the baseline), and a spec `seed` overrides GECKO_SEED / --seed.
- * Explicit flags after --spec still win over the spec's values.
+ * --spec=FILE loads a declarative scenario spec (src/fault/spec.hpp)
+ * and applies it with fault::applyToEngine: its `engine` section sets
+ * devices/seeds/sim/slice, its `scenario` section replaces the default
+ * scenario list (clean is always kept as the baseline), and a spec
+ * `seed` overrides GECKO_SEED / --seed.  Explicit flags after --spec
+ * and --quick (wherever it stands) still win over the spec's values.
  *
  * Exit status: 0 only when the campaign is complete (every job done or
  * quarantined), so `until campaign_runner ...; do :; done` is a valid
@@ -63,18 +64,6 @@ splitList(const std::string& s)
         if (!item.empty())
             out.push_back(item);
     return out;
-}
-
-compiler::Scheme
-schemeByName(const std::string& name)
-{
-    for (compiler::Scheme s :
-         {compiler::Scheme::kNvp, compiler::Scheme::kRatchet,
-          compiler::Scheme::kGeckoNoPrune, compiler::Scheme::kGecko}) {
-        if (name == compiler::schemeName(s))
-            return s;
-    }
-    throw std::runtime_error("unknown scheme: " + name);
 }
 
 /** Sum every `"key":N` occurrence in `json` (per-group counters). */
@@ -146,21 +135,15 @@ main(int argc, char** argv)
     for (const device::DeviceProfile& d : device::DeviceDb::all())
         space.devices.push_back(d.name);
     space.schemes = {compiler::Scheme::kNvp, compiler::Scheme::kGecko};
-    {
-        campaign::Scenario clean;
-        clean.kind = campaign::ScenarioKind::kClean;
-        clean.freqHz = 0.0;
-        clean.powerDbm = 0.0;
-        campaign::Scenario tone;
-        tone.kind = campaign::ScenarioKind::kTone;
-        campaign::Scenario burst;
-        burst.kind = campaign::ScenarioKind::kBurst;
-        space.scenarios = {clean, tone, burst};
-    }
-    int seedCount = 4;
+    space.scenarios.resize(3);  // clean baseline, tone, burst
+    space.scenarios[0] = campaign::cleanBaseline();
+    space.scenarios[1].kind = campaign::ScenarioKind::kTone;
+    space.scenarios[2].kind = campaign::ScenarioKind::kBurst;
+    space.seeds = campaign::seedRange(4);
     space.simSeconds = 0.02;
     space.sliceSimSeconds = 0.005;
-    fault::FaultSpec spec;
+    // Spec seed > GECKO_SEED / --seed > 1 (fault::resolveSeed).
+    config.seed = exp::globalSeed() != 0 ? exp::globalSeed() : 1;
     std::string specPath;
 
     for (int i = 1; i < argc; ++i) {
@@ -177,14 +160,21 @@ main(int argc, char** argv)
             space.workloads = splitList(arg.substr(12));
         } else if (arg.rfind("--schemes=", 0) == 0) {
             space.schemes.clear();
-            for (const std::string& name : splitList(arg.substr(10)))
-                space.schemes.push_back(schemeByName(name));
+            for (const std::string& name : splitList(arg.substr(10))) {
+                compiler::Scheme scheme;
+                if (!compiler::schemeFromName(name, &scheme)) {
+                    std::cerr << "unknown scheme: " << name << "\n";
+                    return 2;
+                }
+                space.schemes.push_back(scheme);
+            }
         } else if (arg.rfind("--devices=", 0) == 0) {
             space.devices = splitList(arg.substr(10));
         } else if (arg.rfind("--defenses=", 0) == 0) {
             space.defenses = splitList(arg.substr(11));
         } else if (arg.rfind("--seeds=", 0) == 0) {
-            seedCount = std::max(1, std::atoi(arg.c_str() + 8));
+            space.seeds =
+                campaign::seedRange(std::max(1, std::atoi(arg.c_str() + 8)));
         } else if (arg.rfind("--sim=", 0) == 0) {
             space.simSeconds = std::atof(arg.c_str() + 6);
         } else if (arg.rfind("--slice=", 0) == 0) {
@@ -194,61 +184,14 @@ main(int argc, char** argv)
                 arg.c_str() + 11, nullptr, 10);
         } else if (arg.rfind("--spec=", 0) == 0) {
             specPath = arg.substr(7);
+            fault::FaultSpec spec;
             std::string error;
             if (!fault::loadSpecFile(specPath, &spec, &error)) {
                 std::cerr << error << "\n";
                 return 2;
             }
-            // Engine section: job-space knobs (later flags still win).
-            if (!spec.devices.empty())
-                space.devices = spec.devices;
-            if (spec.seeds > 0)
-                seedCount = spec.seeds;
-            if (spec.simS > 0.0)
-                space.simSeconds = spec.simS;
-            if (spec.sliceS > 0.0)
-                space.sliceSimSeconds = spec.sliceS;
-            if (!spec.workloads.empty())
-                space.workloads = spec.workloads;
-            if (!spec.schemes.empty())
-                space.schemes = spec.schemes;
-            // Scenario section: the spec's scenario replaces the
-            // default attack list; clean stays as the baseline arm.
-            if (spec.hasScenario) {
-                campaign::Scenario sc;
-                sc.freqHz = spec.scenario.freqHz;
-                sc.powerDbm = spec.scenario.powerDbm;
-                sc.gridRows = spec.scenario.gridRows;
-                sc.gridCols = spec.scenario.gridCols;
-                sc.gridRow = spec.scenario.gridRow;
-                sc.gridCol = spec.scenario.gridCol;
-                sc.burstCount = spec.scenario.burstCount;
-                sc.burstOnS = spec.scenario.burstOnS;
-                sc.burstGapS = spec.scenario.burstGapS;
-                // Schema v2 attack-schedule scripting.
-                sc.dutyPeriodS = spec.scenario.dutyPeriodS;
-                sc.dutyOnFrac = spec.scenario.dutyOnFrac;
-                sc.phaseS = spec.scenario.phaseS;
-                sc.envelopeDbm = spec.scenario.envelopeDbm;
-                sc.outagePeriodS = spec.scenario.outagePeriodS;
-                sc.outageOnFrac = spec.scenario.outageOnFrac;
-                campaign::Scenario clean;
-                clean.kind = campaign::ScenarioKind::kClean;
-                clean.freqHz = 0.0;
-                clean.powerDbm = 0.0;
-                // Outage is environment, not attack: the clean baseline
-                // arm shares it so the attack delta isolates the EMI.
-                clean.outagePeriodS = spec.scenario.outagePeriodS;
-                clean.outageOnFrac = spec.scenario.outageOnFrac;
-                space.scenarios = {clean};
-                if (spec.scenario.kind == "tone") {
-                    sc.kind = campaign::ScenarioKind::kTone;
-                    space.scenarios.push_back(sc);
-                } else if (spec.scenario.kind == "burst") {
-                    sc.kind = campaign::ScenarioKind::kBurst;
-                    space.scenarios.push_back(sc);
-                }
-            }
+            // Later flags still win over the spec's values.
+            fault::applyToEngine(spec, &config);
         } else if (arg.rfind("--threads=", 0) == 0 ||
                    arg.rfind("--seed=", 0) == 0 ||
                    arg.rfind("--trace=", 0) == 0) {
@@ -262,12 +205,10 @@ main(int argc, char** argv)
         space.workloads = {"sensor_loop"};
         space.devices = {"MSP430FR5994"};
         space.scenarios.resize(2);  // clean + tone
-        seedCount = 2;
+        space.seeds = campaign::seedRange(2);
         space.simSeconds = 0.01;
         space.sliceSimSeconds = 0.0025;
     }
-    for (int s = 1; s <= seedCount; ++s)
-        space.seeds.push_back(static_cast<std::uint64_t>(s));
 
     if (statusOnly) {
         printStatus(dir);
@@ -280,10 +221,6 @@ main(int argc, char** argv)
     std::filesystem::create_directories(dir, ec);
 
     config.dir = dir;
-    // Spec seed > GECKO_SEED / --seed > 1 (fault::resolveSeed).
-    config.seed = specPath.empty()
-                      ? (exp::globalSeed() != 0 ? exp::globalSeed() : 1)
-                      : fault::resolveSeed(spec);
     config.specPath = specPath;
     config.stopRequested = [] { return bench::stopSignal().load() != 0; };
 

@@ -26,11 +26,12 @@
  *                  the spec file wins over GECKO_SEED / --seed; without
  *                  one the ambient seed applies, falling back to 1.
  *   --watchdog=N   machine-level livelock budget in run-loop iterations
- *                  (default GECKO_WATCHDOG, else 400000)
+ *                  (default 400000; 0 also selects it)
  *   --threads=N    pool width (default GECKO_THREADS / host cores)
  *   --out=DIR      write DIR/fault_corpus.txt and DIR/fault_report.txt
  *   --replay=FILE  replay a corpus file case-by-case instead of
- *                  running a campaign
+ *                  running a campaign, under the same budgets
+ *                  (--watchdog, the spec's sim_budget_s/watchdog)
  *   --trace=FILE   record per-case event traces (campaign and replay
  *                  alike) and write the merged trace to FILE
  *   --expect-nvp-corruption  exit nonzero unless NVP showed corruption
@@ -45,7 +46,7 @@ namespace {
 using namespace gecko;
 
 int
-replayCorpus(const std::string& path)
+replayCorpus(const std::string& path, const fault::CampaignConfig& config)
 {
     std::ifstream in(path);
     if (!in) {
@@ -77,7 +78,8 @@ replayCorpus(const std::string& path)
                 fault::injectorName(entry.spec.injector) + "|" +
                 std::to_string(entry.spec.seed),
             ordinal);
-        fault::CaseResult res = fault::runCase(entry.spec);
+        fault::CaseResult res = fault::runCase(
+            entry.spec, config.simTimeBudgetS, config.watchdogBudget);
         bool match = res.outcome == entry.outcome;
         if (!match)
             ++mismatches;
@@ -138,7 +140,7 @@ main(int argc, char** argv)
     }
 
     if (!replayPath.empty())
-        return replayCorpus(replayPath);
+        return replayCorpus(replayPath, config);
 
     std::vector<int> one{0};
     fault::CampaignResult result =

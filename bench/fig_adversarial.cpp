@@ -17,7 +17,8 @@
  * attack-knob space (frequency, amplitude, duty cycle, outage phase,
  * envelope, grid cell) for the schedule that maximizes
  * denial-of-progress, then re-evaluates the winner standalone from its
- * serialized schema-v2 spec — the bit-identical replay contract.  The
+ * journaled knobs — the bit-identical replay contract — and writes it
+ * as a schema-v2 spec that campaign_runner --spec replays.  The
  * matrix row per defense reports the best attack's score, its knobs and
  * the clean/attacked progress counters; the raw rows ride in the bench
  * report's `figure_data` (schema v7).

@@ -1,12 +1,14 @@
 #include "adversary/knobs.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <sstream>
 
+#include "metrics/bench_json.hpp"
+
 namespace gecko::adversary {
+
+using metrics::roundTripNumber;
 
 namespace {
 
@@ -14,36 +16,6 @@ double
 clampD(double v, double lo, double hi)
 {
     return std::min(std::max(v, lo), hi);
-}
-
-/** Shortest text that strtod()s back to exactly `v` (spec.cpp idiom). */
-std::string
-numText(double v)
-{
-    char buf[64];
-    for (int prec = 15; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    return buf;
-}
-
-/** Find `"key":` and parse the number after it; false if absent. */
-bool
-numberAfterKey(const std::string& text, const char* key, double* out)
-{
-    const std::string needle = std::string("\"") + key + "\":";
-    const std::size_t pos = text.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    const char* start = text.c_str() + pos + needle.size();
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start)
-        return false;
-    *out = v;
-    return true;
 }
 
 }  // namespace
@@ -160,21 +132,8 @@ toSpec(const AttackKnobs& k, const KnobBounds& b, const std::string& name,
     spec.hasSeed = true;
     spec.seed = seed;
     spec.hasScenario = true;
-    spec.scenario.kind = "tone";
-    spec.scenario.freqHz = k.freqHz;
-    spec.scenario.powerDbm = k.powerDbm;
-    spec.scenario.gridRows = b.gridRows;
-    spec.scenario.gridCols = b.gridCols;
-    spec.scenario.gridRow = k.gridCell / b.gridCols;
-    spec.scenario.gridCol = k.gridCell % b.gridCols;
-    spec.scenario.dutyPeriodS = k.dutyPeriodS;
-    spec.scenario.dutyOnFrac = k.dutyOnFrac;
-    spec.scenario.phaseS = k.phaseS;
-    if (k.envelopeStepDbm > 0.01)
-        spec.scenario.envelopeDbm = {k.powerDbm,
-                                     k.powerDbm - k.envelopeStepDbm};
-    spec.scenario.outagePeriodS = outagePeriodS;
-    spec.scenario.outageOnFrac = outageOnFrac;
+    // Unnamed, as every parsed spec scenario is: the name is the spec's.
+    spec.scenario = toScenario(k, b, "", outagePeriodS, outageOnFrac);
     spec.hasEngine = true;
     spec.devices = {device};
     spec.seeds = seeds;
@@ -187,12 +146,12 @@ std::string
 knobsJson(const AttackKnobs& k)
 {
     std::ostringstream os;
-    os << "{\"freq_hz\":" << numText(k.freqHz)
-       << ",\"power_dbm\":" << numText(k.powerDbm)
-       << ",\"duty_period_s\":" << numText(k.dutyPeriodS)
-       << ",\"duty_on_frac\":" << numText(k.dutyOnFrac)
-       << ",\"phase_s\":" << numText(k.phaseS)
-       << ",\"envelope_step_dbm\":" << numText(k.envelopeStepDbm)
+    os << "{\"freq_hz\":" << roundTripNumber(k.freqHz)
+       << ",\"power_dbm\":" << roundTripNumber(k.powerDbm)
+       << ",\"duty_period_s\":" << roundTripNumber(k.dutyPeriodS)
+       << ",\"duty_on_frac\":" << roundTripNumber(k.dutyOnFrac)
+       << ",\"phase_s\":" << roundTripNumber(k.phaseS)
+       << ",\"envelope_step_dbm\":" << roundTripNumber(k.envelopeStepDbm)
        << ",\"grid_cell\":" << k.gridCell << "}";
     return os.str();
 }
@@ -202,13 +161,18 @@ knobsFromJson(const std::string& text, AttackKnobs* out)
 {
     AttackKnobs k;
     double cell = 0.0;
-    if (!numberAfterKey(text, "freq_hz", &k.freqHz) ||
-        !numberAfterKey(text, "power_dbm", &k.powerDbm) ||
-        !numberAfterKey(text, "duty_period_s", &k.dutyPeriodS) ||
-        !numberAfterKey(text, "duty_on_frac", &k.dutyOnFrac) ||
-        !numberAfterKey(text, "phase_s", &k.phaseS) ||
-        !numberAfterKey(text, "envelope_step_dbm", &k.envelopeStepDbm) ||
-        !numberAfterKey(text, "grid_cell", &cell))
+    auto read = [&text](const char* key, double* field) {
+        const std::optional<double> v = metrics::jsonNumber(text, key);
+        if (v)
+            *field = *v;
+        return v.has_value();
+    };
+    if (!read("freq_hz", &k.freqHz) || !read("power_dbm", &k.powerDbm) ||
+        !read("duty_period_s", &k.dutyPeriodS) ||
+        !read("duty_on_frac", &k.dutyOnFrac) ||
+        !read("phase_s", &k.phaseS) ||
+        !read("envelope_step_dbm", &k.envelopeStepDbm) ||
+        !read("grid_cell", &cell))
         return false;
     k.gridCell = static_cast<int>(cell);
     *out = k;

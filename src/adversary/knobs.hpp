@@ -88,8 +88,9 @@ campaign::Scenario toScenario(const AttackKnobs& k, const KnobBounds& b,
 
 /**
  * The candidate as a schema-v2 scenario spec (bit-identical replay
- * artifact): scenario section from the knobs, engine section from the
- * evaluation parameters.
+ * artifact): scenario section = toScenario() unnamed (a parsed spec's
+ * scenario never carries a name), engine section from the evaluation
+ * parameters.
  */
 fault::FaultSpec toSpec(const AttackKnobs& k, const KnobBounds& b,
                         const std::string& name, std::uint64_t seed,

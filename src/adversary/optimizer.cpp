@@ -1,9 +1,6 @@
 #include "adversary/optimizer.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -15,35 +12,6 @@
 namespace gecko::adversary {
 
 namespace {
-
-/** Round-trip-exact double text (spec.cpp idiom). */
-std::string
-numText(double v)
-{
-    char buf[64];
-    for (int prec = 15; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    return buf;
-}
-
-bool
-numberAfterKey(const std::string& text, const char* key, double* out)
-{
-    const std::string needle = std::string("\"") + key + "\":";
-    const std::size_t pos = text.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    const char* start = text.c_str() + pos + needle.size();
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start)
-        return false;
-    *out = v;
-    return true;
-}
 
 /** Search-journal state reconstructed from completed-round lines. */
 struct SearchState {
@@ -89,19 +57,16 @@ proposeRound(const SearchConfig& config, const SearchState& st, int round)
     return out;
 }
 
+/** The aggregation group of `scenario`'s arm in a search campaign. */
 std::string
-groupKeyFor(const SearchConfig& config, const std::string& scenarioName)
+groupOf(const SearchConfig& config, const campaign::Scenario& scenario)
 {
-    std::string key = config.workload;
-    key += '/';
-    key += compiler::schemeName(config.scheme);
-    key += '/';
-    key += scenarioName;
-    if (config.defense != "static") {
-        key += '/';
-        key += config.defense;
-    }
-    return key;
+    campaign::JobSpec job;
+    job.workload = config.workload;
+    job.scheme = config.scheme;
+    job.scenario = scenario;
+    job.defense = config.defense;
+    return job.groupKey();
 }
 
 /** Build the one-round campaign space: clean baseline + candidates. */
@@ -114,20 +79,14 @@ spaceFor(const SearchConfig& config,
     space.schemes = {config.scheme};
     space.devices = {config.device};
     space.defenses = {config.defense};
-    campaign::Scenario clean;
-    clean.kind = campaign::ScenarioKind::kClean;
-    clean.freqHz = 0.0;
-    clean.powerDbm = 0.0;
-    clean.outagePeriodS = config.outagePeriodS;
-    clean.outageOnFrac = config.outageOnFrac;
-    space.scenarios = {clean};
+    space.scenarios = {campaign::cleanBaseline(config.outagePeriodS,
+                                               config.outageOnFrac)};
     for (std::size_t i = 0; i < candidates.size(); ++i)
         space.scenarios.push_back(toScenario(
             candidates[i], config.bounds,
             candName(round, static_cast<int>(i)), config.outagePeriodS,
             config.outageOnFrac));
-    for (int s = 1; s <= std::max(1, config.seedsPerCandidate); ++s)
-        space.seeds.push_back(static_cast<std::uint64_t>(s));
+    space.seeds = campaign::seedRange(std::max(1, config.seedsPerCandidate));
     space.simSeconds = config.simSeconds;
     space.sliceSimSeconds = config.sliceSimSeconds;
     return space;
@@ -203,17 +162,16 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
         while (std::getline(in, line)) {
             if (line.find("\"type\":\"round\"") == std::string::npos)
                 continue;
-            double round = 0, score = 0, step = 0;
+            const auto round = metrics::jsonNumber(line, "round");
+            const auto score = metrics::jsonNumber(line, "best_score");
+            const auto step = metrics::jsonNumber(line, "step");
             AttackKnobs knobs;
-            if (!numberAfterKey(line, "round", &round) ||
-                !numberAfterKey(line, "best_score", &score) ||
-                !numberAfterKey(line, "step", &step) ||
-                !knobsFromJson(line, &knobs))
+            if (!round || !score || !step || !knobsFromJson(line, &knobs))
                 continue;  // torn tail line: crash window, ignore
-            st.roundsDone = static_cast<int>(round) + 1;
+            st.roundsDone = static_cast<int>(*round) + 1;
             st.best = knobs;
-            st.bestScore = static_cast<std::uint64_t>(score);
-            st.stepScale = step;
+            st.bestScore = static_cast<std::uint64_t>(*score);
+            st.stepScale = *step;
             st.haveBest = true;
         }
     }
@@ -239,8 +197,7 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
         }
 
         const auto groups = foldResults(dir, space.jobCount());
-        const auto cleanIt = groups.find(groupKeyFor(
-            config, campaign::scenarioName(campaign::ScenarioKind::kClean)));
+        const auto cleanIt = groups.find(groupOf(config, space.scenarios[0]));
         if (cleanIt == groups.end())
             throw std::runtime_error("adversary: clean arm missing in " +
                                      dir);
@@ -250,8 +207,8 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
         int bestIdx = -1;
         std::uint64_t bestRoundScore = 0;
         for (std::size_t i = 0; i < candidates.size(); ++i) {
-            const auto it = groups.find(groupKeyFor(
-                config, candName(round, static_cast<int>(i))));
+            const auto it =
+                groups.find(groupOf(config, space.scenarios[i + 1]));
             const std::uint64_t score =
                 it == groups.end()
                     ? 0
@@ -284,7 +241,7 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
         std::ostringstream rl;
         rl << "{\"type\":\"round\",\"round\":" << round
            << ",\"best_score\":" << st.bestScore
-           << ",\"step\":" << numText(st.stepScale)
+           << ",\"step\":" << metrics::roundTripNumber(st.stepScale)
            << ",\"clean_commits\":" << cleanIt->second.commits
            << ",\"clean_escalations\":" << cleanIt->second.escalations
            << ",\"best_knobs\":" << knobsJson(st.best) << "}";
@@ -298,10 +255,9 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
     // axis values and the engine seed — not on job ids — so this
     // single-candidate space must reproduce the journaled score
     // exactly.
-    const std::string bestName = "best";
     campaign::CampaignSpace evalSpace = spaceFor(config, {}, 0);
     evalSpace.scenarios.push_back(toScenario(
-        st.best, config.bounds, bestName, config.outagePeriodS,
+        st.best, config.bounds, "best", config.outagePeriodS,
         config.outageOnFrac));
     const std::string evalDir = config.dir + "/best_eval";
     if (!runRoundCampaign(config, evalDir, evalSpace, pool)) {
@@ -310,9 +266,8 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
         return out;
     }
     const auto groups = foldResults(evalDir, evalSpace.jobCount());
-    const auto cleanIt = groups.find(groupKeyFor(
-        config, campaign::scenarioName(campaign::ScenarioKind::kClean)));
-    const auto bestIt = groups.find(groupKeyFor(config, bestName));
+    const auto cleanIt = groups.find(groupOf(config, evalSpace.scenarios[0]));
+    const auto bestIt = groups.find(groupOf(config, evalSpace.scenarios[1]));
     if (cleanIt == groups.end() || bestIt == groups.end())
         throw std::runtime_error("adversary: best_eval arms missing");
 

@@ -29,9 +29,11 @@
  *    journaled best/step) only, scores fold from integer counters, so
  *    the same seed always emits the same spec;
  *  - replayable: the winner is re-evaluated standalone in
- *    `<dir>/best_eval` from its serialized schema-v2 spec
- *    (`<dir>/best_spec.json`) and must reproduce the journaled score
- *    exactly — the bit-identical-replay contract, enforced every run.
+ *    `<dir>/best_eval` from its journaled knobs and must reproduce the
+ *    journaled score exactly — the bit-identical-replay contract,
+ *    enforced every run.  Its schema-v2 spec (`<dir>/best_spec.json`)
+ *    carries the same campaign::Scenario, so replaying the file through
+ *    fault::applyToEngine reproduces the best arm's counters.
  */
 
 namespace gecko::adversary {

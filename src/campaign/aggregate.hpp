@@ -87,6 +87,8 @@ struct GroupTotals {
     std::uint64_t escalations = 0;
     std::uint64_t deEscalations = 0;
     std::uint64_t commits = 0;
+
+    bool operator==(const GroupTotals&) const = default;
 };
 
 /**

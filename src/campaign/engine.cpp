@@ -13,34 +13,18 @@
 #include <thread>
 #include <unordered_map>
 
-#include "attack/attack_schedule.hpp"
-#include "attack/emi_source.hpp"
-#include "attack/rigs.hpp"
-#include "attack/spatial.hpp"
 #include "campaign/archive.hpp"
 #include "campaign/manifest.hpp"
 #include "campaign/snapshot.hpp"
 #include "compiler/compile_cache.hpp"
 #include "defense/defense.hpp"
 #include "device/device_db.hpp"
-#include "energy/harvester.hpp"
 #include "exp/rng.hpp"
 #include "sim/intermittent_sim.hpp"
 #include "sim/io_devices.hpp"
 #include "workloads/workloads.hpp"
 
 namespace gecko::campaign {
-
-const char*
-scenarioName(ScenarioKind kind)
-{
-    switch (kind) {
-        case ScenarioKind::kClean: return "clean";
-        case ScenarioKind::kTone: return "tone";
-        case ScenarioKind::kBurst: return "burst";
-    }
-    return "unknown";
-}
 
 std::uint64_t
 CampaignSpace::jobCount() const
@@ -67,8 +51,11 @@ fnv1a(std::uint64_t h, const std::string& s)
     return h;
 }
 
+/** Fixed 17-digit text of the configHash canonical form.  Not the
+ *  shortest round-trip text (metrics::roundTripNumber): switching would
+ *  re-fingerprint every journaled campaign and refuse its resume. */
 std::string
-numText(double x)
+hashNum(double x)
 {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", x);
@@ -92,7 +79,7 @@ CampaignSpace::configHash() const
         h = fnv1a(h, "d:" + d + ";");
     for (const auto& sc : scenarios) {
         h = fnv1a(h, std::string("a:") + scenarioName(sc.kind) + "," +
-                         numText(sc.freqHz) + "," + numText(sc.powerDbm) +
+                         hashNum(sc.freqHz) + "," + hashNum(sc.powerDbm) +
                          ";");
         // New axes hash only when engaged, so pre-spatial journals keep
         // their hashes and stay resumable.
@@ -103,24 +90,24 @@ CampaignSpace::configHash() const
                              std::to_string(sc.gridCol) + ";");
         if (sc.burstCount > 0)
             h = fnv1a(h, "b:" + std::to_string(sc.burstCount) + "," +
-                             numText(sc.burstOnS) + "," +
-                             numText(sc.burstGapS) + ";");
+                             hashNum(sc.burstOnS) + "," +
+                             hashNum(sc.burstGapS) + ";");
         if (!sc.name.empty())
             h = fnv1a(h, "n:" + sc.name + ";");
         if (sc.dutyPeriodS > 0)
-            h = fnv1a(h, "y:" + numText(sc.dutyPeriodS) + "," +
-                             numText(sc.dutyOnFrac) + ";");
+            h = fnv1a(h, "y:" + hashNum(sc.dutyPeriodS) + "," +
+                             hashNum(sc.dutyOnFrac) + ";");
         if (sc.phaseS > 0)
-            h = fnv1a(h, "p:" + numText(sc.phaseS) + ";");
+            h = fnv1a(h, "p:" + hashNum(sc.phaseS) + ";");
         if (!sc.envelopeDbm.empty()) {
             std::string env = "e:";
             for (double dbm : sc.envelopeDbm)
-                env += numText(dbm) + ",";
+                env += hashNum(dbm) + ",";
             h = fnv1a(h, env + ";");
         }
         if (sc.outagePeriodS > 0)
-            h = fnv1a(h, "o:" + numText(sc.outagePeriodS) + "," +
-                             numText(sc.outageOnFrac) + ";");
+            h = fnv1a(h, "o:" + hashNum(sc.outagePeriodS) + "," +
+                             hashNum(sc.outageOnFrac) + ";");
     }
     // The defense axis hashes only when engaged (anything beyond the
     // single historical "static" arm), like the scenario axes above.
@@ -129,8 +116,8 @@ CampaignSpace::configHash() const
             h = fnv1a(h, "f:" + d + ";");
     for (auto s : seeds)
         h = fnv1a(h, "r:" + std::to_string(s) + ";");
-    h = fnv1a(h, "t:" + numText(simSeconds) + ";");
-    h = fnv1a(h, "q:" + numText(sliceSimSeconds) + ";");
+    h = fnv1a(h, "t:" + hashNum(simSeconds) + ";");
+    h = fnv1a(h, "q:" + hashNum(sliceSimSeconds) + ";");
     return h;
 }
 
@@ -152,6 +139,15 @@ JobSpec::groupKey() const
         key += defense;
     }
     return key;
+}
+
+std::vector<std::uint64_t>
+seedRange(int count)
+{
+    std::vector<std::uint64_t> seeds;
+    for (int s = 1; s <= count; ++s)
+        seeds.push_back(static_cast<std::uint64_t>(s));
+    return seeds;
 }
 
 JobSpec
@@ -252,79 +248,10 @@ runJobOnce(const EngineConfig& config, const JobSpec& spec,
 
     sim::IoHub io;
     workloads::setupIo(spec.workload, io);
-    const Scenario& sc = spec.scenario;
-    // Environment: the historical constant supply, or a square-wave
-    // outage cycle when the scenario scripts one (so attacks can phase-
-    // lock their bursts to harvester outages).
-    energy::ConstantHarvester constantSupply(3.3, 5.0);
-    energy::SquareWaveHarvester outageSupply(
-        3.3, 5.0, sc.outagePeriodS * sc.outageOnFrac,
-        sc.outagePeriodS * (1.0 - sc.outageOnFrac));
-    energy::Harvester& supply =
-        sc.outagePeriodS > 0 ? static_cast<energy::Harvester&>(outageSupply)
-                             : constantSupply;
-    sim::IntermittentSim simulation(*compiled, dev, simCfg, supply, io);
-
-    // Attack rig lifetime must span the whole run.  A spatial scenario
-    // decorates the base rig with its grid cell's coupling and tags the
-    // source so carrier-on edges trace the position (kSpatialHit).
-    attack::RemoteRig baseRig(dev, simCfg.monitorKind, 0.5);
-    const bool spatial = sc.gridRows > 0;
-    attack::SpatialGrid grid(spatial ? sc.gridRows : 1,
-                             spatial ? sc.gridCols : 1);
-    attack::GridRig gridRig(baseRig, grid, spatial ? sc.gridRow : 0,
-                            spatial ? sc.gridCol : 0);
-    const attack::InjectionRig& rig =
-        spatial ? static_cast<const attack::InjectionRig&>(gridRig)
-                : baseRig;
-    attack::EmiSource source(rig, sc.freqHz, sc.powerDbm);
-    if (spatial)
-        source.setGridTag(gridRig.cell(), gridRig.couplingMilli(sc.freqHz));
-    attack::AttackSchedule schedule{std::vector<attack::AttackWindow>{}};
-    if (sc.kind != ScenarioKind::kClean)
-        simulation.setEmiSource(&source);
-    // Per-window power: the piecewise amplitude envelope cycles over
-    // the attack windows; empty = flat powerDbm.
-    auto windowPower = [&sc](int w) {
-        return sc.envelopeDbm.empty()
-                   ? sc.powerDbm
-                   : sc.envelopeDbm[static_cast<std::size_t>(w) %
-                                    sc.envelopeDbm.size()];
-    };
-    if (sc.dutyPeriodS > 0 && sc.kind != ScenarioKind::kClean) {
-        // Duty-cycled carrier (v2 attack-schedule scripting): on for
-        // dutyOnFrac of every period, first window at phaseS.
-        const double onS = sc.dutyPeriodS * sc.dutyOnFrac;
-        int w = 0;
-        for (double t = sc.phaseS; t < config.space.simSeconds;
-             t += sc.dutyPeriodS, ++w)
-            schedule.add({t, t + onS, sc.freqHz, windowPower(w)});
-        simulation.setAttackSchedule(&schedule);
-    } else if (sc.kind == ScenarioKind::kBurst) {
-        if (sc.burstCount > 0) {
-            // Explicit spec-declared windows; phaseS offsets the first
-            // (0 keeps the historical gap-led start).
-            double t = sc.phaseS > 0
-                           ? sc.phaseS
-                           : (sc.burstGapS > 0 ? sc.burstGapS : 0.001);
-            for (int w = 0; w < sc.burstCount; ++w) {
-                schedule.add({t, t + sc.burstOnS, sc.freqHz,
-                              windowPower(w)});
-                t += sc.burstOnS + sc.burstGapS;
-            }
-        } else {
-            // Seed-derived tone windows (same flavour as the fuzz tier).
-            exp::Rng rng(exp::mixSeed(spec.seed, 0xb0057ull));
-            double t = 0.0005 * (1 + rng.pick(4));
-            int nWindows = 2 + static_cast<int>(rng.pick(3));
-            for (int w = 0; w < nWindows; ++w) {
-                double on = 0.001 * (1 + rng.pick(5));
-                schedule.add({t, t + on, sc.freqHz, sc.powerDbm});
-                t += on + 0.001 * (1 + rng.pick(4));
-            }
-        }
-        simulation.setAttackSchedule(&schedule);
-    }
+    ScenarioEnv env(spec.scenario, dev, simCfg.monitorKind, spec.seed,
+                    config.space.simSeconds);
+    sim::IntermittentSim simulation(*compiled, dev, simCfg, env.supply(), io);
+    env.attach(simulation);
 
     const std::string snapPath = snapshotPath(config.dir, spec.job);
     std::vector<std::uint8_t> blob = readSnapshotFile(snapPath);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "campaign/aggregate.hpp"
+#include "campaign/scenario.hpp"
 #include "compiler/pipeline.hpp"
 #include "exp/thread_pool.hpp"
 
@@ -38,58 +39,6 @@
 
 namespace gecko::campaign {
 
-/** Attack scenario applied to a job's victim. */
-enum class ScenarioKind : std::uint8_t {
-    kClean = 0,   ///< No attacker.
-    kTone = 1,    ///< Continuous tone for the whole run.
-    kBurst = 2,   ///< Seed-derived windows of tone (AttackSchedule).
-};
-
-const char* scenarioName(ScenarioKind kind);
-
-struct Scenario {
-    ScenarioKind kind = ScenarioKind::kClean;
-    double freqHz = 27e6;
-    double powerDbm = 35.0;
-    /// Optional stable label: a named scenario aggregates under (and
-    /// hashes as) its name instead of its kind, so many same-kind
-    /// variants (e.g. adversarial-search candidates) stay distinct
-    /// groups.  "" = historical kind-keyed behaviour.
-    std::string name;
-    /// Spatial injection position (attack::SpatialGrid): gridRows > 0
-    /// places the attacker at cell (gridRow, gridCol) of a rows x cols
-    /// map and scales the rig's coupling accordingly.  0 = the
-    /// historical position-free rig (and the historical configHash).
-    int gridRows = 0;
-    int gridCols = 0;
-    int gridRow = 0;
-    int gridCol = 0;
-    /// Explicit burst schedule: burstCount > 0 replaces the
-    /// seed-derived windows of kBurst with `burstCount` windows of
-    /// `burstOnS` seconds separated by `burstGapS` gaps.
-    int burstCount = 0;
-    double burstOnS = 0.0;
-    double burstGapS = 0.0;
-    // --- spec schema v2 attack-schedule scripting ---
-    /// Duty cycling (dutyPeriodS > 0 enables): the carrier is on for
-    /// `dutyOnFrac` of every `dutyPeriodS` period, expressed as an
-    /// explicit AttackSchedule over the whole job.  Applies to kTone
-    /// (windowed tone) and kBurst.
-    double dutyPeriodS = 0.0;
-    double dutyOnFrac = 0.0;
-    /// Offset of the first attack window (duty or explicit burst).
-    double phaseS = 0.0;
-    /// Piecewise amplitude envelope: per-window carrier power (dBm),
-    /// cycling over the windows.  Empty = flat powerDbm.
-    std::vector<double> envelopeDbm;
-    /// Harvester outage environment (outagePeriodS > 0 enables): the
-    /// supply is up for `outageOnFrac` of every period and collapses
-    /// for the rest (SquareWaveHarvester), so burst phase can lock to
-    /// harvester outages.  0 = the historical constant supply.
-    double outagePeriodS = 0.0;
-    double outageOnFrac = 0.0;
-};
-
 /** The cartesian job space. */
 struct CampaignSpace {
     std::vector<std::string> workloads;
@@ -117,6 +66,9 @@ struct CampaignSpace {
     /** FNV-1a over the canonical space description (identity guard). */
     std::uint64_t configHash() const;
 };
+
+/** Replication seeds 1..count, the seed axis of a space. */
+std::vector<std::uint64_t> seedRange(int count);
 
 /** One decoded job. */
 struct JobSpec {

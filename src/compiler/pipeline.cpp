@@ -25,6 +25,19 @@ schemeName(Scheme scheme)
     return "?";
 }
 
+bool
+schemeFromName(const std::string& name, Scheme* out)
+{
+    for (Scheme s : {Scheme::kNvp, Scheme::kRatchet, Scheme::kGeckoNoPrune,
+                     Scheme::kGecko}) {
+        if (name == schemeName(s)) {
+            *out = s;
+            return true;
+        }
+    }
+    return false;
+}
+
 namespace {
 
 int

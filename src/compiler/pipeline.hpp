@@ -49,6 +49,9 @@ enum class Scheme {
 /** @return human-readable scheme name. */
 const char* schemeName(Scheme scheme);
 
+/** schemeName's inverse; false (leaving *out alone) for an unknown name. */
+bool schemeFromName(const std::string& name, Scheme* out);
+
 /** One remaining (unpruned) checkpoint store. */
 struct CkptSpec {
     ir::Reg reg = 0;

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 
-#include "attack/attack_schedule.hpp"
-#include "attack/emi_source.hpp"
-#include "attack/rigs.hpp"
+#include "campaign/scenario.hpp"
 #include "compiler/compile_cache.hpp"
 #include "device/device_db.hpp"
 #include "exp/parallel.hpp"
@@ -41,19 +39,11 @@ constexpr std::size_t kMemWords = 16384;
 /** Historical machine-level livelock budget (run-loop iterations). */
 constexpr std::uint64_t kDefaultWatchdogBudget = 400000;
 
-/** 0 → GECKO_WATCHDOG from the environment → the historical default. */
+/** 0 selects the historical default. */
 std::uint64_t
 resolveWatchdogBudget(std::uint64_t requested)
 {
-    if (requested > 0)
-        return requested;
-    if (const char* env = std::getenv("GECKO_WATCHDOG")) {
-        char* end = nullptr;
-        std::uint64_t v = std::strtoull(env, &end, 10);
-        if (end != env && v > 0)
-            return v;
-    }
-    return kDefaultWatchdogBudget;
+    return requested > 0 ? requested : kDefaultWatchdogBudget;
 }
 
 /** The fault-free oracle of one (workload, scheme, harness level). */
@@ -518,6 +508,7 @@ runSimCase(const CaseSpec& spec, double simTimeBudgetS,
     energy::SquareWaveHarvester wave(3.3, 5.0, onS, offS);
     energy::ConstantHarvester supply(3.3, 5.0);
     std::unique_ptr<BrownoutHarvester> brownout;
+    std::optional<campaign::ScenarioEnv> emi;
     energy::Harvester* source = &wave;
     if (spec.injector == InjectorKind::kBrownoutBurst) {
         brownout = std::make_unique<BrownoutHarvester>(
@@ -525,35 +516,27 @@ runSimCase(const CaseSpec& spec, double simTimeBudgetS,
         source = brownout.get();
     }
     if (spec.injector == InjectorKind::kEmiBurst) {
-        // The attack — not the energy environment — is the fault: a
-        // steady supply, with the adaptive controller armed (a no-op
-        // for the unguarded NVP/Ratchet victims).
-        source = &supply;
+        // The attack — not the energy environment — is the fault: three
+        // 27 MHz windows on the scenario's steady supply, with the
+        // adaptive controller armed (a no-op for the unguarded
+        // NVP/Ratchet victims).
+        campaign::Scenario burst;
+        burst.kind = campaign::ScenarioKind::kBurst;
+        burst.freqHz = 27e6;
+        burst.powerDbm = atkPower;
+        burst.burstCount = 3;
+        burst.burstOnS = atkOnS;
+        burst.burstGapS = atkGapS;
+        burst.phaseS = atkStart;
+        emi.emplace(burst, dev, cfg.monitorKind, spec.seed, simTimeBudgetS);
+        source = &emi->supply();
         cfg.defense.enabled = true;
     }
 
     sim::IntermittentSim simulation(*gold.prog, dev, cfg, *source, io);
     simulation.machine().setExecBackend(backend);
-
-    std::unique_ptr<attack::RemoteRig> rig;
-    std::unique_ptr<attack::EmiSource> emiSource;
-    std::unique_ptr<attack::AttackSchedule> atkSchedule;
-    if (spec.injector == InjectorKind::kEmiBurst) {
-        rig = std::make_unique<attack::RemoteRig>(
-            dev, cfg.monitorKind, 0.5);
-        emiSource = std::make_unique<attack::EmiSource>(*rig, 27e6,
-                                                        atkPower);
-        std::vector<attack::AttackWindow> windows;
-        double start = atkStart;
-        for (int i = 0; i < 3; ++i) {
-            windows.push_back({start, start + atkOnS, 27e6, atkPower});
-            start += atkOnS + atkGapS;
-        }
-        atkSchedule =
-            std::make_unique<attack::AttackSchedule>(std::move(windows));
-        simulation.setEmiSource(emiSource.get());
-        simulation.setAttackSchedule(atkSchedule.get());
-    }
+    if (emi)
+        emi->attach(simulation);
 
     switch (spec.injector) {
       case InjectorKind::kMonitorStuck:

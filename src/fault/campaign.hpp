@@ -53,8 +53,7 @@ struct CampaignConfig {
     /// Sim-level cases: max simulated seconds before kTimeout.
     double simTimeBudgetS = 1.5;
     /// Machine-level livelock watchdog: run-loop iterations before a
-    /// case is declared kLivelock.  0 = use GECKO_WATCHDOG from the
-    /// environment, falling back to the historical 400000.
+    /// case is declared kLivelock.  0 = the historical 400000.
     std::uint64_t watchdogBudget = 0;
     /// Spec-file injector mix: when non-empty, replaces the built-in
     /// injector schedule in makeCampaignCases (cases cycle through this
@@ -145,8 +144,7 @@ std::vector<CaseSpec> makeCampaignCases(const CampaignConfig& config);
  * injection parameters from the case seed, runs against the golden
  * oracle.
  *
- * @param watchdogBudget machine-level livelock budget; 0 resolves from
- *        GECKO_WATCHDOG, falling back to 400000.
+ * @param watchdogBudget machine-level livelock budget; 0 = 400000.
  * @param backend execution tier of the victim machine.  The injection
  *        schedule and the oracle are tier-independent, so both
  *        backends must produce identical CaseResults — the

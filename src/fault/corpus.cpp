@@ -5,20 +5,6 @@
 
 namespace gecko::fault {
 
-bool
-schemeFromName(const std::string& name, compiler::Scheme* out)
-{
-    using compiler::Scheme;
-    for (Scheme s : {Scheme::kNvp, Scheme::kRatchet, Scheme::kGeckoNoPrune,
-                     Scheme::kGecko}) {
-        if (name == compiler::schemeName(s)) {
-            *out = s;
-            return true;
-        }
-    }
-    return false;
-}
-
 std::string
 formatCorpusLine(const CaseResult& result)
 {
@@ -55,7 +41,7 @@ parseCorpusLine(const std::string& line, CorpusEntry* out, std::string* err)
         if (key == "workload") {
             entry.spec.workload = value;
         } else if (key == "scheme") {
-            if (!schemeFromName(value, &entry.spec.scheme)) {
+            if (!compiler::schemeFromName(value, &entry.spec.scheme)) {
                 *err = "unknown scheme: " + value;
                 return false;
             }

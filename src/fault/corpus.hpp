@@ -48,9 +48,6 @@ std::string formatCorpus(std::uint64_t campaignSeed,
 std::vector<CorpusEntry> parseCorpus(const std::string& text,
                                      std::uint64_t* campaignSeed);
 
-/** compiler::schemeName's inverse. */
-bool schemeFromName(const std::string& name, compiler::Scheme* out);
-
 }  // namespace gecko::fault
 
 #endif  // GECKO_FAULT_CORPUS_HPP_

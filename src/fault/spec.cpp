@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -10,8 +9,11 @@
 
 #include "exp/rng.hpp"
 #include "fault/injectors.hpp"
+#include "metrics/bench_json.hpp"
 
 namespace gecko::fault {
+
+using metrics::roundTripNumber;
 
 namespace {
 
@@ -316,21 +318,7 @@ asDoubleList(const JsonValue& v, const std::string& path,
 }
 
 bool
-schemeFromName(const std::string& name, compiler::Scheme* out)
-{
-    for (compiler::Scheme s :
-         {compiler::Scheme::kNvp, compiler::Scheme::kRatchet,
-          compiler::Scheme::kGeckoNoPrune, compiler::Scheme::kGecko}) {
-        if (name == compiler::schemeName(s)) {
-            *out = s;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-mapGrid(const JsonValue& v, SpecScenario* sc, std::string* error)
+mapGrid(const JsonValue& v, campaign::Scenario* sc, std::string* error)
 {
     if (v.type != JsonValue::kObject)
         return failAt(error, "$.scenario.grid", "expected an object");
@@ -362,7 +350,7 @@ mapGrid(const JsonValue& v, SpecScenario* sc, std::string* error)
 }
 
 bool
-mapBurst(const JsonValue& v, SpecScenario* sc, std::string* error)
+mapBurst(const JsonValue& v, campaign::Scenario* sc, std::string* error)
 {
     if (v.type != JsonValue::kObject)
         return failAt(error, "$.scenario.burst", "expected an object");
@@ -388,7 +376,7 @@ mapBurst(const JsonValue& v, SpecScenario* sc, std::string* error)
 }
 
 bool
-mapDuty(const JsonValue& v, SpecScenario* sc, std::string* error)
+mapDuty(const JsonValue& v, campaign::Scenario* sc, std::string* error)
 {
     if (v.type != JsonValue::kObject)
         return failAt(error, "$.scenario.duty", "expected an object");
@@ -412,7 +400,7 @@ mapDuty(const JsonValue& v, SpecScenario* sc, std::string* error)
 }
 
 bool
-mapOutage(const JsonValue& v, SpecScenario* sc, std::string* error)
+mapOutage(const JsonValue& v, campaign::Scenario* sc, std::string* error)
 {
     if (v.type != JsonValue::kObject)
         return failAt(error, "$.scenario.outage", "expected an object");
@@ -441,15 +429,20 @@ mapScenario(const JsonValue& v, FaultSpec* spec,
 {
     if (v.type != JsonValue::kObject)
         return failAt(error, "$.scenario", "expected an object");
-    SpecScenario& sc = spec->scenario;
+    campaign::Scenario& sc = spec->scenario;
+    using campaign::ScenarioKind;
     bool hasGrid = false, hasBurst = false;
     for (const auto& [key, val] : v.members) {
         std::string path = "$.scenario." + key;
         if (key == "kind") {
-            if (!asString(val, path, &sc.kind, error))
+            std::string kind;
+            if (!asString(val, path, &kind, error))
                 return false;
-            if (sc.kind != "clean" && sc.kind != "tone" &&
-                sc.kind != "burst")
+            for (ScenarioKind k : {ScenarioKind::kClean, ScenarioKind::kTone,
+                                   ScenarioKind::kBurst})
+                if (kind == campaign::scenarioName(k))
+                    sc.kind = k;
+            if (kind != campaign::scenarioName(sc.kind))
                 return failAt(error, path,
                               "kind must be clean, tone or burst");
         } else if (key == "freq_hz") {
@@ -490,13 +483,13 @@ mapScenario(const JsonValue& v, FaultSpec* spec,
             return failAt(error, path, "unknown field \"" + key + "\"");
         }
     }
-    if (sc.kind == "clean" && (hasGrid || hasBurst))
+    if (sc.kind == ScenarioKind::kClean && (hasGrid || hasBurst))
         return failAt(error, "$.scenario",
                       "grid/burst require a tone or burst scenario");
-    if (hasBurst && sc.kind != "burst")
+    if (hasBurst && sc.kind != ScenarioKind::kBurst)
         return failAt(error, "$.scenario",
                       "burst schedule requires kind \"burst\"");
-    if (sc.kind == "clean" &&
+    if (sc.kind == ScenarioKind::kClean &&
         (sc.dutyPeriodS > 0.0 || sc.phaseS > 0.0 ||
          !sc.envelopeDbm.empty()))
         return failAt(error, "$.scenario",
@@ -530,7 +523,7 @@ mapCampaign(const JsonValue& v, FaultSpec* spec, std::string* error)
             spec->schemes.clear();
             for (const std::string& n : names) {
                 compiler::Scheme s;
-                if (!schemeFromName(n, &s))
+                if (!compiler::schemeFromName(n, &s))
                     return failAt(error, path,
                                   "unknown scheme \"" + n + "\"");
                 spec->schemes.push_back(s);
@@ -597,19 +590,6 @@ mapEngine(const JsonValue& v, FaultSpec* spec, std::string* error)
 // ---------------------------------------------------------------------
 // Canonical serialization.
 // ---------------------------------------------------------------------
-
-/** Shortest decimal that round-trips through strtod. */
-std::string
-numText(double v)
-{
-    char buf[64];
-    for (int prec = 15; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    return buf;
-}
 
 void
 emitStringList(std::ostringstream& os, const std::vector<std::string>& v)
@@ -727,47 +707,49 @@ serializeSpec(const FaultSpec& spec)
             emitStringList(field("injectors"), names);
         }
         if (spec.simBudgetS > 0.0)
-            field("sim_budget_s") << numText(spec.simBudgetS);
+            field("sim_budget_s") << roundTripNumber(spec.simBudgetS);
         if (spec.watchdog > 0)
             field("watchdog") << spec.watchdog;
         os << "\n  }";
     }
     if (spec.hasScenario) {
-        const SpecScenario& sc = spec.scenario;
+        const campaign::Scenario& sc = spec.scenario;
         os << ",\n  \"scenario\": {";
-        os << "\n    \"kind\": \"" << sc.kind << "\"";
-        if (sc.kind != "clean") {
-            os << ",\n    \"freq_hz\": " << numText(sc.freqHz);
-            os << ",\n    \"power_dbm\": " << numText(sc.powerDbm);
+        os << "\n    \"kind\": \"" << campaign::scenarioName(sc.kind)
+           << "\"";
+        if (sc.kind != campaign::ScenarioKind::kClean) {
+            os << ",\n    \"freq_hz\": " << roundTripNumber(sc.freqHz);
+            os << ",\n    \"power_dbm\": " << roundTripNumber(sc.powerDbm);
             if (sc.gridRows > 0) {
                 os << ",\n    \"grid\": {\"rows\": " << sc.gridRows
                    << ", \"cols\": " << sc.gridCols
                    << ", \"row\": " << sc.gridRow
                    << ", \"col\": " << sc.gridCol << "}";
             }
-            if (sc.kind == "burst" && sc.burstCount > 0) {
+            if (sc.kind == campaign::ScenarioKind::kBurst &&
+                sc.burstCount > 0) {
                 os << ",\n    \"burst\": {\"count\": " << sc.burstCount
-                   << ", \"on_s\": " << numText(sc.burstOnS)
-                   << ", \"gap_s\": " << numText(sc.burstGapS) << "}";
+                   << ", \"on_s\": " << roundTripNumber(sc.burstOnS)
+                   << ", \"gap_s\": " << roundTripNumber(sc.burstGapS) << "}";
             }
             if (sc.dutyPeriodS > 0.0) {
                 os << ",\n    \"duty\": {\"period_s\": "
-                   << numText(sc.dutyPeriodS) << ", \"on_frac\": "
-                   << numText(sc.dutyOnFrac) << "}";
+                   << roundTripNumber(sc.dutyPeriodS) << ", \"on_frac\": "
+                   << roundTripNumber(sc.dutyOnFrac) << "}";
             }
             if (sc.phaseS > 0.0)
-                os << ",\n    \"phase_s\": " << numText(sc.phaseS);
+                os << ",\n    \"phase_s\": " << roundTripNumber(sc.phaseS);
             if (!sc.envelopeDbm.empty()) {
                 os << ",\n    \"envelope\": [";
                 for (std::size_t i = 0; i < sc.envelopeDbm.size(); ++i)
-                    os << (i ? ", " : "") << numText(sc.envelopeDbm[i]);
+                    os << (i ? ", " : "") << roundTripNumber(sc.envelopeDbm[i]);
                 os << "]";
             }
         }
         if (sc.outagePeriodS > 0.0) {
             os << ",\n    \"outage\": {\"period_s\": "
-               << numText(sc.outagePeriodS) << ", \"on_frac\": "
-               << numText(sc.outageOnFrac) << "}";
+               << roundTripNumber(sc.outagePeriodS) << ", \"on_frac\": "
+               << roundTripNumber(sc.outageOnFrac) << "}";
         }
         os << "\n  }";
     }
@@ -784,9 +766,9 @@ serializeSpec(const FaultSpec& spec)
         if (spec.seeds > 0)
             field("seeds") << spec.seeds;
         if (spec.simS > 0.0)
-            field("sim_s") << numText(spec.simS);
+            field("sim_s") << roundTripNumber(spec.simS);
         if (spec.sliceS > 0.0)
-            field("slice_s") << numText(spec.sliceS);
+            field("slice_s") << roundTripNumber(spec.sliceS);
         os << "\n  }";
     }
     os << "\n}\n";
@@ -839,6 +821,31 @@ applyToCampaign(const FaultSpec& spec, CampaignConfig* config)
         config->simTimeBudgetS = spec.simBudgetS;
     if (spec.watchdog > 0)
         config->watchdogBudget = spec.watchdog;
+}
+
+void
+applyToEngine(const FaultSpec& spec, campaign::EngineConfig* config)
+{
+    campaign::CampaignSpace& space = config->space;
+    config->seed = resolveSeed(spec);
+    if (!spec.devices.empty())
+        space.devices = spec.devices;
+    if (spec.seeds > 0)
+        space.seeds = campaign::seedRange(spec.seeds);
+    if (spec.simS > 0.0)
+        space.simSeconds = spec.simS;
+    if (spec.sliceS > 0.0)
+        space.sliceSimSeconds = spec.sliceS;
+    if (!spec.workloads.empty())
+        space.workloads = spec.workloads;
+    if (!spec.schemes.empty())
+        space.schemes = spec.schemes;
+    if (spec.hasScenario) {
+        space.scenarios = {campaign::cleanBaseline(
+            spec.scenario.outagePeriodS, spec.scenario.outageOnFrac)};
+        if (spec.scenario.kind != campaign::ScenarioKind::kClean)
+            space.scenarios.push_back(spec.scenario);
+    }
 }
 
 }  // namespace gecko::fault

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/engine.hpp"
 #include "fault/campaign.hpp"
 #include "fault/fault.hpp"
 
@@ -19,9 +20,15 @@
  * drivers:
  *
  *  - `fault_campaign --spec=FILE` takes the `campaign` section
- *    (workloads, schemes, injector mix, cases, budgets), and
+ *    (workloads, schemes, injector mix, cases, budgets) through
+ *    applyToCampaign(), and
  *  - `campaign_runner --spec=FILE` takes the `engine` + `scenario`
- *    sections (job space, tone/burst schedule, grid cell).
+ *    sections (job space, tone/burst schedule, grid cell) through
+ *    applyToEngine().
+ *
+ * The scenario section parses straight into a campaign::Scenario, the
+ * one attack-scenario type of the engine, the adversarial search and
+ * the fault campaign.
  *
  * Parsing is *strict*: unknown fields and unsupported versions are
  * rejected with a field-path diagnostic, so a typo'd spec fails loudly
@@ -36,42 +43,6 @@
  */
 
 namespace gecko::fault {
-
-/** The EMI environment of a spec ("scenario" section). */
-struct SpecScenario {
-    /// "clean", "tone" or "burst".
-    std::string kind = "clean";
-    double freqHz = 27e6;
-    double powerDbm = 35.0;
-    /// Spatial grid placement (gridRows > 0 enables it): the tone is
-    /// injected from cell (gridRow, gridCol) of a rows x cols map.
-    int gridRows = 0;
-    int gridCols = 0;
-    int gridRow = 0;
-    int gridCol = 0;
-    /// Explicit burst schedule (burstCount > 0 overrides the seeded
-    /// schedule of burst scenarios): `burstCount` windows of `burstOnS`
-    /// seconds separated by `burstGapS` gaps.
-    int burstCount = 0;
-    double burstOnS = 0.0;
-    double burstGapS = 0.0;
-    // --- schema v2: attack-schedule scripting ---
-    /// Duty cycling ("duty": {"period_s", "on_frac"}): the carrier is
-    /// on for onFrac of every period.  period_s > 0 enables.
-    double dutyPeriodS = 0.0;
-    double dutyOnFrac = 0.0;
-    /// Offset of the first attack window ("phase_s").
-    double phaseS = 0.0;
-    /// Piecewise amplitude envelope ("envelope": [dbm, ...]): per-
-    /// window carrier power, cycling.  Empty = flat power_dbm.
-    std::vector<double> envelopeDbm;
-    /// Harvester outage environment ("outage": {"period_s",
-    /// "on_frac"}): supply up for onFrac of every period, collapsed
-    /// for the rest.  period_s > 0 enables; legal on any kind (it is
-    /// environment, not attack).
-    double outagePeriodS = 0.0;
-    double outageOnFrac = 0.0;
-};
 
 /** One parsed scenario-spec file (schema version 1 or 2; the v2
  *  attack-schedule fields are rejected in v1 specs). */
@@ -91,9 +62,11 @@ struct FaultSpec {
     double simBudgetS = 0.0;
     std::uint64_t watchdog = 0;
 
-    // "scenario" section (EMI environment; campaign_runner jobs).
+    // "scenario" section (EMI environment; campaign_runner jobs).  The
+    // parser never sets scenario.name: a spec's attack arm aggregates
+    // under its kind.
     bool hasScenario = false;
-    SpecScenario scenario;
+    campaign::Scenario scenario;
 
     // "engine" section (campaign_runner job space).
     bool hasEngine = false;
@@ -130,6 +103,17 @@ std::uint64_t resolveSeed(const FaultSpec& spec);
  * current values.
  */
 void applyToCampaign(const FaultSpec& spec, CampaignConfig* config);
+
+/**
+ * Apply the spec onto a campaign-engine job space: the resolved seed,
+ * the engine section (devices, seeds, sim/slice seconds), the campaign
+ * section's workloads and schemes, and the scenario section, which
+ * replaces the scenario list with a clean baseline sharing the spec's
+ * outage environment plus the spec's attack arm (none for a clean
+ * spec).  Fields the spec leaves unset keep the config's current
+ * values.
+ */
+void applyToEngine(const FaultSpec& spec, campaign::EngineConfig* config);
 
 }  // namespace gecko::fault
 

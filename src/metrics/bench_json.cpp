@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <thread>
 
@@ -89,6 +90,18 @@ BenchReport::toJson() const
     }
     os << "]}";
     return os.str();
+}
+
+std::string
+roundTripNumber(double v)
+{
+    char buf[64];
+    for (int prec = 15; prec <= 17; ++prec) {
+        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+        if (std::strtod(buf, nullptr) == v)
+            break;
+    }
+    return buf;
 }
 
 std::optional<double>

@@ -122,6 +122,9 @@ struct BenchReport {
 /** Escape a string for inclusion in a JSON literal. */
 std::string jsonEscape(const std::string& s);
 
+/** Shortest decimal text that strtod() reads back as exactly `v`. */
+std::string roundTripNumber(double v);
+
 /**
  * Extract the first number following `"key":` in `text`.
  * Only valid for JSON produced by this module.

@@ -8,17 +8,20 @@
 
 #include "adversary/knobs.hpp"
 #include "adversary/optimizer.hpp"
+#include "campaign/engine.hpp"
 #include "exp/rng.hpp"
 #include "exp/thread_pool.hpp"
+#include "fault/spec.hpp"
 
 /**
  * @file
  * The adversarial attack optimizer (DESIGN.md §16): knob-space
  * mechanics, the integer denial objective, and the end-to-end search
  * contracts — same seed emits the byte-identical best-attack spec, the
- * journaled winner replays to exactly its journaled score, and the
- * clean baseline never escalates the hardened controller (zero false
- * positives) even under the strict preset.
+ * journaled winner replays to exactly its journaled score, the
+ * serialized best spec replays through the engine to the best arm's
+ * counters, and the clean baseline never escalates the hardened
+ * controller (zero false positives) even under the strict preset.
  */
 
 namespace gecko {
@@ -143,6 +146,33 @@ TEST(AdversaryKnobs, DenialScoreWeighsDeficitsAndWreckage)
     EXPECT_EQ(adversary::denialScore(clean, attacked), 0u);
 }
 
+TEST(AdversaryKnobs, SerializedSpecReachesTheEngineAsTheCandidateScenario)
+{
+    // best_spec.json must carry exactly the scenario the search scored:
+    // toSpec -> serializeSpec -> parseSpec -> applyToEngine yields
+    // toScenario() (unnamed) for knobs that engage every field.
+    const adversary::KnobBounds b;
+    exp::Rng rng(exp::mixSeed(5, 17));
+    for (int trial = 0; trial < 50; ++trial) {
+        const adversary::AttackKnobs k = adversary::randomKnobs(rng, b);
+        const fault::FaultSpec spec = adversary::toSpec(
+            k, b, "t", 3, "MSP430FR5994", 2, 0.02, 0.005, 0.008, 0.75);
+        fault::FaultSpec back;
+        std::string error;
+        ASSERT_TRUE(fault::parseSpec(fault::serializeSpec(spec), &back,
+                                     &error))
+            << error;
+        campaign::EngineConfig ec;
+        fault::applyToEngine(back, &ec);
+        ASSERT_EQ(ec.space.scenarios.size(), 2u);
+        EXPECT_TRUE(ec.space.scenarios[0] ==
+                    campaign::cleanBaseline(0.008, 0.75));
+        EXPECT_TRUE(ec.space.scenarios[1] ==
+                    adversary::toScenario(k, b, "", 0.008, 0.75))
+            << "trial " << trial << ": " << adversary::knobsJson(k);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Search contracts
 // ---------------------------------------------------------------------
@@ -191,6 +221,55 @@ TEST(AdversarySearch, RerunOnJournaledDirPinsTheSameWinner)
     EXPECT_TRUE(second.replayMatches);
     EXPECT_EQ(second.best.score, first.best.score);
     EXPECT_EQ(slurp(dir.str() + "/best_spec.json"), spec1);
+}
+
+TEST(AdversarySearch, BestSpecReplaysThroughTheEngineToTheBestTotals)
+{
+    // The replay contract end to end: best_spec.json, loaded the way
+    // `campaign_runner --spec` loads it and completed with the search's
+    // workload, scheme and defense, reproduces the attacked arm of the
+    // standalone best evaluation counter for counter.
+    TempDir dir("spec_replay");
+    const adversary::SearchConfig config = tinyConfig(dir.str(), "adaptive");
+    const adversary::SearchReport rep =
+        adversary::runSearch(config, exp::ThreadPool::global());
+    ASSERT_TRUE(rep.complete);
+    ASSERT_TRUE(rep.replayMatches);
+
+    fault::FaultSpec spec;
+    std::string error;
+    ASSERT_TRUE(fault::loadSpecFile(dir.str() + "/best_spec.json", &spec,
+                                    &error))
+        << error;
+    campaign::EngineConfig ec;
+    ec.dir = dir.str() + "/spec_replay";
+    fs::create_directories(ec.dir);
+    ec.space.workloads = {config.workload};
+    ec.space.schemes = {config.scheme};
+    ec.space.defenses = {config.defense};
+    fault::applyToEngine(spec, &ec);
+    ASSERT_EQ(ec.space.scenarios.size(), 2u);
+    const campaign::EngineReport report =
+        campaign::runCampaign(ec, exp::ThreadPool::global());
+    ASSERT_TRUE(report.complete);
+    ASSERT_EQ(report.jobsQuarantined, 0u);
+
+    campaign::Aggregator agg(report.jobsTotal);
+    std::ifstream in(ec.dir + "/results.jsonl");
+    std::string line;
+    while (std::getline(in, line))
+        if (auto r = campaign::JobResult::fromJsonl(line))
+            agg.add(*r);
+    campaign::JobSpec attacked;
+    attacked.workload = config.workload;
+    attacked.scheme = config.scheme;
+    attacked.scenario = ec.space.scenarios[1];
+    attacked.defense = config.defense;
+    const auto it = agg.groups().find(attacked.groupKey());
+    ASSERT_NE(it, agg.groups().end()) << attacked.groupKey();
+    EXPECT_TRUE(it->second == rep.bestTotals);
+    EXPECT_EQ(it->second.commits, rep.bestTotals.commits);
+    EXPECT_EQ(it->second.completions, rep.bestTotals.completions);
 }
 
 TEST(AdversarySearch, CleanBaselineNeverEscalatesStrictPreset)

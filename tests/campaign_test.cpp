@@ -662,13 +662,9 @@ smallSpace()
     campaign::CampaignSpace space;
     space.workloads = {"sensor_loop"};
     space.schemes = {Scheme::kGecko, Scheme::kNvp};
-    campaign::Scenario clean;
-    clean.kind = campaign::ScenarioKind::kClean;
-    clean.freqHz = 0.0;
-    clean.powerDbm = 0.0;
     campaign::Scenario tone;
     tone.kind = campaign::ScenarioKind::kTone;
-    space.scenarios = {clean, tone};
+    space.scenarios = {campaign::cleanBaseline(), tone};
     space.seeds = {1, 2};
     space.simSeconds = 0.008;
     space.sliceSimSeconds = 0.002;
@@ -875,26 +871,7 @@ TEST(EngineTest, SpatialSpecScenarioInterruptResumesByteIdentical)
 
     auto makeConfig = [&](const std::string& dir) {
         campaign::EngineConfig config = engineConfig(dir);
-        config.seed = fault::resolveSeed(spec);
-        config.space.seeds = {1, 2};
-        config.space.simSeconds = spec.simS;
-        config.space.sliceSimSeconds = spec.sliceS;
-        campaign::Scenario sc;
-        sc.kind = campaign::ScenarioKind::kBurst;
-        sc.freqHz = spec.scenario.freqHz;
-        sc.powerDbm = spec.scenario.powerDbm;
-        sc.gridRows = spec.scenario.gridRows;
-        sc.gridCols = spec.scenario.gridCols;
-        sc.gridRow = spec.scenario.gridRow;
-        sc.gridCol = spec.scenario.gridCol;
-        sc.burstCount = spec.scenario.burstCount;
-        sc.burstOnS = spec.scenario.burstOnS;
-        sc.burstGapS = spec.scenario.burstGapS;
-        campaign::Scenario clean;
-        clean.kind = campaign::ScenarioKind::kClean;
-        clean.freqHz = 0.0;
-        clean.powerDbm = 0.0;
-        config.space.scenarios = {clean, sc};
+        fault::applyToEngine(spec, &config);
         return config;
     };
     EXPECT_EQ(fault::resolveSeed(spec), 31u);

@@ -8,8 +8,10 @@
  * @file
  * Declarative scenario specs (src/fault/spec.hpp): strict parsing with
  * field-path diagnostics, canonical round-trip stability, seed
- * precedence, and the equivalence guarantee — a spec-driven campaign is
- * byte-identical to the same campaign configured through flags.
+ * precedence, the spec-to-job-space wiring (applyToEngine) on the
+ * checked-in examples, and the equivalence guarantee — a spec-driven
+ * campaign is byte-identical to the same campaign configured through
+ * flags.
  */
 
 namespace gecko::fault {
@@ -40,7 +42,7 @@ fullSpec()
     spec.simBudgetS = 0.75;
     spec.watchdog = 123456;
     spec.hasScenario = true;
-    spec.scenario.kind = "burst";
+    spec.scenario.kind = campaign::ScenarioKind::kBurst;
     spec.scenario.freqHz = 27e6;
     spec.scenario.powerDbm = 35.0;
     spec.scenario.gridRows = 8;
@@ -267,6 +269,103 @@ TEST(SpecSeed, AmbientSeedAppliesWhenSpecHasNone)
     // The fall-back-to-1 arm is covered by applyToCampaign keeping the
     // deterministic default when nothing seeds the run; asserting it
     // here would need a second process (globalSeed latches once).
+}
+
+// --- applyToEngine: the one spec-to-job-space wiring ---
+
+TEST(SpecEngine, DutyCycleExampleReachesTheAttackArmFieldByField)
+{
+    FaultSpec spec;
+    std::string error;
+    ASSERT_TRUE(loadSpecFile(std::string(GECKO_EXAMPLES_DIR) +
+                                 "/duty_cycle_attack_spec.json",
+                             &spec, &error))
+        << error;
+    campaign::EngineConfig config;
+    config.space.workloads = {"fir"};
+    applyToEngine(spec, &config);
+
+    EXPECT_EQ(config.seed, 7u);
+    const campaign::CampaignSpace& space = config.space;
+    // No campaign section: the config's own workloads stay.
+    EXPECT_EQ(space.workloads, std::vector<std::string>{"fir"});
+    EXPECT_EQ(space.devices, std::vector<std::string>{"MSP430FR5994"});
+    EXPECT_EQ(space.seeds, (std::vector<std::uint64_t>{1, 2}));
+    EXPECT_DOUBLE_EQ(space.simSeconds, 0.02);
+    EXPECT_DOUBLE_EQ(space.sliceSimSeconds, 0.005);
+
+    ASSERT_EQ(space.scenarios.size(), 2u);
+    // Outage is environment: the clean baseline shares it.
+    EXPECT_TRUE(space.scenarios[0] == campaign::cleanBaseline(0.008, 0.75));
+
+    const campaign::Scenario& attack = space.scenarios[1];
+    EXPECT_EQ(attack.kind, campaign::ScenarioKind::kTone);
+    EXPECT_TRUE(attack.name.empty());
+    EXPECT_EQ(attack.freqHz, 27e6);
+    EXPECT_EQ(attack.powerDbm, 35.0);
+    EXPECT_EQ(attack.dutyPeriodS, 0.004);
+    EXPECT_EQ(attack.dutyOnFrac, 0.5);
+    EXPECT_EQ(attack.phaseS, 0.001);
+    EXPECT_EQ(attack.envelopeDbm, (std::vector<double>{35, 29, 35, 23}));
+    EXPECT_EQ(attack.outagePeriodS, 0.008);
+    EXPECT_EQ(attack.outageOnFrac, 0.75);
+    EXPECT_EQ(attack.gridRows, 0);
+    EXPECT_EQ(attack.burstCount, 0);
+}
+
+TEST(SpecEngine, GridExampleReachesTheAttackArmFieldByField)
+{
+    FaultSpec spec;
+    std::string error;
+    ASSERT_TRUE(loadSpecFile(std::string(GECKO_EXAMPLES_DIR) +
+                                 "/emi_grid_spec.json",
+                             &spec, &error))
+        << error;
+    campaign::EngineConfig config;
+    applyToEngine(spec, &config);
+
+    EXPECT_EQ(config.seed, 42u);
+    const campaign::CampaignSpace& space = config.space;
+    // The campaign section's workloads and schemes shape the job space.
+    EXPECT_EQ(space.workloads,
+              (std::vector<std::string>{"crc16", "sensor_loop"}));
+    EXPECT_EQ(space.schemes, (std::vector<compiler::Scheme>{
+                                 compiler::Scheme::kNvp,
+                                 compiler::Scheme::kGecko}));
+    EXPECT_EQ(space.seeds, (std::vector<std::uint64_t>{1, 2}));
+
+    ASSERT_EQ(space.scenarios.size(), 2u);
+    EXPECT_TRUE(space.scenarios[0] == campaign::cleanBaseline());
+
+    const campaign::Scenario& attack = space.scenarios[1];
+    EXPECT_EQ(attack.kind, campaign::ScenarioKind::kBurst);
+    EXPECT_EQ(attack.freqHz, 27e6);
+    EXPECT_EQ(attack.powerDbm, 35.0);
+    EXPECT_EQ(attack.gridRows, 8);
+    EXPECT_EQ(attack.gridCols, 8);
+    EXPECT_EQ(attack.gridRow, 3);
+    EXPECT_EQ(attack.gridCol, 5);
+    EXPECT_EQ(attack.burstCount, 3);
+    EXPECT_EQ(attack.burstOnS, 0.004);
+    EXPECT_EQ(attack.burstGapS, 0.003);
+    EXPECT_EQ(attack.dutyPeriodS, 0.0);
+    EXPECT_EQ(attack.phaseS, 0.0);
+}
+
+TEST(SpecEngine, CleanSpecLeavesOnlyTheBaselineArm)
+{
+    FaultSpec spec;
+    std::string error;
+    ASSERT_TRUE(parseSpec(
+        R"({"version": 2, "scenario": {"kind": "clean",
+            "outage": {"period_s": 0.008, "on_frac": 0.75}}})",
+        &spec, &error))
+        << error;
+    campaign::EngineConfig config;
+    applyToEngine(spec, &config);
+    ASSERT_EQ(config.space.scenarios.size(), 1u);
+    EXPECT_TRUE(config.space.scenarios[0] ==
+                campaign::cleanBaseline(0.008, 0.75));
 }
 
 TEST(SpecCampaign, SpecDrivenRunMatchesFlagDrivenRun)
