@@ -48,11 +48,13 @@ AdcMonitor::observe(double seenV)
     return ev;
 }
 
-bool
-AdcMonitor::quietRange(double lo, double hi) const
+std::optional<MonitorEvent>
+AdcMonitor::steadyEvent(double lo, double hi, double amplitude) const
 {
-    if (lo > hi)
-        return false;
+    // Under a tone each conversion lands at a DCO-jittered carrier
+    // phase: no band bounds what it reads.
+    if (amplitude != 0.0 || lo > hi)
+        return std::nullopt;
     // The ADC transfer curve is monotone, so checking the range
     // endpoints bounds every code the monitor could see.  Each latch
     // must keep its value for all of them; with both latches stable no
@@ -62,7 +64,9 @@ AdcMonitor::quietRange(double lo, double hi) const
                                  : adc_.sample(lo) >= backupCode_;
     const bool aboveStable = aboveWake_ ? adc_.sample(lo) >= wakeCode_
                                         : adc_.sample(hi) < wakeCode_;
-    return belowStable && aboveStable;
+    if (belowStable && aboveStable)
+        return MonitorEvent{};
+    return std::nullopt;
 }
 
 void
@@ -96,19 +100,37 @@ ComparatorMonitor::observe(double seenV)
     return ev;
 }
 
-bool
-ComparatorMonitor::quietRange(double lo, double hi) const
+std::optional<MonitorEvent>
+ComparatorMonitor::steadyEvent(double lo, double hi, double amplitude) const
 {
     if (lo > hi)
-        return false;
-    // A comparator's output only changes by crossing ref ± halfBand in
-    // the direction opposite its current state; bound the input range
-    // away from the active flank of each comparator.
-    const auto stable = [lo, hi](const Comparator& c) {
-        return c.output() ? lo >= c.reference() - c.halfBand()
-                          : hi <= c.reference() + c.halfBand();
+        return std::nullopt;
+    // Each window is observed trough (v − A) first, then crest (v + A).
+    // Rounded v ± A is monotone in v, so the band's endpoints bound
+    // every trough and crest in it.
+    const double troughLo = lo - amplitude;
+    const double troughHi = hi - amplitude;
+    const double crestLo = lo + amplitude;
+    const double crestHi = hi + amplitude;
+    // Per comparator: 0 = output provably constant, 1 = provably falls
+    // on every trough and rises again on the crest (a high output the
+    // tone clears on both flanks), -1 = unknown.
+    const auto classify = [&](const Comparator& c) {
+        const double fall = c.reference() - c.halfBand();
+        const double rise = c.reference() + c.halfBand();
+        if (!c.output())
+            return crestHi <= rise ? 0 : -1;
+        if (troughLo >= fall)
+            return 0;
+        return troughHi < fall && crestLo > rise ? 1 : -1;
     };
-    return stable(backupComp_) && stable(wakeComp_);
+    const int backup = classify(backupComp_);
+    const int wake = classify(wakeComp_);
+    if (backup < 0 || wake < 0)
+        return std::nullopt;
+    // A falling backup comparator is a backup edge; the wake comparator
+    // rising back on the crest is a wake edge.
+    return MonitorEvent{backup == 1, wake == 1};
 }
 
 void

@@ -2,6 +2,7 @@
 #define GECKO_ANALOG_VOLTAGE_MONITOR_HPP_
 
 #include <memory>
+#include <optional>
 
 #include "analog/adc.hpp"
 #include "analog/comparator.hpp"
@@ -28,6 +29,7 @@ namespace gecko::analog {
 struct MonitorEvent {
     bool backup = false;
     bool wake = false;
+    bool operator==(const MonitorEvent&) const = default;
 };
 
 /** Monitor kinds present on the paper's evaluation boards. */
@@ -71,20 +73,21 @@ class VoltageMonitor
     virtual MonitorEvent observeEnvelope(double low, double high);
 
     /**
-     * True iff any sequence of observations within [lo, hi] is provably
-     * a no-op: no backup or wake event fires and every edge-detection
-     * latch keeps its current value.  This is the monitor side of the
-     * simulator's quantum-coalescing guard — when it holds over a whole
-     * burst's voltage range, the skipped per-quantum `observe` calls
-     * cannot have changed anything.  Conservative: `false` means
-     * "unknown", never "unsafe is fine".
+     * Steady-event certificate: the monitor side of the simulator's
+     * burst guard (DESIGN.md §14).  Consider every observation the
+     * simulator makes while the rail stays inside [lo, hi] with a tone
+     * of peak amplitude `amplitude` on it: a point sample of the rail
+     * when `amplitude` is 0, the window envelope [v − A, v + A] when
+     * the monitor is continuous.  If each of them provably returns the
+     * same event and leaves every latch at its current value, return
+     * that event — `{}` for a quiet band, `{backup, wake}` for a
+     * comparator the tone drives through both thresholds on every
+     * window.  The skipped observations of a burst are then exact
+     * repeats of one known step.  `std::nullopt` means "unknown",
+     * never "unsafe is fine".
      */
-    virtual bool quietRange(double lo, double hi) const
-    {
-        (void)lo;
-        (void)hi;
-        return false;
-    }
+    virtual std::optional<MonitorEvent>
+    steadyEvent(double lo, double hi, double amplitude) const = 0;
 
     /** Re-initialise state as if the supply were at `v`. */
     virtual void reset(double v) = 0;
@@ -116,7 +119,8 @@ class AdcMonitor : public VoltageMonitor
 
     MonitorEvent observe(double seenV) override;
     double sampleIntervalS() const override { return 1.0 / sampleHz_; }
-    bool quietRange(double lo, double hi) const override;
+    std::optional<MonitorEvent> steadyEvent(double lo, double hi,
+                                            double amplitude) const override;
     void reset(double v) override;
     void archiveState(campaign::Archive& ar) override;
 
@@ -150,7 +154,8 @@ class ComparatorMonitor : public VoltageMonitor
     MonitorEvent observe(double seenV) override;
     double sampleIntervalS() const override { return 1.0 / checkHz_; }
     bool continuous() const override { return true; }
-    bool quietRange(double lo, double hi) const override;
+    std::optional<MonitorEvent> steadyEvent(double lo, double hi,
+                                            double amplitude) const override;
     void reset(double v) override;
     void archiveState(campaign::Archive& ar) override;
 

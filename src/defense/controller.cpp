@@ -248,8 +248,7 @@ DefenseController::observeSample(double t, double vLo, double vHi,
         // Legitimate motion since the previous sample is bounded by the
         // RC physics; both the within-window envelope span and the
         // between-sample step must fit it.
-        const double bound =
-            (t - lastSampleT_) * maxSlewVps_ + config_.physicsMarginV;
+        const double bound = physicsBound(t - lastSampleT_);
         const double mid = 0.5 * (vLo + vHi);
         if ((vHi - vLo) > bound || std::abs(mid - lastSampleV_) > bound) {
             evidence |= kEvidencePhysics;
@@ -378,14 +377,99 @@ DefenseController::noteEnergyCost(double t, double joules)
 }
 
 bool
+DefenseController::wakeDwellElapsed(double t) const
+{
+    return mode_ != Mode::kDegraded || wakeNotBefore_ < 0.0 ||
+           t >= wakeNotBefore_ - 1e-12;
+}
+
+bool
 DefenseController::wakeAllowed(double t)
 {
-    if (mode_ != Mode::kDegraded || wakeNotBefore_ < 0.0)
-        return true;
-    if (t >= wakeNotBefore_ - 1e-12)
+    if (wakeDwellElapsed(t))
         return true;
     ++stats_.wakesDeferred;
     return false;
+}
+
+int
+DefenseController::steadyEdgeCharges(const PendingEdge& pending,
+                                     bool primaryPulse, bool shadowPulse)
+{
+    if (primaryPulse && shadowPulse)
+        return pending.lead == 0 && pending.age == 0 ? 0 : -1;
+    if (primaryPulse != shadowPulse) {
+        // A repeating lone pulse re-arms its own window and charges the
+        // previous one: steady only once that window is armed.
+        const int lead = primaryPulse ? 1 : -1;
+        return pending.lead == lead && pending.age == 0 ? 1 : -1;
+    }
+    return pending.lead == 0 ? 0 : -1;
+}
+
+bool
+DefenseController::steadyUnder(const SteadyRun& run) const
+{
+    if (mode_ < Mode::kUnderAttack || score_ != config_.scoreMax ||
+        !aboveSuspicion_ || calmRun_ != 0)
+        return false;
+    // Every sample must carry physics evidence: the first against its
+    // real gap since the previous sample, the rest against the widest
+    // gap of the run (the bound is monotone in the gap).
+    if (lastSampleT_ < 0.0 || !(run.tFirst > lastSampleT_) ||
+        !(run.spanMin > physicsBound(run.tFirst - lastSampleT_)) ||
+        !(run.spanMin > physicsBound(run.gapMax)))
+        return false;
+    const bool disagree = run.primary.backup != run.shadow.backup ||
+                          run.primary.wake != run.shadow.wake;
+    int charges = disagree ? 1 : 0;
+    if (config_.edgeSkewSamples > 0) {
+        const int backup = steadyEdgeCharges(
+            pendingBackup_, run.primary.backup, run.shadow.backup);
+        const int wake = steadyEdgeCharges(pendingWake_, run.primary.wake,
+                                           run.shadow.wake);
+        if (backup < 0 || wake < 0)
+            return false;
+        charges = backup + wake;
+    }
+    // One sample's score update from scoreMax, in observeSample's
+    // order: decay (which must stay above scoreClear, the calm-reset
+    // branch), then each piece of evidence.  It must land on scoreMax
+    // again exactly.
+    double s = std::max(0.0, config_.scoreMax * (1.0 - config_.decayPerSample));
+    if (!(s > config_.scoreClear))
+        return false;
+    s = std::min(s + config_.physicsWeight, config_.scoreMax);
+    for (int i = 0; i < charges; ++i)
+        s = std::min(s + config_.disagreeWeight, config_.scoreMax);
+    if (s != config_.scoreMax)
+        return false;
+    if (run.sleeping)
+        // wakeAllowed is monotone in t: elapsed at the first sample
+        // means elapsed, and side-effect free, for the whole run.
+        return !run.primary.wake || wakeDwellElapsed(run.tFirst);
+    // One noteCommit with the final count equals one per quantum only
+    // while the debt ledger is empty: max(0, 0 − credit) clamps to 0
+    // however the commits are grouped.
+    return stats_.energyDebtJ <= 0.0;
+}
+
+void
+DefenseController::fastForward(const SteadyRun& run, std::uint64_t n,
+                               double tLast, double vLast)
+{
+    stats_.samples += n;
+    stats_.physicsViolations += n;
+    if (run.primary.backup != run.shadow.backup ||
+        run.primary.wake != run.shadow.wake)
+        stats_.disagreements += n;
+    constexpr std::uint64_t kSaturated = ~std::uint64_t{0};
+    if (sinceDeescalation_ != kSaturated)
+        sinceDeescalation_ = n >= kSaturated - sinceDeescalation_
+                                 ? kSaturated
+                                 : sinceDeescalation_ + n;
+    lastSampleT_ = tLast;
+    lastSampleV_ = vLast;
 }
 
 int

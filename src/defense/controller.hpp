@@ -91,6 +91,47 @@ class DefenseController
      */
     bool wakeAllowed(double t);
 
+    /** Pure form of wakeAllowed: the same verdict, no counter moves. */
+    bool wakeDwellElapsed(double t) const;
+
+    /**
+     * A run of consecutive samples the simulator proposes to skip: the
+     * first at `tFirst`, later ones at most `gapMax` apart, every one
+     * with envelope span vHi − vLo of at least `spanMin` and the same
+     * monitor views.  Sleep samples query wakeAllowed on each primary
+     * wake; running samples fold their commit notifications into one
+     * noteCommit with the final count.
+     */
+    struct SteadyRun {
+        double tFirst = 0.0;
+        double gapMax = 0.0;
+        double spanMin = 0.0;
+        analog::MonitorEvent primary;
+        analog::MonitorEvent shadow;
+        bool sleeping = false;
+    };
+
+    /**
+     * Fixed-point certificate (DESIGN.md §14): true iff every sample
+     * of `run` provably maps the controller onto itself — each one
+     * violates the physics bound, the score stays pinned at scoreMax
+     * in a mode at or above kUnderAttack, and the latches, calm run
+     * and edge-skew windows keep their values — and the run's other
+     * notifications are inert or batch exactly.  Only the per-sample
+     * counters and the last-sample record then move, which
+     * fastForward replays in one step.  Conservative: `false` means
+     * "unknown".
+     */
+    bool steadyUnder(const SteadyRun& run) const;
+
+    /**
+     * Replay `n` samples of a run steadyUnder certified: the counter
+     * adds of n observeSample calls, then the last sample's time
+     * `tLast` and envelope midpoint `vLast`.
+     */
+    void fastForward(const SteadyRun& run, std::uint64_t n, double tLast,
+                     double vLast);
+
     /**
      * Save-retry backoff for `attempt` (0-based), in cycles.  kNominal
      * preserves the legacy linear policy; escalated modes back off
@@ -112,6 +153,11 @@ class DefenseController
 
   private:
     void addEvidence(double t, double weight, std::uint64_t evidence);
+    /// Largest legitimate envelope span or step over a `gapS` gap.
+    double physicsBound(double gapS) const
+    {
+        return gapS * maxSlewVps_ + config_.physicsMarginV;
+    }
     /// Calm dwell currently required to step one mode down:
     /// calmSamples doubled once per relapse level.
     int calmDwell() const;
@@ -126,6 +172,10 @@ class DefenseController
     /// returns the number of disagreement charges that matured.
     int trackEdge(PendingEdge& pending, bool primaryPulse,
                   bool shadowPulse);
+    /// Charges trackEdge matures per sample when the same pulse pair
+    /// repeats and leaves `pending` unchanged; -1 if the window moves.
+    static int steadyEdgeCharges(const PendingEdge& pending,
+                                 bool primaryPulse, bool shadowPulse);
     void escalateTo(double t, Mode target);
     void setMode(double t, Mode next);
     void tripRatchet(double t, std::uint32_t regionId,

@@ -123,10 +123,10 @@ class Capacitor
 
     /**
      * Precomputed coefficients of one `chargeFrom(vOc, rSeries, dt)`
-     * step.  When the simulator's quantum-coalescing fast path has
-     * proven the source steady over a whole burst (constant vOc and
-     * rSeries, fixed dt), the Thevenin divide/exp work is hoisted out
-     * of the per-quantum loop; `quietStep` then replays the exact
+     * step.  When the simulator's burst fast path has proven the
+     * source steady over a whole burst (constant vOc and rSeries,
+     * fixed dt), the Thevenin divide/exp work is hoisted out of the
+     * per-step march; `stepEnergy` then replays the exact
      * floating-point sequence of `discharge` + `chargeFrom` with these
      * constants, bit-for-bit.
      */
@@ -152,32 +152,17 @@ class Capacitor
     }
 
     /**
-     * One coalesced simulation quantum: `dischargeCycles(cycles, epcJ)`
-     * followed by `chargeFrom` under a precomputed plan.  Caller
-     * contract (the coalescing guard): no trace buffer is installed and
-     * the outage latch has already been settled via `noteSource`, so
-     * the tracing hooks the slow path would run are provably inert and
-     * are skipped here.  Every energy-state operation matches the slow
-     * path's floating-point arithmetic exactly.
+     * The stored energy after one simulation step from `energyJ`:
+     * `discharge(joules)` followed by `chargeFrom` under plan `p`.
+     * Pure and static so the simulator's bursts can march the *exact*
+     * step sequence on local copies — the same floating-point
+     * operations in the same order as the slow path — and commit the
+     * marched end state once (`commitEnergy`).
      */
-    void quietStep(std::uint64_t cycles, double epcJ, const ChargePlan& p)
+    static double stepEnergy(double energyJ, double joules,
+                             const ChargePlan& p, double capacitanceF,
+                             double maxV)
     {
-        energyJ_ = quietStepEnergy(energyJ_, cycles, epcJ, p,
-                                   config_.capacitanceF, config_.maxV);
-    }
-
-    /**
-     * Pure form of quietStep's energy update: the stored energy after
-     * one quiet quantum of `cycles` at `epcJ` under plan `p`.  Static
-     * so the coalescing proof can march the *exact* burst trajectory on
-     * local copies — the same floating-point operations in the same
-     * order as the commit — before mutating anything.
-     */
-    static double quietStepEnergy(double energyJ, std::uint64_t cycles,
-                                  double epcJ, const ChargePlan& p,
-                                  double capacitanceF, double maxV)
-    {
-        const double joules = static_cast<double>(cycles) * epcJ;
         energyJ -= std::min(joules, energyJ);
         double v = std::sqrt(2.0 * energyJ / capacitanceF);
         if (p.vOc <= v)
@@ -189,10 +174,25 @@ class Capacitor
     }
 
     /**
+     * Commit an energy level the caller marched exactly on a local
+     * copy (the simulator's bursts and JIT word segments).  Traces the
+     * threshold crossings between the two levels as one discharge
+     * would; callers commit one step at a time whenever a trace buffer
+     * is installed, so every crossing keeps its own timestamp.
+     */
+    void commitEnergy(double energyJ)
+    {
+        const double prevE = energyJ_;
+        energyJ_ = energyJ;
+        if (watching_ && prevE != energyJ_)
+            traceCrossings(prevE, energyJ_);
+    }
+
+    /**
      * Settle the harvester-outage trace latch for source voltage `vOc`
-     * without charging.  The coalescing fast path calls this once per
-     * burst; with a steady source it is equivalent to the per-quantum
-     * `traceOutage` the slow path performs inside `chargeFrom`.
+     * without charging.  A burst calls this once; with a steady source
+     * it is equivalent to the per-step `traceOutage` the slow path
+     * performs inside `chargeFrom`.
      */
     void noteSource(double vOc) { traceOutage(vOc); }
 

@@ -344,12 +344,11 @@ runMachineCase(const CaseSpec& spec, std::uint64_t watchdogBudget,
                         int cut = spec.wordOverride >= 0
                                       ? spec.wordOverride
                                       : cutDerived;
-                        int n = 0;
                         GECKO_TRACE_EVENT(trace::EventKind::kFaultInject, 0,
                                           trace::kSiteTornWrite,
                                           static_cast<std::uint64_t>(cut));
-                        sim::JitResult jr = JitCheckpoint::checkpoint(
-                            machine, nvm, [&](int) { return n++ < cut; });
+                        sim::JitResult jr =
+                            JitCheckpoint::checkpoint(machine, nvm, cut);
                         if (!jr.complete) {
                             GECKO_TRACE_EVENT(
                                 trace::EventKind::kJitSaveTorn, 0, 0,
@@ -359,8 +358,7 @@ runMachineCase(const CaseSpec& spec, std::uint64_t watchdogBudget,
                         // Torn: the ACK never toggled; the image stays
                         // stale/partial — do not mark it fresh.
                     } else {
-                        JitCheckpoint::checkpoint(
-                            machine, nvm, [](int) { return true; });
+                        JitCheckpoint::checkpoint(machine, nvm);
                         runtime.noteJitCheckpointComplete();
                         if (!captured) {
                             savedImage = nvm.jit;

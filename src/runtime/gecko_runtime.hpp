@@ -123,6 +123,18 @@ class GeckoRuntime
      */
     bool probeArmed() const { return probeArmed_; }
 
+    /**
+     * Whether the next commit could conclude the probe with a JIT
+     * re-enable: armed, and no backup signal seen since boot.  Once a
+     * backup was seen the probe can only disarm, so a burst whose
+     * quanta all raise an (ignored) backup may fold their `onProgress`
+     * calls into one.
+     */
+    bool probeCanReenable() const
+    {
+        return probeArmed_ && !sawBackupSinceBoot_;
+    }
+
     /** Extra CTPL SRAM-snapshot words included in JIT restore cost. */
     void setJitRamWords(int words) { jitRamWords_ = words; }
 

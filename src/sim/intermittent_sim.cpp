@@ -1,8 +1,12 @@
 #include "sim/intermittent_sim.hpp"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "campaign/archive.hpp"
 #include "exp/rng.hpp"
@@ -19,6 +23,8 @@ constexpr std::uint64_t kNoCompletionTarget = ~std::uint64_t{0};
 /// stop granularity of the historical sliced driver, kept so bounded
 /// runs settle identically.
 constexpr double kCompletionPollS = 0.01;
+/// Largest burst limit; larger requests clamp to it.
+constexpr int kMaxCoalesceLimit = 1 << 16;
 
 /** Voltage in integer millivolt for trace payloads (clamped at 0). */
 [[maybe_unused]] std::uint64_t
@@ -28,23 +34,37 @@ traceMv(double v)
 }
 
 /**
- * Resolve the coalescing burst limit: explicit config wins, then
- * GECKO_COALESCE (0 or 1 = off), default 64 quanta — one coarse
- * quiet-stride burst.
+ * Resolve the burst limit: explicit config wins, then GECKO_COALESCE
+ * (0 or 1 = off), default 64 quanta — one coarse quiet-stride burst.
  */
 int
 resolveCoalesceLimit(int configured)
 {
-    int limit = configured;
-    if (limit < 0) {
-        limit = 64;
-        if (const char* env = std::getenv("GECKO_COALESCE"))
-            limit = std::atoi(env);
-    }
-    return std::clamp(limit, 0, 1 << 16);
+    const int limit = configured < 0
+                          ? parseCoalesceLimit(std::getenv("GECKO_COALESCE"))
+                          : configured;
+    return std::clamp(limit, 0, kMaxCoalesceLimit);
 }
 
 }  // namespace
+
+int
+parseCoalesceLimit(const char* value)
+{
+    if (value == nullptr || *value == '\0')
+        return 64;
+    long long limit = 0;
+    for (const char* c = value; *c != '\0'; ++c) {
+        if (*c < '0' || *c > '9')
+            throw std::invalid_argument(
+                std::string("GECKO_COALESCE=") + value +
+                ": expected a non-negative integer burst limit (0 or 1 = "
+                "off, default 64)");
+        limit = std::min<long long>(limit * 10 + (*c - '0'),
+                                    kMaxCoalesceLimit);
+    }
+    return static_cast<int>(limit);
+}
 
 IntermittentSim::IntermittentSim(const compiler::CompiledProgram& compiled,
                                  const device::DeviceProfile& device,
@@ -267,18 +287,23 @@ IntermittentSim::doJitCheckpoint()
     const double attemptEnergy =
         static_cast<double>(config_.jitRamWords + Nvm::kJitWords) *
         kJitStoreCycles * epc_;
+    // Per-word draw and duration, in the slow path's operand order.
+    const double wordEnergy = kJitStoreCycles * epc_;
+    const double wordSeconds = kJitStoreCycles * spc_;
+    // A write-fault hook sees every word index, and a trace buffer every
+    // word's timestamp and threshold crossing: grant one word at a time
+    // while either is installed.
+    const bool perWord = jitWriteFault_ || trace::current() != nullptr;
 
     for (int attempt = 0;; ++attempt) {
         ++stats.jitCheckpointAttempts;
-        // CTPL re-checks the wake condition during the first part of the
-        // powerdown routine; a (possibly forged) wake signal there vetoes
-        // the checkpoint and resumes execution — leaving the *previous*
-        // image in place with the ACK untouched.
+        JitWriter writer(machine_, nvm_, config_.jitRamWords);
+        // Words paid for so far (a vetoed word is paid, never written).
         int words = 0;
         bool aborted = false;
         bool faulted = false;
-        bool veto_done = false;
-        auto spend = [&](int cycles) {
+        bool vetoDone = false;
+        while (words < writer.words()) {
             if (jitWriteFault_ && jitWriteFault_(words)) {
                 // Transient write failure (injected mid-burst
                 // disturbance): the routine detects it and bails out so
@@ -287,37 +312,60 @@ IntermittentSim::doJitCheckpoint()
                 GECKO_TRACE_EVENT(trace::EventKind::kFaultInject, 0,
                                   trace::kSiteJitWriteFault,
                                   static_cast<std::uint64_t>(words));
-                return false;
+                break;
             }
-            double e = cycles * epc_;
-            if (cap_.energy() - e <= energyAtVoff_)
-                return false;  // buffer dead: checkpoint torn
-            cap_.discharge(e);
-            now_ += cycles * spc_;
+            // Segment grant: the words up to the next one that ends in
+            // an event — the 64-word recharge or the veto read.
+            int grant = perWord ? 1
+                                : std::min(writer.words() - words,
+                                           64 - (words & 63));
+            if (!vetoDone)
+                grant = std::min(
+                    grant, std::max(1, config_.jitAbortWindowWords - words));
+            // March the grant on locals, word by word as the routine
+            // spends it: the tear test, the draw, the clock.
+            double e = cap_.energy();
+            double t = now_;
+            int paid = 0;
+            for (; paid < grant && e - wordEnergy > energyAtVoff_; ++paid) {
+                e -= wordEnergy;
+                t += wordSeconds;
+            }
+            cap_.commitEnergy(e);
+            now_ = t;
             GECKO_TRACE_TIME(now_);
-            ++words;
+            words += paid;
+            if (paid < grant) {
+                writer.write(paid);
+                break;  // buffer dead: checkpoint torn
+            }
             // The harvester keeps feeding the buffer during the routine.
             if ((words & 63) == 0)
                 cap_.chargeFrom(harvester_.openCircuitVoltage(now_),
                                 harvester_.seriesResistance(now_),
-                                64 * cycles * spc_);
-            if (!veto_done && words >= config_.jitAbortWindowWords) {
-                veto_done = true;
-                // The veto is one extra monitor read (a single ADC
-                // conversion / one comparator-output read) — a point
-                // sample of the EMI-distorted rail, never the envelope.
+                                64 * kJitStoreCycles * spc_);
+            if (!vetoDone && words >= config_.jitAbortWindowWords) {
+                vetoDone = true;
+                // CTPL re-checks the wake condition during the first
+                // part of the powerdown routine; a (possibly forged)
+                // wake signal there vetoes the checkpoint and resumes
+                // execution — leaving the *previous* image in place
+                // with the ACK untouched.  The veto is one extra
+                // monitor read (a single ADC conversion / one
+                // comparator-output read) — a point sample of the
+                // EMI-distorted rail, never the envelope.
                 double seen = cap_.voltage() + emiAt(now_);
                 if (monitorFault_)
                     seen = monitorFault_(seen, now_);
                 if (monitor_->observe(seen).wake) {
+                    writer.write(paid - 1);
                     aborted = true;
-                    return false;
+                    break;
                 }
             }
-            return true;
-        };
-        JitResult result = JitCheckpoint::checkpoint(machine_, nvm_, spend,
-                                                     config_.jitRamWords);
+            writer.write(paid);
+        }
+        JitResult result = writer.finish();
         if (result.complete) {
             ++stats.jitCheckpointsComplete;
             runtime_.noteJitCheckpointComplete();
@@ -433,7 +481,7 @@ IntermittentSim::boot()
 }
 
 void
-IntermittentSim::stepRunning(double end, bool allowCoalesce)
+IntermittentSim::stepRunning(double end)
 {
     bool attacked = attackActive();
     int stride = attacked ? 1 : config_.quietStride;
@@ -448,16 +496,8 @@ IntermittentSim::stepRunning(double end, bool allowCoalesce)
     }
     double dt = monitor_->sampleIntervalS() * stride;
 
-    // Quantum-coalescing fast path (DESIGN.md §14).  Cheap side
-    // conditions here; coalescedRun performs the physics proof.  Every
-    // skipped per-quantum hook is provably inert under these guards:
-    // updateAttack (source disabled, no window in the horizon),
-    // onProgress (no defense, probe disarmed), trace macros (no buffer
-    // installed), monitor observation (quietRange latch stability).
-    if (allowCoalesce && coalesceLimit_ >= 2 && !attacked &&
-        !monitorFault_ && defense_ == nullptr && !runtime_.probeArmed() &&
-        (emi_ == nullptr || !emi_->enabled()) &&
-        trace::current() == nullptr && coalescedRun(stride, dt, end))
+    if (tryBurst(attacked ? BurstKind::kStorm : BurstKind::kQuiet, stride,
+                 dt, end))
         return;
 
     ++stats.quanta;
@@ -539,16 +579,159 @@ IntermittentSim::stepRunning(double end, bool allowCoalesce)
     }
 }
 
+std::optional<IntermittentSim::SteadyViews>
+IntermittentSim::steadyViews(double vLo, double vHi, double amp) const
+{
+    SteadyViews views;
+    const auto primary = monitor_->steadyEvent(vLo, vHi, amp);
+    if (!primary)
+        return std::nullopt;
+    views.primary = *primary;
+    if (shadowMonitor_) {
+        // feedDefense's view of the same sample: the window envelope
+        // for a continuous shadow, else a point read of the envelope
+        // midpoint — monotone in the rail, so the band's endpoints
+        // bound it.
+        const auto mid = [amp](double v) {
+            return 0.5 * ((v - amp) + (v + amp));
+        };
+        const auto shadow =
+            shadowMonitor_->continuous() && amp > 0.0
+                ? shadowMonitor_->steadyEvent(vLo, vHi, amp)
+                : shadowMonitor_->steadyEvent(mid(vLo), mid(vHi), 0.0);
+        if (!shadow)
+            return std::nullopt;
+        views.shadow = *shadow;
+    }
+    return views;
+}
+
+IntermittentSim::Burst
+IntermittentSim::march(BurstKind kind, int maxSteps, int stride, double dt,
+                       double end, const energy::Capacitor::ChargePlan& plan,
+                       double vCeil) const
+{
+    const double cf = cap_.capacitance();
+    const double maxV = cap_.maxVoltage();
+    const double clockHz = device_.power.clockHz;
+    const double sleepJ = device_.power.sleepPowerW * dt;
+    // A quiet burst must keep stepRunning's stride choice: a coarse
+    // burst outside the V_backup proximity margin, a fine one inside it
+    // (the margin is always in coarse-quantum units).  Under a tone the
+    // stride is pinned at 1.
+    const bool strideCheck =
+        kind == BurstKind::kQuiet && config_.quietStride > 1;
+    const double eBackup = 0.5 * cf * vBackup_ * vBackup_;
+    const double quantumE = monitor_->sampleIntervalS() *
+                            config_.quietStride * clockHz * epc_;
+    const bool fineBurst = stride == 1;
+
+    Burst b;
+    b.energy = cap_.energy();
+    b.carry = cycleCarry_;
+    b.now = now_;
+    while (b.steps < maxSteps && (b.steps == 0 || b.now < end)) {
+        double carry = b.carry;
+        std::uint64_t planned = 0;
+        double joules = sleepJ;
+        if (kind != BurstKind::kSleep) {
+            if (strideCheck && b.steps > 0 &&
+                (b.energy - eBackup < 4.0 * quantumE) != fineBurst)
+                break;
+            carry += dt * clockHz;
+            planned = carry > 0 ? static_cast<std::uint64_t>(carry) : 0;
+            carry -= static_cast<double>(planned);
+            const double avail = b.energy - energyAtVoff_;
+            const std::uint64_t can =
+                avail > 0 ? static_cast<std::uint64_t>(avail / epc_) : 0;
+            if (planned > can)
+                break;  // this quantum browns out: the slow path must die
+            joules = static_cast<double>(planned) * epc_;
+        }
+        const double e =
+            energy::Capacitor::stepEnergy(b.energy, joules, plan, cf, maxV);
+        if (vCeil < std::numeric_limits<double>::infinity() &&
+            std::sqrt(2.0 * e / cf) > vCeil)
+            break;  // this sample's wake boots: the slow path takes it
+        b.energy = e;
+        b.carry = carry;
+        b.planned += planned;
+        b.now += dt;
+        b.eLo = b.steps == 0 ? e : std::min(b.eLo, e);
+        b.eHi = b.steps == 0 ? e : std::max(b.eHi, e);
+        ++b.steps;
+    }
+    return b;
+}
 
 bool
-IntermittentSim::coalescedRun(int stride, double dt, double end)
+IntermittentSim::tryBurst(BurstKind kind, int stride, double dt, double end)
 {
+    // Every skipped trace macro must be inert (no buffer installed),
+    // and a faulted monitor's readings are not a function of the rail.
+    if (coalesceLimit_ < 2 || monitorFault_ || trace::current() != nullptr)
+        return false;
+    const bool running = kind != BurstKind::kSleep;
+    // ------------------------------------------------------------------
+    // The events every skipped sample must repeat, decided before any
+    // marching so a refusal costs a few branches.  Quiet: the tone and
+    // controller are absent and the re-enable probe idle, so the only
+    // observation is a point read that must be a no-op.  Under a tone
+    // only a continuous monitor's envelope read can be steady, and the
+    // events it repeats must be inert: backups ignored (JIT disarmed)
+    // and unable to let the first quantum's probe re-enable JIT, wakes
+    // locked out (sleep), the controller at its fixed point.  The tone
+    // must be free-running: a schedule could retune it mid-burst.
+    // ------------------------------------------------------------------
+    double amp = 0.0;
+    SteadyViews views;
+    std::optional<defense::DefenseController::SteadyRun> run;
+    if (kind == BurstKind::kQuiet) {
+        if (defense_ || runtime_.probeArmed() || (emi_ && emi_->enabled()))
+            return false;
+    } else {
+        if (schedule_ || !monitor_->continuous())
+            return false;
+        amp = emi_->amplitude();
+        const double v = cap_.voltage();
+        const auto predicted = steadyViews(v, v, amp);
+        if (!predicted)
+            return false;
+        views = *predicted;
+        if (running && views.primary.backup &&
+            (runtime_.jitActive() || runtime_.probeCanReenable()))
+            return false;
+        if (defense_) {
+            // Conservative bounds over any burst inside the horizon:
+            // envelope spans (v + A) − (v − A) round to at least
+            // 2A − 2ε(v + A); sample gaps to at most dt + 2ε(dt + t).
+            const double tMax =
+                now_ + dt * static_cast<double>(coalesceLimit_ + 1);
+            run.emplace();
+            run->tFirst = now_ + dt;
+            run->gapMax = dt + 4.0 * DBL_EPSILON * (dt + tMax);
+            run->spanMin =
+                2.0 * amp - 4.0 * DBL_EPSILON * (amp + cap_.maxVoltage() + 1.0);
+            run->primary = views.primary;
+            run->shadow = views.shadow;
+            run->sleeping = !running;
+            if (!defense_->steadyUnder(*run))
+                return false;
+        }
+    }
+    // A sleep sample whose wake clears the brown-out lockout boots.
+    const double vCeil = !running && views.primary.wake
+                             ? vOff_ + config_.bootLockoutV
+                             : std::numeric_limits<double>::infinity();
+    if (cap_.voltage() > vCeil)
+        return false;
+
     // ------------------------------------------------------------------
     // Burst-length selection.  Start from the configured limit and
     // halve until the harvester is *provably* constant over the horizon
     // and no attack window can switch the tone on inside it.  The +1
-    // quantum of margin keeps the checks conservative against the
-    // burst's own floating-point time accumulation.
+    // step of margin keeps the checks conservative against the burst's
+    // own floating-point time accumulation.
     // ------------------------------------------------------------------
     const double voc = harvester_.openCircuitVoltage(now_);
     const double rs = harvester_.seriesResistance(now_);
@@ -565,101 +748,62 @@ IntermittentSim::coalescedRun(int stride, double dt, double end)
         return false;
 
     // ------------------------------------------------------------------
-    // Trajectory proof.  With the source proven constant, the burst's
-    // evolution is fully determined; replay the exact per-quantum
-    // arithmetic (cycle carry → planned budget, quietStepEnergy) on
-    // local copies and check, quantum by quantum, that the slow path
-    // would (a) make the same stride choice — a coarse burst must stay
-    // outside the V_backup proximity margin, a fine burst must stay
-    // inside it, and (b) afford the whole clock budget — no brown-out.
-    // Exactness matters: a pessimistic march that ignores recharge
-    // rejects the charge/run duty cycles that dominate the figures.
-    // The end-of-quantum voltages feed the monitor proof; when that
-    // fails (a declining tail approaching the V_backup crossing), halve
-    // the burst — the shorter prefix spans a tighter voltage band.
+    // Trajectory proof.  With the source proven constant the burst's
+    // evolution is fully determined: march the slow path's exact
+    // per-step arithmetic on locals (march), then certify that every
+    // skipped observation — each one samples an end-of-step rail
+    // inside the marched band — repeats the predicted events with
+    // every latch unchanged.  When that fails (typically a declining
+    // tail approaching V_backup), halve: the shorter prefix spans a
+    // tighter band.  The march runs once per try; the certified try's
+    // end state is committed by assignment.
     // ------------------------------------------------------------------
     const auto plan = cap_.planCharge(voc, rs, dt);
     const double cf = cap_.capacitance();
-    const double maxV = cap_.maxVoltage();
-    const double eBackup = 0.5 * cf * vBackup_ * vBackup_;
-    // The proximity margin of the slow path's stride decision, always
-    // in coarse-quantum units (stepRunning's exact expression).
-    const double quantumE = monitor_->sampleIntervalS() *
-                            config_.quietStride * device_.power.clockHz *
-                            epc_;
-    const bool fineBurst = stride == 1;
-    int k = 0;
-    double vLo = 0.0;
-    double vHi = 0.0;
+    Burst b;
     for (int mTry = m;;) {
-        k = 0;
-        double e = cap_.energy();
-        double carry = cycleCarry_;
-        while (k < mTry) {
-            // Stride re-check at the top of every quantum after the
-            // first (stepRunning decided it for the current one).
-            if (k > 0 && config_.quietStride > 1 &&
-                (e - eBackup < 4.0 * quantumE) != fineBurst)
-                break;
-            carry += dt * device_.power.clockHz;
-            const std::uint64_t planned =
-                carry > 0 ? static_cast<std::uint64_t>(carry) : 0;
-            carry -= static_cast<double>(planned);
-            const double avail = e - energyAtVoff_;
-            const std::uint64_t can =
-                avail > 0 ? static_cast<std::uint64_t>(avail / epc_) : 0;
-            if (planned > can)
-                break;  // this quantum browns out: the slow path must die
-            e = energy::Capacitor::quietStepEnergy(e, planned, epc_, plan,
-                                                   cf, maxV);
-            const double v = std::sqrt(2.0 * e / cf);
-            vLo = k == 0 ? v : std::min(vLo, v);
-            vHi = k == 0 ? v : std::max(vHi, v);
-            ++k;
-        }
-        if (k < 2)
+        b = march(kind, mTry, stride, dt, end, plan, vCeil);
+        if (b.steps < 2)
             return false;
-        // Monitor proof.  Every skipped observation samples an
-        // end-of-quantum voltage, all confined to [vLo, vHi] by the
-        // exact march above (EMI contributes exactly 0.0 with the
-        // source disabled).  quietRange certifies that no backup/wake
-        // edge can fire and no latch can move anywhere in that band —
-        // the skipped observations are pure no-ops.
-        if (monitor_->quietRange(vLo, vHi))
+        if (steadyViews(std::sqrt(2.0 * b.eLo / cf),
+                        std::sqrt(2.0 * b.eHi / cf), amp) == views)
             break;
         if (mTry == 2)
             return false;
-        mTry = std::max(2, k >> 1);
+        mTry = std::max(2, b.steps >> 1);
     }
-    m = k;
 
     // ------------------------------------------------------------------
-    // Commit: per-quantum energy/clock bookkeeping (bit-identical to
-    // the slow path under the proven-constant source), one fused
-    // machine run.  noteSource settles the outage latch exactly as the
-    // m skipped chargeFrom calls would.
+    // Commit.  noteSource settles the outage latch exactly as the
+    // skipped chargeFrom calls would.
     // ------------------------------------------------------------------
+    const auto k = static_cast<std::uint64_t>(b.steps);
     cap_.noteSource(voc);
-    std::uint64_t fusedPlanned = 0;
-    int q = 0;
-    for (; q < m; ++q) {
-        if (q > 0 && now_ >= end)
-            break;
-        cycleCarry_ += dt * device_.power.clockHz;
-        std::uint64_t planned =
-            cycleCarry_ > 0 ? static_cast<std::uint64_t>(cycleCarry_) : 0;
-        cycleCarry_ -= static_cast<double>(planned);
-        fusedPlanned += planned;
-        cap_.quietStep(planned, epc_, plan);
-        now_ += dt;
+    cap_.commitEnergy(b.energy);
+    now_ = b.now;
+    // A point read draws one DCO jitter sample per observation; the
+    // envelope read under a tone draws none.
+    if (emi_ && kind == BurstKind::kQuiet)
+        sampleSeq_ += static_cast<std::uint32_t>(k);
+    if (views.primary.wake)
+        stats.wakeSignals += k;
+    if (run) {
+        const double v = cap_.voltage();
+        defense_->fastForward(*run, k, now_,
+                              0.5 * ((v - amp) + (v + amp)));
     }
-    if (emi_) {
-        // The skipped point observations would each have drawn one DCO
-        // jitter sample; keep the sequence aligned.
-        sampleSeq_ += static_cast<std::uint32_t>(q);
+    if (!running) {
+        stats.coalescedSleepSamples += k;
+        return true;
     }
-    stats.quanta += static_cast<std::uint64_t>(q);
-    stats.coalescedQuanta += static_cast<std::uint64_t>(q);
+    if (views.primary.backup) {
+        stats.backupSignals += k;
+        stats.ignoredBackups += k;
+        runtime_.onBackupSignal();
+    }
+    cycleCarry_ = b.carry;
+    stats.quanta += k;
+    stats.coalescedQuanta += k;
     ++stats.coalescedBursts;
 
     // One fused run.  Sequential quanta stop the machine at cumulative
@@ -667,10 +811,10 @@ IntermittentSim::coalescedRun(int stride, double dt, double end)
     // a single budget of that size stops it; a halt or latched fault
     // that exits early is topped up with burn-budget runs, as the
     // skipped quanta would have done one by one.
-    std::int64_t b = static_cast<std::int64_t>(fusedPlanned) - debt_;
+    std::int64_t budget = static_cast<std::int64_t>(b.planned) - debt_;
     std::uint64_t consumedTotal = 0;
-    if (b > 0) {
-        const std::uint64_t target = static_cast<std::uint64_t>(b);
+    if (budget > 0) {
+        const std::uint64_t target = static_cast<std::uint64_t>(budget);
         for (int i = 0; i < 4 && consumedTotal < target; ++i) {
             std::uint64_t c = 0;
             machine_.run(target - consumedTotal, &c);
@@ -683,12 +827,12 @@ IntermittentSim::coalescedRun(int stride, double dt, double end)
         runtime_.onProgress();
     }
     debt_ += static_cast<std::int64_t>(consumedTotal) -
-             static_cast<std::int64_t>(fusedPlanned);
+             static_cast<std::int64_t>(b.planned);
     return true;
 }
 
 void
-IntermittentSim::stepSleeping()
+IntermittentSim::stepSleeping(double end)
 {
     // Fast path: no tone now or during the whole charge, steady source —
     // jump straight to the wake threshold.  A faulted monitor must keep
@@ -723,6 +867,8 @@ IntermittentSim::stepSleeping()
     bool attacked = attackActive();
     double dt = monitor_->sampleIntervalS() *
                 (attacked ? 1 : config_.quietStride);
+    if (attacked && tryBurst(BurstKind::kSleep, 1, dt, end))
+        return;
     cap_.discharge(device_.power.sleepPowerW * dt);
     cap_.chargeFrom(harvester_.openCircuitVoltage(now_),
                     harvester_.seriesResistance(now_), dt);
@@ -783,9 +929,9 @@ IntermittentSim::runLoop(double end, std::uint64_t targetCompletions)
         GECKO_TRACE_TIME(now_);
         updateAttack();
         if (state_ == State::kRunning)
-            stepRunning(pollEnd, true);
+            stepRunning(pollEnd);
         else
-            stepSleeping();
+            stepSleeping(pollEnd);
     }
     stats.simTimeS = now_;
 }

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 
 #include "analog/voltage_monitor.hpp"
 #include "attack/attack_schedule.hpp"
@@ -76,9 +77,10 @@ struct SimConfig {
     /// the global GECKO_SEED (exp::applyGlobalSeed).  The default 0 with
     /// no global seed preserves the historical jitter sequence.
     std::uint64_t monitorSeed = 0;
-    /// Quantum-coalescing fast path (DESIGN.md §14): maximum number of
-    /// monitor-sample quanta fused into one machine run when the guard
-    /// proves the burst indistinguishable from per-quantum stepping.
+    /// Burst fast path (DESIGN.md §14): maximum number of monitor
+    /// samples fused into one burst — running quanta into one machine
+    /// run, or locked-out sleep samples — when the guard proves the
+    /// burst indistinguishable from per-sample stepping.
     /// -1 = resolve from GECKO_COALESCE (default 64); 0 or 1 = off.
     int coalesceQuanta = -1;
     /// Bounded retry on a transiently failing checkpoint save (injected
@@ -124,7 +126,17 @@ struct SimStats {
     std::uint64_t coalescedQuanta = 0;
     /// Number of coalesced bursts (each fuses ≥ 2 quanta).
     std::uint64_t coalescedBursts = 0;
+    /// Sleep samples absorbed by sleep bursts (never counted in quanta).
+    std::uint64_t coalescedSleepSamples = 0;
 };
+
+/**
+ * Parse a GECKO_COALESCE value: a non-negative decimal integer burst
+ * limit (0 or 1 = off, values above 65536 clamp to 65536); null or
+ * empty means the default, 64.
+ * @throws std::invalid_argument on any other value.
+ */
+int parseCoalesceLimit(const char* value);
 
 /** Harvester + capacitor + monitor + MCU + (optional) attacker. */
 class IntermittentSim
@@ -233,15 +245,49 @@ class IntermittentSim
     /// historical 0.01 s cadence inside this one loop — no per-slice
     /// run() re-entry — so bounded runs keep their settle tail.
     void runLoop(double end, std::uint64_t targetCompletions);
-    void stepRunning(double end, bool allowCoalesce);
-    /// Quantum-coalescing fast path (DESIGN.md §14).  Called with the
-    /// cheap preconditions already established; proves a burst of up to
-    /// coalesceLimit_ quanta inert (steady source, no attack window, no
-    /// monitor edge reachable, no brown-out or V_backup approach) and
-    /// replays it with per-quantum energy bookkeeping but one fused
-    /// machine run.  @return true if it advanced the simulation.
-    bool coalescedRun(int stride, double dt, double end);
-    void stepSleeping();
+    void stepRunning(double end);
+    void stepSleeping(double end);
+
+    // ------------------------------------------------------------------
+    // Burst fast path (DESIGN.md §14).
+    // ------------------------------------------------------------------
+    /// The three kinds of fused step: quiet running quanta (no tone),
+    /// running quanta under a tone whose monitor events are ignored,
+    /// and sleep samples under a tone.
+    enum class BurstKind { kQuiet, kStorm, kSleep };
+    /// Monitor events every skipped sample repeats: the primary's, and
+    /// the shadow's (defense cross-validation; `{}` without one).
+    struct SteadyViews {
+        analog::MonitorEvent primary;
+        analog::MonitorEvent shadow;
+        bool operator==(const SteadyViews&) const = default;
+    };
+    /// End state of a marched burst: `steps` slow-path steps replayed
+    /// exactly on locals, committed by assignment.
+    struct Burst {
+        int steps = 0;
+        double energy = 0.0;
+        double carry = 0.0;
+        double now = 0.0;
+        std::uint64_t planned = 0;  ///< Σ planned cycles (running)
+        double eLo = 0.0;           ///< min/max end-of-step energy
+        double eHi = 0.0;
+    };
+    /// Prove a burst of `kind` indistinguishable from per-sample
+    /// stepping and commit it.  @return true if it advanced the
+    /// simulation.
+    bool tryBurst(BurstKind kind, int stride, double dt, double end);
+    /// The steady views of every sample with the rail in [vLo, vHi]
+    /// under tone amplitude `amp`, or nullopt.
+    std::optional<SteadyViews> steadyViews(double vLo, double vHi,
+                                           double amp) const;
+    /// March up to `maxSteps` steps of `kind` on locals: the exact
+    /// per-step arithmetic of the slow path, stopping before a step it
+    /// would end differently (stride change, brown-out, a wake past
+    /// the lockout ceiling `vCeil`) and at `end`.
+    Burst march(BurstKind kind, int maxSteps, int stride, double dt,
+                double end, const energy::Capacitor::ChargePlan& plan,
+                double vCeil) const;
     void doJitCheckpoint();
     void hardDeath();
     void boot();
@@ -289,8 +335,8 @@ class IntermittentSim
     double energyAtVoff_;
     double epc_;  // energy per cycle
     double spc_;  // seconds per cycle
-    /// Resolved coalescing burst limit (config/GECKO_COALESCE); < 2
-    /// disables the fast path.
+    /// Resolved burst limit (config/GECKO_COALESCE); < 2 disables the
+    /// fast path.
     int coalesceLimit_ = 0;
 };
 

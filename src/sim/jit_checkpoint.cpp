@@ -1,5 +1,7 @@
 #include "sim/jit_checkpoint.hpp"
 
+#include <algorithm>
+
 #include "trace/trace.hpp"
 
 namespace gecko::sim {
@@ -16,62 +18,65 @@ imageCrc(const std::uint32_t* words, std::uint32_t ack)
 
 }  // namespace
 
-JitResult
-JitCheckpoint::checkpoint(const Machine& machine, Nvm& nvm,
-                          const std::function<bool(int cycles)>& spendCycles,
-                          int ramPaddingWords)
+JitWriter::JitWriter(const Machine& machine, Nvm& nvm, int ramPaddingWords)
+    : nvm_(nvm), padding_(std::max(0, ramPaddingWords))
 {
-    JitResult result;
-
-    // One start per call: the intermittent simulator calls once per
-    // retry attempt, so retries show as start/retry pairs in the trace.
+    // One start per attempt: the intermittent simulator opens one
+    // writer per retry, so retries show as start/retry pairs in the
+    // trace.
     GECKO_TRACE_EVENT(trace::EventKind::kJitSaveStart, 0,
                       nvm.jitEpoch + 1,
                       static_cast<std::uint64_t>(ramPaddingWords));
 
-    // SRAM/peripheral snapshot first (cost only; see header).
-    for (int i = 0; i < ramPaddingWords; ++i) {
-        if (!spendCycles(kJitStoreCycles))
-            return result;
-        ++nvm.jitAreaWrites;
-        ++result.wordsWritten;
-        result.cycles += kJitStoreCycles;
-    }
-
-    // Assemble the image in write order: regs, pc, staged-I/O, epoch,
-    // CRC, ACK last.
-    std::array<std::uint32_t, Nvm::kJitWords> image{};
+    // Image in write order: regs, pc, staged-I/O, epoch, CRC, ACK last.
     std::size_t w = 0;
     for (int r = 0; r < 16; ++r)
-        image[w++] = machine.regs()[static_cast<std::size_t>(r)];
-    image[w++] = machine.pc();
+        image_[w++] = machine.regs()[static_cast<std::size_t>(r)];
+    image_[w++] = machine.pc();
     for (int p = 0; p < kIoPorts; ++p)
-        image[w++] = machine.pendingIn()[static_cast<std::size_t>(p)];
+        image_[w++] = machine.pendingIn()[static_cast<std::size_t>(p)];
     for (int p = 0; p < kIoPorts; ++p)
-        image[w++] = machine.pendingOut()[static_cast<std::size_t>(p)];
-    image[Nvm::kJitEpochIndex] = nvm.jitEpoch + 1;
-    image[Nvm::kJitAckIndex] = nvm.jit[Nvm::kJitAckIndex] ^ 1u;
-    image[Nvm::kJitCrcIndex] =
-        imageCrc(image.data(), image[Nvm::kJitAckIndex]);
+        image_[w++] = machine.pendingOut()[static_cast<std::size_t>(p)];
+    image_[Nvm::kJitEpochIndex] = nvm.jitEpoch + 1;
+    image_[Nvm::kJitAckIndex] = nvm.jit[Nvm::kJitAckIndex] ^ 1u;
+    image_[Nvm::kJitCrcIndex] =
+        imageCrc(image_.data(), image_[Nvm::kJitAckIndex]);
+}
 
-    for (std::size_t i = 0; i < Nvm::kJitWords; ++i) {
-        if (!spendCycles(kJitStoreCycles))
-            return result;  // torn: ACK not yet toggled
-        nvm.jit[i] = image[i];
-        ++nvm.jitAreaWrites;
-        ++result.wordsWritten;
-        result.cycles += kJitStoreCycles;
+void
+JitWriter::write(int count)
+{
+    const int end = written_ + std::min(count, words() - written_);
+    for (; written_ < end; ++written_) {
+        if (written_ >= padding_)
+            nvm_.jit[static_cast<std::size_t>(written_ - padding_)] =
+                image_[static_cast<std::size_t>(written_ - padding_)];
+        ++nvm_.jitAreaWrites;
     }
-    // Advance the consume-once counter to match the committed image.
-    // (One more FRAM word write; a tear between the ACK and this write
-    // only costs the roll-forward, never consistency.)
-    nvm.jitEpoch = image[Nvm::kJitEpochIndex];
-    ++nvm.jitAreaWrites;
-    result.cycles += kJitStoreCycles;
+}
+
+JitResult
+JitWriter::finish()
+{
+    JitResult result;
+    result.wordsWritten = written_;
+    if (written_ < words())
+        return result;  // torn: ACK not toggled
+    nvm_.jitEpoch = image_[Nvm::kJitEpochIndex];
+    ++nvm_.jitAreaWrites;
     result.complete = true;
-    GECKO_TRACE_EVENT(trace::EventKind::kJitSaveCommit, 0, nvm.jitEpoch,
+    GECKO_TRACE_EVENT(trace::EventKind::kJitSaveCommit, 0, nvm_.jitEpoch,
                       static_cast<std::uint64_t>(result.wordsWritten));
     return result;
+}
+
+JitResult
+JitCheckpoint::checkpoint(const Machine& machine, Nvm& nvm, int wordBudget,
+                          int ramPaddingWords)
+{
+    JitWriter writer(machine, nvm, ramPaddingWords);
+    writer.write(std::max(0, wordBudget));
+    return writer.finish();
 }
 
 std::uint64_t

@@ -1,8 +1,9 @@
 #ifndef GECKO_SIM_JIT_CHECKPOINT_HPP_
 #define GECKO_SIM_JIT_CHECKPOINT_HPP_
 
+#include <array>
 #include <cstdint>
-#include <functional>
+#include <limits>
 
 #include "sim/machine.hpp"
 #include "sim/nvm.hpp"
@@ -34,7 +35,6 @@ struct JitResult {
     /// All words written and the ACK toggled.
     bool complete = false;
     int wordsWritten = 0;
-    std::uint64_t cycles = 0;
 };
 
 /** Cycles to write one word of the JIT area (FRAM store + bookkeeping). */
@@ -43,25 +43,59 @@ inline constexpr int kJitStoreCycles = 4;
 /** Fixed cycles of the wake-up/restore path. */
 inline constexpr int kJitRestoreOverheadCycles = 60;
 
+/**
+ * One checkpoint attempt, written in protocol order: the SRAM/
+ * peripheral padding words first (cost only — our machine keeps data
+ * in NVM — so most tears leave the previous image intact), then the
+ * context image with the ACK word last.  The caller pays for words
+ * and writes each paid run of them; an attempt closed before every
+ * word landed leaves a torn image with the ACK untouched.
+ */
+class JitWriter
+{
+  public:
+    /** Assemble the image of `machine`'s volatile state. */
+    JitWriter(const Machine& machine, Nvm& nvm, int ramPaddingWords);
+
+    /** Words of a complete attempt (padding + image). */
+    int words() const
+    {
+        return padding_ + static_cast<int>(Nvm::kJitWords);
+    }
+
+    /** Write the next `count` words (at most what remains). */
+    void write(int count);
+
+    /**
+     * Close the attempt.  Once every word landed, advance the
+     * consume-once counter to match the committed image — one more
+     * FRAM word write; a tear between the ACK and this write only
+     * costs the roll-forward, never consistency.
+     */
+    JitResult finish();
+
+  private:
+    Nvm& nvm_;
+    std::array<std::uint32_t, Nvm::kJitWords> image_{};
+    int padding_;
+    int written_ = 0;
+};
+
 /** The roll-forward checkpoint protocol. */
 class JitCheckpoint
 {
   public:
     /**
-     * Checkpoint `machine`'s volatile state into `nvm`.
+     * Checkpoint `machine`'s volatile state into `nvm` in one go.
      *
-     * @param spendCycles called once per word with the word's cycle
-     *        cost; returns false when the energy buffer died (the
-     *        checkpoint is then abandoned, torn).
+     * @param wordBudget words the energy buffer pays for before it
+     *        dies; an attempt longer than that is abandoned, torn.
      * @param ramPaddingWords extra cost-only words modelling CTPL's
-     *        SRAM/peripheral snapshot (our machine keeps data in NVM, so
-     *        these words carry cost and tear semantics but no content).
-     *        They are written *before* the context words so most tears
-     *        leave the previous image intact.
+     *        SRAM/peripheral snapshot (see JitWriter).
      */
     static JitResult checkpoint(
         const Machine& machine, Nvm& nvm,
-        const std::function<bool(int cycles)>& spendCycles,
+        int wordBudget = std::numeric_limits<int>::max(),
         int ramPaddingWords = 0);
 
     /**

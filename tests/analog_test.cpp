@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 #include "analog/adc.hpp"
 #include "analog/comparator.hpp"
 #include "analog/emi_coupling.hpp"
 #include "analog/resonance.hpp"
 #include "analog/voltage_monitor.hpp"
+#include "campaign/archive.hpp"
 
 namespace gecko::analog {
 namespace {
@@ -122,6 +126,99 @@ TEST(VoltageMonitorTest, ComparatorMonitorEdges)
     EXPECT_TRUE(mon.observe(2.1).backup);
     EXPECT_FALSE(mon.observe(2.0).backup);
     EXPECT_TRUE(mon.observe(3.1).wake);
+}
+
+/** The monitor's latches as archived bytes (thresholds are ctor state). */
+std::vector<std::uint8_t>
+latches(VoltageMonitor& mon)
+{
+    campaign::Archive ar = campaign::Archive::saver();
+    mon.archiveState(ar);
+    return ar.takePayload();
+}
+
+TEST(SteadyEventTest, SaturatedComparatorRepeatsBackupAndWake)
+{
+    // Random rail bands and tone amplitudes: wherever the certificate
+    // claims the storm fixed point, every window in the band — each
+    // observed trough first, then crest, as the simulator does — must
+    // trip exactly {backup, wake} and leave both outputs high.
+    std::mt19937_64 rng(7);
+    std::uniform_real_distribution<double> rail(0.0, 3.6);
+    std::uniform_real_distribution<double> width(0.0, 0.4);
+    std::uniform_real_distribution<double> tone(0.0, 12.0);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    int certified = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        ComparatorMonitor mon(2.2, 3.0, 0.02, 2e6);
+        mon.reset(3.3);
+        const double lo = rail(rng);
+        const double hi = lo + width(rng);
+        const double amp = tone(rng);
+        const std::vector<std::uint8_t> before = latches(mon);
+        const auto ev = mon.steadyEvent(lo, hi, amp);
+        if (!ev || !ev->backup || !ev->wake)
+            continue;
+        ++certified;
+        for (int i = 0; i < 1000; ++i) {
+            const double v = i == 0   ? lo
+                             : i == 1 ? hi
+                                      : lo + (hi - lo) * unit(rng);
+            const MonitorEvent seen = mon.observeEnvelope(v - amp, v + amp);
+            ASSERT_TRUE(seen.backup && seen.wake)
+                << "band [" << lo << ", " << hi << "] A=" << amp
+                << " v=" << v;
+        }
+        EXPECT_EQ(latches(mon), before) << "outputs moved";
+    }
+    EXPECT_GT(certified, 50);
+}
+
+TEST(SteadyEventTest, ComparatorRefusesTouchedFlanksAndLowOutputs)
+{
+    const MonitorEvent storm{true, true};
+    const MonitorEvent quiet{};
+    ComparatorMonitor mon(2.2, 3.0, 0.02, 2e6);
+    mon.reset(3.3);
+    const double fallB = 2.2 - 0.01;  // backup comparator's falling flank
+    const double riseW = 3.0 + 0.01;  // wake comparator's rising flank
+    // Saturated: every trough clears both falling flanks, every crest
+    // both rising ones.
+    const double amp = 1.5;
+    ASSERT_TRUE(mon.steadyEvent(2.0, 2.5, amp) == storm);
+    // The band's top trough touches a falling flank (v − A ≥ ref −
+    // halfBand somewhere inside it): that window may not fall.
+    EXPECT_FALSE(mon.steadyEvent(2.0, fallB + amp + 1e-9, amp));
+    // The band's bottom crest stays at a rising flank (v + A ≤ ref +
+    // halfBand): that window may not rise again.
+    EXPECT_FALSE(mon.steadyEvent(riseW - amp - 1e-9, 2.5, amp));
+    // Entirely above both falling flanks: quiet, not saturated.
+    EXPECT_TRUE(mon.steadyEvent(3.05, 3.3, 0.03) == quiet);
+    // An output that starts low changes on the first crest.
+    mon.observe(0.0);  // both comparators fall
+    EXPECT_FALSE(mon.steadyEvent(2.0, 2.5, amp));
+    // Low and provably staying low is quiet.
+    EXPECT_TRUE(mon.steadyEvent(0.5, 1.0, 0.1) == quiet);
+}
+
+TEST(SteadyEventTest, QuietBandsAndAdcUnderTone)
+{
+    AdcMonitor adc(12, 3.3, 2.2, 3.0, 100e3);
+    adc.reset(2.6);
+    const MonitorEvent quiet{};
+    // Between the thresholds with no tone: every point read is a no-op.
+    EXPECT_TRUE(adc.steadyEvent(2.4, 2.8, 0.0) == quiet);
+    // A band reaching the backup code is not steady.
+    EXPECT_FALSE(adc.steadyEvent(2.1, 2.8, 0.0));
+    // A point sample under a tone lands at a random carrier phase:
+    // no band certifies it, however small the tone.
+    EXPECT_FALSE(adc.steadyEvent(2.4, 2.8, 1e-3));
+    EXPECT_FALSE(adc.steadyEvent(2.6, 2.6, 10.0));
+
+    ComparatorMonitor comp(2.2, 3.0, 0.02, 2e6);
+    comp.reset(2.6);  // backup high, wake low
+    EXPECT_TRUE(comp.steadyEvent(2.3, 2.9, 0.0) == quiet);
+    EXPECT_FALSE(comp.steadyEvent(2.0, 2.9, 0.0));
 }
 
 TEST(VoltageMonitorTest, SampleIntervals)

@@ -3,6 +3,8 @@
 #include <array>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "attack/rigs.hpp"
 #include "campaign/snapshot.hpp"
 #include "compiler/pipeline.hpp"
+#include "defense/controller.hpp"
 #include "device/device_db.hpp"
 #include "energy/harvester.hpp"
 #include "exp/rng.hpp"
@@ -71,11 +74,20 @@ struct Obs {
     double now = 0.0;
     std::uint64_t quanta = 0;
     std::uint64_t coalescedQuanta = 0;
+    std::uint64_t coalescedSleepSamples = 0;
     /// All SimStats counters that must not depend on coalescing.
     std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t,
                std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t,
                std::uint64_t, std::uint64_t, std::uint64_t>
         counters;
+    /// Every RuntimeStats counter.
+    std::vector<std::uint64_t> runtime;
+    /// Every DefenseStats field (empty without a controller); the
+    /// bursts fast-forward the controller, so these must match too.
+    std::vector<double> defense;
+    /// The full simulation snapshot: latches, jitter sequence, energy,
+    /// controller internals — everything a resumed run would see.
+    std::vector<std::uint8_t> snapshot;
 };
 
 Obs
@@ -90,6 +102,7 @@ capture(sim::IntermittentSim& simulation, sim::IoHub& io)
     o.now = simulation.now();
     o.quanta = simulation.stats.quanta;
     o.coalescedQuanta = simulation.stats.coalescedQuanta;
+    o.coalescedSleepSamples = simulation.stats.coalescedSleepSamples;
     const sim::SimStats& s = simulation.stats;
     o.counters = {s.reboots,
                   s.hardDeaths,
@@ -102,6 +115,28 @@ capture(sim::IntermittentSim& simulation, sim::IoHub& io)
                   s.jitCheckpointsAborted,
                   s.missedCheckpoints,
                   s.bootCycles};
+    const runtime::RuntimeStats& r = simulation.geckoRuntime().stats;
+    o.runtime = {r.rollbacks,         r.jitRestores,
+                 r.corruptedRestores, r.attackDetections,
+                 r.ackDetections,     r.dosDetections,
+                 r.jitReenables,      r.recoveryBlockRuns,
+                 r.recoveryInstrRuns, r.crcRejects,
+                 r.slotRepairs,       r.slotUnrecoverable,
+                 r.ckptSaveRetries,   r.retriesExhausted,
+                 r.integrityDegradations};
+    if (const defense::DefenseController* dc =
+            simulation.defenseController()) {
+        const defense::DefenseStats& d = dc->stats();
+        for (std::uint64_t v :
+             {d.samples, d.anomalies, d.disagreements, d.edgeSkews,
+              d.physicsViolations, d.escalations, d.deEscalations,
+              d.ratchetTrips, d.relapses, d.wakesDeferred})
+            o.defense.push_back(static_cast<double>(v));
+        o.defense.push_back(d.firstEscalationT);
+        o.defense.push_back(d.energyDebtJ);
+        o.defense.push_back(d.peakEnergyDebtJ);
+    }
+    o.snapshot = campaign::saveSimSnapshot(simulation, io);
     return o;
 }
 
@@ -116,6 +151,37 @@ expectSame(const Obs& on, const Obs& off, const std::string& label)
     EXPECT_EQ(on.now, off.now) << label;
     EXPECT_EQ(on.quanta, off.quanta) << label << ": quantum count";
     EXPECT_EQ(on.counters, off.counters) << label << ": SimStats counters";
+    EXPECT_EQ(on.runtime, off.runtime) << label << ": RuntimeStats";
+    EXPECT_EQ(on.defense, off.defense) << label << ": DefenseStats";
+    EXPECT_TRUE(on.snapshot == off.snapshot)
+        << label << ": simulation snapshot diverged";
+}
+
+TEST(CoalesceLimitTest, GeckoCoalesceParsesStrictly)
+{
+    EXPECT_EQ(sim::parseCoalesceLimit(nullptr), 64);
+    EXPECT_EQ(sim::parseCoalesceLimit(""), 64);
+    EXPECT_EQ(sim::parseCoalesceLimit("0"), 0);
+    EXPECT_EQ(sim::parseCoalesceLimit("1"), 1);
+    EXPECT_EQ(sim::parseCoalesceLimit("64"), 64);
+    EXPECT_EQ(sim::parseCoalesceLimit("007"), 7);
+    // Above the cap clamps, however long the digit string.
+    EXPECT_EQ(sim::parseCoalesceLimit("65536"), 65536);
+    EXPECT_EQ(sim::parseCoalesceLimit("65537"), 65536);
+    EXPECT_EQ(sim::parseCoalesceLimit("99999999999999999999999"), 65536);
+    // Anything else used to read as 0 (fast path silently off).
+    for (const char* bad : {"abc", "1e3", "-1", "+8", " 8", "8 ", "0x10",
+                            "6.4", "64k"}) {
+        EXPECT_THROW(sim::parseCoalesceLimit(bad), std::invalid_argument)
+            << bad;
+    }
+    try {
+        sim::parseCoalesceLimit("abc");
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("GECKO_COALESCE=abc"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -389,6 +455,214 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CoalesceSnapshotTest,
                          [](const auto& info) {
                              return "seed" + std::to_string(info.param);
                          });
+
+// ---------------------------------------------------------------------
+// The saturated EMI storm (DESIGN.md §14): the attack_sweep comparator
+// point — FR5994 comparator path, 5 MHz at its resonance, 35 dBm from
+// 0.1 m, on the 1 Hz square-wave outage supply.  The volt-scale tone
+// drives both comparators through their thresholds on every window, so
+// each sample trips backup and wake.  Storm bursts (running quanta whose
+// backups are ignored: Ratchet, GECKO once detection disarmed JIT) and
+// locked-out sleep bursts (every scheme, while V_CC sits below
+// V_off + lockout) must engage and change nothing — including the
+// controller the adaptive victim fast-forwards, and the DCO jitter
+// sequence the envelope reads must not advance.
+// ---------------------------------------------------------------------
+
+enum class Victim { kNvp, kRatchet, kGeckoStatic, kGeckoAdaptive };
+
+const char*
+victimName(Victim v)
+{
+    switch (v) {
+      case Victim::kNvp: return "nvp";
+      case Victim::kRatchet: return "ratchet";
+      case Victim::kGeckoStatic: return "gecko-static";
+      case Victim::kGeckoAdaptive: return "gecko-adaptive";
+    }
+    return "?";
+}
+
+const CompiledProgram&
+stormProgram(Victim v)
+{
+    static const CompiledProgram nvp = compiler::compile(
+        workloads::build("sensor_loop"), Scheme::kNvp);
+    static const CompiledProgram ratchet = compiler::compile(
+        workloads::build("sensor_loop"), Scheme::kRatchet);
+    static const CompiledProgram gecko = compiler::compile(
+        workloads::build("sensor_loop"), Scheme::kGecko);
+    switch (v) {
+      case Victim::kNvp: return nvp;
+      case Victim::kRatchet: return ratchet;
+      default: return gecko;
+    }
+}
+
+struct StormEnv {
+    sim::IoHub io;
+    std::unique_ptr<energy::Harvester> supply;
+    std::unique_ptr<attack::RemoteRig> rig;
+    std::unique_ptr<attack::EmiSource> source;
+    std::unique_ptr<sim::IntermittentSim> simulation;
+};
+
+/**
+ * The attack_sweep comparator victim.  `dark` swaps the square wave for
+ * a dead supply with the buffer starting below V_off + lockout: every
+ * sample is a forged wake the brown-out lockout refuses.
+ */
+void
+buildStormEnv(StormEnv& env, Victim victim, bool dark,
+              sim::ExecBackend backend, int coalesceQuanta,
+              const device::DeviceProfile& dev =
+                  device::DeviceDb::msp430fr5994())
+{
+    sim::SimConfig cfg;
+    cfg.monitorKind = analog::MonitorKind::kComparator;
+    cfg.cap.capacitanceF = 1e-3;
+    cfg.cap.initialV = dark ? 2.05 : 3.3;
+    cfg.coalesceQuanta = coalesceQuanta;
+    if (victim == Victim::kGeckoAdaptive)
+        defense::presetByName("adaptive", &cfg.defense);
+
+    workloads::setupIo("sensor_loop", env.io);
+    if (dark)
+        env.supply = std::make_unique<energy::ConstantHarvester>(0.0, 5.0);
+    else
+        env.supply = std::make_unique<energy::SquareWaveHarvester>(
+            3.3, 5.0, 0.5, 0.5);
+    env.simulation = std::make_unique<sim::IntermittentSim>(
+        stormProgram(victim), dev, cfg, *env.supply, env.io);
+    env.simulation->machine().setExecBackend(backend);
+    env.rig = std::make_unique<attack::RemoteRig>(dev, cfg.monitorKind, 0.1);
+    env.source = std::make_unique<attack::EmiSource>(*env.rig, 5e6, 35.0);
+    env.simulation->setEmiSource(env.source.get());
+}
+
+Obs
+runStorm(Victim victim, bool dark, sim::ExecBackend backend,
+         int coalesceQuanta, double seconds)
+{
+    StormEnv env;
+    buildStormEnv(env, victim, dark, backend, coalesceQuanta);
+    env.simulation->run(seconds);
+    return capture(*env.simulation, env.io);
+}
+
+TEST(CoalesceStormTest, AttackSweepComparatorPointUnchangedByBursts)
+{
+    // 1.2 s: the first on-phase (storm running quanta), the dark half
+    // (brown-out, then locked-out sleep) and the recharge into the
+    // second on-phase.
+    for (Victim victim : {Victim::kNvp, Victim::kRatchet,
+                          Victim::kGeckoStatic, Victim::kGeckoAdaptive}) {
+        for (sim::ExecBackend backend :
+             {sim::ExecBackend::kStep, sim::ExecBackend::kBlock}) {
+            const std::string label = std::string(victimName(victim)) +
+                                      "/" + sim::execBackendName(backend);
+            Obs on = runStorm(victim, false, backend, 64, 1.2);
+            Obs off = runStorm(victim, false, backend, 0, 1.2);
+            ASSERT_GT(on.stats.cycles, 0u) << label;
+            EXPECT_EQ(off.coalescedQuanta, 0u) << label;
+            EXPECT_EQ(off.coalescedSleepSamples, 0u) << label;
+            expectSame(on, off, label);
+            // Every scheme sleeps locked out through the dark half.
+            EXPECT_GT(on.coalescedSleepSamples, 0u) << label;
+            // Backups are ignored once JIT is off: from the start under
+            // Ratchet, after detection under the adaptive controller.
+            if (victim == Victim::kRatchet ||
+                victim == Victim::kGeckoAdaptive) {
+                EXPECT_GT(on.coalescedQuanta * 2, on.quanta)
+                    << label << ": " << on.coalescedQuanta << " of "
+                    << on.quanta << " quanta coalesced";
+            }
+            // NVP checkpoints on every forged backup: nothing to fuse.
+            if (victim == Victim::kNvp) {
+                EXPECT_EQ(on.coalescedQuanta, 0u) << label;
+            }
+        }
+    }
+}
+
+TEST(CoalesceStormTest, ProbeCannotReenableInsideAStormBurst)
+{
+    // A storm quantum runs the machine and onProgress before its backup
+    // is reported.  With a slow comparator check (1 ms quanta, longer
+    // than a region) the first quantum after a rollback boot completes
+    // the two commits that conclude the re-enable probe, and — no
+    // backup seen yet — turns JIT back on, so its own backup then
+    // checkpoints.  A burst folding that quantum in would report the
+    // backup first and miss the re-enable; the guard must leave it to
+    // the slow path.
+    device::DeviceProfile dev = device::DeviceDb::msp430fr5994();
+    dev.compCheckHz = 1e3;
+    const auto run = [&dev](int coalesceQuanta) {
+        StormEnv env;
+        buildStormEnv(env, Victim::kGeckoStatic, false,
+                      sim::ExecBackend::kBlock, coalesceQuanta, dev);
+        env.simulation->run(0.3);
+        return capture(*env.simulation, env.io);
+    };
+    Obs on = run(64);
+    Obs off = run(0);
+    expectSame(on, off, "slow comparator");
+    const std::size_t kJitReenables = 6;  // RuntimeStats::jitReenables
+    EXPECT_GT(off.runtime[kJitReenables], 0u)
+        << "the probe never re-enabled JIT: the hazard is not exercised";
+}
+
+TEST(CoalesceStormTest, DarkSupplyLockedOutSleepUnchangedByBursts)
+{
+    for (Victim victim : {Victim::kNvp, Victim::kGeckoAdaptive}) {
+        const std::string label = victimName(victim);
+        Obs on = runStorm(victim, true, sim::ExecBackend::kBlock, 64, 0.05);
+        Obs off = runStorm(victim, true, sim::ExecBackend::kBlock, 0, 0.05);
+        EXPECT_EQ(on.stats.cycles, 0u) << label << ": never boots";
+        expectSame(on, off, label);
+        EXPECT_GT(on.coalescedSleepSamples, 0u) << label;
+    }
+}
+
+TEST(CoalesceStormTest, SnapshotSlicesStormMidBurst)
+{
+    // Slices of an odd length cut storm and sleep bursts mid-way; each
+    // cut is saved, torn down and restored into a fresh build.  The
+    // resumed run must land on the uninterrupted one's state.
+    constexpr double kSliceS = 0.0123457;
+    constexpr int kSlices = 60;
+    auto env = std::make_unique<StormEnv>();
+    buildStormEnv(*env, Victim::kGeckoAdaptive, false,
+                  sim::ExecBackend::kBlock, 64);
+    for (int k = 0; k < kSlices; ++k) {
+        env->simulation->run(kSliceS);
+        std::vector<std::uint8_t> blob =
+            campaign::saveSimSnapshot(*env->simulation, env->io);
+        env = std::make_unique<StormEnv>();
+        buildStormEnv(*env, Victim::kGeckoAdaptive, false,
+                      sim::ExecBackend::kBlock, 64);
+        campaign::restoreSimSnapshot(*env->simulation, env->io, blob);
+    }
+    // Reference: the same slices, slow path only, never interrupted.
+    StormEnv sliced;
+    buildStormEnv(sliced, Victim::kGeckoAdaptive, false,
+                  sim::ExecBackend::kBlock, 0);
+    for (int k = 0; k < kSlices; ++k)
+        sliced.simulation->run(kSliceS);
+
+    Obs resumed = capture(*env->simulation, env->io);
+    Obs reference = capture(*sliced.simulation, sliced.io);
+    ASSERT_GT(reference.stats.cycles, 0u);
+    EXPECT_TRUE(resumed.stats == reference.stats);
+    EXPECT_EQ(resumed.regs, reference.regs);
+    EXPECT_EQ(resumed.out, reference.out);
+    EXPECT_EQ(resumed.memory, reference.memory);
+    EXPECT_EQ(resumed.now, reference.now);
+    EXPECT_EQ(resumed.counters, reference.counters);
+    EXPECT_EQ(resumed.runtime, reference.runtime);
+    EXPECT_EQ(resumed.defense, reference.defense);
+    EXPECT_TRUE(resumed.snapshot == reference.snapshot);
+}
 
 }  // namespace
 }  // namespace gecko

@@ -82,8 +82,7 @@ runWithFailures(const CompiledProgram& compiled, const std::string& name,
             break;
         if (executed >= next_failure && max_failures-- > 0) {
             if (kind == FailureKind::kGraceful && runtime.jitActive()) {
-                JitCheckpoint::checkpoint(machine, nvm,
-                                          [](int) { return true; });
+                JitCheckpoint::checkpoint(machine, nvm);
                 runtime.noteJitCheckpointComplete();
             }
             machine.powerCycle();
@@ -248,8 +247,7 @@ TEST(CrashConsistencyTest, MixedGracefulAndHardCycles)
         if (exit == RunExit::kHalted)
             break;
         if (cycle++ % 2 == 0 && runtime.jitActive()) {
-            JitCheckpoint::checkpoint(machine, nvm,
-                                      [](int) { return true; });
+            JitCheckpoint::checkpoint(machine, nvm);
             runtime.noteJitCheckpointComplete();
         }
         machine.powerCycle();

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cstdint>
+#include <vector>
+
+#include "campaign/archive.hpp"
 #include "defense/controller.hpp"
 
 /**
@@ -440,6 +445,199 @@ TEST(DefenseTest, RedoCreditGateTripsLedgerOnRedoOnlyCycles)
         ok.noteCommit(commits);
     }
     EXPECT_EQ(ok.stats().ratchetTrips, 0u);
+}
+
+// ---------------------------------------------------------------------
+// The storm fixed point (DESIGN.md §14): a comparator primary tripping
+// backup and wake on every sample under a volt-scale tone, an ADC
+// shadow reading the quiet rail.  Every sample is a physics violation
+// plus two matured disagreement charges, which pins the score at
+// scoreMax — the state the simulator's bursts fast-forward.
+// ---------------------------------------------------------------------
+
+constexpr double kStormDt = 0.5e-6;  // comparator check interval
+constexpr double kStormAmp = 8.0;    // induced tone (V)
+const analog::MonitorEvent kTrip{true, true};
+const analog::MonitorEvent kQuiet{};
+
+/** One storm sample of rail `v` at the next sample instant. */
+void
+stormSample(DefenseController& dc, double& t, double v)
+{
+    t += kStormDt;
+    dc.observeSample(t, v - kStormAmp, v + kStormAmp, kTrip, kQuiet);
+}
+
+/** Drive a controller into the storm fixed point. */
+void
+saturate(DefenseController& dc, double& t)
+{
+    for (int i = 0; i < 64; ++i)
+        stormSample(dc, t, 2.6);
+}
+
+std::vector<std::uint8_t>
+archived(DefenseController& dc)
+{
+    campaign::Archive ar = campaign::Archive::saver();
+    dc.archiveState(ar);
+    return ar.takePayload();
+}
+
+/** The storm run the simulator would propose after time `t`. */
+DefenseController::SteadyRun
+stormRun(double t, bool sleeping = false)
+{
+    DefenseController::SteadyRun run;
+    run.tFirst = t + kStormDt;
+    run.gapMax = kStormDt + 4.0 * DBL_EPSILON * (kStormDt + t + 1.0);
+    run.spanMin = 2.0 * kStormAmp - 1e-9;
+    run.primary = kTrip;
+    run.shadow = kQuiet;
+    run.sleeping = sleeping;
+    return run;
+}
+
+DefenseConfig
+adaptiveConfig()
+{
+    DefenseConfig config;
+    EXPECT_TRUE(presetByName("adaptive", &config));
+    return config;
+}
+
+TEST(DefenseSteadyTest, FastForwardEqualsObservedSamples)
+{
+    for (bool sleeping : {false, true}) {
+        DefenseController stepped(adaptiveConfig(), PlantModel{});
+        DefenseController skipped(adaptiveConfig(), PlantModel{});
+        double t = 0.0;
+        double t2 = 0.0;
+        saturate(stepped, t);
+        saturate(skipped, t2);
+        ASSERT_EQ(stepped.mode(), Mode::kUnderAttack);
+        const DefenseController::SteadyRun run = stormRun(t, sleeping);
+        ASSERT_TRUE(skipped.steadyUnder(run));
+        // Per-sample path: the rail wanders inside its band.
+        const int n = 1000;
+        double v = 0.0;
+        for (int i = 0; i < n; ++i) {
+            v = 2.4 + 0.0005 * (i % 7);
+            stormSample(stepped, t, v);
+        }
+        skipped.fastForward(run, n, t,
+                            0.5 * ((v - kStormAmp) + (v + kStormAmp)));
+        EXPECT_EQ(archived(skipped), archived(stepped))
+            << (sleeping ? "sleep" : "running");
+        EXPECT_TRUE(skipped.steadyUnder(stormRun(t, sleeping)));
+    }
+}
+
+TEST(DefenseSteadyTest, RefusesOffTheFixedPoint)
+{
+    double t = 0.0;
+    // Not yet saturated: the score is still climbing.
+    {
+        DefenseController dc(adaptiveConfig(), PlantModel{});
+        for (int i = 0; i < 3; ++i)
+            stormSample(dc, t, 2.6);
+        EXPECT_NE(dc.score(), adaptiveConfig().scoreMax);
+        EXPECT_FALSE(dc.steadyUnder(stormRun(t)));
+    }
+    // At scoreMax, but one decay + evidence step falls short of it:
+    // 8 · 0.96 + 0.1 + 2 · 0.1 < 8.
+    {
+        DefenseConfig config = adaptiveConfig();
+        config.physicsWeight = 0.1;
+        config.disagreeWeight = 0.1;
+        DefenseController dc(config, PlantModel{});
+        stormSample(dc, t, 2.6);
+        stormSample(dc, t, 2.6);  // arms the edge windows
+        for (int i = 0; i < 4; ++i)
+            dc.noteBootEvidence(t, true, true);
+        ASSERT_EQ(dc.score(), config.scoreMax);
+        ASSERT_GE(dc.mode(), Mode::kUnderAttack);
+        EXPECT_FALSE(dc.steadyUnder(stormRun(t)));
+    }
+    // Saturated score below kUnderAttack: escalation still pending.
+    {
+        DefenseConfig config = adaptiveConfig();
+        config.scoreAttack = 100.0;
+        DefenseController dc(config, PlantModel{});
+        saturate(dc, t);
+        ASSERT_EQ(dc.score(), config.scoreMax);
+        ASSERT_EQ(dc.mode(), Mode::kSuspicious);
+        EXPECT_FALSE(dc.steadyUnder(stormRun(t)));
+    }
+    // An agreeing pulse pair clears the edge windows (lead 0): the next
+    // lone primary pulse re-arms instead of charging.
+    {
+        DefenseController dc(adaptiveConfig(), PlantModel{});
+        saturate(dc, t);
+        t += kStormDt;
+        dc.observeSample(t, 2.6 - kStormAmp, 2.6 + kStormAmp, kTrip, kTrip);
+        ASSERT_EQ(dc.score(), adaptiveConfig().scoreMax);
+        EXPECT_FALSE(dc.steadyUnder(stormRun(t)));
+        stormSample(dc, t, 2.6);  // re-armed: steady again
+        EXPECT_TRUE(dc.steadyUnder(stormRun(t)));
+    }
+    // Envelope span within the physics bound: no violation to repeat.
+    {
+        DefenseController dc(adaptiveConfig(), PlantModel{});
+        saturate(dc, t);
+        DefenseController::SteadyRun run = stormRun(t);
+        run.spanMin = 0.01;  // below physicsMarginV alone
+        EXPECT_FALSE(dc.steadyUnder(run));
+        // A long real gap before the first sample lifts its bound
+        // above 2A even though later gaps are one sample interval.
+        run = stormRun(t);
+        run.tFirst = t + 0.1;
+        EXPECT_FALSE(dc.steadyUnder(run));
+    }
+}
+
+TEST(DefenseSteadyTest, RefusesNotificationsThatDoNotBatch)
+{
+    double t = 0.0;
+    // A live recharge dwell counts every deferred sleep wake.
+    {
+        DefenseController dc(adaptiveConfig(), PlantModel{});
+        saturate(dc, t);
+        dc.noteRetriesExhausted(t);
+        ASSERT_EQ(dc.mode(), Mode::kDegraded);
+        dc.noteSleepEnter(t, 1.0);
+        EXPECT_FALSE(dc.steadyUnder(stormRun(t, true)));
+        // Running samples never query the wake gate.
+        EXPECT_TRUE(dc.steadyUnder(stormRun(t, false)));
+        // Past the dwell the gate is side-effect free.
+        stormSample(dc, t, 2.6);
+        DefenseController::SteadyRun late = stormRun(t, true);
+        late.tFirst = t + 1.0;
+        late.gapMax = 1.0;
+        late.spanMin = 1e9;  // keep the physics leg out of the way
+        EXPECT_TRUE(dc.steadyUnder(late));
+    }
+    // An open debt ledger: one bulk noteCommit would round differently
+    // from one call per quantum.
+    {
+        DefenseConfig config = adaptiveConfig();
+        config.commitCreditJ = 0.1;
+        config.energyDebtBudgetJ = 10.0;
+        DefenseController dc(config, PlantModel{});
+        saturate(dc, t);
+        dc.noteEnergyCost(t, 0.7);
+        EXPECT_FALSE(dc.steadyUnder(stormRun(t, false)));
+        EXPECT_TRUE(dc.steadyUnder(stormRun(t, true)));
+
+        DefenseController perQuantum(config, PlantModel{});
+        DefenseController bulk(config, PlantModel{});
+        perQuantum.noteEnergyCost(0.0, 0.7);
+        bulk.noteEnergyCost(0.0, 0.7);
+        perQuantum.noteCommit(1);
+        perQuantum.noteCommit(2);
+        bulk.noteCommit(2);
+        EXPECT_NE(perQuantum.stats().energyDebtJ, bulk.stats().energyDebtJ);
+    }
 }
 
 }  // namespace

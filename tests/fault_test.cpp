@@ -189,16 +189,14 @@ TEST(JitImageTest, ValidityLifecycle)
     // Virgin all-zero area validates (cold start).
     EXPECT_TRUE(JitCheckpoint::imageValid(rig.nvm));
 
-    JitCheckpoint::checkpoint(rig.machine, rig.nvm,
-                              [](int) { return true; });
+    JitCheckpoint::checkpoint(rig.machine, rig.nvm);
     EXPECT_TRUE(JitCheckpoint::imageValid(rig.nvm));
 
     // Consume-once: the same image must not roll forward twice.
     JitCheckpoint::consumeImage(rig.nvm);
     EXPECT_FALSE(JitCheckpoint::imageValid(rig.nvm));
 
-    JitCheckpoint::checkpoint(rig.machine, rig.nvm,
-                              [](int) { return true; });
+    JitCheckpoint::checkpoint(rig.machine, rig.nvm);
     EXPECT_TRUE(JitCheckpoint::imageValid(rig.nvm));
 }
 
@@ -207,15 +205,13 @@ TEST(JitImageTest, InjectorsInvalidateImage)
     exp::Rng rng(99);
     {
         ImageRig rig;
-        JitCheckpoint::checkpoint(rig.machine, rig.nvm,
-                                  [](int) { return true; });
+        JitCheckpoint::checkpoint(rig.machine, rig.nvm);
         corruptAckWord(rig.nvm, rng);
         EXPECT_FALSE(JitCheckpoint::imageValid(rig.nvm));
     }
     {
         ImageRig rig;
-        JitCheckpoint::checkpoint(rig.machine, rig.nvm,
-                                  [](int) { return true; });
+        JitCheckpoint::checkpoint(rig.machine, rig.nvm);
         corruptJitWord(rig.nvm, 1, rng);
         EXPECT_FALSE(JitCheckpoint::imageValid(rig.nvm));
     }
@@ -223,12 +219,10 @@ TEST(JitImageTest, InjectorsInvalidateImage)
         // Stale substitution: an older internally consistent image
         // fails the epoch comparison after the current one's consume.
         ImageRig rig;
-        JitCheckpoint::checkpoint(rig.machine, rig.nvm,
-                                  [](int) { return true; });
+        JitCheckpoint::checkpoint(rig.machine, rig.nvm);
         auto old = rig.nvm.jit;
         JitCheckpoint::consumeImage(rig.nvm);
-        JitCheckpoint::checkpoint(rig.machine, rig.nvm,
-                                  [](int) { return true; });
+        JitCheckpoint::checkpoint(rig.machine, rig.nvm);
         substituteJitImage(rig.nvm, old);
         EXPECT_FALSE(JitCheckpoint::imageValid(rig.nvm));
     }

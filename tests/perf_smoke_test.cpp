@@ -9,6 +9,7 @@
 #include "attack/emi_source.hpp"
 #include "attack/rigs.hpp"
 #include "compiler/pipeline.hpp"
+#include "defense/controller.hpp"
 #include "device/device_db.hpp"
 #include "energy/harvester.hpp"
 #include "sim/intermittent_sim.hpp"
@@ -176,6 +177,65 @@ TEST(PerfSmokeTest, QuietSliceCoalescesAndHoldsThroughputFloor)
     std::cout << "[perf_smoke] quiet slice: " << simCyclesPerS
               << " sim cycles/s, " << coalesced << "/" << quanta
               << " quanta coalesced\n";
+}
+
+/**
+ * Burst engagement guard for the saturated EMI storm (DESIGN.md §14):
+ * the attack_sweep comparator point (FR5994 comparator path, 5 MHz,
+ * 35 dBm from 0.1 m) on a GECKO victim with the adaptive controller.
+ * The tone trips backup and wake on every sample; once the controller
+ * has disarmed JIT, nearly every running quantum is an exact repeat
+ * the storm burst must absorb.  On a dead supply with the buffer below
+ * V_off + lockout, nearly every sleep sample is a refused forged wake
+ * the sleep burst must absorb.  Counts only — no wall-clock floor.
+ */
+struct StormSlice {
+    sim::SimStats stats;
+    std::uint64_t defenseSamples = 0;
+};
+
+StormSlice
+runStormSlice(bool dark)
+{
+    static const compiler::CompiledProgram compiled = compiler::compile(
+        workloads::build("sensor_loop"), compiler::Scheme::kGecko);
+    const auto& dev = device::DeviceDb::msp430fr5994();
+    sim::SimConfig config;
+    config.monitorKind = analog::MonitorKind::kComparator;
+    config.cap.capacitanceF = 1e-3;
+    config.cap.initialV = dark ? 2.05 : 3.3;
+    config.coalesceQuanta = 64;
+    defense::presetByName("adaptive", &config.defense);
+    sim::IoHub io;
+    workloads::setupIo("sensor_loop", io);
+    energy::ConstantHarvester supply(dark ? 0.0 : 3.3, 5.0);
+    attack::RemoteRig rig(dev, config.monitorKind, 0.1);
+    attack::EmiSource source(rig, 5e6, 35.0);
+    sim::IntermittentSim simulation(compiled, dev, config, supply, io);
+    simulation.setEmiSource(&source);
+    simulation.run(0.05);
+    return {simulation.stats, simulation.defenseController()->stats().samples};
+}
+
+TEST(PerfSmokeTest, SaturatedStormBurstsEngage)
+{
+    const StormSlice storm = runStormSlice(false);
+    ASSERT_GT(storm.stats.quanta, 50'000u) << "slice too short";
+    EXPECT_GE(storm.stats.coalescedQuanta * 10, storm.stats.quanta * 9)
+        << "storm bursts absorbed only " << storm.stats.coalescedQuanta
+        << " of " << storm.stats.quanta << " running quanta";
+
+    const StormSlice dark = runStormSlice(true);
+    EXPECT_EQ(dark.stats.reboots, 0u) << "the dark slice must stay asleep";
+    // Every sleep sample feeds the controller once.
+    ASSERT_GT(dark.defenseSamples, 50'000u) << "slice too short";
+    EXPECT_GE(dark.stats.coalescedSleepSamples * 10, dark.defenseSamples * 9)
+        << "sleep bursts absorbed only " << dark.stats.coalescedSleepSamples
+        << " of " << dark.defenseSamples << " sleep samples";
+    std::cout << "[perf_smoke] storm: " << storm.stats.coalescedQuanta << "/"
+              << storm.stats.quanta << " quanta coalesced; dark: "
+              << dark.stats.coalescedSleepSamples << "/"
+              << dark.defenseSamples << " sleep samples absorbed\n";
 }
 
 }  // namespace

@@ -50,7 +50,7 @@ struct Rig {
     /** Graceful JIT checkpoint then reboot. */
     void gracefulFailAndBoot()
     {
-        JitCheckpoint::checkpoint(machine, nvm, [](int) { return true; });
+        JitCheckpoint::checkpoint(machine, nvm);
         runtime.noteJitCheckpointComplete();
         machine.powerCycle();
         runtime.onBoot();
@@ -109,8 +109,7 @@ TEST(GeckoRuntimeTest, DosDetectionWithoutProgress)
     rig.gracefulFailAndBoot();  // healthy cycle
 
     // Now a churn cycle: checkpoint again immediately with no progress.
-    JitCheckpoint::checkpoint(rig.machine, rig.nvm,
-                              [](int) { return true; });
+    JitCheckpoint::checkpoint(rig.machine, rig.nvm);
     rig.runtime.noteJitCheckpointComplete();
     rig.machine.powerCycle();
     rig.runtime.onBoot();
@@ -186,9 +185,7 @@ TEST(GeckoRuntimeTest, TornImageRejectedAtEveryTruncationOffset)
         rig.gracefulFailAndBoot();  // last-known-good state
         rig.run(500);
 
-        int n = 0;
-        JitCheckpoint::checkpoint(rig.machine, rig.nvm,
-                                  [&](int) { return n++ < cut; });
+        JitCheckpoint::checkpoint(rig.machine, rig.nvm, cut);
         rig.machine.powerCycle();
         rig.runtime.onBoot();
 
@@ -216,9 +213,7 @@ TEST(GeckoRuntimeTest, PersistentIntegrityFailuresDegradeToRollback)
     for (int i = 0; i < GeckoRuntime::kMaxIntegrityFailures; ++i) {
         ASSERT_TRUE(rig.runtime.jitActive()) << "boot " << i;
         rig.run(500);
-        int n = 0;
-        JitCheckpoint::checkpoint(rig.machine, rig.nvm,
-                                  [&](int) { return n++ < 5; });
+        JitCheckpoint::checkpoint(rig.machine, rig.nvm, 5);
         rig.machine.powerCycle();
         rig.runtime.onBoot();
     }
@@ -238,9 +233,7 @@ TEST(GeckoRuntimeTest, ValidCheckpointResetsIntegrityFailureStreak)
     rig.runtime.onBoot();
     for (int i = 0; i < 4; ++i) {
         rig.run(500);
-        int n = 0;
-        JitCheckpoint::checkpoint(rig.machine, rig.nvm,
-                                  [&](int) { return n++ < 5; });
+        JitCheckpoint::checkpoint(rig.machine, rig.nvm, 5);
         rig.machine.powerCycle();
         rig.runtime.onBoot();  // CRC reject
         rig.run(500);
