@@ -58,7 +58,7 @@ main(int argc, char** argv)
         if (v.attacked)
             simulation.setEmiSource(&source);
         simulation.run(2.0);
-        noteSimRun(simulation);
+        noteCounters(simulation.counters());
         const auto& rt = simulation.geckoRuntime().stats;
         return Cell{simulation.machine().stats.completions,
                     rt.attackDetections, rt.rollbacks,

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -49,6 +50,17 @@ const std::vector<std::string> kFigures = {
     "ablation_pruning", "ablation_wcet",    "extension_wearout",
     "fault_campaign",   "campaign_runner",  "fig_adversarial"};
 
+/// The counter keys of a child's report, carried per figure and summed
+/// by the suite (0 when a record predates a key).
+enum Counter {
+    kSimCycles, kQuanta, kCoalescedQuanta, kCorruptedRestores,
+    kCrcRejects, kRetriesExhausted, kCounterKeys
+};
+constexpr const char* kCounterKey[kCounterKeys] = {
+    "sim_cycles",         "quanta",      "coalesced_quanta",
+    "corrupted_restores", "crc_rejects", "retries_exhausted"};
+using CounterValues = std::array<double, kCounterKeys>;
+
 struct FigureResult {
     std::string figure;
     /// Child telemetry schema version; records predating the
@@ -56,7 +68,7 @@ struct FigureResult {
     int schemaVersion = 1;
     double wallS = 0.0;
     double serialWallS = 0.0;
-    double simCycles = 0.0;
+    CounterValues counters{};
     /// "pass" or "fail": exit status combined with the bench's own
     /// verdict from its JSON telemetry (benches without a verdict
     /// report "pass" when they exit 0).
@@ -64,12 +76,6 @@ struct FigureResult {
     /// Execution tier the child reported ("step"/"block"; "unknown"
     /// for records predating schema v4).
     std::string execBackend = "unknown";
-    double corruptedRestores = 0.0;
-    double crcRejects = 0.0;
-    double retriesExhausted = 0.0;
-    /// Quantum-loop telemetry (schema v5; 0 for older records).
-    double quanta = 0.0;
-    double coalescedQuanta = 0.0;
     bool ok = false;
 };
 
@@ -119,23 +125,18 @@ std::string
 renderSuiteJson(const std::vector<FigureResult>& results, int threads,
                 const std::string& forceStatus)
 {
-    double totalWall = 0.0, totalSerial = 0.0, totalCycles = 0.0;
-    double totalCorrupted = 0.0, totalCrcRejects = 0.0,
-           totalRetriesExhausted = 0.0;
-    double totalQuanta = 0.0, totalCoalesced = 0.0;
+    double totalWall = 0.0, totalSerial = 0.0;
+    CounterValues total{};
     int failures = 0;
     for (const FigureResult& r : results) {
         if (r.status != "pass")
             ++failures;
         totalWall += r.wallS;
         totalSerial += r.serialWallS;
-        totalCycles += r.simCycles;
-        totalCorrupted += r.corruptedRestores;
-        totalCrcRejects += r.crcRejects;
-        totalRetriesExhausted += r.retriesExhausted;
-        totalQuanta += r.quanta;
-        totalCoalesced += r.coalescedQuanta;
+        for (int c = 0; c < kCounterKeys; ++c)
+            total[c] += r.counters[c];
     }
+    const auto u64 = [](double v) { return static_cast<std::uint64_t>(v); };
 
     // One backend name for the whole suite when every child agrees
     // (the usual case: children inherit GECKO_EXEC); "mixed" otherwise.
@@ -163,26 +164,21 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
         os << ",\"total_serial_wall_s\":"
            << gecko::metrics::fmt(totalSerial, 3) << ",\"speedup\":"
            << gecko::metrics::fmt(totalSerial / totalWall, 3);
-    os << ",\"total_sim_cycles\":"
-       << static_cast<std::uint64_t>(totalCycles)
+    os << ",\"total_sim_cycles\":" << u64(total[kSimCycles])
        << ",\"sim_cycles_per_s\":"
        << gecko::metrics::fmt(
-              totalWall > 0 ? totalCycles / totalWall : 0.0, 0)
-       << ",\"total_quanta\":" << static_cast<std::uint64_t>(totalQuanta)
-       << ",\"total_coalesced_quanta\":"
-       << static_cast<std::uint64_t>(totalCoalesced)
+              totalWall > 0 ? total[kSimCycles] / totalWall : 0.0, 0)
+       << ",\"total_quanta\":" << u64(total[kQuanta])
+       << ",\"total_coalesced_quanta\":" << u64(total[kCoalescedQuanta])
        << ",\"quanta_per_s\":"
        << gecko::metrics::fmt(
-              totalWall > 0 ? totalQuanta / totalWall : 0.0, 0)
+              totalWall > 0 ? total[kQuanta] / totalWall : 0.0, 0)
        << ",\"failures\":" << failures << ",\"status\":\""
        << (forceStatus.empty() ? (failures == 0 ? "pass" : "fail")
                                : forceStatus.c_str())
-       << "\",\"corrupted_restores\":"
-       << static_cast<std::uint64_t>(totalCorrupted)
-       << ",\"crc_rejects\":"
-       << static_cast<std::uint64_t>(totalCrcRejects)
-       << ",\"retries_exhausted\":"
-       << static_cast<std::uint64_t>(totalRetriesExhausted)
+       << "\",\"corrupted_restores\":" << u64(total[kCorruptedRestores])
+       << ",\"crc_rejects\":" << u64(total[kCrcRejects])
+       << ",\"retries_exhausted\":" << u64(total[kRetriesExhausted])
        << ",\"figures\":[";
     for (std::size_t i = 0; i < results.size(); ++i) {
         const FigureResult& r = results[i];
@@ -198,22 +194,19 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
                << gecko::metrics::fmt(r.serialWallS, 3) << ",\"speedup\":"
                << gecko::metrics::fmt(
                       r.wallS > 0 ? r.serialWallS / r.wallS : 0.0, 3);
-        os << ",\"sim_cycles\":"
-           << static_cast<std::uint64_t>(r.simCycles)
+        const CounterValues& c = r.counters;
+        os << ",\"sim_cycles\":" << u64(c[kSimCycles])
            << ",\"sim_cycles_per_s\":"
            << gecko::metrics::fmt(
-                  r.wallS > 0 ? r.simCycles / r.wallS : 0.0, 0)
-           << ",\"quanta\":" << static_cast<std::uint64_t>(r.quanta)
-           << ",\"coalesced_quanta\":"
-           << static_cast<std::uint64_t>(r.coalescedQuanta)
+                  r.wallS > 0 ? c[kSimCycles] / r.wallS : 0.0, 0)
+           << ",\"quanta\":" << u64(c[kQuanta])
+           << ",\"coalesced_quanta\":" << u64(c[kCoalescedQuanta])
            << ",\"exec_backend\":\""
            << gecko::metrics::jsonEscape(r.execBackend)
-           << "\",\"corrupted_restores\":"
-           << static_cast<std::uint64_t>(r.corruptedRestores)
-           << ",\"crc_rejects\":"
-           << static_cast<std::uint64_t>(r.crcRejects)
-           << ",\"retries_exhausted\":"
-           << static_cast<std::uint64_t>(r.retriesExhausted) << "}";
+           << "\",\"corrupted_restores\":" << u64(c[kCorruptedRestores])
+           << ",\"crc_rejects\":" << u64(c[kCrcRejects])
+           << ",\"retries_exhausted\":" << u64(c[kRetriesExhausted])
+           << "}";
     }
     os << "]}";
     return os.str();
@@ -310,9 +303,7 @@ main(int argc, char** argv)
     installSuiteSignalFlush();
 
     std::vector<FigureResult> results;
-    double totalWall = 0.0, totalSerial = 0.0, totalCycles = 0.0;
-    double totalCorrupted = 0.0, totalCrcRejects = 0.0,
-           totalRetriesExhausted = 0.0;
+    double totalWall = 0.0, totalSerial = 0.0;
     int failures = 0;
 
     for (const std::string& fig : figures) {
@@ -358,7 +349,8 @@ main(int argc, char** argv)
         // extractors, so newer child records still aggregate here.
         r.schemaVersion = static_cast<int>(
             jsonNumber(childJson, "schema_version").value_or(1.0));
-        r.simCycles = jsonNumber(childJson, "sim_cycles").value_or(0.0);
+        for (int c = 0; c < kCounterKeys; ++c)
+            r.counters[c] = jsonNumber(childJson, kCounterKey[c]).value_or(0);
         r.status = gecko::metrics::jsonString(childJson, "status")
                        .value_or(r.ok ? "pass" : "fail");
         r.execBackend =
@@ -366,14 +358,6 @@ main(int argc, char** argv)
                 .value_or("unknown");
         if (!r.ok)
             r.status = "fail";
-        r.corruptedRestores =
-            jsonNumber(childJson, "corrupted_restores").value_or(0.0);
-        r.crcRejects = jsonNumber(childJson, "crc_rejects").value_or(0.0);
-        r.retriesExhausted =
-            jsonNumber(childJson, "retries_exhausted").value_or(0.0);
-        r.quanta = jsonNumber(childJson, "quanta").value_or(0.0);
-        r.coalescedQuanta =
-            jsonNumber(childJson, "coalesced_quanta").value_or(0.0);
 
         if (baseline && r.ok) {
             std::cerr << "[bench_all] " << fig << " (serial) ... "
@@ -387,10 +371,6 @@ main(int argc, char** argv)
             ++failures;
         totalWall += r.wallS;
         totalSerial += r.serialWallS;
-        totalCycles += r.simCycles;
-        totalCorrupted += r.corruptedRestores;
-        totalCrcRejects += r.crcRejects;
-        totalRetriesExhausted += r.retriesExhausted;
         results.push_back(r);
         {
             // Mirror progress into the watcher-visible state so an

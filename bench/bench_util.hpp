@@ -68,11 +68,9 @@ attackFrequencyGrid(double lowHz, double highHz)
 
 /** One attacked simulation run's outcome. */
 struct AttackOutcome {
-    /// Executed machine cycles (forward-progress proxy for NVP).
-    std::uint64_t cycles = 0;
-    std::uint64_t completions = 0;
+    /// `exec.cycles` is the forward-progress proxy for NVP.
+    sim::Counters counters;
     double checkpointFailureRate = 0.0;
-    std::uint64_t backupSignals = 0;
 };
 
 /** Common victim-under-attack configuration. */
@@ -90,16 +88,8 @@ struct VictimConfig {
 struct Telemetry {
     std::mutex mutex;
     std::vector<metrics::SweepRecord> sweeps;
-    std::atomic<std::uint64_t> simCycles{0};
-    /// Quantum-loop telemetry (schema v5): monitor-sample quanta
-    /// simulated, and the subset the coalescing fast path absorbed.
-    std::atomic<std::uint64_t> quanta{0};
-    std::atomic<std::uint64_t> coalescedQuanta{0};
-    /// Checkpoint-integrity defence counters (runtime::RuntimeStats)
-    /// accumulated across every victim run of the process.
-    std::atomic<std::uint64_t> corruptedRestores{0};
-    std::atomic<std::uint64_t> crcRejects{0};
-    std::atomic<std::uint64_t> retriesExhausted{0};
+    /// Counter totals of every simulation run (guarded by `mutex`).
+    sim::Counters counters;
     /// Event-trace sink, non-null when `--trace=PATH` or
     /// `GECKO_TRACE_OUT` requested one; every runSweep point records
     /// into its own per-point buffer.
@@ -199,16 +189,12 @@ runSweep(const std::string& label, const std::vector<Point>& points, Fn fn)
     return results;
 }
 
-/** Accumulate a victim run's defence counters into the telemetry. */
+/** Add a run's (or a campaign's) counters to the process totals. */
 inline void
-noteRuntimeStats(const runtime::RuntimeStats& stats)
+noteCounters(const sim::Counters& counters)
 {
-    telemetry().corruptedRestores.fetch_add(stats.corruptedRestores,
-                                            std::memory_order_relaxed);
-    telemetry().crcRejects.fetch_add(stats.crcRejects,
-                                     std::memory_order_relaxed);
-    telemetry().retriesExhausted.fetch_add(stats.retriesExhausted,
-                                           std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(telemetry().mutex);
+    telemetry().counters += counters;
 }
 
 /**
@@ -240,12 +226,6 @@ writeBenchReport(const std::string& figure, const std::string& status = "")
     report.figure = figure;
     report.status = status;
     report.traceOut = telemetry().traceOut;
-    report.corruptedRestores =
-        telemetry().corruptedRestores.load(std::memory_order_relaxed);
-    report.crcRejects =
-        telemetry().crcRejects.load(std::memory_order_relaxed);
-    report.retriesExhausted =
-        telemetry().retriesExhausted.load(std::memory_order_relaxed);
     report.seed = exp::globalSeed();
     report.defenseMode = telemetry().defenseMode;
     report.execBackend =
@@ -257,14 +237,10 @@ writeBenchReport(const std::string& figure, const std::string& status = "")
                        std::chrono::steady_clock::now() -
                        telemetry().processStart)
                        .count();
-    report.simCycles =
-        telemetry().simCycles.load(std::memory_order_relaxed);
-    report.quanta = telemetry().quanta.load(std::memory_order_relaxed);
-    report.coalescedQuanta =
-        telemetry().coalescedQuanta.load(std::memory_order_relaxed);
     report.figureData = telemetry().figureData;
     {
         std::lock_guard<std::mutex> lock(telemetry().mutex);
+        report.counters = telemetry().counters;
         report.sweeps = telemetry().sweeps;
     }
     std::ofstream out(path);
@@ -393,43 +369,19 @@ runVictim(const VictimConfig& vc, const attack::InjectionRig* rig,
     }
     simulation.run(vc.simSeconds);
 
-    AttackOutcome out;
-    out.cycles = simulation.machine().stats.cycles;
-    out.completions = simulation.machine().stats.completions;
-    out.checkpointFailureRate = simulation.checkpointFailureRate();
-    out.backupSignals = simulation.stats.backupSignals;
-    telemetry().simCycles.fetch_add(out.cycles,
-                                    std::memory_order_relaxed);
-    telemetry().quanta.fetch_add(simulation.stats.quanta,
-                                 std::memory_order_relaxed);
-    telemetry().coalescedQuanta.fetch_add(
-        simulation.stats.coalescedQuanta, std::memory_order_relaxed);
-    noteRuntimeStats(simulation.geckoRuntime().stats);
+    AttackOutcome out{simulation.counters(),
+                      simulation.checkpointFailureRate()};
+    noteCounters(out.counters);
     return out;
 }
 
-/** Record simulated cycles from benches that drive the sim directly. */
+/** Record simulated cycles from benches that drive a bare machine. */
 inline void
 noteSimCycles(std::uint64_t cycles)
 {
-    telemetry().simCycles.fetch_add(cycles, std::memory_order_relaxed);
-}
-
-/**
- * Record cycles plus the quantum-loop telemetry (schema v5) of one
- * directly-driven simulation.  Preferred over noteSimCycles for
- * benches holding an IntermittentSim: the coalesced-quantum counters
- * feed the recorded `coalesced_quanta` effectiveness metric.
- */
-inline void
-noteSimRun(sim::IntermittentSim& simulation)
-{
-    telemetry().simCycles.fetch_add(simulation.machine().stats.cycles,
-                                    std::memory_order_relaxed);
-    telemetry().quanta.fetch_add(simulation.stats.quanta,
-                                 std::memory_order_relaxed);
-    telemetry().coalescedQuanta.fetch_add(
-        simulation.stats.coalescedQuanta, std::memory_order_relaxed);
+    sim::Counters counters;
+    counters.exec.cycles = cycles;
+    noteCounters(counters);
 }
 
 /**
@@ -439,10 +391,11 @@ noteSimRun(sim::IntermittentSim& simulation)
 inline double
 progressRate(const AttackOutcome& attacked, const AttackOutcome& clean)
 {
-    if (clean.cycles == 0)
+    const std::uint64_t base = clean.counters.exec.cycles;
+    if (base == 0)
         return 0.0;
-    return std::min(1.0, static_cast<double>(attacked.cycles) /
-                             static_cast<double>(clean.cycles));
+    return std::min(1.0, static_cast<double>(attacked.counters.exec.cycles) /
+                             static_cast<double>(base));
 }
 
 /** Print a named series as "x y" rows. */

@@ -66,20 +66,6 @@ splitList(const std::string& s)
     return out;
 }
 
-/** Sum every `"key":N` occurrence in `json` (per-group counters). */
-std::uint64_t
-sumAll(const std::string& json, const std::string& key)
-{
-    const std::string needle = "\"" + key + "\":";
-    std::uint64_t total = 0;
-    std::size_t pos = 0;
-    while ((pos = json.find(needle, pos)) != std::string::npos) {
-        pos += needle.size();
-        total += std::strtoull(json.c_str() + pos, nullptr, 10);
-    }
-    return total;
-}
-
 void
 printStatus(const std::string& dir)
 {
@@ -246,8 +232,7 @@ main(int argc, char** argv)
     if (report.complete)
         std::cout << report.aggregateJson << "\n";
 
-    bench::telemetry().simCycles.fetch_add(
-        sumAll(report.aggregateJson, "cycles"));
+    bench::noteCounters(report.totals);
     const std::string status = report.complete
                                    ? (report.jobsQuarantined == 0
                                           ? "pass"

@@ -52,7 +52,7 @@ main(int argc, char** argv)
         if (p.attacked)
             simulation.setEmiSource(&source);
         simulation.run(kSeconds);
-        noteSimRun(simulation);
+        noteCounters(simulation.counters());
         return Rates{simulation.nvm().jitAreaWrites / kSeconds,
                      simulation.nvm().slotWrites / kSeconds};
     });

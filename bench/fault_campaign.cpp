@@ -80,6 +80,7 @@ replayCorpus(const std::string& path, const fault::CampaignConfig& config)
             ordinal);
         fault::CaseResult res = fault::runCase(
             entry.spec, config.simTimeBudgetS, config.watchdogBudget);
+        bench::noteCounters(res.counters);
         bool match = res.outcome == entry.outcome;
         if (!match)
             ++mismatches;
@@ -148,11 +149,7 @@ main(int argc, char** argv)
             return fault::runCampaign(config);
         })[0];
 
-    runtime::RuntimeStats agg;
-    agg.corruptedRestores = result.corruptedRestores;
-    agg.crcRejects = result.crcRejects;
-    agg.retriesExhausted = result.retriesExhausted;
-    bench::noteRuntimeStats(agg);
+    bench::noteCounters(result.totals);
 
     std::cout << result.report;
 

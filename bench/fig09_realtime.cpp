@@ -98,7 +98,7 @@ main(int argc, char** argv)
                      metrics::fmtPercent(
                          clean_rate > 0 ? rate / clean_rate : 0.0, 1)});
             }
-            noteSimRun(simulation);
+            noteCounters(simulation.counters());
             return rows;
         });
 

@@ -96,7 +96,7 @@ main(int argc, char** argv)
         }
         cell.corruption = io.output(0).conflicts() +
                           simulation.geckoRuntime().stats.corruptedRestores;
-        noteSimRun(simulation);
+        noteCounters(simulation.counters());
         return cell;
     });
 

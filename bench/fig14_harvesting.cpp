@@ -48,7 +48,7 @@ main(int argc, char** argv)
         config.cap.capacitanceF = 1e-3;
         sim::IntermittentSim simulation(compiled, dev, config, trace, io);
         simulation.run(kSimSeconds);
-        noteSimRun(simulation);
+        noteCounters(simulation.counters());
         return simulation.machine().stats.completions;
     });
 

@@ -60,7 +60,7 @@ main(int argc, char** argv)
         config.vBackupOverride = v_backup;
         sim::IntermittentSim simulation(compiled, dev, config, weak, io);
         simulation.runUntilCompletions(kTargetCompletions, 300.0);
-        noteSimRun(simulation);
+        noteCounters(simulation.counters());
         return simulation.now();
     });
 

@@ -60,9 +60,7 @@ main(int argc, char** argv)
                 points.push_back({kind, attacked, adaptive});
 
     struct Cell {
-        std::uint64_t completions = 0;
-        std::uint64_t reboots = 0;
-        defense::DefenseStats defense;
+        sim::Counters counters;
         defense::Mode finalMode = defense::Mode::kNominal;
         bool hadController = false;
     };
@@ -101,16 +99,13 @@ main(int argc, char** argv)
         simulation.setAttackSchedule(&schedule);
         simulation.run(kTotalS);
 
-        Cell cell;
-        cell.completions = simulation.machine().stats.completions;
-        cell.reboots = simulation.stats.reboots;
+        Cell cell{simulation.counters()};
         if (const defense::DefenseController* dc =
                 simulation.defenseController()) {
-            cell.defense = dc->stats();
             cell.finalMode = dc->mode();
             cell.hadController = true;
         }
-        noteSimRun(simulation);
+        noteCounters(cell.counters);
         return cell;
     });
 
@@ -129,20 +124,21 @@ main(int argc, char** argv)
     for (std::size_t i = 0; i < points.size(); ++i) {
         const Point& p = points[i];
         const Cell& c = cells[i];
+        const defense::DefenseStats& d = c.counters.defense;
         double latency = -1.0;
-        if (c.hadController && c.defense.firstEscalationT >= 0)
-            latency = c.defense.firstEscalationT - kAttackStartS;
+        if (c.hadController && d.firstEscalationT >= 0)
+            latency = d.firstEscalationT - kAttackStartS;
         table.row({analog::monitorKindName(p.monitor),
                    p.attacked ? "sustained" : "none",
                    p.adaptive ? "adaptive" : "static",
-                   std::to_string(c.completions),
-                   std::to_string(c.reboots),
+                   std::to_string(c.counters.exec.completions),
+                   std::to_string(c.counters.sim.reboots),
                    latency >= 0 ? metrics::fmt(latency, 4) : "-",
-                   std::to_string(c.defense.escalations),
-                   std::to_string(c.defense.deEscalations),
-                   std::to_string(c.defense.ratchetTrips),
-                   std::to_string(c.defense.wakesDeferred),
-                   metrics::fmt(c.defense.peakEnergyDebtJ, 5),
+                   std::to_string(d.escalations),
+                   std::to_string(d.deEscalations),
+                   std::to_string(d.ratchetTrips),
+                   std::to_string(d.wakesDeferred),
+                   metrics::fmt(d.peakEnergyDebtJ, 5),
                    c.hadController ? defense::modeName(c.finalMode)
                                    : "-"});
     }
@@ -155,25 +151,28 @@ main(int argc, char** argv)
         const Point& p = points[i + 1];
         const Cell& st = cells[i];
         const Cell& ad = cells[i + 1];
+        const defense::DefenseStats& d = ad.counters.defense;
+        const std::uint64_t done = ad.counters.exec.completions;
+        const std::uint64_t staticDone = st.counters.exec.completions;
         std::string label =
             std::string(analog::monitorKindName(p.monitor)) +
             (p.attacked ? "/attacked" : "/clean");
         check(ad.hadController, label + ": controller armed");
         if (!p.attacked) {
-            check(ad.defense.escalations == 0,
+            check(d.escalations == 0,
                   label + ": false positives (escalations=" +
-                      std::to_string(ad.defense.escalations) + ")");
-            check(ad.completions == st.completions,
+                      std::to_string(d.escalations) + ")");
+            check(done == staticDone,
                   label + ": clean adaptive throughput diverged");
         } else {
-            check(ad.defense.escalations > 0, label + ": no detection");
-            check(ad.defense.firstEscalationT >= kAttackStartS,
+            check(d.escalations > 0, label + ": no detection");
+            check(d.firstEscalationT >= kAttackStartS,
                   label + ": detected before attack onset");
-            check(ad.completions >= st.completions,
-                  label + ": adaptive (" + std::to_string(ad.completions) +
-                      ") below static (" + std::to_string(st.completions) +
+            check(done >= staticDone,
+                  label + ": adaptive (" + std::to_string(done) +
+                      ") below static (" + std::to_string(staticDone) +
                       ")");
-            check(ad.completions > 0, label + ": adaptive made no progress");
+            check(done > 0, label + ": adaptive made no progress");
             check(ad.finalMode == defense::Mode::kNominal,
                   label + ": did not de-escalate to nominal");
         }

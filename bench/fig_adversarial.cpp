@@ -144,6 +144,7 @@ main(int argc, char** argv)
             std::cerr << "fig_adversarial: " << e.what() << "\n";
             return 1;
         }
+        bench::noteCounters(rep.totals);
         if (!rep.complete) {
             std::cerr << "[adversarial] stopped mid-search ("
                       << defense << ", rounds_done=" << rep.roundsDone
@@ -172,15 +173,18 @@ main(int argc, char** argv)
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const adversary::SearchReport& r = rows[i];
         const std::string& defense = defenses[i];
+        const sim::Counters& best = r.bestTotals.counters;
+        const std::uint64_t cleanEscalations =
+            r.cleanTotals.counters.defense.escalations;
         std::ostringstream line;
         line << defense;
         line << std::string(defense.size() < 11 ? 11 - defense.size() : 1,
                             ' ');
         line << r.best.score << "  " << r.cleanTotals.commits << "→"
-             << r.bestTotals.commits << "  rb=" << r.bestTotals.rollbacks
-             << " re=" << r.bestTotals.retriesExhausted
-             << " hd=" << r.bestTotals.hardDeaths
-             << " es=" << r.bestTotals.escalations
+             << r.bestTotals.commits << "  rb=" << best.runtime.rollbacks
+             << " re=" << best.runtime.retriesExhausted
+             << " hd=" << best.sim.hardDeaths
+             << " es=" << best.defense.escalations
              << (r.replayMatches ? "  replay-ok" : "  REPLAY-MISMATCH");
         std::cout << line.str() << "\n";
         std::cout << "  knobs: " << adversary::knobsJson(r.best.knobs)
@@ -195,15 +199,15 @@ main(int argc, char** argv)
                    ",\"attacked_commits\":" +
                    std::to_string(r.bestTotals.commits) +
                    ",\"rollbacks\":" +
-                   std::to_string(r.bestTotals.rollbacks) +
+                   std::to_string(best.runtime.rollbacks) +
                    ",\"retries_exhausted\":" +
-                   std::to_string(r.bestTotals.retriesExhausted) +
+                   std::to_string(best.runtime.retriesExhausted) +
                    ",\"hard_deaths\":" +
-                   std::to_string(r.bestTotals.hardDeaths) +
+                   std::to_string(best.sim.hardDeaths) +
                    ",\"escalations\":" +
-                   std::to_string(r.bestTotals.escalations) +
+                   std::to_string(best.defense.escalations) +
                    ",\"clean_escalations\":" +
-                   std::to_string(r.cleanTotals.escalations) +
+                   std::to_string(cleanEscalations) +
                    ",\"rounds\":" + std::to_string(r.roundsDone) +
                    ",\"replay_ok\":" +
                    (r.replayMatches ? "true" : "false") +
@@ -212,9 +216,9 @@ main(int argc, char** argv)
 
         check(r.replayMatches, defense + ": best attack did not replay "
                                          "to its journaled score");
-        check(r.cleanTotals.escalations == 0,
+        check(cleanEscalations == 0,
               defense + ": clean-run false positives (escalations=" +
-                  std::to_string(r.cleanTotals.escalations) + ")");
+                  std::to_string(cleanEscalations) + ")");
         if (defense == "static")
             check(r.best.score > 0,
                   "search found no denial against the static config");

@@ -106,12 +106,13 @@ foldResults(const std::string& dir, std::uint64_t totalJobs)
     return agg.groups();
 }
 
-/** Run one campaign (a search round or the best-eval replay).
+/** Run one campaign (a search round or the best-eval replay), adding
+ *  its counter totals to `totals`.
  *  @return true when it completed; false = cooperative stop. */
 bool
 runRoundCampaign(const SearchConfig& config, const std::string& dir,
                  const campaign::CampaignSpace& space,
-                 exp::ThreadPool& pool)
+                 exp::ThreadPool& pool, sim::Counters& totals)
 {
     std::filesystem::create_directories(dir);
     campaign::EngineConfig ec;
@@ -120,6 +121,7 @@ runRoundCampaign(const SearchConfig& config, const std::string& dir,
     ec.seed = config.seed;
     ec.stopRequested = config.stopRequested;
     campaign::EngineReport report = campaign::runCampaign(ec, pool);
+    totals += report.totals;
     if (report.jobsQuarantined > 0)
         throw std::runtime_error("adversary: quarantined jobs in " + dir);
     return report.complete;
@@ -138,11 +140,12 @@ denialScore(const campaign::GroupTotals& clean,
     // breaks ties between equally-denying schedules.  Integer weights
     // keep the objective exactly reproducible.
     std::uint64_t score = 0;
-    score += 1000 * deficit(clean.completions, attacked.completions);
+    score += 1000 * deficit(clean.counters.exec.completions,
+                            attacked.counters.exec.completions);
     score += 100 * deficit(clean.commits, attacked.commits);
-    score += 50 * attacked.rollbacks;
-    score += 500 * attacked.retriesExhausted;
-    score += 2000 * attacked.hardDeaths;
+    score += 50 * attacked.counters.runtime.rollbacks;
+    score += 500 * attacked.counters.runtime.retriesExhausted;
+    score += 2000 * attacked.counters.sim.hardDeaths;
     return score;
 }
 
@@ -190,7 +193,7 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
             spaceFor(config, candidates, round);
         const std::string dir =
             config.dir + "/round_" + std::to_string(round);
-        if (!runRoundCampaign(config, dir, space, pool)) {
+        if (!runRoundCampaign(config, dir, space, pool, out.totals)) {
             out.roundsDone = st.roundsDone;
             out.best = {st.best, st.bestScore};
             return out;  // cooperative stop; resume later
@@ -243,7 +246,8 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
            << ",\"best_score\":" << st.bestScore
            << ",\"step\":" << metrics::roundTripNumber(st.stepScale)
            << ",\"clean_commits\":" << cleanIt->second.commits
-           << ",\"clean_escalations\":" << cleanIt->second.escalations
+           << ",\"clean_escalations\":"
+           << cleanIt->second.counters.defense.escalations
            << ",\"best_knobs\":" << knobsJson(st.best) << "}";
         journal.append(rl.str());
         journal.sync();
@@ -260,7 +264,7 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
         st.best, config.bounds, "best", config.outagePeriodS,
         config.outageOnFrac));
     const std::string evalDir = config.dir + "/best_eval";
-    if (!runRoundCampaign(config, evalDir, evalSpace, pool)) {
+    if (!runRoundCampaign(config, evalDir, evalSpace, pool, out.totals)) {
         out.roundsDone = st.roundsDone;
         out.best = {st.best, st.bestScore};
         return out;

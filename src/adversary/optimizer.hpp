@@ -87,6 +87,8 @@ struct SearchReport {
     campaign::GroupTotals cleanTotals;
     /// Best-attack totals from the standalone best evaluation.
     campaign::GroupTotals bestTotals;
+    /// EngineReport totals of every round campaign this run executed.
+    sim::Counters totals;
 };
 
 /**

@@ -1,6 +1,9 @@
 #include "campaign/aggregate.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
+#include <string_view>
 
 #include "metrics/bench_json.hpp"
 
@@ -8,44 +11,27 @@ namespace gecko::campaign {
 
 namespace {
 
-// Field table: one row per streamed counter keeps toJsonl/fromJsonl/
-// add/toJson in lockstep (a missed field here is a silent aggregate
-// hole, so there is exactly one place to list them).
-struct Field {
-    const char* key;
-    std::uint64_t JobResult::* result;
-    std::uint64_t GroupTotals::* total;
-    /// Added after the first deployment: absent in old results.jsonl
-    /// lines, which parse as 0 instead of reading as torn records.
-    bool optional = false;
-};
+// The counters results.jsonl streams between `slices` and `commits`,
+// by field-list name.  Explicit: the campaign wire format is frozen, so
+// a new registry field joins it only when listed here.
+constexpr std::string_view kStreamed[] = {
+    "instrs", "cycles", "completions", "reboots", "hard_deaths",
+    "backup_signals", "ckpt_attempts", "ckpt_complete", "ckpt_torn",
+    "missed_ckpts", "rollbacks", "corrupted_restores", "crc_rejects",
+    "retries_exhausted", "escalations", "de_escalations"};
 
-constexpr Field kFields[] = {
-    {"slices", &JobResult::slices, &GroupTotals::slices},
-    {"instrs", &JobResult::instrs, &GroupTotals::instrs},
-    {"cycles", &JobResult::cycles, &GroupTotals::cycles},
-    {"completions", &JobResult::completions, &GroupTotals::completions},
-    {"reboots", &JobResult::reboots, &GroupTotals::reboots},
-    {"hard_deaths", &JobResult::hardDeaths, &GroupTotals::hardDeaths},
-    {"backup_signals", &JobResult::backupSignals,
-     &GroupTotals::backupSignals},
-    {"ckpt_attempts", &JobResult::ckptAttempts,
-     &GroupTotals::ckptAttempts},
-    {"ckpt_complete", &JobResult::ckptComplete,
-     &GroupTotals::ckptComplete},
-    {"ckpt_torn", &JobResult::ckptTorn, &GroupTotals::ckptTorn},
-    {"missed_ckpts", &JobResult::missedCkpts, &GroupTotals::missedCkpts},
-    {"rollbacks", &JobResult::rollbacks, &GroupTotals::rollbacks},
-    {"corrupted_restores", &JobResult::corruptedRestores,
-     &GroupTotals::corruptedRestores},
-    {"crc_rejects", &JobResult::crcRejects, &GroupTotals::crcRejects},
-    {"retries_exhausted", &JobResult::retriesExhausted,
-     &GroupTotals::retriesExhausted},
-    {"escalations", &JobResult::escalations, &GroupTotals::escalations},
-    {"de_escalations", &JobResult::deEscalations,
-     &GroupTotals::deEscalations},
-    {"commits", &JobResult::commits, &GroupTotals::commits, true},
-};
+/** `fn(name, get)` per streamed counter, in field-list order. */
+template <class Fn>
+void
+forEachStreamed(Fn&& fn)
+{
+    sim::Counters::forEachField(
+        [&fn](const metrics::CounterField& field, auto get) {
+            if (std::find(std::begin(kStreamed), std::end(kStreamed),
+                          field.name) != std::end(kStreamed))
+                fn(field.name, get);
+        });
+}
 
 }  // namespace
 
@@ -54,10 +40,11 @@ JobResult::toJsonl() const
 {
     std::ostringstream os;
     os << "{\"job\":" << job << ",\"group\":\""
-       << metrics::jsonEscape(group) << "\"";
-    for (const Field& f : kFields)
-        os << ",\"" << f.key << "\":" << this->*f.result;
-    os << "}";
+       << metrics::jsonEscape(group) << "\",\"slices\":" << slices;
+    forEachStreamed([&](const char* name, auto get) {
+        os << ",\"" << name << "\":" << get(counters);
+    });
+    os << ",\"commits\":" << commits << "}";
     return os.str();
 }
 
@@ -66,22 +53,25 @@ JobResult::fromJsonl(const std::string& line)
 {
     auto job = metrics::jsonNumber(line, "job");
     auto group = metrics::jsonString(line, "group");
-    if (!job || !group)
+    auto slices = metrics::jsonNumber(line, "slices");
+    if (!job || !group || !slices)
         return std::nullopt;
     JobResult r;
     r.job = static_cast<std::uint64_t>(*job);
     r.group = *group;
-    for (const Field& f : kFields) {
-        auto v = metrics::jsonNumber(line, f.key);
-        if (!v) {
-            if (f.optional) {
-                r.*f.result = 0;
-                continue;
-            }
-            return std::nullopt;  // torn mid-record
-        }
-        r.*f.result = static_cast<std::uint64_t>(*v);
-    }
+    r.slices = static_cast<std::uint64_t>(*slices);
+    bool torn = false;  // a counter missing mid-record
+    forEachStreamed([&](const char* name, auto get) {
+        auto v = metrics::jsonNumber(line, name);
+        torn = torn || !v;
+        get(r.counters) = static_cast<std::uint64_t>(v.value_or(0.0));
+    });
+    if (torn)
+        return std::nullopt;
+    // Added after the first deployment: absent in old lines, which
+    // parse as 0 instead of reading as torn records.
+    r.commits = static_cast<std::uint64_t>(
+        metrics::jsonNumber(line, "commits").value_or(0.0));
     return r;
 }
 
@@ -101,8 +91,10 @@ Aggregator::add(const JobResult& r)
     ++jobCount_;
     GroupTotals& g = groups_[r.group];
     ++g.jobs;
-    for (const Field& f : kFields)
-        g.*f.total += r.*f.result;
+    g.slices += r.slices;
+    forEachStreamed(
+        [&](const char*, auto get) { get(g.counters) += get(r.counters); });
+    g.commits += r.commits;
     return true;
 }
 
@@ -124,10 +116,11 @@ Aggregator::toJson(std::uint64_t totalJobs, std::uint64_t configHash,
             os << ",";
         first = false;
         os << "{\"group\":\"" << metrics::jsonEscape(key)
-           << "\",\"jobs\":" << g.jobs;
-        for (const Field& f : kFields)
-            os << ",\"" << f.key << "\":" << g.*f.total;
-        os << "}";
+           << "\",\"jobs\":" << g.jobs << ",\"slices\":" << g.slices;
+        forEachStreamed([&](const char* name, auto get) {
+            os << ",\"" << name << "\":" << get(g.counters);
+        });
+        os << ",\"commits\":" << g.commits << "}";
     }
     os << "]}";
     return os.str();

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/intermittent_sim.hpp"
+
 /**
  * @file
  * Streaming campaign result aggregation (DESIGN.md §13).
@@ -34,30 +36,13 @@ struct JobResult {
     std::string group;
     /// Simulation slices the job ran as (resume granularity).
     std::uint64_t slices = 0;
-    // --- machine (sim::ExecStats) ---
-    std::uint64_t instrs = 0;
-    std::uint64_t cycles = 0;
-    std::uint64_t completions = 0;
-    // --- simulation (sim::SimStats) ---
-    std::uint64_t reboots = 0;
-    std::uint64_t hardDeaths = 0;
-    std::uint64_t backupSignals = 0;
-    std::uint64_t ckptAttempts = 0;
-    std::uint64_t ckptComplete = 0;
-    std::uint64_t ckptTorn = 0;
-    std::uint64_t missedCkpts = 0;
-    // --- runtime integrity (runtime::RuntimeStats) ---
-    std::uint64_t rollbacks = 0;
-    std::uint64_t corruptedRestores = 0;
-    std::uint64_t crcRejects = 0;
-    std::uint64_t retriesExhausted = 0;
-    // --- defense (defense::DefenseStats; 0 when disabled) ---
-    std::uint64_t escalations = 0;
-    std::uint64_t deEscalations = 0;
-    // --- forward progress (sim::Nvm): committed region boundaries.
-    // Optional on the wire (absent in pre-adversarial results.jsonl
-    // lines, which parse as 0) — the denial-of-progress objective's
-    // numerator.
+    /// The victim's counters at job end.  results.jsonl streams 16 of
+    /// them (aggregate.cpp); the rest parse back as 0.
+    sim::Counters counters;
+    /// Forward progress (sim::Nvm): committed region boundaries.
+    /// Optional on the wire (absent in pre-adversarial results.jsonl
+    /// lines, which parse as 0) — the denial-of-progress objective's
+    /// numerator.
     std::uint64_t commits = 0;
 
     std::string toJsonl() const;
@@ -66,26 +51,11 @@ struct JobResult {
     static std::optional<JobResult> fromJsonl(const std::string& line);
 };
 
-/** Per-group integer sums. */
+/** Per-group integer sums of the streamed JobResult fields. */
 struct GroupTotals {
     std::uint64_t jobs = 0;
     std::uint64_t slices = 0;
-    std::uint64_t instrs = 0;
-    std::uint64_t cycles = 0;
-    std::uint64_t completions = 0;
-    std::uint64_t reboots = 0;
-    std::uint64_t hardDeaths = 0;
-    std::uint64_t backupSignals = 0;
-    std::uint64_t ckptAttempts = 0;
-    std::uint64_t ckptComplete = 0;
-    std::uint64_t ckptTorn = 0;
-    std::uint64_t missedCkpts = 0;
-    std::uint64_t rollbacks = 0;
-    std::uint64_t corruptedRestores = 0;
-    std::uint64_t crcRejects = 0;
-    std::uint64_t retriesExhausted = 0;
-    std::uint64_t escalations = 0;
-    std::uint64_t deEscalations = 0;
+    sim::Counters counters;
     std::uint64_t commits = 0;
 
     bool operator==(const GroupTotals&) const = default;

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "metrics/counter_field.hpp"
+
 /**
  * @file
  * Bidirectional byte-stream archive for simulator snapshots.
@@ -151,6 +153,16 @@ class Archive
         u32Span(v.data(), v.size());
     }
 
+    /** A stats struct's archived fields, in field-list order. */
+    template <class Stats>
+    void counters(Stats& stats)
+    {
+        Stats::forEachField([&](const metrics::CounterField& f, auto m) {
+            if (f.archived)
+                counter(stats.*m);
+        });
+    }
+
     /** Structural tag: save writes it, load verifies it. */
     void section(const char* name)
     {
@@ -198,6 +210,9 @@ class Archive
     }
 
   private:
+    void counter(std::uint64_t& v) { u64(v); }
+    void counter(double& v) { f64(v); }
+
     Archive(bool saving, std::vector<std::uint8_t> buf)
         : saving_(saving), buf_(std::move(buf))
     {

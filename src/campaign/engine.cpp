@@ -302,28 +302,7 @@ runJobOnce(const EngineConfig& config, const JobSpec& spec,
     r.job = spec.job;
     r.group = spec.groupKey();
     r.slices = plan.count;
-    const sim::ExecStats& ms = simulation.machine().stats;
-    r.instrs = ms.instrs;
-    r.cycles = ms.cycles;
-    r.completions = ms.completions;
-    const sim::SimStats& ss = simulation.stats;
-    r.reboots = ss.reboots;
-    r.hardDeaths = ss.hardDeaths;
-    r.backupSignals = ss.backupSignals;
-    r.ckptAttempts = ss.jitCheckpointAttempts;
-    r.ckptComplete = ss.jitCheckpointsComplete;
-    r.ckptTorn = ss.jitCheckpointsTorn;
-    r.missedCkpts = ss.missedCheckpoints;
-    const runtime::RuntimeStats& rs = simulation.geckoRuntime().stats;
-    r.rollbacks = rs.rollbacks;
-    r.corruptedRestores = rs.corruptedRestores;
-    r.crcRejects = rs.crcRejects;
-    r.retriesExhausted = rs.retriesExhausted;
-    if (const defense::DefenseController* dc =
-            simulation.defenseController()) {
-        r.escalations = dc->stats().escalations;
-        r.deEscalations = dc->stats().deEscalations;
-    }
+    r.counters = simulation.counters();
     r.commits = simulation.nvm().commitCount;
     out.slicesDone = plan.count;
     if (!config.keepSnapshots)
@@ -354,6 +333,7 @@ struct Shared {
     ManifestWriter* manifest = nullptr;
     metrics::JsonlWriter* results = nullptr;
     Aggregator* agg = nullptr;
+    sim::Counters totals;
     std::uint64_t resultsSinceCompact = 0;
     std::uint64_t quarantinedTotal = 0;
 
@@ -429,6 +409,7 @@ processJob(Shared& sh, std::uint64_t id)
             // lose one.
             sh.results->append(out.result.toJsonl());
             sh.agg->add(out.result);
+            sh.totals += out.result.counters;
             sh.manifest->append(
                 {id, JobState::kDone, attempt, out.slicesDone, ""});
             if (++sh.resultsSinceCompact >= config.compactEvery) {
@@ -667,6 +648,7 @@ runCampaign(const EngineConfig& config, exp::ThreadPool& pool)
     report.shardDeaths = sh.shardDeaths.load();
     report.tornManifestLines = rec.tornLines;
     report.tornResultLines = tornResults;
+    report.totals = sh.totals;
     report.complete = report.jobsDone + report.jobsQuarantined >= total;
     return report;
 }

@@ -148,6 +148,10 @@ struct EngineReport {
     bool complete = false;
     /// The deterministic aggregate (also compacted to aggregate.json).
     std::string aggregateJson;
+    /// Counters of the jobs this run completed, each counted whole, so
+    /// the runs of one campaign sum to its aggregate (the unarchived
+    /// burst diagnostics cover only what this run simulated).
+    sim::Counters totals;
 };
 
 /**

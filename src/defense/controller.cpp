@@ -514,19 +514,7 @@ DefenseController::archiveState(campaign::Archive& ar)
     ar.u64(commitCountAtRollback_);
     ar.boolean(committedSinceDegrade_);
     ar.f64(wakeNotBefore_);
-    ar.u64(stats_.samples);
-    ar.u64(stats_.anomalies);
-    ar.u64(stats_.disagreements);
-    ar.u64(stats_.edgeSkews);
-    ar.u64(stats_.physicsViolations);
-    ar.u64(stats_.escalations);
-    ar.u64(stats_.deEscalations);
-    ar.u64(stats_.ratchetTrips);
-    ar.u64(stats_.relapses);
-    ar.u64(stats_.wakesDeferred);
-    ar.f64(stats_.firstEscalationT);
-    ar.f64(stats_.energyDebtJ);
-    ar.f64(stats_.peakEnergyDebtJ);
+    ar.counters(stats_);
 }
 
 }  // namespace gecko::defense

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <string>
 
+#include "metrics/counter_field.hpp"
+
 /**
  * @file
  * Types of the adaptive attack-aware defense controller.
@@ -169,7 +171,29 @@ struct DefenseStats {
     double energyDebtJ = 0.0;
     /// High-water mark of the ledger over the run.
     double peakEnergyDebtJ = 0.0;
+
+    bool operator==(const DefenseStats&) const = default;
+
+    /** The field list (metrics/counter_field.hpp). */
+    template <class Fn>
+    static constexpr void forEachField(Fn&& fn)
+    {
+        fn({"samples"}, &DefenseStats::samples);
+        fn({"anomalies"}, &DefenseStats::anomalies);
+        fn({"disagreements"}, &DefenseStats::disagreements);
+        fn({"edge_skews"}, &DefenseStats::edgeSkews);
+        fn({"physics_violations"}, &DefenseStats::physicsViolations);
+        fn({"escalations"}, &DefenseStats::escalations);
+        fn({"de_escalations"}, &DefenseStats::deEscalations);
+        fn({"ratchet_trips"}, &DefenseStats::ratchetTrips);
+        fn({"relapses"}, &DefenseStats::relapses);
+        fn({"wakes_deferred"}, &DefenseStats::wakesDeferred);
+        fn({"first_escalation_t"}, &DefenseStats::firstEscalationT);
+        fn({"energy_debt_j"}, &DefenseStats::energyDebtJ);
+        fn({"peak_energy_debt_j"}, &DefenseStats::peakEnergyDebtJ);
+    }
 };
+static_assert(metrics::listsEveryField<DefenseStats>());
 
 }  // namespace gecko::defense
 

@@ -158,17 +158,6 @@ partialRunDiverged(const Golden& gold, const IoHub& io, std::string* why)
     return false;
 }
 
-void
-collectRuntimeStats(CaseResult& res, const GeckoRuntime& runtime)
-{
-    res.corruptedRestores = runtime.stats.corruptedRestores;
-    res.crcRejects = runtime.stats.crcRejects;
-    res.slotRepairs = runtime.stats.slotRepairs;
-    res.ckptSaveRetries = runtime.stats.ckptSaveRetries;
-    res.retriesExhausted = runtime.stats.retriesExhausted;
-    res.integrityDegradations = runtime.stats.integrityDegradations;
-}
-
 bool
 hasJit(Scheme scheme)
 {
@@ -428,7 +417,8 @@ runMachineCase(const CaseSpec& spec, std::uint64_t watchdogBudget,
         }
     }
 
-    collectRuntimeStats(res, runtime);
+    res.counters.exec = machine.stats;
+    res.counters.runtime = runtime.stats;
     if (!injected && res.outcome == CaseOutcome::kOk)
         res.detail = "not-injected";
     if (res.outcome == CaseOutcome::kOk) {
@@ -561,11 +551,7 @@ runSimCase(const CaseSpec& spec, double simTimeBudgetS,
     }
 
     bool completed = simulation.runUntilCompletions(1, simTimeBudgetS);
-    collectRuntimeStats(res, simulation.geckoRuntime());
-    if (const auto* dc = simulation.defenseController()) {
-        res.defenseEscalations = dc->stats().escalations;
-        res.defenseRatchetTrips = dc->stats().ratchetTrips;
-    }
+    res.counters = simulation.counters();
 
     if (completed) {
         judgeCompletedRun(res, gold, io, simulation.nvm());
@@ -581,7 +567,8 @@ runSimCase(const CaseSpec& spec, double simTimeBudgetS,
     }
     // Detected-then-survived attack: the controller escalated during the
     // run and the outputs still match the golden oracle — a pass.
-    if (res.outcome == CaseOutcome::kOk && res.defenseEscalations > 0) {
+    if (res.outcome == CaseOutcome::kOk &&
+        res.counters.defense.escalations > 0) {
         res.defended = true;
         res.detail = "defended";
     }
@@ -766,8 +753,7 @@ runCampaign(const CampaignConfig& config)
             ++g.defended;
             ++out.defendedCases;
         }
-        out.defenseEscalations += r.defenseEscalations;
-        out.defenseRatchetTrips += r.defenseRatchetTrips;
+        out.totals += r.counters;
         bool corrupt = isCorruption(r.outcome);
         bool gecko = r.spec.scheme == Scheme::kGecko ||
                      r.spec.scheme == Scheme::kGeckoNoPrune;
@@ -794,12 +780,6 @@ runCampaign(const CampaignConfig& config)
             if (corrupt && r.spec.scheme == Scheme::kNvp)
                 ++out.nvpCorruptions;
         }
-        out.corruptedRestores += r.corruptedRestores;
-        out.crcRejects += r.crcRejects;
-        out.slotRepairs += r.slotRepairs;
-        out.ckptSaveRetries += r.ckptSaveRetries;
-        out.retriesExhausted += r.retriesExhausted;
-        out.integrityDegradations += r.integrityDegradations;
     }
 
     // Corpus selection: the first corpusPerGroup failing cases per
@@ -847,15 +827,16 @@ runCampaign(const CampaignConfig& config)
     }
     rep << "corpus kept=" << out.corpusCases.size() << " dropped=" << dropped
         << "\n";
-    rep << "counters corruptedRestores=" << out.corruptedRestores
-        << " crcRejects=" << out.crcRejects
-        << " slotRepairs=" << out.slotRepairs
-        << " ckptSaveRetries=" << out.ckptSaveRetries
-        << " retriesExhausted=" << out.retriesExhausted
-        << " integrityDegradations=" << out.integrityDegradations << "\n";
+    const runtime::RuntimeStats& rt = out.totals.runtime;
+    rep << "counters corruptedRestores=" << rt.corruptedRestores
+        << " crcRejects=" << rt.crcRejects
+        << " slotRepairs=" << rt.slotRepairs
+        << " ckptSaveRetries=" << rt.ckptSaveRetries
+        << " retriesExhausted=" << rt.retriesExhausted
+        << " integrityDegradations=" << rt.integrityDegradations << "\n";
     rep << "defense defended=" << out.defendedCases
-        << " escalations=" << out.defenseEscalations
-        << " ratchetTrips=" << out.defenseRatchetTrips << "\n";
+        << " escalations=" << out.totals.defense.escalations
+        << " ratchetTrips=" << out.totals.defense.ratchetTrips << "\n";
     rep << "summary geckoCorruptions=" << out.geckoCorruptions
         << " nvpCorruptions=" << out.nvpCorruptions << " geckoClean="
         << (out.geckoClean ? "yes" : "no") << "\n";

@@ -122,17 +122,10 @@ struct CampaignResult {
                static_cast<double>(instrNvpCorruptions) *
                    static_cast<double>(instrGeckoCases);
     }
-    /// Aggregated defence counters across all cases.
-    std::uint64_t corruptedRestores = 0;
-    std::uint64_t crcRejects = 0;
-    std::uint64_t slotRepairs = 0;
-    std::uint64_t ckptSaveRetries = 0;
-    std::uint64_t retriesExhausted = 0;
-    std::uint64_t integrityDegradations = 0;
-    /// Adaptive-defense aggregates (EMI-burst cases).
+    /// Detected-then-survived EMI-burst cases (adaptive defense).
     std::uint64_t defendedCases = 0;
-    std::uint64_t defenseEscalations = 0;
-    std::uint64_t defenseRatchetTrips = 0;
+    /// Every case's counters folded (minimisation probes excluded).
+    sim::Counters totals;
 };
 
 /** Deterministic case list for a config (grid enumeration). */

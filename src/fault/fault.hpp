@@ -5,6 +5,7 @@
 #include <string>
 
 #include "compiler/pipeline.hpp"
+#include "sim/intermittent_sim.hpp"
 
 /**
  * @file
@@ -141,17 +142,10 @@ struct CaseResult {
     /// Effective injection point / target word actually used.
     std::int64_t injectAt = -1;
     std::int32_t word = -1;
-    /// Defence counters observed in the victim runtime.
-    std::uint64_t corruptedRestores = 0;
-    std::uint64_t crcRejects = 0;
-    std::uint64_t slotRepairs = 0;
-    std::uint64_t ckptSaveRetries = 0;
-    std::uint64_t retriesExhausted = 0;
-    std::uint64_t integrityDegradations = 0;
-    /// Adaptive-defense evidence (EMI-burst cases with the controller
-    /// attached): mode escalations and ratchet trips observed.
-    std::uint64_t defenseEscalations = 0;
-    std::uint64_t defenseRatchetTrips = 0;
+    /// The victim's counters at case end.  Machine-level cases fill
+    /// only `exec` and `runtime`; the defense counters are the adaptive
+    /// controller's evidence (EMI-burst cases, where it is attached).
+    sim::Counters counters;
     /// The controller detected the attack online and the run still
     /// matched its golden oracle (detected-then-survived = pass).
     bool defended = false;

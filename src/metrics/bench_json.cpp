@@ -63,17 +63,20 @@ BenchReport::toJson() const
     if (serialWallS > 0)
         os << ",\"serial_wall_s\":" << num(serialWallS)
            << ",\"speedup\":" << num(speedup());
+    const std::uint64_t simCycles = counters.exec.cycles;
+    const std::uint64_t quanta = counters.sim.quanta;
+    const runtime::RuntimeStats& rt = counters.runtime;
     os << ",\"sim_cycles\":" << simCycles << ",\"sim_cycles_per_s\":"
        << num(wallS > 0 ? static_cast<double>(simCycles) / wallS : 0.0)
        << ",\"quanta\":" << quanta
-       << ",\"coalesced_quanta\":" << coalescedQuanta
+       << ",\"coalesced_quanta\":" << counters.sim.coalescedQuanta
        << ",\"quanta_per_s\":"
        << num(wallS > 0 ? static_cast<double>(quanta) / wallS : 0.0);
     if (!status.empty())
         os << ",\"status\":\"" << jsonEscape(status) << "\"";
-    os << ",\"corrupted_restores\":" << corruptedRestores
-       << ",\"crc_rejects\":" << crcRejects
-       << ",\"retries_exhausted\":" << retriesExhausted;
+    os << ",\"corrupted_restores\":" << rt.corruptedRestores
+       << ",\"crc_rejects\":" << rt.crcRejects
+       << ",\"retries_exhausted\":" << rt.retriesExhausted;
     if (!traceOut.empty())
         os << ",\"trace_out\":\"" << jsonEscape(traceOut) << "\"";
     if (!figureData.empty())

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/intermittent_sim.hpp"
+
 /**
  * @file
  * Machine-readable benchmark telemetry (`BENCH_*.json`).
@@ -88,20 +90,14 @@ struct BenchReport {
     /// Recorded serial (1-thread) wall time for the same figure; 0
     /// when unknown.  Carried so speedup survives re-aggregation.
     double serialWallS = 0.0;
-    /// Simulated machine cycles executed across every victim run.
-    std::uint64_t simCycles = 0;
-    /// Monitor-sample quanta simulated across every victim run, and the
-    /// subset absorbed by the quantum-coalescing fast path (schema v5).
-    std::uint64_t quanta = 0;
-    std::uint64_t coalescedQuanta = 0;
+    /// Counter totals of every simulation the bench ran; the report
+    /// names six: `sim_cycles`, the schema-v5 `quanta` and
+    /// `coalesced_quanta`, and the defence counters
+    /// `corrupted_restores`, `crc_rejects` and `retries_exhausted`.
+    sim::Counters counters;
     /// Bench verdict: "pass", "fail", or "" (bench has no pass/fail
     /// semantics — treated as pass by aggregation).
     std::string status;
-    /// Checkpoint-integrity defence counters accumulated across every
-    /// victim run of the bench (see runtime::RuntimeStats).
-    std::uint64_t corruptedRestores = 0;
-    std::uint64_t crcRejects = 0;
-    std::uint64_t retriesExhausted = 0;
     /// Path of the event-trace file written for this run ("" = none).
     std::string traceOut;
     /// Raw per-figure JSON payload emitted verbatim as `figure_data`

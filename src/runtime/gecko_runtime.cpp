@@ -308,21 +308,7 @@ void
 GeckoRuntime::archiveState(campaign::Archive& ar)
 {
     ar.section("gecko_runtime");
-    ar.u64(stats.rollbacks);
-    ar.u64(stats.jitRestores);
-    ar.u64(stats.corruptedRestores);
-    ar.u64(stats.attackDetections);
-    ar.u64(stats.ackDetections);
-    ar.u64(stats.dosDetections);
-    ar.u64(stats.jitReenables);
-    ar.u64(stats.recoveryBlockRuns);
-    ar.u64(stats.recoveryInstrRuns);
-    ar.u64(stats.crcRejects);
-    ar.u64(stats.slotRepairs);
-    ar.u64(stats.slotUnrecoverable);
-    ar.u64(stats.ckptSaveRetries);
-    ar.u64(stats.retriesExhausted);
-    ar.u64(stats.integrityDegradations);
+    ar.counters(stats);
     ar.boolean(jitImageFresh_);
     ar.i32(consecutiveIntegrityFailures_);
     ar.boolean(probeArmed_);

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "compiler/pipeline.hpp"
+#include "metrics/counter_field.hpp"
 #include "sim/jit_checkpoint.hpp"
 #include "sim/machine.hpp"
 #include "sim/nvm.hpp"
@@ -55,7 +56,31 @@ struct RuntimeStats {
     /// Times persistent integrity failures degraded the runtime to the
     /// JIT-disabled rollback mode.
     std::uint64_t integrityDegradations = 0;
+
+    bool operator==(const RuntimeStats&) const = default;
+
+    /** The field list (metrics/counter_field.hpp). */
+    template <class Fn>
+    static constexpr void forEachField(Fn&& fn)
+    {
+        fn({"rollbacks"}, &RuntimeStats::rollbacks);
+        fn({"jit_restores"}, &RuntimeStats::jitRestores);
+        fn({"corrupted_restores"}, &RuntimeStats::corruptedRestores);
+        fn({"attack_detections"}, &RuntimeStats::attackDetections);
+        fn({"ack_detections"}, &RuntimeStats::ackDetections);
+        fn({"dos_detections"}, &RuntimeStats::dosDetections);
+        fn({"jit_reenables"}, &RuntimeStats::jitReenables);
+        fn({"recovery_block_runs"}, &RuntimeStats::recoveryBlockRuns);
+        fn({"recovery_instr_runs"}, &RuntimeStats::recoveryInstrRuns);
+        fn({"crc_rejects"}, &RuntimeStats::crcRejects);
+        fn({"slot_repairs"}, &RuntimeStats::slotRepairs);
+        fn({"slot_unrecoverable"}, &RuntimeStats::slotUnrecoverable);
+        fn({"ckpt_save_retries"}, &RuntimeStats::ckptSaveRetries);
+        fn({"retries_exhausted"}, &RuntimeStats::retriesExhausted);
+        fn({"integrity_degradations"}, &RuntimeStats::integrityDegradations);
+    }
 };
+static_assert(metrics::listsEveryField<RuntimeStats>());
 
 /** Per-scheme recovery runtime. */
 class GeckoRuntime

@@ -950,6 +950,24 @@ IntermittentSim::runUntilCompletions(std::uint64_t target,
     return machine_.stats.completions >= target;
 }
 
+Counters&
+Counters::operator+=(const Counters& other)
+{
+    forEachField([&](const metrics::CounterField&, auto get) {
+        if constexpr (std::is_integral_v<
+                          std::remove_cvref_t<decltype(get(other))>>)
+            get(*this) += get(other);
+    });
+    return *this;
+}
+
+Counters
+IntermittentSim::counters() const
+{
+    return {machine_.stats, stats, runtime_.stats,
+            defense_ ? defense_->stats() : defense::DefenseStats{}};
+}
+
 double
 IntermittentSim::checkpointFailureRate() const
 {
@@ -1017,18 +1035,7 @@ IntermittentSim::archiveState(campaign::Archive& ar)
     ar.u64(cyclesAtBoot_);
     ar.u32(sampleSeq_);
 
-    ar.f64(stats.simTimeS);
-    ar.u64(stats.reboots);
-    ar.u64(stats.hardDeaths);
-    ar.u64(stats.backupSignals);
-    ar.u64(stats.wakeSignals);
-    ar.u64(stats.ignoredBackups);
-    ar.u64(stats.jitCheckpointAttempts);
-    ar.u64(stats.jitCheckpointsComplete);
-    ar.u64(stats.jitCheckpointsTorn);
-    ar.u64(stats.jitCheckpointsAborted);
-    ar.u64(stats.missedCheckpoints);
-    ar.u64(stats.bootCycles);
+    ar.counters(stats);
 
     nvm_.archiveState(ar);
     machine_.archiveState(ar);

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <type_traits>
 
 #include "analog/voltage_monitor.hpp"
 #include "attack/attack_schedule.hpp"
@@ -13,6 +14,7 @@
 #include "device/device_profile.hpp"
 #include "energy/capacitor.hpp"
 #include "energy/harvester.hpp"
+#include "metrics/counter_field.hpp"
 #include "runtime/gecko_runtime.hpp"
 #include "sim/machine.hpp"
 
@@ -128,6 +130,68 @@ struct SimStats {
     std::uint64_t coalescedBursts = 0;
     /// Sleep samples absorbed by sleep bursts (never counted in quanta).
     std::uint64_t coalescedSleepSamples = 0;
+
+    bool operator==(const SimStats&) const = default;
+
+    /** The field list (metrics/counter_field.hpp); the JIT checkpoint
+     *  counters go by their campaign keys. */
+    template <class Fn>
+    static constexpr void forEachField(Fn&& fn)
+    {
+        fn({"sim_time_s"}, &SimStats::simTimeS);
+        fn({"reboots"}, &SimStats::reboots);
+        fn({"hard_deaths"}, &SimStats::hardDeaths);
+        fn({"backup_signals"}, &SimStats::backupSignals);
+        fn({"wake_signals"}, &SimStats::wakeSignals);
+        fn({"ignored_backups"}, &SimStats::ignoredBackups);
+        fn({"ckpt_attempts"}, &SimStats::jitCheckpointAttempts);
+        fn({"ckpt_complete"}, &SimStats::jitCheckpointsComplete);
+        fn({"ckpt_torn"}, &SimStats::jitCheckpointsTorn);
+        fn({"ckpt_aborted"}, &SimStats::jitCheckpointsAborted);
+        fn({"missed_ckpts"}, &SimStats::missedCheckpoints);
+        fn({"boot_cycles"}, &SimStats::bootCycles);
+        fn({"quanta", false}, &SimStats::quanta);
+        fn({"coalesced_quanta", false}, &SimStats::coalescedQuanta);
+        fn({"coalesced_bursts", false}, &SimStats::coalescedBursts);
+        fn({"coalesced_sleep_samples", false},
+           &SimStats::coalescedSleepSamples);
+    }
+};
+static_assert(metrics::listsEveryField<SimStats>());
+
+/** Every counter of one simulation (DESIGN.md "Counters"): results,
+ *  totals and oracles hold one instead of copying counters by hand. */
+struct Counters {
+    ExecStats exec;
+    SimStats sim;
+    runtime::RuntimeStats runtime;
+    /// Default-valued when the victim has no defense controller.
+    defense::DefenseStats defense;
+
+    bool operator==(const Counters&) const = default;
+
+    /** Add the integer counters; the doubles are not counts. */
+    Counters& operator+=(const Counters& other);
+
+    /** The four field lists in a row: `fn(field, get)`, `get(c)` being
+     *  that field of a (const or mutable) Counters `c`. */
+    template <class Fn>
+    static void forEachField(Fn&& fn)
+    {
+        const auto walk = [&fn](auto group) {
+            using Stats = std::remove_cvref_t<decltype(Counters{}.*group)>;
+            Stats::forEachField([&fn, group](const metrics::CounterField& f,
+                                             auto member) {
+                fn(f, [group, member](auto& c) -> auto& {
+                    return c.*group.*member;
+                });
+            });
+        };
+        walk(&Counters::exec);
+        walk(&Counters::sim);
+        walk(&Counters::runtime);
+        walk(&Counters::defense);
+    }
 };
 
 /**
@@ -214,6 +278,9 @@ class IntermittentSim
     {
         return defense_.get();
     }
+
+    /** Every stats struct as it stands. */
+    Counters counters() const;
 
     /** Checkpoint failure rate F = N_fail / N_checkpoints (§IV-B2). */
     double checkpointFailureRate() const;

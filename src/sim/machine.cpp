@@ -344,12 +344,7 @@ Machine::archiveState(campaign::Archive& ar)
     ar.u32Array(pendingOut_);
     ar.boolean(halted_);
     ar.boolean(faulted_);
-    ar.u64(stats.instrs);
-    ar.u64(stats.cycles);
-    ar.u64(stats.ckptStores);
-    ar.u64(stats.boundaryCommits);
-    ar.u64(stats.completions);
-    ar.u64(stats.faults);
+    ar.counters(stats);
     // The block cache is profile-only derived state: dropping it on
     // restore re-warms it without changing architectural behaviour.
     if (!ar.saving())

@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "compiler/pipeline.hpp"
+#include "metrics/counter_field.hpp"
 #include "sim/io_devices.hpp"
 #include "sim/nvm.hpp"
 #include "sim/superblock.hpp"
@@ -75,7 +76,20 @@ struct ExecStats {
     std::uint64_t faults = 0;
 
     bool operator==(const ExecStats&) const = default;
+
+    /** The field list (metrics/counter_field.hpp). */
+    template <class Fn>
+    static constexpr void forEachField(Fn&& fn)
+    {
+        fn({"instrs"}, &ExecStats::instrs);
+        fn({"cycles"}, &ExecStats::cycles);
+        fn({"ckpt_stores"}, &ExecStats::ckptStores);
+        fn({"boundary_commits"}, &ExecStats::boundaryCommits);
+        fn({"completions"}, &ExecStats::completions);
+        fn({"faults"}, &ExecStats::faults);
+    }
 };
+static_assert(metrics::listsEveryField<ExecStats>());
 
 /** The simulated MCU core. */
 class Machine

@@ -127,22 +127,20 @@ TEST(AdversaryKnobs, PerturbStaysInBoundsOnEveryCoordinate)
 TEST(AdversaryKnobs, DenialScoreWeighsDeficitsAndWreckage)
 {
     campaign::GroupTotals clean;
-    clean.completions = 10;
+    clean.counters.exec.completions = 10;
     clean.commits = 100;
     campaign::GroupTotals attacked;
-    attacked.completions = 7;
+    attacked.counters.exec.completions = 7;
     attacked.commits = 60;
-    attacked.rollbacks = 2;
-    attacked.retriesExhausted = 1;
-    attacked.hardDeaths = 1;
+    attacked.counters.runtime.rollbacks = 2;
+    attacked.counters.runtime.retriesExhausted = 1;
+    attacked.counters.sim.hardDeaths = 1;
     // 1000*3 + 100*40 + 50*2 + 500*1 + 2000*1 = 9600.
     EXPECT_EQ(adversary::denialScore(clean, attacked), 9600u);
     // More progress than clean = no deficit contribution.
-    attacked.completions = 12;
+    attacked.counters = {};
+    attacked.counters.exec.completions = 12;
     attacked.commits = 120;
-    attacked.rollbacks = 0;
-    attacked.retriesExhausted = 0;
-    attacked.hardDeaths = 0;
     EXPECT_EQ(adversary::denialScore(clean, attacked), 0u);
 }
 
@@ -269,7 +267,8 @@ TEST(AdversarySearch, BestSpecReplaysThroughTheEngineToTheBestTotals)
     ASSERT_NE(it, agg.groups().end()) << attacked.groupKey();
     EXPECT_TRUE(it->second == rep.bestTotals);
     EXPECT_EQ(it->second.commits, rep.bestTotals.commits);
-    EXPECT_EQ(it->second.completions, rep.bestTotals.completions);
+    EXPECT_EQ(it->second.counters.exec.completions,
+              rep.bestTotals.counters.exec.completions);
 }
 
 TEST(AdversarySearch, CleanBaselineNeverEscalatesStrictPreset)
@@ -285,7 +284,7 @@ TEST(AdversarySearch, CleanBaselineNeverEscalatesStrictPreset)
                              exp::ThreadPool::global());
     ASSERT_TRUE(rep.complete);
     EXPECT_TRUE(rep.replayMatches);
-    EXPECT_EQ(rep.cleanTotals.escalations, 0u)
+    EXPECT_EQ(rep.cleanTotals.counters.defense.escalations, 0u)
         << "clean-run false positives under strict";
 }
 

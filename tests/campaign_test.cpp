@@ -3,6 +3,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -20,8 +21,10 @@
 #include "campaign/archive.hpp"
 #include "campaign/engine.hpp"
 #include "campaign/manifest.hpp"
+#include "campaign/scenario.hpp"
 #include "campaign/snapshot.hpp"
 #include "compiler/pipeline.hpp"
+#include "defense/defense.hpp"
 #include "device/device_db.hpp"
 #include "energy/harvester.hpp"
 #include "exp/rng.hpp"
@@ -30,6 +33,7 @@
 #include "fault/spec.hpp"
 #include "metrics/bench_json.hpp"
 #include "sim/intermittent_sim.hpp"
+#include "test_util.hpp"
 #include "trace/trace.hpp"
 #include "workloads/workloads.hpp"
 
@@ -215,17 +219,12 @@ const Injector kAllInjectors[] = {
 
 /** Everything observable about a finished run. */
 struct SnapObservation {
-    sim::ExecStats exec;
+    sim::Counters counters;
     std::array<std::uint32_t, 16> regs{};
     std::vector<std::uint32_t> out;
     std::vector<std::uint32_t> memory;
     std::vector<trace::Event> events;
     double nowS = 0.0;
-    std::uint64_t reboots = 0;
-    std::uint64_t ckptComplete = 0;
-    std::uint64_t ckptTorn = 0;
-    std::uint64_t rollbacks = 0;
-    std::uint64_t crcRejects = 0;
 };
 
 constexpr int kSlices = 6;
@@ -349,17 +348,12 @@ SnapObservation
 observe(SnapEnv& env, std::vector<trace::Event> events)
 {
     SnapObservation obs;
-    obs.exec = env.simulation->machine().stats;
+    obs.counters = env.simulation->counters();
     obs.regs = env.simulation->machine().regs();
     obs.out = env.io.output(0).values();
     obs.memory = env.simulation->nvm().data();
     obs.events = std::move(events);
     obs.nowS = env.simulation->now();
-    obs.reboots = env.simulation->stats.reboots;
-    obs.ckptComplete = env.simulation->stats.jitCheckpointsComplete;
-    obs.ckptTorn = env.simulation->stats.jitCheckpointsTorn;
-    obs.rollbacks = env.simulation->geckoRuntime().stats.rollbacks;
-    obs.crcRejects = env.simulation->geckoRuntime().stats.crcRejects;
     return obs;
 }
 
@@ -407,16 +401,12 @@ void
 expectSame(const SnapObservation& a, const SnapObservation& b,
            const std::string& what)
 {
-    EXPECT_TRUE(a.exec == b.exec) << what << ": ExecStats diverged";
+    EXPECT_EQ(test::firstArchivedDifference(a.counters, b.counters), "")
+        << what;
     EXPECT_EQ(a.regs, b.regs) << what;
     EXPECT_EQ(a.out, b.out) << what;
     EXPECT_EQ(a.memory, b.memory) << what;
     EXPECT_EQ(a.nowS, b.nowS) << what;
-    EXPECT_EQ(a.reboots, b.reboots) << what;
-    EXPECT_EQ(a.ckptComplete, b.ckptComplete) << what;
-    EXPECT_EQ(a.ckptTorn, b.ckptTorn) << what;
-    EXPECT_EQ(a.rollbacks, b.rollbacks) << what;
-    EXPECT_EQ(a.crcRejects, b.crcRejects) << what;
     ASSERT_EQ(a.events.size(), b.events.size())
         << what << ": trace stream length diverged";
     EXPECT_TRUE(a.events == b.events) << what << ": trace diverged";
@@ -434,7 +424,7 @@ TEST_P(SnapshotLockstepTest, RestoreMatchesUninterruptedUnderAllInjectors)
         const std::uint32_t seed = 11 + static_cast<std::uint32_t>(
                                             injector) * 7;
         SnapObservation ref = runSliced(seed, injector, backend, -1);
-        ASSERT_GT(ref.exec.cycles, 0u);
+        ASSERT_GT(ref.counters.exec.cycles, 0u);
         // Snapshot early, mid, and right after the NVM disturbance.
         for (int at : {1, 3, 5}) {
             SnapObservation snap = runSliced(seed, injector, backend, at);
@@ -618,18 +608,18 @@ TEST(AggregateTest, RoundTripDedupAndDeterministicRender)
     a.job = 4;
     a.group = "w/S/clean";
     a.slices = 2;
-    a.cycles = 1000;
-    a.completions = 3;
+    a.counters.exec.cycles = 1000;
+    a.counters.exec.completions = 3;
     campaign::JobResult b = a;
     b.job = 9;
     b.group = "a/S/tone";
-    b.cycles = 500;
+    b.counters.exec.cycles = 500;
 
     auto parsed = campaign::JobResult::fromJsonl(a.toJsonl());
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->job, a.job);
     EXPECT_EQ(parsed->group, a.group);
-    EXPECT_EQ(parsed->cycles, a.cycles);
+    EXPECT_EQ(parsed->counters.exec.cycles, a.counters.exec.cycles);
     EXPECT_FALSE(
         campaign::JobResult::fromJsonl("{\"job\":1,\"group\":\"x\"")
             .has_value());
@@ -703,6 +693,37 @@ TEST(EngineTest, CompletesAndAggregateIsThreadInvariant)
     EXPECT_TRUE(again.complete);
     EXPECT_EQ(again.jobsRequeued, 0u);
     EXPECT_EQ(again.aggregateJson, r1.aggregateJson);
+}
+
+TEST(EngineTest, ReportTotalsEqualTheAggregateSums)
+{
+    // A fresh, complete run counts each job once, so its totals equal
+    // the aggregate's per-group sums for every streamed counter — and
+    // also carry the unarchived quanta the aggregate leaves out.
+    TempDir dir("totals");
+    exp::ThreadPool pool(2);
+    const campaign::EngineReport report =
+        campaign::runCampaign(engineConfig(dir.str()), pool);
+    ASSERT_TRUE(report.complete);
+    const std::string& json = report.aggregateJson;
+    int streamed = 0;
+    sim::Counters::forEachField(
+        [&](const metrics::CounterField& field, auto get) {
+            const std::string key = std::string("\"") + field.name + "\":";
+            std::uint64_t sum = 0;
+            std::size_t pos = json.find(key);
+            if (pos == std::string::npos)
+                return;
+            for (; pos != std::string::npos; pos = json.find(key, pos + 1))
+                sum += std::strtoull(json.c_str() + pos + key.size(),
+                                     nullptr, 10);
+            ++streamed;
+            EXPECT_EQ(static_cast<std::uint64_t>(get(report.totals)), sum)
+                << field.name;
+        });
+    EXPECT_EQ(streamed, 16);
+    EXPECT_GT(report.totals.exec.cycles, 0u);
+    EXPECT_GT(report.totals.sim.quanta, 0u);
 }
 
 TEST(EngineTest, MidJobInterruptSnapshotsAndResumesByteIdentical)
@@ -959,6 +980,67 @@ TEST(EngineTest, JobSpaceDecodeCoversEveryCombination)
     EXPECT_EQ(space.configHash(), other.configHash());
     other.simSeconds *= 2;
     EXPECT_NE(space.configHash(), other.configHash());
+}
+
+
+// ---------------------------------------------------------------------
+// Snapshot layout pin: the stats blocks of the archive come from the
+// stats structs' field lists, so a dropped, duplicated or reordered
+// entry changes these bytes.  The constants pin snapshot format v3
+// (kSnapshotVersion): a layout change must bump the version.
+// ---------------------------------------------------------------------
+
+/** 64-bit FNV-1a over a blob. */
+std::uint64_t
+fnv1a64(const std::vector<std::uint8_t>& bytes)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(SnapshotLayoutTest, PinnedBytesWithEveryStatsStructLive)
+{
+    // GECKO with the adaptive controller under a 27 MHz tone on an
+    // outage supply: machine, simulation, runtime and defense counters
+    // all move, so every stats block carries data.
+    const compiler::CompiledProgram compiled = compiler::compile(
+        workloads::build("sensor_loop"), Scheme::kGecko);
+    const device::DeviceProfile& dev = device::DeviceDb::msp430fr5994();
+    sim::SimConfig cfg;
+    cfg.continuous = true;
+    cfg.memWords = 4096;
+    cfg.jitRamWords = 64;
+    cfg.bootOverheadCycles = 1000;
+    cfg.cap.capacitanceF = 20e-6;
+    cfg.cap.initialV = 3.3;
+    cfg.monitorSeed = 7;
+    ASSERT_TRUE(defense::presetByName("adaptive", &cfg.defense));
+    campaign::Scenario tone;
+    tone.kind = campaign::ScenarioKind::kTone;
+    tone.freqHz = 27e6;
+    tone.outagePeriodS = 0.008;
+    tone.outageOnFrac = 0.75;
+    sim::IoHub io;
+    workloads::setupIo("sensor_loop", io);
+    campaign::ScenarioEnv env(tone, dev, cfg.monitorKind, 7, 0.02);
+    sim::IntermittentSim simulation(compiled, dev, cfg, env.supply(), io);
+    env.attach(simulation);
+    simulation.run(0.02);
+
+    ASSERT_GT(simulation.machine().stats.cycles, 0u);
+    ASSERT_GT(simulation.stats.reboots, 0u);
+    ASSERT_GT(simulation.geckoRuntime().stats.jitRestores, 0u);
+    ASSERT_NE(simulation.defenseController(), nullptr);
+    ASSERT_GT(simulation.defenseController()->stats().escalations, 0u);
+
+    const std::vector<std::uint8_t> blob =
+        campaign::saveSimSnapshot(simulation, io);
+    EXPECT_EQ(blob.size(), 21334u);
+    EXPECT_EQ(fnv1a64(blob), 14621799556015642105ull);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "attack/attack_schedule.hpp"
@@ -19,6 +18,7 @@
 #include "exp/rng.hpp"
 #include "fault/campaign.hpp"
 #include "sim/intermittent_sim.hpp"
+#include "test_util.hpp"
 #include "workloads/workloads.hpp"
 
 /**
@@ -66,25 +66,13 @@ class Rng
 
 /** Everything observable about a finished run. */
 struct Obs {
-    sim::ExecStats stats;
+    /// Every stats struct; the bursts fast-forward the defense
+    /// controller too, so its fields must match like the rest.
+    sim::Counters counters;
     std::array<std::uint32_t, 16> regs{};
     std::vector<std::uint32_t> out;
     std::vector<std::uint32_t> memory;
-    double simTimeS = 0.0;
     double now = 0.0;
-    std::uint64_t quanta = 0;
-    std::uint64_t coalescedQuanta = 0;
-    std::uint64_t coalescedSleepSamples = 0;
-    /// All SimStats counters that must not depend on coalescing.
-    std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t,
-               std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t,
-               std::uint64_t, std::uint64_t, std::uint64_t>
-        counters;
-    /// Every RuntimeStats counter.
-    std::vector<std::uint64_t> runtime;
-    /// Every DefenseStats field (empty without a controller); the
-    /// bursts fast-forward the controller, so these must match too.
-    std::vector<double> defense;
     /// The full simulation snapshot: latches, jitter sequence, energy,
     /// controller internals — everything a resumed run would see.
     std::vector<std::uint8_t> snapshot;
@@ -94,65 +82,38 @@ Obs
 capture(sim::IntermittentSim& simulation, sim::IoHub& io)
 {
     Obs o;
-    o.stats = simulation.machine().stats;
+    o.counters = simulation.counters();
     o.regs = simulation.machine().regs();
     o.out = io.output(0).values();
     o.memory = simulation.nvm().data();
-    o.simTimeS = simulation.stats.simTimeS;
     o.now = simulation.now();
-    o.quanta = simulation.stats.quanta;
-    o.coalescedQuanta = simulation.stats.coalescedQuanta;
-    o.coalescedSleepSamples = simulation.stats.coalescedSleepSamples;
-    const sim::SimStats& s = simulation.stats;
-    o.counters = {s.reboots,
-                  s.hardDeaths,
-                  s.backupSignals,
-                  s.wakeSignals,
-                  s.ignoredBackups,
-                  s.jitCheckpointAttempts,
-                  s.jitCheckpointsComplete,
-                  s.jitCheckpointsTorn,
-                  s.jitCheckpointsAborted,
-                  s.missedCheckpoints,
-                  s.bootCycles};
-    const runtime::RuntimeStats& r = simulation.geckoRuntime().stats;
-    o.runtime = {r.rollbacks,         r.jitRestores,
-                 r.corruptedRestores, r.attackDetections,
-                 r.ackDetections,     r.dosDetections,
-                 r.jitReenables,      r.recoveryBlockRuns,
-                 r.recoveryInstrRuns, r.crcRejects,
-                 r.slotRepairs,       r.slotUnrecoverable,
-                 r.ckptSaveRetries,   r.retriesExhausted,
-                 r.integrityDegradations};
-    if (const defense::DefenseController* dc =
-            simulation.defenseController()) {
-        const defense::DefenseStats& d = dc->stats();
-        for (std::uint64_t v :
-             {d.samples, d.anomalies, d.disagreements, d.edgeSkews,
-              d.physicsViolations, d.escalations, d.deEscalations,
-              d.ratchetTrips, d.relapses, d.wakesDeferred})
-            o.defense.push_back(static_cast<double>(v));
-        o.defense.push_back(d.firstEscalationT);
-        o.defense.push_back(d.energyDebtJ);
-        o.defense.push_back(d.peakEnergyDebtJ);
-    }
     o.snapshot = campaign::saveSimSnapshot(simulation, io);
     return o;
 }
 
+/**
+ * The architectural observables and every archived counter agree (the
+ * burst diagnostics restart at zero on a restore, so they are left
+ * out).
+ */
+void
+expectSameState(const Obs& a, const Obs& b, const std::string& label)
+{
+    EXPECT_EQ(test::firstArchivedDifference(a.counters, b.counters), "")
+        << label;
+    EXPECT_EQ(a.regs, b.regs) << label;
+    EXPECT_EQ(a.out, b.out) << label;
+    EXPECT_EQ(a.memory, b.memory) << label;
+    EXPECT_EQ(a.now, b.now) << label;
+}
+
+/** Coalescing on vs off: the same state, quanta and snapshot bytes. */
 void
 expectSame(const Obs& on, const Obs& off, const std::string& label)
 {
-    EXPECT_TRUE(on.stats == off.stats) << label << ": ExecStats diverged";
-    EXPECT_EQ(on.regs, off.regs) << label;
-    EXPECT_EQ(on.out, off.out) << label;
-    EXPECT_EQ(on.memory, off.memory) << label;
-    EXPECT_EQ(on.simTimeS, off.simTimeS) << label;
-    EXPECT_EQ(on.now, off.now) << label;
-    EXPECT_EQ(on.quanta, off.quanta) << label << ": quantum count";
-    EXPECT_EQ(on.counters, off.counters) << label << ": SimStats counters";
-    EXPECT_EQ(on.runtime, off.runtime) << label << ": RuntimeStats";
-    EXPECT_EQ(on.defense, off.defense) << label << ": DefenseStats";
+    expectSameState(on, off, label);
+    EXPECT_EQ(on.counters.sim.quanta, off.counters.sim.quanta)
+        << label << ": quantum count";
     EXPECT_TRUE(on.snapshot == off.snapshot)
         << label << ": simulation snapshot diverged";
 }
@@ -222,10 +183,10 @@ TEST(CoalesceQuietTest, QuietRunEngagesAndMatchesSlowPath)
         const char* name = sim::execBackendName(backend);
         Obs on = runQuiet(64, backend);
         Obs off = runQuiet(0, backend);
-        ASSERT_GT(on.stats.cycles, 0u) << name;
-        EXPECT_GT(on.coalescedQuanta, 0u)
+        ASSERT_GT(on.counters.exec.cycles, 0u) << name;
+        EXPECT_GT(on.counters.sim.coalescedQuanta, 0u)
             << name << ": fast path never engaged on a quiet run";
-        EXPECT_EQ(off.coalescedQuanta, 0u) << name;
+        EXPECT_EQ(off.counters.sim.coalescedQuanta, 0u) << name;
         expectSame(on, off, name);
     }
 }
@@ -313,11 +274,12 @@ TEST_P(CoalesceEmiFuzzTest, RandomEmiSchedulesUnchangedByCoalescing)
         const char* name = sim::execBackendName(backend);
         Obs on = runEmi(seed, backend, 64);
         Obs off = runEmi(seed, backend, 0);
-        ASSERT_GT(on.stats.cycles, 0u) << name << " seed " << seed;
-        EXPECT_EQ(off.coalescedQuanta, 0u) << name << " seed " << seed;
+        ASSERT_GT(on.counters.exec.cycles, 0u) << name << " seed " << seed;
+        EXPECT_EQ(off.counters.sim.coalescedQuanta, 0u)
+            << name << " seed " << seed;
         expectSame(on, off,
                    std::string(name) + " seed " + std::to_string(seed));
-        engaged += on.coalescedQuanta;
+        engaged += on.counters.sim.coalescedQuanta;
     }
     // The schedules leave quiet gaps between windows; at least some of
     // them must have been absorbed by the fast path.
@@ -379,16 +341,9 @@ TEST(CoalesceInjectorTest, AllInjectorsUnaffectedByCoalescing)
             EXPECT_EQ(on.detail, off.detail) << inj;
             EXPECT_EQ(on.injectAt, off.injectAt) << inj;
             EXPECT_EQ(on.word, off.word) << inj;
-            EXPECT_EQ(on.corruptedRestores, off.corruptedRestores) << inj;
-            EXPECT_EQ(on.crcRejects, off.crcRejects) << inj;
-            EXPECT_EQ(on.slotRepairs, off.slotRepairs) << inj;
-            EXPECT_EQ(on.ckptSaveRetries, off.ckptSaveRetries) << inj;
-            EXPECT_EQ(on.retriesExhausted, off.retriesExhausted) << inj;
-            EXPECT_EQ(on.integrityDegradations, off.integrityDegradations)
-                << inj;
-            EXPECT_EQ(on.defenseEscalations, off.defenseEscalations)
-                << inj;
-            EXPECT_EQ(on.defenseRatchetTrips, off.defenseRatchetTrips)
+            EXPECT_EQ(test::firstArchivedDifference(on.counters,
+                                                    off.counters),
+                      "")
                 << inj;
             EXPECT_EQ(on.defended, off.defended) << inj;
         }
@@ -432,21 +387,12 @@ TEST_P(CoalesceSnapshotTest, SnapshotRestoreInvisibleWithCoalescing)
     auto seed =
         static_cast<std::uint32_t>(exp::applyGlobalSeed(GetParam()));
     Obs ref = runEmiSliced(seed, -1);
-    ASSERT_GT(ref.stats.cycles, 0u) << "seed " << seed;
+    ASSERT_GT(ref.counters.exec.cycles, 0u) << "seed " << seed;
     for (int at : {1, 2, 3}) {
         Obs obs = runEmiSliced(seed, at);
-        // The telemetry counters restart at zero on restore, so only
-        // the architectural observables are compared — via expectSame
-        // minus the quantum counters.
-        EXPECT_TRUE(obs.stats == ref.stats)
-            << "snapshot@" << at << " seed " << seed;
-        EXPECT_EQ(obs.regs, ref.regs) << "@" << at << " seed " << seed;
-        EXPECT_EQ(obs.out, ref.out) << "@" << at << " seed " << seed;
-        EXPECT_EQ(obs.memory, ref.memory)
-            << "@" << at << " seed " << seed;
-        EXPECT_EQ(obs.simTimeS, ref.simTimeS)
-            << "@" << at << " seed " << seed;
-        EXPECT_EQ(obs.now, ref.now) << "@" << at << " seed " << seed;
+        expectSameState(obs, ref,
+                        "snapshot@" + std::to_string(at) + " seed " +
+                            std::to_string(seed));
     }
 }
 
@@ -563,23 +509,25 @@ TEST(CoalesceStormTest, AttackSweepComparatorPointUnchangedByBursts)
                                       "/" + sim::execBackendName(backend);
             Obs on = runStorm(victim, false, backend, 64, 1.2);
             Obs off = runStorm(victim, false, backend, 0, 1.2);
-            ASSERT_GT(on.stats.cycles, 0u) << label;
-            EXPECT_EQ(off.coalescedQuanta, 0u) << label;
-            EXPECT_EQ(off.coalescedSleepSamples, 0u) << label;
+            const sim::SimStats& onSim = on.counters.sim;
+            const sim::SimStats& offSim = off.counters.sim;
+            ASSERT_GT(on.counters.exec.cycles, 0u) << label;
+            EXPECT_EQ(offSim.coalescedQuanta, 0u) << label;
+            EXPECT_EQ(offSim.coalescedSleepSamples, 0u) << label;
             expectSame(on, off, label);
             // Every scheme sleeps locked out through the dark half.
-            EXPECT_GT(on.coalescedSleepSamples, 0u) << label;
+            EXPECT_GT(onSim.coalescedSleepSamples, 0u) << label;
             // Backups are ignored once JIT is off: from the start under
             // Ratchet, after detection under the adaptive controller.
             if (victim == Victim::kRatchet ||
                 victim == Victim::kGeckoAdaptive) {
-                EXPECT_GT(on.coalescedQuanta * 2, on.quanta)
-                    << label << ": " << on.coalescedQuanta << " of "
-                    << on.quanta << " quanta coalesced";
+                EXPECT_GT(onSim.coalescedQuanta * 2, onSim.quanta)
+                    << label << ": " << onSim.coalescedQuanta << " of "
+                    << onSim.quanta << " quanta coalesced";
             }
             // NVP checkpoints on every forged backup: nothing to fuse.
             if (victim == Victim::kNvp) {
-                EXPECT_EQ(on.coalescedQuanta, 0u) << label;
+                EXPECT_EQ(onSim.coalescedQuanta, 0u) << label;
             }
         }
     }
@@ -607,8 +555,7 @@ TEST(CoalesceStormTest, ProbeCannotReenableInsideAStormBurst)
     Obs on = run(64);
     Obs off = run(0);
     expectSame(on, off, "slow comparator");
-    const std::size_t kJitReenables = 6;  // RuntimeStats::jitReenables
-    EXPECT_GT(off.runtime[kJitReenables], 0u)
+    EXPECT_GT(off.counters.runtime.jitReenables, 0u)
         << "the probe never re-enabled JIT: the hazard is not exercised";
 }
 
@@ -618,9 +565,9 @@ TEST(CoalesceStormTest, DarkSupplyLockedOutSleepUnchangedByBursts)
         const std::string label = victimName(victim);
         Obs on = runStorm(victim, true, sim::ExecBackend::kBlock, 64, 0.05);
         Obs off = runStorm(victim, true, sim::ExecBackend::kBlock, 0, 0.05);
-        EXPECT_EQ(on.stats.cycles, 0u) << label << ": never boots";
+        EXPECT_EQ(on.counters.exec.cycles, 0u) << label << ": never boots";
         expectSame(on, off, label);
-        EXPECT_GT(on.coalescedSleepSamples, 0u) << label;
+        EXPECT_GT(on.counters.sim.coalescedSleepSamples, 0u) << label;
     }
 }
 
@@ -652,15 +599,8 @@ TEST(CoalesceStormTest, SnapshotSlicesStormMidBurst)
 
     Obs resumed = capture(*env->simulation, env->io);
     Obs reference = capture(*sliced.simulation, sliced.io);
-    ASSERT_GT(reference.stats.cycles, 0u);
-    EXPECT_TRUE(resumed.stats == reference.stats);
-    EXPECT_EQ(resumed.regs, reference.regs);
-    EXPECT_EQ(resumed.out, reference.out);
-    EXPECT_EQ(resumed.memory, reference.memory);
-    EXPECT_EQ(resumed.now, reference.now);
-    EXPECT_EQ(resumed.counters, reference.counters);
-    EXPECT_EQ(resumed.runtime, reference.runtime);
-    EXPECT_EQ(resumed.defense, reference.defense);
+    ASSERT_GT(reference.counters.exec.cycles, 0u);
+    expectSameState(resumed, reference, "storm slices");
     EXPECT_TRUE(resumed.snapshot == reference.snapshot);
 }
 

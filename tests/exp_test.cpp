@@ -83,7 +83,8 @@ TEST(ParallelMapTest, SerialAndParallelResultsIdentical)
             vc.simSeconds = 0.005;
             attack::RemoteRig rig(dev, analog::MonitorKind::kAdc, 0.5);
             bench::AttackOutcome out = bench::runVictim(vc, &rig, f, 35.0);
-            return std::make_pair(out.cycles, out.completions);
+            return std::make_pair(out.counters.exec.cycles,
+                                  out.counters.exec.completions);
         });
     };
     exp::ThreadPool serial(1);

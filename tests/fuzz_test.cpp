@@ -17,6 +17,7 @@
 #include "ir/builder.hpp"
 #include "runtime/gecko_runtime.hpp"
 #include "sim/intermittent_sim.hpp"
+#include "test_util.hpp"
 #include "trace/invariants.hpp"
 #include "trace/trace.hpp"
 
@@ -347,7 +348,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest,
 
 /** Everything observable about one intermittent run. */
 struct TierObservation {
-    sim::ExecStats stats;
+    sim::Counters counters;
     std::array<std::uint32_t, 16> regs{};
     std::vector<std::uint32_t> out;
     std::vector<std::uint32_t> memory;
@@ -404,7 +405,7 @@ runEmiTier(std::uint32_t seed, sim::ExecBackend backend)
         simulation.run(0.02);
         obs.events = buffer.events();
     }
-    obs.stats = simulation.machine().stats;
+    obs.counters = simulation.counters();
     obs.regs = simulation.machine().regs();
     obs.out = io.output(0).values();
     obs.memory = simulation.nvm().data();
@@ -420,10 +421,10 @@ TEST_P(BackendFuzzTest, RandomEmiSchedulesAgreeAcrossTiers)
     auto seed = static_cast<std::uint32_t>(
         exp::applyGlobalSeed(GetParam()));
     TierObservation ref = runEmiTier(seed, sim::ExecBackend::kStep);
-    ASSERT_GT(ref.stats.cycles, 0u);
+    ASSERT_GT(ref.counters.exec.cycles, 0u);
     TierObservation obs = runEmiTier(seed, sim::ExecBackend::kBlock);
-    EXPECT_TRUE(obs.stats == ref.stats)
-        << "block diverged in ExecStats (seed " << seed << ")";
+    EXPECT_EQ(test::firstArchivedDifference(obs.counters, ref.counters), "")
+        << "block diverged (seed " << seed << ")";
     EXPECT_EQ(obs.regs, ref.regs) << "seed " << seed;
     EXPECT_EQ(obs.out, ref.out) << "seed " << seed;
     EXPECT_EQ(obs.memory, ref.memory) << "seed " << seed;
@@ -529,7 +530,7 @@ runEmiSliced(std::uint32_t seed, sim::ExecBackend backend, int snapshotAt)
     TierObservation obs;
     obs.events = buffer->events();
     scope.reset();
-    obs.stats = env->simulation->machine().stats;
+    obs.counters = env->simulation->counters();
     obs.regs = env->simulation->machine().regs();
     obs.out = env->io.output(0).values();
     obs.memory = env->simulation->nvm().data();
@@ -548,12 +549,12 @@ TEST_P(SnapshotFuzzTest, MidRunSnapshotRestoreIsInvisible)
          {sim::ExecBackend::kStep, sim::ExecBackend::kBlock}) {
         const char* name = sim::execBackendName(backend);
         TierObservation ref = runEmiSliced(seed, backend, -1);
-        ASSERT_GT(ref.stats.cycles, 0u) << name << " seed " << seed;
+        ASSERT_GT(ref.counters.exec.cycles, 0u) << name << " seed " << seed;
         for (int at : {1, 2, 3}) {
             TierObservation obs = runEmiSliced(seed, backend, at);
-            EXPECT_TRUE(obs.stats == ref.stats)
-                << name << " snapshot@" << at
-                << " diverged in ExecStats (seed " << seed << ")";
+            EXPECT_EQ(
+                test::firstArchivedDifference(obs.counters, ref.counters), "")
+                << name << " snapshot@" << at << " seed " << seed;
             EXPECT_EQ(obs.regs, ref.regs)
                 << name << "@" << at << " seed " << seed;
             EXPECT_EQ(obs.out, ref.out)
@@ -621,12 +622,9 @@ TEST(BackendFaultDifferentialTest, AllInjectorsAgreeAcrossTiers)
             EXPECT_EQ(r.detail, ref.detail) << inj;
             EXPECT_EQ(r.injectAt, ref.injectAt) << inj;
             EXPECT_EQ(r.word, ref.word) << inj;
-            EXPECT_EQ(r.corruptedRestores, ref.corruptedRestores) << inj;
-            EXPECT_EQ(r.crcRejects, ref.crcRejects) << inj;
-            EXPECT_EQ(r.slotRepairs, ref.slotRepairs) << inj;
-            EXPECT_EQ(r.ckptSaveRetries, ref.ckptSaveRetries) << inj;
-            EXPECT_EQ(r.retriesExhausted, ref.retriesExhausted) << inj;
-            EXPECT_EQ(r.defenseEscalations, ref.defenseEscalations) << inj;
+            EXPECT_EQ(test::firstArchivedDifference(r.counters, ref.counters),
+                      "")
+                << inj;
             EXPECT_EQ(r.defended, ref.defended) << inj;
             EXPECT_TRUE(buffer.events() == refBuffer.events())
                 << inj << " diverged in the trace stream ("

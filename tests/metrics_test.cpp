@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "metrics/bench_json.hpp"
+#include "metrics/counter_field.hpp"
 #include "metrics/stats.hpp"
 #include "metrics/table.hpp"
+#include "sim/intermittent_sim.hpp"
 
 namespace gecko::metrics {
 namespace {
@@ -56,6 +61,61 @@ TEST(BenchJsonTest, ReadersTolerateUnknownKeys)
     EXPECT_EQ(jsonNumber("{\"figure\":\"fig04\"}", "schema_version")
                   .value_or(1.0),
               1.0);
+}
+
+TEST(BenchJsonTest, CounterKeysReadTheCounterSet)
+{
+    BenchReport report;
+    report.counters.exec.cycles = 123;
+    report.counters.sim.quanta = 45;
+    report.counters.sim.coalescedQuanta = 6;
+    report.counters.runtime.corruptedRestores = 7;
+    report.counters.runtime.crcRejects = 8;
+    report.counters.runtime.retriesExhausted = 9;
+    const std::string json = report.toJson();
+    EXPECT_EQ(jsonNumber(json, "sim_cycles"), 123.0);
+    EXPECT_EQ(jsonNumber(json, "quanta"), 45.0);
+    EXPECT_EQ(jsonNumber(json, "coalesced_quanta"), 6.0);
+    EXPECT_EQ(jsonNumber(json, "corrupted_restores"), 7.0);
+    EXPECT_EQ(jsonNumber(json, "crc_rejects"), 8.0);
+    EXPECT_EQ(jsonNumber(json, "retries_exhausted"), 9.0);
+}
+
+TEST(CounterRegistryTest, NamesAreUniqueAndOnlyBurstDiagnosticsUnarchived)
+{
+    // Wire names double as campaign keys and oracle messages, so they
+    // must be unique across the four field lists.
+    std::set<std::string> names;
+    std::vector<std::string> unarchived;
+    sim::Counters::forEachField([&](const CounterField& field, auto) {
+        EXPECT_TRUE(names.insert(field.name).second) << field.name;
+        if (!field.archived)
+            unarchived.push_back(field.name);
+    });
+    EXPECT_EQ(names.size(), 6u + 16u + 15u + 13u);
+    EXPECT_EQ(unarchived,
+              (std::vector<std::string>{"quanta", "coalesced_quanta",
+                                        "coalesced_bursts",
+                                        "coalesced_sleep_samples"}));
+}
+
+TEST(CounterRegistryTest, SumsAddCountersAndLeaveTheDoubles)
+{
+    sim::Counters total;
+    sim::Counters run;
+    run.exec.cycles = 7;
+    run.sim.quanta = 3;
+    run.runtime.rollbacks = 2;
+    run.defense.escalations = 1;
+    run.defense.peakEnergyDebtJ = 2.0;
+    total += run;
+    total += run;
+    EXPECT_EQ(total.exec.cycles, 14u);
+    EXPECT_EQ(total.sim.quanta, 6u);
+    EXPECT_EQ(total.runtime.rollbacks, 4u);
+    EXPECT_EQ(total.defense.escalations, 2u);
+    EXPECT_EQ(total.defense.peakEnergyDebtJ, 0.0);
+    EXPECT_EQ(total.defense.firstEscalationT, -1.0);
 }
 
 TEST(StatsTest, Means)

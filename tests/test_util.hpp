@@ -2,6 +2,7 @@
 #define GECKO_TESTS_TEST_UTIL_HPP_
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,25 @@ golden(const compiler::CompiledProgram& compiled, const std::string& name,
     run.out2 = io.output(2).values();
     run.finalMemory = nvm.data();
     return run;
+}
+
+/**
+ * "name: a vs b" for the first archived counter that differs, "" when
+ * none does: the differential oracles' counter check, walked through
+ * the field lists (the unarchived burst diagnostics depend on how the
+ * simulator stepped, so they are left out).
+ */
+inline std::string
+firstArchivedDifference(const sim::Counters& a, const sim::Counters& b)
+{
+    std::ostringstream first;
+    first.precision(17);
+    sim::Counters::forEachField(
+        [&](const metrics::CounterField& f, auto get) {
+            if (first.tellp() == 0 && f.archived && get(a) != get(b))
+                first << f.name << ": " << get(a) << " vs " << get(b);
+        });
+    return first.str();
 }
 
 }  // namespace gecko::test
