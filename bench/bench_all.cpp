@@ -17,6 +17,7 @@
 
 #include "exp/thread_pool.hpp"
 #include "metrics/bench_json.hpp"
+#include "metrics/json.hpp"
 #include "metrics/table.hpp"
 
 /**
@@ -59,7 +60,7 @@ enum Counter {
 constexpr const char* kCounterKey[kCounterKeys] = {
     "sim_cycles",         "quanta",      "coalesced_quanta",
     "corrupted_restores", "crc_rejects", "retries_exhausted"};
-using CounterValues = std::array<double, kCounterKeys>;
+using CounterValues = std::array<std::uint64_t, kCounterKeys>;
 
 struct FigureResult {
     std::string figure;
@@ -136,7 +137,9 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
         for (int c = 0; c < kCounterKeys; ++c)
             total[c] += r.counters[c];
     }
-    const auto u64 = [](double v) { return static_cast<std::uint64_t>(v); };
+    const auto perS = [](std::uint64_t n, double wall) {
+        return wall > 0 ? static_cast<double>(n) / wall : 0.0;
+    };
 
     // One backend name for the whole suite when every child agrees
     // (the usual case: children inherit GECKO_EXEC); "mixed" otherwise.
@@ -164,21 +167,19 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
         os << ",\"total_serial_wall_s\":"
            << gecko::metrics::fmt(totalSerial, 3) << ",\"speedup\":"
            << gecko::metrics::fmt(totalSerial / totalWall, 3);
-    os << ",\"total_sim_cycles\":" << u64(total[kSimCycles])
+    os << ",\"total_sim_cycles\":" << total[kSimCycles]
        << ",\"sim_cycles_per_s\":"
-       << gecko::metrics::fmt(
-              totalWall > 0 ? total[kSimCycles] / totalWall : 0.0, 0)
-       << ",\"total_quanta\":" << u64(total[kQuanta])
-       << ",\"total_coalesced_quanta\":" << u64(total[kCoalescedQuanta])
+       << gecko::metrics::fmt(perS(total[kSimCycles], totalWall), 0)
+       << ",\"total_quanta\":" << total[kQuanta]
+       << ",\"total_coalesced_quanta\":" << total[kCoalescedQuanta]
        << ",\"quanta_per_s\":"
-       << gecko::metrics::fmt(
-              totalWall > 0 ? total[kQuanta] / totalWall : 0.0, 0)
+       << gecko::metrics::fmt(perS(total[kQuanta], totalWall), 0)
        << ",\"failures\":" << failures << ",\"status\":\""
        << (forceStatus.empty() ? (failures == 0 ? "pass" : "fail")
                                : forceStatus.c_str())
-       << "\",\"corrupted_restores\":" << u64(total[kCorruptedRestores])
-       << ",\"crc_rejects\":" << u64(total[kCrcRejects])
-       << ",\"retries_exhausted\":" << u64(total[kRetriesExhausted])
+       << "\",\"corrupted_restores\":" << total[kCorruptedRestores]
+       << ",\"crc_rejects\":" << total[kCrcRejects]
+       << ",\"retries_exhausted\":" << total[kRetriesExhausted]
        << ",\"figures\":[";
     for (std::size_t i = 0; i < results.size(); ++i) {
         const FigureResult& r = results[i];
@@ -195,17 +196,16 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
                << gecko::metrics::fmt(
                       r.wallS > 0 ? r.serialWallS / r.wallS : 0.0, 3);
         const CounterValues& c = r.counters;
-        os << ",\"sim_cycles\":" << u64(c[kSimCycles])
+        os << ",\"sim_cycles\":" << c[kSimCycles]
            << ",\"sim_cycles_per_s\":"
-           << gecko::metrics::fmt(
-                  r.wallS > 0 ? c[kSimCycles] / r.wallS : 0.0, 0)
-           << ",\"quanta\":" << u64(c[kQuanta])
-           << ",\"coalesced_quanta\":" << u64(c[kCoalescedQuanta])
+           << gecko::metrics::fmt(perS(c[kSimCycles], r.wallS), 0)
+           << ",\"quanta\":" << c[kQuanta]
+           << ",\"coalesced_quanta\":" << c[kCoalescedQuanta]
            << ",\"exec_backend\":\""
            << gecko::metrics::jsonEscape(r.execBackend)
-           << "\",\"corrupted_restores\":" << u64(c[kCorruptedRestores])
-           << ",\"crc_rejects\":" << u64(c[kCrcRejects])
-           << ",\"retries_exhausted\":" << u64(c[kRetriesExhausted])
+           << "\",\"corrupted_restores\":" << c[kCorruptedRestores]
+           << ",\"crc_rejects\":" << c[kCrcRejects]
+           << ",\"retries_exhausted\":" << c[kRetriesExhausted]
            << "}";
     }
     os << "]}";
@@ -264,8 +264,6 @@ installSuiteSignalFlush()
 int
 main(int argc, char** argv)
 {
-    using gecko::metrics::jsonNumber;
-
     bool baseline = false;
     bool quick = false;
     std::string outPath = "BENCH_sweeps.json";
@@ -344,18 +342,17 @@ main(int argc, char** argv)
         std::cerr << gecko::metrics::fmt(r.wallS, 2) << "s"
                   << (r.ok ? "" : " FAILED") << "\n";
 
-        std::string childJson = readFile(jsonPath);
-        // Tolerant read: unknown keys are skipped by the find-based
-        // extractors, so newer child records still aggregate here.
+        // Only the known keys are looked up, so newer child records
+        // still aggregate here; a missing or unparseable record reads
+        // as an empty one, leaving every default below.
+        gecko::metrics::JsonValue child;
+        gecko::metrics::parseJson(readFile(jsonPath), &child);
         r.schemaVersion = static_cast<int>(
-            jsonNumber(childJson, "schema_version").value_or(1.0));
+            child.getU64("schema_version").value_or(1));
         for (int c = 0; c < kCounterKeys; ++c)
-            r.counters[c] = jsonNumber(childJson, kCounterKey[c]).value_or(0);
-        r.status = gecko::metrics::jsonString(childJson, "status")
-                       .value_or(r.ok ? "pass" : "fail");
-        r.execBackend =
-            gecko::metrics::jsonString(childJson, "exec_backend")
-                .value_or("unknown");
+            r.counters[c] = child.getU64(kCounterKey[c]).value_or(0);
+        r.status = child.getString("status").value_or(r.ok ? "pass" : "fail");
+        r.execBackend = child.getString("exec_backend").value_or("unknown");
         if (!r.ok)
             r.status = "fail";
 

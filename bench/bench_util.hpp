@@ -2,6 +2,7 @@
 #define GECKO_BENCH_BENCH_UTIL_HPP_
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -9,8 +10,10 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -115,9 +118,44 @@ telemetry()
 }
 
 /**
+ * The value of a numeric flag `--name=VALUE`: all of VALUE must read as
+ * a T in [lo, hi].  Anything else names the flag on stderr and exits 2,
+ * the drivers' bad-input status.
+ */
+template <class T>
+T
+flagValue(const std::string& arg, T lo, T hi = std::numeric_limits<T>::max())
+{
+    const std::size_t eq = arg.find('=');
+    const std::string text = arg.substr(eq + 1);
+    const char* end = text.data() + text.size();
+    T value{};
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec == std::errc() && ptr == end && value >= lo && value <= hi)
+        return value;
+    std::cerr << arg.substr(0, eq) << ": expected a number in [" << lo
+              << ", " << hi << "], got \"" << text << "\"\n";
+    std::exit(2);
+}
+
+/** Comma-separated list flag value; empty items are dropped. */
+inline std::vector<std::string>
+splitList(const std::string& s)
+{
+    std::vector<std::string> out;
+    std::stringstream ss(s);
+    std::string item;
+    while (std::getline(ss, item, ','))
+        if (!item.empty())
+            out.push_back(item);
+    return out;
+}
+
+/**
  * Bench entry hook: parse the shared CLI flags before the global pool
- * exists.  Supported: `--threads=N` (overrides `GECKO_THREADS`),
- * `--seed=N` (overrides `GECKO_SEED`; see exp/rng.hpp), and
+ * exists.  Supported: `--threads=N` (1..1024; overrides
+ * `GECKO_THREADS`), `--seed=N` (overrides `GECKO_SEED`; see
+ * exp/rng.hpp), and
  * `--trace=PATH` (overrides `GECKO_TRACE_OUT`) to write a merged event
  * trace of every sweep point — `.json` gets Chrome-trace/Perfetto
  * format, anything else JSONL (see trace/export.hpp).
@@ -131,11 +169,9 @@ init(int argc, char** argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--threads=", 0) == 0) {
-            int n = std::atoi(arg.c_str() + 10);
-            if (n >= 1)
-                exp::ThreadPool::setGlobalThreads(n);
+            exp::ThreadPool::setGlobalThreads(flagValue(arg, 1, 1024));
         } else if (arg.rfind("--seed=", 0) == 0) {
-            exp::setGlobalSeed(std::strtoull(arg.c_str() + 7, nullptr, 10));
+            exp::setGlobalSeed(flagValue<std::uint64_t>(arg, 0));
         } else if (arg.rfind("--trace=", 0) == 0) {
             traceOut = arg.substr(8);
         }

@@ -1,8 +1,6 @@
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -47,24 +45,15 @@
  *
  * Exit status: 0 only when the campaign is complete (every job done or
  * quarantined), so `until campaign_runner ...; do :; done` is a valid
- * resume loop.
+ * resume loop; 2 for a bad flag value; 1 when the directory's journals
+ * belong to another campaign or another runner holds them.
  */
 
 namespace {
 
 using namespace gecko;
-
-std::vector<std::string>
-splitList(const std::string& s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
+using bench::flagValue;
+using bench::splitList;
 
 void
 printStatus(const std::string& dir)
@@ -159,15 +148,13 @@ main(int argc, char** argv)
         } else if (arg.rfind("--defenses=", 0) == 0) {
             space.defenses = splitList(arg.substr(11));
         } else if (arg.rfind("--seeds=", 0) == 0) {
-            space.seeds =
-                campaign::seedRange(std::max(1, std::atoi(arg.c_str() + 8)));
+            space.seeds = campaign::seedRange(flagValue(arg, 1, 100000));
         } else if (arg.rfind("--sim=", 0) == 0) {
-            space.simSeconds = std::atof(arg.c_str() + 6);
+            space.simSeconds = flagValue(arg, 1e-6, 1e6);
         } else if (arg.rfind("--slice=", 0) == 0) {
-            space.sliceSimSeconds = std::atof(arg.c_str() + 8);
+            space.sliceSimSeconds = flagValue(arg, 0.0, 1e6);
         } else if (arg.rfind("--max-jobs=", 0) == 0) {
-            config.maxJobsThisRun = std::strtoull(
-                arg.c_str() + 11, nullptr, 10);
+            config.maxJobsThisRun = flagValue<std::uint64_t>(arg, 0);
         } else if (arg.rfind("--spec=", 0) == 0) {
             specPath = arg.substr(7);
             fault::FaultSpec spec;

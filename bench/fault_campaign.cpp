@@ -38,7 +38,8 @@
  *                  (guards the campaign's discriminating power)
  *
  * Exit status: 0 unless a GECKO scheme corrupted, a replayed corpus
- * case no longer fails, or --expect-nvp-corruption was violated.
+ * case no longer fails, or --expect-nvp-corruption was violated; 2 for
+ * a bad numeric flag value.
  */
 
 namespace {
@@ -114,10 +115,9 @@ main(int argc, char** argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--cases=", 0) == 0)
-            config.cases = std::atoi(arg.c_str() + 8);
+            config.cases = bench::flagValue(arg, 1, 100000000);
         else if (arg.rfind("--watchdog=", 0) == 0)
-            config.watchdogBudget = std::strtoull(arg.c_str() + 11,
-                                                  nullptr, 10);
+            config.watchdogBudget = bench::flagValue<std::uint64_t>(arg, 0);
         else if (arg.rfind("--out=", 0) == 0)
             outDir = arg.substr(6);
         else if (arg.rfind("--replay=", 0) == 0)

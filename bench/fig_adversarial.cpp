@@ -1,4 +1,3 @@
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <sstream>
@@ -7,7 +6,7 @@
 
 #include "adversary/optimizer.hpp"
 #include "bench_util.hpp"
-#include "metrics/bench_json.hpp"
+#include "metrics/json.hpp"
 
 /**
  * @file
@@ -42,18 +41,7 @@
 namespace {
 
 using namespace gecko;
-
-std::vector<std::string>
-splitList(const std::string& s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
+using bench::flagValue;
 
 std::string
 num(double v)
@@ -92,16 +80,15 @@ main(int argc, char** argv)
         } else if (arg == "--quick") {
             quick = true;
         } else if (arg.rfind("--defenses=", 0) == 0) {
-            defenses = splitList(arg.substr(11));
+            defenses = bench::splitList(arg.substr(11));
         } else if (arg.rfind("--rounds=", 0) == 0) {
-            base.rounds = std::max(0, std::atoi(arg.c_str() + 9));
+            base.rounds = flagValue(arg, 0, 1000);
         } else if (arg.rfind("--restarts=", 0) == 0) {
-            base.restarts = std::max(0, std::atoi(arg.c_str() + 11));
+            base.restarts = flagValue(arg, 0, 1000);
         } else if (arg.rfind("--seeds=", 0) == 0) {
-            base.seedsPerCandidate =
-                std::max(1, std::atoi(arg.c_str() + 8));
+            base.seedsPerCandidate = flagValue(arg, 1, 100000);
         } else if (arg.rfind("--sim=", 0) == 0) {
-            base.simSeconds = std::atof(arg.c_str() + 6);
+            base.simSeconds = flagValue(arg, 1e-6, 1e6);
         } else if (arg.rfind("--workload=", 0) == 0) {
             base.workload = arg.substr(11);
         } else if (arg.rfind("--threads=", 0) == 0 ||

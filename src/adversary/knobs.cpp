@@ -1,10 +1,9 @@
 #include "adversary/knobs.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <optional>
 #include <sstream>
-
-#include "metrics/bench_json.hpp"
 
 namespace gecko::adversary {
 
@@ -157,24 +156,24 @@ knobsJson(const AttackKnobs& k)
 }
 
 bool
-knobsFromJson(const std::string& text, AttackKnobs* out)
+knobsFromJson(const metrics::JsonValue& v, AttackKnobs* out)
 {
     AttackKnobs k;
-    double cell = 0.0;
-    auto read = [&text](const char* key, double* field) {
-        const std::optional<double> v = metrics::jsonNumber(text, key);
-        if (v)
-            *field = *v;
-        return v.has_value();
+    auto read = [&v](const char* key, double* field) {
+        const std::optional<double> n = v.getNumber(key);
+        if (n)
+            *field = *n;
+        return n.has_value();
     };
+    const std::optional<std::uint64_t> cell = v.getU64("grid_cell");
     if (!read("freq_hz", &k.freqHz) || !read("power_dbm", &k.powerDbm) ||
         !read("duty_period_s", &k.dutyPeriodS) ||
         !read("duty_on_frac", &k.dutyOnFrac) ||
         !read("phase_s", &k.phaseS) ||
-        !read("envelope_step_dbm", &k.envelopeStepDbm) ||
-        !read("grid_cell", &cell))
+        !read("envelope_step_dbm", &k.envelopeStepDbm) || !cell ||
+        *cell > INT_MAX)
         return false;
-    k.gridCell = static_cast<int>(cell);
+    k.gridCell = static_cast<int>(*cell);
     *out = k;
     return true;
 }

@@ -7,6 +7,7 @@
 #include "campaign/engine.hpp"
 #include "exp/rng.hpp"
 #include "fault/spec.hpp"
+#include "metrics/json.hpp"
 
 /**
  * @file
@@ -101,8 +102,9 @@ fault::FaultSpec toSpec(const AttackKnobs& k, const KnobBounds& b,
 /** Canonical JSON object of the knobs (journal / telemetry payload). */
 std::string knobsJson(const AttackKnobs& k);
 
-/** Parse knobsJson() output (resume path).  False on malformed text. */
-bool knobsFromJson(const std::string& text, AttackKnobs* out);
+/** Read parsed knobsJson() output (resume path).  False when a knob
+ *  is missing or mistyped. */
+bool knobsFromJson(const metrics::JsonValue& v, AttackKnobs* out);
 
 }  // namespace gecko::adversary
 

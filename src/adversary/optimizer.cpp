@@ -1,13 +1,16 @@
 #include "adversary/optimizer.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "campaign/engine.hpp"
-#include "metrics/bench_json.hpp"
+#include "metrics/json.hpp"
 
 namespace gecko::adversary {
 
@@ -92,24 +95,10 @@ spaceFor(const SearchConfig& config,
     return space;
 }
 
-/** Fold a completed round directory's results.jsonl into group totals. */
-std::map<std::string, campaign::GroupTotals>
-foldResults(const std::string& dir, std::uint64_t totalJobs)
-{
-    campaign::Aggregator agg(totalJobs);
-    std::ifstream in(dir + "/results.jsonl");
-    std::string line;
-    while (std::getline(in, line)) {
-        if (auto r = campaign::JobResult::fromJsonl(line))
-            agg.add(*r);
-    }
-    return agg.groups();
-}
-
 /** Run one campaign (a search round or the best-eval replay), adding
  *  its counter totals to `totals`.
- *  @return true when it completed; false = cooperative stop. */
-bool
+ *  @return its per-group totals, or nullopt on a cooperative stop. */
+std::optional<std::map<std::string, campaign::GroupTotals>>
 runRoundCampaign(const SearchConfig& config, const std::string& dir,
                  const campaign::CampaignSpace& space,
                  exp::ThreadPool& pool, sim::Counters& totals)
@@ -124,7 +113,31 @@ runRoundCampaign(const SearchConfig& config, const std::string& dir,
     totals += report.totals;
     if (report.jobsQuarantined > 0)
         throw std::runtime_error("adversary: quarantined jobs in " + dir);
-    return report.complete;
+    if (!report.complete)
+        return std::nullopt;
+    return std::move(report.groups);
+}
+
+/** Fold one parsed search.jsonl line into `st`; false = damaged. */
+bool
+replayRound(const metrics::JsonValue& v, SearchState* st)
+{
+    if (v.getString("type") != "round")
+        return true;  // candidate records feed the replay tooling
+    const auto round = v.getU64("round");
+    const auto score = v.getU64("best_score");
+    const auto step = v.getNumber("step");
+    const metrics::JsonValue* knobs = v.find("best_knobs");
+    AttackKnobs best;
+    if (!round || *round >= INT_MAX || !score || !step || !knobs ||
+        !knobsFromJson(*knobs, &best))
+        return false;
+    st->roundsDone = static_cast<int>(*round) + 1;
+    st->best = best;
+    st->bestScore = *score;
+    st->stepScale = *step;
+    st->haveBest = true;
+    return true;
 }
 
 }  // namespace
@@ -156,35 +169,20 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
         throw std::runtime_error("adversary: dir required");
     std::filesystem::create_directories(config.dir);
     const std::string journalPath = config.dir + "/search.jsonl";
-
-    // ---- recover journaled state (completed rounds only) ----
-    SearchState st;
-    {
-        std::ifstream in(journalPath);
-        std::string line;
-        while (std::getline(in, line)) {
-            if (line.find("\"type\":\"round\"") == std::string::npos)
-                continue;
-            const auto round = metrics::jsonNumber(line, "round");
-            const auto score = metrics::jsonNumber(line, "best_score");
-            const auto step = metrics::jsonNumber(line, "step");
-            AttackKnobs knobs;
-            if (!round || !score || !step || !knobsFromJson(line, &knobs))
-                continue;  // torn tail line: crash window, ignore
-            st.roundsDone = static_cast<int>(*round) + 1;
-            st.best = knobs;
-            st.bestScore = static_cast<std::uint64_t>(*score);
-            st.stepScale = *step;
-            st.haveBest = true;
-        }
-    }
-
-    const int totalRounds = 1 + std::max(0, config.rounds);
+    // Lock the journal before replaying it: one search per directory.
     metrics::JsonlWriter journal(journalPath, /*append=*/true,
                                  /*syncEvery=*/1);
     if (!journal.ok())
-        throw std::runtime_error("adversary: cannot open " + journalPath);
+        throw std::runtime_error("adversary: " + journal.openError());
 
+    // ---- recover journaled state (completed rounds only; a torn
+    // tail is the round a crash interrupted, which simply re-runs) ----
+    SearchState st;
+    metrics::readJsonl(journalPath, [&st](const metrics::JsonValue& v) {
+        return replayRound(v, &st);
+    });
+
+    const int totalRounds = 1 + std::max(0, config.rounds);
     SearchReport out;
     for (int round = st.roundsDone; round < totalRounds; ++round) {
         const std::vector<AttackKnobs> candidates =
@@ -193,15 +191,16 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
             spaceFor(config, candidates, round);
         const std::string dir =
             config.dir + "/round_" + std::to_string(round);
-        if (!runRoundCampaign(config, dir, space, pool, out.totals)) {
+        const auto groups =
+            runRoundCampaign(config, dir, space, pool, out.totals);
+        if (!groups) {
             out.roundsDone = st.roundsDone;
             out.best = {st.best, st.bestScore};
             return out;  // cooperative stop; resume later
         }
 
-        const auto groups = foldResults(dir, space.jobCount());
-        const auto cleanIt = groups.find(groupOf(config, space.scenarios[0]));
-        if (cleanIt == groups.end())
+        const auto cleanIt = groups->find(groupOf(config, space.scenarios[0]));
+        if (cleanIt == groups->end())
             throw std::runtime_error("adversary: clean arm missing in " +
                                      dir);
 
@@ -211,9 +210,9 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
         std::uint64_t bestRoundScore = 0;
         for (std::size_t i = 0; i < candidates.size(); ++i) {
             const auto it =
-                groups.find(groupOf(config, space.scenarios[i + 1]));
+                groups->find(groupOf(config, space.scenarios[i + 1]));
             const std::uint64_t score =
-                it == groups.end()
+                it == groups->end()
                     ? 0
                     : denialScore(cleanIt->second, it->second);
             std::ostringstream cl;
@@ -264,15 +263,16 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
         st.best, config.bounds, "best", config.outagePeriodS,
         config.outageOnFrac));
     const std::string evalDir = config.dir + "/best_eval";
-    if (!runRoundCampaign(config, evalDir, evalSpace, pool, out.totals)) {
+    const auto groups =
+        runRoundCampaign(config, evalDir, evalSpace, pool, out.totals);
+    if (!groups) {
         out.roundsDone = st.roundsDone;
         out.best = {st.best, st.bestScore};
         return out;
     }
-    const auto groups = foldResults(evalDir, evalSpace.jobCount());
-    const auto cleanIt = groups.find(groupOf(config, evalSpace.scenarios[0]));
-    const auto bestIt = groups.find(groupOf(config, evalSpace.scenarios[1]));
-    if (cleanIt == groups.end() || bestIt == groups.end())
+    const auto cleanIt = groups->find(groupOf(config, evalSpace.scenarios[0]));
+    const auto bestIt = groups->find(groupOf(config, evalSpace.scenarios[1]));
+    if (cleanIt == groups->end() || bestIt == groups->end())
         throw std::runtime_error("adversary: best_eval arms missing");
 
     out.complete = true;

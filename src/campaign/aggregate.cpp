@@ -5,7 +5,7 @@
 #include <sstream>
 #include <string_view>
 
-#include "metrics/bench_json.hpp"
+#include "metrics/json.hpp"
 
 namespace gecko::campaign {
 
@@ -49,29 +49,31 @@ JobResult::toJsonl() const
 }
 
 std::optional<JobResult>
-JobResult::fromJsonl(const std::string& line)
+JobResult::fromJson(const metrics::JsonValue& v)
 {
-    auto job = metrics::jsonNumber(line, "job");
-    auto group = metrics::jsonString(line, "group");
-    auto slices = metrics::jsonNumber(line, "slices");
+    const auto job = v.getU64("job");
+    const auto group = v.getString("group");
+    const auto slices = v.getU64("slices");
     if (!job || !group || !slices)
         return std::nullopt;
     JobResult r;
-    r.job = static_cast<std::uint64_t>(*job);
+    r.job = *job;
     r.group = *group;
-    r.slices = static_cast<std::uint64_t>(*slices);
-    bool torn = false;  // a counter missing mid-record
+    r.slices = *slices;
+    bool complete = true;  // every streamed counter present
     forEachStreamed([&](const char* name, auto get) {
-        auto v = metrics::jsonNumber(line, name);
-        torn = torn || !v;
-        get(r.counters) = static_cast<std::uint64_t>(v.value_or(0.0));
+        const auto n = v.getU64(name);
+        complete = complete && n;
+        get(r.counters) = n.value_or(0);
     });
-    if (torn)
-        return std::nullopt;
     // Added after the first deployment: absent in old lines, which
-    // parse as 0 instead of reading as torn records.
-    r.commits = static_cast<std::uint64_t>(
-        metrics::jsonNumber(line, "commits").value_or(0.0));
+    // read as 0 instead of as damaged records.
+    const metrics::JsonValue* field = v.find("commits");
+    const std::optional<std::uint64_t> commits =
+        field ? field->asU64() : 0;
+    if (!complete || !commits)
+        return std::nullopt;
+    r.commits = *commits;
     return r;
 }
 
@@ -103,8 +105,8 @@ Aggregator::toJson(std::uint64_t totalJobs, std::uint64_t configHash,
                    std::uint64_t seed) const
 {
     std::ostringstream os;
-    // config/seed quoted: full-u64 values survive the double-based
-    // jsonNumber extractor (see manifest header rationale).
+    // config/seed quoted, as in the manifest header: the wire format
+    // is frozen.
     // v5: per-group `commits` (committed-region progress counter).
     os << "{\"schema_version\":" << 5
        << ",\"figure\":\"campaign\",\"jobs_total\":" << totalJobs

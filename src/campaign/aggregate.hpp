@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "metrics/json.hpp"
 #include "sim/intermittent_sim.hpp"
 
 /**
@@ -47,8 +48,9 @@ struct JobResult {
 
     std::string toJsonl() const;
 
-    /** Parse a results.jsonl line; nullopt if torn/foreign. */
-    static std::optional<JobResult> fromJsonl(const std::string& line);
+    /** The record of a parsed results.jsonl line; nullopt if a field
+     *  is missing or mistyped. */
+    static std::optional<JobResult> fromJson(const metrics::JsonValue& v);
 };
 
 /** Per-group integer sums of the streamed JobResult fields. */

@@ -6,9 +6,8 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
-#include <fstream>
 #include <mutex>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -518,6 +517,16 @@ runCampaign(const EngineConfig& config, exp::ThreadPool& pool)
     const std::string manifestPath = config.dir + "/manifest.jsonl";
     const std::string resultsPath = config.dir + "/results.jsonl";
 
+    // Lock both journals before replaying them: a second writer on this
+    // directory is refused before anything is read or appended.
+    ManifestWriter manifest(manifestPath, config.manifestSyncEvery);
+    if (!manifest.ok())
+        throw std::runtime_error("campaign: " + manifest.openError());
+    metrics::JsonlWriter results(resultsPath, /*append=*/true,
+                                 config.manifestSyncEvery);
+    if (!results.ok())
+        throw std::runtime_error("campaign: " + results.openError());
+
     // ---- Recovery: replay the journal and the result stream. ----
     ManifestRecovery rec = readManifest(manifestPath);
     if (rec.hasHeader) {
@@ -527,47 +536,29 @@ runCampaign(const EngineConfig& config, exp::ThreadPool& pool)
                 "campaign: manifest in " + config.dir +
                 " belongs to a different campaign (config/seed/job-count "
                 "mismatch); refusing to resume");
+    } else if (rec.sawAnyJob) {
+        throw std::runtime_error(
+            "campaign: manifest in " + config.dir +
+            " has job records but no valid header, so its campaign is "
+            "unknown; refusing to resume");
     }
 
     Aggregator agg(total);
-    std::uint64_t maxResultJob = 0;
-    bool sawResult = false;
-    std::uint64_t tornResults = 0;
-    {
-        std::ifstream in(resultsPath, std::ios::binary);
-        if (in) {
-            std::ostringstream all;
-            all << in.rdbuf();
-            const std::string text = all.str();
-            std::size_t pos = 0;
-            while (pos < text.size()) {
-                std::size_t nl = text.find('\n', pos);
-                if (nl == std::string::npos) {
-                    ++tornResults;  // crash-torn tail
-                    break;
-                }
-                std::string line = text.substr(pos, nl - pos);
-                pos = nl + 1;
-                if (line.empty())
-                    continue;
-                auto r = JobResult::fromJsonl(line);
-                if (!r) {
-                    ++tornResults;
-                    continue;
-                }
-                agg.add(*r);
-                maxResultJob = std::max(maxResultJob, r->job);
-                sawResult = true;
-            }
-        }
-    }
+    std::uint64_t resultFrontier = 0;
+    const std::uint64_t tornResults = metrics::readJsonl(
+        resultsPath, [&](const metrics::JsonValue& v) {
+            const std::optional<JobResult> r = JobResult::fromJson(v);
+            if (!r || r->job >= total)
+                return false;
+            agg.add(*r);
+            resultFrontier = std::max(resultFrontier, r->job + 1);
+            return true;
+        });
 
     // Fresh-work frontier: nothing above it was ever touched.
-    std::uint64_t frontier = 0;
+    std::uint64_t frontier = resultFrontier;
     if (rec.sawAnyJob)
         frontier = std::max(frontier, rec.maxJob + 1);
-    if (sawResult)
-        frontier = std::max(frontier, maxResultJob + 1);
     frontier = std::min(frontier, total);
 
     Shared sh;
@@ -594,12 +585,6 @@ runCampaign(const EngineConfig& config, exp::ThreadPool& pool)
     sh.queueTotal =
         static_cast<std::uint64_t>(sh.requeued.size()) + (total - frontier);
 
-    ManifestWriter manifest(manifestPath, config.manifestSyncEvery);
-    metrics::JsonlWriter results(resultsPath, /*append=*/true,
-                                 config.manifestSyncEvery);
-    if (!manifest.ok() || !results.ok())
-        throw std::runtime_error("campaign: cannot open journal files in " +
-                                 config.dir);
     if (!rec.hasHeader)
         manifest.header(total, space.configHash(), config.seed);
     sh.manifest = &manifest;
@@ -638,6 +623,7 @@ runCampaign(const EngineConfig& config, exp::ThreadPool& pool)
         sh.compactLocked();
         report.aggregateJson =
             agg.toJson(total, space.configHash(), config.seed);
+        report.groups = agg.groups();
     }
     report.jobsTotal = total;
     report.jobsDone = agg.jobCount();

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -148,6 +149,8 @@ struct EngineReport {
     bool complete = false;
     /// The deterministic aggregate (also compacted to aggregate.json).
     std::string aggregateJson;
+    /// Its per-group totals, keyed by JobSpec::groupKey().
+    std::map<std::string, GroupTotals> groups;
     /// Counters of the jobs this run completed, each counted whole, so
     /// the runs of one campaign sum to its aggregate (the unarchived
     /// burst diagnostics cover only what this run simulated).
@@ -158,8 +161,9 @@ struct EngineReport {
  * Run (or resume) the campaign in `config.dir` on `pool`.  The calling
  * thread participates as a shard.  Throws std::runtime_error when the
  * directory holds a manifest for a *different* campaign (config-hash /
- * seed / job-count mismatch) — resuming someone else's journal would
- * silently corrupt the aggregate.
+ * seed / job-count mismatch) or job records behind no valid header —
+ * resuming someone else's journal would silently corrupt the aggregate
+ * — and when another writer holds the directory's journals.
  */
 EngineReport runCampaign(const EngineConfig& config, exp::ThreadPool& pool);
 

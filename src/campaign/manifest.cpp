@@ -1,8 +1,7 @@
 #include "campaign/manifest.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
+#include <cstdint>
 #include <sstream>
 
 namespace gecko::campaign {
@@ -43,8 +42,8 @@ ManifestWriter::header(std::uint64_t totalJobs, std::uint64_t configHash,
                        std::uint64_t seed)
 {
     std::ostringstream os;
-    // config/seed are full u64s; quoted so the double-based jsonNumber
-    // extractor's 2^53 precision limit can't corrupt the comparison.
+    // config/seed are full u64s, quoted since the first journal: the
+    // wire format is frozen, and readers parse the digits exactly.
     os << "{\"manifest\":\"gecko-campaign\",\"version\":1,\"jobs\":"
        << totalJobs << ",\"config\":\"" << configHash << "\",\"seed\":\""
        << seed << "\"}";
@@ -61,18 +60,54 @@ ManifestWriter::append(const ManifestRecord& rec)
 
 namespace {
 
-JobState
-parseState(const std::string& name, bool* ok)
+bool
+parseState(const std::string& name, JobState* out)
 {
-    *ok = true;
     for (JobState s : {JobState::kPending, JobState::kRunning,
                        JobState::kDone, JobState::kFailed,
                        JobState::kQuarantined}) {
-        if (name == jobStateName(s))
-            return s;
+        if (name == jobStateName(s)) {
+            *out = s;
+            return true;
+        }
     }
-    *ok = false;
-    return JobState::kPending;
+    return false;
+}
+
+/** Fold one parsed journal line into `rec`; false = a damaged line. */
+bool
+replayLine(const metrics::JsonValue& v, ManifestRecovery* rec)
+{
+    if (v.find("manifest")) {
+        const auto jobs = v.getU64("jobs");
+        const auto config = v.getString("config");
+        const auto seedText = v.getString("seed");
+        std::uint64_t hash = 0, seed = 0;
+        if (!jobs || !config || !seedText ||
+            !metrics::parseU64(*config, &hash) ||
+            !metrics::parseU64(*seedText, &seed))
+            return false;
+        rec->hasHeader = true;
+        rec->totalJobs = *jobs;
+        rec->configHash = hash;
+        rec->seed = seed;
+        return true;
+    }
+    ManifestRecord r;
+    const auto job = v.getU64("job");
+    const auto state = v.getString("state");
+    const auto attempt = v.getU64("attempt");
+    const auto slices = v.getU64("slices");
+    if (!job || !state || !parseState(*state, &r.state) || !attempt ||
+        *attempt > UINT32_MAX || !slices)
+        return false;
+    r.job = *job;
+    r.attempt = static_cast<std::uint32_t>(*attempt);
+    r.slices = *slices;
+    rec->latest[r.job] = r;
+    rec->maxJob = std::max(rec->maxJob, r.job);
+    rec->sawAnyJob = true;
+    return true;
 }
 
 }  // namespace
@@ -81,65 +116,10 @@ ManifestRecovery
 readManifest(const std::string& path)
 {
     ManifestRecovery rec;
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return rec;
-
-    // Read raw so a torn tail is detectable: only lines terminated by
-    // '\n' are candidates; a trailing fragment is crash damage.
-    std::ostringstream all;
-    all << in.rdbuf();
-    const std::string text = all.str();
-
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t nl = text.find('\n', pos);
-        if (nl == std::string::npos) {
-            // Unterminated tail: the record the crash interrupted.
-            ++rec.tornLines;
-            break;
-        }
-        const std::string line = text.substr(pos, nl - pos);
-        pos = nl + 1;
-        if (line.empty())
-            continue;
-
-        if (metrics::jsonString(line, "manifest").has_value()) {
-            auto jobs = metrics::jsonNumber(line, "jobs");
-            auto config = metrics::jsonString(line, "config");
-            auto seed = metrics::jsonString(line, "seed");
-            if (!jobs || !config || !seed) {
-                ++rec.tornLines;
-                continue;
-            }
-            rec.hasHeader = true;
-            rec.totalJobs = static_cast<std::uint64_t>(*jobs);
-            rec.configHash =
-                std::strtoull(config->c_str(), nullptr, 10);
-            rec.seed = std::strtoull(seed->c_str(), nullptr, 10);
-            continue;
-        }
-
-        auto job = metrics::jsonNumber(line, "job");
-        auto state = metrics::jsonString(line, "state");
-        auto attempt = metrics::jsonNumber(line, "attempt");
-        auto slices = metrics::jsonNumber(line, "slices");
-        bool stateOk = false;
-        JobState parsed =
-            state ? parseState(*state, &stateOk) : JobState::kPending;
-        if (!job || !state || !attempt || !slices || !stateOk) {
-            ++rec.tornLines;
-            continue;
-        }
-        ManifestRecord r;
-        r.job = static_cast<std::uint64_t>(*job);
-        r.state = parsed;
-        r.attempt = static_cast<std::uint32_t>(*attempt);
-        r.slices = static_cast<std::uint64_t>(*slices);
-        rec.latest[r.job] = r;
-        rec.maxJob = std::max(rec.maxJob, r.job);
-        rec.sawAnyJob = true;
-    }
+    rec.tornLines = metrics::readJsonl(
+        path, [&rec](const metrics::JsonValue& v) {
+            return replayLine(v, &rec);
+        });
     return rec;
 }
 

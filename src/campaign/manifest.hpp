@@ -7,7 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "metrics/bench_json.hpp"
+#include "metrics/json.hpp"
 
 /**
  * @file
@@ -23,11 +23,12 @@
  *
  * The journal is the *only* recovery input: a SIGKILL'd campaign
  * restarts by replaying it.  Records are fsync'd at a bounded cadence
- * through metrics::JsonlWriter, and the reader tolerates exactly the
- * damage a crash can cause — a torn final line (no trailing '\n' or
- * unparseable) is dropped and counted, never fatal.  Jobs themselves
- * are never materialized here; the journal only names ids, so memory
- * stays bounded by *touched* jobs, not the job-space size.
+ * through metrics::JsonlWriter and read back through the strict JSONL
+ * reader (metrics::readJsonl): a torn tail, an unparseable line or a
+ * record missing a field is dropped and counted, never fatal, and the
+ * affected job re-runs.  Jobs themselves are never materialized here;
+ * the journal only names ids, so memory stays bounded by *touched*
+ * jobs, not the job-space size.
  */
 
 namespace gecko::campaign {
@@ -70,6 +71,7 @@ class ManifestWriter
                             std::size_t syncEvery = 32);
 
     bool ok() const { return out_.ok(); }
+    const std::string& openError() const { return out_.openError(); }
 
     /** Write the campaign header (once, on a fresh journal). */
     bool header(std::uint64_t totalJobs, std::uint64_t configHash,
@@ -96,8 +98,9 @@ struct ManifestRecovery {
     /// lower bound).
     std::uint64_t maxJob = 0;
     bool sawAnyJob = false;
-    /// Torn/unparseable lines dropped (crash damage, bounded to the
-    /// file tail by the writer's guarantees; >1 means external damage).
+    /// Torn, unparseable or incomplete lines dropped.  A crash tears
+    /// only the tail; the next writer terminates it, so it reads as
+    /// one damaged line ever after.
     std::uint64_t tornLines = 0;
 
     JobState stateOf(std::uint64_t job) const

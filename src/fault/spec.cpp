@@ -1,231 +1,20 @@
 #include "fault/spec.hpp"
 
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "exp/rng.hpp"
 #include "fault/injectors.hpp"
-#include "metrics/bench_json.hpp"
+#include "metrics/json.hpp"
 
 namespace gecko::fault {
 
+using metrics::JsonValue;
+using metrics::jsonEscape;
 using metrics::roundTripNumber;
 
 namespace {
-
-// ---------------------------------------------------------------------
-// Minimal strict JSON reader.  Values keep the raw number text so
-// 64-bit seeds survive without a double round-trip.
-// ---------------------------------------------------------------------
-struct JsonValue {
-    enum Type { kNull, kBool, kNumber, kString, kArray, kObject };
-    Type type = kNull;
-    bool b = false;
-    double num = 0.0;
-    std::string raw;  ///< number lexeme as written
-    std::string str;
-    std::vector<JsonValue> arr;
-    std::vector<std::pair<std::string, JsonValue>> members;
-};
-
-class Parser
-{
-  public:
-    Parser(const std::string& text, std::string* error)
-        : text_(text), error_(error)
-    {
-    }
-
-    bool parse(JsonValue* out)
-    {
-        skipWs();
-        if (!value(out))
-            return false;
-        skipWs();
-        if (pos_ != text_.size())
-            return fail("trailing characters after the top-level value");
-        return true;
-    }
-
-  private:
-    bool fail(const std::string& what)
-    {
-        if (error_->empty()) {
-            std::size_t line = 1, col = 1;
-            for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-                if (text_[i] == '\n') {
-                    ++line;
-                    col = 1;
-                } else {
-                    ++col;
-                }
-            }
-            std::ostringstream os;
-            os << "spec: " << what << " (line " << line << ", column "
-               << col << ")";
-            *error_ = os.str();
-        }
-        return false;
-    }
-
-    void skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool literal(const char* word, JsonValue* out, JsonValue::Type type,
-                 bool b)
-    {
-        std::size_t n = std::strlen(word);
-        if (text_.compare(pos_, n, word) != 0)
-            return fail("invalid literal");
-        pos_ += n;
-        out->type = type;
-        out->b = b;
-        return true;
-    }
-
-    bool string(std::string* out)
-    {
-        if (pos_ >= text_.size() || text_[pos_] != '"')
-            return fail("expected string");
-        ++pos_;
-        out->clear();
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    return fail("unterminated escape");
-                char e = text_[pos_++];
-                switch (e) {
-                  case '"': out->push_back('"'); break;
-                  case '\\': out->push_back('\\'); break;
-                  case '/': out->push_back('/'); break;
-                  case 'n': out->push_back('\n'); break;
-                  case 't': out->push_back('\t'); break;
-                  default:
-                    return fail("unsupported escape sequence");
-                }
-            } else {
-                out->push_back(c);
-            }
-        }
-        if (pos_ >= text_.size())
-            return fail("unterminated string");
-        ++pos_;  // closing quote
-        return true;
-    }
-
-    bool number(JsonValue* out)
-    {
-        std::size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-')
-            ++pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-'))
-            ++pos_;
-        out->raw = text_.substr(start, pos_ - start);
-        char* end = nullptr;
-        out->num = std::strtod(out->raw.c_str(), &end);
-        if (end != out->raw.c_str() + out->raw.size() || out->raw.empty())
-            return fail("malformed number");
-        out->type = JsonValue::kNumber;
-        return true;
-    }
-
-    bool value(JsonValue* out)
-    {
-        skipWs();
-        if (pos_ >= text_.size())
-            return fail("unexpected end of input");
-        char c = text_[pos_];
-        if (c == '{') {
-            ++pos_;
-            out->type = JsonValue::kObject;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            while (true) {
-                skipWs();
-                std::string key;
-                if (!string(&key))
-                    return false;
-                for (const auto& m : out->members)
-                    if (m.first == key)
-                        return fail("duplicate key \"" + key + "\"");
-                skipWs();
-                if (pos_ >= text_.size() || text_[pos_] != ':')
-                    return fail("expected ':' after key \"" + key + "\"");
-                ++pos_;
-                JsonValue v;
-                if (!value(&v))
-                    return false;
-                out->members.emplace_back(key, std::move(v));
-                skipWs();
-                if (pos_ < text_.size() && text_[pos_] == ',') {
-                    ++pos_;
-                    continue;
-                }
-                if (pos_ < text_.size() && text_[pos_] == '}') {
-                    ++pos_;
-                    return true;
-                }
-                return fail("expected ',' or '}' in object");
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            out->type = JsonValue::kArray;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            while (true) {
-                JsonValue v;
-                if (!value(&v))
-                    return false;
-                out->arr.push_back(std::move(v));
-                skipWs();
-                if (pos_ < text_.size() && text_[pos_] == ',') {
-                    ++pos_;
-                    continue;
-                }
-                if (pos_ < text_.size() && text_[pos_] == ']') {
-                    ++pos_;
-                    return true;
-                }
-                return fail("expected ',' or ']' in array");
-            }
-        }
-        if (c == '"') {
-            out->type = JsonValue::kString;
-            return string(&out->str);
-        }
-        if (c == 't')
-            return literal("true", out, JsonValue::kBool, true);
-        if (c == 'f')
-            return literal("false", out, JsonValue::kBool, false);
-        if (c == 'n')
-            return literal("null", out, JsonValue::kNull, false);
-        return number(out);
-    }
-
-    const std::string& text_;
-    std::string* error_;
-    std::size_t pos_ = 0;
-};
 
 // ---------------------------------------------------------------------
 // Strict mapping: every object member must be consumed by name.
@@ -255,13 +44,10 @@ bool
 asU64(const JsonValue& v, const std::string& path, std::uint64_t* out,
       std::string* error)
 {
-    if (v.type != JsonValue::kNumber ||
-        v.raw.find_first_of(".eE-") != std::string::npos)
+    const std::optional<std::uint64_t> u = v.asU64();
+    if (!u)
         return failAt(error, path, "expected an unsigned integer");
-    char* end = nullptr;
-    *out = std::strtoull(v.raw.c_str(), &end, 10);
-    if (end != v.raw.c_str() + v.raw.size())
-        return failAt(error, path, "expected an unsigned integer");
+    *out = *u;
     return true;
 }
 
@@ -596,7 +382,7 @@ emitStringList(std::ostringstream& os, const std::vector<std::string>& v)
 {
     os << "[";
     for (std::size_t i = 0; i < v.size(); ++i)
-        os << (i ? ", " : "") << "\"" << v[i] << "\"";
+        os << (i ? ", " : "") << "\"" << jsonEscape(v[i]) << "\"";
     os << "]";
 }
 
@@ -608,10 +394,9 @@ parseSpec(const std::string& text, FaultSpec* out, std::string* error)
     std::string err;
     *out = FaultSpec{};
     JsonValue root;
-    Parser parser(text, &err);
-    if (!parser.parse(&root)) {
+    if (!metrics::parseJson(text, &root, &err)) {
         if (error)
-            *error = err;
+            *error = "spec: " + err;
         return false;
     }
     auto failTop = [&](const std::string& what) {
@@ -677,7 +462,7 @@ serializeSpec(const FaultSpec& spec)
     os << "{\n";
     os << "  \"version\": " << spec.version;
     if (!spec.name.empty())
-        os << ",\n  \"name\": \"" << spec.name << "\"";
+        os << ",\n  \"name\": \"" << jsonEscape(spec.name) << "\"";
     if (spec.hasSeed)
         os << ",\n  \"seed\": " << spec.seed;
     if (spec.hasCampaign) {

@@ -2,10 +2,10 @@
 #define GECKO_METRICS_BENCH_JSON_HPP_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "metrics/json.hpp"
 #include "sim/intermittent_sim.hpp"
 
 /**
@@ -19,8 +19,8 @@
  * aggregates the per-figure objects into `BENCH_sweeps.json` and
  * compares against a recorded serial baseline.
  *
- * The format is intentionally small and flat; the readers below only
- * promise to parse JSON *this writer produced* (no general parser).
+ * The format is intentionally small and flat; readers parse it with
+ * metrics::parseJson (metrics/json.hpp).
  */
 
 namespace gecko::metrics {
@@ -65,8 +65,8 @@ struct SweepRecord {
  *    `figure_data`, and the campaign aggregate it embeds gained the
  *    per-group `commits` counter (campaign schema v5).
  * Readers must tolerate unknown keys so newer records keep
- * aggregating under older readers (the find-based extractors below
- * do this by construction).
+ * aggregating under older readers: they look up the keys they know in
+ * the parsed object and never reject one they don't.
  */
 inline constexpr int kBenchSchemaVersion = 7;
 
@@ -113,83 +113,6 @@ struct BenchReport {
 
     /** Render as a single JSON object. */
     std::string toJson() const;
-};
-
-/** Escape a string for inclusion in a JSON literal. */
-std::string jsonEscape(const std::string& s);
-
-/** Shortest decimal text that strtod() reads back as exactly `v`. */
-std::string roundTripNumber(double v);
-
-/**
- * Extract the first number following `"key":` in `text`.
- * Only valid for JSON produced by this module.
- */
-std::optional<double> jsonNumber(const std::string& text,
-                                 const std::string& key);
-
-/** Extract the first string following `"key":` (no escape handling). */
-std::optional<std::string> jsonString(const std::string& text,
-                                      const std::string& key);
-
-/**
- * Durable append-only JSONL writer (campaign manifests / result
- * streams).
- *
- * Guarantees, within POSIX semantics:
- *  - a record is staged in one buffer (line + '\n') and pushed through
- *    a single write() loop that retries short writes and EINTR with a
- *    bounded linear backoff, so this writer never *emits* a torn
- *    record — only a crash mid-write can truncate the file tail, which
- *    readers must (and do) tolerate;
- *  - fsync runs every `syncEvery` records and on demand via sync(), so
- *    the window of journal loss after a SIGKILL is bounded.
- *
- * Not thread-safe; callers serialize (the campaign engine holds a
- * journal mutex).
- */
-class JsonlWriter
-{
-  public:
-    /**
-     * @param path      output file (created if missing)
-     * @param append    append to an existing file vs truncate
-     * @param syncEvery fsync cadence in records (0 = only explicit
-     *                  sync())
-     */
-    JsonlWriter(const std::string& path, bool append,
-                std::size_t syncEvery = 32);
-    ~JsonlWriter();
-
-    JsonlWriter(const JsonlWriter&) = delete;
-    JsonlWriter& operator=(const JsonlWriter&) = delete;
-
-    /** Open and every write so far succeeded. */
-    bool ok() const { return fd_ >= 0 && !failed_; }
-
-    /**
-     * Append one record (a trailing '\n' is added; `line` must not
-     * contain one).  @return false if the write ultimately failed —
-     * the writer latches failed() and refuses further records.
-     */
-    bool append(const std::string& line);
-
-    /** Force an fsync now. @return false on failure. */
-    bool sync();
-
-    std::uint64_t records() const { return records_; }
-    /// write() calls that returned short and were retried.
-    std::uint64_t shortWrites() const { return shortWrites_; }
-    std::uint64_t syncs() const { return syncs_; }
-
-  private:
-    int fd_ = -1;
-    bool failed_ = false;
-    std::size_t syncEvery_;
-    std::uint64_t records_ = 0;
-    std::uint64_t sinceSync_ = 0;
-    std::uint64_t shortWrites_ = 0;
-    std::uint64_t syncs_ = 0;
 };
 
 }  // namespace gecko::metrics

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "metrics/json.hpp"
+
 namespace gecko::trace {
 
 namespace {
@@ -15,19 +17,6 @@ num(double v)
     char buf[40];
     std::snprintf(buf, sizeof buf, "%.9g", v);
     return buf;
-}
-
-std::string
-escape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
 }
 
 bool
@@ -49,7 +38,7 @@ toJsonl(const Collector& collector)
         if (!first)
             os << ',';
         first = false;
-        os << "{\"label\":\"" << escape(info.label)
+        os << "{\"label\":\"" << metrics::jsonEscape(info.label)
            << "\",\"index\":" << info.index << ",\"events\":" << info.events
            << ",\"dropped\":" << info.dropped << '}';
     }
@@ -92,7 +81,7 @@ toChromeTrace(const Collector& collector)
         first = false;
         os << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << i
            << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
-           << escape(infos[i].label) << " #" << infos[i].index << "\"}}";
+           << metrics::jsonEscape(infos[i].label) << " #" << infos[i].index << "\"}}";
     }
     for (const MergedEvent& m : collector.merged()) {
         const auto kind = static_cast<EventKind>(m.event.kind);

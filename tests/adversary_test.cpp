@@ -12,6 +12,7 @@
 #include "exp/rng.hpp"
 #include "exp/thread_pool.hpp"
 #include "fault/spec.hpp"
+#include "metrics/json.hpp"
 
 /**
  * @file
@@ -89,14 +90,19 @@ TEST(AdversaryKnobs, JsonRoundTripsEveryField)
     k.gridCell = 53;
 
     adversary::AttackKnobs back;
-    ASSERT_TRUE(adversary::knobsFromJson(adversary::knobsJson(k), &back));
+    metrics::JsonValue json;
+    ASSERT_TRUE(metrics::parseJson(adversary::knobsJson(k), &json));
+    ASSERT_TRUE(adversary::knobsFromJson(json, &back));
     EXPECT_EQ(adversary::knobsJson(back), adversary::knobsJson(k));
     EXPECT_DOUBLE_EQ(back.freqHz, k.freqHz);
     EXPECT_DOUBLE_EQ(back.dutyOnFrac, k.dutyOnFrac);
     EXPECT_EQ(back.gridCell, k.gridCell);
 
     adversary::AttackKnobs junk;
-    EXPECT_FALSE(adversary::knobsFromJson("{\"freq_hz\":}", &junk));
+    EXPECT_FALSE(metrics::parseJson("{\"freq_hz\":}", &json));
+    EXPECT_FALSE(adversary::knobsFromJson(json, &junk));
+    ASSERT_TRUE(metrics::parseJson("{\"freq_hz\":1}", &json));
+    EXPECT_FALSE(adversary::knobsFromJson(json, &junk));
 }
 
 TEST(AdversaryKnobs, PerturbStaysInBoundsOnEveryCoordinate)
@@ -221,6 +227,56 @@ TEST(AdversarySearch, RerunOnJournaledDirPinsTheSameWinner)
     EXPECT_EQ(slurp(dir.str() + "/best_spec.json"), spec1);
 }
 
+TEST(AdversarySearch, TornFinalRoundLineIsIgnoredOnResume)
+{
+    // A crash mid-write of the last round record leaves a fragment that
+    // ends inside a number.  The resume must drop it as torn and re-run
+    // that round from its completed campaign, not read the cut number:
+    // cut inside the winner's two-digit grid cell, the fragment would
+    // name another cell.
+    auto config = [](const std::string& dir) {
+        adversary::SearchConfig c = tinyConfig(dir, "adaptive");
+        c.seed = 2;
+        return c;
+    };
+    TempDir ref("torn_ref");
+    TempDir cut("torn_cut");
+    const adversary::SearchReport expected =
+        adversary::runSearch(config(ref.str()), exp::ThreadPool::global());
+    ASSERT_TRUE(expected.complete);
+    ASSERT_GE(expected.best.knobs.gridCell, 10)
+        << "pick a seed whose winner sits in a two-digit cell";
+    ASSERT_TRUE(
+        adversary::runSearch(config(cut.str()), exp::ThreadPool::global())
+            .complete);
+
+    const std::string journal = cut.str() + "/search.jsonl";
+    std::string text = slurp(journal);
+    const std::size_t last = text.rfind("{\"type\":\"round\"");
+    ASSERT_NE(last, std::string::npos);
+    const std::string cellKey = "\"grid_cell\":";
+    const std::size_t cell = text.find(cellKey, last);
+    ASSERT_NE(cell, std::string::npos);
+    text.resize(cell + cellKey.size() + 1);
+    std::ofstream(journal, std::ios::binary | std::ios::trunc) << text;
+    fs::remove(cut.str() + "/best_spec.json");
+
+    const adversary::SearchReport resumed =
+        adversary::runSearch(config(cut.str()), exp::ThreadPool::global());
+    ASSERT_TRUE(resumed.complete);
+    EXPECT_TRUE(resumed.replayMatches);
+    EXPECT_EQ(resumed.best.score, expected.best.score);
+    EXPECT_EQ(slurp(cut.str() + "/best_spec.json"),
+              slurp(ref.str() + "/best_spec.json"));
+    // The fragment stays one damaged line; the re-run round landed
+    // whole after it.
+    EXPECT_EQ(metrics::readJsonl(journal,
+                                 [](const metrics::JsonValue&) {
+                                     return true;
+                                 }),
+              1u);
+}
+
 TEST(AdversarySearch, BestSpecReplaysThroughTheEngineToTheBestTotals)
 {
     // The replay contract end to end: best_spec.json, loaded the way
@@ -253,11 +309,12 @@ TEST(AdversarySearch, BestSpecReplaysThroughTheEngineToTheBestTotals)
     ASSERT_EQ(report.jobsQuarantined, 0u);
 
     campaign::Aggregator agg(report.jobsTotal);
-    std::ifstream in(ec.dir + "/results.jsonl");
-    std::string line;
-    while (std::getline(in, line))
-        if (auto r = campaign::JobResult::fromJsonl(line))
-            agg.add(*r);
+    metrics::readJsonl(ec.dir + "/results.jsonl",
+                       [&agg](const metrics::JsonValue& v) {
+                           if (auto r = campaign::JobResult::fromJson(v))
+                               agg.add(*r);
+                           return true;
+                       });
     campaign::JobSpec attacked;
     attacked.workload = config.workload;
     attacked.scheme = config.scheme;

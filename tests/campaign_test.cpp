@@ -7,12 +7,16 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <unistd.h>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
 
 #include "attack/attack_schedule.hpp"
 #include "attack/emi_source.hpp"
@@ -31,7 +35,7 @@
 #include "exp/thread_pool.hpp"
 #include "fault/injectors.hpp"
 #include "fault/spec.hpp"
-#include "metrics/bench_json.hpp"
+#include "metrics/json.hpp"
 #include "sim/intermittent_sim.hpp"
 #include "test_util.hpp"
 #include "trace/trace.hpp"
@@ -74,6 +78,15 @@ class TempDir
   private:
     fs::path path_;
 };
+
+std::string
+slurp(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
 
 // ---------------------------------------------------------------------
 // Archive container
@@ -567,15 +580,80 @@ TEST(JsonlWriterTest, EveryRecordLandsTerminated)
     ASSERT_FALSE(text.empty());
     EXPECT_EQ(text.back(), '\n');
     int lines = 0;
-    std::istringstream ss(text);
-    std::string line;
-    while (std::getline(ss, line)) {
-        auto i = metrics::jsonNumber(line, "i");
-        ASSERT_TRUE(i.has_value()) << "torn record: " << line;
-        EXPECT_EQ(static_cast<int>(*i), lines);
-        ++lines;
-    }
+    const std::uint64_t torn =
+        metrics::readJsonl(path, [&](const metrics::JsonValue& v) {
+            auto i = v.getNumber("i");
+            if (!i) {
+                ADD_FAILURE() << "torn record at line " << lines;
+                return false;
+            }
+            EXPECT_EQ(static_cast<int>(*i), lines);
+            ++lines;
+            return true;
+        });
+    EXPECT_EQ(torn, 0u);
     EXPECT_EQ(lines, 100);
+}
+
+TEST(JsonlWriterTest, TornTailIsTerminatedBeforeTheFirstAppend)
+{
+    // A crash can stop a journal mid-record.  The next writer must not
+    // glue its first record onto that fragment: the fragment stays one
+    // damaged line and every later record reads whole.
+    TempDir dir("jsonltail");
+    const std::string path = dir.str() + "/out.jsonl";
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << "{\"i\":0}\n{\"i\":1,\"gro";
+    }
+    {
+        metrics::JsonlWriter w(path, /*append=*/true, 0);
+        ASSERT_TRUE(w.ok());
+        EXPECT_EQ(slurp(path), "{\"i\":0}\n{\"i\":1,\"gro")
+            << "opening alone must not write";
+        ASSERT_TRUE(w.append("{\"i\":2}"));
+        ASSERT_TRUE(w.append("{\"i\":3}"));
+    }
+    {
+        // A terminated file gains no blank line.
+        metrics::JsonlWriter w(path, /*append=*/true, 0);
+        ASSERT_TRUE(w.append("{\"i\":4}"));
+    }
+    EXPECT_EQ(slurp(path), "{\"i\":0}\n{\"i\":1,\"gro\n{\"i\":2}\n"
+                           "{\"i\":3}\n{\"i\":4}\n");
+    std::vector<double> ids;
+    EXPECT_EQ(metrics::readJsonl(path,
+                                 [&](const metrics::JsonValue& v) {
+                                     ids.push_back(*v.getNumber("i"));
+                                     return true;
+                                 }),
+              1u);
+    EXPECT_EQ(ids, (std::vector<double>{0, 2, 3, 4}));
+}
+
+TEST(JsonlWriterTest, SecondWriterOnAJournalIsRefused)
+{
+    TempDir dir("jsonllock");
+    const std::string path = dir.str() + "/out.jsonl";
+    {
+        metrics::JsonlWriter first(path, /*append=*/true, 0);
+        ASSERT_TRUE(first.ok());
+        ASSERT_TRUE(first.append("{\"i\":0}"));
+        for (bool append : {true, false}) {
+            // Refused before a truncating writer could truncate, too.
+            metrics::JsonlWriter second(path, append, 0);
+            EXPECT_FALSE(second.ok());
+            EXPECT_NE(second.openError().find("held by another writer"),
+                      std::string::npos)
+                << second.openError();
+            EXPECT_FALSE(second.append("{\"i\":9}"));
+        }
+        ASSERT_TRUE(first.append("{\"i\":1}"));
+    }
+    EXPECT_EQ(slurp(path), "{\"i\":0}\n{\"i\":1}\n");
+    // The lock dies with its writer.
+    metrics::JsonlWriter next(path, /*append=*/true, 0);
+    EXPECT_TRUE(next.ok()) << next.openError();
 }
 
 TEST(JsonlWriterTest, AppendModeExtendsExistingJournal)
@@ -615,14 +693,17 @@ TEST(AggregateTest, RoundTripDedupAndDeterministicRender)
     b.group = "a/S/tone";
     b.counters.exec.cycles = 500;
 
-    auto parsed = campaign::JobResult::fromJsonl(a.toJsonl());
+    metrics::JsonValue line;
+    ASSERT_TRUE(metrics::parseJson(a.toJsonl(), &line));
+    auto parsed = campaign::JobResult::fromJson(line);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->job, a.job);
     EXPECT_EQ(parsed->group, a.group);
     EXPECT_EQ(parsed->counters.exec.cycles, a.counters.exec.cycles);
-    EXPECT_FALSE(
-        campaign::JobResult::fromJsonl("{\"job\":1,\"group\":\"x\"")
-            .has_value());
+    EXPECT_FALSE(metrics::parseJson("{\"job\":1,\"group\":\"x\"", &line));
+    // Whole JSON that lacks the record's fields is no record either.
+    ASSERT_TRUE(metrics::parseJson("{\"job\":1,\"group\":\"x\"}", &line));
+    EXPECT_FALSE(campaign::JobResult::fromJson(line).has_value());
 
     campaign::Aggregator agg(16);
     EXPECT_TRUE(agg.add(a));
@@ -705,18 +786,21 @@ TEST(EngineTest, ReportTotalsEqualTheAggregateSums)
     const campaign::EngineReport report =
         campaign::runCampaign(engineConfig(dir.str()), pool);
     ASSERT_TRUE(report.complete);
-    const std::string& json = report.aggregateJson;
+    metrics::JsonValue json;
+    ASSERT_TRUE(metrics::parseJson(report.aggregateJson, &json));
+    const metrics::JsonValue* groups = json.find("groups");
+    ASSERT_TRUE(groups && !groups->arr.empty());
     int streamed = 0;
     sim::Counters::forEachField(
         [&](const metrics::CounterField& field, auto get) {
-            const std::string key = std::string("\"") + field.name + "\":";
-            std::uint64_t sum = 0;
-            std::size_t pos = json.find(key);
-            if (pos == std::string::npos)
+            if (!groups->arr.front().find(field.name))
                 return;
-            for (; pos != std::string::npos; pos = json.find(key, pos + 1))
-                sum += std::strtoull(json.c_str() + pos + key.size(),
-                                     nullptr, 10);
+            std::uint64_t sum = 0;
+            for (const metrics::JsonValue& g : groups->arr) {
+                const std::optional<std::uint64_t> n = g.getU64(field.name);
+                ASSERT_TRUE(n.has_value()) << field.name;
+                sum += *n;
+            }
             ++streamed;
             EXPECT_EQ(static_cast<std::uint64_t>(get(report.totals)), sum)
                 << field.name;
@@ -867,6 +951,124 @@ TEST(EngineTest, TornJournalTailsAreAbsorbedOnResume)
     EXPECT_EQ(resumed.tornManifestLines, 1u);
     EXPECT_EQ(resumed.tornResultLines, 1u);
     EXPECT_EQ(resumed.aggregateJson, expected.aggregateJson);
+}
+
+TEST(EngineTest, TornResultTailNeverGluesOntoTheNextRecord)
+{
+    // A crash leaves half a result line; the partial resume that
+    // follows must start its first record on a fresh line, so the full
+    // resume after it reads that record whole instead of folding a
+    // phantom group out of fragment + record.
+    TempDir ref("glueref"), dir("glue");
+    exp::ThreadPool pool(1);
+    campaign::runCampaign(engineConfig(ref.str()), pool);
+    auto config = engineConfig(dir.str());
+    config.maxJobsThisRun = 3;
+    campaign::runCampaign(config, pool);
+    {
+        std::ofstream r(dir.str() + "/results.jsonl",
+                        std::ios::app | std::ios::binary);
+        r << "{\"job\":3,\"group\":\"sens";
+    }
+    config.maxJobsThisRun = 1;
+    const campaign::EngineReport partial = campaign::runCampaign(config, pool);
+    EXPECT_FALSE(partial.complete);
+    EXPECT_EQ(partial.tornResultLines, 1u);
+    const campaign::EngineReport full =
+        campaign::runCampaign(engineConfig(dir.str()), pool);
+    EXPECT_TRUE(full.complete);
+    EXPECT_EQ(full.tornResultLines, 1u);
+    EXPECT_EQ(full.aggregateJson.find("sens{"), std::string::npos);
+    EXPECT_EQ(slurp(dir.str() + "/aggregate.json"),
+              slurp(ref.str() + "/aggregate.json"));
+}
+
+TEST(EngineTest, DamagedInteriorResultLineReRunsItsJob)
+{
+    TempDir ref("midref"), dir("mid");
+    exp::ThreadPool pool(1);
+    campaign::runCampaign(engineConfig(ref.str()), pool);
+    auto config = engineConfig(dir.str());
+    config.maxJobsThisRun = 3;
+    campaign::runCampaign(config, pool);
+
+    // Damage the middle line: drop its closing brace and the last digit
+    // of `cycles`.  It must read as damage, not as a smaller count.
+    const std::string path = dir.str() + "/results.jsonl";
+    std::string text = slurp(path);
+    const std::size_t lineStart = text.find('\n') + 1;
+    const std::size_t lineEnd = text.find('\n', lineStart);
+    ASSERT_NE(lineEnd, std::string::npos);
+    ASSERT_EQ(text[lineEnd - 1], '}');
+    text.erase(lineEnd - 1, 1);
+    const std::size_t cycles = text.find("\"cycles\":", lineStart);
+    ASSERT_LT(cycles, lineEnd);
+    text.erase(text.find(',', cycles) - 1, 1);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+
+    const campaign::EngineReport resumed =
+        campaign::runCampaign(engineConfig(dir.str()), pool);
+    EXPECT_TRUE(resumed.complete);
+    EXPECT_EQ(resumed.tornResultLines, 1u);
+    EXPECT_EQ(resumed.jobsRequeued, 1u) << "the damaged job must re-run";
+    EXPECT_EQ(slurp(dir.str() + "/aggregate.json"),
+              slurp(ref.str() + "/aggregate.json"));
+}
+
+TEST(EngineTest, RefusesJobRecordsBehindADamagedHeader)
+{
+    // The header is the journal's identity guard: job records without a
+    // readable one belong to an unknown campaign.
+    TempDir dir("nohead");
+    exp::ThreadPool pool(1);
+    auto config = engineConfig(dir.str());
+    config.maxJobsThisRun = 2;
+    campaign::runCampaign(config, pool);
+
+    const std::string path = dir.str() + "/manifest.jsonl";
+    std::string text = slurp(path);
+    const std::size_t nl = text.find('\n');
+    ASSERT_EQ(text[nl - 1], '}');
+    text.erase(nl - 1, 1);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+
+    const campaign::ManifestRecovery rec = campaign::readManifest(path);
+    EXPECT_FALSE(rec.hasHeader);
+    EXPECT_TRUE(rec.sawAnyJob);
+    EXPECT_EQ(rec.tornLines, 1u);
+    EXPECT_THROW(campaign::runCampaign(engineConfig(dir.str()), pool),
+                 std::runtime_error);
+    EXPECT_EQ(slurp(path), text);
+}
+
+TEST(EngineTest, RefusesAJournalHeldByAnotherWriter)
+{
+    TempDir dir("held");
+    exp::ThreadPool pool(1);
+    auto config = engineConfig(dir.str());
+    config.maxJobsThisRun = 2;
+    campaign::runCampaign(config, pool);
+    const std::string manifestPath = dir.str() + "/manifest.jsonl";
+    const std::string resultsPath = dir.str() + "/results.jsonl";
+    const std::string manifest = slurp(manifestPath);
+    const std::string results = slurp(resultsPath);
+
+    // Another campaign's writer: an exclusive flock on the manifest.
+    const int fd = ::open(manifestPath.c_str(), O_RDONLY);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::flock(fd, LOCK_EX | LOCK_NB), 0);
+    try {
+        campaign::runCampaign(engineConfig(dir.str()), pool);
+        ADD_FAILURE() << "runCampaign ran against a held journal";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("held by another writer"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(slurp(manifestPath), manifest);
+    EXPECT_EQ(slurp(resultsPath), results);
+    ::close(fd);
+    EXPECT_TRUE(campaign::runCampaign(engineConfig(dir.str()), pool).complete);
 }
 
 TEST(EngineTest, SpatialSpecScenarioInterruptResumesByteIdentical)

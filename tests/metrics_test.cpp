@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 #include "metrics/bench_json.hpp"
 #include "metrics/counter_field.hpp"
+#include "metrics/json.hpp"
 #include "metrics/stats.hpp"
 #include "metrics/table.hpp"
 #include "sim/intermittent_sim.hpp"
@@ -22,17 +27,19 @@ TEST(BenchJsonTest, ReportLeadsWithSchemaVersion)
     // schema_version is the first key so even a truncated record
     // identifies its format.
     EXPECT_EQ(json.rfind("{\"schema_version\":7,", 0), 0u) << json;
-    EXPECT_EQ(jsonNumber(json, "schema_version"),
+    JsonValue parsed;
+    ASSERT_TRUE(parseJson(json, &parsed)) << json;
+    EXPECT_EQ(parsed.getNumber("schema_version"),
               static_cast<double>(kBenchSchemaVersion));
     // Version-3/4 provenance keys are always present.
-    EXPECT_EQ(jsonNumber(json, "seed"), 0.0);
-    EXPECT_EQ(jsonString(json, "defense_mode"), "static");
-    EXPECT_EQ(jsonString(json, "exec_backend"), "block");
+    EXPECT_EQ(parsed.getNumber("seed"), 0.0);
+    EXPECT_EQ(parsed.getString("defense_mode"), "static");
+    EXPECT_EQ(parsed.getString("exec_backend"), "block");
     // trace_out only appears when a trace was written.
     EXPECT_EQ(json.find("trace_out"), std::string::npos);
     report.traceOut = "out/trace.jsonl";
-    EXPECT_EQ(jsonString(report.toJson(), "trace_out"),
-              "out/trace.jsonl");
+    ASSERT_TRUE(parseJson(report.toJson(), &parsed));
+    EXPECT_EQ(parsed.getString("trace_out"), "out/trace.jsonl");
     // figure_data (v6) only appears when the bench supplied one, and
     // is spliced in raw (it is already JSON).
     EXPECT_EQ(json.find("figure_data"), std::string::npos);
@@ -51,16 +58,18 @@ TEST(BenchJsonTest, ReadersTolerateUnknownKeys)
         "\"novel_key\":{\"nested\":[1,2]},\"threads\":4,"
         "\"trace_out\":\"t.jsonl\",\"sim_cycles\":123,"
         "\"status\":\"pass\"}";
-    EXPECT_EQ(jsonNumber(futureRecord, "sim_cycles"), 123.0);
-    EXPECT_EQ(jsonNumber(futureRecord, "threads"), 4.0);
-    EXPECT_EQ(jsonString(futureRecord, "status"), "pass");
-    EXPECT_EQ(jsonNumber(futureRecord, "schema_version"), 4.0);
+    JsonValue record;
+    ASSERT_TRUE(parseJson(futureRecord, &record));
+    EXPECT_EQ(record.getNumber("sim_cycles"), 123.0);
+    EXPECT_EQ(record.getNumber("threads"), 4.0);
+    EXPECT_EQ(record.getString("status"), "pass");
+    EXPECT_EQ(record.getNumber("schema_version"), 4.0);
     // Unknown keys read as absent, not as garbage.
-    EXPECT_FALSE(jsonNumber(futureRecord, "wall_s").has_value());
+    EXPECT_FALSE(record.getNumber("wall_s").has_value());
     // Legacy records without the version key read as version 1.
-    EXPECT_EQ(jsonNumber("{\"figure\":\"fig04\"}", "schema_version")
-                  .value_or(1.0),
-              1.0);
+    JsonValue legacy;
+    ASSERT_TRUE(parseJson("{\"figure\":\"fig04\"}", &legacy));
+    EXPECT_EQ(legacy.getNumber("schema_version").value_or(1.0), 1.0);
 }
 
 TEST(BenchJsonTest, CounterKeysReadTheCounterSet)
@@ -72,13 +81,138 @@ TEST(BenchJsonTest, CounterKeysReadTheCounterSet)
     report.counters.runtime.corruptedRestores = 7;
     report.counters.runtime.crcRejects = 8;
     report.counters.runtime.retriesExhausted = 9;
-    const std::string json = report.toJson();
-    EXPECT_EQ(jsonNumber(json, "sim_cycles"), 123.0);
-    EXPECT_EQ(jsonNumber(json, "quanta"), 45.0);
-    EXPECT_EQ(jsonNumber(json, "coalesced_quanta"), 6.0);
-    EXPECT_EQ(jsonNumber(json, "corrupted_restores"), 7.0);
-    EXPECT_EQ(jsonNumber(json, "crc_rejects"), 8.0);
-    EXPECT_EQ(jsonNumber(json, "retries_exhausted"), 9.0);
+    JsonValue json;
+    ASSERT_TRUE(parseJson(report.toJson(), &json));
+    EXPECT_EQ(json.getNumber("sim_cycles"), 123.0);
+    EXPECT_EQ(json.getNumber("quanta"), 45.0);
+    EXPECT_EQ(json.getNumber("coalesced_quanta"), 6.0);
+    EXPECT_EQ(json.getNumber("corrupted_restores"), 7.0);
+    EXPECT_EQ(json.getNumber("crc_rejects"), 8.0);
+    EXPECT_EQ(json.getNumber("retries_exhausted"), 9.0);
+}
+
+// ---------------------------------------------------------------------
+// The JSON reader (metrics/json.hpp)
+// ---------------------------------------------------------------------
+
+/** `literal` decoded as one JSON string (nullopt if rejected). */
+std::optional<std::string>
+readString(const std::string& literal)
+{
+    JsonValue v;
+    if (!parseJson(literal, &v) || v.type != JsonValue::kString)
+        return std::nullopt;
+    return v.str;
+}
+
+TEST(JsonReaderTest, EveryEscapedByteRoundTrips)
+{
+    // Whatever jsonEscape writes — \uXXXX for control bytes included —
+    // the reader must decode back, or a journal note carrying a '\r'
+    // from an exception message would read as a damaged line.
+    const auto roundTrip = [](const std::string& text) {
+        std::string literal = "\"";
+        literal += jsonEscape(text);
+        literal += '"';
+        return readString(literal);
+    };
+    std::string all;
+    for (int c = 0x01; c <= 0x7f; ++c) {
+        const std::string one(1, static_cast<char>(c));
+        EXPECT_EQ(roundTrip(one), one) << "byte 0x" << std::hex << c;
+        all += one;
+    }
+    EXPECT_EQ(roundTrip(all), all);
+    // Multi-byte escapes decode to UTF-8; raw UTF-8 passes through.
+    EXPECT_EQ(readString("\"\\u00e9\\u20ac\""), "\xc3\xa9\xe2\x82\xac");
+    EXPECT_EQ(readString("\"\\ud83d\\ude00\""), "\xf0\x9f\x98\x80");
+    EXPECT_EQ(readString("\"\xc3\xa9\""), "\xc3\xa9");
+    EXPECT_EQ(readString("\"\\b\\f\\r\\/\""), "\b\f\r/");
+}
+
+TEST(JsonReaderTest, RejectsLaxSyntax)
+{
+    for (const char* bad :
+         {"{\"a\":1,}", "[1,]", "{\"a\":1 \"b\":2}", "{\"a\":1,\"a\":2}",
+          "01", "+1", ".5", "1.", "1e", "-", "nan", "inf", "0x10",
+          "'single'", "\"tab\there\"", "\"\\x41\"", "\"\\ud800\"",
+          "\"\\ude00\"", "\"\\u12\"", "\"open", "tru", "{} {}",
+          "{\"a\":1}x", "1e999", "", " "}) {
+        JsonValue v;
+        v.type = JsonValue::kBool;
+        EXPECT_FALSE(parseJson(bad, &v)) << bad;
+        EXPECT_EQ(v.type, JsonValue::kNull) << "not reset: " << bad;
+    }
+    // Nesting is bounded, not recursed into without limit.
+    JsonValue v;
+    EXPECT_TRUE(parseJson(std::string(200, '[') + std::string(200, ']'), &v));
+    EXPECT_FALSE(
+        parseJson(std::string(100000, '[') + std::string(100000, ']'), &v));
+    // Whitespace is exactly the four JSON characters.
+    EXPECT_TRUE(parseJson(" \t\r\n{ \"a\" : [ 1 , -0.5e+3 ] }\n", &v));
+    EXPECT_EQ(v.find("a")->arr[1].num, -500.0);
+    EXPECT_FALSE(parseJson("\v{}", &v));
+}
+
+TEST(JsonReaderTest, IntegersReadFromTheLexeme)
+{
+    JsonValue v;
+    ASSERT_TRUE(parseJson("{\"max\":18446744073709551615,"
+                          "\"odd\":9007199254740993,\"over\":"
+                          "18446744073709551616,\"neg\":-1,\"exp\":1e3,"
+                          "\"frac\":1.0,\"str\":\"7\"}",
+                          &v));
+    EXPECT_EQ(v.getU64("max"), 18446744073709551615ull);
+    // 2^53 + 1: a double round trip would return 2^53.
+    EXPECT_EQ(v.getU64("odd"), 9007199254740993ull);
+    for (const char* key : {"over", "neg", "exp", "frac", "str", "absent"})
+        EXPECT_FALSE(v.getU64(key).has_value()) << key;
+    EXPECT_EQ(v.getNumber("frac"), 1.0);
+    EXPECT_EQ(v.getNumber("exp"), 1000.0);
+    EXPECT_FALSE(v.getNumber("str").has_value());
+    EXPECT_EQ(v.getString("str"), "7");
+    EXPECT_FALSE(v.getString("max").has_value());
+    std::uint64_t n = 0;
+    EXPECT_TRUE(parseU64("0042", &n));
+    EXPECT_EQ(n, 42u);
+    for (const char* bad : {"", "-1", "+1", "1 ", "4e2", "18446744073709551616"})
+        EXPECT_FALSE(parseU64(bad, &n)) << bad;
+}
+
+TEST(JsonReaderTest, ErrorsNameLineAndColumn)
+{
+    JsonValue v;
+    std::string error;
+    EXPECT_FALSE(parseJson("{\n  \"a\": 1,\n  \"b\": tru\n}", &v, &error));
+    EXPECT_EQ(error, "invalid literal (line 3, column 8)");
+    error.clear();
+    EXPECT_FALSE(parseJson("{\"k\":1,\"k\":2}", &v, &error));
+    EXPECT_NE(error.find("duplicate key \"k\""), std::string::npos) << error;
+}
+
+TEST(JsonlReaderTest, CountsTornTailUnparseableAndRejectedLines)
+{
+    const std::string path = ::testing::TempDir() + "/gecko_jsonl_reader_" +
+                             std::to_string(::getpid()) + ".jsonl";
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << "{\"i\":0}\n"
+            << "\n"                      // skipped, not damage
+            << "{\"i\":1\n"              // unparseable
+            << "{\"i\":2,\"bad\":true}\n"  // rejected by the caller
+            << "{\"i\":3}\n"
+            << "{\"i\":4";                // torn tail
+    }
+    std::vector<double> seen;
+    const std::uint64_t torn =
+        readJsonl(path, [&](const JsonValue& v) {
+            seen.push_back(v.getNumber("i").value_or(-1));
+            return !v.find("bad");
+        });
+    EXPECT_EQ(torn, 3u);
+    EXPECT_EQ(seen, (std::vector<double>{0, 2, 3}));
+    std::remove(path.c_str());
+    EXPECT_EQ(readJsonl(path, [](const JsonValue&) { return true; }), 0u);
 }
 
 TEST(CounterRegistryTest, NamesAreUniqueAndOnlyBurstDiagnosticsUnarchived)
