@@ -1,8 +1,6 @@
-#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -13,8 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include <pthread.h>
-
+#include "bench_util.hpp"
 #include "exp/thread_pool.hpp"
 #include "metrics/bench_json.hpp"
 #include "metrics/json.hpp"
@@ -34,8 +31,9 @@
  *   --quick      single-pass telemetry sweep: run every figure once,
  *                skip the serial-baseline pass even if requested, and
  *                warn if the pass exceeds the 30 s quick budget
- *   --threads=N  thread count for the parallel pass (default: the
- *                GECKO_THREADS env, else all host cores)
+ *   --threads=N  thread count for the parallel pass, 1..1024 (default:
+ *                the GECKO_THREADS env, else all host cores); anything
+ *                else is a diagnostic and exit 2
  *   --out=FILE   aggregate output path (default: BENCH_sweeps.json)
  *   figure...    subset of figures to run (default: all)
  */
@@ -229,22 +227,14 @@ suiteState()
 
 /**
  * SIGINT/SIGTERM → write the aggregate of whatever figures completed,
- * stamped "interrupted", then die with the conventional 128+sig.
- * Runs on a sigwait watcher thread (signals blocked everywhere else),
- * so taking the mutex and doing file I/O here is safe.
+ * stamped "interrupted", then die with the conventional 128+sig.  The
+ * handler runs on bench_util's sigwait watcher, so taking the mutex and
+ * doing file I/O here is safe.
  */
 void
 installSuiteSignalFlush()
 {
-    sigset_t set;
-    sigemptyset(&set);
-    sigaddset(&set, SIGINT);
-    sigaddset(&set, SIGTERM);
-    pthread_sigmask(SIG_BLOCK, &set, nullptr);
-    std::thread([set] {
-        int sig = 0;
-        if (sigwait(&set, &sig) != 0)
-            return;
+    gecko::bench::detail::watchSignals([](int sig) {
         SuiteState& st = suiteState();
         std::lock_guard<std::mutex> lock(st.mutex);
         std::ofstream out(st.outPath);
@@ -256,7 +246,7 @@ installSuiteSignalFlush()
             out.close();
         }
         std::_Exit(128 + sig);
-    }).detach();
+    });
 }
 
 }  // namespace
@@ -277,7 +267,7 @@ main(int argc, char** argv)
         } else if (arg == "--quick") {
             quick = true;
         } else if (arg.rfind("--threads=", 0) == 0) {
-            threads = std::max(1, std::atoi(arg.c_str() + 10));
+            threads = gecko::bench::flagValue(arg, 1, 1024);
         } else if (arg.rfind("--out=", 0) == 0) {
             outPath = arg.substr(6);
         } else if (arg.rfind("--", 0) == 0) {

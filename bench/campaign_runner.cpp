@@ -46,7 +46,8 @@
  * Exit status: 0 only when the campaign is complete (every job done or
  * quarantined), so `until campaign_runner ...; do :; done` is a valid
  * resume loop; 2 for a bad flag value; 1 when the directory's journals
- * belong to another campaign or another runner holds them.
+ * belong to another campaign or another runner holds them, or when a
+ * journal, snapshot or aggregate write fails (the file is named).
  */
 
 namespace {

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <climits>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "campaign/engine.hpp"
+#include "campaign/snapshot.hpp"
 #include "metrics/json.hpp"
 
 namespace gecko::adversary {
@@ -219,7 +219,7 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
             cl << "{\"type\":\"cand\",\"round\":" << round
                << ",\"cand\":" << i << ",\"score\":" << score
                << ",\"knobs\":" << knobsJson(candidates[i]) << "}";
-            journal.append(cl.str());
+            campaign::mustWrite(journal.append(cl.str()), journalPath);
             if (bestIdx < 0 || score > bestRoundScore) {
                 bestIdx = static_cast<int>(i);
                 bestRoundScore = score;
@@ -248,8 +248,8 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
            << ",\"clean_escalations\":"
            << cleanIt->second.counters.defense.escalations
            << ",\"best_knobs\":" << knobsJson(st.best) << "}";
-        journal.append(rl.str());
-        journal.sync();
+        campaign::mustWrite(journal.append(rl.str()) && journal.sync(),
+                            journalPath);
     }
 
     // ---- standalone best evaluation: the replay contract ----
@@ -291,9 +291,12 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
         config.simSeconds, config.sliceSimSeconds, config.outagePeriodS,
         config.outageOnFrac);
     out.bestSpecJson = fault::serializeSpec(spec);
-    std::ofstream specOut(config.dir + "/best_spec.json",
-                          std::ios::trunc);
-    specOut << out.bestSpecJson;
+    const std::string specPath = config.dir + "/best_spec.json";
+    campaign::mustWrite(
+        campaign::writeSnapshotFile(
+            specPath, std::vector<std::uint8_t>(out.bestSpecJson.begin(),
+                                                out.bestSpecJson.end())),
+        specPath);
     return out;
 }
 

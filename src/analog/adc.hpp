@@ -31,7 +31,6 @@ class Adc
     double quantize(double v) const { return toVoltage(sample(v)); }
 
     int bits() const { return bits_; }
-    double fullScale() const { return fullScaleV_; }
     std::uint32_t maxCode() const { return maxCode_; }
 
   private:

@@ -59,7 +59,6 @@ class RemoteRig : public InjectionRig
 
     double amplitude(double freqHz, double powerDbm) const override;
 
-    void setDistance(double distanceM) { distanceM_ = distanceM; }
     double distance() const { return distanceM_; }
 
   private:

@@ -109,18 +109,6 @@ class Archive
         }
     }
 
-    /** size_t via u64 (portable across word sizes). */
-    void sizeValue(std::size_t& v)
-    {
-        std::uint64_t u = v;
-        fixed(u);
-        if (!saving_) {
-            if (u > SIZE_MAX)
-                throw SnapshotError("archive: size overflows size_t");
-            v = static_cast<std::size_t>(u);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Aggregates.
     // ------------------------------------------------------------------

@@ -171,6 +171,12 @@ jobAt(const CampaignSpace& space, std::uint64_t id)
 
 namespace {
 
+/// Journal fsync cadence (records) of the manifest and results.jsonl.
+constexpr std::size_t kJournalSyncEvery = 8;
+/// aggregate.json is rewritten every this many new results (and at the
+/// end of the run).
+constexpr std::uint64_t kCompactEvery = 64;
+
 /** Slice plan: count and per-slice duration (deterministic). */
 struct SlicePlan {
     std::uint64_t count = 1;
@@ -288,8 +294,10 @@ runJobOnce(const EngineConfig& config, const JobSpec& spec,
             ar.u64(k);
             simulation.archiveState(ar);
             io.archiveState(ar);
-            writeSnapshotFile(
-                snapPath, sealContainer(kSnapshotVersion, ar.takePayload()));
+            mustWrite(writeSnapshotFile(snapPath,
+                                        sealContainer(kSnapshotVersion,
+                                                      ar.takePayload())),
+                      snapPath);
             out.interrupted = true;
             out.slicesDone = k;
             return out;
@@ -304,8 +312,7 @@ runJobOnce(const EngineConfig& config, const JobSpec& spec,
     r.counters = simulation.counters();
     r.commits = simulation.nvm().commitCount;
     out.slicesDone = plan.count;
-    if (!config.keepSnapshots)
-        std::remove(snapPath.c_str());
+    std::remove(snapPath.c_str());
     return out;
 }
 
@@ -335,6 +342,10 @@ struct Shared {
     sim::Counters totals;
     std::uint64_t resultsSinceCompact = 0;
     std::uint64_t quarantinedTotal = 0;
+    /// The first failed durable write (set under journalMutex): every
+    /// shard stops and runCampaign throws it.
+    std::atomic<bool> writeFailed{false};
+    std::string writeFailure;
 
     std::atomic<std::uint64_t> attemptsFailed{0};
     std::atomic<std::uint64_t> quarantinedThisRun{0};
@@ -343,7 +354,8 @@ struct Shared {
 
     bool stop() const
     {
-        return config->stopRequested && config->stopRequested();
+        return writeFailed.load() ||
+               (config->stopRequested && config->stopRequested());
     }
 
     std::uint64_t jobIdAt(std::uint64_t i) const
@@ -353,13 +365,27 @@ struct Shared {
         return frontier + (i - requeued.size());
     }
 
+    // Journal writes, under journalMutex; a failure throws WriteError.
+    void journal(const ManifestRecord& rec)
+    {
+        mustWrite(manifest->append(rec), config->dir + "/manifest.jsonl");
+    }
+
+    void syncJournals()
+    {
+        mustWrite(results->sync(), config->dir + "/results.jsonl");
+        mustWrite(manifest->sync(), config->dir + "/manifest.jsonl");
+    }
+
     void compactLocked()
     {
         resultsSinceCompact = 0;
         const std::string json = agg->toJson(
             jobsTotal, config->space.configHash(), config->seed);
-        std::vector<std::uint8_t> bytes(json.begin(), json.end());
-        writeSnapshotFile(config->dir + "/aggregate.json", bytes);
+        const std::string path = config->dir + "/aggregate.json";
+        mustWrite(writeSnapshotFile(
+                      path, std::vector<std::uint8_t>(json.begin(), json.end())),
+                  path);
     }
 };
 
@@ -388,7 +414,7 @@ processJob(Shared& sh, std::uint64_t id)
     while (true) {
         {
             std::lock_guard<std::mutex> lock(sh.journalMutex);
-            sh.manifest->append({id, JobState::kRunning, attempt, 0, ""});
+            sh.journal({id, JobState::kRunning, attempt, 0, ""});
         }
         try {
             AttemptOutcome out = runJobOnce(config, spec, sh.plan);
@@ -396,9 +422,9 @@ processJob(Shared& sh, std::uint64_t id)
                 ++sh.resumedFromSnapshot;
             if (out.interrupted) {
                 std::lock_guard<std::mutex> lock(sh.journalMutex);
-                sh.manifest->append({id, JobState::kRunning, attempt,
-                                     out.slicesDone, "interrupted"});
-                sh.manifest->sync();
+                sh.journal({id, JobState::kRunning, attempt, out.slicesDone,
+                            "interrupted"});
+                sh.syncJournals();
                 return false;
             }
             std::lock_guard<std::mutex> lock(sh.journalMutex);
@@ -406,17 +432,20 @@ processJob(Shared& sh, std::uint64_t id)
             // treats the result record as the done-definition, so this
             // order can at worst repeat a job (deduplicated), never
             // lose one.
-            sh.results->append(out.result.toJsonl());
+            mustWrite(sh.results->append(out.result.toJsonl()),
+                      config.dir + "/results.jsonl");
             sh.agg->add(out.result);
             sh.totals += out.result.counters;
-            sh.manifest->append(
-                {id, JobState::kDone, attempt, out.slicesDone, ""});
-            if (++sh.resultsSinceCompact >= config.compactEvery) {
-                sh.results->sync();
-                sh.manifest->sync();
+            sh.journal({id, JobState::kDone, attempt, out.slicesDone, ""});
+            if (++sh.resultsSinceCompact >= kCompactEvery) {
+                sh.syncJournals();
                 sh.compactLocked();
             }
             return true;
+        } catch (const WriteError&) {
+            // Fatal to the run, so outside per-job containment: never
+            // a failed attempt or a quarantine.
+            throw;
         } catch (const std::exception& e) {
             ++sh.attemptsFailed;
             std::string note = e.what();
@@ -427,14 +456,13 @@ processJob(Shared& sh, std::uint64_t id)
                                    std::max(1, config.maxAttempts));
             {
                 std::lock_guard<std::mutex> lock(sh.journalMutex);
-                sh.manifest->append(
-                    {id, JobState::kFailed, attempt, 0, note});
+                sh.journal({id, JobState::kFailed, attempt, 0, note});
                 if (exhausted) {
                     std::string why = "attempts exhausted";
                     if (!config.specPath.empty())
                         why += "; spec=" + config.specPath;
-                    sh.manifest->append({id, JobState::kQuarantined,
-                                         attempt, 0, why});
+                    sh.journal(
+                        {id, JobState::kQuarantined, attempt, 0, why});
                     ++sh.quarantinedTotal;
                 }
             }
@@ -491,6 +519,11 @@ shardWorker(Shared& sh)
                     return;
             }
         }
+    } catch (const WriteError& e) {
+        // Not a shard death: the whole run ends (runCampaign throws).
+        std::lock_guard<std::mutex> lock(sh.journalMutex);
+        if (!sh.writeFailed.exchange(true))
+            sh.writeFailure = e.what();
     } catch (...) {
         // Shard death: spill the claimed-but-unprocessed remainder so
         // surviving shards pick it up (graceful degradation).  The
@@ -519,11 +552,11 @@ runCampaign(const EngineConfig& config, exp::ThreadPool& pool)
 
     // Lock both journals before replaying them: a second writer on this
     // directory is refused before anything is read or appended.
-    ManifestWriter manifest(manifestPath, config.manifestSyncEvery);
+    ManifestWriter manifest(manifestPath, kJournalSyncEvery);
     if (!manifest.ok())
         throw std::runtime_error("campaign: " + manifest.openError());
     metrics::JsonlWriter results(resultsPath, /*append=*/true,
-                                 config.manifestSyncEvery);
+                                 kJournalSyncEvery);
     if (!results.ok())
         throw std::runtime_error("campaign: " + results.openError());
 
@@ -586,7 +619,8 @@ runCampaign(const EngineConfig& config, exp::ThreadPool& pool)
         static_cast<std::uint64_t>(sh.requeued.size()) + (total - frontier);
 
     if (!rec.hasHeader)
-        manifest.header(total, space.configHash(), config.seed);
+        mustWrite(manifest.header(total, space.configHash(), config.seed),
+                  manifestPath);
     sh.manifest = &manifest;
     sh.results = &results;
     sh.agg = &agg;
@@ -614,12 +648,14 @@ runCampaign(const EngineConfig& config, exp::ThreadPool& pool)
         doneCv.wait(lock, [&] { return liveShards.load() <= 0; });
     }
 
+    if (sh.writeFailed.load())
+        throw WriteError(sh.writeFailure);
+
     // ---- Final compaction + report. ----
     EngineReport report;
     {
         std::lock_guard<std::mutex> lock(sh.journalMutex);
-        results.sync();
-        manifest.sync();
+        sh.syncJournals();
         sh.compactLocked();
         report.aggregateJson =
             agg.toJson(total, space.configHash(), config.seed);

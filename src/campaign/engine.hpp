@@ -112,12 +112,6 @@ struct EngineConfig {
     /// pending for a later resume.  Lets tests/drivers make bounded
     /// progress deliberately.
     std::uint64_t maxJobsThisRun = 0;
-    /// Manifest fsync cadence (records).
-    std::size_t manifestSyncEvery = 8;
-    /// Rewrite aggregate.json every N new results (and at run end).
-    std::uint64_t compactEvery = 64;
-    /// Keep per-job snapshots after completion (debugging).
-    bool keepSnapshots = false;
     /// Cooperative stop (signal flag): checked between jobs and
     /// between slices.  A mid-job stop snapshots and journals progress
     /// without consuming an attempt.
@@ -163,7 +157,9 @@ struct EngineReport {
  * directory holds a manifest for a *different* campaign (config-hash /
  * seed / job-count mismatch) or job records behind no valid header —
  * resuming someone else's journal would silently corrupt the aggregate
- * — and when another writer holds the directory's journals.
+ * — and when another writer holds the directory's journals.  Throws
+ * WriteError (campaign/snapshot) naming the file when a journal,
+ * snapshot or aggregate write fails: the run ends there.
  */
 EngineReport runCampaign(const EngineConfig& config, exp::ThreadPool& pool);
 

@@ -76,6 +76,13 @@ writeSnapshotFile(const std::string& path,
     return true;
 }
 
+void
+mustWrite(bool written, const std::string& path)
+{
+    if (!written)
+        throw WriteError("cannot write " + path);
+}
+
 std::vector<std::uint8_t>
 readSnapshotFile(const std::string& path)
 {

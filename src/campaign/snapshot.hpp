@@ -2,6 +2,7 @@
 #define GECKO_CAMPAIGN_SNAPSHOT_HPP_
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,15 @@ void restoreSimSnapshot(sim::IntermittentSim& sim, sim::IoHub& io,
  */
 bool writeSnapshotFile(const std::string& path,
                        const std::vector<std::uint8_t>& blob);
+
+/** A durable write (journal record, snapshot, aggregate, spec) that did
+ *  not land: its caller's run must end rather than carry on. */
+struct WriteError : std::runtime_error {
+    using std::runtime_error::runtime_error;
+};
+
+/** Throw WriteError ("cannot write <path>") unless `written`. */
+void mustWrite(bool written, const std::string& path);
 
 /**
  * Read a snapshot file.  Missing file → empty vector (not an error:

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <set>
-#include <sstream>
-
-#include "ir/disassembler.hpp"
 
 namespace gecko::compiler {
 
@@ -122,23 +119,6 @@ bool
 Cfg::isLoopHeader(BlockId target) const
 {
     return loopHeader_.at(static_cast<std::size_t>(target));
-}
-
-std::string
-Cfg::toDot(const Program& prog) const
-{
-    std::ostringstream os;
-    os << "digraph \"" << prog.name() << "\" {\n  node [shape=box];\n";
-    for (std::size_t b = 0; b < blocks_.size(); ++b) {
-        os << "  B" << b << " [label=\"B" << b << "\\n";
-        for (std::size_t i = blocks_[b].first; i <= blocks_[b].last; ++i)
-            os << i << ": " << ir::formatInstr(prog, prog.at(i)) << "\\l";
-        os << "\"];\n";
-        for (BlockId succ : blocks_[b].succs)
-            os << "  B" << b << " -> B" << succ << ";\n";
-    }
-    os << "}\n";
-    return os.str();
 }
 
 }  // namespace gecko::compiler

@@ -2,7 +2,6 @@
 #define GECKO_COMPILER_CFG_HPP_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "ir/program.hpp"
@@ -70,9 +69,6 @@ class Cfg
 
     /** @return true if block `target` is a loop header (has a back edge). */
     bool isLoopHeader(BlockId target) const;
-
-    /** Graphviz dump for debugging. */
-    std::string toDot(const ir::Program& prog) const;
 
   private:
     std::vector<BasicBlock> blocks_;

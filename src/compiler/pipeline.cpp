@@ -165,12 +165,12 @@ compile(const Program& prog, Scheme scheme, const PipelineConfig& config)
             const ir::Instr& ck = out.prog.at(c);
             if (ck.imm < 0)
                 throw std::runtime_error("pipeline: uncoloured checkpoint");
-            info.ckpts.push_back({ck.rs1, ck.imm, c});
+            info.ckpts.push_back({ck.rs1, ck.imm});
         }
     }
     for (const InheritedCkpt& entry : coloring.inherited) {
         out.regions[static_cast<std::size_t>(entry.regionId)].ckpts.push_back(
-            {entry.reg, entry.slot, Program::npos});
+            {entry.reg, entry.slot});
     }
 
     for (RegionInfo& info : out.regions)

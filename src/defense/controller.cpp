@@ -146,7 +146,7 @@ void
 DefenseController::addEvidence(double t, double weight,
                                [[maybe_unused]] std::uint64_t evidence)
 {
-    score_ = std::min(score_ + weight, config_.scoreMax);
+    score_ = std::min(score_ + weight, kScoreMax);
     calmRun_ = 0;
     if (!aboveSuspicion_ && score_ >= config_.scoreSuspicious) {
         aboveSuspicion_ = true;
@@ -207,9 +207,9 @@ void
 DefenseController::decayAndMaybeDeescalate(double t)
 {
     score_ = std::max(0.0, score_ * (1.0 - config_.decayPerSample));
-    if (score_ < config_.scoreClear)
+    if (score_ < kScoreClear)
         aboveSuspicion_ = false;
-    if (score_ > config_.scoreClear) {
+    if (score_ > kScoreClear) {
         calmRun_ = 0;
         return;
     }
@@ -291,7 +291,7 @@ DefenseController::noteBootEvidence(double t, bool ackDetect,
 {
     if (!ackDetect && !timerDetect)
         return;
-    const double w = config_.bootEvidenceWeight *
+    const double w = kBootEvidenceWeight *
                      ((ackDetect ? 1 : 0) + (timerDetect ? 1 : 0));
     addEvidence(t, w, kEvidenceBoot);
 }
@@ -410,7 +410,7 @@ DefenseController::steadyEdgeCharges(const PendingEdge& pending,
 bool
 DefenseController::steadyUnder(const SteadyRun& run) const
 {
-    if (mode_ < Mode::kUnderAttack || score_ != config_.scoreMax ||
+    if (mode_ < Mode::kUnderAttack || score_ != kScoreMax ||
         !aboveSuspicion_ || calmRun_ != 0)
         return false;
     // Every sample must carry physics evidence: the first against its
@@ -432,17 +432,17 @@ DefenseController::steadyUnder(const SteadyRun& run) const
             return false;
         charges = backup + wake;
     }
-    // One sample's score update from scoreMax, in observeSample's
-    // order: decay (which must stay above scoreClear, the calm-reset
-    // branch), then each piece of evidence.  It must land on scoreMax
+    // One sample's score update from kScoreMax, in observeSample's
+    // order: decay (which must stay above kScoreClear, the calm-reset
+    // branch), then each piece of evidence.  It must land on kScoreMax
     // again exactly.
-    double s = std::max(0.0, config_.scoreMax * (1.0 - config_.decayPerSample));
-    if (!(s > config_.scoreClear))
+    double s = std::max(0.0, kScoreMax * (1.0 - config_.decayPerSample));
+    if (!(s > kScoreClear))
         return false;
-    s = std::min(s + config_.physicsWeight, config_.scoreMax);
+    s = std::min(s + config_.physicsWeight, kScoreMax);
     for (int i = 0; i < charges; ++i)
-        s = std::min(s + config_.disagreeWeight, config_.scoreMax);
-    if (s != config_.scoreMax)
+        s = std::min(s + config_.disagreeWeight, kScoreMax);
+    if (s != kScoreMax)
         return false;
     if (run.sleeping)
         // wakeAllowed is monotone in t: elapsed at the first sample
@@ -477,10 +477,9 @@ DefenseController::backoffCycles(int attempt) const
 {
     const int a = std::max(attempt, 0);
     if (mode_ == Mode::kNominal)
-        return config_.backoffBaseCycles * (a + 1);
+        return linearBackoffCycles(a);
     const int shift = std::min(a, 20);
-    const long long exp =
-        static_cast<long long>(config_.backoffBaseCycles) << shift;
+    const long long exp = static_cast<long long>(kBackoffBaseCycles) << shift;
     return static_cast<int>(
         std::min<long long>(exp, config_.backoffCapCycles));
 }

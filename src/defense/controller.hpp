@@ -114,7 +114,7 @@ class DefenseController
     /**
      * Fixed-point certificate (DESIGN.md §14): true iff every sample
      * of `run` provably maps the controller onto itself — each one
-     * violates the physics bound, the score stays pinned at scoreMax
+     * violates the physics bound, the score stays pinned at kScoreMax
      * in a mode at or above kUnderAttack, and the latches, calm run
      * and edge-skew windows keep their values — and the run's other
      * notifications are inert or batch exactly.  Only the per-sample
@@ -134,9 +134,9 @@ class DefenseController
 
     /**
      * Save-retry backoff for `attempt` (0-based), in cycles.  kNominal
-     * preserves the legacy linear policy; escalated modes back off
-     * exponentially with a cap so a sustained burst cannot be ridden
-     * out by hammering the NVM.
+     * keeps the static linearBackoffCycles schedule; escalated modes
+     * back off exponentially with a cap so a sustained burst cannot be
+     * ridden out by hammering the NVM.
      */
     int backoffCycles(int attempt) const;
 
@@ -156,7 +156,7 @@ class DefenseController
     /// Largest legitimate envelope span or step over a `gapS` gap.
     double physicsBound(double gapS) const
     {
-        return gapS * maxSlewVps_ + config_.physicsMarginV;
+        return gapS * maxSlewVps_ + kPhysicsMarginV;
     }
     /// Calm dwell currently required to step one mode down:
     /// calmSamples doubled once per relapse level.

@@ -41,6 +41,27 @@ enum class Mode : std::uint8_t {
 /** Stable lowercase name ("nominal", "suspicious", ...). */
 const char* modeName(Mode mode);
 
+/// A sample is "calm" (eligible for de-escalation) below this score.
+inline constexpr double kScoreClear = 0.5;
+/// Score saturation ceiling, so de-escalation latency is bounded.
+inline constexpr double kScoreMax = 8.0;
+/// Evidence weight of each boot-time ACK/timer detection (§VI-A).
+inline constexpr double kBootEvidenceWeight = 1.5;
+/// Slack (V) added to the physics bound — absorbs quantization and
+/// sampling-phase error without admitting volt-scale EMI swings.
+inline constexpr double kPhysicsMarginV = 0.05;
+/// Unit of every checkpoint-save retry backoff (cycles).
+inline constexpr int kBackoffBaseCycles = 256;
+
+/** The static protocol's save-retry backoff before re-attempt
+ *  `attempt` (0-based), in cycles: linear, so a short disturbance
+ *  burst can pass. */
+constexpr int
+linearBackoffCycles(int attempt)
+{
+    return kBackoffBaseCycles * (attempt + 1);
+}
+
 /** Controller knobs.  Defaults are inert: `enabled=false` leaves every
  *  existing configuration byte-identical. */
 struct DefenseConfig {
@@ -53,21 +74,12 @@ struct DefenseConfig {
     double scoreSuspicious = 1.0;
     /// Escalate to kUnderAttack at this score.
     double scoreAttack = 2.5;
-    /// A sample is "calm" (eligible for de-escalation) below this.
-    double scoreClear = 0.5;
-    /// Saturation ceiling so de-escalation latency is bounded.
-    double scoreMax = 8.0;
     /// Exponential decay applied per monitor sample: s *= (1 - decay).
     double decayPerSample = 0.04;
     /// Evidence weight: the two monitor views disagree on an edge.
     double disagreeWeight = 0.4;
     /// Evidence weight: observed dV/dt violates the RC physics bound.
     double physicsWeight = 1.2;
-    /// Evidence weight: boot-time ACK/timer detection (§VI-A).
-    double bootEvidenceWeight = 1.5;
-    /// Slack (V) added to the physics bound — absorbs quantization and
-    /// sampling-phase error without admitting volt-scale EMI swings.
-    double physicsMarginV = 0.05;
     /// Redundant monitors with different quantization and sampling
     /// cadence legitimately flag the *same* supply edge a sample or two
     /// apart (e.g. the wake crossing during a harvester-outage restore
@@ -94,8 +106,6 @@ struct DefenseConfig {
     int relapseLevelCap = 4;
 
     // --- escalated checkpoint-save policy ---
-    /// Base of the save-retry backoff (cycles).
-    int backoffBaseCycles = 256;
     /// Cap of the exponential backoff used at kSuspicious and above.
     int backoffCapCycles = 8192;
 

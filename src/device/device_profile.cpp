@@ -3,14 +3,15 @@
 namespace gecko::device {
 
 std::unique_ptr<analog::VoltageMonitor>
-DeviceProfile::makeMonitor(analog::MonitorKind kind) const
+DeviceProfile::makeMonitor(analog::MonitorKind kind, double vBackupV,
+                           double vOnV) const
 {
     if (kind == analog::MonitorKind::kAdc) {
         return std::make_unique<analog::AdcMonitor>(
-            adcBits, vccNominal, vBackup, vOn, adcSampleHz);
+            adcBits, vccNominal, vBackupV, vOnV, adcSampleHz);
     }
     return std::make_unique<analog::ComparatorMonitor>(
-        vBackup, vOn, compHysteresisV, compCheckHz);
+        vBackupV, vOnV, compHysteresisV, compCheckHz);
 }
 
 }  // namespace gecko::device

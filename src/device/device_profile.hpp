@@ -53,9 +53,11 @@ struct DeviceProfile {
 
     energy::PowerModel power;
 
-    /** Instantiate the requested monitor for this device. */
+    /** Instantiate the requested monitor for this device, tripping
+     *  backup at `vBackupV` and wake at `vOnV`. */
     std::unique_ptr<analog::VoltageMonitor>
-    makeMonitor(analog::MonitorKind kind) const;
+    makeMonitor(analog::MonitorKind kind, double vBackupV,
+                double vOnV) const;
 
     /** Remote coupling curve of the monitor path for `kind`. */
     const analog::ResonanceCurve&

@@ -67,9 +67,6 @@ class Rng
         return n ? static_cast<std::uint32_t>(next() % n) : 0;
     }
 
-    /** Uniform in [0, n); 64-bit range. */
-    std::uint64_t pick64(std::uint64_t n) { return n ? next() % n : 0; }
-
     /** Uniform double in [0, 1). */
     double uniform()
     {

@@ -1,9 +1,26 @@
 #include "fault/corpus.hpp"
 
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
+#include "metrics/json.hpp"
+
 namespace gecko::fault {
+
+namespace {
+
+/** All of `text` as a signed decimal integer of type T. */
+template <class T>
+bool
+parseSigned(const std::string& text, T* out)
+{
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+    return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
 
 std::string
 formatCorpusLine(const CaseResult& result)
@@ -38,6 +55,9 @@ parseCorpusLine(const std::string& line, CorpusEntry* out, std::string* err)
         }
         std::string key = token.substr(0, eq);
         std::string value = token.substr(eq + 1);
+        // Numbers are read whole: "12x" or "-1" is damage, not 12 or
+        // 2^64 - 1.
+        bool whole = true;
         if (key == "workload") {
             entry.spec.workload = value;
         } else if (key == "scheme") {
@@ -51,12 +71,11 @@ parseCorpusLine(const std::string& line, CorpusEntry* out, std::string* err)
                 return false;
             }
         } else if (key == "seed") {
-            entry.spec.seed = std::stoull(value);
+            whole = metrics::parseU64(value, &entry.spec.seed);
         } else if (key == "injectAt") {
-            entry.spec.injectAtOverride = std::stoll(value);
+            whole = parseSigned(value, &entry.spec.injectAtOverride);
         } else if (key == "word") {
-            entry.spec.wordOverride =
-                static_cast<std::int32_t>(std::stol(value));
+            whole = parseSigned(value, &entry.spec.wordOverride);
         } else if (key == "outcome") {
             if (!outcomeFromName(value, &entry.outcome)) {
                 *err = "unknown outcome: " + value;
@@ -64,6 +83,10 @@ parseCorpusLine(const std::string& line, CorpusEntry* out, std::string* err)
             }
         } else {
             *err = "unknown key: " + key;
+            return false;
+        }
+        if (!whole) {
+            *err = "bad " + key + " value: " + value;
             return false;
         }
     }
@@ -93,7 +116,7 @@ parseCorpus(const std::string& text, std::uint64_t* campaignSeed)
     std::vector<CorpusEntry> entries;
     std::istringstream is(text);
     std::string line;
-    while (std::getline(is, line)) {
+    for (int number = 1; std::getline(is, line); ++number) {
         if (line.empty())
             continue;
         if (line[0] == '#') {
@@ -111,7 +134,8 @@ parseCorpus(const std::string& text, std::uint64_t* campaignSeed)
         std::string err;
         if (!parseCorpusLine(line, &entry, &err))
             throw std::runtime_error("corpus parse error: " + err +
-                                     " in line: " + line);
+                                     " in line " + std::to_string(number) +
+                                     ": " + line);
         entries.push_back(entry);
     }
     return entries;

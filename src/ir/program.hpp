@@ -34,7 +34,6 @@ class Program
     explicit Program(std::string name) : name_(std::move(name)) {}
 
     const std::string& name() const { return name_; }
-    void setName(std::string name) { name_ = std::move(name); }
 
     /** Number of instructions. */
     std::size_t size() const { return code_.size(); }
@@ -85,9 +84,6 @@ class Program
 
     /** @return label id for `name`, if defined. */
     std::optional<LabelId> findLabel(const std::string& name) const;
-
-    /** Number of interned labels. */
-    std::size_t numLabels() const { return labels_.size(); }
 
     /** Sentinel for "label not bound". */
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);

@@ -719,7 +719,6 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
     const std::uint32_t size = static_cast<std::uint32_t>(decoded_.size());
     Nvm& nvm = *nvm_;
     std::uint32_t* const regs = regs_.data();
-    const bool btrace = blockTrace_;
 
     // Hot state lives in locals so the dispatch loop keeps it in
     // registers; counters flush on every exit edge (including
@@ -731,7 +730,6 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
     std::uint64_t instrs = 0;
     SuperBlock* b = nullptr;
     const Uop* u = nullptr;
-    [[maybe_unused]] std::uint16_t deoptReason = 0;
 
 // One micro-op ends, the next begins: single indirect jump.
 #define GECKO_NEXT                                                          \
@@ -797,19 +795,13 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
             // Mid-block entry: a budget tail stopped inside a block, or
             // a JIT-checkpoint image restore resumed there.  Step until
             // execution realigns with a leader.
-            deoptReason = trace::kFlagDeoptUnaligned;
             goto deopt;
         }
         if (!b->compiled) {
-            if (++b->execCount < kHotThreshold) {
-                deoptReason = trace::kFlagDeoptCold;
+            if (++b->execCount < kHotThreshold)
                 goto deopt;
-            }
             compileBlock(*b);
             pool = uopPool_.data();
-            if (btrace)
-                GECKO_TRACE_EVENT(trace::EventKind::kBlockCompile, 0,
-                                  b->start, b->len);
         }
         if (!b->threaded) {
             for (std::uint32_t oi = 0; oi < b->uopCount; ++oi) {
@@ -821,22 +813,17 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         if (cycles + b->cost > cycleBudget) {
             // Budget tail: the whole block no longer fits the quantum's
             // energy/clock bound — the conservative block-entry guard.
-            deoptReason = trace::kFlagDeoptBudget;
             goto deopt;
         }
-        if (btrace)
-            GECKO_TRACE_EVENT(trace::EventKind::kBlockEnter, 0, b->start,
-                              cycles);
         u = pool + b->uopStart;
         goto* u->handler;
 
         // Fast block-to-block dispatch: terminators land here with the
         // next pc.  A hot, aligned target whose whole cost fits the
         // remaining budget starts threading with one compare chain —
-        // the full preamble only runs for cold/unaligned/tail cases
-        // (and whenever block tracing wants its kBlockEnter events).
+        // the full preamble only runs for cold/unaligned/tail cases.
       chain:
-        if (!btrace && pc < size) {
+        if (pc < size) {
             SuperBlock* const nb = &blocks[blockAt[pc]];
             if (nb->threaded && pc == nb->start &&
                 cycles + nb->cost <= cycleBudget) {
@@ -853,9 +840,6 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         // instruction-precise and threaded execution resumes at the very
         // next leader.
       deopt:
-        if (btrace)
-            GECKO_TRACE_EVENT(trace::EventKind::kBlockDeopt, deoptReason,
-                              pc, cycles);
         switch (stepDecoded(pc, cycles, instrs)) {
           case StepExit::kContinue:
             goto enter;
@@ -1098,8 +1082,6 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         }
         halted_ = true;
         pc_ = b->start + b->len - 1;
-        if (btrace)
-            GECKO_TRACE_EVENT(trace::EventKind::kBlockExit, 0, pc_, cycles);
         stats.instrs += instrs;
         stats.cycles += cycles;
         if (consumed)
@@ -1249,7 +1231,6 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
             // Bounds failure: rewind to the iteration start and let the
             // per-instruction fallback reach the faulting load.
             pc = b->start;
-            deoptReason = trace::kFlagDeoptUnaligned;
             goto deopt;
         }
         pc = j == kexit ? b->start + b->len : b->start;
@@ -1309,8 +1290,6 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
 
       budget_out:
         pc_ = pc;
-        if (btrace)
-            GECKO_TRACE_EVENT(trace::EventKind::kBlockExit, 0, pc, cycles);
         stats.instrs += instrs;
         stats.cycles += cycles;
         if (consumed)

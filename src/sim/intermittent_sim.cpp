@@ -25,6 +25,14 @@ constexpr std::uint64_t kNoCompletionTarget = ~std::uint64_t{0};
 constexpr double kCompletionPollS = 0.01;
 /// Largest burst limit; larger requests clamp to it.
 constexpr int kMaxCoalesceLimit = 1 << 16;
+/// Brown-out lockout hysteresis (V): the PMU releases reset only once
+/// V_CC exceeds V_off by this margin.
+constexpr double kBootLockoutV = 0.02;
+/// Monitor sample-timing jitter (s).  ADC conversions are triggered
+/// from the DCO (an RC oscillator with %-level cycle jitter), so
+/// successive samples land at effectively random phases of an RF
+/// carrier.
+constexpr double kSampleJitterS = 100e-9;
 
 /** Voltage in integer millivolt for trace payloads (clamped at 0). */
 [[maybe_unused]] std::uint64_t
@@ -82,19 +90,8 @@ IntermittentSim::IntermittentSim(const compiler::CompiledProgram& compiled,
     epc_ = device.power.energyPerCycleJ;
     spc_ = device.power.secondsPerCycle();
 
-    monitor_ = device.makeMonitor(config.monitorKind);
-    // Thresholds may be overridden (capacitor-size sweep); rebuild the
-    // monitor if so.
-    if (config.vOnOverride > 0 || config.vBackupOverride > 0) {
-        if (config.monitorKind == analog::MonitorKind::kAdc) {
-            monitor_ = std::make_unique<analog::AdcMonitor>(
-                device.adcBits, device.vccNominal, vBackup_, vOn_,
-                device.adcSampleHz);
-        } else {
-            monitor_ = std::make_unique<analog::ComparatorMonitor>(
-                vBackup_, vOn_, device.compHysteresisV, device.compCheckHz);
-        }
-    }
+    // The thresholds may be overridden (capacitor-size sweep).
+    monitor_ = device.makeMonitor(config.monitorKind, vBackup_, vOn_);
     monitor_->reset(cap_.voltage());
 
     coalesceLimit_ = resolveCoalesceLimit(config.coalesceQuanta);
@@ -116,14 +113,11 @@ IntermittentSim::IntermittentSim(const compiler::CompiledProgram& compiled,
     if (config.defense.enabled &&
         (compiled.scheme == Scheme::kGecko ||
          compiled.scheme == Scheme::kGeckoNoPrune)) {
-        if (config.monitorKind == analog::MonitorKind::kAdc) {
-            shadowMonitor_ = std::make_unique<analog::ComparatorMonitor>(
-                vBackup_, vOn_, device.compHysteresisV, device.compCheckHz);
-        } else {
-            shadowMonitor_ = std::make_unique<analog::AdcMonitor>(
-                device.adcBits, device.vccNominal, vBackup_, vOn_,
-                device.adcSampleHz);
-        }
+        shadowMonitor_ = device.makeMonitor(
+            config.monitorKind == analog::MonitorKind::kAdc
+                ? analog::MonitorKind::kComparator
+                : analog::MonitorKind::kAdc,
+            vBackup_, vOn_);
         shadowMonitor_->reset(cap_.voltage());
 
         defense::PlantModel plant;
@@ -189,7 +183,7 @@ IntermittentSim::emiAt(double t)
     h ^= h >> 16;
     h *= 0x45d9f3bu;
     h ^= h >> 16;
-    double jitter = (h >> 8) * (config_.sampleJitterS / double(1u << 24));
+    double jitter = (h >> 8) * (kSampleJitterS / double(1u << 24));
     return emi_->voltageAt(t + jitter);
 }
 
@@ -321,7 +315,7 @@ IntermittentSim::doJitCheckpoint()
                                            64 - (words & 63));
             if (!vetoDone)
                 grant = std::min(
-                    grant, std::max(1, config_.jitAbortWindowWords - words));
+                    grant, std::max(1, kJitAbortWindowWords - words));
             // March the grant on locals, word by word as the routine
             // spends it: the tear test, the draw, the clock.
             double e = cap_.energy();
@@ -344,7 +338,7 @@ IntermittentSim::doJitCheckpoint()
                 cap_.chargeFrom(harvester_.openCircuitVoltage(now_),
                                 harvester_.seriesResistance(now_),
                                 64 * kJitStoreCycles * spc_);
-            if (!vetoDone && words >= config_.jitAbortWindowWords) {
+            if (!vetoDone && words >= kJitAbortWindowWords) {
                 vetoDone = true;
                 // CTPL re-checks the wake condition during the first
                 // part of the powerdown routine; a (possibly forged)
@@ -384,7 +378,7 @@ IntermittentSim::doJitCheckpoint()
             state_ = State::kRunning;
             return;
         }
-        if (faulted && attempt < config_.jitSaveRetryLimit &&
+        if (faulted && attempt < kJitSaveRetryLimit &&
             cap_.energy() - energyAtVoff_ > attemptEnergy) {
             // Bounded retry with linear backoff: idle a short while so a
             // transient disturbance burst can pass, then try again.
@@ -395,11 +389,9 @@ IntermittentSim::doJitCheckpoint()
             // The adaptive controller owns the backoff policy when
             // attached (linear in kNominal, exponential-with-cap once
             // escalated); the static linear schedule otherwise.
-            double backoff =
-                defense_
-                    ? static_cast<double>(defense_->backoffCycles(attempt))
-                    : static_cast<double>(config_.jitRetryBackoffCycles) *
-                          (attempt + 1);
+            const double backoff = static_cast<double>(
+                defense_ ? defense_->backoffCycles(attempt)
+                         : defense::linearBackoffCycles(attempt));
             cap_.discharge(backoff * epc_);
             cap_.chargeFrom(harvester_.openCircuitVoltage(now_),
                             harvester_.seriesResistance(now_),
@@ -721,7 +713,7 @@ IntermittentSim::tryBurst(BurstKind kind, int stride, double dt, double end)
     }
     // A sleep sample whose wake clears the brown-out lockout boots.
     const double vCeil = !running && views.primary.wake
-                             ? vOff_ + config_.bootLockoutV
+                             ? vOff_ + kBootLockoutV
                              : std::numeric_limits<double>::infinity();
     if (cap_.voltage() > vCeil)
         return false;
@@ -881,7 +873,7 @@ IntermittentSim::stepSleeping(double end)
         // V_off plus hysteresis.  A fake wake can only boot the system
         // inside the paper's malicious window V_off < V_fail < V_backup
         // (or legitimately above).
-        const bool clear = cap_.voltage() > vOff_ + config_.bootLockoutV;
+        const bool clear = cap_.voltage() > vOff_ + kBootLockoutV;
         // In kDegraded the controller distrusts the forgeable monitor
         // wake and defers the boot until the physics-timed recharge
         // dwell has elapsed (forward-progress ratchet, DESIGN.md §11).

@@ -50,18 +50,6 @@ struct SimConfig {
     /// checkpoint/restore (cost-only words; makes the checkpoint-churn
     /// DoS expensive, as on real boards — the FR5994 has 8 KiB SRAM).
     int jitRamWords = 4096;
-    /// Brown-out lockout hysteresis: the PMU releases reset only once
-    /// V_CC exceeds V_off by this margin (V).
-    double bootLockoutV = 0.02;
-    /// Monitor sample-timing jitter (s).  ADC conversions are triggered
-    /// from the DCO (an RC oscillator with %-level cycle jitter), so
-    /// successive samples land at effectively random phases of an RF
-    /// carrier.
-    double sampleJitterS = 100e-9;
-    /// Words at the start of the JIT checkpoint routine during which a
-    /// wake signal still vetoes/aborts it (CTPL re-checks the wake
-    /// condition before committing to the powerdown path).
-    int jitAbortWindowWords = 48;
     /// Fixed cold-boot overhead on every wake (clock/DCO settling,
     /// peripheral re-initialisation — milliseconds-scale on real
     /// MSP430 boards), independent of the recovery scheme.
@@ -85,13 +73,6 @@ struct SimConfig {
     /// burst indistinguishable from per-sample stepping.
     /// -1 = resolve from GECKO_COALESCE (default 64); 0 or 1 = off.
     int coalesceQuanta = -1;
-    /// Bounded retry on a transiently failing checkpoint save (injected
-    /// write fault): how many re-attempts before giving up.
-    int jitSaveRetryLimit = 2;
-    /// Backoff between checkpoint-save retries, in cycles, multiplied by
-    /// the attempt number (linear backoff lets a short disturbance burst
-    /// pass).
-    int jitRetryBackoffCycles = 256;
     /// Adaptive defense controller (DESIGN.md §11).  Off by default:
     /// the static-paper configurations and their byte-exact outputs are
     /// untouched.  Takes effect only for the guarded GECKO schemes.
@@ -240,8 +221,7 @@ class IntermittentSim
      * (0-based across the SRAM-padding and context words); returning
      * true makes that word's write fail transiently, abandoning the
      * attempt.  The simulator retries with backoff up to
-     * SimConfig::jitSaveRetryLimit, then reports exhaustion to the
-     * runtime.
+     * kJitSaveRetryLimit, then reports exhaustion to the runtime.
      */
     void setJitWriteFault(std::function<bool(int word)> f)
     {

@@ -140,9 +140,6 @@ class IoHub
         return outputs_.at(static_cast<std::size_t>(port));
     }
 
-    /** Clear all output sinks. */
-    void clearOutputs();
-
     /**
      * Serialize/restore every output sink.  Inputs are pure functions
      * of the replay index and are reconstructed by workload setup, not

@@ -40,6 +40,17 @@ struct JitResult {
 /** Cycles to write one word of the JIT area (FRAM store + bookkeeping). */
 inline constexpr int kJitStoreCycles = 4;
 
+/**
+ * Words at the start of the checkpoint routine during which a wake
+ * signal still vetoes it: CTPL re-checks the wake condition before
+ * committing to the powerdown path.
+ */
+inline constexpr int kJitAbortWindowWords = 48;
+
+/** Re-attempts of a transiently failing checkpoint save (injected write
+ *  fault) before the routine gives up. */
+inline constexpr int kJitSaveRetryLimit = 2;
+
 /** Fixed cycles of the wake-up/restore path. */
 inline constexpr int kJitRestoreOverheadCycles = 60;
 

@@ -77,8 +77,6 @@ Machine::Machine(const compiler::CompiledProgram& prog, Nvm& nvm, IoHub& io)
         }
         d.cost = static_cast<std::uint16_t>(cost);
     }
-    const char* bt = std::getenv("GECKO_TRACE_BLOCKS");
-    blockTrace_ = bt != nullptr && *bt != '\0' && std::strcmp(bt, "0") != 0;
 }
 
 void

@@ -269,9 +269,6 @@ class Machine
     bool stagedIo_ = false;
     bool continuous_ = false;
     bool faultTolerant_ = false;
-    // Opt-in block-backend observability (GECKO_TRACE_BLOCKS=1); off by
-    // default so golden traces stay byte-identical across backends.
-    bool blockTrace_ = false;
     ExecBackend backend_ = defaultExecBackend();
 };
 

@@ -13,10 +13,6 @@ eventName(EventKind kind)
         case EventKind::kRegionCommit: return "region_commit";
         case EventKind::kCompletion: return "completion";
         case EventKind::kMachineFault: return "machine_fault";
-        case EventKind::kBlockCompile: return "block_compile";
-        case EventKind::kBlockEnter: return "block_enter";
-        case EventKind::kBlockExit: return "block_exit";
-        case EventKind::kBlockDeopt: return "block_deopt";
         case EventKind::kBoot: return "boot";
         case EventKind::kSleepEnter: return "sleep_enter";
         case EventKind::kPowerLoss: return "power_loss";

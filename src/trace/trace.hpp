@@ -49,12 +49,9 @@ enum class EventKind : std::uint16_t {
     kRegionCommit = 1,  ///< a=regionId, b=commitCount after commit
     kCompletion = 2,    ///< a=completions, b=sum of committed outCount
     kMachineFault = 3,  ///< a=pc at fault
-    // Block-backend observability (emitted only under
-    // GECKO_TRACE_BLOCKS=1 so golden traces stay backend-independent).
-    kBlockCompile = 4,  ///< a=block start pc, b=instruction count
-    kBlockEnter = 5,    ///< a=block start pc, b=cycles into this run
-    kBlockExit = 6,     ///< a=pc on leaving threaded code, b=cycles
-    kBlockDeopt = 7,    ///< a=pc, b=cycles; flags=kFlagDeopt* reason
+    // 4..7 are retired (block-tier compile/enter/exit/deopt, removed):
+    // never reuse them.  Both execution tiers emit the same events, so
+    // golden traces are backend-independent.
 
     // Power / simulator (16..31)
     kBoot = 16,          ///< a=reboots, b=bootCycles total
@@ -134,11 +131,6 @@ inline constexpr std::uint16_t kFlagStale = 0x200;
 inline constexpr std::uint16_t kFlagAckDetect = 0x400;
 inline constexpr std::uint16_t kFlagTimerDetect = 0x800;
 inline constexpr std::uint16_t kFlagJitArmed = 0x1000;
-// kBlockDeopt reasons (block backend fell back to per-instruction
-// stepping for the rest of the run quantum).
-inline constexpr std::uint16_t kFlagDeoptCold = 0x2000;
-inline constexpr std::uint16_t kFlagDeoptUnaligned = 0x4000;
-inline constexpr std::uint16_t kFlagDeoptBudget = 0x8000;
 
 /** One trace record (POD, 32 bytes). */
 struct Event {

@@ -233,48 +233,67 @@ TEST(AdversarySearch, TornFinalRoundLineIsIgnoredOnResume)
     // ends inside a number.  The resume must drop it as torn and re-run
     // that round from its completed campaign, not read the cut number:
     // cut inside the winner's two-digit grid cell, the fragment would
-    // name another cell.
+    // name another cell.  A whole round line with a repeated key or a
+    // quoted score is damage too, and re-runs its round the same way.
     auto config = [](const std::string& dir) {
         adversary::SearchConfig c = tinyConfig(dir, "adaptive");
         c.seed = 2;
         return c;
     };
     TempDir ref("torn_ref");
-    TempDir cut("torn_cut");
     const adversary::SearchReport expected =
         adversary::runSearch(config(ref.str()), exp::ThreadPool::global());
     ASSERT_TRUE(expected.complete);
     ASSERT_GE(expected.best.knobs.gridCell, 10)
         << "pick a seed whose winner sits in a two-digit cell";
-    ASSERT_TRUE(
-        adversary::runSearch(config(cut.str()), exp::ThreadPool::global())
-            .complete);
 
-    const std::string journal = cut.str() + "/search.jsonl";
-    std::string text = slurp(journal);
-    const std::size_t last = text.rfind("{\"type\":\"round\"");
-    ASSERT_NE(last, std::string::npos);
-    const std::string cellKey = "\"grid_cell\":";
-    const std::size_t cell = text.find(cellKey, last);
-    ASSERT_NE(cell, std::string::npos);
-    text.resize(cell + cellKey.size() + 1);
-    std::ofstream(journal, std::ios::binary | std::ios::trunc) << text;
-    fs::remove(cut.str() + "/best_spec.json");
+    for (const std::string damage : {"cut", "duplicate key", "wrong type"}) {
+        SCOPED_TRACE(damage);
+        TempDir cut("torn_cut");
+        ASSERT_TRUE(adversary::runSearch(config(cut.str()),
+                                         exp::ThreadPool::global())
+                        .complete);
 
-    const adversary::SearchReport resumed =
-        adversary::runSearch(config(cut.str()), exp::ThreadPool::global());
-    ASSERT_TRUE(resumed.complete);
-    EXPECT_TRUE(resumed.replayMatches);
-    EXPECT_EQ(resumed.best.score, expected.best.score);
-    EXPECT_EQ(slurp(cut.str() + "/best_spec.json"),
-              slurp(ref.str() + "/best_spec.json"));
-    // The fragment stays one damaged line; the re-run round landed
-    // whole after it.
-    EXPECT_EQ(metrics::readJsonl(journal,
-                                 [](const metrics::JsonValue&) {
-                                     return true;
-                                 }),
-              1u);
+        const std::string journal = cut.str() + "/search.jsonl";
+        std::string text = slurp(journal);
+        const std::size_t last = text.rfind("{\"type\":\"round\"");
+        ASSERT_NE(last, std::string::npos);
+        if (damage == "cut") {
+            const std::string cellKey = "\"grid_cell\":";
+            const std::size_t cell = text.find(cellKey, last);
+            ASSERT_NE(cell, std::string::npos);
+            text.resize(cell + cellKey.size() + 1);
+        } else if (damage == "duplicate key") {
+            text.insert(last + 1, "\"type\":\"round\",");
+        } else {
+            const std::string scoreKey = "\"best_score\":";
+            const std::size_t score = text.find(scoreKey, last);
+            ASSERT_NE(score, std::string::npos);
+            const std::size_t value = score + scoreKey.size();
+            text.insert(text.find(',', value), 1, '"');
+            text.insert(value, 1, '"');
+        }
+        std::ofstream(journal, std::ios::binary | std::ios::trunc) << text;
+        fs::remove(cut.str() + "/best_spec.json");
+
+        const adversary::SearchReport resumed = adversary::runSearch(
+            config(cut.str()), exp::ThreadPool::global());
+        ASSERT_TRUE(resumed.complete);
+        EXPECT_TRUE(resumed.replayMatches);
+        EXPECT_EQ(resumed.best.score, expected.best.score);
+        EXPECT_EQ(slurp(cut.str() + "/best_spec.json"),
+                  slurp(ref.str() + "/best_spec.json"));
+        // The damaged line stays one damaged line; the re-run round
+        // landed whole after it.
+        EXPECT_EQ(metrics::readJsonl(journal,
+                                     [](const metrics::JsonValue& v) {
+                                         return v.getString("type") !=
+                                                    "round" ||
+                                                v.getU64("best_score")
+                                                    .has_value();
+                                     }),
+                  1u);
+    }
 }
 
 TEST(AdversarySearch, BestSpecReplaysThroughTheEngineToTheBestTotals)

@@ -539,10 +539,15 @@ TEST(ManifestTest, TornTailAndGarbageAreCountedNotFatal)
         w.append({1, campaign::JobState::kRunning, 0, 0, ""});
     }
     {
-        // Crash damage: a garbage line and an unterminated tail.
+        // Crash damage: a garbage line, a repeated key, a mistyped
+        // field and an unterminated tail.
         std::ofstream out(path, std::ios::app | std::ios::binary);
         out << "{\"job\":2,\"state\":\"exploded\",\"attempt\":0,"
                "\"slices\":0}\n";
+        out << "{\"job\":2,\"state\":\"done\",\"state\":\"done\","
+               "\"attempt\":0,\"slices\":1}\n";
+        out << "{\"job\":3,\"state\":\"done\",\"attempt\":\"0\","
+               "\"slices\":1}\n";
         out << "{\"job\":3,\"state\":\"run";  // no newline
     }
     campaign::ManifestRecovery rec = campaign::readManifest(path);
@@ -551,7 +556,7 @@ TEST(ManifestTest, TornTailAndGarbageAreCountedNotFatal)
     EXPECT_EQ(rec.stateOf(1), campaign::JobState::kRunning);
     EXPECT_EQ(rec.stateOf(2), campaign::JobState::kPending);
     EXPECT_EQ(rec.stateOf(3), campaign::JobState::kPending);
-    EXPECT_EQ(rec.tornLines, 2u);
+    EXPECT_EQ(rec.tornLines, 4u);
     EXPECT_EQ(campaign::readManifest(dir.str() + "/missing.jsonl")
                   .hasHeader,
               false);
@@ -985,34 +990,51 @@ TEST(EngineTest, TornResultTailNeverGluesOntoTheNextRecord)
 
 TEST(EngineTest, DamagedInteriorResultLineReRunsItsJob)
 {
-    TempDir ref("midref"), dir("mid");
+    TempDir ref("midref");
     exp::ThreadPool pool(1);
     campaign::runCampaign(engineConfig(ref.str()), pool);
-    auto config = engineConfig(dir.str());
-    config.maxJobsThisRun = 3;
-    campaign::runCampaign(config, pool);
 
     // Damage the middle line: drop its closing brace and the last digit
-    // of `cycles`.  It must read as damage, not as a smaller count.
-    const std::string path = dir.str() + "/results.jsonl";
-    std::string text = slurp(path);
-    const std::size_t lineStart = text.find('\n') + 1;
-    const std::size_t lineEnd = text.find('\n', lineStart);
-    ASSERT_NE(lineEnd, std::string::npos);
-    ASSERT_EQ(text[lineEnd - 1], '}');
-    text.erase(lineEnd - 1, 1);
-    const std::size_t cycles = text.find("\"cycles\":", lineStart);
-    ASSERT_LT(cycles, lineEnd);
-    text.erase(text.find(',', cycles) - 1, 1);
-    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+    // of `cycles`, repeat its first key, or quote `cycles`.  Each must
+    // read as damage, never as a record (a smaller count, say).
+    for (const std::string damage : {"cut", "duplicate key", "wrong type"}) {
+        SCOPED_TRACE(damage);
+        TempDir dir("mid");
+        auto config = engineConfig(dir.str());
+        config.maxJobsThisRun = 3;
+        campaign::runCampaign(config, pool);
 
-    const campaign::EngineReport resumed =
-        campaign::runCampaign(engineConfig(dir.str()), pool);
-    EXPECT_TRUE(resumed.complete);
-    EXPECT_EQ(resumed.tornResultLines, 1u);
-    EXPECT_EQ(resumed.jobsRequeued, 1u) << "the damaged job must re-run";
-    EXPECT_EQ(slurp(dir.str() + "/aggregate.json"),
-              slurp(ref.str() + "/aggregate.json"));
+        const std::string path = dir.str() + "/results.jsonl";
+        std::string text = slurp(path);
+        const std::size_t lineStart = text.find('\n') + 1;
+        const std::size_t lineEnd = text.find('\n', lineStart);
+        ASSERT_NE(lineEnd, std::string::npos);
+        ASSERT_EQ(text[lineEnd - 1], '}');
+        const std::size_t cycles = text.find("\"cycles\":", lineStart);
+        ASSERT_LT(cycles, lineEnd);
+        const std::size_t value = cycles + 9;
+        const std::size_t valueEnd = text.find(',', value);
+        if (damage == "cut") {
+            text.erase(lineEnd - 1, 1);
+            text.erase(valueEnd - 1, 1);
+        } else if (damage == "duplicate key") {
+            text.insert(lineStart + 1,
+                        text.substr(lineStart + 1,
+                                    text.find(',', lineStart) - lineStart));
+        } else {
+            text.insert(valueEnd, 1, '"');
+            text.insert(value, 1, '"');
+        }
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+
+        const campaign::EngineReport resumed =
+            campaign::runCampaign(engineConfig(dir.str()), pool);
+        EXPECT_TRUE(resumed.complete);
+        EXPECT_EQ(resumed.tornResultLines, 1u);
+        EXPECT_EQ(resumed.jobsRequeued, 1u) << "the damaged job must re-run";
+        EXPECT_EQ(slurp(dir.str() + "/aggregate.json"),
+                  slurp(ref.str() + "/aggregate.json"));
+    }
 }
 
 TEST(EngineTest, RefusesJobRecordsBehindADamagedHeader)

@@ -181,7 +181,7 @@ TEST(DefenseTest, HysteresisStepsDownOneLevelPerCalmDwell)
     while (dc.mode() != Mode::kUnderAttack)
         violate(dc, t, v);
 
-    // Decay to below scoreClear, then count the calm dwell per level.
+    // Decay to below kScoreClear, then count the calm dwell per level.
     int toSuspicious = 0;
     while (dc.mode() == Mode::kUnderAttack) {
         calm(dc, t, v);
@@ -452,7 +452,7 @@ TEST(DefenseTest, RedoCreditGateTripsLedgerOnRedoOnlyCycles)
 // backup and wake on every sample under a volt-scale tone, an ADC
 // shadow reading the quiet rail.  Every sample is a physics violation
 // plus two matured disagreement charges, which pins the score at
-// scoreMax — the state the simulator's bursts fast-forward.
+// kScoreMax — the state the simulator's bursts fast-forward.
 // ---------------------------------------------------------------------
 
 constexpr double kStormDt = 0.5e-6;  // comparator check interval
@@ -541,10 +541,10 @@ TEST(DefenseSteadyTest, RefusesOffTheFixedPoint)
         DefenseController dc(adaptiveConfig(), PlantModel{});
         for (int i = 0; i < 3; ++i)
             stormSample(dc, t, 2.6);
-        EXPECT_NE(dc.score(), adaptiveConfig().scoreMax);
+        EXPECT_NE(dc.score(), kScoreMax);
         EXPECT_FALSE(dc.steadyUnder(stormRun(t)));
     }
-    // At scoreMax, but one decay + evidence step falls short of it:
+    // At kScoreMax, but one decay + evidence step falls short of it:
     // 8 · 0.96 + 0.1 + 2 · 0.1 < 8.
     {
         DefenseConfig config = adaptiveConfig();
@@ -555,7 +555,7 @@ TEST(DefenseSteadyTest, RefusesOffTheFixedPoint)
         stormSample(dc, t, 2.6);  // arms the edge windows
         for (int i = 0; i < 4; ++i)
             dc.noteBootEvidence(t, true, true);
-        ASSERT_EQ(dc.score(), config.scoreMax);
+        ASSERT_EQ(dc.score(), kScoreMax);
         ASSERT_GE(dc.mode(), Mode::kUnderAttack);
         EXPECT_FALSE(dc.steadyUnder(stormRun(t)));
     }
@@ -565,7 +565,7 @@ TEST(DefenseSteadyTest, RefusesOffTheFixedPoint)
         config.scoreAttack = 100.0;
         DefenseController dc(config, PlantModel{});
         saturate(dc, t);
-        ASSERT_EQ(dc.score(), config.scoreMax);
+        ASSERT_EQ(dc.score(), kScoreMax);
         ASSERT_EQ(dc.mode(), Mode::kSuspicious);
         EXPECT_FALSE(dc.steadyUnder(stormRun(t)));
     }
@@ -576,7 +576,7 @@ TEST(DefenseSteadyTest, RefusesOffTheFixedPoint)
         saturate(dc, t);
         t += kStormDt;
         dc.observeSample(t, 2.6 - kStormAmp, 2.6 + kStormAmp, kTrip, kTrip);
-        ASSERT_EQ(dc.score(), adaptiveConfig().scoreMax);
+        ASSERT_EQ(dc.score(), kScoreMax);
         EXPECT_FALSE(dc.steadyUnder(stormRun(t)));
         stormSample(dc, t, 2.6);  // re-armed: steady again
         EXPECT_TRUE(dc.steadyUnder(stormRun(t)));
@@ -586,7 +586,7 @@ TEST(DefenseSteadyTest, RefusesOffTheFixedPoint)
         DefenseController dc(adaptiveConfig(), PlantModel{});
         saturate(dc, t);
         DefenseController::SteadyRun run = stormRun(t);
-        run.spanMin = 0.01;  // below physicsMarginV alone
+        run.spanMin = 0.01;  // below kPhysicsMarginV alone
         EXPECT_FALSE(dc.steadyUnder(run));
         // A long real gap before the first sample lifts its bound
         // above 2A even though later gaps are one sample interval.

@@ -65,8 +65,10 @@ TEST(DeviceDbTest, Fr5994ComparatorPathResonatesAt5And6MHz)
 TEST(DeviceDbTest, MonitorsInstantiable)
 {
     const auto& dev = DeviceDb::msp430fr5994();
-    auto adc = dev.makeMonitor(analog::MonitorKind::kAdc);
-    auto comp = dev.makeMonitor(analog::MonitorKind::kComparator);
+    auto adc = dev.makeMonitor(analog::MonitorKind::kAdc, dev.vBackup,
+                               dev.vOn);
+    auto comp = dev.makeMonitor(analog::MonitorKind::kComparator,
+                                dev.vBackup, dev.vOn);
     ASSERT_NE(adc, nullptr);
     ASSERT_NE(comp, nullptr);
     EXPECT_LT(comp->sampleIntervalS(), adc->sampleIntervalS());

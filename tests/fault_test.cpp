@@ -280,6 +280,47 @@ TEST(CorpusTest, LineRoundTrip)
     EXPECT_EQ(entries[0].spec.seed, r.spec.seed);
 }
 
+TEST(CorpusTest, DamagedNumbersAreRefusedNotTruncated)
+{
+    const std::string head =
+        "case workload=crc16 scheme=GECKO injector=bitflip ";
+    const std::string tail = " outcome=diverged";
+    // Each value must be read whole: a prefix parse would replay seed
+    // 12, seed 2^64 - 1 or injection event 7 and call it reproduced.
+    for (const char* numbers :
+         {"seed=12x injectAt=7 word=19", "seed=-1 injectAt=7 word=19",
+          "seed= injectAt=7 word=19",
+          "seed=18446744073709551616 injectAt=7 word=19",
+          "seed=12 injectAt=7.5 word=19", "seed=12 injectAt=+7 word=19",
+          "seed=12 injectAt=7 word=abc",
+          "seed=12 injectAt=7 word=4294967296"}) {
+        CorpusEntry entry;
+        std::string err;
+        EXPECT_FALSE(parseCorpusLine(head + numbers + tail, &entry, &err))
+            << numbers;
+        EXPECT_NE(err.find("bad "), std::string::npos) << err;
+    }
+    CorpusEntry entry;
+    std::string err;
+    ASSERT_TRUE(parseCorpusLine(head + "seed=12 injectAt=-1 word=-1" + tail,
+                                &entry, &err))
+        << err;
+    EXPECT_EQ(entry.spec.injectAtOverride, -1);
+    EXPECT_EQ(entry.spec.wordOverride, -1);
+
+    // A damaged corpus names the line it could not read.
+    std::uint64_t seed = 0;
+    try {
+        parseCorpus("# gecko-fault-corpus v1\n# seed 1\n" + head +
+                        "seed=12x injectAt=7 word=19" + tail + "\n",
+                    &seed);
+        ADD_FAILURE() << "a damaged corpus line must not parse";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(CampaignTest, GridCoversEveryInjectorAndScheme)
 {
     CampaignConfig config;

@@ -236,7 +236,7 @@ TEST(JitSegmentTest, BatchedGrantsMatchOneWordSegments)
         }
     }
     // The grid must tear just before, on and just after both segment
-    // boundaries: the veto read after word 48 (jitAbortWindowWords)
+    // boundaries: the veto read after word 48 (kJitAbortWindowWords)
     // and the recharge after word 64.
     for (std::uint64_t w : {47u, 48u, 49u, 63u, 64u, 65u})
         EXPECT_TRUE(tears.count(w)) << "no tear after " << w << " words";
