@@ -62,10 +62,12 @@ main(int argc, char** argv)
             config.monitorKind = variant.kind;
             config.cap.capacitanceF = 1e-3;
 
-            attack::AttackSchedule schedule;
+            std::vector<attack::AttackWindow> windows;
             for (const Window& w : variant.windows)
                 if (w.freqMhz > 0)
-                    schedule.add({w.startS, w.endS, w.freqMhz * 1e6, 35.0});
+                    windows.push_back(
+                        {w.startS, w.endS, w.freqMhz * 1e6, 35.0});
+            const attack::AttackSchedule schedule(std::move(windows));
 
             attack::RemoteRig rig(dev, variant.kind, 0.5);
             attack::EmiSource source(rig, 27e6, 35.0);

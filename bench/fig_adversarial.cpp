@@ -144,9 +144,9 @@ main(int argc, char** argv)
 
     // ---- deterministic matrix (stdout; diffed by the kill-resume
     // oracle) ----
+    const char* scheme = compiler::schemeName(adversary::kSearchScheme);
     std::cout << "=== Adversarial search: defense vs best attack ("
-              << base.workload << "/"
-              << compiler::schemeName(base.scheme) << ") ===\n\n";
+              << base.workload << "/" << scheme << ") ===\n\n";
     std::cout << "defense    score      clean→attacked commits   "
                  "rollbacks retries deaths escal  replay\n";
     std::string figRows = "[";
@@ -213,18 +213,18 @@ main(int argc, char** argv)
     figRows += "]";
     bench::telemetry().figureData =
         "{\"workload\":\"" + metrics::jsonEscape(base.workload) +
-        "\",\"scheme\":\"" + compiler::schemeName(base.scheme) +
+        "\",\"scheme\":\"" + scheme +
         "\",\"seed\":" + std::to_string(base.seed) +
         ",\"sim_s\":" + num(base.simSeconds) +
-        ",\"outage_period_s\":" + num(base.outagePeriodS) +
-        ",\"outage_on_frac\":" + num(base.outageOnFrac) +
+        ",\"outage_period_s\":" + num(adversary::kOutagePeriodS) +
+        ",\"outage_on_frac\":" + num(adversary::kOutageOnFrac) +
         ",\"rows\":" + figRows + "}";
 
     std::cout << "\nEach best attack is serialized to "
               << "<dir>/<defense>/best_spec.json; replay with\n  "
               << "campaign_runner --fresh --dir=out "
               << "--spec=.../best_spec.json --workloads=" << base.workload
-              << " --schemes=" << compiler::schemeName(base.scheme)
+              << " --schemes=" << scheme
               << " --defenses=<defense>\n";
     std::cout << (ok ? "# adversarial checks passed\n"
                      : "# adversarial checks FAILED\n");

@@ -9,121 +9,86 @@ namespace gecko::adversary {
 
 using metrics::roundTripNumber;
 
+const std::array<Knob, 6> kKnobs = {{
+    {"freq_hz", &AttackKnobs::freqHz, 5e6, 50e6},
+    {"power_dbm", &AttackKnobs::powerDbm, 20.0, 40.0},
+    {"duty_period_s", &AttackKnobs::dutyPeriodS, 0.001, 0.02},
+    {"duty_on_frac", &AttackKnobs::dutyOnFrac, 0.05, 1.0},
+    {"phase_s", &AttackKnobs::phaseS, 0.0, 0.008},
+    {"envelope_step_dbm", &AttackKnobs::envelopeStepDbm, 0.0, 20.0},
+}};
+
 namespace {
 
-double
-clampD(double v, double lo, double hi)
-{
-    return std::min(std::max(v, lo), hi);
-}
+constexpr int kCells = kGridRows * kGridCols;
+constexpr const char* kGridCellKey = "grid_cell";
 
 }  // namespace
 
 AttackKnobs
-clampKnobs(const AttackKnobs& k, const KnobBounds& b)
+clampKnobs(const AttackKnobs& k)
 {
     AttackKnobs out = k;
-    out.freqHz = clampD(k.freqHz, b.freqMinHz, b.freqMaxHz);
-    out.powerDbm = clampD(k.powerDbm, b.powerMinDbm, b.powerMaxDbm);
-    out.dutyPeriodS =
-        clampD(k.dutyPeriodS, b.dutyPeriodMinS, b.dutyPeriodMaxS);
-    out.dutyOnFrac = clampD(k.dutyOnFrac, b.dutyOnFracMin, b.dutyOnFracMax);
-    out.phaseS = clampD(k.phaseS, b.phaseMinS, b.phaseMaxS);
-    out.envelopeStepDbm =
-        clampD(k.envelopeStepDbm, 0.0, b.envelopeStepMaxDbm);
-    out.gridCell = std::min(std::max(k.gridCell, 0), b.cells() - 1);
+    for (const Knob& knob : kKnobs)
+        out.*knob.member = std::min(std::max(k.*knob.member, knob.lo),
+                                    knob.hi);
+    out.gridCell = std::min(std::max(k.gridCell, 0), kCells - 1);
     return out;
 }
 
 AttackKnobs
-randomKnobs(exp::Rng& rng, const KnobBounds& b)
+randomKnobs(exp::Rng& rng)
 {
     AttackKnobs k;
-    k.freqHz = b.freqMinHz + rng.uniform() * (b.freqMaxHz - b.freqMinHz);
-    k.powerDbm =
-        b.powerMinDbm + rng.uniform() * (b.powerMaxDbm - b.powerMinDbm);
-    k.dutyPeriodS = b.dutyPeriodMinS +
-                    rng.uniform() * (b.dutyPeriodMaxS - b.dutyPeriodMinS);
-    k.dutyOnFrac = b.dutyOnFracMin +
-                   rng.uniform() * (b.dutyOnFracMax - b.dutyOnFracMin);
-    k.phaseS = b.phaseMinS + rng.uniform() * (b.phaseMaxS - b.phaseMinS);
-    k.envelopeStepDbm = rng.uniform() * b.envelopeStepMaxDbm;
-    k.gridCell = static_cast<int>(rng.pick(
-        static_cast<std::uint32_t>(b.cells())));
+    for (const Knob& knob : kKnobs)
+        k.*knob.member = knob.lo + rng.uniform() * (knob.hi - knob.lo);
+    k.gridCell = static_cast<int>(rng.pick(kCells));
     return k;
 }
 
 AttackKnobs
-perturb(const AttackKnobs& k, const KnobBounds& b, int coord, int direction,
-        double stepScale)
+perturb(const AttackKnobs& k, int coord, int direction, double stepScale)
 {
     AttackKnobs out = k;
     const double d = direction >= 0 ? 1.0 : -1.0;
-    switch (coord) {
-      case 0:
-        out.freqHz += d * stepScale * 0.5 * (b.freqMaxHz - b.freqMinHz);
-        break;
-      case 1:
-        out.powerDbm +=
-            d * stepScale * 0.5 * (b.powerMaxDbm - b.powerMinDbm);
-        break;
-      case 2:
-        out.dutyPeriodS +=
-            d * stepScale * 0.5 * (b.dutyPeriodMaxS - b.dutyPeriodMinS);
-        break;
-      case 3:
-        out.dutyOnFrac +=
-            d * stepScale * 0.5 * (b.dutyOnFracMax - b.dutyOnFracMin);
-        break;
-      case 4:
-        out.phaseS += d * stepScale * 0.5 * (b.phaseMaxS - b.phaseMinS);
-        break;
-      case 5:
-        out.envelopeStepDbm += d * stepScale * 0.5 * b.envelopeStepMaxDbm;
-        break;
-      case 6: {
+    const int continuous = static_cast<int>(kKnobs.size());
+    if (coord >= 0 && coord < continuous) {
+        const Knob& knob = kKnobs[static_cast<std::size_t>(coord)];
+        out.*knob.member += d * stepScale * 0.5 * (knob.hi - knob.lo);
+    } else if (coord == continuous) {
         // Discrete coordinate: step at least one cell.
-        const int cells = b.cells();
-        const int step = std::max(
-            1, static_cast<int>(stepScale * 0.5 * cells));
+        const int step =
+            std::max(1, static_cast<int>(stepScale * 0.5 * kCells));
         out.gridCell += direction >= 0 ? step : -step;
-        break;
-      }
-      default:
-        break;
     }
-    return clampKnobs(out, b);
+    return clampKnobs(out);
 }
 
 campaign::Scenario
-toScenario(const AttackKnobs& k, const KnobBounds& b,
-           const std::string& name, double outagePeriodS,
-           double outageOnFrac)
+toScenario(const AttackKnobs& k, const std::string& name)
 {
     campaign::Scenario sc;
     sc.kind = campaign::ScenarioKind::kTone;
     sc.name = name;
     sc.freqHz = k.freqHz;
     sc.powerDbm = k.powerDbm;
-    sc.gridRows = b.gridRows;
-    sc.gridCols = b.gridCols;
-    sc.gridRow = k.gridCell / b.gridCols;
-    sc.gridCol = k.gridCell % b.gridCols;
+    sc.gridRows = kGridRows;
+    sc.gridCols = kGridCols;
+    sc.gridRow = k.gridCell / kGridCols;
+    sc.gridCol = k.gridCell % kGridCols;
     sc.dutyPeriodS = k.dutyPeriodS;
     sc.dutyOnFrac = k.dutyOnFrac;
     sc.phaseS = k.phaseS;
     if (k.envelopeStepDbm > 0.01)
         sc.envelopeDbm = {k.powerDbm, k.powerDbm - k.envelopeStepDbm};
-    sc.outagePeriodS = outagePeriodS;
-    sc.outageOnFrac = outageOnFrac;
+    sc.outagePeriodS = kOutagePeriodS;
+    sc.outageOnFrac = kOutageOnFrac;
     return sc;
 }
 
 fault::FaultSpec
-toSpec(const AttackKnobs& k, const KnobBounds& b, const std::string& name,
-       std::uint64_t seed, const std::string& device, int seeds,
-       double simS, double sliceS, double outagePeriodS,
-       double outageOnFrac)
+toSpec(const AttackKnobs& k, const std::string& name, std::uint64_t seed,
+       int seeds, double simS, double sliceS)
 {
     fault::FaultSpec spec;
     spec.version = 2;
@@ -132,9 +97,9 @@ toSpec(const AttackKnobs& k, const KnobBounds& b, const std::string& name,
     spec.seed = seed;
     spec.hasScenario = true;
     // Unnamed, as every parsed spec scenario is: the name is the spec's.
-    spec.scenario = toScenario(k, b, "", outagePeriodS, outageOnFrac);
+    spec.scenario = toScenario(k, "");
     spec.hasEngine = true;
-    spec.devices = {device};
+    spec.devices = {kSearchDevice};
     spec.seeds = seeds;
     spec.simS = simS;
     spec.sliceS = sliceS;
@@ -145,13 +110,13 @@ std::string
 knobsJson(const AttackKnobs& k)
 {
     std::ostringstream os;
-    os << "{\"freq_hz\":" << roundTripNumber(k.freqHz)
-       << ",\"power_dbm\":" << roundTripNumber(k.powerDbm)
-       << ",\"duty_period_s\":" << roundTripNumber(k.dutyPeriodS)
-       << ",\"duty_on_frac\":" << roundTripNumber(k.dutyOnFrac)
-       << ",\"phase_s\":" << roundTripNumber(k.phaseS)
-       << ",\"envelope_step_dbm\":" << roundTripNumber(k.envelopeStepDbm)
-       << ",\"grid_cell\":" << k.gridCell << "}";
+    char separator = '{';
+    for (const Knob& knob : kKnobs) {
+        os << separator << "\"" << knob.key
+           << "\":" << roundTripNumber(k.*knob.member);
+        separator = ',';
+    }
+    os << ",\"" << kGridCellKey << "\":" << k.gridCell << "}";
     return os.str();
 }
 
@@ -159,19 +124,14 @@ bool
 knobsFromJson(const metrics::JsonValue& v, AttackKnobs* out)
 {
     AttackKnobs k;
-    auto read = [&v](const char* key, double* field) {
-        const std::optional<double> n = v.getNumber(key);
-        if (n)
-            *field = *n;
-        return n.has_value();
-    };
-    const std::optional<std::uint64_t> cell = v.getU64("grid_cell");
-    if (!read("freq_hz", &k.freqHz) || !read("power_dbm", &k.powerDbm) ||
-        !read("duty_period_s", &k.dutyPeriodS) ||
-        !read("duty_on_frac", &k.dutyOnFrac) ||
-        !read("phase_s", &k.phaseS) ||
-        !read("envelope_step_dbm", &k.envelopeStepDbm) || !cell ||
-        *cell > INT_MAX)
+    for (const Knob& knob : kKnobs) {
+        const std::optional<double> n = v.getNumber(knob.key);
+        if (!n)
+            return false;
+        k.*knob.member = *n;
+    }
+    const std::optional<std::uint64_t> cell = v.getU64(kGridCellKey);
+    if (!cell || *cell > INT_MAX)
         return false;
     k.gridCell = static_cast<int>(*cell);
     *out = k;

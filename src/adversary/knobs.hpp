@@ -1,6 +1,7 @@
 #ifndef GECKO_ADVERSARY_KNOBS_HPP_
 #define GECKO_ADVERSARY_KNOBS_HPP_
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -46,58 +47,65 @@ struct AttackKnobs {
     int gridCell = 0;
 };
 
-/** Box bounds of the space (clamping + random restarts). */
-struct KnobBounds {
-    double freqMinHz = 5e6, freqMaxHz = 50e6;
-    double powerMinDbm = 20.0, powerMaxDbm = 40.0;
-    double dutyPeriodMinS = 0.001, dutyPeriodMaxS = 0.02;
-    double dutyOnFracMin = 0.05, dutyOnFracMax = 1.0;
-    double phaseMinS = 0.0, phaseMaxS = 0.008;
-    double envelopeStepMaxDbm = 20.0;
-    /// Spatial grid the attacker moves on (row-major cells).
-    int gridRows = 8;
-    int gridCols = 8;
-
-    int cells() const { return gridRows * gridCols; }
+/** One continuous coordinate: its search.jsonl key, its AttackKnobs
+ *  member and its box [lo, hi]. */
+struct Knob {
+    const char* key;
+    double AttackKnobs::*member;
+    double lo;
+    double hi;
 };
 
-/** Number of search coordinates (see perturb()). */
-inline constexpr int kKnobCount = 7;
+/** The continuous coordinates, in journal key order, which is also
+ *  the random-restart draw order (knobs.cpp). */
+extern const std::array<Knob, 6> kKnobs;
+
+/** Number of search coordinates: kKnobs, then the grid cell. */
+inline constexpr int kKnobCount = std::tuple_size_v<decltype(kKnobs)> + 1;
+
+/// Spatial grid the attacker moves on (row-major cells).
+inline constexpr int kGridRows = 8;
+inline constexpr int kGridCols = 8;
+
+/// The search victim: the defense under attack runs GECKO on this
+/// board.
+inline constexpr compiler::Scheme kSearchScheme = compiler::Scheme::kGecko;
+inline constexpr const char* kSearchDevice = "MSP430FR5994";
+
+/// Harvester outage environment shared by every arm including the
+/// clean baseline (the phase-locking target): up 75 % of every 8 ms.
+inline constexpr double kOutagePeriodS = 0.008;
+inline constexpr double kOutageOnFrac = 0.75;
 
 /** Clamp every knob into the box. */
-AttackKnobs clampKnobs(const AttackKnobs& k, const KnobBounds& b);
+AttackKnobs clampKnobs(const AttackKnobs& k);
 
 /** Uniform random point in the box (random restart). */
-AttackKnobs randomKnobs(exp::Rng& rng, const KnobBounds& b);
+AttackKnobs randomKnobs(exp::Rng& rng);
 
 /**
  * The candidate one coordinate-search step away: knob `coord`
  * (0..kKnobCount-1) moved by `direction` (±1) times `stepScale` of its
  * half-range, clamped into the box.
  */
-AttackKnobs perturb(const AttackKnobs& k, const KnobBounds& b, int coord,
-                    int direction, double stepScale);
+AttackKnobs perturb(const AttackKnobs& k, int coord, int direction,
+                    double stepScale);
 
 /**
  * The campaign scenario evaluating this candidate: a named, duty-
- * cycled, spatially-placed tone with the given harvester-outage
- * environment (outagePeriodS <= 0 = constant supply).
+ * cycled, spatially-placed tone on the search's outage environment.
  */
-campaign::Scenario toScenario(const AttackKnobs& k, const KnobBounds& b,
-                              const std::string& name,
-                              double outagePeriodS, double outageOnFrac);
+campaign::Scenario toScenario(const AttackKnobs& k, const std::string& name);
 
 /**
  * The candidate as a schema-v2 scenario spec (bit-identical replay
  * artifact): scenario section = toScenario() unnamed (a parsed spec's
  * scenario never carries a name), engine section from the evaluation
- * parameters.
+ * parameters on the search device.
  */
-fault::FaultSpec toSpec(const AttackKnobs& k, const KnobBounds& b,
-                        const std::string& name, std::uint64_t seed,
-                        const std::string& device, int seeds, double simS,
-                        double sliceS, double outagePeriodS,
-                        double outageOnFrac);
+fault::FaultSpec toSpec(const AttackKnobs& k, const std::string& name,
+                        std::uint64_t seed, int seeds, double simS,
+                        double sliceS);
 
 /** Canonical JSON object of the knobs (journal / telemetry payload). */
 std::string knobsJson(const AttackKnobs& k);

@@ -45,18 +45,18 @@ proposeRound(const SearchConfig& config, const SearchState& st, int round)
     std::vector<AttackKnobs> out;
     if (round == 0) {
         // Seeding round: the default center plus random restarts.
-        out.push_back(clampKnobs(AttackKnobs{}, config.bounds));
+        out.push_back(clampKnobs(AttackKnobs{}));
         for (int i = 0; i < std::max(1, config.restarts); ++i)
-            out.push_back(randomKnobs(rng, config.bounds));
+            out.push_back(randomKnobs(rng));
         return out;
     }
     // Coordinate sweep around the incumbent, both directions per knob.
     for (int c = 0; c < kKnobCount; ++c) {
-        out.push_back(perturb(st.best, config.bounds, c, +1, st.stepScale));
-        out.push_back(perturb(st.best, config.bounds, c, -1, st.stepScale));
+        out.push_back(perturb(st.best, c, +1, st.stepScale));
+        out.push_back(perturb(st.best, c, -1, st.stepScale));
     }
     for (int i = 0; i < config.restarts; ++i)
-        out.push_back(randomKnobs(rng, config.bounds));
+        out.push_back(randomKnobs(rng));
     return out;
 }
 
@@ -66,7 +66,7 @@ groupOf(const SearchConfig& config, const campaign::Scenario& scenario)
 {
     campaign::JobSpec job;
     job.workload = config.workload;
-    job.scheme = config.scheme;
+    job.scheme = kSearchScheme;
     job.scenario = scenario;
     job.defense = config.defense;
     return job.groupKey();
@@ -79,16 +79,13 @@ spaceFor(const SearchConfig& config,
 {
     campaign::CampaignSpace space;
     space.workloads = {config.workload};
-    space.schemes = {config.scheme};
-    space.devices = {config.device};
+    space.schemes = {kSearchScheme};
+    space.devices = {kSearchDevice};
     space.defenses = {config.defense};
-    space.scenarios = {campaign::cleanBaseline(config.outagePeriodS,
-                                               config.outageOnFrac)};
+    space.scenarios = {campaign::cleanBaseline(kOutagePeriodS, kOutageOnFrac)};
     for (std::size_t i = 0; i < candidates.size(); ++i)
         space.scenarios.push_back(toScenario(
-            candidates[i], config.bounds,
-            candName(round, static_cast<int>(i)), config.outagePeriodS,
-            config.outageOnFrac));
+            candidates[i], candName(round, static_cast<int>(i))));
     space.seeds = campaign::seedRange(std::max(1, config.seedsPerCandidate));
     space.simSeconds = config.simSeconds;
     space.sliceSimSeconds = config.sliceSimSeconds;
@@ -259,9 +256,7 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
     // single-candidate space must reproduce the journaled score
     // exactly.
     campaign::CampaignSpace evalSpace = spaceFor(config, {}, 0);
-    evalSpace.scenarios.push_back(toScenario(
-        st.best, config.bounds, "best", config.outagePeriodS,
-        config.outageOnFrac));
+    evalSpace.scenarios.push_back(toScenario(st.best, "best"));
     const std::string evalDir = config.dir + "/best_eval";
     const auto groups =
         runRoundCampaign(config, evalDir, evalSpace, pool, out.totals);
@@ -285,11 +280,10 @@ runSearch(const SearchConfig& config, exp::ThreadPool& pool)
 
     // Serialize the winner as a schema-v2 spec (the durable replay
     // artifact named in EXPERIMENTS.md).
-    const fault::FaultSpec spec = toSpec(
-        st.best, config.bounds, "best-vs-" + config.defense, config.seed,
-        config.device, std::max(1, config.seedsPerCandidate),
-        config.simSeconds, config.sliceSimSeconds, config.outagePeriodS,
-        config.outageOnFrac);
+    const fault::FaultSpec spec =
+        toSpec(st.best, "best-vs-" + config.defense, config.seed,
+               std::max(1, config.seedsPerCandidate), config.simSeconds,
+               config.sliceSimSeconds);
     out.bestSpecJson = fault::serializeSpec(spec);
     const std::string specPath = config.dir + "/best_spec.json";
     campaign::mustWrite(

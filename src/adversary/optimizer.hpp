@@ -38,7 +38,8 @@
 
 namespace gecko::adversary {
 
-/** Search budget and evaluation environment. */
+/** Search budget and the defense under attack.  The victim and its
+ *  outage environment are constants (knobs.hpp). */
 struct SearchConfig {
     /// Durable root: search.jsonl, round_<n>/, best_eval/,
     /// best_spec.json.  Must exist.
@@ -46,8 +47,6 @@ struct SearchConfig {
     /// Defense preset the attacker optimizes against.
     std::string defense = "static";
     std::string workload = "sensor_loop";
-    compiler::Scheme scheme = compiler::Scheme::kGecko;
-    std::string device = "MSP430FR5994";
     /// Coordinate-search rounds after the seeding round.
     int rounds = 4;
     /// Random-restart candidates added per round.
@@ -57,11 +56,6 @@ struct SearchConfig {
     std::uint64_t seed = 1;
     double simSeconds = 0.02;
     double sliceSimSeconds = 0.005;
-    /// Harvester outage environment shared by every arm including the
-    /// clean baseline (phase locking target).
-    double outagePeriodS = 0.008;
-    double outageOnFrac = 0.75;
-    KnobBounds bounds;
     /// Cooperative stop, polled between jobs (campaign engine flag).
     std::function<bool()> stopRequested;
 };

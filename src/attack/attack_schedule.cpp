@@ -19,7 +19,7 @@ AttackSchedule::activeAt(double t) const
 }
 
 void
-AttackSchedule::rebuildIndex()
+AttackSchedule::buildIndex()
 {
     byStart_.resize(windows_.size());
     for (std::uint32_t i = 0; i < windows_.size(); ++i)
@@ -81,16 +81,16 @@ AttackSchedule::scenario(char scenario, double minuteS,
                          double attackMinutes, double freqHz,
                          double powerDbm)
 {
-    AttackSchedule sched;
+    std::vector<AttackWindow> windows;
     for (double m : scenarioMinutes(scenario)) {
         AttackWindow w;
         w.startS = m * minuteS;
         w.endS = (m + attackMinutes) * minuteS;
         w.freqHz = freqHz;
         w.powerDbm = powerDbm;
-        sched.add(w);
+        windows.push_back(w);
     }
-    return sched;
+    return AttackSchedule(std::move(windows));
 }
 
 std::string

@@ -29,13 +29,7 @@ class AttackSchedule
     explicit AttackSchedule(std::vector<AttackWindow> windows)
         : windows_(std::move(windows))
     {
-        rebuildIndex();
-    }
-
-    void add(const AttackWindow& w)
-    {
-        windows_.push_back(w);
-        rebuildIndex();
+        buildIndex();
     }
 
     /** The window active at time `t`, if any. */
@@ -72,14 +66,14 @@ class AttackSchedule
     const std::vector<AttackWindow>& windows() const { return windows_; }
 
   private:
-    void rebuildIndex();
+    void buildIndex();
 
     std::vector<AttackWindow> windows_;
     /// Window indices ordered by startS, and the running maximum of
     /// endS over that order (prefixMaxEndS_[i] = max endS among the
-    /// first i+1 sorted windows).  Rebuilt on mutation: schedules are
-    /// tiny and frozen before the simulation starts, while the overlap
-    /// query runs on the per-horizon hot path.
+    /// first i+1 sorted windows).  Built once by the constructor:
+    /// schedules are frozen before the simulation starts, while the
+    /// overlap query runs on the per-horizon hot path.
     std::vector<std::uint32_t> byStart_;
     std::vector<double> prefixMaxEndS_;
 };

@@ -204,6 +204,45 @@ planSlices(const CampaignSpace& space)
     return plan;
 }
 
+/// Most attack windows one job's schedule may hold.  ScenarioEnv builds
+/// them all before the job starts and keeps them (~44 bytes each) for
+/// its lifetime, so a duty period far below the simulator's quantum
+/// would stall a run rather than fail it.  The largest in-tree schedule
+/// has 20 windows (a 1 ms duty period over 20 ms).
+constexpr std::uint64_t kMaxScheduleWindows = 1u << 18;
+/// Most slices one job may be cut into.  Each slice is a run() call
+/// and a stop-flag poll, and the count is journaled as an integer, so
+/// planSlices() must never see a larger one.  In-tree spaces plan 4.
+constexpr std::uint64_t kMaxSlices = 1u << 20;
+
+/** Refuse a space whose jobs would build unbounded state: duty windows
+ *  and slices both multiply as their period shrinks. */
+void
+checkBounds(const CampaignSpace& space)
+{
+    using metrics::roundTripNumber;
+    for (const Scenario& sc : space.scenarios) {
+        if (sc.kind == ScenarioKind::kClean || sc.dutyPeriodS <= 0.0)
+            continue;
+        const double windows =
+            (space.simSeconds - sc.phaseS) / sc.dutyPeriodS;
+        if (windows > static_cast<double>(kMaxScheduleWindows))
+            throw std::runtime_error(
+                "campaign: duty.period_s " +
+                roundTripNumber(sc.dutyPeriodS) + " over sim_s " +
+                roundTripNumber(space.simSeconds) + " makes more than " +
+                std::to_string(kMaxScheduleWindows) + " attack windows");
+    }
+    if (space.sliceSimSeconds <= 0.0)
+        return;
+    const double slices = space.simSeconds / space.sliceSimSeconds;
+    if (slices > static_cast<double>(kMaxSlices))
+        throw std::runtime_error(
+            "campaign: slice_s " + roundTripNumber(space.sliceSimSeconds) +
+            " over sim_s " + roundTripNumber(space.simSeconds) +
+            " makes more than " + std::to_string(kMaxSlices) + " slices");
+}
+
 std::string
 snapshotPath(const std::string& dir, std::uint64_t job)
 {
@@ -546,6 +585,7 @@ runCampaign(const EngineConfig& config, exp::ThreadPool& pool)
     const std::uint64_t total = space.jobCount();
     if (total == 0)
         throw std::runtime_error("campaign: empty job space");
+    checkBounds(space);
 
     const std::string manifestPath = config.dir + "/manifest.jsonl";
     const std::string resultsPath = config.dir + "/results.jsonl";

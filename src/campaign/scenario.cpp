@@ -60,13 +60,16 @@ ScenarioEnv::ScenarioEnv(const Scenario& sc,
                    : sc.envelopeDbm[static_cast<std::size_t>(w) %
                                     sc.envelopeDbm.size()];
     };
+    // The windows are collected first and indexed once: a duty period
+    // far below the job's length makes many of them.
+    std::vector<attack::AttackWindow> windows;
     if (sc.dutyPeriodS > 0 && attacked_) {
         // Duty-cycled carrier (v2 attack-schedule scripting): on for
         // dutyOnFrac of every period, first window at phaseS.
         const double onS = sc.dutyPeriodS * sc.dutyOnFrac;
         int w = 0;
         for (double t = sc.phaseS; t < horizonS; t += sc.dutyPeriodS, ++w)
-            schedule_.add({t, t + onS, sc.freqHz, windowPower(w)});
+            windows.push_back({t, t + onS, sc.freqHz, windowPower(w)});
         scheduled_ = true;
     } else if (sc.kind == ScenarioKind::kBurst) {
         if (sc.burstCount > 0) {
@@ -76,8 +79,8 @@ ScenarioEnv::ScenarioEnv(const Scenario& sc,
                            ? sc.phaseS
                            : (sc.burstGapS > 0 ? sc.burstGapS : 0.001);
             for (int w = 0; w < sc.burstCount; ++w) {
-                schedule_.add({t, t + sc.burstOnS, sc.freqHz,
-                               windowPower(w)});
+                windows.push_back({t, t + sc.burstOnS, sc.freqHz,
+                                   windowPower(w)});
                 t += sc.burstOnS + sc.burstGapS;
             }
         } else {
@@ -87,12 +90,13 @@ ScenarioEnv::ScenarioEnv(const Scenario& sc,
             int nWindows = 2 + static_cast<int>(rng.pick(3));
             for (int w = 0; w < nWindows; ++w) {
                 double on = 0.001 * (1 + rng.pick(5));
-                schedule_.add({t, t + on, sc.freqHz, sc.powerDbm});
+                windows.push_back({t, t + on, sc.freqHz, sc.powerDbm});
                 t += on + 0.001 * (1 + rng.pick(4));
             }
         }
         scheduled_ = true;
     }
+    schedule_ = attack::AttackSchedule(std::move(windows));
 }
 
 energy::Harvester&

@@ -46,7 +46,6 @@ makeDevice(const std::string& name, bool has_comp,
 {
     DeviceProfile dev;
     dev.name = name;
-    dev.hasAdcMonitor = true;
     dev.hasComparatorMonitor = has_comp;
     dev.adcBits = adc_bits;
     dev.adcSampleHz = adc_sample_hz;

@@ -24,7 +24,7 @@ namespace gecko::device {
 struct DeviceProfile {
     std::string name;
 
-    bool hasAdcMonitor = true;
+    /// Every board has an ADC monitor; some also have a comparator.
     bool hasComparatorMonitor = false;
 
     /// ADC monitor resolution and conversion rate.

@@ -1,8 +1,12 @@
 #include "fault/spec.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <stdexcept>
+#include <type_traits>
 
 #include "exp/rng.hpp"
 #include "fault/injectors.hpp"
@@ -19,358 +23,300 @@ namespace {
 // ---------------------------------------------------------------------
 // Strict mapping: every object member must be consumed by name.
 // ---------------------------------------------------------------------
-bool
-failAt(std::string* error, const std::string& path, const std::string& what)
+
+/** The first spec diagnostic, which parseSpec() returns as its error. */
+struct SpecError : std::runtime_error {
+    using std::runtime_error::runtime_error;
+};
+
+[[noreturn]] void
+fail(const std::string& what)
 {
-    if (error->empty())
-        *error = "spec: " + what + " at " + path;
-    return false;
+    throw SpecError("spec: " + what);
 }
 
-bool
-asInt(const JsonValue& v, const std::string& path, int lo, int hi,
-      int* out, std::string* error)
+[[noreturn]] void
+failAt(const std::string& path, const std::string& what)
 {
-    if (v.type != JsonValue::kNumber ||
-        v.num != std::floor(v.num))
-        return failAt(error, path, "expected an integer");
-    if (v.num < lo || v.num > hi)
-        return failAt(error, path, "value out of range");
-    *out = static_cast<int>(v.num);
-    return true;
+    fail(what + " at " + path);
 }
 
-bool
-asU64(const JsonValue& v, const std::string& path, std::uint64_t* out,
-      std::string* error)
-{
-    const std::optional<std::uint64_t> u = v.asU64();
-    if (!u)
-        return failAt(error, path, "expected an unsigned integer");
-    *out = *u;
-    return true;
-}
+/** Reads the value of one member, found at `path`; throws SpecError. */
+using Reader =
+    std::function<void(const JsonValue& v, const std::string& path)>;
 
-bool
-asDouble(const JsonValue& v, const std::string& path, double* out,
-         std::string* error)
-{
-    if (v.type != JsonValue::kNumber)
-        return failAt(error, path, "expected a number");
-    *out = v.num;
-    return true;
-}
+/** One listed key of a spec object and the reader of its value. */
+struct Field {
+    const char* key;
+    Reader read;
+};
 
-bool
-asString(const JsonValue& v, const std::string& path, std::string* out,
-         std::string* error)
-{
-    if (v.type != JsonValue::kString)
-        return failAt(error, path, "expected a string");
-    *out = v.str;
-    return true;
-}
-
-bool
-asStringList(const JsonValue& v, const std::string& path,
-             std::vector<std::string>* out, std::string* error)
-{
-    if (v.type != JsonValue::kArray || v.arr.empty())
-        return failAt(error, path, "expected a non-empty string array");
-    out->clear();
-    for (const JsonValue& e : v.arr) {
-        if (e.type != JsonValue::kString || e.str.empty())
-            return failAt(error, path,
-                          "expected a non-empty string array");
-        out->push_back(e.str);
-    }
-    return true;
-}
-
-bool
-asDoubleList(const JsonValue& v, const std::string& path,
-             std::vector<double>* out, std::string* error)
-{
-    if (v.type != JsonValue::kArray || v.arr.empty())
-        return failAt(error, path, "expected a non-empty number array");
-    out->clear();
-    for (const JsonValue& e : v.arr) {
-        if (e.type != JsonValue::kNumber)
-            return failAt(error, path,
-                          "expected a non-empty number array");
-        out->push_back(e.num);
-    }
-    return true;
-}
-
-bool
-mapGrid(const JsonValue& v, campaign::Scenario* sc, std::string* error)
+/**
+ * The one strict object walk: `v` must be an object whose every member
+ * is a listed key.  Members are read in file order under their
+ * `$.path`, so the first error in the file is the one reported.
+ */
+void
+walk(const JsonValue& v, const std::string& path,
+     const std::vector<Field>& fields)
 {
     if (v.type != JsonValue::kObject)
-        return failAt(error, "$.scenario.grid", "expected an object");
+        failAt(path, "expected an object");
     for (const auto& [key, val] : v.members) {
-        std::string path = "$.scenario.grid." + key;
-        if (key == "rows") {
-            if (!asInt(val, path, 1, 4096, &sc->gridRows, error))
-                return false;
-        } else if (key == "cols") {
-            if (!asInt(val, path, 1, 4096, &sc->gridCols, error))
-                return false;
-        } else if (key == "row") {
-            if (!asInt(val, path, 0, 4095, &sc->gridRow, error))
-                return false;
-        } else if (key == "col") {
-            if (!asInt(val, path, 0, 4095, &sc->gridCol, error))
-                return false;
-        } else {
-            return failAt(error, path, "unknown field \"" + key + "\"");
-        }
+        const auto field =
+            std::find_if(fields.begin(), fields.end(),
+                         [&key](const Field& f) { return key == f.key; });
+        if (field == fields.end())
+            failAt(path + "." + key, "unknown field \"" + key + "\"");
+        field->read(val, path + "." + key);
     }
-    if (sc->gridRows < 1 || sc->gridCols < 1)
-        return failAt(error, "$.scenario.grid",
-                      "rows and cols are required");
-    if (sc->gridRow >= sc->gridRows || sc->gridCol >= sc->gridCols)
-        return failAt(error, "$.scenario.grid",
-                      "cell (row, col) outside the grid");
-    return true;
 }
 
-bool
-mapBurst(const JsonValue& v, campaign::Scenario* sc, std::string* error)
+/** A nested object: its table, then its cross-field rule, which
+ *  returns the diagnostic of a broken object or nullptr. */
+Reader
+object(std::vector<Field> fields,
+       std::function<const char*()> rule = nullptr)
 {
-    if (v.type != JsonValue::kObject)
-        return failAt(error, "$.scenario.burst", "expected an object");
-    for (const auto& [key, val] : v.members) {
-        std::string path = "$.scenario.burst." + key;
-        if (key == "count") {
-            if (!asInt(val, path, 1, 1000, &sc->burstCount, error))
-                return false;
-        } else if (key == "on_s") {
-            if (!asDouble(val, path, &sc->burstOnS, error))
-                return false;
-        } else if (key == "gap_s") {
-            if (!asDouble(val, path, &sc->burstGapS, error))
-                return false;
-        } else {
-            return failAt(error, path, "unknown field \"" + key + "\"");
-        }
-    }
-    if (sc->burstCount < 1 || sc->burstOnS <= 0.0 || sc->burstGapS < 0.0)
-        return failAt(error, "$.scenario.burst",
-                      "count >= 1 and on_s > 0 are required");
-    return true;
+    return [fields = std::move(fields), rule](const JsonValue& v,
+                                              const std::string& path) {
+        walk(v, path, fields);
+        if (const char* broken = rule ? rule() : nullptr)
+            failAt(path, broken);
+    };
 }
 
-bool
-mapDuty(const JsonValue& v, campaign::Scenario* sc, std::string* error)
+/** An integer in [lo, hi]. */
+Reader
+integer(int* out, int lo, int hi)
 {
-    if (v.type != JsonValue::kObject)
-        return failAt(error, "$.scenario.duty", "expected an object");
-    for (const auto& [key, val] : v.members) {
-        std::string path = "$.scenario.duty." + key;
-        if (key == "period_s") {
-            if (!asDouble(val, path, &sc->dutyPeriodS, error))
-                return false;
-        } else if (key == "on_frac") {
-            if (!asDouble(val, path, &sc->dutyOnFrac, error))
-                return false;
-        } else {
-            return failAt(error, path, "unknown field \"" + key + "\"");
-        }
-    }
-    if (sc->dutyPeriodS <= 0.0 || sc->dutyOnFrac <= 0.0 ||
-        sc->dutyOnFrac > 1.0)
-        return failAt(error, "$.scenario.duty",
-                      "period_s > 0 and on_frac in (0, 1] are required");
-    return true;
+    return [=](const JsonValue& v, const std::string& path) {
+        if (v.type != JsonValue::kNumber || v.num != std::floor(v.num))
+            failAt(path, "expected an integer");
+        if (v.num < lo || v.num > hi)
+            failAt(path, "value out of range");
+        *out = static_cast<int>(v.num);
+    };
 }
 
-bool
-mapOutage(const JsonValue& v, campaign::Scenario* sc, std::string* error)
+/** An unsigned 64-bit integer, read from its lexeme. */
+Reader
+u64(std::uint64_t* out)
 {
-    if (v.type != JsonValue::kObject)
-        return failAt(error, "$.scenario.outage", "expected an object");
-    for (const auto& [key, val] : v.members) {
-        std::string path = "$.scenario.outage." + key;
-        if (key == "period_s") {
-            if (!asDouble(val, path, &sc->outagePeriodS, error))
-                return false;
-        } else if (key == "on_frac") {
-            if (!asDouble(val, path, &sc->outageOnFrac, error))
-                return false;
-        } else {
-            return failAt(error, path, "unknown field \"" + key + "\"");
-        }
-    }
-    if (sc->outagePeriodS <= 0.0 || sc->outageOnFrac <= 0.0 ||
-        sc->outageOnFrac >= 1.0)
-        return failAt(error, "$.scenario.outage",
-                      "period_s > 0 and on_frac in (0, 1) are required");
-    return true;
+    return [=](const JsonValue& v, const std::string& path) {
+        const std::optional<std::uint64_t> u = v.asU64();
+        if (!u)
+            failAt(path, "expected an unsigned integer");
+        *out = *u;
+    };
 }
 
-bool
-mapScenario(const JsonValue& v, FaultSpec* spec,
-            std::vector<std::string>* v2Fields, std::string* error)
+/** The lower bound of a ranged number. */
+enum class Floor { kNone, kZero, kAboveZero };
+
+/** A number, optionally >= 0 (kZero) or > 0 (kAboveZero). */
+Reader
+number(double* out, Floor floor = Floor::kNone)
 {
-    if (v.type != JsonValue::kObject)
-        return failAt(error, "$.scenario", "expected an object");
+    return [=](const JsonValue& v, const std::string& path) {
+        if (v.type != JsonValue::kNumber)
+            failAt(path, "expected a number");
+        if ((floor == Floor::kZero && v.num < 0.0) ||
+            (floor == Floor::kAboveZero && v.num <= 0.0))
+            failAt(path, "value out of range");
+        *out = v.num;
+    };
+}
+
+/** A string. */
+Reader
+text(std::string* out)
+{
+    return [=](const JsonValue& v, const std::string& path) {
+        if (v.type != JsonValue::kString)
+            failAt(path, "expected a string");
+        *out = v.str;
+    };
+}
+
+/** A non-empty array of non-empty strings, or of numbers. */
+template <typename T>
+Reader
+list(std::vector<T>* out)
+{
+    return [=](const JsonValue& v, const std::string& path) {
+        constexpr bool kStrings = std::is_same_v<T, std::string>;
+        const char* what = kStrings ? "expected a non-empty string array"
+                                    : "expected a non-empty number array";
+        if (v.type != JsonValue::kArray || v.arr.empty())
+            failAt(path, what);
+        out->clear();
+        for (const JsonValue& e : v.arr) {
+            if constexpr (kStrings) {
+                if (e.type != JsonValue::kString || e.str.empty())
+                    failAt(path, what);
+                out->push_back(e.str);
+            } else {
+                if (e.type != JsonValue::kNumber)
+                    failAt(path, what);
+                out->push_back(e.num);
+            }
+        }
+    };
+}
+
+/** A non-empty list of names, each mapped through `fromName`. */
+template <typename T>
+Reader
+nameList(std::vector<T>* out, bool (*fromName)(const std::string&, T*),
+         const std::string& noun)
+{
+    return [=](const JsonValue& v, const std::string& path) {
+        std::vector<std::string> given;
+        list(&given)(v, path);
+        out->clear();
+        for (const std::string& n : given) {
+            T value;
+            if (!fromName(n, &value))
+                failAt(path, "unknown " + noun + " \"" + n + "\"");
+            out->push_back(value);
+        }
+    };
+}
+
+/** Read `root` into `spec`, whose fields start at their defaults. */
+void
+readSpec(const JsonValue& root, FaultSpec* spec)
+{
+    if (root.type != JsonValue::kObject)
+        fail("top-level value must be an object");
     campaign::Scenario& sc = spec->scenario;
     using campaign::ScenarioKind;
-    bool hasGrid = false, hasBurst = false;
-    for (const auto& [key, val] : v.members) {
-        std::string path = "$.scenario." + key;
-        if (key == "kind") {
-            std::string kind;
-            if (!asString(val, path, &kind, error))
-                return false;
-            for (ScenarioKind k : {ScenarioKind::kClean, ScenarioKind::kTone,
-                                   ScenarioKind::kBurst})
-                if (kind == campaign::scenarioName(k))
-                    sc.kind = k;
-            if (kind != campaign::scenarioName(sc.kind))
-                return failAt(error, path,
-                              "kind must be clean, tone or burst");
-        } else if (key == "freq_hz") {
-            if (!asDouble(val, path, &sc.freqHz, error))
-                return false;
-            if (sc.freqHz <= 0.0)
-                return failAt(error, path, "value out of range");
-        } else if (key == "power_dbm") {
-            if (!asDouble(val, path, &sc.powerDbm, error))
-                return false;
-        } else if (key == "grid") {
-            hasGrid = true;
-            if (!mapGrid(val, &sc, error))
-                return false;
-        } else if (key == "burst") {
-            hasBurst = true;
-            if (!mapBurst(val, &sc, error))
-                return false;
-        } else if (key == "duty") {
-            v2Fields->push_back(path);
-            if (!mapDuty(val, &sc, error))
-                return false;
-        } else if (key == "phase_s") {
-            v2Fields->push_back(path);
-            if (!asDouble(val, path, &sc.phaseS, error))
-                return false;
-            if (sc.phaseS < 0.0)
-                return failAt(error, path, "value out of range");
-        } else if (key == "envelope") {
-            v2Fields->push_back(path);
-            if (!asDoubleList(val, path, &sc.envelopeDbm, error))
-                return false;
-        } else if (key == "outage") {
-            v2Fields->push_back(path);
-            if (!mapOutage(val, &sc, error))
-                return false;
-        } else {
-            return failAt(error, path, "unknown field \"" + key + "\"");
-        }
-    }
-    if (sc.kind == ScenarioKind::kClean && (hasGrid || hasBurst))
-        return failAt(error, "$.scenario",
-                      "grid/burst require a tone or burst scenario");
-    if (hasBurst && sc.kind != ScenarioKind::kBurst)
-        return failAt(error, "$.scenario",
-                      "burst schedule requires kind \"burst\"");
-    if (sc.kind == ScenarioKind::kClean &&
-        (sc.dutyPeriodS > 0.0 || sc.phaseS > 0.0 ||
-         !sc.envelopeDbm.empty()))
-        return failAt(error, "$.scenario",
-                      "duty/phase_s/envelope require a tone or burst "
-                      "scenario");
-    spec->hasScenario = true;
-    return true;
-}
 
-bool
-mapCampaign(const JsonValue& v, FaultSpec* spec, std::string* error)
-{
-    if (v.type != JsonValue::kObject)
-        return failAt(error, "$.campaign", "expected an object");
-    for (const auto& [key, val] : v.members) {
-        std::string path = "$.campaign." + key;
-        if (key == "cases") {
-            if (!asInt(val, path, 1, 100000000, &spec->cases, error))
-                return false;
-        } else if (key == "corpus_per_group") {
-            if (!asInt(val, path, 1, 100000, &spec->corpusPerGroup,
-                       error))
-                return false;
-        } else if (key == "workloads") {
-            if (!asStringList(val, path, &spec->workloads, error))
-                return false;
-        } else if (key == "schemes") {
-            std::vector<std::string> names;
-            if (!asStringList(val, path, &names, error))
-                return false;
-            spec->schemes.clear();
-            for (const std::string& n : names) {
-                compiler::Scheme s;
-                if (!compiler::schemeFromName(n, &s))
-                    return failAt(error, path,
-                                  "unknown scheme \"" + n + "\"");
-                spec->schemes.push_back(s);
-            }
-        } else if (key == "injectors") {
-            std::vector<std::string> names;
-            if (!asStringList(val, path, &names, error))
-                return false;
-            spec->injectors.clear();
-            for (const std::string& n : names) {
-                InjectorKind k;
-                if (!injectorFromName(n, &k))
-                    return failAt(error, path,
-                                  "unknown injector \"" + n + "\"");
-                spec->injectors.push_back(k);
-            }
-        } else if (key == "sim_budget_s") {
-            if (!asDouble(val, path, &spec->simBudgetS, error))
-                return false;
-            if (spec->simBudgetS <= 0.0)
-                return failAt(error, path, "value out of range");
-        } else if (key == "watchdog") {
-            if (!asU64(val, path, &spec->watchdog, error))
-                return false;
-        } else {
-            return failAt(error, path, "unknown field \"" + key + "\"");
-        }
-    }
-    spec->hasCampaign = true;
-    return true;
-}
+    // Schema-v2 scenario members, in file order.  They are gated after
+    // the walk: the version key may legally follow the scenario.
+    std::vector<std::string> v2Fields;
+    auto v2 = [&v2Fields](Reader read) -> Reader {
+        return [&v2Fields, read](const JsonValue& v,
+                                 const std::string& path) {
+            v2Fields.push_back(path);
+            read(v, path);
+        };
+    };
+    const Reader version = [spec](const JsonValue& v,
+                                  const std::string& path) {
+        integer(&spec->version, 0, 1 << 20)(v, path);
+        if (spec->version != 1 && spec->version != 2)
+            fail("unsupported version " + std::to_string(spec->version) +
+                 " (this build reads versions 1 and 2)");
+    };
+    const Reader kind = [&sc](const JsonValue& v, const std::string& path) {
+        std::string name;
+        text(&name)(v, path);
+        for (ScenarioKind k : {ScenarioKind::kClean, ScenarioKind::kTone,
+                               ScenarioKind::kBurst})
+            if (name == campaign::scenarioName(k))
+                sc.kind = k;
+        if (name != campaign::scenarioName(sc.kind))
+            failAt(path, "kind must be clean, tone or burst");
+    };
+    const Reader grid = object(
+        {{"rows", integer(&sc.gridRows, 1, 4096)},
+         {"cols", integer(&sc.gridCols, 1, 4096)},
+         {"row", integer(&sc.gridRow, 0, 4095)},
+         {"col", integer(&sc.gridCol, 0, 4095)}},
+        [&sc]() -> const char* {
+            if (sc.gridRows < 1 || sc.gridCols < 1)
+                return "rows and cols are required";
+            if (sc.gridRow >= sc.gridRows || sc.gridCol >= sc.gridCols)
+                return "cell (row, col) outside the grid";
+            return nullptr;
+        });
+    const Reader burst = object(
+        {{"count", integer(&sc.burstCount, 1, 1000)},
+         {"on_s", number(&sc.burstOnS)},
+         {"gap_s", number(&sc.burstGapS)}},
+        [&sc]() -> const char* {
+            if (sc.burstCount < 1 || sc.burstOnS <= 0.0 ||
+                sc.burstGapS < 0.0)
+                return "count >= 1 and on_s > 0 are required";
+            return nullptr;
+        });
+    const Reader duty = object(
+        {{"period_s", number(&sc.dutyPeriodS)},
+         {"on_frac", number(&sc.dutyOnFrac)}},
+        [&sc]() -> const char* {
+            if (sc.dutyPeriodS <= 0.0 || sc.dutyOnFrac <= 0.0 ||
+                sc.dutyOnFrac > 1.0)
+                return "period_s > 0 and on_frac in (0, 1] are required";
+            return nullptr;
+        });
+    const Reader outage = object(
+        {{"period_s", number(&sc.outagePeriodS)},
+         {"on_frac", number(&sc.outageOnFrac)}},
+        [&sc]() -> const char* {
+            if (sc.outagePeriodS <= 0.0 || sc.outageOnFrac <= 0.0 ||
+                sc.outageOnFrac >= 1.0)
+                return "period_s > 0 and on_frac in (0, 1) are required";
+            return nullptr;
+        });
+    // A read grid has rows >= 1 and a read burst count >= 1, so those
+    // fields say whether the scenario named a grid or a burst.
+    const Reader scenario = object(
+        {{"kind", kind},
+         {"freq_hz", number(&sc.freqHz, Floor::kAboveZero)},
+         {"power_dbm", number(&sc.powerDbm)},
+         {"grid", grid},
+         {"burst", burst},
+         {"duty", v2(duty)},
+         {"phase_s", v2(number(&sc.phaseS, Floor::kZero))},
+         {"envelope", v2(list(&sc.envelopeDbm))},
+         {"outage", v2(outage)}},
+        [&sc]() -> const char* {
+            const bool clean = sc.kind == ScenarioKind::kClean;
+            if (clean && (sc.gridRows > 0 || sc.burstCount > 0))
+                return "grid/burst require a tone or burst scenario";
+            if (sc.burstCount > 0 && sc.kind != ScenarioKind::kBurst)
+                return "burst schedule requires kind \"burst\"";
+            if (clean && (sc.dutyPeriodS > 0.0 || sc.phaseS > 0.0 ||
+                          !sc.envelopeDbm.empty()))
+                return "duty/phase_s/envelope require a tone or burst "
+                       "scenario";
+            return nullptr;
+        });
+    const Reader campaignSection = object(
+        {{"cases", integer(&spec->cases, 1, 100000000)},
+         {"corpus_per_group", integer(&spec->corpusPerGroup, 1, 100000)},
+         {"workloads", list(&spec->workloads)},
+         {"schemes",
+          nameList(&spec->schemes, compiler::schemeFromName, "scheme")},
+         {"injectors",
+          nameList(&spec->injectors, injectorFromName, "injector")},
+         {"sim_budget_s", number(&spec->simBudgetS, Floor::kAboveZero)},
+         {"watchdog", u64(&spec->watchdog)}});
+    const Reader engine = object(
+        {{"devices", list(&spec->devices)},
+         {"seeds", integer(&spec->seeds, 1, 100000)},
+         {"sim_s", number(&spec->simS, Floor::kAboveZero)},
+         {"slice_s", number(&spec->sliceS, Floor::kZero)}});
 
-bool
-mapEngine(const JsonValue& v, FaultSpec* spec, std::string* error)
-{
-    if (v.type != JsonValue::kObject)
-        return failAt(error, "$.engine", "expected an object");
-    for (const auto& [key, val] : v.members) {
-        std::string path = "$.engine." + key;
-        if (key == "devices") {
-            if (!asStringList(val, path, &spec->devices, error))
-                return false;
-        } else if (key == "seeds") {
-            if (!asInt(val, path, 1, 100000, &spec->seeds, error))
-                return false;
-        } else if (key == "sim_s") {
-            if (!asDouble(val, path, &spec->simS, error))
-                return false;
-            if (spec->simS <= 0.0)
-                return failAt(error, path, "value out of range");
-        } else if (key == "slice_s") {
-            if (!asDouble(val, path, &spec->sliceS, error))
-                return false;
-            if (spec->sliceS < 0.0)
-                return failAt(error, path, "value out of range");
-        } else {
-            return failAt(error, path, "unknown field \"" + key + "\"");
-        }
-    }
-    spec->hasEngine = true;
-    return true;
+    walk(root, "$",
+         {{"version", version},
+          {"name", text(&spec->name)},
+          {"seed", u64(&spec->seed)},
+          {"campaign", campaignSection},
+          {"scenario", scenario},
+          {"engine", engine}});
+    if (!root.find("version"))
+        fail("missing required field \"version\"");
+    if (spec->version < 2 && !v2Fields.empty())
+        fail("field " + v2Fields.front() +
+             " requires version 2 (spec declares version " +
+             std::to_string(spec->version) + ")");
+    spec->hasSeed = root.find("seed") != nullptr;
+    spec->hasCampaign = root.find("campaign") != nullptr;
+    spec->hasScenario = root.find("scenario") != nullptr;
+    spec->hasEngine = root.find("engine") != nullptr;
 }
 
 // ---------------------------------------------------------------------
@@ -391,66 +337,17 @@ emitStringList(std::ostringstream& os, const std::vector<std::string>& v)
 bool
 parseSpec(const std::string& text, FaultSpec* out, std::string* error)
 {
-    std::string err;
     *out = FaultSpec{};
     JsonValue root;
-    if (!metrics::parseJson(text, &root, &err)) {
+    std::string err;
+    try {
+        if (!metrics::parseJson(text, &root, &err))
+            fail(err);
+        readSpec(root, out);
+    } catch (const SpecError& e) {
         if (error)
-            *error = "spec: " + err;
+            *error = e.what();
         return false;
-    }
-    auto failTop = [&](const std::string& what) {
-        if (error)
-            *error = err.empty() ? "spec: " + what : err;
-        return false;
-    };
-    if (root.type != JsonValue::kObject)
-        return failTop("top-level value must be an object");
-
-    bool sawVersion = false;
-    std::vector<std::string> v2Fields;
-    for (const auto& [key, val] : root.members) {
-        std::string path = "$." + key;
-        if (key == "version") {
-            sawVersion = true;
-            if (!asInt(val, path, 0, 1 << 20, &out->version, &err))
-                return failTop("");
-            if (out->version != 1 && out->version != 2) {
-                err = "spec: unsupported version " +
-                      std::to_string(out->version) +
-                      " (this build reads versions 1 and 2)";
-                return failTop("");
-            }
-        } else if (key == "name") {
-            if (!asString(val, path, &out->name, &err))
-                return failTop("");
-        } else if (key == "seed") {
-            if (!asU64(val, path, &out->seed, &err))
-                return failTop("");
-            out->hasSeed = true;
-        } else if (key == "campaign") {
-            if (!mapCampaign(val, out, &err))
-                return failTop("");
-        } else if (key == "scenario") {
-            if (!mapScenario(val, out, &v2Fields, &err))
-                return failTop("");
-        } else if (key == "engine") {
-            if (!mapEngine(val, out, &err))
-                return failTop("");
-        } else {
-            failAt(&err, path, "unknown field \"" + key + "\"");
-            return failTop("");
-        }
-    }
-    if (!sawVersion)
-        return failTop("missing required field \"version\"");
-    // Version gating happens after the walk (the version key may
-    // legally follow the scenario section in the file).
-    if (out->version < 2 && !v2Fields.empty()) {
-        err = "spec: field " + v2Fields.front() +
-              " requires version 2 (spec declares version " +
-              std::to_string(out->version) + ")";
-        return failTop("");
     }
     return true;
 }

@@ -32,9 +32,11 @@
  *
  * Parsing is *strict*: unknown fields and unsupported versions are
  * rejected with a field-path diagnostic, so a typo'd spec fails loudly
- * instead of silently running the default campaign.  serializeSpec()
- * emits a canonical form — parse → serialize → parse is byte-stable —
- * which is what the round-trip property test locks down.
+ * instead of silently running the default campaign.  Each object is one
+ * table of key -> typed reader, read by one walk in file order, so the
+ * first error in the file is the one reported (DESIGN.md §15).
+ * serializeSpec() emits a canonical form — parse → serialize → parse
+ * is byte-stable — which the round-trip and pin tests lock down.
  *
  * Seed precedence (resolveSeed): a seed in the spec file overrides
  * GECKO_SEED / --seed; without one the ambient seed applies, falling

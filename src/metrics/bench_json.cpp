@@ -22,16 +22,13 @@ std::string
 BenchReport::toJson() const
 {
     std::ostringstream os;
-    os << "{\"schema_version\":" << schemaVersion
+    os << "{\"schema_version\":" << kBenchSchemaVersion
        << ",\"figure\":\"" << jsonEscape(figure) << "\""
        << ",\"threads\":" << threads << ",\"host_cores\":" << hostCores
        << ",\"seed\":" << seed
        << ",\"defense_mode\":\"" << jsonEscape(defenseMode) << "\""
        << ",\"exec_backend\":\"" << jsonEscape(execBackend) << "\""
        << ",\"wall_s\":" << num(wallS);
-    if (serialWallS > 0)
-        os << ",\"serial_wall_s\":" << num(serialWallS)
-           << ",\"speedup\":" << num(speedup());
     const std::uint64_t simCycles = counters.exec.cycles;
     const std::uint64_t quanta = counters.sim.quanta;
     const runtime::RuntimeStats& rt = counters.runtime;

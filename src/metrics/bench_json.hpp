@@ -72,7 +72,6 @@ inline constexpr int kBenchSchemaVersion = 7;
 
 /** Telemetry of one bench binary run. */
 struct BenchReport {
-    int schemaVersion = kBenchSchemaVersion;
     std::string figure;
     int threads = 1;
     unsigned hostCores = 1;
@@ -87,9 +86,6 @@ struct BenchReport {
     std::string execBackend = "block";
     /// Process wall time from bench::init to report write (s).
     double wallS = 0.0;
-    /// Recorded serial (1-thread) wall time for the same figure; 0
-    /// when unknown.  Carried so speedup survives re-aggregation.
-    double serialWallS = 0.0;
     /// Counter totals of every simulation the bench ran; the report
     /// names six: `sim_cycles`, the schema-v5 `quanta` and
     /// `coalesced_quanta`, and the defence counters
@@ -104,12 +100,6 @@ struct BenchReport {
     /// (schema v6); "" = none.  The bench owns the sub-schema.
     std::string figureData;
     std::vector<SweepRecord> sweeps;
-
-    /** Speedup vs. the recorded serial baseline (0 = unknown). */
-    double speedup() const
-    {
-        return (serialWallS > 0 && wallS > 0) ? serialWallS / wallS : 0.0;
-    }
 
     /** Render as a single JSON object. */
     std::string toJson() const;

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include "adversary/knobs.hpp"
@@ -107,24 +109,20 @@ TEST(AdversaryKnobs, JsonRoundTripsEveryField)
 
 TEST(AdversaryKnobs, PerturbStaysInBoundsOnEveryCoordinate)
 {
-    const adversary::KnobBounds b;
     exp::Rng rng(exp::mixSeed(3, 99));
     for (int trial = 0; trial < 200; ++trial) {
-        adversary::AttackKnobs k = adversary::randomKnobs(rng, b);
+        adversary::AttackKnobs k = adversary::randomKnobs(rng);
         for (int coord = 0; coord < adversary::kKnobCount; ++coord) {
             for (int dir : {-1, +1}) {
                 const adversary::AttackKnobs p =
-                    adversary::perturb(k, b, coord, dir, 1.0);
-                EXPECT_GE(p.freqHz, b.freqMinHz);
-                EXPECT_LE(p.freqHz, b.freqMaxHz);
-                EXPECT_GE(p.powerDbm, b.powerMinDbm);
-                EXPECT_LE(p.powerDbm, b.powerMaxDbm);
-                EXPECT_GE(p.dutyOnFrac, b.dutyOnFracMin);
-                EXPECT_LE(p.dutyOnFrac, 1.0);
-                EXPECT_GE(p.phaseS, 0.0);
-                EXPECT_LE(p.phaseS, b.phaseMaxS);
+                    adversary::perturb(k, coord, dir, 1.0);
+                for (const adversary::Knob& knob : adversary::kKnobs) {
+                    EXPECT_GE(p.*knob.member, knob.lo) << knob.key;
+                    EXPECT_LE(p.*knob.member, knob.hi) << knob.key;
+                }
                 EXPECT_GE(p.gridCell, 0);
-                EXPECT_LT(p.gridCell, b.cells());
+                EXPECT_LT(p.gridCell,
+                          adversary::kGridRows * adversary::kGridCols);
             }
         }
     }
@@ -155,12 +153,11 @@ TEST(AdversaryKnobs, SerializedSpecReachesTheEngineAsTheCandidateScenario)
     // best_spec.json must carry exactly the scenario the search scored:
     // toSpec -> serializeSpec -> parseSpec -> applyToEngine yields
     // toScenario() (unnamed) for knobs that engage every field.
-    const adversary::KnobBounds b;
     exp::Rng rng(exp::mixSeed(5, 17));
     for (int trial = 0; trial < 50; ++trial) {
-        const adversary::AttackKnobs k = adversary::randomKnobs(rng, b);
-        const fault::FaultSpec spec = adversary::toSpec(
-            k, b, "t", 3, "MSP430FR5994", 2, 0.02, 0.005, 0.008, 0.75);
+        const adversary::AttackKnobs k = adversary::randomKnobs(rng);
+        const fault::FaultSpec spec =
+            adversary::toSpec(k, "t", 3, 2, 0.02, 0.005);
         fault::FaultSpec back;
         std::string error;
         ASSERT_TRUE(fault::parseSpec(fault::serializeSpec(spec), &back,
@@ -170,9 +167,9 @@ TEST(AdversaryKnobs, SerializedSpecReachesTheEngineAsTheCandidateScenario)
         fault::applyToEngine(back, &ec);
         ASSERT_EQ(ec.space.scenarios.size(), 2u);
         EXPECT_TRUE(ec.space.scenarios[0] ==
-                    campaign::cleanBaseline(0.008, 0.75));
-        EXPECT_TRUE(ec.space.scenarios[1] ==
-                    adversary::toScenario(k, b, "", 0.008, 0.75))
+                    campaign::cleanBaseline(adversary::kOutagePeriodS,
+                                            adversary::kOutageOnFrac));
+        EXPECT_TRUE(ec.space.scenarios[1] == adversary::toScenario(k, ""))
             << "trial " << trial << ": " << adversary::knobsJson(k);
     }
 }
@@ -296,6 +293,32 @@ TEST(AdversarySearch, TornFinalRoundLineIsIgnoredOnResume)
     }
 }
 
+TEST(AdversarySearch, RefusesASearchJournalHeldByAnotherWriter)
+{
+    // One search per directory: while another writer holds the journal
+    // the search refuses to start, and the journal keeps its bytes.
+    TempDir dir("held");
+    const std::string journal = dir.str() + "/search.jsonl";
+    std::ofstream(journal, std::ios::binary)
+        << "{\"type\":\"cand\",\"round\":0}\n";
+    const std::string before = slurp(journal);
+
+    const int fd = ::open(journal.c_str(), O_RDONLY);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::flock(fd, LOCK_EX | LOCK_NB), 0);
+    try {
+        adversary::runSearch(tinyConfig(dir.str(), "static"),
+                             exp::ThreadPool::global());
+        ADD_FAILURE() << "runSearch ran against a held journal";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("held by another writer"),
+                  std::string::npos)
+            << e.what();
+    }
+    ::close(fd);
+    EXPECT_EQ(slurp(journal), before);
+}
+
 TEST(AdversarySearch, BestSpecReplaysThroughTheEngineToTheBestTotals)
 {
     // The replay contract end to end: best_spec.json, loaded the way
@@ -318,7 +341,7 @@ TEST(AdversarySearch, BestSpecReplaysThroughTheEngineToTheBestTotals)
     ec.dir = dir.str() + "/spec_replay";
     fs::create_directories(ec.dir);
     ec.space.workloads = {config.workload};
-    ec.space.schemes = {config.scheme};
+    ec.space.schemes = {adversary::kSearchScheme};
     ec.space.defenses = {config.defense};
     fault::applyToEngine(spec, &ec);
     ASSERT_EQ(ec.space.scenarios.size(), 2u);
@@ -336,7 +359,7 @@ TEST(AdversarySearch, BestSpecReplaysThroughTheEngineToTheBestTotals)
                        });
     campaign::JobSpec attacked;
     attacked.workload = config.workload;
-    attacked.scheme = config.scheme;
+    attacked.scheme = adversary::kSearchScheme;
     attacked.scenario = ec.space.scenarios[1];
     attacked.defense = config.defense;
     const auto it = agg.groups().find(attacked.groupKey());

@@ -1093,6 +1093,33 @@ TEST(EngineTest, RefusesAJournalHeldByAnotherWriter)
     EXPECT_TRUE(campaign::runCampaign(engineConfig(dir.str()), pool).complete);
 }
 
+TEST(EngineTest, RefusesSpacesWhoseJobsCannotRun)
+{
+    // A 1 ps duty period would schedule 8e9 attack windows before the
+    // first job ran, and a 1e-300 s slice overflows the slice plan.
+    // Both are refused up front, naming the field, and journal nothing.
+    TempDir dir("bounds");
+    exp::ThreadPool pool(1);
+    auto expectRefused = [&](const campaign::EngineConfig& config,
+                             const std::string& field) {
+        try {
+            campaign::runCampaign(config, pool);
+            ADD_FAILURE() << "runCampaign ran with a tiny " << field;
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                << e.what();
+        }
+        EXPECT_TRUE(fs::is_empty(dir.str()));
+    };
+    auto tinyDuty = engineConfig(dir.str());
+    tinyDuty.space.scenarios[1].dutyPeriodS = 1e-12;
+    tinyDuty.space.scenarios[1].dutyOnFrac = 0.5;
+    expectRefused(tinyDuty, "duty.period_s");
+    auto tinySlice = engineConfig(dir.str());
+    tinySlice.space.sliceSimSeconds = 1e-300;
+    expectRefused(tinySlice, "slice_s");
+}
+
 TEST(EngineTest, SpatialSpecScenarioInterruptResumesByteIdentical)
 {
     // A grid-placed burst scenario built from a declarative spec — the

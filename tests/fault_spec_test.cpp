@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <utility>
+
 #include "exp/rng.hpp"
 #include "fault/campaign.hpp"
 #include "fault/spec.hpp"
@@ -160,6 +165,169 @@ TEST(SpecV2, RoundTripIsByteStableAndEveryFieldSurvives)
     EXPECT_DOUBLE_EQ(out.scenario.envelopeDbm[1], 29.0);
     EXPECT_DOUBLE_EQ(out.scenario.outagePeriodS, 0.008);
     EXPECT_DOUBLE_EQ(out.scenario.outageOnFrac, 0.75);
+}
+
+TEST(SpecPin, FullSpecSerializesToItsRecordedBytes)
+{
+    // The canonical text itself, not just its fixed-point property: a
+    // reordered key, a changed separator or number format fails here.
+    EXPECT_EQ(serializeSpec(fullSpecV2()), R"({
+  "version": 2,
+  "name": "round-trip",
+  "seed": 16045690984503111693,
+  "campaign": {
+    "cases": 48,
+    "corpus_per_group": 2,
+    "workloads": ["crc16", "sensor_loop"],
+    "schemes": ["NVP", "GECKO"],
+    "injectors": ["bitflip", "instrskip", "operandflip"],
+    "sim_budget_s": 0.75,
+    "watchdog": 123456
+  },
+  "scenario": {
+    "kind": "burst",
+    "freq_hz": 27000000,
+    "power_dbm": 35,
+    "grid": {"rows": 8, "cols": 8, "row": 3, "col": 5},
+    "burst": {"count": 3, "on_s": 0.004, "gap_s": 0.003},
+    "duty": {"period_s": 0.004, "on_frac": 0.5},
+    "phase_s": 0.001,
+    "envelope": [35, 29, 35, 23],
+    "outage": {"period_s": 0.008, "on_frac": 0.75}
+  },
+  "engine": {
+    "devices": ["MSP430FR5994"],
+    "seeds": 2,
+    "sim_s": 0.02,
+    "slice_s": 0.005
+  }
+}
+)");
+}
+
+TEST(SpecPin, CheckedInExamplesAreCanonical)
+{
+    int examples = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(GECKO_EXAMPLES_DIR)) {
+        if (entry.path().extension() != ".json")
+            continue;
+        SCOPED_TRACE(entry.path().string());
+        std::ifstream in(entry.path(), std::ios::binary);
+        std::ostringstream text;
+        text << in.rdbuf();
+        FaultSpec spec;
+        std::string error;
+        ASSERT_TRUE(parseSpec(text.str(), &spec, &error)) << error;
+        EXPECT_EQ(serializeSpec(spec), text.str());
+        ++examples;
+    }
+    EXPECT_GE(examples, 2);
+}
+
+TEST(SpecPin, EveryRuleReportsItsExactDiagnostic)
+{
+    // One malformed spec per rule, with the whole diagnostic.  The
+    // order-dependent cases pin the walk: members are read in file
+    // order, a section's own checks run before the rules that span
+    // sections, and the version gate runs after the walk.
+    const std::pair<const char*, const char*> cases[] = {
+        {R"([])", "spec: top-level value must be an object"},
+        {R"({"version": 1)",
+         "spec: expected ',' or '}' in object (line 1, column 14)"},
+        {R"({"version": 1, "version": 1})",
+         "spec: duplicate key \"version\" (line 1, column 25)"},
+        {R"({"name": "x"})", "spec: missing required field \"version\""},
+        {R"({"version": 3, "bogus": 1})",
+         "spec: unsupported version 3 (this build reads versions 1 and 2)"},
+        {R"({"bogus": 1})", "spec: unknown field \"bogus\" at $.bogus"},
+        {R"({"version": 1.5})", "spec: expected an integer at $.version"},
+        {R"({"version": -1})", "spec: value out of range at $.version"},
+        {R"({"version": 1, "name": 5})", "spec: expected a string at $.name"},
+        {R"({"version": 1, "seed": -1})",
+         "spec: expected an unsigned integer at $.seed"},
+        {R"({"version": 1, "campaign": []})",
+         "spec: expected an object at $.campaign"},
+        {R"({"version": 1, "campaign": {"casez": 10}})",
+         "spec: unknown field \"casez\" at $.campaign.casez"},
+        {R"({"version": 1, "campaign": {"cases": 0}})",
+         "spec: value out of range at $.campaign.cases"},
+        {R"({"version": 1, "campaign": {"workloads": []}})",
+         "spec: expected a non-empty string array at $.campaign.workloads"},
+        {R"({"version": 1, "campaign": {"schemes": ["NVP", "NOPE"]}})",
+         "spec: unknown scheme \"NOPE\" at $.campaign.schemes"},
+        {R"({"version": 1, "campaign": {"injectors": ["zapper"]}})",
+         "spec: unknown injector \"zapper\" at $.campaign.injectors"},
+        {R"({"version": 1, "campaign": {"sim_budget_s": 0}})",
+         "spec: value out of range at $.campaign.sim_budget_s"},
+        {R"({"version": 1, "campaign": {"watchdog": 1.5}})",
+         "spec: expected an unsigned integer at $.campaign.watchdog"},
+        {R"({"version": 1, "engine": {"seeds": 0}})",
+         "spec: value out of range at $.engine.seeds"},
+        {R"({"version": 1, "engine": {"sim_s": "x"}})",
+         "spec: expected a number at $.engine.sim_s"},
+        {R"({"version": 1, "engine": {"slice_s": -1}})",
+         "spec: value out of range at $.engine.slice_s"},
+        {R"({"version": 1, "scenario": {"kind": "bogus"}})",
+         "spec: kind must be clean, tone or burst at $.scenario.kind"},
+        {R"({"version": 1, "scenario": {"kind": "tone", "freq_hz": 0}})",
+         "spec: value out of range at $.scenario.freq_hz"},
+        {R"({"version": 1, "scenario": {"kind": "tone", "grid": 5}})",
+         "spec: expected an object at $.scenario.grid"},
+        {R"({"version": 1, "scenario": {"kind": "tone",
+             "grid": {"rows": 4097, "cols": 4}}})",
+         "spec: value out of range at $.scenario.grid.rows"},
+        {R"({"version": 1, "scenario": {"kind": "clean", "grid": {}}})",
+         "spec: rows and cols are required at $.scenario.grid"},
+        {R"({"version": 1, "scenario": {"kind": "tone",
+             "grid": {"rows": 4, "cols": 4, "row": 0, "col": 4}}})",
+         "spec: cell (row, col) outside the grid at $.scenario.grid"},
+        {R"({"version": 1, "scenario": {"kind": "burst",
+             "burst": {"count": 2, "on_s": 0}}})",
+         "spec: count >= 1 and on_s > 0 are required at $.scenario.burst"},
+        {R"({"version": 1, "scenario": {"kind": "burst",
+             "burst": {"count": 2, "on_s": 0.1, "gapp": 1}}})",
+         "spec: unknown field \"gapp\" at $.scenario.burst.gapp"},
+        {R"({"version": 1, "scenario": {"kind": "tone",
+             "burst": {"count": 2, "on_s": 0.1}}})",
+         "spec: burst schedule requires kind \"burst\" at $.scenario"},
+        {R"({"version": 1, "scenario": {
+             "grid": {"rows": 2, "cols": 2}, "kind": "clean"}})",
+         "spec: grid/burst require a tone or burst scenario at $.scenario"},
+        {R"({"version": 2, "scenario": {"kind": "tone",
+             "duty": {"period_s": 0.004, "on_frac": 1.5}}})",
+         "spec: period_s > 0 and on_frac in (0, 1] are required at "
+         "$.scenario.duty"},
+        {R"({"version": 2, "scenario": {"kind": "clean",
+             "outage": {"period_s": 0.008, "on_frac": 1}}})",
+         "spec: period_s > 0 and on_frac in (0, 1) are required at "
+         "$.scenario.outage"},
+        {R"({"version": 2, "scenario": {"kind": "tone", "phase_s": -1}})",
+         "spec: value out of range at $.scenario.phase_s"},
+        {R"({"version": 2, "scenario": {"kind": "tone",
+             "envelope": ["a"]}})",
+         "spec: expected a non-empty number array at $.scenario.envelope"},
+        {R"({"version": 2, "scenario": {"kind": "clean", "phase_s": 1}})",
+         "spec: duty/phase_s/envelope require a tone or burst scenario at "
+         "$.scenario"},
+        {R"({"scenario": {"kind": "tone",
+             "duty": {"period_s": 0.004, "on_frac": 0.5}}, "version": 1})",
+         "spec: field $.scenario.duty requires version 2 (spec declares "
+         "version 1)"},
+        {R"({"version": 1, "scenario": {"kind": "tone", "phase_s": 0.001,
+             "duty": {"period_s": 0.004, "on_frac": 0.5}}})",
+         "spec: field $.scenario.phase_s requires version 2 (spec declares "
+         "version 1)"},
+        {R"({"version": 1, "scenario": {"kind": "tone", "bogus": 1,
+             "duty": {"period_s": 0.004, "on_frac": 0.5}}})",
+         "spec: unknown field \"bogus\" at $.scenario.bogus"},
+    };
+    for (const auto& [text, diagnostic] : cases) {
+        FaultSpec spec;
+        std::string error;
+        EXPECT_FALSE(parseSpec(text, &spec, &error)) << text;
+        EXPECT_EQ(error, diagnostic) << text;
+    }
 }
 
 TEST(SpecV2, V2FieldsRejectedInV1Specs)
