@@ -51,19 +51,23 @@ AdcMonitor::observe(double seenV)
 std::optional<MonitorEvent>
 AdcMonitor::steadyEvent(double lo, double hi, double amplitude) const
 {
-    // Under a tone each conversion lands at a DCO-jittered carrier
-    // phase: no band bounds what it reads.
-    if (amplitude != 0.0 || lo > hi)
+    if (!(amplitude >= 0.0) || lo > hi)
         return std::nullopt;
-    // The ADC transfer curve is monotone, so checking the range
-    // endpoints bounds every code the monitor could see.  Each latch
-    // must keep its value for all of them; with both latches stable no
-    // edge can fire and `observe` is a pure no-op.
+    // Bounded tone: a conversion under a tone of peak A lands at a
+    // DCO-jittered carrier phase and reads RN(v + RN(A·sin x)).  With
+    // |sin x| <= 1 the tone term rounds into [−A, A], so a rail in
+    // [lo, hi] reads inside [RN(lo − A), RN(hi + A)] (A = 0: a plain
+    // point sample).  The ADC transfer curve is monotone, so those two
+    // reads bound every code the monitor could see.  Each latch must
+    // keep its value for all of them; with both latches stable no edge
+    // can fire and `observe` is a pure no-op.
+    const double readLo = lo - amplitude;
+    const double readHi = hi + amplitude;
     const bool belowStable = belowBackup_
-                                 ? adc_.sample(hi) < backupCode_
-                                 : adc_.sample(lo) >= backupCode_;
-    const bool aboveStable = aboveWake_ ? adc_.sample(lo) >= wakeCode_
-                                        : adc_.sample(hi) < wakeCode_;
+                                 ? adc_.sample(readHi) < backupCode_
+                                 : adc_.sample(readLo) >= backupCode_;
+    const bool aboveStable = aboveWake_ ? adc_.sample(readLo) >= wakeCode_
+                                        : adc_.sample(readHi) < wakeCode_;
     if (belowStable && aboveStable)
         return MonitorEvent{};
     return std::nullopt;

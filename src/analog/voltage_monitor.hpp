@@ -77,8 +77,9 @@ class VoltageMonitor
      * burst guard (DESIGN.md §14).  Consider every observation the
      * simulator makes while the rail stays inside [lo, hi] with a tone
      * of peak amplitude `amplitude` on it: a point sample of the rail
-     * when `amplitude` is 0, the window envelope [v − A, v + A] when
-     * the monitor is continuous.  If each of them provably returns the
+     * plus a tone reading of at most A in magnitude (an ADC), the
+     * window envelope [v − A, v + A] when the monitor is continuous.
+     * If each of them provably returns the
      * same event and leaves every latch at its current value, return
      * that event — `{}` for a quiet band, `{backup, wake}` for a
      * comparator the tone drives through both thresholds on every

@@ -1,6 +1,7 @@
 #include "attack/attack_schedule.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace gecko::attack {
@@ -49,6 +50,17 @@ AttackSchedule::overlapsRange(double t0, double t1) const
     const std::size_t k =
         static_cast<std::size_t>(it - byStart_.begin());
     return k > 0 && prefixMaxEndS_[k - 1] > t0;
+}
+
+double
+AttackSchedule::nextStartAfter(double t) const
+{
+    auto it = std::upper_bound(byStart_.begin(), byStart_.end(), t,
+                               [this](double x, std::uint32_t idx) {
+                                   return x < windows_[idx].startS;
+                               });
+    return it == byStart_.end() ? std::numeric_limits<double>::infinity()
+                                : windows_[*it].startS;
 }
 
 namespace {

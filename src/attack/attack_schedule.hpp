@@ -46,6 +46,14 @@ class AttackSchedule
     bool overlapsRange(double t0, double t1) const;
 
     /**
+     * The earliest window start strictly after `t` (infinity if none),
+     * in O(log n) from the same index.  No window but the one active at
+     * t can become active before it, so the simulator bounds a burst's
+     * horizon by it and the active window's end.
+     */
+    double nextStartAfter(double t) const;
+
+    /**
      * Fig. 13 scenarios (a)–(f).  The paper schedules attacks at minute
      * granularity over a 50-minute run; `minuteS` scales one paper-minute
      * to simulated seconds so the experiment stays tractable.

@@ -133,6 +133,19 @@ class DefenseController
                      double vLast);
 
     /**
+     * Whether the noteCommit calls of a run of running samples may fold
+     * into one with the final count, the samples evaluated without
+     * them: the debt ledger is empty (max(0, 0 − credit) clamps to 0
+     * however commits group), and no calm dwell in kDegraded waits on
+     * a first commit.  The run must stop before any mode change.
+     */
+    bool commitsFold() const
+    {
+        return stats_.energyDebtJ <= 0.0 &&
+               (mode_ != Mode::kDegraded || committedSinceDegrade_);
+    }
+
+    /**
      * Save-retry backoff for `attempt` (0-based), in cycles.  kNominal
      * keeps the static linearBackoffCycles schedule; escalated modes
      * back off exponentially with a cap so a sustained burst cannot be

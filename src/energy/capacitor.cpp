@@ -1,6 +1,7 @@
 #include "energy/capacitor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "campaign/archive.hpp"
@@ -9,9 +10,6 @@
 namespace gecko::energy {
 
 namespace {
-
-/// Open-circuit voltage below which the harvester counts as dark.
-constexpr double kOutageVocV = 0.05;
 
 [[maybe_unused]] std::uint64_t
 traceMv(double v)
@@ -26,10 +24,21 @@ Capacitor::Capacitor(const CapacitorConfig& config) : config_(config)
     setVoltage(config.initialV);
 }
 
+/**
+ * Whether a step's threshold crossings are traced: tested here, inline,
+ * so the slow path's charge and leak steps never leave the function
+ * just to find no trace buffer installed.
+ */
+inline bool
+Capacitor::tracingCrossings() const
+{
+    return watching_ && trace::current() != nullptr;
+}
+
 void
 Capacitor::chargeFrom(double vOc, double rSeries, double dt)
 {
-    traceOutage(vOc);
+    noteOutage(vOc);
     // The harvester front end rectifies (Fig. 1): no reverse current
     // flows into a source below the capacitor voltage.
     if (vOc <= voltage()) {
@@ -45,18 +54,14 @@ Capacitor::chargeFrom(double vOc, double rSeries, double dt)
     // the exp().  A miss recomputes exactly the cached expressions
     // (planCharge mirrors this derivation), so results are
     // bit-identical regardless of cache state.
-    if (vOc != planVoc_ || rSeries != planRs_ || dt != planDt_) {
-        plan_ = planCharge(vOc, rSeries, dt);
-        planVoc_ = vOc;
-        planRs_ = rSeries;
-        planDt_ = dt;
-    }
+    const ChargePlan& plan = chargePlan(vOc, rSeries, dt);
     const double prevE = energyJ_;
     double v = voltage();
-    v = plan_.vInf + (v - plan_.vInf) * plan_.rcDecay;
+    v = plan.vInf + (v - plan.vInf) * plan.rcDecay;
     v = std::clamp(v, 0.0, config_.maxV);
     setVoltage(v);
-    traceCrossings(prevE, energyJ_);
+    if (tracingCrossings())
+        traceCrossings(prevE, energyJ_);
 }
 
 void
@@ -73,7 +78,8 @@ Capacitor::leak(double dt)
     const double prevE = energyJ_;
     double v = voltage() * leakDecay_;
     setVoltage(v);
-    traceCrossings(prevE, energyJ_);
+    if (tracingCrossings())
+        traceCrossings(prevE, energyJ_);
 }
 
 double
@@ -88,6 +94,28 @@ Capacitor::timeToReach(double targetV, double vOc, double rSeries) const
     if (targetV >= v_inf)
         return -1.0;
     return std::log((v_inf - v0) / (v_inf - targetV)) / a;
+}
+
+double
+Capacitor::ceilingEnergy(double v) const
+{
+    const auto volts = [this](double e) {
+        return std::sqrt(2.0 * e / config_.capacitanceF);
+    };
+    // Non-negative doubles order like their bit patterns: bisect those
+    // between an energy at or below the ceiling (0) and one above it
+    // (the energy at about 2v).
+    std::uint64_t lo = std::bit_cast<std::uint64_t>(0.0);
+    std::uint64_t hi = std::bit_cast<std::uint64_t>(
+        0.5 * config_.capacitanceF * (4.0 * v * v + 1.0));
+    while (hi - lo > 1) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        if (volts(std::bit_cast<double>(mid)) > v)
+            hi = mid;
+        else
+            lo = mid;
+    }
+    return std::bit_cast<double>(lo);
 }
 
 void
@@ -127,11 +155,7 @@ Capacitor::traceCrossings(double prevE, double newE)
 void
 Capacitor::traceOutage(double vOc)
 {
-    if (!watching_)
-        return;
     const bool dark = vOc < kOutageVocV;
-    if (dark == outage_)
-        return;
     outage_ = dark;
     if (dark) {
         GECKO_TRACE_EVENT(trace::EventKind::kOutageStart, 0, traceMv(vOc),

@@ -152,6 +152,21 @@ class Capacitor
     }
 
     /**
+     * `planCharge(vOc, rSeries, dt)` through the memo `chargeFrom`
+     * keeps: a hit returns the doubles a fresh plan would hold.
+     */
+    const ChargePlan& chargePlan(double vOc, double rSeries, double dt)
+    {
+        if (vOc != planVoc_ || rSeries != planRs_ || dt != planDt_) {
+            plan_ = planCharge(vOc, rSeries, dt);
+            planVoc_ = vOc;
+            planRs_ = rSeries;
+            planDt_ = dt;
+        }
+        return plan_;
+    }
+
+    /**
      * The stored energy after one simulation step from `energyJ`:
      * `discharge(joules)` followed by `chargeFrom` under plan `p`.
      * Pure and static so the simulator's bursts can march the *exact*
@@ -163,14 +178,20 @@ class Capacitor
                              const ChargePlan& p, double capacitanceF,
                              double maxV)
     {
-        energyJ -= std::min(joules, energyJ);
+        // `E − min(j, E)` rounds like `max(E − j, 0)`: a difference of
+        // two doubles is zero only when they are equal, so `E − j` is
+        // negative exactly when the draw exceeds the buffer.
+        energyJ = std::max(energyJ - joules, 0.0);
         double v = std::sqrt(2.0 * energyJ / capacitanceF);
         if (p.vOc <= v)
             v = v * p.leakDecay;
         else
             v = p.vInf + (v - p.vInf) * p.rcDecay;
-        v = std::clamp(v, 0.0, maxV);
-        return 0.5 * capacitanceF * v * v;
+        // Both branches keep v >= 0, so the clamp is the upper bound
+        // alone; taking it after the squaring (½CV² is monotone in V)
+        // leaves the multiply chain free of it.
+        const double e = 0.5 * capacitanceF * v * v;
+        return v > maxV ? 0.5 * capacitanceF * maxV * maxV : e;
     }
 
     /**
@@ -194,7 +215,17 @@ class Capacitor
      * it is equivalent to the per-step `traceOutage` the slow path
      * performs inside `chargeFrom`.
      */
-    void noteSource(double vOc) { traceOutage(vOc); }
+    void noteSource(double vOc) { noteOutage(vOc); }
+
+    /**
+     * The largest stored energy whose `voltage()` is at most `v` (a
+     * finite voltage >= 0), so that `voltage() > v` ⇔
+     * `energy() > ceilingEnergy(v)`.  The
+     * rounded map E ↦ √(2E/C) is monotone, so a bisection over the
+     * doubles finds the boundary once and a per-step comparison
+     * replaces the divide and square root.
+     */
+    double ceilingEnergy(double v) const;
 
     /**
      * Time needed for `chargeFrom(vOc, rSeries, ·)` to lift the voltage
@@ -227,10 +258,21 @@ class Capacitor
     void archiveState(campaign::Archive& ar);
 
   private:
+    /// Open-circuit voltage below which the harvester counts as dark.
+    static constexpr double kOutageVocV = 0.05;
+
     // Crossing detection runs in the energy domain (E = ½CV² is strictly
     // monotone in V) so the per-quantum discharge path never needs the
     // sqrt in voltage() just to feed tracing.
     void traceCrossings(double prevE, double newE);
+    bool tracingCrossings() const;
+    /// Settle the outage latch (archived state, kept with or without a
+    /// trace buffer); only an edge leaves the inline test.
+    void noteOutage(double vOc)
+    {
+        if (watching_ && (vOc < kOutageVocV) != outage_)
+            traceOutage(vOc);
+    }
     void traceOutage(double vOc);
 
     CapacitorConfig config_;

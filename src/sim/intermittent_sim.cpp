@@ -34,6 +34,42 @@ constexpr double kBootLockoutV = 0.02;
 /// carrier.
 constexpr double kSampleJitterS = 100e-9;
 
+/**
+ * The DCO jitter of point read `seq` (s).  A full avalanche hash keeps
+ * successive jitters independent while runs stay reproducible.
+ */
+double
+sampleJitter(std::uint32_t seq)
+{
+    std::uint32_t h = seq;
+    h ^= h >> 16;
+    h *= 0x45d9f3bu;
+    h ^= h >> 16;
+    h *= 0x45d9f3bu;
+    h ^= h >> 16;
+    return (h >> 8) * (kSampleJitterS / double(1u << 24));
+}
+
+/**
+ * Feed one sample with primary event `primary` and analog reality
+ * [vLo, vHi] to a defense controller through its shadow monitor: the
+ * window envelope for a continuous shadow, else a point read of the
+ * midpoint.  The slow path passes the live pair, an evaluated burst its
+ * trial copies.
+ */
+template <class Shadow>
+void
+feedDefense(Shadow& shadow, defense::DefenseController& controller,
+            double t, double vLo, double vHi,
+            const analog::MonitorEvent& primary)
+{
+    const analog::MonitorEvent seen =
+        shadow.continuous() && vHi > vLo
+            ? shadow.observeEnvelope(vLo, vHi)
+            : shadow.observe(0.5 * (vLo + vHi));
+    controller.observeSample(t, vLo, vHi, primary, seen);
+}
+
 /** Voltage in integer millivolt for trace payloads (clamped at 0). */
 [[maybe_unused]] std::uint64_t
 traceMv(double v)
@@ -87,12 +123,14 @@ IntermittentSim::IntermittentSim(const compiler::CompiledProgram& compiled,
         config.vBackupOverride > 0 ? config.vBackupOverride : device.vBackup;
     vOff_ = device.vOff;
     energyAtVoff_ = 0.5 * cap_.capacitance() * vOff_ * vOff_;
+    energyLockout_ = cap_.ceilingEnergy(vOff_ + kBootLockoutV);
     epc_ = device.power.energyPerCycleJ;
     spc_ = device.power.secondsPerCycle();
 
     // The thresholds may be overridden (capacitor-size sweep).
     monitor_ = device.makeMonitor(config.monitorKind, vBackup_, vOn_);
     monitor_->reset(cap_.voltage());
+    adcMonitor_ = dynamic_cast<analog::AdcMonitor*>(monitor_.get());
 
     coalesceLimit_ = resolveCoalesceLimit(config.coalesceQuanta);
 
@@ -119,6 +157,9 @@ IntermittentSim::IntermittentSim(const compiler::CompiledProgram& compiled,
                 : analog::MonitorKind::kAdc,
             vBackup_, vOn_);
         shadowMonitor_->reset(cap_.voltage());
+        if (adcMonitor_)
+            shadowComparator_ = dynamic_cast<analog::ComparatorMonitor*>(
+                shadowMonitor_.get());
 
         defense::PlantModel plant;
         plant.clockHz = device.power.clockHz;
@@ -155,10 +196,14 @@ IntermittentSim::attackActive() const
 void
 IntermittentSim::updateAttack()
 {
+    toneUntil_ = std::numeric_limits<double>::infinity();
     if (!schedule_ || !emi_)
         return;
     auto window = schedule_->activeAt(now_);
+    // No window but this one can take over before the next start.
+    toneUntil_ = schedule_->nextStartAfter(now_);
     if (window) {
+        toneUntil_ = std::min(toneUntil_, window->endS);
         if (!emi_->enabled() || emi_->freqHz() != window->freqHz ||
             emi_->powerDbm() != window->powerDbm)
             emi_->setTone(window->freqHz, window->powerDbm);
@@ -175,16 +220,7 @@ IntermittentSim::emiAt(double t)
         return 0.0;
     // DCO-clocked sampling: the conversion trigger jitters by tens of
     // nanoseconds, decorrelating the carrier phase between samples.
-    // A full avalanche hash keeps successive jitters independent while
-    // runs stay reproducible.
-    std::uint32_t h = ++sampleSeq_;
-    h ^= h >> 16;
-    h *= 0x45d9f3bu;
-    h ^= h >> 16;
-    h *= 0x45d9f3bu;
-    h ^= h >> 16;
-    double jitter = (h >> 8) * (kSampleJitterS / double(1u << 24));
-    return emi_->voltageAt(t + jitter);
+    return emi_->voltageAt(t + sampleJitter(++sampleSeq_));
 }
 
 analog::MonitorEvent
@@ -232,7 +268,7 @@ IntermittentSim::observeMonitor()
             GECKO_TRACE_EVENT(trace::EventKind::kMonitorTrip, tripFlags(ev),
                               traceMv(v), traceMv(hi));
         if (defense_)
-            feedDefense(wLo, wHi, ev);
+            feedDefense(*shadowMonitor_, *defense_, now_, wLo, wHi, ev);
         return ev;
     }
     double seen = v + emiAt(now_);
@@ -254,23 +290,12 @@ IntermittentSim::observeMonitor()
         // the full tone envelope under attack, the point reading
         // otherwise.
         if (attackActive())
-            feedDefense(v - emi_->amplitude(), v + emi_->amplitude(), ev);
+            feedDefense(*shadowMonitor_, *defense_, now_,
+                        v - emi_->amplitude(), v + emi_->amplitude(), ev);
         else
-            feedDefense(seen, seen, ev);
+            feedDefense(*shadowMonitor_, *defense_, now_, seen, seen, ev);
     }
     return ev;
-}
-
-void
-IntermittentSim::feedDefense(double vLo, double vHi,
-                             const analog::MonitorEvent& primary)
-{
-    analog::MonitorEvent shadow;
-    if (shadowMonitor_->continuous() && vHi > vLo)
-        shadow = shadowMonitor_->observeEnvelope(vLo, vHi);
-    else
-        shadow = shadowMonitor_->observe(0.5 * (vLo + vHi));
-    defense_->observeSample(now_, vLo, vHi, primary, shadow);
 }
 
 void
@@ -598,10 +623,11 @@ IntermittentSim::steadyViews(double vLo, double vHi, double amp) const
     return views;
 }
 
+template <class Sample>
 IntermittentSim::Burst
 IntermittentSim::march(BurstKind kind, int maxSteps, int stride, double dt,
                        double end, const energy::Capacitor::ChargePlan& plan,
-                       double vCeil) const
+                       Sample&& sample) const
 {
     const double cf = cap_.capacitance();
     const double maxV = cap_.maxVoltage();
@@ -622,6 +648,21 @@ IntermittentSim::march(BurstKind kind, int maxSteps, int stride, double dt,
     b.energy = cap_.energy();
     b.carry = cycleCarry_;
     b.now = now_;
+    // Fixed-point reuse: a step is a pure function of its input energy
+    // and draw, so when both repeat (the rail pinned at the clamp, the
+    // saturated storm once the rail settles) the previous results are
+    // the doubles the arithmetic would produce again.  NaN compares
+    // unequal, so the first step computes.
+    double stepIn = std::numeric_limits<double>::quiet_NaN();
+    double stepJoules = stepIn;
+    double stepOut = 0.0;
+    // The cycle carry is its own fixed point whenever dt spans a whole
+    // number of cycles (every attack_sweep victim's does): a repeat
+    // reuses the split, as above.  Once the step repeats, the split is
+    // what is left on the loop-carried chain.
+    double carryIn = stepIn;
+    double carryOut = 0.0;
+    std::uint64_t carryPlanned = 0;
     while (b.steps < maxSteps && (b.steps == 0 || b.now < end)) {
         double carry = b.carry;
         std::uint64_t planned = 0;
@@ -630,9 +671,16 @@ IntermittentSim::march(BurstKind kind, int maxSteps, int stride, double dt,
             if (strideCheck && b.steps > 0 &&
                 (b.energy - eBackup < 4.0 * quantumE) != fineBurst)
                 break;
-            carry += dt * clockHz;
-            planned = carry > 0 ? static_cast<std::uint64_t>(carry) : 0;
-            carry -= static_cast<double>(planned);
+            if (carry != carryIn) {
+                carryIn = carry;
+                carryOut = carry + dt * clockHz;
+                carryPlanned = carryOut > 0
+                                   ? static_cast<std::uint64_t>(carryOut)
+                                   : 0;
+                carryOut -= static_cast<double>(carryPlanned);
+            }
+            planned = carryPlanned;
+            carry = carryOut;
             const double avail = b.energy - energyAtVoff_;
             const std::uint64_t can =
                 avail > 0 ? static_cast<std::uint64_t>(avail / epc_) : 0;
@@ -640,11 +688,15 @@ IntermittentSim::march(BurstKind kind, int maxSteps, int stride, double dt,
                 break;  // this quantum browns out: the slow path must die
             joules = static_cast<double>(planned) * epc_;
         }
-        const double e =
-            energy::Capacitor::stepEnergy(b.energy, joules, plan, cf, maxV);
-        if (vCeil < std::numeric_limits<double>::infinity() &&
-            std::sqrt(2.0 * e / cf) > vCeil)
-            break;  // this sample's wake boots: the slow path takes it
+        if (b.energy != stepIn || joules != stepJoules) {
+            stepIn = b.energy;
+            stepJoules = joules;
+            stepOut = energy::Capacitor::stepEnergy(b.energy, joules, plan,
+                                                    cf, maxV);
+        }
+        const double e = stepOut;
+        if (!sample(e, b.now + dt))
+            break;
         b.energy = e;
         b.carry = carry;
         b.planned += planned;
@@ -656,141 +708,229 @@ IntermittentSim::march(BurstKind kind, int maxSteps, int stride, double dt,
     return b;
 }
 
-bool
-IntermittentSim::tryBurst(BurstKind kind, int stride, double dt, double end)
+std::optional<IntermittentSim::Certificate>
+IntermittentSim::certify(BurstKind kind, double dt) const
 {
-    // Every skipped trace macro must be inert (no buffer installed),
-    // and a faulted monitor's readings are not a function of the rail.
-    if (coalesceLimit_ < 2 || monitorFault_ || trace::current() != nullptr)
-        return false;
-    const bool running = kind != BurstKind::kSleep;
     // ------------------------------------------------------------------
     // The events every skipped sample must repeat, decided before any
-    // marching so a refusal costs a few branches.  Quiet: the tone and
-    // controller are absent and the re-enable probe idle, so the only
-    // observation is a point read that must be a no-op.  Under a tone
-    // only a continuous monitor's envelope read can be steady, and the
-    // events it repeats must be inert: backups ignored (JIT disarmed)
-    // and unable to let the first quantum's probe re-enable JIT, wakes
-    // locked out (sleep), the controller at its fixed point.  The tone
-    // must be free-running: a schedule could retune it mid-burst.
+    // marching so a refusal costs a few branches.  Quiet: no controller
+    // and the re-enable probe idle, so the only observation is a point
+    // read (of the rail plus at most a weak tone) that must be a no-op.
+    // Under an active tone a continuous monitor's envelope read, or an
+    // ADC's point read of a tone too weak to move a latch (victims
+    // without a controller), can be steady; the events it repeats must
+    // be inert: backups ignored (JIT disarmed) and unable to let the
+    // first quantum's probe re-enable JIT, wakes locked out (sleep),
+    // the controller at its fixed point.
     // ------------------------------------------------------------------
-    double amp = 0.0;
-    SteadyViews views;
-    std::optional<defense::DefenseController::SteadyRun> run;
+    Certificate c;
     if (kind == BurstKind::kQuiet) {
-        if (defense_ || runtime_.probeArmed() || (emi_ && emi_->enabled()))
-            return false;
-    } else {
-        if (schedule_ || !monitor_->continuous())
-            return false;
-        amp = emi_->amplitude();
-        const double v = cap_.voltage();
-        const auto predicted = steadyViews(v, v, amp);
-        if (!predicted)
-            return false;
-        views = *predicted;
-        if (running && views.primary.backup &&
-            (runtime_.jitActive() || runtime_.probeCanReenable()))
-            return false;
-        if (defense_) {
-            // Conservative bounds over any burst inside the horizon:
-            // envelope spans (v + A) − (v − A) round to at least
-            // 2A − 2ε(v + A); sample gaps to at most dt + 2ε(dt + t).
-            const double tMax =
-                now_ + dt * static_cast<double>(coalesceLimit_ + 1);
-            run.emplace();
-            run->tFirst = now_ + dt;
-            run->gapMax = dt + 4.0 * DBL_EPSILON * (dt + tMax);
-            run->spanMin =
-                2.0 * amp - 4.0 * DBL_EPSILON * (amp + cap_.maxVoltage() + 1.0);
-            run->primary = views.primary;
-            run->shadow = views.shadow;
-            run->sleeping = !running;
-            if (!defense_->steadyUnder(*run))
-                return false;
-        }
+        if (defense_ || runtime_.probeArmed())
+            return std::nullopt;
+        c.amp = emi_ ? emi_->amplitude() : 0.0;
+        return c;
     }
+    if (defense_ && !monitor_->continuous())
+        return std::nullopt;
+    const bool running = kind != BurstKind::kSleep;
+    c.amp = emi_->amplitude();
+    const double v = cap_.voltage();
+    const auto predicted = steadyViews(v, v, c.amp);
+    if (!predicted)
+        return std::nullopt;
+    c.views = *predicted;
+    if (running && c.views.primary.backup &&
+        (runtime_.jitActive() || runtime_.probeCanReenable()))
+        return std::nullopt;
     // A sleep sample whose wake clears the brown-out lockout boots.
-    const double vCeil = !running && views.primary.wake
-                             ? vOff_ + kBootLockoutV
-                             : std::numeric_limits<double>::infinity();
-    if (cap_.voltage() > vCeil)
-        return false;
-
-    // ------------------------------------------------------------------
-    // Burst-length selection.  Start from the configured limit and
-    // halve until the harvester is *provably* constant over the horizon
-    // and no attack window can switch the tone on inside it.  The +1
-    // step of margin keeps the checks conservative against the burst's
-    // own floating-point time accumulation.
-    // ------------------------------------------------------------------
-    const double voc = harvester_.openCircuitVoltage(now_);
-    const double rs = harvester_.seriesResistance(now_);
-    int m = coalesceLimit_;
-    for (; m >= 2; m >>= 1) {
-        const double horizon = now_ + dt * static_cast<double>(m + 1);
-        if (!harvester_.constantOver(now_, dt * static_cast<double>(m + 1)))
-            continue;
-        if (schedule_ && emi_ && schedule_->overlapsRange(now_, horizon))
-            continue;
-        break;
+    if (!running && c.views.primary.wake && cap_.energy() > energyLockout_)
+        return std::nullopt;
+    if (defense_) {
+        // Conservative bounds over any burst inside the horizon:
+        // envelope spans (v + A) − (v − A) round to at least
+        // 2A − 2ε(v + A); sample gaps to at most dt + 2ε(dt + t).
+        const double tMax =
+            now_ + dt * static_cast<double>(coalesceLimit_ + 1);
+        auto& run = c.run.emplace();
+        run.tFirst = now_ + dt;
+        run.gapMax = dt + 4.0 * DBL_EPSILON * (dt + tMax);
+        run.spanMin = 2.0 * c.amp -
+                      4.0 * DBL_EPSILON * (c.amp + cap_.maxVoltage() + 1.0);
+        run.primary = c.views.primary;
+        run.shadow = c.views.shadow;
+        run.sleeping = !running;
+        if (!defense_->steadyUnder(run))
+            return std::nullopt;
     }
-    if (m < 2)
-        return false;
+    return c;
+}
 
+bool
+IntermittentSim::certifiedBurst(BurstKind kind, const Certificate& c,
+                                int maxSteps, int stride, double dt,
+                                double end,
+                                const energy::Capacitor::ChargePlan& plan)
+{
     // ------------------------------------------------------------------
     // Trajectory proof.  With the source proven constant the burst's
     // evolution is fully determined: march the slow path's exact
-    // per-step arithmetic on locals (march), then certify that every
-    // skipped observation — each one samples an end-of-step rail
-    // inside the marched band — repeats the predicted events with
-    // every latch unchanged.  When that fails (typically a declining
-    // tail approaching V_backup), halve: the shorter prefix spans a
-    // tighter band.  The march runs once per try; the certified try's
-    // end state is committed by assignment.
+    // per-step arithmetic on locals, then certify that every skipped
+    // observation — each one samples an end-of-step rail inside the
+    // marched band — repeats the predicted events with every latch
+    // unchanged.  When that fails (typically a declining tail
+    // approaching V_backup), halve: the shorter prefix spans a tighter
+    // band.  The certified try's end state is committed by assignment.
     // ------------------------------------------------------------------
-    const auto plan = cap_.planCharge(voc, rs, dt);
+    const bool lockout = kind == BurstKind::kSleep && c.views.primary.wake;
+    const auto belowLockout = [this, lockout](double e, double) {
+        return !lockout || e <= energyLockout_;
+    };
     const double cf = cap_.capacitance();
     Burst b;
-    for (int mTry = m;;) {
-        b = march(kind, mTry, stride, dt, end, plan, vCeil);
+    for (int mTry = maxSteps;;) {
+        b = march(kind, mTry, stride, dt, end, plan, belowLockout);
         if (b.steps < 2)
             return false;
         if (steadyViews(std::sqrt(2.0 * b.eLo / cf),
-                        std::sqrt(2.0 * b.eHi / cf), amp) == views)
+                        std::sqrt(2.0 * b.eHi / cf), c.amp) == c.views)
             break;
         if (mTry == 2)
             return false;
         mTry = std::max(2, b.steps >> 1);
     }
 
+    const auto k = static_cast<std::uint64_t>(b.steps);
+    if (kind != BurstKind::kSleep && c.views.primary.backup)
+        b.backups = k;
+    if (c.views.primary.wake)
+        b.wakes = k;
+    // A point read draws one DCO jitter sample per observation; the
+    // envelope read under a tone draws none.
+    if (emi_ && !(kind != BurstKind::kQuiet && monitor_->continuous()))
+        sampleSeq_ += static_cast<std::uint32_t>(k);
+    if (c.run) {
+        const double v = std::sqrt(2.0 * b.energy / cf);
+        defense_->fastForward(*c.run, k, b.now,
+                              0.5 * ((v - c.amp) + (v + c.amp)));
+    }
+    commitBurst(kind, b, plan.vOc);
+    return true;
+}
+
+bool
+IntermittentSim::evaluatedBurst(BurstKind kind, int maxSteps, int stride,
+                                double dt, double end,
+                                const energy::Capacitor::ChargePlan& plan)
+{
     // ------------------------------------------------------------------
-    // Commit.  noteSource settles the outage latch exactly as the
-    // skipped chargeFrom calls would.
+    // Each skipped sample is evaluated exactly as observeMonitor would:
+    // the same DCO jitter draw and voltageAt call, converted on a trial
+    // copy of the ADC latches; with a controller, the shadow comparator
+    // and observeSample (and wakeAllowed on a forged sleep wake) run on
+    // copies too.  The march stops before the first sample that is not
+    // inert: a backup while JIT is armed or the probe could re-arm it,
+    // a sleep wake that clears the lockout, a controller whose mode
+    // changes inside a running burst (noteCommit then depends on which
+    // side of the change each commit lands).  Running bursts fold the
+    // controller's commits into one, exact only while commitsFold().
     // ------------------------------------------------------------------
+    const bool running = kind != BurstKind::kSleep;
+    if (running && defense_ && !defense_->commitsFold())
+        return false;
+    const bool jitArmed =
+        runtime_.jitActive() || runtime_.probeCanReenable();
+    const bool attacked = kind != BurstKind::kQuiet;
+    const double amp = emi_->amplitude();
+    const double cf = cap_.capacitance();
+    const defense::Mode mode = defense_ ? defense_->mode()
+                                        : defense::Mode::kNominal;
+
+    analog::AdcMonitor monitor = *adcMonitor_;
+    std::optional<analog::ComparatorMonitor> shadow;
+    std::optional<defense::DefenseController> controller;
+    std::uint32_t seq = 0;
+    std::uint64_t backups = 0;
+    std::uint64_t wakes = 0;
+    bool modeChanged = false;
+    const auto startTrial = [&] {
+        monitor = *adcMonitor_;
+        if (defense_) {
+            shadow = *shadowComparator_;
+            controller = *defense_;
+        }
+        seq = sampleSeq_;
+        backups = wakes = 0;
+    };
+    const auto sample = [&](double e, double t) {
+        const double v = std::sqrt(2.0 * e / cf);
+        const std::uint32_t next = seq + 1;
+        const double seen = v + emi_->voltageAt(t + sampleJitter(next));
+        analog::AdcMonitor read = monitor;
+        const analog::MonitorEvent ev = read.observe(seen);
+        if (running ? ev.backup && jitArmed
+                    : ev.wake && e > energyLockout_)
+            return false;
+        if (controller) {
+            // observeMonitor's analog reality: the tone envelope under
+            // an active tone, the point reading otherwise.
+            feedDefense(*shadow, *controller, t, attacked ? v - amp : seen,
+                        attacked ? v + amp : seen, ev);
+            if (running && controller->mode() != mode) {
+                modeChanged = true;
+                return false;
+            }
+            if (!running && ev.wake)
+                controller->wakeAllowed(t);
+        }
+        monitor = read;
+        seq = next;
+        backups += ev.backup ? 1 : 0;
+        wakes += ev.wake ? 1 : 0;
+        return true;
+    };
+
+    startTrial();
+    Burst b = march(kind, maxSteps, stride, dt, end, plan, sample);
+    if (modeChanged && b.steps >= 2) {
+        // The shadow and controller copies ran one sample too far:
+        // replay the prefix alone.
+        const int steps = b.steps;
+        startTrial();
+        b = march(kind, steps, stride, dt, end, plan, sample);
+    }
+    if (b.steps < 2)
+        return false;
+
+    sampleSeq_ = seq;
+    *adcMonitor_ = monitor;
+    if (controller) {
+        *shadowComparator_ = *shadow;
+        *defense_ = *controller;
+    }
+    b.backups = running ? backups : 0;
+    b.wakes = wakes;
+    commitBurst(kind, b, plan.vOc);
+    return true;
+}
+
+void
+IntermittentSim::commitBurst(BurstKind kind, const Burst& b, double voc)
+{
+    // noteSource settles the outage latch exactly as the skipped
+    // chargeFrom calls would.
     const auto k = static_cast<std::uint64_t>(b.steps);
     cap_.noteSource(voc);
     cap_.commitEnergy(b.energy);
     now_ = b.now;
-    // A point read draws one DCO jitter sample per observation; the
-    // envelope read under a tone draws none.
-    if (emi_ && kind == BurstKind::kQuiet)
-        sampleSeq_ += static_cast<std::uint32_t>(k);
-    if (views.primary.wake)
-        stats.wakeSignals += k;
-    if (run) {
-        const double v = cap_.voltage();
-        defense_->fastForward(*run, k, now_,
-                              0.5 * ((v - amp) + (v + amp)));
-    }
-    if (!running) {
+    stats.wakeSignals += b.wakes;
+    if (kind == BurstKind::kSleep) {
+        stats.sleepSamples += k;
         stats.coalescedSleepSamples += k;
-        return true;
+        return;
     }
-    if (views.primary.backup) {
-        stats.backupSignals += k;
-        stats.ignoredBackups += k;
+    if (b.backups > 0) {
+        stats.backupSignals += b.backups;
+        stats.ignoredBackups += b.backups;
         runtime_.onBackupSignal();
     }
     cycleCarry_ = b.carry;
@@ -820,7 +960,41 @@ IntermittentSim::tryBurst(BurstKind kind, int stride, double dt, double end)
     }
     debt_ += static_cast<std::int64_t>(consumedTotal) -
              static_cast<std::int64_t>(b.planned);
-    return true;
+}
+
+bool
+IntermittentSim::tryBurst(BurstKind kind, int stride, double dt, double end)
+{
+    // Every skipped trace macro must be inert (no buffer installed),
+    // and a faulted monitor's readings are not a function of the rail.
+    if (coalesceLimit_ < 2 || monitorFault_ || trace::current() != nullptr)
+        return false;
+    const std::optional<Certificate> cert = certify(kind, dt);
+    // An ADC's point reads under a tone can be evaluated one by one.
+    const bool evaluable = adcMonitor_ && emi_ && emi_->enabled();
+    if (!cert && !evaluable)
+        return false;
+
+    // ------------------------------------------------------------------
+    // Burst-length selection.  Start from the configured limit and
+    // halve until the harvester is *provably* constant over the horizon
+    // and the horizon ends by toneUntil_, so the tone every skipped
+    // sample's updateAttack would set is the one set now.  The +1 step
+    // of margin keeps the checks conservative against the burst's own
+    // floating-point time accumulation.
+    // ------------------------------------------------------------------
+    int m = coalesceLimit_;
+    for (; m >= 2; m >>= 1) {
+        const double span = dt * static_cast<double>(m + 1);
+        if (now_ + span <= toneUntil_ && harvester_.constantOver(now_, span))
+            break;
+    }
+    if (m < 2)
+        return false;
+    const auto plan = cap_.chargePlan(harvester_.openCircuitVoltage(now_),
+                                      harvester_.seriesResistance(now_), dt);
+    return (cert && certifiedBurst(kind, *cert, m, stride, dt, end, plan)) ||
+           (evaluable && evaluatedBurst(kind, m, stride, dt, end, plan));
 }
 
 void
@@ -861,6 +1035,7 @@ IntermittentSim::stepSleeping(double end)
                 (attacked ? 1 : config_.quietStride);
     if (attacked && tryBurst(BurstKind::kSleep, 1, dt, end))
         return;
+    ++stats.sleepSamples;
     cap_.discharge(device_.power.sleepPowerW * dt);
     cap_.chargeFrom(harvester_.openCircuitVoltage(now_),
                     harvester_.seriesResistance(now_), dt);

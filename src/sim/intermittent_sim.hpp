@@ -2,6 +2,7 @@
 #define GECKO_SIM_INTERMITTENT_SIM_HPP_
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <type_traits>
@@ -109,6 +110,9 @@ struct SimStats {
     std::uint64_t coalescedQuanta = 0;
     /// Number of coalesced bursts (each fuses ≥ 2 quanta).
     std::uint64_t coalescedBursts = 0;
+    /// Monitor samples stepped asleep (slow + coalesced; the analytic
+    /// wake jump takes none).
+    std::uint64_t sleepSamples = 0;
     /// Sleep samples absorbed by sleep bursts (never counted in quanta).
     std::uint64_t coalescedSleepSamples = 0;
 
@@ -134,6 +138,7 @@ struct SimStats {
         fn({"quanta", false}, &SimStats::quanta);
         fn({"coalesced_quanta", false}, &SimStats::coalescedQuanta);
         fn({"coalesced_bursts", false}, &SimStats::coalescedBursts);
+        fn({"sleep_samples", false}, &SimStats::sleepSamples);
         fn({"coalesced_sleep_samples", false},
            &SimStats::coalescedSleepSamples);
     }
@@ -298,9 +303,11 @@ class IntermittentSim
     // ------------------------------------------------------------------
     // Burst fast path (DESIGN.md §14).
     // ------------------------------------------------------------------
-    /// The three kinds of fused step: quiet running quanta (no tone),
-    /// running quanta under a tone whose monitor events are ignored,
-    /// and sleep samples under a tone.
+    /// The three phases a burst fuses steps of: quiet-stride running
+    /// quanta (no active tone), running quanta under an active tone,
+    /// and sleep samples under an active tone.  Each burst either
+    /// certifies that every skipped observation repeats one known event
+    /// or, for an ADC primary under a tone, evaluates each one.
     enum class BurstKind { kQuiet, kStorm, kSleep };
     /// Monitor events every skipped sample repeats: the primary's, and
     /// the shadow's (defense cross-validation; `{}` without one).
@@ -319,28 +326,53 @@ class IntermittentSim
         std::uint64_t planned = 0;  ///< Σ planned cycles (running)
         double eLo = 0.0;           ///< min/max end-of-step energy
         double eHi = 0.0;
+        std::uint64_t backups = 0;  ///< events the skipped samples raise
+        std::uint64_t wakes = 0;
+    };
+    /// What a certified burst's skipped samples repeat: the views, the
+    /// tone amplitude they were certified under, and (with a
+    /// controller) the run its fixed point covers.
+    struct Certificate {
+        SteadyViews views;
+        double amp = 0.0;
+        std::optional<defense::DefenseController::SteadyRun> run;
     };
     /// Prove a burst of `kind` indistinguishable from per-sample
     /// stepping and commit it.  @return true if it advanced the
     /// simulation.
     bool tryBurst(BurstKind kind, int stride, double dt, double end);
+    /// The certificate predicted at the current rail, or nullopt.
+    std::optional<Certificate> certify(BurstKind kind, double dt) const;
+    /// A burst whose skipped observations all repeat the events `c`
+    /// predicts.
+    bool certifiedBurst(BurstKind kind, const Certificate& c, int maxSteps,
+                        int stride, double dt, double end,
+                        const energy::Capacitor::ChargePlan& plan);
+    /// A burst whose observations (ADC primary under a tone) are each
+    /// evaluated on trial copies, up to the first eventful one.
+    bool evaluatedBurst(BurstKind kind, int maxSteps, int stride,
+                        double dt, double end,
+                        const energy::Capacitor::ChargePlan& plan);
+    /// Commit a marched burst: energy, clock, counters, and for running
+    /// quanta one fused machine run.
+    void commitBurst(BurstKind kind, const Burst& b, double voc);
     /// The steady views of every sample with the rail in [vLo, vHi]
     /// under tone amplitude `amp`, or nullopt.
     std::optional<SteadyViews> steadyViews(double vLo, double vHi,
                                            double amp) const;
     /// March up to `maxSteps` steps of `kind` on locals: the exact
     /// per-step arithmetic of the slow path, stopping before a step it
-    /// would end differently (stride change, brown-out, a wake past
-    /// the lockout ceiling `vCeil`) and at `end`.
+    /// would end differently (stride change, brown-out) and at `end`.
+    /// `sample(e, t)` sees each step's end-of-step energy and sample
+    /// time, and returns false to stop before that step.
+    template <class Sample>
     Burst march(BurstKind kind, int maxSteps, int stride, double dt,
                 double end, const energy::Capacitor::ChargePlan& plan,
-                double vCeil) const;
+                Sample&& sample) const;
     void doJitCheckpoint();
     void hardDeath();
     void boot();
     void enterSleep();
-    void feedDefense(double vLo, double vHi,
-                     const analog::MonitorEvent& primary);
 
     enum class State { kRunning, kSleeping };
 
@@ -355,9 +387,18 @@ class IntermittentSim
     /// Redundant monitor of the opposite kind, feeding the defense
     /// controller's cross-validation (null when defense is off).
     std::unique_ptr<analog::VoltageMonitor> shadowMonitor_;
+    /// The same monitors by type when the primary is an ADC (else
+    /// null): an evaluated burst advances value copies of them.
+    analog::AdcMonitor* adcMonitor_ = nullptr;
+    analog::ComparatorMonitor* shadowComparator_ = nullptr;
     std::unique_ptr<defense::DefenseController> defense_;
     attack::EmiSource* emi_ = nullptr;
     const attack::AttackSchedule* schedule_ = nullptr;
+    /// Until when the tone updateAttack last set holds: the active
+    /// window's end or the next window start, whichever comes first
+    /// (infinity without a schedule).  Set at the top of every loop
+    /// iteration, before any burst reads it.
+    double toneUntil_ = std::numeric_limits<double>::infinity();
     std::function<double(double v, double t)> monitorFault_;
     std::function<bool(int word)> jitWriteFault_;
 
@@ -380,6 +421,9 @@ class IntermittentSim
     double vBackup_;
     double vOff_;
     double energyAtVoff_;
+    /// Largest energy still inside the brown-out lockout: a wake boots
+    /// only from a rail above V_off + kBootLockoutV, i.e. above this.
+    double energyLockout_;
     double epc_;  // energy per cycle
     double spc_;  // seconds per cycle
     /// Resolved burst limit (config/GECKO_COALESCE); < 2 disables the

@@ -210,15 +210,78 @@ TEST(SteadyEventTest, QuietBandsAndAdcUnderTone)
     EXPECT_TRUE(adc.steadyEvent(2.4, 2.8, 0.0) == quiet);
     // A band reaching the backup code is not steady.
     EXPECT_FALSE(adc.steadyEvent(2.1, 2.8, 0.0));
-    // A point sample under a tone lands at a random carrier phase:
-    // no band certifies it, however small the tone.
-    EXPECT_FALSE(adc.steadyEvent(2.4, 2.8, 1e-3));
+    // A point sample under a tone lands at a random carrier phase, so
+    // only the band widened by the tone's peak bounds it: a weak tone
+    // certifies, one that reaches a threshold code does not.
+    EXPECT_TRUE(adc.steadyEvent(2.4, 2.8, 1e-3) == quiet);
+    EXPECT_FALSE(adc.steadyEvent(2.4, 2.8, 0.25));
     EXPECT_FALSE(adc.steadyEvent(2.6, 2.6, 10.0));
 
     ComparatorMonitor comp(2.2, 3.0, 0.02, 2e6);
     comp.reset(2.6);  // backup high, wake low
     EXPECT_TRUE(comp.steadyEvent(2.3, 2.9, 0.0) == quiet);
     EXPECT_FALSE(comp.steadyEvent(2.0, 2.9, 0.0));
+}
+
+TEST(SteadyEventTest, BoundedToneCertificateMatchesBruteForce)
+{
+    // A point read under a tone of peak A is RN(v + RN(A·s)) with the
+    // sine s in [−1, 1].  The ADC certificate must answer `{}` exactly
+    // when every such read from a rail in [lo, hi] is a no-op (no event,
+    // both latches kept), with bands on both sides of each code edge
+    // and every latch state.  s = ±1 and the band ends reach the
+    // extreme reads, so the brute force covers the boundary cases.
+    const Adc adc(12, 3.3);
+    const double edges[] = {adc.toVoltage(adc.sample(2.2)),
+                            adc.toVoltage(adc.sample(3.0))};
+    const double sines[] = {-1.0, std::nextafter(-1.0, 0.0), -0.5, 0.0,
+                            0.5, std::nextafter(1.0, 0.0), 1.0};
+    const MonitorEvent quiet{};
+    std::mt19937_64 rng(11);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    int certified = 0;
+    int refused = 0;
+    for (double railAtReset : {1.0, 2.6, 3.2}) {
+        for (double edge : edges) {
+            for (double amp : {0.0, 1e-4, 1e-3, 0.05, 0.3}) {
+                for (double offset : {-2.0, -1.0, 0.0, 1.0, 2.0}) {
+                    for (double nudge : {-1e-9, 0.0, 1e-9}) {
+                        for (double width : {0.0, 1e-3}) {
+                            AdcMonitor mon(12, 3.3, 2.2, 3.0, 100e3);
+                            mon.reset(railAtReset);
+                            const double hi = edge + offset * amp + nudge;
+                            const double lo = hi - width;
+                            bool allNoOp = true;
+                            for (int i = 0; i < 3 && allNoOp; ++i) {
+                                const double v =
+                                    i == 0 ? lo
+                                    : i == 1 ? hi
+                                             : lo + (hi - lo) * unit(rng);
+                                for (double sine : sines) {
+                                    AdcMonitor copy = mon;
+                                    const MonitorEvent ev =
+                                        copy.observe(v + amp * sine);
+                                    if (ev != quiet ||
+                                        latches(copy) != latches(mon)) {
+                                        allNoOp = false;
+                                        break;
+                                    }
+                                }
+                            }
+                            const auto cert = mon.steadyEvent(lo, hi, amp);
+                            EXPECT_EQ(cert.has_value() && *cert == quiet,
+                                      allNoOp)
+                                << "band [" << lo << ", " << hi
+                                << "] A=" << amp << " reset " << railAtReset;
+                            ++(allNoOp ? certified : refused);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(certified, 50);
+    EXPECT_GT(refused, 50);
 }
 
 TEST(VoltageMonitorTest, SampleIntervals)

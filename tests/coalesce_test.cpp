@@ -191,6 +191,44 @@ TEST(CoalesceQuietTest, QuietRunEngagesAndMatchesSlowPath)
     }
 }
 
+TEST(CoalesceQuietTest, DrawChangeAtAFixedPointUnchangedByBursts)
+{
+    // The march reuses a step's result only when its input energy *and*
+    // draw repeat.  Here a quiet quantum spans 5120 + 1/8 cycles, so
+    // every eighth one draws a cycle more, and a fast RC (5 ohm into
+    // 20 uF against a 640 us quantum) settles the rail to an exact fixed
+    // point in between: the heavier draw starts from the very energy the
+    // light ones kept returning.  Forty slice ends cut the bursts at
+    // every phase of that pattern.
+    static const CompiledProgram compiled = compiler::compile(
+        workloads::build("sensor_loop"), Scheme::kGecko);
+    sim::SimConfig cfg;
+    cfg.cap.capacitanceF = 20e-6;
+    cfg.cap.initialV = 3.3;
+    device::DeviceProfile dev = device::DeviceDb::msp430fr5994();
+    const double quietDt = cfg.quietStride / dev.adcSampleHz;
+    dev.power.clockHz = (5120.0 + 1.0 / 8) / quietDt;
+    const auto runSliced = [&](int coalesceQuanta) {
+        cfg.coalesceQuanta = coalesceQuanta;
+        sim::IoHub io;
+        workloads::setupIo("sensor_loop", io);
+        energy::ConstantHarvester supply(3.3, 5.0);
+        sim::IntermittentSim simulation(compiled, dev, cfg, supply, io);
+        std::vector<Obs> slices;
+        for (int i = 0; i < 40; ++i) {
+            simulation.run(0.0123);
+            slices.push_back(capture(simulation, io));
+        }
+        return slices;
+    };
+    const std::vector<Obs> on = runSliced(64);
+    const std::vector<Obs> off = runSliced(0);
+    EXPECT_GT(on.back().counters.sim.coalescedQuanta * 2,
+              on.back().counters.sim.quanta);
+    for (std::size_t i = 0; i < on.size(); ++i)
+        expectSame(on[i], off[i], "slice " + std::to_string(i));
+}
+
 // ---------------------------------------------------------------------
 // Fuzzed EMI schedules: random tone windows switch the attack on and
 // off mid-run.  Coalescing must engage only between windows (the sorted
@@ -454,18 +492,21 @@ struct StormEnv {
 };
 
 /**
- * The attack_sweep comparator victim.  `dark` swaps the square wave for
- * a dead supply with the buffer starting below V_off + lockout: every
- * sample is a forged wake the brown-out lockout refuses.
+ * The attack_sweep comparator victim, or with `monitor` and `freqHz`
+ * one of its ADC points.  `dark` swaps the square wave for a dead
+ * supply with the buffer starting below V_off + lockout: every sample
+ * is a forged wake the brown-out lockout refuses.
  */
 void
 buildStormEnv(StormEnv& env, Victim victim, bool dark,
               sim::ExecBackend backend, int coalesceQuanta,
               const device::DeviceProfile& dev =
-                  device::DeviceDb::msp430fr5994())
+                  device::DeviceDb::msp430fr5994(),
+              analog::MonitorKind monitor = analog::MonitorKind::kComparator,
+              double freqHz = 5e6)
 {
     sim::SimConfig cfg;
-    cfg.monitorKind = analog::MonitorKind::kComparator;
+    cfg.monitorKind = monitor;
     cfg.cap.capacitanceF = 1e-3;
     cfg.cap.initialV = dark ? 2.05 : 3.3;
     cfg.coalesceQuanta = coalesceQuanta;
@@ -482,7 +523,7 @@ buildStormEnv(StormEnv& env, Victim victim, bool dark,
         stormProgram(victim), dev, cfg, *env.supply, env.io);
     env.simulation->machine().setExecBackend(backend);
     env.rig = std::make_unique<attack::RemoteRig>(dev, cfg.monitorKind, 0.1);
-    env.source = std::make_unique<attack::EmiSource>(*env.rig, 5e6, 35.0);
+    env.source = std::make_unique<attack::EmiSource>(*env.rig, freqHz, 35.0);
     env.simulation->setEmiSource(env.source.get());
 }
 
@@ -602,6 +643,241 @@ TEST(CoalesceStormTest, SnapshotSlicesStormMidBurst)
     ASSERT_GT(reference.counters.exec.cycles, 0u);
     expectSameState(resumed, reference, "storm slices");
     EXPECT_TRUE(resumed.snapshot == reference.snapshot);
+}
+
+// ---------------------------------------------------------------------
+// Evaluated bursts (DESIGN.md §14): an ADC point read under a tone lands
+// at a DCO-jittered carrier phase, so a strong tone certifies nothing;
+// each skipped sample is evaluated on trial copies instead, up to the
+// first one that is not inert.  A weak tone is covered by the
+// bounded-tone certificate.  Both must change nothing.
+// ---------------------------------------------------------------------
+
+/** The attack_sweep ADC points: board and its ADC-path resonance. */
+struct AdcPoint {
+    const char* device;
+    double freqHz;
+};
+
+constexpr AdcPoint kAdcPoints[] = {{"MSP430FR5994", 27e6},
+                                   {"STM32L552ZE", 17e6}};
+
+void
+buildAdcEnv(StormEnv& env, const AdcPoint& point, Victim victim,
+            sim::ExecBackend backend, int coalesceQuanta)
+{
+    buildStormEnv(env, victim, false, backend, coalesceQuanta,
+                  device::DeviceDb::byName(point.device),
+                  analog::MonitorKind::kAdc, point.freqHz);
+}
+
+TEST(CoalesceEvaluatedTest, AttackSweepAdcPointUnchangedByBursts)
+{
+    // 1.2 s: the first on-phase (forged backups and wakes while
+    // running), the dark half and the recharge into the second.
+    for (const AdcPoint& point : kAdcPoints) {
+        for (Victim victim : {Victim::kNvp, Victim::kRatchet,
+                              Victim::kGeckoStatic, Victim::kGeckoAdaptive}) {
+            for (sim::ExecBackend backend :
+                 {sim::ExecBackend::kStep, sim::ExecBackend::kBlock}) {
+                const std::string label =
+                    std::string(point.device) + "/" + victimName(victim) +
+                    "/" + sim::execBackendName(backend);
+                const auto run = [&](int coalesceQuanta) {
+                    StormEnv env;
+                    buildAdcEnv(env, point, victim, backend, coalesceQuanta);
+                    env.simulation->run(1.2);
+                    return capture(*env.simulation, env.io);
+                };
+                Obs on = run(64);
+                Obs off = run(0);
+                const sim::SimStats& onSim = on.counters.sim;
+                ASSERT_GT(on.counters.exec.cycles, 0u) << label;
+                EXPECT_EQ(off.counters.sim.coalescedQuanta, 0u) << label;
+                EXPECT_EQ(off.counters.sim.coalescedSleepSamples, 0u)
+                    << label;
+                expectSame(on, off, label);
+                EXPECT_GT(onSim.coalescedSleepSamples, 0u) << label;
+                // Running backups are inert once JIT is off (from the
+                // start under Ratchet, after detection under GECKO).
+                if (victim != Victim::kNvp) {
+                    EXPECT_GT(onSim.coalescedQuanta * 2, onSim.quanta)
+                        << label << ": " << onSim.coalescedQuanta << " of "
+                        << onSim.quanta << " quanta coalesced";
+                }
+            }
+        }
+    }
+}
+
+TEST(CoalesceEvaluatedTest, SnapshotSlicesCutEvaluatedBursts)
+{
+    // The adaptive victim at the FR5994 ADC point: odd slices cut
+    // evaluated running and sleep bursts mid-way, and each cut is
+    // saved, torn down and restored into a fresh build.  The trial
+    // copies live on the stack, so the resumed run must land on the
+    // uninterrupted one's state.
+    constexpr double kSliceS = 0.0123457;
+    constexpr int kSlices = 60;
+    const AdcPoint& point = kAdcPoints[0];
+    auto env = std::make_unique<StormEnv>();
+    buildAdcEnv(*env, point, Victim::kGeckoAdaptive,
+                sim::ExecBackend::kBlock, 64);
+    for (int k = 0; k < kSlices; ++k) {
+        env->simulation->run(kSliceS);
+        std::vector<std::uint8_t> blob =
+            campaign::saveSimSnapshot(*env->simulation, env->io);
+        env = std::make_unique<StormEnv>();
+        buildAdcEnv(*env, point, Victim::kGeckoAdaptive,
+                    sim::ExecBackend::kBlock, 64);
+        campaign::restoreSimSnapshot(*env->simulation, env->io, blob);
+    }
+    StormEnv sliced;
+    buildAdcEnv(sliced, point, Victim::kGeckoAdaptive,
+                sim::ExecBackend::kBlock, 0);
+    for (int k = 0; k < kSlices; ++k)
+        sliced.simulation->run(kSliceS);
+
+    Obs resumed = capture(*env->simulation, env->io);
+    Obs reference = capture(*sliced.simulation, sliced.io);
+    ASSERT_GT(reference.counters.exec.cycles, 0u);
+    ASSERT_GT(reference.counters.defense.samples, 0u);
+    expectSameState(resumed, reference, "evaluated slices");
+    EXPECT_TRUE(resumed.snapshot == reference.snapshot);
+}
+
+TEST(CoalesceEvaluatedTest, Fig05WeakTonePointsUnchangedByBursts)
+{
+    // fig05's setting: an NVP victim on the DC bench supply, 35 dBm
+    // radiated from 5 m at the ADC path.  At 20 MHz the FR5994 sees a
+    // 56 mV tone that never moves a latch (bounded-tone certificate);
+    // the STM32L552 sees 0.46 V, which forges wakes off the 3.3 V rail
+    // (evaluated bursts).
+    static const CompiledProgram nvp = compiler::compile(
+        workloads::build("sensor_loop"), Scheme::kNvp);
+    for (const char* device : {"MSP430FR5994", "STM32L552ZE"}) {
+        const auto& dev = device::DeviceDb::byName(device);
+        const auto run = [&dev](int coalesceQuanta) {
+            sim::SimConfig cfg;
+            cfg.cap.capacitanceF = 1e-3;
+            cfg.cap.initialV = 3.3;
+            cfg.coalesceQuanta = coalesceQuanta;
+            sim::IoHub io;
+            workloads::setupIo("sensor_loop", io);
+            energy::ConstantHarvester supply(3.3, 5.0);
+            sim::IntermittentSim simulation(nvp, dev, cfg, supply, io);
+            attack::RemoteRig rig(dev, analog::MonitorKind::kAdc, 5.0);
+            attack::EmiSource source(rig, 20e6, 35.0);
+            simulation.setEmiSource(&source);
+            simulation.run(0.04);
+            return capture(simulation, io);
+        };
+        Obs on = run(64);
+        Obs off = run(0);
+        const sim::SimStats& onSim = on.counters.sim;
+        ASSERT_GT(on.counters.exec.cycles, 0u) << device;
+        expectSame(on, off, device);
+        EXPECT_GE(onSim.coalescedQuanta * 10, onSim.quanta * 9)
+            << device << ": " << onSim.coalescedQuanta << " of "
+            << onSim.quanta << " quanta coalesced";
+    }
+}
+
+TEST(CoalesceEvaluatedTest, ControllerStepsDownInsideAnEvaluatedBurst)
+{
+    // A half-volt tone (27 MHz, 12 dBm from 0.1 m) drives the adaptive
+    // controller to kUnderAttack without forging a backup off the high
+    // rail.  The schedule then retunes the source to a 51 mV tone: the
+    // controller calms and steps down to kSuspicious, re-allowing JIT,
+    // while the dark supply drags the rail to V_backup.  Swept over the
+    // switch time, the step-down lands inside an evaluated running
+    // burst shortly before the backup; the burst must stop at the mode
+    // change so the backup checkpoints.
+    static const CompiledProgram gecko = compiler::compile(
+        workloads::build("sensor_loop"), Scheme::kGecko);
+    const auto& dev = device::DeviceDb::msp430fr5994();
+    std::uint64_t checkpointed = 0;
+    for (int i = 0; i < 100; ++i) {
+        const double tSwitch = 0.0295 + 10e-6 * i;
+        const auto run = [&](int coalesceQuanta) {
+            sim::SimConfig cfg;
+            cfg.cap.capacitanceF = 100e-6;
+            cfg.cap.initialV = 3.3;
+            cfg.coalesceQuanta = coalesceQuanta;
+            defense::presetByName("adaptive", &cfg.defense);
+            sim::IoHub io;
+            workloads::setupIo("sensor_loop", io);
+            energy::SquareWaveHarvester supply(3.3, 5.0, 0.02, 0.05);
+            sim::IntermittentSim simulation(gecko, dev, cfg, supply, io);
+            attack::RemoteRig rig(dev, analog::MonitorKind::kAdc, 0.1);
+            attack::EmiSource source(rig, 27e6, 12.0);
+            attack::AttackSchedule schedule(
+                {{0.0, tSwitch, 27e6, 12.0}, {tSwitch, 1.0, 40e6, 35.0}});
+            simulation.setEmiSource(&source);
+            simulation.setAttackSchedule(&schedule);
+            simulation.run(0.04);
+            return capture(simulation, io);
+        };
+        Obs on = run(64);
+        Obs off = run(0);
+        const std::string label = "switch at " + std::to_string(tSwitch);
+        expectSame(on, off, label);
+        checkpointed += off.counters.sim.jitCheckpointAttempts;
+    }
+    EXPECT_GT(checkpointed, 0u);
+}
+
+TEST(CoalesceEvaluatedTest, SustainedToneRatchetUnchangedByBursts)
+{
+    // fig_adaptive's ADC arm (progress_test's sustained-EMI scenario):
+    // forged wakes boot the node at barely-above-lockout voltage until
+    // the energy-debt ratchet trips to kDegraded, whose recharge dwell
+    // defers forged wakes — wakeAllowed runs on the controller copy for
+    // every one below the lockout.  The second schedule retunes the
+    // source to a weak tone after the trip, so the degraded controller
+    // calms down under evaluated bursts and may leave kDegraded only
+    // after a commit.
+    const auto& dev = device::DeviceDb::msp430fr5994();
+    static const CompiledProgram sensorApp = [] {
+        compiler::PipelineConfig pconfig;
+        pconfig.maxRegionCycles = 60000;
+        return compiler::compile(workloads::build("sensor_app"),
+                                 Scheme::kGecko, pconfig);
+    }();
+    const std::vector<attack::AttackWindow> schedules[] = {
+        {{1.0, 6.0, 27e6, 38.0}},
+        {{1.0, 1.6, 27e6, 38.0}, {1.6, 6.0, 40e6, 20.0}},
+    };
+    for (const auto& windows : schedules) {
+        const auto run = [&](int coalesceQuanta) {
+            sim::IoHub io;
+            workloads::setupIo("sensor_app", io);
+            energy::ConstantHarvester wave(3.3, 600.0);
+            sim::SimConfig cfg;
+            cfg.cap.capacitanceF = 1e-3;
+            cfg.coalesceQuanta = coalesceQuanta;
+            cfg.defense.enabled = true;
+            cfg.defense.energyDebtBudgetJ = 2.5e-3;
+            attack::RemoteRig rig(dev, analog::MonitorKind::kAdc, 0.5);
+            attack::EmiSource source(rig, 27e6, 38.0);
+            attack::AttackSchedule schedule(windows);
+            sim::IntermittentSim simulation(sensorApp, dev, cfg, wave, io);
+            simulation.setEmiSource(&source);
+            simulation.setAttackSchedule(&schedule);
+            simulation.run(4.0);
+            return capture(simulation, io);
+        };
+        const std::string label =
+            std::to_string(windows.size()) + " window(s)";
+        Obs on = run(64);
+        Obs off = run(0);
+        expectSame(on, off, label);
+        EXPECT_GE(off.counters.defense.ratchetTrips, 1u) << label;
+        EXPECT_GT(on.counters.sim.coalescedSleepSamples, 0u) << label;
+        if (windows.size() == 1) {
+            EXPECT_GT(off.counters.defense.wakesDeferred, 0u) << label;
+        }
+    }
 }
 
 }  // namespace

@@ -295,6 +295,31 @@ TEST(DefenseTest, DegradedExitRequiresProvenProgress)
     EXPECT_TRUE(dc.jitAllowed());
 }
 
+TEST(DefenseTest, CommitsFoldOnlyWithEmptyLedgerAndNoDegradedWait)
+{
+    // A burst may fold its running samples' noteCommit calls into one
+    // only when no commit's effect depends on where it lands: the debt
+    // ledger is empty, and kDegraded is not waiting on the first commit
+    // that lets it step down.
+    PlantModel plant;
+    plant.bootEnergyJ = 1e-4;  // commit credit quantum
+    DefenseController dc(fastConfig(), plant);
+    EXPECT_TRUE(dc.commitsFold());
+
+    dc.noteRetriesExhausted(1.0);
+    ASSERT_EQ(dc.mode(), Mode::kDegraded);
+    EXPECT_EQ(dc.stats().energyDebtJ, 0.0);
+    EXPECT_FALSE(dc.commitsFold());
+    dc.noteCommit(1);
+    EXPECT_TRUE(dc.commitsFold());
+
+    dc.noteEnergyCost(2.0, 1e-5);
+    EXPECT_FALSE(dc.commitsFold());
+    dc.noteCommit(2);  // one credit quantum clears the ledger
+    EXPECT_EQ(dc.stats().energyDebtJ, 0.0);
+    EXPECT_TRUE(dc.commitsFold());
+}
+
 TEST(DefenseTest, BackoffLinearNominalExponentialEscalated)
 {
     DefenseConfig config = fastConfig();

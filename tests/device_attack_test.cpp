@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+
 #include "attack/attack_schedule.hpp"
 #include "attack/emi_source.hpp"
 #include "attack/rigs.hpp"
@@ -121,6 +125,58 @@ TEST(AttackScheduleTest, WindowsActivate)
     EXPECT_EQ(sched.activeAt(1.5)->freqHz, 27e6);
     EXPECT_FALSE(sched.activeAt(2.0).has_value());  // half-open
     EXPECT_EQ(sched.activeAt(5.5)->powerDbm, 20.0);
+}
+
+TEST(AttackScheduleTest, NextStartBoundsTheActiveWindow)
+{
+    // The simulator's burst horizon ends by min(active window's end,
+    // nextStartAfter(t0)).  That bound must be sound — activeAt returns
+    // the same window (or none) at every t in [t0, bound) — and, for
+    // disjoint windows, tight: a span past it sees a change.  Brute-
+    // forced on a fine grid; the overlapping schedule also exercises
+    // activeAt's first-added tie-break (a later-starting window added
+    // earlier takes over at its start).
+    const AttackSchedule overlapping({{2.0, 3.0, 5e6, 30.0},
+                                      {1.0, 6.0, 27e6, 35.0},
+                                      {4.0, 5.0, 17e6, 20.0},
+                                      {7.0, 8.0, 27e6, 35.0}});
+    const AttackSchedule disjoint({{5.0, 6.0, 17e6, 20.0},
+                                   {1.0, 2.5, 27e6, 35.0},
+                                   {7.0, 8.0, 5e6, 30.0}});
+    for (const AttackSchedule* sched : {&overlapping, &disjoint}) {
+        const auto sameAt = [sched](double t0, double t1) {
+            const auto first = sched->activeAt(t0);
+            for (double t = t0; t < t1; t += 1.0 / 64) {
+                const auto w = sched->activeAt(t);
+                if (w.has_value() != first.has_value() ||
+                    (w && (w->startS != first->startS ||
+                           w->endS != first->endS)))
+                    return false;
+            }
+            return true;
+        };
+        for (double t0 = 0.0; t0 < 9.0; t0 += 0.25) {
+            const auto active = sched->activeAt(t0);
+            const double bound =
+                std::min(sched->nextStartAfter(t0),
+                         active ? active->endS
+                                : std::numeric_limits<double>::infinity());
+            for (double len : {0.25, 0.5, 1.0, 2.5}) {
+                const std::string span = "[" + std::to_string(t0) + ", " +
+                                         std::to_string(t0 + len) + ")";
+                if (t0 + len <= bound) {
+                    EXPECT_TRUE(sameAt(t0, t0 + len)) << span;
+                } else if (sched == &disjoint) {
+                    EXPECT_FALSE(sameAt(t0, t0 + len)) << span;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(overlapping.nextStartAfter(0.0), 1.0);
+    EXPECT_EQ(overlapping.nextStartAfter(1.0), 2.0);  // strictly after
+    EXPECT_EQ(overlapping.nextStartAfter(2.5), 4.0);
+    EXPECT_EQ(overlapping.nextStartAfter(7.0),
+              std::numeric_limits<double>::infinity());
 }
 
 TEST(AttackScheduleTest, PaperScenarios)

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 
 #include "energy/capacitor.hpp"
 #include "energy/harvester.hpp"
@@ -120,6 +123,79 @@ TEST(CapacitorTest, LeakageDrains)
     EXPECT_LT(cap.voltage(), v0);
     // V(t) = V0 exp(-G t / C) = 3.3 * exp(-1)
     EXPECT_NEAR(cap.voltage(), 3.3 * std::exp(-1.0), 1e-6);
+}
+
+TEST(CapacitorTest, CeilingEnergyIsTheExactVoltageBound)
+{
+    // voltage() > v  ⇔  energy() > ceilingEnergy(v), checked on the
+    // doubles adjacent to the bound and on random energies.
+    std::mt19937_64 rng(5);
+    for (double c : {20e-6, 1e-3, 4.7e-3, 10e-3}) {
+        CapacitorConfig config;
+        config.capacitanceF = c;
+        const Capacitor cap(config);
+        const auto volts = [c](double e) { return std::sqrt(2.0 * e / c); };
+        for (double v : {2.08 + 0.02, 2.2, 3.0, 0.7, 1e-3}) {
+            const double bound = cap.ceilingEnergy(v);
+            double below = bound;
+            double above = bound;
+            for (int i = 0; i < 64; ++i) {
+                EXPECT_FALSE(volts(below) > v) << "C=" << c << " v=" << v;
+                above = std::nextafter(above, 1.0);
+                EXPECT_TRUE(volts(above) > v) << "C=" << c << " v=" << v;
+                below = std::nextafter(below, 0.0);
+            }
+            std::uniform_real_distribution<double> energy(0.0, 4.0 * bound);
+            for (int i = 0; i < 1000; ++i) {
+                const double e = energy(rng);
+                EXPECT_EQ(volts(e) > v, e > bound);
+            }
+        }
+    }
+}
+
+TEST(CapacitorTest, StepEnergyMatchesDischargeThenCharge)
+{
+    // The burst march's step must be the slow path's discharge +
+    // chargeFrom bit for bit: random inputs plus the clamp edges (a
+    // draw at or past the stored energy, a source at or below the rail,
+    // a steady state above the clamp).
+    std::mt19937_64 rng(9);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (int i = 0; i < 20000; ++i) {
+        CapacitorConfig config;
+        config.capacitanceF = std::pow(10.0, -5.0 + 3.0 * unit(rng));
+        config.maxV = 3.3;
+        Capacitor cap(config);
+        cap.setVoltage(3.4 * unit(rng));
+        const double e0 = cap.energy();
+        double joules = 0.0;
+        switch (i % 5) {
+          case 0: joules = e0 * 1e-3 * unit(rng); break;
+          case 1: joules = e0; break;
+          case 2: joules = e0 * (1.0 + unit(rng)); break;
+          case 3: joules = e0 * unit(rng); break;
+          default: joules = 0.0; break;
+        }
+        double vOc = 5.0 * unit(rng);
+        if (i % 7 == 0)
+            vOc = cap.voltage();
+        if (i % 11 == 0)
+            vOc = 0.0;
+        const double rSeries = 0.1 + 200.0 * unit(rng);
+        const double dt = std::pow(10.0, -7.0 + 6.0 * unit(rng));
+
+        Capacitor reference = cap;
+        reference.discharge(joules);
+        reference.chargeFrom(vOc, rSeries, dt);
+        const double stepped = Capacitor::stepEnergy(
+            e0, joules, cap.planCharge(vOc, rSeries, dt),
+            config.capacitanceF, config.maxV);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(stepped),
+                  std::bit_cast<std::uint64_t>(reference.energy()))
+            << "case " << i << ": E=" << e0 << " j=" << joules
+            << " vOc=" << vOc << " Rs=" << rSeries << " dt=" << dt;
+    }
 }
 
 TEST(HarvesterTest, SquareWaveTiming)

@@ -9,6 +9,7 @@
 #include "attack/emi_source.hpp"
 #include "attack/rigs.hpp"
 #include "compiler/pipeline.hpp"
+#include "defense/controller.hpp"
 #include "device/device_db.hpp"
 #include "energy/harvester.hpp"
 #include "exp/rng.hpp"
@@ -633,6 +634,113 @@ TEST(BackendFaultDifferentialTest, AllInjectorsAgreeAcrossTiers)
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Coalescing differential under EMI (DESIGN.md §14).  Every EMI
+// differential above installs a trace buffer, which disables bursts;
+// this one runs bufferless so they engage.  Each seed draws a monitor
+// path, board, scheme, tone, power, distance, supply and buffer size,
+// an optional attack schedule and an optional adaptive controller, and
+// runs it with bursts of up to 64 samples and with none: the counters
+// and the full simulation snapshot must agree.
+// ---------------------------------------------------------------------
+
+struct CoalesceRun {
+    sim::Counters counters;
+    std::vector<std::uint8_t> snapshot;
+};
+
+CoalesceRun
+runCoalesceCase(std::uint32_t seed, int coalesceQuanta)
+{
+    static const std::array<CompiledProgram, 3> programs = {
+        compiler::compile(workloads::build("sensor_loop"), Scheme::kNvp),
+        compiler::compile(workloads::build("sensor_loop"), Scheme::kRatchet),
+        compiler::compile(workloads::build("sensor_loop"), Scheme::kGecko)};
+    Rng rng(seed);
+    const auto monitor = rng.pick(2) ? analog::MonitorKind::kAdc
+                                     : analog::MonitorKind::kComparator;
+    const auto& dev = device::DeviceDb::byName(
+        rng.pick(2) ? "MSP430FR5994" : "STM32L552ZE");
+    const CompiledProgram& program = programs[rng.pick(3)];
+    const bool adaptive =
+        program.scheme == Scheme::kGecko && rng.pick(2) != 0;
+    // 1-40 MHz spans the boards' ADC (17, 27 MHz) and comparator
+    // (5 MHz) resonances and the weak tones around them.
+    const double freqHz = 1e6 * (1 + rng.pick(40));
+    const double powerDbm = 20.0 + rng.pick(16);
+    const double distanceM = 0.1 * (1 + rng.pick(50));
+    const bool squareWave = rng.pick(2) != 0;
+    const double capacitanceF = rng.pick(2) ? 100e-6 : 20e-6;
+    // Windows may overlap and carry their own tones: where they do,
+    // activeAt's first-added tie-break retunes the source mid-window.
+    std::vector<attack::AttackWindow> windows;
+    if (rng.pick(2)) {
+        for (int i = 0, n = 1 + static_cast<int>(rng.pick(4)); i < n; ++i) {
+            const double start = 0.002 * rng.pick(35);
+            const double on = 0.002 * (1 + rng.pick(15));
+            windows.push_back({start, start + on,
+                               i == 0 ? freqHz : 1e6 * (1 + rng.pick(40)),
+                               i == 0 ? powerDbm : 20.0 + rng.pick(16)});
+        }
+    }
+
+    sim::SimConfig cfg;
+    cfg.monitorKind = monitor;
+    cfg.monitorSeed = seed;
+    cfg.cap.capacitanceF = capacitanceF;
+    cfg.cap.initialV = 3.3;
+    cfg.coalesceQuanta = coalesceQuanta;
+    if (adaptive)
+        defense::presetByName("adaptive", &cfg.defense);
+    sim::IoHub io;
+    workloads::setupIo("sensor_loop", io);
+    std::unique_ptr<energy::Harvester> supply;
+    if (squareWave)
+        supply = std::make_unique<energy::SquareWaveHarvester>(3.3, 5.0,
+                                                               0.01, 0.02);
+    else
+        supply = std::make_unique<energy::ConstantHarvester>(3.3, 5.0);
+    sim::IntermittentSim simulation(program, dev, cfg, *supply, io);
+    attack::RemoteRig rig(dev, monitor, distanceM);
+    attack::EmiSource source(rig, freqHz, powerDbm);
+    attack::AttackSchedule schedule(std::move(windows));
+    simulation.setEmiSource(&source);
+    if (!schedule.windows().empty())
+        simulation.setAttackSchedule(&schedule);
+    simulation.run(0.08);
+    return {simulation.counters(), campaign::saveSimSnapshot(simulation, io)};
+}
+
+class CoalesceFuzzTest : public ::testing::TestWithParam<std::uint32_t>
+{
+};
+
+TEST_P(CoalesceFuzzTest, RandomEmiUnchangedByBursts)
+{
+    const auto seed =
+        static_cast<std::uint32_t>(exp::applyGlobalSeed(GetParam()));
+    const CoalesceRun on = runCoalesceCase(seed, 64);
+    const CoalesceRun off = runCoalesceCase(seed, 0);
+    EXPECT_EQ(off.counters.sim.coalescedQuanta +
+                  off.counters.sim.coalescedSleepSamples,
+              0u)
+        << "seed " << seed;
+    EXPECT_EQ(test::firstArchivedDifference(on.counters, off.counters), "")
+        << "seed " << seed;
+    EXPECT_EQ(on.counters.sim.quanta, off.counters.sim.quanta)
+        << "seed " << seed;
+    EXPECT_EQ(on.counters.sim.sleepSamples, off.counters.sim.sleepSamples)
+        << "seed " << seed;
+    EXPECT_TRUE(on.snapshot == off.snapshot)
+        << "seed " << seed << ": simulation snapshot diverged";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CoalesceFuzzTest,
+                         ::testing::Range(1u, 65u),
+                         [](const auto& info) {
+                             return "seed" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace gecko

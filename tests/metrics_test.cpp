@@ -226,10 +226,10 @@ TEST(CounterRegistryTest, NamesAreUniqueAndOnlyBurstDiagnosticsUnarchived)
         if (!field.archived)
             unarchived.push_back(field.name);
     });
-    EXPECT_EQ(names.size(), 6u + 16u + 15u + 13u);
+    EXPECT_EQ(names.size(), 6u + 17u + 15u + 13u);
     EXPECT_EQ(unarchived,
               (std::vector<std::string>{"quanta", "coalesced_quanta",
-                                        "coalesced_bursts",
+                                        "coalesced_bursts", "sleep_samples",
                                         "coalesced_sleep_samples"}));
 }
 

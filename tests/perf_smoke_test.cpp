@@ -238,5 +238,60 @@ TEST(PerfSmokeTest, SaturatedStormBurstsEngage)
               << dark.defenseSamples << " sleep samples absorbed\n";
 }
 
+/**
+ * Evaluated-burst engagement guard (DESIGN.md §14): the attack_sweep
+ * FR5994 ADC point (27 MHz, 35 dBm from 0.1 m, 1 Hz outage supply) on
+ * an NVP victim.  The tone forges wakes at random carrier phases, so no
+ * certificate holds; every sleep sample up to the wake that boots must
+ * be absorbed by an evaluated sleep burst.  A weak off-resonance tone
+ * (40 MHz, ~50 mV) on a running victim never moves a latch: the
+ * bounded-tone certificate must absorb its running quanta.  Counts
+ * only — no wall-clock floor.
+ */
+sim::SimStats
+runAdcSlice(double freqHz, bool squareWave, double seconds)
+{
+    static const compiler::CompiledProgram compiled = compiler::compile(
+        workloads::build("sensor_loop"), compiler::Scheme::kNvp);
+    const auto& dev = device::DeviceDb::msp430fr5994();
+    sim::SimConfig config;
+    config.cap.capacitanceF = 1e-3;
+    config.cap.initialV = 3.3;
+    config.coalesceQuanta = 64;
+    sim::IoHub io;
+    workloads::setupIo("sensor_loop", io);
+    energy::SquareWaveHarvester outages(3.3, 5.0, 0.5, 0.5);
+    energy::ConstantHarvester bench(3.3, 5.0);
+    energy::Harvester& supply =
+        squareWave ? static_cast<energy::Harvester&>(outages) : bench;
+    attack::RemoteRig rig(dev, analog::MonitorKind::kAdc, 0.1);
+    attack::EmiSource source(rig, freqHz, 35.0);
+    sim::IntermittentSim simulation(compiled, dev, config, supply, io);
+    simulation.setEmiSource(&source);
+    simulation.run(seconds);
+    return simulation.stats;
+}
+
+TEST(PerfSmokeTest, EvaluatedAdcBurstsEngage)
+{
+    const sim::SimStats storm = runAdcSlice(27e6, true, 1.0);
+    ASSERT_GT(storm.sleepSamples, 20'000u) << "slice too short";
+    EXPECT_GE(storm.coalescedSleepSamples * 10, storm.sleepSamples * 9)
+        << "evaluated sleep bursts absorbed only "
+        << storm.coalescedSleepSamples << " of " << storm.sleepSamples
+        << " sleep samples";
+
+    const sim::SimStats weak = runAdcSlice(40e6, false, 0.2);
+    ASSERT_GT(weak.quanta, 10'000u) << "slice too short";
+    EXPECT_GE(weak.coalescedQuanta * 10, weak.quanta * 9)
+        << "bounded-tone bursts absorbed only " << weak.coalescedQuanta
+        << " of " << weak.quanta << " running quanta";
+    std::cout << "[perf_smoke] ADC storm: " << storm.coalescedSleepSamples
+              << "/" << storm.sleepSamples
+              << " sleep samples absorbed; weak tone: "
+              << weak.coalescedQuanta << "/" << weak.quanta
+              << " quanta coalesced\n";
+}
+
 }  // namespace
 }  // namespace gecko
