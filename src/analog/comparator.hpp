@@ -24,10 +24,28 @@ class Comparator
      * @param hysteresisV total hysteresis band width
      * @param initialHigh initial output state
      */
-    Comparator(double referenceV, double hysteresisV, bool initialHigh);
+    Comparator(double referenceV, double hysteresisV, bool initialHigh)
+        : referenceV_(referenceV), halfBand_(hysteresisV / 2.0),
+          high_(initialHigh)
+    {
+    }
 
-    /** Evaluate the comparator for input voltage `v`. */
-    bool evaluate(double v);
+    /**
+     * Evaluate the comparator for input voltage `v`: a high output
+     * falls below ref − hysteresis/2, a low one rises above
+     * ref + hysteresis/2.  Inline: burst certificates evaluate copies.
+     */
+    bool evaluate(double v)
+    {
+        if (high_) {
+            if (v < referenceV_ - halfBand_)
+                high_ = false;
+        } else {
+            if (v > referenceV_ + halfBand_)
+                high_ = true;
+        }
+        return high_;
+    }
 
     /** Current output without re-evaluating. */
     bool output() const { return high_; }
@@ -35,9 +53,6 @@ class Comparator
     void reset(bool high) { high_ = high; }
 
     double reference() const { return referenceV_; }
-
-    /** Half the hysteresis band (transitions need ref ± halfBand). */
-    double halfBand() const { return halfBand_; }
 
   private:
     double referenceV_;

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "analog/adc.hpp"
 #include "analog/comparator.hpp"
@@ -65,31 +66,6 @@ class VoltageMonitor
      */
     virtual bool continuous() const { return false; }
 
-    /**
-     * Observe a window during which the input covered
-     * [low, high] (continuous monitors only).  Default: trough first,
-     * then crest — a backup trigger on the trough re-arms on the crest.
-     */
-    virtual MonitorEvent observeEnvelope(double low, double high);
-
-    /**
-     * Steady-event certificate: the monitor side of the simulator's
-     * burst guard (DESIGN.md §14).  Consider every observation the
-     * simulator makes while the rail stays inside [lo, hi] with a tone
-     * of peak amplitude `amplitude` on it: a point sample of the rail
-     * plus a tone reading of at most A in magnitude (an ADC), the
-     * window envelope [v − A, v + A] when the monitor is continuous.
-     * If each of them provably returns the
-     * same event and leaves every latch at its current value, return
-     * that event — `{}` for a quiet band, `{backup, wake}` for a
-     * comparator the tone drives through both thresholds on every
-     * window.  The skipped observations of a burst are then exact
-     * repeats of one known step.  `std::nullopt` means "unknown",
-     * never "unsafe is fine".
-     */
-    virtual std::optional<MonitorEvent>
-    steadyEvent(double lo, double hi, double amplitude) const = 0;
-
     /** Re-initialise state as if the supply were at `v`. */
     virtual void reset(double v) = 0;
 
@@ -105,7 +81,7 @@ class VoltageMonitor
  * n-bit converter and compares codes against the thresholds.  The slow
  * sampling is exactly what makes it aliasing-prone under EMI.
  */
-class AdcMonitor : public VoltageMonitor
+class AdcMonitor final : public VoltageMonitor
 {
   public:
     /**
@@ -118,10 +94,26 @@ class AdcMonitor : public VoltageMonitor
     AdcMonitor(int adcBits, double fullScaleV, double vBackup, double vWake,
                double sampleHz);
 
-    MonitorEvent observe(double seenV) override;
+    MonitorEvent observe(double seenV) override
+    {
+        MonitorEvent ev;
+        const std::uint32_t code = adc_.sample(seenV);
+        const bool below = code < backupCode_;
+        const bool above = code >= wakeCode_;
+        if (below && !belowBackup_)
+            ev.backup = true;
+        if (above && !aboveWake_)
+            ev.wake = true;
+        belowBackup_ = below;
+        aboveWake_ = above;
+        return ev;
+    }
     double sampleIntervalS() const override { return 1.0 / sampleHz_; }
-    std::optional<MonitorEvent> steadyEvent(double lo, double hi,
-                                            double amplitude) const override;
+    /** The edge-detection latches (what archiveState saves). */
+    std::pair<bool, bool> latches() const
+    {
+        return {belowBackup_, aboveWake_};
+    }
     void reset(double v) override;
     void archiveState(campaign::Archive& ar) override;
 
@@ -140,7 +132,7 @@ class AdcMonitor : public VoltageMonitor
  * the paper measures minimum forward progress two orders of magnitude
  * below the ADC monitors' (Table I).
  */
-class ComparatorMonitor : public VoltageMonitor
+class ComparatorMonitor final : public VoltageMonitor
 {
   public:
     /**
@@ -152,11 +144,23 @@ class ComparatorMonitor : public VoltageMonitor
     ComparatorMonitor(double vBackup, double vWake, double hysteresisV,
                       double checkHz);
 
-    MonitorEvent observe(double seenV) override;
+    /** A falling backup comparator is a backup edge, a rising wake
+     *  comparator a wake edge. */
+    MonitorEvent observe(double seenV) override
+    {
+        const bool backupWas = backupComp_.output();
+        const bool wakeWas = wakeComp_.output();
+        const bool backupNow = backupComp_.evaluate(seenV);
+        const bool wakeNow = wakeComp_.evaluate(seenV);
+        return {backupWas && !backupNow, !wakeWas && wakeNow};
+    }
     double sampleIntervalS() const override { return 1.0 / checkHz_; }
     bool continuous() const override { return true; }
-    std::optional<MonitorEvent> steadyEvent(double lo, double hi,
-                                            double amplitude) const override;
+    /** The comparator outputs (what archiveState saves). */
+    std::pair<bool, bool> latches() const
+    {
+        return {backupComp_.output(), wakeComp_.output()};
+    }
     void reset(double v) override;
     void archiveState(campaign::Archive& ar) override;
 
@@ -165,6 +169,84 @@ class ComparatorMonitor : public VoltageMonitor
     Comparator wakeComp_;
     double checkHz_;
 };
+
+/**
+ * Observe a window during which the input covered [low, high]
+ * (continuous monitors): trough first, then crest — a backup trigger on
+ * the trough re-arms on the crest.  A template, so a final monitor's
+ * observe binds statically and inlines.
+ */
+template <class Monitor>
+MonitorEvent
+observeEnvelope(Monitor& monitor, double low, double high)
+{
+    const MonitorEvent trough = monitor.observe(low);
+    const MonitorEvent crest = monitor.observe(high);
+    return {trough.backup || crest.backup, trough.wake || crest.wake};
+}
+
+/**
+ * Call `fn` with `monitor` as its final class — the continuous one is
+ * the comparator monitor — so the monitor calls inside `fn` bind
+ * statically and inline.
+ */
+template <class Fn>
+decltype(auto)
+visit(const VoltageMonitor& monitor, Fn&& fn)
+{
+    if (monitor.continuous())
+        return fn(static_cast<const ComparatorMonitor&>(monitor));
+    return fn(static_cast<const AdcMonitor&>(monitor));
+}
+
+/**
+ * The steady-event certificate, the monitor side of the simulator's
+ * burst guard (DESIGN.md §14): observe a band's two extreme samples on
+ * value copies of `monitor` — `low(copy)` and `high(copy)` each observe
+ * one — and return their event if both return the same one and leave
+ * every latch as it was.  A monitor's decision is monotone in its
+ * reading, so every sample between the two then repeats that event
+ * with the latches unchanged: `{}` for a quiet band, `{backup, wake}`
+ * for a comparator a tone drives through both thresholds on every
+ * window.  `std::nullopt` means "unknown", never "unsafe is fine".
+ */
+template <class Monitor, class Low, class High>
+std::optional<MonitorEvent>
+steadyEvent(const Monitor& monitor, Low&& low, High&& high)
+{
+    Monitor atLow = monitor;
+    Monitor atHigh = monitor;
+    const MonitorEvent ev = low(atLow);
+    if (ev == high(atHigh) && atLow.latches() == monitor.latches() &&
+        atHigh.latches() == monitor.latches())
+        return ev;
+    return std::nullopt;
+}
+
+/**
+ * The certificate for every sample of a rail in [lo, hi] carrying a
+ * tone of peak `amplitude`.  A point read lands at a DCO-jittered
+ * carrier phase and reads RN(v + RN(A·sin x)) with |sin x| <= 1, so its
+ * extreme samples are the reads RN(lo − A) and RN(hi + A); a continuous
+ * monitor sees the window envelope [v − A, v + A], so its extremes are
+ * the envelopes at v = lo and v = hi.
+ */
+template <class Monitor>
+std::optional<MonitorEvent>
+steadyEvent(const Monitor& monitor, double lo, double hi, double amplitude)
+{
+    if (!(amplitude >= 0.0) || lo > hi)
+        return std::nullopt;
+    const auto at = [amplitude](double v, double read) {
+        return [=](Monitor& m) {
+            return m.continuous()
+                       ? observeEnvelope(m, v - amplitude, v + amplitude)
+                       : m.observe(read);
+        };
+    };
+    return steadyEvent(monitor, at(lo, lo - amplitude),
+                       at(hi, hi + amplitude));
+}
 
 }  // namespace gecko::analog
 

@@ -1,26 +1,12 @@
 #include "campaign/archive.hpp"
 
+#include "sim/nvm.hpp"
+
 namespace gecko::campaign {
 
 namespace {
 
 constexpr char kMagic[4] = {'G', 'S', 'N', 'P'};
-
-const std::uint32_t*
-crcTable()
-{
-    static const auto table = [] {
-        static std::uint32_t t[256];
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    return table;
-}
 
 void
 putU32(std::vector<std::uint8_t>& out, std::uint32_t v)
@@ -56,15 +42,6 @@ getU64(const std::uint8_t* p)
 
 }  // namespace
 
-std::uint32_t
-crc32Bytes(const std::uint8_t* data, std::size_t n, std::uint32_t crc)
-{
-    const std::uint32_t* table = crcTable();
-    for (std::size_t i = 0; i < n; ++i)
-        crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
-    return crc;
-}
-
 std::vector<std::uint8_t>
 sealContainer(std::uint32_t version, const std::vector<std::uint8_t>& payload)
 {
@@ -74,7 +51,7 @@ sealContainer(std::uint32_t version, const std::vector<std::uint8_t>& payload)
     putU32(out, version);
     putU64(out, payload.size());
     out.insert(out.end(), payload.begin(), payload.end());
-    putU32(out, crc32Bytes(payload.data(), payload.size()));
+    putU32(out, sim::crc32Bytes(payload.data(), payload.size()));
     return out;
 }
 
@@ -97,7 +74,7 @@ openContainer(const std::vector<std::uint8_t>& bytes,
         throw SnapshotError("snapshot: payload length mismatch");
     std::uint32_t want = getU32(bytes.data() + kHeader + len);
     std::uint32_t got =
-        crc32Bytes(bytes.data() + kHeader, static_cast<std::size_t>(len));
+        sim::crc32Bytes(bytes.data() + kHeader, static_cast<std::size_t>(len));
     if (want != got)
         throw SnapshotError("snapshot: CRC mismatch");
     return std::vector<std::uint8_t>(bytes.begin() + kHeader,

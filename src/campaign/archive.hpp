@@ -40,10 +40,6 @@ class SnapshotError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** Byte-wise CRC-32 (reflected 0xEDB88320, init 0, no final xor). */
-std::uint32_t crc32Bytes(const std::uint8_t* data, std::size_t n,
-                         std::uint32_t crc = 0);
-
 /** Field-list serializer; see file comment. */
 class Archive
 {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "campaign/archive.hpp"
 #include "trace/trace.hpp"
@@ -36,50 +37,27 @@ Capacitor::tracingCrossings() const
 }
 
 void
-Capacitor::chargeFrom(double vOc, double rSeries, double dt)
+Capacitor::commitCharge(const ChargePlan& p)
 {
-    noteOutage(vOc);
-    // The harvester front end rectifies (Fig. 1): no reverse current
-    // flows into a source below the capacitor voltage.
-    if (vOc <= voltage()) {
-        leak(dt);
-        return;
-    }
-    // dV/dt = (vOc - V)/(Rs C) - (G V)/C  =  b - a V, with
-    //   a = 1/(Rs C) + G/C,  b = vOc/(Rs C).
-    // Exact step: V(t+dt) = V∞ + (V - V∞) e^{-a dt},  V∞ = b/a.
-    // Harvesters are piecewise-constant and the simulator's quantum is
-    // fixed over long spans, so consecutive calls nearly always repeat
-    // the same (vOc, Rs, dt) triple: memoize the coefficients and skip
-    // the exp().  A miss recomputes exactly the cached expressions
-    // (planCharge mirrors this derivation), so results are
-    // bit-identical regardless of cache state.
-    const ChargePlan& plan = chargePlan(vOc, rSeries, dt);
     const double prevE = energyJ_;
-    double v = voltage();
-    v = plan.vInf + (v - plan.vInf) * plan.rcDecay;
-    v = std::clamp(v, 0.0, config_.maxV);
-    setVoltage(v);
+    energyJ_ =
+        chargedEnergy(energyJ_, p, config_.capacitanceF, config_.maxV);
     if (tracingCrossings())
         traceCrossings(prevE, energyJ_);
 }
 
 void
+Capacitor::chargeFrom(double vOc, double rSeries, double dt)
+{
+    noteOutage(vOc);
+    commitCharge(chargePlan(vOc, rSeries, dt));
+}
+
+void
 Capacitor::leak(double dt)
 {
-    // Pure leakage: V(t) = V e^{-G dt / C}.  The decay factor depends
-    // only on dt (G and C are fixed per capacitor), so it is memoized
-    // like the chargeFrom plan.
-    if (dt != leakDt_) {
-        leakDecay_ =
-            std::exp(-config_.leakageS * dt / config_.capacitanceF);
-        leakDt_ = dt;
-    }
-    const double prevE = energyJ_;
-    double v = voltage() * leakDecay_;
-    setVoltage(v);
-    if (tracingCrossings())
-        traceCrossings(prevE, energyJ_);
+    commitCharge(
+        planCharge(0.0, std::numeric_limits<double>::infinity(), dt));
 }
 
 double

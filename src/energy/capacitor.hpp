@@ -54,37 +54,34 @@ class Capacitor
     double maxVoltage() const { return config_.maxV; }
 
     /**
-     * Draw `joules` from the buffer.  Inline: this is the simulator's
-     * per-quantum hot path (millions of calls per figure), and the
-     * common case — thresholds unwatched, or no trace buffer installed
-     * — must not pay an out-of-line call just to discover there is
-     * nothing to trace.
+     * Draw `joules` from the buffer: commit the discharge half of one
+     * step (`drawnEnergy`).  Inline: this is the simulator's
+     * per-quantum hot path (millions of calls per figure).
      * @return the energy actually drawn (less than requested iff the
      *         buffer ran dry).
      */
     double discharge(double joules)
     {
-        const double prevE = energyJ_;
-        double drawn = std::min(joules, energyJ_);
-        energyJ_ -= drawn;
-        if (watching_ && prevE != energyJ_)
-            traceCrossings(prevE, energyJ_);
+        const double drawn = std::min(joules, energyJ_);
+        commitEnergy(drawnEnergy(energyJ_, joules));
         return drawn;
     }
 
     /**
      * Batched-discharge support for the simulator's execution quanta:
-     * the number of whole cycles at `epcJ` joules/cycle the buffer can
-     * afford before the stored energy would fall to `floorEnergyJ`.
-     * This is the crossing-safe bound the block-compiled backend's
-     * entry guard relies on — a run budgeted by this value can never
-     * discharge across the floor threshold mid-block, so threshold
-     * crossings are only ever observed at batch-commit granularity
-     * (dischargeCycles), identically for every execution tier.
+     * the number of whole cycles at `epcJ` joules/cycle a buffer
+     * holding `energyJ` can afford before the stored energy would fall
+     * to `floorEnergyJ`.  This is the crossing-safe bound the
+     * block-compiled backend's entry guard relies on — a run budgeted
+     * by this value can never discharge across the floor threshold
+     * mid-block, so threshold crossings are only ever observed at
+     * batch-commit granularity (dischargeCycles), identically for every
+     * execution tier.
      */
-    std::uint64_t affordableCycles(double epcJ, double floorEnergyJ) const
+    static std::uint64_t affordableCycles(double energyJ, double epcJ,
+                                          double floorEnergyJ)
     {
-        const double avail = energyJ_ - floorEnergyJ;
+        const double avail = energyJ - floorEnergyJ;
         return avail > 0 ? static_cast<std::uint64_t>(avail / epcJ) : 0;
     }
 
@@ -101,24 +98,15 @@ class Capacitor
     }
 
     /**
-     * True iff the stored energy is within `marginJ` above the energy
-     * level `thresholdEJ` (armed-threshold proximity guard: callers
-     * drop to fine-grained sampling before a crossing can slip between
-     * two coarse quanta).
-     */
-    bool nearThresholdE(double thresholdEJ, double marginJ) const
-    {
-        return energyJ_ - thresholdEJ < marginJ;
-    }
-
-    /**
      * Charge from a Thevenin source (`vOc`, `rSeries`) for `dt` seconds,
-     * including leakage.  Uses the exact solution of the linear RC ODE,
-     * so arbitrarily large steps are stable.
+     * including leakage: settle the outage latch, then commit the
+     * charge half of one step (`chargedEnergy`).  Uses the exact
+     * solution of the linear RC ODE, so arbitrarily large steps are
+     * stable.
      */
     void chargeFrom(double vOc, double rSeries, double dt);
 
-    /** Let only leakage act for `dt` seconds. */
+    /** Let only leakage act for `dt` seconds (an open-circuit source). */
     void leak(double dt);
 
     /**
@@ -126,9 +114,8 @@ class Capacitor
      * step.  When the simulator's burst fast path has proven the
      * source steady over a whole burst (constant vOc and rSeries,
      * fixed dt), the Thevenin divide/exp work is hoisted out of the
-     * per-step march; `stepEnergy` then replays the exact
-     * floating-point sequence of `discharge` + `chargeFrom` with these
-     * constants, bit-for-bit.
+     * per-step march; `stepEnergy` then runs the very halves
+     * `discharge` + `chargeFrom` commit, with these constants.
      */
     struct ChargePlan {
         double vOc = 0.0;
@@ -153,7 +140,10 @@ class Capacitor
 
     /**
      * `planCharge(vOc, rSeries, dt)` through the memo `chargeFrom`
-     * keeps: a hit returns the doubles a fresh plan would hold.
+     * keeps (derived state, never archived): harvesters are
+     * piecewise-constant and the simulation quantum is fixed over long
+     * spans, so consecutive steps repeat the same inputs.  A hit
+     * returns the doubles a fresh plan would hold.
      */
     const ChargePlan& chargePlan(double vOc, double rSeries, double dt)
     {
@@ -167,21 +157,27 @@ class Capacitor
     }
 
     /**
-     * The stored energy after one simulation step from `energyJ`:
-     * `discharge(joules)` followed by `chargeFrom` under plan `p`.
-     * Pure and static so the simulator's bursts can march the *exact*
-     * step sequence on local copies — the same floating-point
-     * operations in the same order as the slow path — and commit the
-     * marched end state once (`commitEnergy`).
+     * The discharge half of one step: the stored energy after drawing
+     * `joules` from `energyJ`, as `E − min(j, E)` — which rounds like
+     * `max(E − j, 0)`: a difference of two doubles is zero only when
+     * they are equal, so `E − j` is negative exactly when the draw
+     * exceeds the buffer.
      */
-    static double stepEnergy(double energyJ, double joules,
-                             const ChargePlan& p, double capacitanceF,
-                             double maxV)
+    static double drawnEnergy(double energyJ, double joules)
     {
-        // `E − min(j, E)` rounds like `max(E − j, 0)`: a difference of
-        // two doubles is zero only when they are equal, so `E − j` is
-        // negative exactly when the draw exceeds the buffer.
-        energyJ = std::max(energyJ - joules, 0.0);
+        return std::max(energyJ - joules, 0.0);
+    }
+
+    /**
+     * The charge half of one step: the stored energy after `energyJ`
+     * charges under plan `p` — the exact RC step V∞ + (V − V∞)e^{-a dt}
+     * from a source above the rail, pure leakage V·e^{-G dt / C} from
+     * one at or below it (the front end rectifies: no reverse
+     * current), clamped at `maxV`.
+     */
+    static double chargedEnergy(double energyJ, const ChargePlan& p,
+                                double capacitanceF, double maxV)
+    {
         double v = std::sqrt(2.0 * energyJ / capacitanceF);
         if (p.vOc <= v)
             v = v * p.leakDecay;
@@ -195,11 +191,27 @@ class Capacitor
     }
 
     /**
-     * Commit an energy level the caller marched exactly on a local
-     * copy (the simulator's bursts and JIT word segments).  Traces the
-     * threshold crossings between the two levels as one discharge
-     * would; callers commit one step at a time whenever a trace buffer
-     * is installed, so every crossing keeps its own timestamp.
+     * The stored energy after one simulation step from `energyJ`: the
+     * discharge half, then the charge half under plan `p` — what
+     * `discharge(joules)` followed by `chargeFrom` commits.  Pure and
+     * static so the simulator's bursts march the same floating-point
+     * operations on local copies and commit the marched end state once
+     * (`commitEnergy`).
+     */
+    static double stepEnergy(double energyJ, double joules,
+                             const ChargePlan& p, double capacitanceF,
+                             double maxV)
+    {
+        return chargedEnergy(drawnEnergy(energyJ, joules), p, capacitanceF,
+                             maxV);
+    }
+
+    /**
+     * Commit an energy level: a discharge half, or a level the
+     * simulator's bursts and JIT word segments marched on local copies.
+     * Traces the threshold crossings between the two levels; callers
+     * commit one step at a time whenever a trace buffer is installed,
+     * so every crossing keeps its own timestamp.
      */
     void commitEnergy(double energyJ)
     {
@@ -266,6 +278,8 @@ class Capacitor
     // sqrt in voltage() just to feed tracing.
     void traceCrossings(double prevE, double newE);
     bool tracingCrossings() const;
+    /// Commit the charge half of one step under plan `p`.
+    void commitCharge(const ChargePlan& p);
     /// Settle the outage latch (archived state, kept with or without a
     /// trace buffer); only an edge leaves the inline test.
     void noteOutage(double vOc)
@@ -277,19 +291,11 @@ class Capacitor
 
     CapacitorConfig config_;
     double energyJ_;
-    // Memoized chargeFrom/leak coefficients (derived state, never
-    // archived): harvesters are piecewise-constant and the simulation
-    // quantum is fixed over long spans, so consecutive RC steps repeat
-    // the same (vOc, Rs, dt) inputs and can skip the divides and exp().
-    // A miss recomputes exactly the cached expressions, so results are
-    // bit-identical whether or not the cache hits — including across a
-    // snapshot restore, which simply starts cold.
+    // The chargePlan memo and its key.
     double planVoc_ = -1.0;
     double planRs_ = -1.0;
     double planDt_ = -1.0;
     ChargePlan plan_{};
-    double leakDt_ = -1.0;
-    double leakDecay_ = 1.0;
     // Trace-only state (inert unless watchThresholds was called).
     bool watching_ = false;
     bool outage_ = false;

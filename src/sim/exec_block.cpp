@@ -414,9 +414,10 @@ Machine::compileBlock(SuperBlock& b)
         }
         uops.swap(fused);
     }
-    // Loop superinstructions (DESIGN.md §12): a hot self-loop whose body
-    // is pure ALU and whose exit is counted collapses into one micro-op
-    // that iterates natively, bounded by the remaining cycle budget.
+    // Loop superinstructions (DESIGN.md §12): a hot loop with a counted
+    // exit whose body is pure ALU (LCG, CRC) or pure ALU plus two
+    // bounds-checked loads (FIR) collapses into one micro-op that
+    // iterates natively, bounded by the remaining cycle budget.
     // All written registers must be pairwise distinct and the read-only
     // bound registers must not alias them, so the native loop's final
     // register image matches per-uop execution exactly.

@@ -51,23 +51,17 @@ sampleJitter(std::uint32_t seq)
 }
 
 /**
- * Feed one sample with primary event `primary` and analog reality
- * [vLo, vHi] to a defense controller through its shadow monitor: the
- * window envelope for a continuous shadow, else a point read of the
- * midpoint.  The slow path passes the live pair, an evaluated burst its
- * trial copies.
+ * The shadow-view rule: what the redundant monitor observes of a sample
+ * whose analog reality is [lo, hi] — the window envelope for a
+ * continuous shadow, else a point read of the midpoint.
  */
-template <class Shadow>
-void
-feedDefense(Shadow& shadow, defense::DefenseController& controller,
-            double t, double vLo, double vHi,
-            const analog::MonitorEvent& primary)
+template <class Monitor>
+analog::MonitorEvent
+shadowView(Monitor& shadow, double lo, double hi)
 {
-    const analog::MonitorEvent seen =
-        shadow.continuous() && vHi > vLo
-            ? shadow.observeEnvelope(vLo, vHi)
-            : shadow.observe(0.5 * (vLo + vHi));
-    controller.observeSample(t, vLo, vHi, primary, seen);
+    return shadow.continuous() && hi > lo
+               ? analog::observeEnvelope(shadow, lo, hi)
+               : shadow.observe(0.5 * (lo + hi));
 }
 
 /** Voltage in integer millivolt for trace payloads (clamped at 0). */
@@ -123,6 +117,7 @@ IntermittentSim::IntermittentSim(const compiler::CompiledProgram& compiled,
         config.vBackupOverride > 0 ? config.vBackupOverride : device.vBackup;
     vOff_ = device.vOff;
     energyAtVoff_ = 0.5 * cap_.capacitance() * vOff_ * vOff_;
+    energyAtVbackup_ = 0.5 * cap_.capacitance() * vBackup_ * vBackup_;
     energyLockout_ = cap_.ceilingEnergy(vOff_ + kBootLockoutV);
     epc_ = device.power.energyPerCycleJ;
     spc_ = device.power.secondsPerCycle();
@@ -131,6 +126,8 @@ IntermittentSim::IntermittentSim(const compiler::CompiledProgram& compiled,
     monitor_ = device.makeMonitor(config.monitorKind, vBackup_, vOn_);
     monitor_->reset(cap_.voltage());
     adcMonitor_ = dynamic_cast<analog::AdcMonitor*>(monitor_.get());
+    quietMarginE_ = 4.0 * (monitor_->sampleIntervalS() * config.quietStride *
+                           device.power.clockHz * epc_);
 
     coalesceLimit_ = resolveCoalesceLimit(config.coalesceQuanta);
 
@@ -213,89 +210,82 @@ IntermittentSim::updateAttack()
     }
 }
 
-double
-IntermittentSim::emiAt(double t)
+IntermittentSim::Reading
+IntermittentSim::reading(double v, double t, bool envelope,
+                         std::uint32_t& seq) const
 {
-    if (!emi_)
-        return 0.0;
-    // DCO-clocked sampling: the conversion trigger jitters by tens of
-    // nanoseconds, decorrelating the carrier phase between samples.
-    return emi_->voltageAt(t + sampleJitter(++sampleSeq_));
+    Reading r;
+    if (envelope) {
+        r.lo = v - emi_->amplitude();
+        r.hi = v + emi_->amplitude();
+    } else {
+        // DCO-clocked sampling: the conversion trigger jitters by tens
+        // of nanoseconds, decorrelating the carrier phase between
+        // samples.
+        r.hi = r.lo =
+            v + (emi_ ? emi_->voltageAt(t + sampleJitter(++seq)) : 0.0);
+    }
+    if (monitorFault_) {
+        const double lo = monitorFault_(r.lo, t);
+        const double hi = envelope ? monitorFault_(r.hi, t) : lo;
+        r.faulted = lo != r.lo || hi != r.hi;
+        r.lo = lo;
+        r.hi = hi;
+    }
+    return r;
+}
+
+template <class Primary, class Shadow, class Admit>
+std::optional<analog::MonitorEvent>
+IntermittentSim::sampleMonitor(Primary& primary, Shadow* shadow,
+                               defense::DefenseController* controller,
+                               double v, double t, std::uint32_t& seq,
+                               Admit&& admit)
+{
+    // Continuous (comparator) monitors react to every excursion inside
+    // the window: feed them the window's envelope under attack.
+    const bool attacked = attackActive();
+    const bool envelope = primary.continuous() && attacked;
+    Reading r = reading(v, t, envelope, seq);
+    if (r.faulted && !monitorFaultTraced_) {
+        monitorFaultTraced_ = true;
+        GECKO_TRACE_EVENT(trace::EventKind::kFaultInject, 0,
+                          trace::kSiteMonitorFault, traceMv(r.hi));
+    }
+    if (r.lo > r.hi)
+        std::swap(r.lo, r.hi);
+    const analog::MonitorEvent ev =
+        envelope ? analog::observeEnvelope(primary, r.lo, r.hi)
+                 : primary.observe(r.hi);
+    if (ev.backup || ev.wake)
+        GECKO_TRACE_EVENT(
+            trace::EventKind::kMonitorTrip,
+            static_cast<std::uint16_t>(
+                (ev.backup ? trace::kFlagBackup : 0) |
+                (ev.wake ? trace::kFlagWake : 0) |
+                (attacked ? trace::kFlagAttack : 0) |
+                (monitorFault_ ? trace::kFlagMonitorFault : 0)),
+            traceMv(v), traceMv(r.hi));
+    if (!admit(ev))
+        return std::nullopt;
+    if (controller) {
+        // The analog reality the redundant sensing path is exposed to:
+        // the full tone envelope under attack, the point reading
+        // otherwise.
+        const double lo = attacked ? v - emi_->amplitude() : r.hi;
+        const double hi = attacked ? v + emi_->amplitude() : r.hi;
+        controller->observeSample(t, lo, hi, ev, shadowView(*shadow, lo, hi));
+    }
+    return ev;
 }
 
 analog::MonitorEvent
 IntermittentSim::observeMonitor()
 {
     GECKO_TRACE_TIME(now_);
-    // maybe_unused: referenced only from trace-macro arguments, which
-    // a GECKO_TRACE=0 build compiles away.
-    [[maybe_unused]] const auto tripFlags =
-        [this](const analog::MonitorEvent& ev) {
-        std::uint16_t flags = 0;
-        if (ev.backup)
-            flags |= trace::kFlagBackup;
-        if (ev.wake)
-            flags |= trace::kFlagWake;
-        if (attackActive())
-            flags |= trace::kFlagAttack;
-        if (monitorFault_)
-            flags |= trace::kFlagMonitorFault;
-        return flags;
-    };
-    double v = cap_.voltage();
-    // Continuous (comparator) monitors react to every excursion inside
-    // the window: feed them the window's envelope under attack.
-    if (monitor_->continuous() && attackActive()) {
-        const double wLo = v - emi_->amplitude();
-        const double wHi = v + emi_->amplitude();
-        double lo = wLo;
-        double hi = wHi;
-        if (monitorFault_) {
-            double flo = monitorFault_(lo, now_);
-            double fhi = monitorFault_(hi, now_);
-            if (!monitorFaultTraced_ && (flo != lo || fhi != hi)) {
-                monitorFaultTraced_ = true;
-                GECKO_TRACE_EVENT(trace::EventKind::kFaultInject, 0,
-                                  trace::kSiteMonitorFault, traceMv(fhi));
-            }
-            lo = flo;
-            hi = fhi;
-            if (lo > hi)
-                std::swap(lo, hi);
-        }
-        analog::MonitorEvent ev = monitor_->observeEnvelope(lo, hi);
-        if (ev.backup || ev.wake)
-            GECKO_TRACE_EVENT(trace::EventKind::kMonitorTrip, tripFlags(ev),
-                              traceMv(v), traceMv(hi));
-        if (defense_)
-            feedDefense(*shadowMonitor_, *defense_, now_, wLo, wHi, ev);
-        return ev;
-    }
-    double seen = v + emiAt(now_);
-    if (monitorFault_) {
-        double faulted = monitorFault_(seen, now_);
-        if (!monitorFaultTraced_ && faulted != seen) {
-            monitorFaultTraced_ = true;
-            GECKO_TRACE_EVENT(trace::EventKind::kFaultInject, 0,
-                              trace::kSiteMonitorFault, traceMv(faulted));
-        }
-        seen = faulted;
-    }
-    analog::MonitorEvent ev = monitor_->observe(seen);
-    if (ev.backup || ev.wake)
-        GECKO_TRACE_EVENT(trace::EventKind::kMonitorTrip, tripFlags(ev),
-                          traceMv(v), traceMv(seen));
-    if (defense_) {
-        // The analog reality the redundant sensing path is exposed to:
-        // the full tone envelope under attack, the point reading
-        // otherwise.
-        if (attackActive())
-            feedDefense(*shadowMonitor_, *defense_, now_,
-                        v - emi_->amplitude(), v + emi_->amplitude(), ev);
-        else
-            feedDefense(*shadowMonitor_, *defense_, now_, seen, seen, ev);
-    }
-    return ev;
+    return *sampleMonitor(*monitor_, shadowMonitor_.get(), defense_.get(),
+                          cap_.voltage(), now_, sampleSeq_,
+                          [](const analog::MonitorEvent&) { return true; });
 }
 
 void
@@ -373,10 +363,9 @@ IntermittentSim::doJitCheckpoint()
                 // monitor read (a single ADC conversion / one
                 // comparator-output read) — a point sample of the
                 // EMI-distorted rail, never the envelope.
-                double seen = cap_.voltage() + emiAt(now_);
-                if (monitorFault_)
-                    seen = monitorFault_(seen, now_);
-                if (monitor_->observe(seen).wake) {
+                const Reading r = reading(cap_.voltage(), now_,
+                                          /*envelope=*/false, sampleSeq_);
+                if (monitor_->observe(r.hi).wake) {
                     writer.write(paid - 1);
                     aborted = true;
                     break;
@@ -497,21 +486,32 @@ IntermittentSim::boot()
     state_ = State::kRunning;
 }
 
+std::uint64_t
+IntermittentSim::plannedCycles(double& carry, double dt) const
+{
+    carry += dt * device_.power.clockHz;
+    const std::uint64_t planned =
+        carry > 0 ? static_cast<std::uint64_t>(carry) : 0;
+    carry -= static_cast<double>(planned);
+    return planned;
+}
+
+int
+IntermittentSim::runningStride(double energy, bool attacked) const
+{
+    const int stride = config_.quietStride;
+    return attacked || (stride > 1 && energy - energyAtVbackup_ <
+                                          quietMarginE_)
+               ? 1
+               : stride;
+}
+
 void
 IntermittentSim::stepRunning(double end)
 {
-    bool attacked = attackActive();
-    int stride = attacked ? 1 : config_.quietStride;
-    // Near the backup threshold, sample at full rate even when quiet so
-    // the crossing is caught with fine granularity.
-    if (stride > 1) {
-        double e_backup = 0.5 * cap_.capacitance() * vBackup_ * vBackup_;
-        double quantum = monitor_->sampleIntervalS() * stride *
-                         device_.power.clockHz * epc_;
-        if (cap_.nearThresholdE(e_backup, 4.0 * quantum))
-            stride = 1;
-    }
-    double dt = monitor_->sampleIntervalS() * stride;
+    const bool attacked = attackActive();
+    const int stride = runningStride(cap_.energy(), attacked);
+    const double dt = monitor_->sampleIntervalS() * stride;
 
     if (tryBurst(attacked ? BurstKind::kStorm : BurstKind::kQuiet, stride,
                  dt, end))
@@ -526,16 +526,14 @@ IntermittentSim::stepRunning(double end)
     // transaction is hundreds of cycles) rides in the debt ledger and
     // is netted off the next quantum's machine budget, so the long-run
     // rate matches the clock exactly.
-    cycleCarry_ += dt * device_.power.clockHz;
-    std::uint64_t planned =
-        cycleCarry_ > 0 ? static_cast<std::uint64_t>(cycleCarry_) : 0;
-    cycleCarry_ -= static_cast<double>(planned);
+    const std::uint64_t planned = plannedCycles(cycleCarry_, dt);
 
     // Crossing-safe energy bound: a discharge capped here can never
     // cross the V_off floor mid-quantum, which is what lets the
     // machine's block backend execute whole superblocks between
     // discharge batches.
-    std::uint64_t can_run = cap_.affordableCycles(epc_, energyAtVoff_);
+    const std::uint64_t can_run = energy::Capacitor::affordableCycles(
+        cap_.energy(), epc_, energyAtVoff_);
 
     if (planned > can_run) {
         // The buffer cannot pay for the whole quantum: V_CC crosses
@@ -600,22 +598,24 @@ std::optional<IntermittentSim::SteadyViews>
 IntermittentSim::steadyViews(double vLo, double vHi, double amp) const
 {
     SteadyViews views;
-    const auto primary = monitor_->steadyEvent(vLo, vHi, amp);
+    const auto primary = analog::visit(*monitor_, [&](const auto& m) {
+        return analog::steadyEvent(m, vLo, vHi, amp);
+    });
     if (!primary)
         return std::nullopt;
     views.primary = *primary;
     if (shadowMonitor_) {
-        // feedDefense's view of the same sample: the window envelope
-        // for a continuous shadow, else a point read of the envelope
-        // midpoint — monotone in the rail, so the band's endpoints
-        // bound it.
-        const auto mid = [amp](double v) {
-            return 0.5 * ((v - amp) + (v + amp));
+        // The shadow's view of a sample is shadowView of the envelope
+        // [v − A, v + A], monotone in the rail: the band's ends give
+        // its extreme samples.
+        const auto at = [amp](double v) {
+            return [=](auto& shadow) {
+                return shadowView(shadow, v - amp, v + amp);
+            };
         };
-        const auto shadow =
-            shadowMonitor_->continuous() && amp > 0.0
-                ? shadowMonitor_->steadyEvent(vLo, vHi, amp)
-                : shadowMonitor_->steadyEvent(mid(vLo), mid(vHi), 0.0);
+        const auto shadow = analog::visit(*shadowMonitor_, [&](const auto& m) {
+            return analog::steadyEvent(m, at(vLo), at(vHi));
+        });
         if (!shadow)
             return std::nullopt;
         views.shadow = *shadow;
@@ -631,18 +631,7 @@ IntermittentSim::march(BurstKind kind, int maxSteps, int stride, double dt,
 {
     const double cf = cap_.capacitance();
     const double maxV = cap_.maxVoltage();
-    const double clockHz = device_.power.clockHz;
     const double sleepJ = device_.power.sleepPowerW * dt;
-    // A quiet burst must keep stepRunning's stride choice: a coarse
-    // burst outside the V_backup proximity margin, a fine one inside it
-    // (the margin is always in coarse-quantum units).  Under a tone the
-    // stride is pinned at 1.
-    const bool strideCheck =
-        kind == BurstKind::kQuiet && config_.quietStride > 1;
-    const double eBackup = 0.5 * cf * vBackup_ * vBackup_;
-    const double quantumE = monitor_->sampleIntervalS() *
-                            config_.quietStride * clockHz * epc_;
-    const bool fineBurst = stride == 1;
 
     Burst b;
     b.energy = cap_.energy();
@@ -668,23 +657,20 @@ IntermittentSim::march(BurstKind kind, int maxSteps, int stride, double dt,
         std::uint64_t planned = 0;
         double joules = sleepJ;
         if (kind != BurstKind::kSleep) {
-            if (strideCheck && b.steps > 0 &&
-                (b.energy - eBackup < 4.0 * quantumE) != fineBurst)
+            // A quiet burst must keep stepRunning's stride choice; under
+            // a tone the stride is pinned at 1.
+            if (kind == BurstKind::kQuiet && b.steps > 0 &&
+                runningStride(b.energy, false) != stride)
                 break;
             if (carry != carryIn) {
                 carryIn = carry;
-                carryOut = carry + dt * clockHz;
-                carryPlanned = carryOut > 0
-                                   ? static_cast<std::uint64_t>(carryOut)
-                                   : 0;
-                carryOut -= static_cast<double>(carryPlanned);
+                carryOut = carry;
+                carryPlanned = plannedCycles(carryOut, dt);
             }
             planned = carryPlanned;
             carry = carryOut;
-            const double avail = b.energy - energyAtVoff_;
-            const std::uint64_t can =
-                avail > 0 ? static_cast<std::uint64_t>(avail / epc_) : 0;
-            if (planned > can)
+            if (planned > energy::Capacitor::affordableCycles(
+                              b.energy, epc_, energyAtVoff_))
                 break;  // this quantum browns out: the slow path must die
             joules = static_cast<double>(planned) * epc_;
         }
@@ -823,11 +809,11 @@ IntermittentSim::evaluatedBurst(BurstKind kind, int maxSteps, int stride,
                                 const energy::Capacitor::ChargePlan& plan)
 {
     // ------------------------------------------------------------------
-    // Each skipped sample is evaluated exactly as observeMonitor would:
-    // the same DCO jitter draw and voltageAt call, converted on a trial
-    // copy of the ADC latches; with a controller, the shadow comparator
-    // and observeSample (and wakeAllowed on a forged sleep wake) run on
-    // copies too.  The march stops before the first sample that is not
+    // Each skipped sample is evaluated by observeMonitor's own
+    // sampleMonitor, on a trial copy of the ADC latches and the jitter
+    // sequence; with a controller, the shadow comparator and the
+    // controller (and wakeAllowed on a forged sleep wake) run on copies
+    // too.  The march stops before the first sample that is not
     // inert: a backup while JIT is armed or the probe could re-arm it,
     // a sleep wake that clears the lockout, a controller whose mode
     // changes inside a running burst (noteCommit then depends on which
@@ -839,8 +825,6 @@ IntermittentSim::evaluatedBurst(BurstKind kind, int maxSteps, int stride,
         return false;
     const bool jitArmed =
         runtime_.jitActive() || runtime_.probeCanReenable();
-    const bool attacked = kind != BurstKind::kQuiet;
-    const double amp = emi_->amplitude();
     const double cf = cap_.capacitance();
     const defense::Mode mode = defense_ ? defense_->mode()
                                         : defense::Mode::kNominal;
@@ -861,42 +845,42 @@ IntermittentSim::evaluatedBurst(BurstKind kind, int maxSteps, int stride,
         seq = sampleSeq_;
         backups = wakes = 0;
     };
-    const auto sample = [&](double e, double t) {
-        const double v = std::sqrt(2.0 * e / cf);
-        const std::uint32_t next = seq + 1;
-        const double seen = v + emi_->voltageAt(t + sampleJitter(next));
+    const auto step = [&](double e, double t) {
         analog::AdcMonitor read = monitor;
-        const analog::MonitorEvent ev = read.observe(seen);
-        if (running ? ev.backup && jitArmed
-                    : ev.wake && e > energyLockout_)
+        std::uint32_t next = seq;
+        const auto inert = [&](const analog::MonitorEvent& ev) {
+            return running ? !(ev.backup && jitArmed)
+                           : !(ev.wake && e > energyLockout_);
+        };
+        const std::optional<analog::MonitorEvent> ev = sampleMonitor(
+            read, shadow ? &*shadow : nullptr,
+            controller ? &*controller : nullptr, std::sqrt(2.0 * e / cf),
+            t, next, inert);
+        if (!ev)
             return false;
         if (controller) {
-            // observeMonitor's analog reality: the tone envelope under
-            // an active tone, the point reading otherwise.
-            feedDefense(*shadow, *controller, t, attacked ? v - amp : seen,
-                        attacked ? v + amp : seen, ev);
             if (running && controller->mode() != mode) {
                 modeChanged = true;
                 return false;
             }
-            if (!running && ev.wake)
+            if (!running && ev->wake)
                 controller->wakeAllowed(t);
         }
         monitor = read;
         seq = next;
-        backups += ev.backup ? 1 : 0;
-        wakes += ev.wake ? 1 : 0;
+        backups += ev->backup ? 1 : 0;
+        wakes += ev->wake ? 1 : 0;
         return true;
     };
 
     startTrial();
-    Burst b = march(kind, maxSteps, stride, dt, end, plan, sample);
+    Burst b = march(kind, maxSteps, stride, dt, end, plan, step);
     if (modeChanged && b.steps >= 2) {
         // The shadow and controller copies ran one sample too far:
         // replay the prefix alone.
         const int steps = b.steps;
         startTrial();
-        b = march(kind, steps, stride, dt, end, plan, sample);
+        b = march(kind, steps, stride, dt, end, plan, step);
     }
     if (b.steps < 2)
         return false;

@@ -57,7 +57,8 @@ struct SimConfig {
     std::uint64_t bootOverheadCycles = 16000;
     /// Restart the program on completion (continuous sensing loop).
     bool continuous = true;
-    /// Threshold overrides; NaN means "use the device profile's value".
+    /// Threshold overrides; any value <= 0 (the default -1) means "use
+    /// the device profile's value".
     double vOnOverride = -1.0;
     double vBackupOverride = -1.0;
     /// Stride multiplier applied to the monitor sampling interval while
@@ -289,8 +290,40 @@ class IntermittentSim
   private:
     bool attackActive() const;
     void updateAttack();
-    double emiAt(double t);
+    /// One monitor reading: the window [lo, hi] a continuous monitor
+    /// sees, or a point read (lo == hi).
+    struct Reading {
+        double lo = 0.0;
+        double hi = 0.0;
+        /// The monitor-fault hook changed it.
+        bool faulted = false;
+    };
+    /// The reading of rail `v` at `t`: the envelope [v − A, v + A] when
+    /// `envelope`, else the point read v + tone(t + jitter(++seq)); then
+    /// the monitor-fault hook (not ordered: a hook may invert a window).
+    Reading reading(double v, double t, bool envelope,
+                    std::uint32_t& seq) const;
+    /// One monitor sample of rail `v` at `t`, on the live monitors
+    /// (observeMonitor) or an evaluated burst's trial copies: form the
+    /// reading, observe it, trace a trip, and — unless `admit(event)`
+    /// refuses the sample (then nullopt) — feed the shadow and the
+    /// controller (both null without a controller) through the
+    /// shadow-view rule.
+    template <class Primary, class Shadow, class Admit>
+    std::optional<analog::MonitorEvent>
+    sampleMonitor(Primary& primary, Shadow* shadow,
+                  defense::DefenseController* controller, double v,
+                  double t, std::uint32_t& seq, Admit&& admit);
+    /// sampleMonitor on the live monitors at the current rail and time.
     analog::MonitorEvent observeMonitor();
+    /// The cycle-carry split: the whole cycles a quantum of `dt` plans
+    /// on top of `carry`, which keeps the fraction.
+    std::uint64_t plannedCycles(double& carry, double dt) const;
+    /// The quiet-stride rule: a running step at stored energy `energy`
+    /// samples at the full rate under a tone and within four coarse
+    /// quanta of V_backup (so the crossing is caught with fine
+    /// granularity), else every quietStride-th sample.
+    int runningStride(double energy, bool attacked) const;
     /// Shared driver behind run()/runUntilCompletions(): advance until
     /// `end` or until the program completed `targetCompletions` times
     /// (kNoCompletionTarget = unbounded).  The target is polled on the
@@ -421,6 +454,9 @@ class IntermittentSim
     double vBackup_;
     double vOff_;
     double energyAtVoff_;
+    double energyAtVbackup_;
+    /// runningStride's V_backup proximity margin: four coarse quanta.
+    double quietMarginE_;
     /// Largest energy still inside the brown-out lockout: a wake boots
     /// only from a rail above V_off + kBootLockoutV, i.e. above this.
     double energyLockout_;

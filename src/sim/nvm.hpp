@@ -65,8 +65,30 @@ inline constexpr Crc32Table kCrcTable;
 }  // namespace detail
 
 /**
- * CRC-32 (reflected 0xEDB88320 polynomial) over a span of words, with
- * zero init and no final xor so that all-zero data yields 0 — a virgin
+ * One byte (the low 8 bits of `byte`) of the CRC-32 below: the one
+ * table-driven step of the reflected 0xEDB88320 polynomial.
+ */
+inline std::uint32_t
+crc32Byte(std::uint32_t crc, std::uint32_t byte)
+{
+    return detail::kCrcTable.entries[(crc ^ byte) & 0xffu] ^ (crc >> 8);
+}
+
+/**
+ * CRC-32 (reflected 0xEDB88320 polynomial) over `n` bytes, with zero
+ * init and no final xor so that all-zero data yields 0.  Snapshot
+ * containers (campaign/archive) seal their payloads with it.
+ */
+inline std::uint32_t
+crc32Bytes(const std::uint8_t* data, std::size_t n, std::uint32_t crc = 0)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        crc = crc32Byte(crc, data[i]);
+    return crc;
+}
+
+/**
+ * The same CRC over a span of words, each little-endian — a virgin
  * (zeroed) NVM image therefore validates against its zeroed CRC word.
  * Inline: every compiler-checkpoint slot store (a hot micro-op in the
  * region-dense workloads) computes a guarded-pair check word.
@@ -76,11 +98,8 @@ crc32Words(const std::uint32_t* words, std::size_t n, std::uint32_t crc = 0)
 {
     for (std::size_t i = 0; i < n; ++i) {
         std::uint32_t w = words[i];
-        for (int b = 0; b < 4; ++b) {
-            crc = detail::kCrcTable.entries[(crc ^ (w & 0xffu)) & 0xffu] ^
-                  (crc >> 8);
-            w >>= 8;
-        }
+        for (int b = 0; b < 4; ++b, w >>= 8)
+            crc = crc32Byte(crc, w);
     }
     return crc;
 }

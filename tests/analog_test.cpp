@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -156,7 +157,7 @@ TEST(SteadyEventTest, SaturatedComparatorRepeatsBackupAndWake)
         const double hi = lo + width(rng);
         const double amp = tone(rng);
         const std::vector<std::uint8_t> before = latches(mon);
-        const auto ev = mon.steadyEvent(lo, hi, amp);
+        const auto ev = steadyEvent(mon, lo, hi, amp);
         if (!ev || !ev->backup || !ev->wake)
             continue;
         ++certified;
@@ -164,7 +165,7 @@ TEST(SteadyEventTest, SaturatedComparatorRepeatsBackupAndWake)
             const double v = i == 0   ? lo
                              : i == 1 ? hi
                                       : lo + (hi - lo) * unit(rng);
-            const MonitorEvent seen = mon.observeEnvelope(v - amp, v + amp);
+            const MonitorEvent seen = observeEnvelope(mon, v - amp, v + amp);
             ASSERT_TRUE(seen.backup && seen.wake)
                 << "band [" << lo << ", " << hi << "] A=" << amp
                 << " v=" << v;
@@ -185,20 +186,72 @@ TEST(SteadyEventTest, ComparatorRefusesTouchedFlanksAndLowOutputs)
     // Saturated: every trough clears both falling flanks, every crest
     // both rising ones.
     const double amp = 1.5;
-    ASSERT_TRUE(mon.steadyEvent(2.0, 2.5, amp) == storm);
+    ASSERT_TRUE(steadyEvent(mon, 2.0, 2.5, amp) == storm);
     // The band's top trough touches a falling flank (v − A ≥ ref −
-    // halfBand somewhere inside it): that window may not fall.
-    EXPECT_FALSE(mon.steadyEvent(2.0, fallB + amp + 1e-9, amp));
+    // hysteresis/2 somewhere inside it): that window may not fall.
+    EXPECT_FALSE(steadyEvent(mon, 2.0, fallB + amp + 1e-9, amp));
     // The band's bottom crest stays at a rising flank (v + A ≤ ref +
-    // halfBand): that window may not rise again.
-    EXPECT_FALSE(mon.steadyEvent(riseW - amp - 1e-9, 2.5, amp));
+    // hysteresis/2): that window may not rise again.
+    EXPECT_FALSE(steadyEvent(mon, riseW - amp - 1e-9, 2.5, amp));
     // Entirely above both falling flanks: quiet, not saturated.
-    EXPECT_TRUE(mon.steadyEvent(3.05, 3.3, 0.03) == quiet);
+    EXPECT_TRUE(steadyEvent(mon, 3.05, 3.3, 0.03) == quiet);
     // An output that starts low changes on the first crest.
     mon.observe(0.0);  // both comparators fall
-    EXPECT_FALSE(mon.steadyEvent(2.0, 2.5, amp));
+    EXPECT_FALSE(steadyEvent(mon, 2.0, 2.5, amp));
     // Low and provably staying low is quiet.
-    EXPECT_TRUE(mon.steadyEvent(0.5, 1.0, 0.1) == quiet);
+    EXPECT_TRUE(steadyEvent(mon, 0.5, 1.0, 0.1) == quiet);
+}
+
+TEST(SteadyEventTest, ComparatorCertificateMatchesBruteForce)
+{
+    // Random thresholds (in either order) and hysteresis, output states
+    // reached through observe, bands and tone amplitudes.  The
+    // certificate must hold exactly when every sampled rail of the
+    // band, both ends included, gives the same event through
+    // observeEnvelope(v − A, v + A) on a copy and ends in the starting
+    // outputs — and then name that event.
+    std::mt19937_64 rng(13);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    const auto volts = [&](double lo, double hi) {
+        return lo + (hi - lo) * unit(rng);
+    };
+    int states[4] = {};
+    int certified = 0;
+    int refused = 0;
+    for (int trial = 0; trial < 4000; ++trial) {
+        ComparatorMonitor mon(volts(1.8, 3.2), volts(1.8, 3.2),
+                              volts(0.0, 0.1), 2e6);
+        mon.reset(3.6);
+        for (int n = trial % 4; n > 0; --n)
+            mon.observe(volts(0.0, 3.6));
+        const auto start = mon.latches();
+        ++states[2 * start.first + start.second];
+        const double lo = volts(0.0, 3.6);
+        const double hi = lo + (trial % 5 == 0 ? 0.0 : volts(0.0, 0.5));
+        const double amp =
+            trial % 7 == 0 ? 0.0 : volts(0.0, trial % 2 ? 0.3 : 2.0);
+        std::optional<MonitorEvent> first;
+        bool steady = true;
+        for (int i = 0; i < 64 && steady; ++i) {
+            const double v = i == 0 ? lo : i == 1 ? hi : volts(lo, hi);
+            ComparatorMonitor copy = mon;
+            const MonitorEvent ev = observeEnvelope(copy, v - amp, v + amp);
+            first = first.value_or(ev);
+            steady = ev == *first && copy.latches() == start;
+        }
+        const auto cert = steadyEvent(mon, lo, hi, amp);
+        ASSERT_EQ(cert.has_value(), steady)
+            << "band [" << lo << ", " << hi << "] A=" << amp
+            << " outputs " << start.first << start.second;
+        if (cert) {
+            EXPECT_TRUE(*cert == *first);
+        }
+        ++(steady ? certified : refused);
+    }
+    for (int count : states)
+        EXPECT_GT(count, 100);
+    EXPECT_GT(certified, 300);
+    EXPECT_GT(refused, 300);
 }
 
 TEST(SteadyEventTest, QuietBandsAndAdcUnderTone)
@@ -207,20 +260,20 @@ TEST(SteadyEventTest, QuietBandsAndAdcUnderTone)
     adc.reset(2.6);
     const MonitorEvent quiet{};
     // Between the thresholds with no tone: every point read is a no-op.
-    EXPECT_TRUE(adc.steadyEvent(2.4, 2.8, 0.0) == quiet);
+    EXPECT_TRUE(steadyEvent(adc, 2.4, 2.8, 0.0) == quiet);
     // A band reaching the backup code is not steady.
-    EXPECT_FALSE(adc.steadyEvent(2.1, 2.8, 0.0));
+    EXPECT_FALSE(steadyEvent(adc, 2.1, 2.8, 0.0));
     // A point sample under a tone lands at a random carrier phase, so
     // only the band widened by the tone's peak bounds it: a weak tone
     // certifies, one that reaches a threshold code does not.
-    EXPECT_TRUE(adc.steadyEvent(2.4, 2.8, 1e-3) == quiet);
-    EXPECT_FALSE(adc.steadyEvent(2.4, 2.8, 0.25));
-    EXPECT_FALSE(adc.steadyEvent(2.6, 2.6, 10.0));
+    EXPECT_TRUE(steadyEvent(adc, 2.4, 2.8, 1e-3) == quiet);
+    EXPECT_FALSE(steadyEvent(adc, 2.4, 2.8, 0.25));
+    EXPECT_FALSE(steadyEvent(adc, 2.6, 2.6, 10.0));
 
     ComparatorMonitor comp(2.2, 3.0, 0.02, 2e6);
     comp.reset(2.6);  // backup high, wake low
-    EXPECT_TRUE(comp.steadyEvent(2.3, 2.9, 0.0) == quiet);
-    EXPECT_FALSE(comp.steadyEvent(2.0, 2.9, 0.0));
+    EXPECT_TRUE(steadyEvent(comp, 2.3, 2.9, 0.0) == quiet);
+    EXPECT_FALSE(steadyEvent(comp, 2.0, 2.9, 0.0));
 }
 
 TEST(SteadyEventTest, BoundedToneCertificateMatchesBruteForce)
@@ -268,7 +321,7 @@ TEST(SteadyEventTest, BoundedToneCertificateMatchesBruteForce)
                                     }
                                 }
                             }
-                            const auto cert = mon.steadyEvent(lo, hi, amp);
+                            const auto cert = steadyEvent(mon, lo, hi, amp);
                             EXPECT_EQ(cert.has_value() && *cert == quiet,
                                       allNoOp)
                                 << "band [" << lo << ", " << hi
