@@ -52,12 +52,14 @@ const std::vector<std::string> kFigures = {
 /// The counter keys of a child's report, carried per figure and summed
 /// by the suite (0 when a record predates a key).
 enum Counter {
-    kSimCycles, kQuanta, kCoalescedQuanta, kCorruptedRestores,
-    kCrcRejects, kRetriesExhausted, kCounterKeys
+    kSimCycles, kQuanta, kCoalescedQuanta, kReplayedCompletions,
+    kCorruptedRestores, kCrcRejects, kRetriesExhausted, kCounterKeys
 };
 constexpr const char* kCounterKey[kCounterKeys] = {
-    "sim_cycles",         "quanta",      "coalesced_quanta",
-    "corrupted_restores", "crc_rejects", "retries_exhausted"};
+    "sim_cycles",           "quanta",
+    "coalesced_quanta",     "replayed_completions",
+    "corrupted_restores",   "crc_rejects",
+    "retries_exhausted"};
 using CounterValues = std::array<std::uint64_t, kCounterKeys>;
 
 struct FigureResult {
@@ -170,6 +172,7 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
        << gecko::metrics::fmt(perS(total[kSimCycles], totalWall), 0)
        << ",\"total_quanta\":" << total[kQuanta]
        << ",\"total_coalesced_quanta\":" << total[kCoalescedQuanta]
+       << ",\"total_replayed_completions\":" << total[kReplayedCompletions]
        << ",\"quanta_per_s\":"
        << gecko::metrics::fmt(perS(total[kQuanta], totalWall), 0)
        << ",\"failures\":" << failures << ",\"status\":\""
@@ -199,6 +202,7 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
            << gecko::metrics::fmt(perS(c[kSimCycles], r.wallS), 0)
            << ",\"quanta\":" << c[kQuanta]
            << ",\"coalesced_quanta\":" << c[kCoalescedQuanta]
+           << ",\"replayed_completions\":" << c[kReplayedCompletions]
            << ",\"exec_backend\":\""
            << gecko::metrics::jsonEscape(r.execBackend)
            << "\",\"corrupted_restores\":" << c[kCorruptedRestores]

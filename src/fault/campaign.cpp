@@ -594,8 +594,10 @@ bisectDown(std::int64_t hi, Probe failsAt)
 /**
  * Shrink a failing machine-level case: bisect the injection event index
  * toward 0, then (torn writes) the truncation offset.  The returned
- * result re-ran with the minimised overrides and still fails; if
- * shrinking ever stops reproducing, the original result is kept.
+ * result ran with the minimised overrides and still fails — usually as
+ * bisection's last failing probe, which a case being a pure function of
+ * its spec lets stand for a re-run; if shrinking ever stops
+ * reproducing, the original result is kept.
  */
 CaseResult
 minimizeCase(const CaseResult& failing, std::uint64_t watchdogBudget)
@@ -603,13 +605,20 @@ minimizeCase(const CaseResult& failing, std::uint64_t watchdogBudget)
     if (isSimLevel(failing.spec.injector) || failing.injectAt < 0)
         return failing;
 
+    std::optional<CaseResult> lastFailing;
+    const auto fails = [&](const CaseSpec& probe) {
+        CaseResult r = runMachineCase(probe, watchdogBudget);
+        if (!isCorruption(r.outcome))
+            return false;
+        lastFailing = std::move(r);
+        return true;
+    };
     CaseSpec spec = failing.spec;
     spec.wordOverride = failing.word;
     spec.injectAtOverride = bisectDown(failing.injectAt, [&](std::int64_t a) {
         CaseSpec probe = spec;
         probe.injectAtOverride = a;
-        return isCorruption(
-            runMachineCase(probe, watchdogBudget).outcome);
+        return fails(probe);
     });
     if (failing.spec.injector == InjectorKind::kTornWrite &&
         failing.word > 0) {
@@ -617,11 +626,16 @@ minimizeCase(const CaseResult& failing, std::uint64_t watchdogBudget)
             static_cast<std::int32_t>(bisectDown(failing.word, [&](std::int64_t w) {
                 CaseSpec probe = spec;
                 probe.wordOverride = static_cast<std::int32_t>(w);
-                return isCorruption(
-                    runMachineCase(probe, watchdogBudget).outcome);
+                return fails(probe);
             }));
     }
-    CaseResult minimized = runMachineCase(spec, watchdogBudget);
+    // Every probe copies `spec`, so the overrides identify the run.
+    const bool probed =
+        lastFailing &&
+        lastFailing->spec.injectAtOverride == spec.injectAtOverride &&
+        lastFailing->spec.wordOverride == spec.wordOverride;
+    CaseResult minimized =
+        probed ? std::move(*lastFailing) : runMachineCase(spec, watchdogBudget);
     if (!isCorruption(minimized.outcome))
         return failing;
     minimized.minimized = true;

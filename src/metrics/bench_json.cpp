@@ -36,6 +36,8 @@ BenchReport::toJson() const
        << num(wallS > 0 ? static_cast<double>(simCycles) / wallS : 0.0)
        << ",\"quanta\":" << quanta
        << ",\"coalesced_quanta\":" << counters.sim.coalescedQuanta
+       << ",\"replayed_completions\":"
+       << counters.sim.replayedCompletions
        << ",\"quanta_per_s\":"
        << num(wallS > 0 ? static_cast<double>(quanta) / wallS : 0.0);
     if (!status.empty())

@@ -64,11 +64,14 @@ struct SweepRecord {
  *  - 7: fig_adversarial's defense-vs-best-attack matrix rides in
  *    `figure_data`, and the campaign aggregate it embeds gained the
  *    per-group `commits` counter (campaign schema v5).
+ *  - 8: added `replayed_completions`, the completions the block tier
+ *    applied from its record instead of executing them (completion
+ *    replay, DESIGN.md §12).
  * Readers must tolerate unknown keys so newer records keep
  * aggregating under older readers: they look up the keys they know in
  * the parsed object and never reject one they don't.
  */
-inline constexpr int kBenchSchemaVersion = 7;
+inline constexpr int kBenchSchemaVersion = 8;
 
 /** Telemetry of one bench binary run. */
 struct BenchReport {
@@ -87,9 +90,10 @@ struct BenchReport {
     /// Process wall time from bench::init to report write (s).
     double wallS = 0.0;
     /// Counter totals of every simulation the bench ran; the report
-    /// names six: `sim_cycles`, the schema-v5 `quanta` and
-    /// `coalesced_quanta`, and the defence counters
-    /// `corrupted_restores`, `crc_rejects` and `retries_exhausted`.
+    /// names seven: `sim_cycles`, the schema-v5 `quanta` and
+    /// `coalesced_quanta`, the schema-v8 `replayed_completions`, and the
+    /// defence counters `corrupted_restores`, `crc_rejects` and
+    /// `retries_exhausted`.
     sim::Counters counters;
     /// Bench verdict: "pass", "fail", or "" (bench has no pass/fail
     /// semantics — treated as pass by aggregation).

@@ -41,6 +41,22 @@
  *     same counters as the step tier.  machine_test and fuzz_test assert
  *     this equivalence.
  *
+ *  4. *Completion replay.*  In continuous mode an `in`-free program's
+ *     completion is a pure function of the restart state (pc 0,
+ *     registers zeroed, no staged I/O pending) and of the NVM words it
+ *     reads before writing them.  At a restart the tier records the
+ *     next whole completion once on stepDecoded — its live-in words,
+ *     the final value of every word and checkpoint slot it writes, its
+ *     region commits, its `out` sequence and its counters — and from
+ *     then on applies that effect in place of execution at every
+ *     restart whose live-ins still hold and whose budget covers the
+ *     recorded cycles.  A recording starts only when the last whole
+ *     completion of the current run fits the remaining budget, and is
+ *     dropped at run end or on a fault; a live-in miss drops the record,
+ *     and after kMaxReplayMisses misses the machine stops recording.
+ *     Replay is off under a trace buffer (it emits no events), and the
+ *     step tier never replays: it stays the reference.
+ *
  * The ALU and branch rules are not restated here: stepDecoded and the
  * micro-op handlers call ir::evalBinary/evalUnary/evalBranch with a
  * constant opcode, which folds to the bare operation.  The executor is
@@ -89,6 +105,13 @@ isTerminatorKind(UopKind kind)
     return kind >= UopKind::kBeq;
 }
 
+/// Live-in misses after which a machine stops recording completions
+/// (each recording costs one completion on the per-instruction path).
+constexpr std::uint32_t kMaxReplayMisses = 3;
+
+/// Not seen yet in the current run (as a length, no budget fits it).
+constexpr std::uint64_t kNone = ~std::uint64_t{0};
+
 }  // namespace
 
 void
@@ -130,6 +153,8 @@ Machine::invalidateBlockCache()
     }
     uopPool_.clear();
     uopPool_.shrink_to_fit();
+    recordReady_ = false;
+    replayMisses_ = 0;
 }
 
 void
@@ -654,7 +679,7 @@ Machine::stepDecoded(std::uint32_t& pc, std::uint64_t& cycles,
         if (continuous_) {
             restartProgram();
             pc = 0;
-            return StepExit::kContinue;
+            return StepExit::kRestarted;
         }
         halted_ = true;
         return StepExit::kHalted;  // pc stays on the halt instruction
@@ -678,6 +703,152 @@ Machine::stepDecoded(std::uint32_t& pc, std::uint64_t& cycles,
 #undef GECKO_BRANCH_CASE
     pc = next;
     return StepExit::kContinue;
+}
+
+bool
+Machine::replayArmed() const
+{
+    const std::array<std::uint32_t, kIoPorts> none{};
+    return inFree_ && continuous_ && trace::current() == nullptr &&
+           pendingIn_ == none && pendingOut_ == none;
+}
+
+Machine::StepExit
+Machine::recordCompletion(std::uint32_t& pc, std::uint64_t budget,
+                          std::uint64_t& cycles, std::uint64_t& instrs)
+{
+    // Exactly the deopt path (stepDecoded), with each instruction's NVM
+    // traffic noted before it executes.  A word is marked only after it
+    // is listed, so the previous recording's lists — finished or
+    // abandoned — name every mark to clear.
+    Nvm& nvm = *nvm_;
+    const std::uint32_t size = static_cast<std::uint32_t>(decoded_.size());
+    CompletionRecord& r = record_;
+    recordMarks_.resize(nvm.dataWords());
+    for (const CompletionRecord::Word& w : r.liveIns)
+        recordMarks_[w.addr] = 0;
+    for (const CompletionRecord::Word& w : r.writes)
+        recordMarks_[w.addr] = 0;
+    r.liveIns.clear();
+    r.writes.clear();
+    r.slots.clear();
+    r.outs.clear();
+    std::uint64_t slotsSeen = 0;  // bit reg * kMaxSlots + slot
+    static_assert(16 * compiler::kMaxSlots <= 64);
+    const std::uint64_t cycles0 = cycles;
+    const std::uint64_t instrs0 = instrs;
+    const std::uint64_t ckpt0 = stats.ckptStores;
+    const std::uint64_t boundary0 = stats.boundaryCommits;
+    const std::uint32_t commits0 = nvm.commitCount;
+    StepExit exit = StepExit::kContinue;
+    while (cycles < budget) {
+        if (pc >= size)
+            return StepExit::kFaulted;
+        const Decoded& d = decoded_[pc];
+        const std::uint32_t addr = regs_[d.rs1] + d.imm;
+        switch (d.op) {
+          case Opcode::kLoad:
+            if (nvm.inRange(addr) && recordMarks_[addr] == 0) {
+                r.liveIns.push_back({addr, nvm.data()[addr]});
+                recordMarks_[addr] = 1;
+            }
+            break;
+          case Opcode::kStore:
+            if (nvm.inRange(addr) && (recordMarks_[addr] & 2u) == 0) {
+                r.writes.push_back({addr, 0});
+                recordMarks_[addr] |= 2u;
+            }
+            break;
+          case Opcode::kCkpt: {
+            const std::uint64_t bit =
+                std::uint64_t{1} << (d.rs1 * compiler::kMaxSlots + d.imm);
+            if ((slotsSeen & bit) == 0) {
+                r.slots.push_back({d.rs1, static_cast<std::uint8_t>(d.imm),
+                                   0, 0});
+                slotsSeen |= bit;
+            }
+            break;
+          }
+          case Opcode::kOut:
+            r.outs.push_back(
+                {static_cast<std::uint8_t>(d.imm), regs_[d.rs1]});
+            break;
+          default:
+            break;
+        }
+        exit = stepDecoded(pc, cycles, instrs);
+        if (exit != StepExit::kContinue)
+            break;
+    }
+    if (exit != StepExit::kRestarted)
+        return exit;
+    for (CompletionRecord::Word& w : r.writes)
+        w.value = nvm.data()[w.addr];
+    for (CompletionRecord::Slot& s : r.slots) {
+        s.value = nvm.slots[s.reg][s.slot];
+        s.crc = nvm.slotCrc[s.reg][s.slot];
+    }
+    r.commits = nvm.commitCount - commits0;
+    r.region = nvm.committedRegion;
+    r.instrs = instrs - instrs0;
+    r.cycles = cycles - cycles0;
+    r.ckptStores = stats.ckptStores - ckpt0;
+    r.boundaryCommits = stats.boundaryCommits - boundary0;
+    recordReady_ = true;
+    return exit;
+}
+
+void
+Machine::replayCompletions(std::uint64_t budget, std::uint64_t& cycles,
+                           std::uint64_t& instrs)
+{
+    // Each replay stands for one completion from this restart: its
+    // live-ins equal the recorded ones, so stepping it would read, write
+    // and output exactly what the recording saw.  Effects are applied in
+    // the order stepping makes them observable; registers and pc are
+    // already the restart state the completion ends in.
+    const CompletionRecord& r = record_;
+    Nvm& nvm = *nvm_;
+    std::vector<std::uint32_t>& data = nvm.data();
+    while (cycles < budget && r.cycles <= budget - cycles) {
+        for (const CompletionRecord::Word& w : r.liveIns) {
+            if (data[w.addr] != w.value) {
+                recordReady_ = false;
+                ++replayMisses_;
+                return;
+            }
+        }
+        for (const CompletionRecord::Word& w : r.writes)
+            data[w.addr] = w.value;
+        for (const CompletionRecord::Slot& s : r.slots) {
+            nvm.slots[s.reg][s.slot] = s.value;
+            nvm.slotCrc[s.reg][s.slot] = s.crc;
+            nvm.slotShadow[s.reg][s.slot] = s.value;
+            nvm.slotShadowCrc[s.reg][s.slot] = s.crc;
+        }
+        nvm.slotWrites += 2 * r.ckptStores;
+        if (r.commits != 0) {
+            nvm.committedRegion = r.region;
+            nvm.commitCount += r.commits;
+        }
+        std::array<std::uint32_t, kIoPorts> outs{};
+        for (const CompletionRecord::Out& o : r.outs) {
+            const std::uint32_t index = nvm.outCount[o.port] +
+                                        pendingOut_[o.port] +
+                                        outs[o.port]++;
+            io_->output(o.port).set(index, o.value);
+        }
+        for (int p = 0; p < kIoPorts; ++p)
+            nvm.outCount[static_cast<std::size_t>(p)] +=
+                outs[static_cast<std::size_t>(p)];
+        stats.ckptStores += r.ckptStores;
+        stats.boundaryCommits += r.boundaryCommits;
+        ++stats.completions;
+        cycles += r.cycles;
+        instrs += r.instrs;
+        halted_ = false;  // as restartProgram() leaves it
+        ++replayed_;
+    }
 }
 
 RunExit
@@ -731,6 +902,10 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
     std::uint64_t instrs = 0;
     SuperBlock* b = nullptr;
     const Uop* u = nullptr;
+    // Completion replay's view of this run: the cycles at its last
+    // restart and the length of its last whole completion.
+    std::uint64_t lastRestart = kNone;
+    std::uint64_t lastLen = kNone;
 
 // One micro-op ends, the next begins: single indirect jump.
 #define GECKO_NEXT                                                          \
@@ -786,6 +961,8 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
     }
 
     try {
+        if (pc == 0 && regs_ == std::array<std::uint32_t, 16>{})
+            goto restarted;
       enter:
         if (cycles >= cycleBudget)
             goto budget_out;
@@ -835,6 +1012,36 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         }
         goto enter;
 
+        // ---- Restart: pc 0, registers zeroed -----------------------
+        // Apply the recorded completion while it is exact; without a
+        // record, record the next completion when the last whole one of
+        // this run fits the remaining budget (so the recording can
+        // finish).
+      restarted:
+        if (lastRestart != kNone)
+            lastLen = cycles - lastRestart;
+        lastRestart = cycles;
+        if (cycles >= cycleBudget || !replayArmed())
+            goto enter;
+        if (recordReady_) {
+            replayCompletions(cycleBudget, cycles, instrs);
+            if (cycles != lastRestart) {
+                lastLen = record_.cycles;
+                lastRestart = cycles;
+            }
+        }
+        if (recordReady_ || replayMisses_ >= kMaxReplayMisses ||
+            cycles >= cycleBudget || lastLen > cycleBudget - cycles)
+            goto enter;
+        switch (recordCompletion(pc, cycleBudget, cycles, instrs)) {
+          case StepExit::kRestarted:
+            goto restarted;
+          case StepExit::kFaulted:
+            goto fault_common;
+          default:  // budget spent mid-completion: the record is dropped
+            goto enter;
+        }
+
         // ---- Per-instruction fallback -----------------------------
         // stepDecoded executes exactly one predecoded instruction, then
         // control re-enters block dispatch: deopts are
@@ -844,6 +1051,8 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         switch (stepDecoded(pc, cycles, instrs)) {
           case StepExit::kContinue:
             goto enter;
+          case StepExit::kRestarted:
+            goto restarted;
           case StepExit::kHalted:
             pc_ = pc;
             stats.instrs += instrs;
@@ -1079,7 +1288,7 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         if (continuous_) {
             restartProgram();
             pc = 0;
-            goto enter;
+            goto restarted;
         }
         halted_ = true;
         pc_ = b->start + b->len - 1;

@@ -1085,6 +1085,7 @@ IntermittentSim::runLoop(double end, std::uint64_t targetCompletions)
             stepSleeping(pollEnd);
     }
     stats.simTimeS = now_;
+    stats.replayedCompletions = machine_.replayedCompletions();
 }
 
 void

@@ -100,10 +100,10 @@ struct SimStats {
     std::uint64_t missedCheckpoints = 0;
     std::uint64_t bootCycles = 0;
     // ------------------------------------------------------------------
-    // Pure diagnostics (never archived): quantum-loop telemetry for the
-    // bench drivers and the perf regression guard.  Excluded from
-    // snapshots on purpose so campaign aggregates stay bit-identical
-    // whether or not the coalescing fast path engaged.
+    // Pure diagnostics (never archived): quantum-loop and machine
+    // telemetry for the bench drivers and the perf regression guard.
+    // Excluded from snapshots on purpose so campaign aggregates stay
+    // bit-identical whether or not a fast path engaged.
     // ------------------------------------------------------------------
     /// Monitor-sample quanta simulated while running (slow + coalesced).
     std::uint64_t quanta = 0;
@@ -116,6 +116,9 @@ struct SimStats {
     std::uint64_t sleepSamples = 0;
     /// Sleep samples absorbed by sleep bursts (never counted in quanta).
     std::uint64_t coalescedSleepSamples = 0;
+    /// Completions the machine applied from its record instead of
+    /// executing them (Machine::replayedCompletions).
+    std::uint64_t replayedCompletions = 0;
 
     bool operator==(const SimStats&) const = default;
 
@@ -142,6 +145,7 @@ struct SimStats {
         fn({"sleep_samples", false}, &SimStats::sleepSamples);
         fn({"coalesced_sleep_samples", false},
            &SimStats::coalescedSleepSamples);
+        fn({"replayed_completions", false}, &SimStats::replayedCompletions);
     }
 };
 static_assert(metrics::listsEveryField<SimStats>());

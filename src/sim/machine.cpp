@@ -58,6 +58,8 @@ Machine::Machine(const compiler::CompiledProgram& prog, Nvm& nvm, IoHub& io)
             targets_[i] =
                 static_cast<std::uint32_t>(p.labelPos(ins.target));
         }
+        if (ins.op == Opcode::kIn)
+            inFree_ = false;
         Decoded& d = decoded_[i];
         d.op = ins.op;
         d.rd = ins.rd;

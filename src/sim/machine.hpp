@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "compiler/pipeline.hpp"
 #include "metrics/counter_field.hpp"
@@ -137,14 +138,23 @@ class Machine
     ExecBackend execBackend() const { return backend_; }
 
     /**
-     * Drop all compiled superblocks and profile counts.  The program is
-     * immutable and a JIT-checkpoint image restore only rewrites *data*
-     * state (registers/PC/NVM), so nothing calls this automatically
-     * except setStagedIo(), whose mode is baked into the micro-ops.
-     * Public for tests and for embedders that reuse a Machine across
-     * semantically different configurations.
+     * Drop all compiled superblocks, profile counts and the recorded
+     * completion (see replayedCompletions()).  The program is immutable
+     * and a JIT-checkpoint image restore only rewrites *data* state
+     * (registers/PC/NVM), so nothing calls this automatically except
+     * setStagedIo(), whose mode is baked into the micro-ops, and a
+     * snapshot restore.  Public for tests and for embedders that reuse
+     * a Machine across semantically different configurations.
      */
     void invalidateBlockCache();
+
+    /**
+     * Completions the block tier applied as their recorded effect
+     * instead of executing them (completion replay, DESIGN.md §12).
+     * A diagnostic outside ExecStats — the tiers differ in it by design
+     * — and never archived.
+     */
+    std::uint64_t replayedCompletions() const { return replayed_; }
 
     /**
      * Execute until ~`cycleBudget` cycles are consumed (may overshoot by
@@ -233,11 +243,64 @@ class Machine
     void ensureBlocks();
     void compileBlock(SuperBlock& block);
     /// How one precisely-stepped instruction left the machine (the
-    /// block backend's deopt fallback; see exec_block.cpp).
-    enum class StepExit : std::uint8_t { kContinue, kHalted, kFaulted };
+    /// block backend's deopt fallback; see exec_block.cpp).  kRestarted:
+    /// a continuous-mode kHalt restarted the program (pc is 0).
+    enum class StepExit : std::uint8_t {
+        kContinue,
+        kRestarted,
+        kHalted,
+        kFaulted
+    };
     StepExit stepDecoded(std::uint32_t& pc, std::uint64_t& cycles,
                          std::uint64_t& instrs);
     bool fault();
+
+    /**
+     * The whole effect of one continuous-mode completion, recorded on
+     * the per-instruction path (exec_block.cpp, "Completion replay").
+     */
+    struct CompletionRecord {
+        struct Word {
+            std::uint32_t addr;
+            std::uint32_t value;
+        };
+        struct Slot {
+            std::uint8_t reg;
+            std::uint8_t slot;
+            std::uint32_t value;
+            std::uint32_t crc;
+        };
+        struct Out {
+            std::uint8_t port;
+            std::uint32_t value;
+        };
+        /// NVM data words read before written, with the values read.
+        std::vector<Word> liveIns;
+        /// Every data word written, with its final value.
+        std::vector<Word> writes;
+        /// Every checkpoint slot written, with its final value and CRC.
+        std::vector<Slot> slots;
+        /// The `out` sequence in program order.
+        std::vector<Out> outs;
+        /// Staged region commits and the last committed region id.
+        std::uint32_t commits = 0;
+        std::uint32_t region = 0;
+        std::uint64_t instrs = 0;
+        std::uint64_t cycles = 0;
+        std::uint64_t ckptStores = 0;
+        std::uint64_t boundaryCommits = 0;
+    };
+    /// Replay may apply or record at a restart: an `in`-free program in
+    /// continuous mode, no staged I/O pending, no trace buffer.
+    bool replayArmed() const;
+    /// Execute one completion from a restart on stepDecoded, recording
+    /// its effect; returns the last step's exit (kRestarted: recorded).
+    StepExit recordCompletion(std::uint32_t& pc, std::uint64_t budget,
+                              std::uint64_t& cycles, std::uint64_t& instrs);
+    /// Apply the recorded completion while its live-ins hold and its
+    /// cycles fit the budget; a live-in miss drops the record.
+    void replayCompletions(std::uint64_t budget, std::uint64_t& cycles,
+                           std::uint64_t& instrs);
 
     const compiler::CompiledProgram* prog_;
     Nvm* nvm_;
@@ -259,6 +322,18 @@ class Machine
     std::vector<Uop> uopPool_;
     std::vector<Uop> uopScratch_;
     bool blocksBuilt_ = false;
+
+    // Completion replay (derived state: never archived, dropped by
+    // invalidateBlockCache).
+    CompletionRecord record_;
+    bool recordReady_ = false;
+    /// The program has no `in` (decided at load time).
+    bool inFree_ = true;
+    std::uint32_t replayMisses_ = 0;
+    /// Per-data-word recording marks (1 read, 2 written); only words
+    /// listed in record_.liveIns/writes are ever nonzero.
+    std::vector<std::uint8_t> recordMarks_;
+    std::uint64_t replayed_ = 0;
 
     std::array<std::uint32_t, 16> regs_{};
     std::uint32_t pc_ = 0;

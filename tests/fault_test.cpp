@@ -439,5 +439,34 @@ TEST(CampaignTest, CorpusCasesReplayStandalone)
     }
 }
 
+TEST(CampaignTest, MinimisedCaseEqualsAFreshRunOfItsSpec)
+{
+    // The minimiser may hand back bisection's last failing probe instead
+    // of re-running the final spec: that result must be exactly what a
+    // standalone run of the minimised spec produces.
+    CampaignConfig config;
+    config.cases = 160;
+    config.seed = 42;
+    exp::ThreadPool pool(2);
+    config.pool = &pool;
+    CampaignResult result = runCampaign(config);
+    int minimised = 0;
+    for (const CaseResult& r : result.corpusCases) {
+        if (!r.minimized)
+            continue;
+        ++minimised;
+        const CaseResult fresh = runCase(r.spec);
+        const std::string line = formatCorpusLine(r);
+        EXPECT_EQ(formatCorpusLine(fresh), line);
+        EXPECT_EQ(fresh.outcome, r.outcome) << line;
+        EXPECT_EQ(fresh.detail, r.detail) << line;
+        EXPECT_EQ(fresh.injectAt, r.injectAt) << line;
+        EXPECT_EQ(fresh.word, r.word) << line;
+        EXPECT_EQ(fresh.defended, r.defended) << line;
+        EXPECT_TRUE(fresh.counters == r.counters) << line;
+    }
+    EXPECT_GT(minimised, 0);
+}
+
 }  // namespace
 }  // namespace gecko::fault

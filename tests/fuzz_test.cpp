@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <iostream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 
@@ -738,6 +740,100 @@ TEST_P(CoalesceFuzzTest, RandomEmiUnchangedByBursts)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoalesceFuzzTest,
                          ::testing::Range(1u, 65u),
+                         [](const auto& info) {
+                             return "seed" + std::to_string(info.param);
+                         });
+
+// ---------------------------------------------------------------------
+// Completion-replay differential (DESIGN.md §12): an input-free victim
+// under a random scheme, capacitor, supply and optional attack
+// schedule, untraced so the block tier may replay its completions, must
+// end with the step tier's archived counters and snapshot bytes.
+// ---------------------------------------------------------------------
+
+struct ReplayRun {
+    sim::Counters counters;
+    std::vector<std::uint8_t> snapshot;
+};
+
+ReplayRun
+runReplayCase(std::uint32_t seed, sim::ExecBackend backend)
+{
+    static const char* const kInputFree[] = {
+        "basicmath", "bitcnt", "blink",  "crc16", "crc32",        "dhrystone",
+        "dijkstra",  "fft",    "qsort", "stringsearch", "xtea"};
+    static const Scheme kSchemes[] = {Scheme::kNvp, Scheme::kRatchet,
+                                      Scheme::kGecko};
+    Rng rng(seed);
+    const std::string workload =
+        kInputFree[rng.pick(static_cast<std::uint32_t>(std::size(kInputFree)))];
+    const Scheme scheme = kSchemes[rng.pick(3)];
+    const double capacitanceF = 1e-4 * (1 + rng.pick(10));
+    const std::uint32_t supplyKind = rng.pick(3);
+    const bool attacked = rng.pick(2) == 1;
+    const double freqHz = 1e6 * (1 + rng.pick(300));
+    const double powerDbm = 25.0 + rng.pick(16);
+    std::vector<attack::AttackWindow> windows;
+    double t = 0.01 * (1 + rng.pick(4));
+    for (int i = 0; attacked && i < 3; ++i) {
+        const double on = 0.005 * (1 + rng.pick(5));
+        windows.push_back({t, t + on, freqHz, powerDbm});
+        t += on + 0.01 * (1 + rng.pick(4));
+    }
+
+    const CompiledProgram compiled =
+        compiler::compile(workloads::build(workload), scheme);
+    const auto& dev = device::DeviceDb::msp430fr5994();
+    sim::SimConfig cfg;
+    cfg.cap.capacitanceF = capacitanceF;
+    cfg.monitorSeed = seed;
+    sim::IoHub io;
+    workloads::setupIo(workload, io);
+    std::unique_ptr<energy::Harvester> supply;
+    if (supplyKind == 0)
+        supply = std::make_unique<energy::ConstantHarvester>(3.3, 5.0);
+    else if (supplyKind == 1)
+        supply = std::make_unique<energy::SquareWaveHarvester>(3.3, 5.0,
+                                                               0.05, 0.05);
+    else
+        supply = std::make_unique<energy::TraceHarvester>(
+            energy::makeRfTrace(3.3, 5.0, 4.0, 0.55, 0.3, seed));
+    sim::IntermittentSim simulation(compiled, dev, cfg, *supply, io);
+    simulation.machine().setExecBackend(backend);
+    attack::RemoteRig rig(dev, cfg.monitorKind, 0.5);
+    attack::EmiSource source(rig, freqHz, powerDbm);
+    attack::AttackSchedule schedule(std::move(windows));
+    if (attacked) {
+        simulation.setEmiSource(&source);
+        simulation.setAttackSchedule(&schedule);
+    }
+    simulation.run(0.3);
+    return {simulation.counters(), campaign::saveSimSnapshot(simulation, io)};
+}
+
+class ReplayFuzzTest : public ::testing::TestWithParam<std::uint32_t>
+{
+};
+
+TEST_P(ReplayFuzzTest, RandomVictimsAgreeAcrossTiers)
+{
+    const auto seed =
+        static_cast<std::uint32_t>(exp::applyGlobalSeed(GetParam()));
+    const ReplayRun step = runReplayCase(seed, sim::ExecBackend::kStep);
+    const ReplayRun block = runReplayCase(seed, sim::ExecBackend::kBlock);
+    EXPECT_EQ(step.counters.sim.replayedCompletions, 0u);
+    EXPECT_EQ(test::firstArchivedDifference(block.counters, step.counters),
+              "")
+        << "seed " << seed;
+    EXPECT_TRUE(block.snapshot == step.snapshot)
+        << "seed " << seed << ": simulation snapshot diverged";
+    std::cout << "[replay fuzz] seed " << seed << ": "
+              << block.counters.sim.replayedCompletions << " of "
+              << block.counters.exec.completions << " completions replayed\n";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReplayFuzzTest,
+                         ::testing::Range(1u, 25u),
                          [](const auto& info) {
                              return "seed" + std::to_string(info.param);
                          });

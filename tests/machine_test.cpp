@@ -3,11 +3,13 @@
 #include <stdexcept>
 #include <vector>
 
+#include "campaign/archive.hpp"
 #include "compiler/pipeline.hpp"
 #include "ir/assembler.hpp"
 #include "ir/builder.hpp"
 #include "sim/intermittent_sim.hpp"
 #include "sim/machine.hpp"
+#include "trace/trace.hpp"
 #include "workloads/workloads.hpp"
 
 namespace gecko::sim {
@@ -389,14 +391,307 @@ TEST(MachineTest, ExecBackendParsingAcceptsOnlyStepAndBlock)
         EXPECT_THROW(parseExecBackend(bad), std::invalid_argument) << bad;
 }
 
+// ---------------------------------------------------------------------
+// Completion replay (DESIGN.md §12): in continuous mode the block tier
+// applies a repeated completion as its recorded effect.  Every case runs
+// a step and a block machine in lockstep and compares everything either
+// could have changed after every run.
+// ---------------------------------------------------------------------
+
+/** The archived bytes of a Machine, Nvm or IoHub: every field a
+ *  snapshot keeps (for the hub, each sink's keyed values and
+ *  conflicts()). */
+template <class State>
+std::vector<std::uint8_t>
+archived(State& state)
+{
+    campaign::Archive ar = campaign::Archive::saver();
+    state.archiveState(ar);
+    return ar.takePayload();
+}
+
+/** A step and a block machine in continuous mode, each on its own rig. */
+struct Lockstep {
+    Rig stepRig;
+    Rig blockRig;
+    Machine step;
+    Machine block;
+
+    Lockstep(const CompiledProgram& c, const std::string& workload)
+        : step(c, stepRig.nvm, stepRig.io), block(c, blockRig.nvm, blockRig.io)
+    {
+        if (!workload.empty()) {
+            workloads::setupIo(workload, stepRig.io);
+            workloads::setupIo(workload, blockRig.io);
+        }
+        step.setExecBackend(ExecBackend::kStep);
+        block.setExecBackend(ExecBackend::kBlock);
+        for (Machine* m : {&step, &block}) {
+            m->setStagedIo(c.scheme != Scheme::kNvp);
+            m->setContinuous(true);
+        }
+    }
+
+    /** One run of `budget` cycles on both; then everything must agree:
+     *  ExecStats, pc, registers and pending I/O (the machine archive),
+     *  the whole Nvm (data, slots with their CRC and shadow copies,
+     *  slotWrites, committedRegion, commitCount, inCount/outCount) and
+     *  every output sink. */
+    void run(std::uint64_t budget, const std::string& label)
+    {
+        std::uint64_t stepConsumed = 0, blockConsumed = 0;
+        const RunExit stepExit = step.run(budget, &stepConsumed);
+        const RunExit blockExit = block.run(budget, &blockConsumed);
+        ASSERT_EQ(blockExit, stepExit) << label;
+        ASSERT_EQ(blockConsumed, stepConsumed) << label;
+        ASSERT_TRUE(block.stats == step.stats)
+            << label << ": instrs " << block.stats.instrs << " vs "
+            << step.stats.instrs << ", completions "
+            << block.stats.completions << " vs " << step.stats.completions;
+        ASSERT_EQ(block.pc(), step.pc()) << label;
+        ASSERT_EQ(block.regs(), step.regs()) << label;
+        ASSERT_EQ(block.pendingIn(), step.pendingIn()) << label;
+        ASSERT_EQ(block.pendingOut(), step.pendingOut()) << label;
+        ASSERT_TRUE(archived(block) == archived(step)) << label;
+        ASSERT_TRUE(blockRig.nvm.data() == stepRig.nvm.data())
+            << label << ": NVM data";
+        ASSERT_TRUE(archived(blockRig.nvm) == archived(stepRig.nvm))
+            << label << ": NVM slots or protocol words";
+        for (int port = 0; port < kIoPorts; ++port) {
+            ASSERT_EQ(blockRig.io.output(port).values(),
+                      stepRig.io.output(port).values())
+                << label << " port " << port;
+            ASSERT_EQ(blockRig.io.output(port).conflicts(),
+                      stepRig.io.output(port).conflicts())
+                << label << " port " << port;
+        }
+        ASSERT_TRUE(archived(blockRig.io) == archived(stepRig.io))
+            << label << ": output indices";
+        ASSERT_EQ(step.replayedCompletions(), 0u) << "the step tier replayed";
+    }
+
+    /** Overwrite every checkpoint slot's four words in both rigs alike
+     *  (the machine never reads slots): the next completion must rewrite
+     *  each slot it writes — value, CRC, shadow and shadow CRC — whether
+     *  it executes or replays. */
+    void disturbSlots(std::uint32_t salt)
+    {
+        for (Nvm* nvm : {&stepRig.nvm, &blockRig.nvm})
+            for (std::size_t r = 0; r < 16; ++r)
+                for (std::size_t k = 0; k < compiler::kMaxSlots; ++k) {
+                    nvm->slots[r][k] ^= salt;
+                    nvm->slotCrc[r][k] ^= salt << 1;
+                    nvm->slotShadow[r][k] ^= salt << 2;
+                    nvm->slotShadowCrc[r][k] ^= salt << 3;
+                }
+    }
+};
+
+/** Cycles of each of the first `n` completions of `c` from a fresh rig. */
+std::vector<std::uint64_t>
+completionCycles(const CompiledProgram& c, const std::string& workload,
+                 int n)
+{
+    Rig rig;
+    workloads::setupIo(workload, rig.io);
+    Machine m(c, rig.nvm, rig.io);
+    m.setExecBackend(ExecBackend::kStep);
+    m.setStagedIo(c.scheme != Scheme::kNvp);
+    std::vector<std::uint64_t> cycles;
+    for (int i = 0; i < n; ++i) {
+        std::uint64_t total = 0;
+        while (!m.halted()) {
+            std::uint64_t consumed = 0;
+            m.run(1u << 20, &consumed);
+            total += consumed;
+        }
+        cycles.push_back(total);
+        // The state a continuous-mode kHalt restarts into.
+        m.restartProgram();
+    }
+    return cycles;
+}
+
+bool
+readsInput(const CompiledProgram& c)
+{
+    for (std::size_t i = 0; i < c.prog.size(); ++i)
+        if (c.prog.at(i).op == ir::Opcode::kIn)
+            return true;
+    return false;
+}
+
+class CompletionReplayTest : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(CompletionReplayTest, BlockTierMatchesStepInContinuousMode)
+{
+    // Three budgets per scheme: one holding at least eight completions,
+    // an odd one that cuts completions (and runs that start mid-way),
+    // and one that ends exactly on a restart (the next run then starts
+    // at one).  The slots are disturbed between runs.
+    const std::string name = GetParam();
+    const Program p = workloads::build(name);
+    for (Scheme scheme : {Scheme::kNvp, Scheme::kRatchet, Scheme::kGecko}) {
+        const CompiledProgram c = compiler::compile(p, scheme);
+        const std::vector<std::uint64_t> lens = completionCycles(c, name, 8);
+        std::uint64_t firstEight = 0;
+        for (std::uint64_t len : lens)
+            firstEight += len;
+        const std::uint64_t len = lens.back();
+        const struct {
+            const char* kind;
+            std::uint64_t budget;
+            int runs;
+        } plans[] = {{"eight", 12 * len + len / 2, 3},
+                     {"odd", 10 * len / 3 + 7, 8},
+                     {"exact", firstEight, 3}};
+        for (const auto& plan : plans) {
+            const std::string label = name + "/" +
+                                      compiler::schemeName(scheme) + "/" +
+                                      plan.kind;
+            Lockstep ls(c, name);
+            for (int run = 0; run < plan.runs; ++run) {
+                ASSERT_NO_FATAL_FAILURE(
+                    ls.run(plan.budget, label + " run " + std::to_string(run)));
+                if (run == 0 && std::string(plan.kind) == "exact") {
+                    ASSERT_EQ(ls.step.pc(), 0u) << label << ": not a restart";
+                }
+                ls.disturbSlots(0x9e3779b9u * static_cast<std::uint32_t>(run + 1));
+            }
+            if (readsInput(c)) {
+                EXPECT_EQ(ls.block.replayedCompletions(), 0u) << label;
+            } else if (std::string(plan.kind) != "odd") {
+                EXPECT_GT(ls.block.replayedCompletions(), 0u) << label;
+            }
+        }
+    }
+}
+
+TEST(CompletionReplayMachineTest, ChangedLiveInReExecutes)
+{
+    // Word 100 is read before anything writes it: a live-in.  Changing
+    // it between runs must make the next completion execute again (its
+    // output follows the new value), after which replay resumes.
+    CompiledProgram c = wrap(ir::Assembler::assemble("t", R"(
+        movi r1, 100
+        load r2, [r1]
+        movi r3, 0
+        movi r4, 50
+loop:
+        add  r2, r2, #3
+        add  r3, r3, #1
+        bne  r3, r4, loop
+        store [r1+1], r2
+        out  0, r2
+        halt
+)"));
+    Lockstep ls(c, "");
+    for (int run = 0; run < 3; ++run)
+        ASSERT_NO_FATAL_FAILURE(ls.run(5000, "before"));
+    const std::uint64_t replayedBefore = ls.block.replayedCompletions();
+    EXPECT_GT(replayedBefore, 0u);
+    EXPECT_EQ(ls.blockRig.io.output(0).values().back(), 150u);
+    for (Rig* rig : {&ls.stepRig, &ls.blockRig})
+        rig->nvm.store(100, 7);
+    ASSERT_NO_FATAL_FAILURE(ls.run(5000, "after"));
+    EXPECT_EQ(ls.blockRig.io.output(0).values().back(), 157u);
+    EXPECT_EQ(ls.blockRig.nvm.load(101), 157u);
+    for (int run = 0; run < 2; ++run)
+        ASSERT_NO_FATAL_FAILURE(ls.run(5000, "resumed"));
+    EXPECT_GT(ls.block.replayedCompletions(), replayedBefore);
+}
+
+TEST(CompletionReplayMachineTest, LiveInEveryCompletionChangesNeverReplays)
+{
+    // A persistent counter: every completion reads what the last one
+    // wrote, so no record ever applies.
+    CompiledProgram c = wrap(ir::Assembler::assemble("t", R"(
+        movi r1, 100
+        load r2, [r1]
+        add  r2, r2, #1
+        store [r1], r2
+        out  0, r2
+        halt
+)"));
+    Lockstep ls(c, "");
+    for (int run = 0; run < 8; ++run)
+        ASSERT_NO_FATAL_FAILURE(ls.run(10000, "counter"));
+    EXPECT_EQ(ls.block.replayedCompletions(), 0u);
+    EXPECT_GT(ls.step.stats.completions, 100u);
+}
+
+TEST(CompletionReplayMachineTest, InputProgramNeverReplays)
+{
+    CompiledProgram c = wrap(ir::Assembler::assemble("t", R"(
+        in   r1, 1
+        out  0, r1
+        halt
+)"));
+    Lockstep ls(c, "");
+    for (Rig* rig : {&ls.stepRig, &ls.blockRig})
+        rig->io.setInput(1, std::make_shared<VectorInput>(
+                                std::vector<std::uint32_t>{5, 6, 7}));
+    for (int run = 0; run < 8; ++run)
+        ASSERT_NO_FATAL_FAILURE(ls.run(10000, "in"));
+    EXPECT_EQ(ls.block.replayedCompletions(), 0u);
+    EXPECT_GT(ls.step.stats.completions, 50u);
+}
+
+TEST(CompletionReplayMachineTest, TraceBufferDisablesReplay)
+{
+    // Replayed completions would emit no events, so a traced run
+    // executes every completion: its event stream equals the step
+    // tier's.
+    const CompiledProgram c =
+        compiler::compile(workloads::build("crc16"), Scheme::kGecko);
+    Lockstep ls(c, "crc16");
+    trace::Buffer stepTrace, blockTrace;
+    const std::uint64_t len = completionCycles(c, "crc16", 2).back();
+    for (int run = 0; run < 3; ++run) {
+        std::uint64_t consumed = 0;
+        {
+            trace::BufferScope scope(&stepTrace);
+            ls.step.run(12 * len, &consumed);
+        }
+        {
+            trace::BufferScope scope(&blockTrace);
+            ls.block.run(12 * len, &consumed);
+        }
+    }
+    EXPECT_EQ(ls.block.replayedCompletions(), 0u);
+    EXPECT_TRUE(ls.block.stats == ls.step.stats);
+    EXPECT_GT(ls.step.stats.completions, 30u);
+    EXPECT_TRUE(blockTrace.events() == stepTrace.events());
+    EXPECT_EQ(blockTrace.dropped(), stepTrace.dropped());
+    if (trace::compiledIn()) {
+        EXPECT_GT(stepTrace.size(), 30u);
+    }
+    // Untraced, the same machine replays.
+    ASSERT_NO_FATAL_FAILURE(ls.run(12 * len, "untraced"));
+    EXPECT_GT(ls.block.replayedCompletions(), 0u);
+}
+
+const std::vector<std::string>&
+allWorkloads()
+{
+    static const std::vector<std::string> names = [] {
+        auto v = workloads::benchmarkNames();
+        v.push_back("sensor_loop");
+        v.push_back("sensor_app");
+        v.push_back("xtea");
+        return v;
+    }();
+    return names;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, WorkloadGoldenTest,
-                         ::testing::ValuesIn([] {
-                             auto v = workloads::benchmarkNames();
-                             v.push_back("sensor_loop");
-                             v.push_back("sensor_app");
-                             v.push_back("xtea");
-                             return v;
-                         }()),
+                         ::testing::ValuesIn(allWorkloads()),
+                         [](const auto& info) { return info.param; });
+
+INSTANTIATE_TEST_SUITE_P(AllBenchmarks, CompletionReplayTest,
+                         ::testing::ValuesIn(allWorkloads()),
                          [](const auto& info) { return info.param; });
 
 }  // namespace

@@ -26,7 +26,7 @@ TEST(BenchJsonTest, ReportLeadsWithSchemaVersion)
     std::string json = report.toJson();
     // schema_version is the first key so even a truncated record
     // identifies its format.
-    EXPECT_EQ(json.rfind("{\"schema_version\":7,", 0), 0u) << json;
+    EXPECT_EQ(json.rfind("{\"schema_version\":8,", 0), 0u) << json;
     JsonValue parsed;
     ASSERT_TRUE(parseJson(json, &parsed)) << json;
     EXPECT_EQ(parsed.getNumber("schema_version"),
@@ -78,6 +78,7 @@ TEST(BenchJsonTest, CounterKeysReadTheCounterSet)
     report.counters.exec.cycles = 123;
     report.counters.sim.quanta = 45;
     report.counters.sim.coalescedQuanta = 6;
+    report.counters.sim.replayedCompletions = 10;
     report.counters.runtime.corruptedRestores = 7;
     report.counters.runtime.crcRejects = 8;
     report.counters.runtime.retriesExhausted = 9;
@@ -86,6 +87,7 @@ TEST(BenchJsonTest, CounterKeysReadTheCounterSet)
     EXPECT_EQ(json.getNumber("sim_cycles"), 123.0);
     EXPECT_EQ(json.getNumber("quanta"), 45.0);
     EXPECT_EQ(json.getNumber("coalesced_quanta"), 6.0);
+    EXPECT_EQ(json.getNumber("replayed_completions"), 10.0);
     EXPECT_EQ(json.getNumber("corrupted_restores"), 7.0);
     EXPECT_EQ(json.getNumber("crc_rejects"), 8.0);
     EXPECT_EQ(json.getNumber("retries_exhausted"), 9.0);
@@ -215,7 +217,7 @@ TEST(JsonlReaderTest, CountsTornTailUnparseableAndRejectedLines)
     EXPECT_EQ(readJsonl(path, [](const JsonValue&) { return true; }), 0u);
 }
 
-TEST(CounterRegistryTest, NamesAreUniqueAndOnlyBurstDiagnosticsUnarchived)
+TEST(CounterRegistryTest, NamesAreUniqueAndOnlyFastPathDiagnosticsUnarchived)
 {
     // Wire names double as campaign keys and oracle messages, so they
     // must be unique across the four field lists.
@@ -226,11 +228,12 @@ TEST(CounterRegistryTest, NamesAreUniqueAndOnlyBurstDiagnosticsUnarchived)
         if (!field.archived)
             unarchived.push_back(field.name);
     });
-    EXPECT_EQ(names.size(), 6u + 17u + 15u + 13u);
+    EXPECT_EQ(names.size(), 6u + 18u + 15u + 13u);
     EXPECT_EQ(unarchived,
               (std::vector<std::string>{"quanta", "coalesced_quanta",
                                         "coalesced_bursts", "sleep_samples",
-                                        "coalesced_sleep_samples"}));
+                                        "coalesced_sleep_samples",
+                                        "replayed_completions"}));
 }
 
 TEST(CounterRegistryTest, SumsAddCountersAndLeaveTheDoubles)

@@ -3,6 +3,7 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "attack/attack_schedule.hpp"
@@ -291,6 +292,50 @@ TEST(PerfSmokeTest, EvaluatedAdcBurstsEngage)
               << " sleep samples absorbed; weak tone: "
               << weak.coalescedQuanta << "/" << weak.quanta
               << " quanta coalesced\n";
+}
+
+/**
+ * Completion-replay engagement guard (DESIGN.md §12): a Fig. 14 victim
+ * (GECKO on the RF harvesting trace) of an input-free kernel and of the
+ * input-reading sensor loop.  Counts only — no wall-clock floor.
+ */
+sim::Counters
+runHarvestVictim(const std::string& workload, double seconds)
+{
+    const compiler::CompiledProgram compiled = compiler::compile(
+        workloads::build(workload), compiler::Scheme::kGecko);
+    sim::IoHub io;
+    workloads::setupIo(workload, io);
+    energy::TraceHarvester trace =
+        energy::makeRfTrace(3.3, 5.0, 1.0, 0.55, seconds, 7);
+    sim::SimConfig config;
+    config.cap.capacitanceF = 1e-3;
+    sim::IntermittentSim simulation(compiled,
+                                    device::DeviceDb::msp430fr5994(),
+                                    config, trace, io);
+    simulation.machine().setExecBackend(sim::ExecBackend::kBlock);
+    simulation.run(seconds);
+    return simulation.counters();
+}
+
+TEST(PerfSmokeTest, RepeatedCompletionsReplay)
+{
+    const sim::Counters qsort = runHarvestVictim("qsort", 1.0);
+    ASSERT_GT(qsort.exec.completions, 100u) << "slice too short";
+    EXPECT_GE(qsort.sim.replayedCompletions * 10,
+              qsort.exec.completions * 8)
+        << "replayed only " << qsort.sim.replayedCompletions << " of "
+        << qsort.exec.completions << " qsort completions";
+
+    const sim::Counters sensor = runHarvestVictim("sensor_loop", 1.0);
+    ASSERT_GT(sensor.exec.completions, 100u) << "slice too short";
+    EXPECT_EQ(sensor.sim.replayedCompletions, 0u)
+        << "an input-reading kernel replayed";
+    std::cout << "[perf_smoke] qsort replayed "
+              << qsort.sim.replayedCompletions << "/"
+              << qsort.exec.completions << " completions; sensor_loop "
+              << sensor.sim.replayedCompletions << "/"
+              << sensor.exec.completions << "\n";
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include "attack/emi_source.hpp"
 #include "attack/rigs.hpp"
+#include "campaign/snapshot.hpp"
 #include "device/device_db.hpp"
 #include "sim/intermittent_sim.hpp"
+#include "test_util.hpp"
 #include "workloads/workloads.hpp"
 
 namespace gecko::sim {
@@ -227,6 +229,49 @@ TEST(IntermittentSimTest, RunUntilCompletionsWorks)
                         bench.simConfig(), bench.supply, bench.io);
     EXPECT_TRUE(sim.runUntilCompletions(5, 2.0));
     EXPECT_GE(sim.machine().stats.completions, 5u);
+}
+
+TEST(IntermittentSimTest, HarvestingVictimReplaysCompletionsExactly)
+{
+    // A Fig. 14 victim: qsort under GECKO on the RF trace, where the
+    // block tier replays most completions.  The step tier executes every
+    // one; every archived counter, the NVM, the outputs and the snapshot
+    // bytes must come out the same.
+    struct Victim {
+        Bench bench{"qsort", Scheme::kGecko};
+        energy::TraceHarvester trace =
+            energy::makeRfTrace(3.3, 5.0, 1.0, 0.55, 0.5, 7);
+        IntermittentSim sim;
+
+        explicit Victim(ExecBackend backend)
+            : sim(bench.prog, DeviceDb::msp430fr5994(), [] {
+                  SimConfig c;
+                  c.cap.capacitanceF = 1e-3;
+                  return c;
+              }(), trace, bench.io)
+        {
+            sim.machine().setExecBackend(backend);
+            sim.run(0.5);
+        }
+    };
+    Victim step(ExecBackend::kStep);
+    Victim block(ExecBackend::kBlock);
+
+    EXPECT_EQ(test::firstArchivedDifference(block.sim.counters(),
+                                            step.sim.counters()),
+              "");
+    EXPECT_GT(step.sim.machine().stats.completions, 20u);
+    EXPECT_EQ(step.sim.stats.replayedCompletions, 0u);
+    EXPECT_GT(block.sim.stats.replayedCompletions, 0u);
+    EXPECT_TRUE(block.sim.nvm().data() == step.sim.nvm().data());
+    for (int port = 0; port < kIoPorts; ++port) {
+        EXPECT_EQ(block.bench.io.output(port).values(),
+                  step.bench.io.output(port).values());
+        EXPECT_EQ(block.bench.io.output(port).conflicts(),
+                  step.bench.io.output(port).conflicts());
+    }
+    EXPECT_TRUE(campaign::saveSimSnapshot(block.sim, block.bench.io) ==
+                campaign::saveSimSnapshot(step.sim, step.bench.io));
 }
 
 }  // namespace
