@@ -53,13 +53,14 @@ const std::vector<std::string> kFigures = {
 /// by the suite (0 when a record predates a key).
 enum Counter {
     kSimCycles, kQuanta, kCoalescedQuanta, kReplayedCompletions,
-    kCorruptedRestores, kCrcRejects, kRetriesExhausted, kCounterKeys
+    kSteadyLoopIterations, kCorruptedRestores, kCrcRejects,
+    kRetriesExhausted, kCounterKeys
 };
 constexpr const char* kCounterKey[kCounterKeys] = {
     "sim_cycles",           "quanta",
     "coalesced_quanta",     "replayed_completions",
-    "corrupted_restores",   "crc_rejects",
-    "retries_exhausted"};
+    "steady_loop_iterations", "corrupted_restores",
+    "crc_rejects",          "retries_exhausted"};
 using CounterValues = std::array<std::uint64_t, kCounterKeys>;
 
 struct FigureResult {
@@ -173,6 +174,8 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
        << ",\"total_quanta\":" << total[kQuanta]
        << ",\"total_coalesced_quanta\":" << total[kCoalescedQuanta]
        << ",\"total_replayed_completions\":" << total[kReplayedCompletions]
+       << ",\"total_steady_loop_iterations\":"
+       << total[kSteadyLoopIterations]
        << ",\"quanta_per_s\":"
        << gecko::metrics::fmt(perS(total[kQuanta], totalWall), 0)
        << ",\"failures\":" << failures << ",\"status\":\""
@@ -203,6 +206,7 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
            << ",\"quanta\":" << c[kQuanta]
            << ",\"coalesced_quanta\":" << c[kCoalescedQuanta]
            << ",\"replayed_completions\":" << c[kReplayedCompletions]
+           << ",\"steady_loop_iterations\":" << c[kSteadyLoopIterations]
            << ",\"exec_backend\":\""
            << gecko::metrics::jsonEscape(r.execBackend)
            << "\",\"corrupted_restores\":" << c[kCorruptedRestores]

@@ -418,6 +418,7 @@ runMachineCase(const CaseSpec& spec, std::uint64_t watchdogBudget,
     }
 
     res.counters.exec = machine.stats;
+    res.counters.sim.steadyLoopIterations = machine.steadyLoopIterations();
     res.counters.runtime = runtime.stats;
     if (!injected && res.outcome == CaseOutcome::kOk)
         res.detail = "not-injected";
@@ -594,10 +595,12 @@ bisectDown(std::int64_t hi, Probe failsAt)
 /**
  * Shrink a failing machine-level case: bisect the injection event index
  * toward 0, then (torn writes) the truncation offset.  The returned
- * result ran with the minimised overrides and still fails — usually as
- * bisection's last failing probe, which a case being a pure function of
- * its spec lets stand for a re-run; if shrinking ever stops
- * reproducing, the original result is kept.
+ * result ran with the minimised overrides and still fails.  A case is a
+ * pure function of its spec, so bisection's last failing probe stands
+ * for a re-run; and when no probe failed, the final spec pins the
+ * primary run's own effective values, which the injectors draw before
+ * applying any override — so `failing` stands for it.  If shrinking
+ * ever stops reproducing, the original result is kept.
  */
 CaseResult
 minimizeCase(const CaseResult& failing, std::uint64_t watchdogBudget)
@@ -634,8 +637,17 @@ minimizeCase(const CaseResult& failing, std::uint64_t watchdogBudget)
         lastFailing &&
         lastFailing->spec.injectAtOverride == spec.injectAtOverride &&
         lastFailing->spec.wordOverride == spec.wordOverride;
-    CaseResult minimized =
-        probed ? std::move(*lastFailing) : runMachineCase(spec, watchdogBudget);
+    const bool primary = spec.injectAtOverride == failing.injectAt &&
+                         spec.wordOverride == failing.word;
+    CaseResult minimized;
+    if (probed) {
+        minimized = std::move(*lastFailing);
+    } else if (primary) {
+        minimized = failing;
+        minimized.spec = spec;
+    } else {
+        minimized = runMachineCase(spec, watchdogBudget);
+    }
     if (!isCorruption(minimized.outcome))
         return failing;
     minimized.minimized = true;

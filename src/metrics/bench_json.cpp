@@ -38,6 +38,8 @@ BenchReport::toJson() const
        << ",\"coalesced_quanta\":" << counters.sim.coalescedQuanta
        << ",\"replayed_completions\":"
        << counters.sim.replayedCompletions
+       << ",\"steady_loop_iterations\":"
+       << counters.sim.steadyLoopIterations
        << ",\"quanta_per_s\":"
        << num(wallS > 0 ? static_cast<double>(quanta) / wallS : 0.0);
     if (!status.empty())

@@ -67,11 +67,14 @@ struct SweepRecord {
  *  - 8: added `replayed_completions`, the completions the block tier
  *    applied from its record instead of executing them (completion
  *    replay, DESIGN.md §12).
+ *  - 9: added `steady_loop_iterations`, the loop iterations the block
+ *    tier applied in closed form instead of executing them (steady-loop
+ *    fast-forward, DESIGN.md §12).
  * Readers must tolerate unknown keys so newer records keep
  * aggregating under older readers: they look up the keys they know in
  * the parsed object and never reject one they don't.
  */
-inline constexpr int kBenchSchemaVersion = 8;
+inline constexpr int kBenchSchemaVersion = 9;
 
 /** Telemetry of one bench binary run. */
 struct BenchReport {
@@ -90,10 +93,10 @@ struct BenchReport {
     /// Process wall time from bench::init to report write (s).
     double wallS = 0.0;
     /// Counter totals of every simulation the bench ran; the report
-    /// names seven: `sim_cycles`, the schema-v5 `quanta` and
-    /// `coalesced_quanta`, the schema-v8 `replayed_completions`, and the
-    /// defence counters `corrupted_restores`, `crc_rejects` and
-    /// `retries_exhausted`.
+    /// names eight: `sim_cycles`, the schema-v5 `quanta` and
+    /// `coalesced_quanta`, the schema-v8 `replayed_completions`, the
+    /// schema-v9 `steady_loop_iterations`, and the defence counters
+    /// `corrupted_restores`, `crc_rejects` and `retries_exhausted`.
     sim::Counters counters;
     /// Bench verdict: "pass", "fail", or "" (bench has no pass/fail
     /// semantics — treated as pass by aggregation).

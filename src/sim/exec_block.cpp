@@ -57,6 +57,30 @@
  *     Replay is off under a trace buffer (it emits no events), and the
  *     step tier never replays: it stays the reference.
  *
+ *  5. *Steady-loop fast-forward.*  compileBlock marks a block as a
+ *     candidate when it is a register-only counted self-loop: it ends
+ *     in a conditional branch to its own start, its counter c is
+ *     written only by one `addi/subi c,c,#k` (k ≠ 0) and read only by
+ *     that update and the branch, and every other instruction is a
+ *     register-only ALU op.  The other written registers are then a
+ *     function of themselves and of registers the block never writes,
+ *     so once one iteration leaves them all unchanged, every later
+ *     iteration is that same iteration: the tier applies the next n at
+ *     once (c += n·k, instrs += n·len, cycles += n·cost), n being the
+ *     largest count whose iterations all pass the block-entry budget
+ *     guard and take the latch (computed exactly in the compare's
+ *     32-bit order, with wrap-around), and resumes normal dispatch for
+ *     the exit or budget tail.  The check costs the hot back edge
+ *     nothing: a self-loop chains up to a cycle limit instead of the
+ *     budget, and the first iteration past it probes — at a candidate
+ *     it snapshots the registers and compares them at the next back
+ *     edge.  The first probe comes kSteadyArmCycles into a run and a
+ *     failed one doubles the interval, so an ordinary loop pays a
+ *     logarithmic number of probes per run.  The kCrcBitLoop handler
+ *     applies the same rule to the CRC LFSR's fixed point.  A register-only body emits no trace event, so the
+ *     fast-forward stays on under a trace buffer; nothing is kept
+ *     across runs, and the step tier never fast-forwards.
+ *
  * The ALU and branch rules are not restated here: stepDecoded and the
  * micro-op handlers call ir::evalBinary/evalUnary/evalBranch with a
  * constant opcode, which folds to the bare operation.  The executor is
@@ -112,7 +136,96 @@ constexpr std::uint32_t kMaxReplayMisses = 3;
 /// Not seen yet in the current run (as a length, no budget fits it).
 constexpr std::uint64_t kNone = ~std::uint64_t{0};
 
+/// Cycles of a run before its first steady-loop probe; the interval
+/// doubles after each failed probe.
+constexpr std::uint64_t kSteadyArmCycles = 64;
+
+/// 2^32: the period of a 32-bit counter.
+constexpr std::uint64_t kWordSpan = std::uint64_t{1} << 32;
+
+/** Register-only ALU op (no memory, I/O, pseudo-op or control flow). */
+bool
+isRegisterOnly(Opcode op)
+{
+    return op == Opcode::kNop || op == Opcode::kMovi ||
+           op == Opcode::kMov || ir::isUnaryAlu(op) || ir::isBinaryAlu(op);
+}
+
+/**
+ * The counter values for which a latch `c <op> bound` (`bound <op> c`
+ * when the counter is the right operand) is taken, as the cyclic
+ * interval of `len` values starting at `lo`.  Signed orders start at
+ * INT32_MIN's bit pattern, where `x ^ 0x80000000` ranks them unsigned.
+ */
+struct TakenSet {
+    std::uint32_t lo;
+    std::uint64_t len;
+};
+
+TakenSet
+takenSet(Opcode op, bool counterLhs, std::uint32_t bound)
+{
+    constexpr std::uint32_t kIntMin = 0x80000000u;
+    const std::uint64_t rank = bound;                // unsigned rank
+    const std::uint64_t srank = bound ^ kIntMin;     // signed rank
+    switch (op) {
+      case Opcode::kBeq:
+        return {bound, 1};
+      case Opcode::kBne:
+        return {bound + 1, kWordSpan - 1};
+      case Opcode::kBltu:  // c < bound, or bound < c
+        return counterLhs ? TakenSet{0, rank}
+                          : TakenSet{bound + 1, kWordSpan - 1 - rank};
+      case Opcode::kBgeu:  // c >= bound, or bound >= c
+        return counterLhs ? TakenSet{bound, kWordSpan - rank}
+                          : TakenSet{0, rank + 1};
+      case Opcode::kBlt:
+        return counterLhs ? TakenSet{kIntMin, srank}
+                          : TakenSet{bound + 1, kWordSpan - 1 - srank};
+      case Opcode::kBge:
+        return counterLhs ? TakenSet{bound, kWordSpan - srank}
+                          : TakenSet{kIntMin, srank + 1};
+      default:
+        return {0, 0};
+    }
+}
+
 }  // namespace
+
+std::uint64_t
+steadyLatchRun(Opcode branch, bool counterLhs, std::uint32_t c,
+               std::uint32_t step, std::uint32_t bound, std::uint64_t cap)
+{
+    // Walk the taken set's cyclic interval, shifted to start at 0.  A
+    // step may jump over the exit values and wrap round into it again.
+    const TakenSet taken = takenSet(branch, counterLhs, bound);
+    if (taken.len == kWordSpan)
+        return cap;
+    const std::int64_t len = static_cast<std::int64_t>(taken.len);
+    const std::int64_t s = static_cast<std::int32_t>(step);
+    const std::int64_t span = static_cast<std::int64_t>(kWordSpan);
+    std::int64_t pos = static_cast<std::uint32_t>(c - taken.lo);
+    std::uint64_t n = 0;
+    while (pos < len && n < cap) {
+        // Steps that stay inside without wrapping.
+        const std::int64_t room = s > 0 ? len - 1 - pos : pos;
+        const auto inside = static_cast<std::uint64_t>(room / (s > 0 ? s : -s));
+        if (inside >= cap - n)
+            return cap;
+        n += inside;
+        pos += s * static_cast<std::int64_t>(inside);
+        // The next step leaves the interval; only a wrap round the
+        // 2^32 circle can land it back inside.
+        const std::int64_t next = pos + s;
+        if (next >= 0 && next < span)
+            return n;
+        pos = next < 0 ? next + span : next - span;
+        if (pos >= len)
+            return n;
+        ++n;
+    }
+    return n;
+}
 
 void
 Machine::ensureBlocks()
@@ -557,6 +670,98 @@ Machine::compileBlock(SuperBlock& b)
     uopPool_.insert(uopPool_.end(), uops.begin(), uops.end());
     b.compiled = true;
     b.threaded = false;
+    // A hand loop superinstruction runs its whole loop natively, so it
+    // never reaches a back edge; kCrcBitLoop fast-forwards itself.
+    b.steadyCounter = kNoSteadyCounter;
+    if (uops.back().kind < UopKind::kLcgAccLoop)
+        markSteadyLoop(b);
+}
+
+void
+Machine::markSteadyLoop(SuperBlock& b) const
+{
+    if (b.len < 2)
+        return;
+    const Decoded* code = decoded_.data() + b.start;
+    const Decoded& latch = code[b.len - 1];
+    if (!ir::isCondBranch(latch.op) || latch.target != b.start ||
+        latch.rs1 == latch.rs2)
+        return;
+    for (std::uint32_t i = 0; i + 1 < b.len; ++i)
+        if (!isRegisterOnly(code[i].op))
+            return;
+    // The counter is the latch operand written only by its own
+    // immediate add/sub and read by nothing else in the body.
+    for (const std::uint8_t c : {latch.rs1, latch.rs2}) {
+        int updates = 0;
+        bool clean = true;
+        std::uint32_t step = 0;
+        for (std::uint32_t i = 0; i + 1 < b.len && clean; ++i) {
+            const Decoded& d = code[i];
+            const bool writes = d.op != Opcode::kNop && d.rd == c;
+            const bool update =
+                writes && (d.op == Opcode::kAdd || d.op == Opcode::kSub) &&
+                d.useImm && d.rs1 == c && d.imm != 0;
+            const bool reads =
+                d.op != Opcode::kNop && d.op != Opcode::kMovi &&
+                (d.rs1 == c || (ir::isBinaryAlu(d.op) && !d.useImm &&
+                                d.rs2 == c));
+            if (update) {
+                ++updates;
+                step = d.op == Opcode::kAdd ? d.imm : 0u - d.imm;
+            } else if (writes || reads) {
+                clean = false;
+            }
+        }
+        if (!clean || updates != 1)
+            continue;
+        if (b.steadyCounter != kNoSteadyCounter) {
+            // Both operands count: the bound is never steady.
+            b.steadyCounter = kNoSteadyCounter;
+            return;
+        }
+        b.steadyCounter = c;
+        b.steadyStep = step;
+    }
+}
+
+std::uint64_t
+Machine::steadyProbe(SteadyProbe& probe, const SuperBlock& b,
+                     std::uint64_t budget, std::uint64_t& cycles,
+                     std::uint64_t& instrs)
+{
+    const std::uint8_t c = b.steadyCounter;
+    if (probe.block == &b && instrs - probe.instrs == b.len) {
+        // Exactly one iteration since the snapshot: steady if it left
+        // every register but the counter as it found it.
+        std::array<std::uint32_t, 16> now = regs_;
+        now[c] = probe.regs[c];
+        if (now == probe.regs) {
+            const Decoded& latch = decoded_[b.start + b.len - 1];
+            const bool counterLhs = latch.rs1 == c;
+            // Iterations passing the block-entry guard, then those of
+            // them that take the latch.
+            const std::uint64_t fit = (budget - cycles) / b.cost;
+            const std::uint64_t n = steadyLatchRun(
+                latch.op, counterLhs, regs_[c], b.steadyStep,
+                regs_[counterLhs ? latch.rs2 : latch.rs1], fit);
+            regs_[c] += static_cast<std::uint32_t>(n) * b.steadyStep;
+            cycles += n * b.cost;
+            instrs += n * b.len;
+            steadyIters_ += n;
+            probe.block = nullptr;
+            return cycles + probe.interval;
+        }
+    } else if (probe.block == nullptr && c != kNoSteadyCounter) {
+        // Snapshot, and probe again at the very next back edge.
+        probe.block = &b;
+        probe.instrs = instrs;
+        probe.regs = regs_;
+        return cycles + b.cost;
+    }
+    probe.block = nullptr;
+    probe.interval *= 2;
+    return cycles + probe.interval;
 }
 
 
@@ -906,6 +1111,11 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
     // restart and the length of its last whole completion.
     std::uint64_t lastRestart = kNone;
     std::uint64_t lastLen = kNone;
+    // Steady-loop fast-forward's view: self-loops chain without a probe
+    // up to `loopLimit` cycles (at most the budget).
+    SteadyProbe probe;
+    probe.interval = kSteadyArmCycles;
+    std::uint64_t loopLimit = std::min(cycleBudget, probe.interval);
 
 // One micro-op ends, the next begins: single indirect jump.
 #define GECKO_NEXT                                                          \
@@ -927,15 +1137,20 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
 
 // Block terminator: account the whole block, then either chain straight
 // back into this block's micro-ops (hot self-loop) or re-enter the
-// dispatch preamble at `target`.
+// dispatch preamble at `target`.  A self-loop chains up to `loopLimit`
+// (never past the budget); its next iteration beyond it probes first.
 #define GECKO_END_BLOCK(target)                                             \
     do {                                                                    \
         cycles += b->cost;                                                  \
         instrs += b->len;                                                   \
         const std::uint32_t nx = (target);                                  \
-        if (nx == b->start && cycles + b->cost <= cycleBudget) {            \
-            u = pool + b->uopStart;                                         \
-            goto* u->handler;                                               \
+        if (nx == b->start) {                                               \
+            if (cycles + b->cost <= loopLimit) {                            \
+                u = pool + b->uopStart;                                     \
+                goto* u->handler;                                           \
+            }                                                               \
+            if (cycles + b->cost <= cycleBudget)                            \
+                goto steady_probe;                                          \
         }                                                                   \
         pc = nx;                                                            \
         goto chain;                                                         \
@@ -1041,6 +1256,19 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
           default:  // budget spent mid-completion: the record is dropped
             goto enter;
         }
+
+        // ---- Steady-loop probe at a self-loop back edge -----------
+        // The next iteration fits the budget; after a fast-forward it
+        // may not, and the tail deopts through the dispatch preamble.
+      steady_probe:
+        loopLimit = std::min(
+            cycleBudget, steadyProbe(probe, *b, cycleBudget, cycles, instrs));
+        if (cycles + b->cost <= cycleBudget) {
+            u = pool + b->uopStart;
+            goto* u->handler;
+        }
+        pc = b->start;
+        goto chain;
 
         // ---- Per-instruction fallback -----------------------------
         // stepDecoded executes exactly one predecoded instruction, then
@@ -1463,6 +1691,7 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         const std::uint64_t cNot = u->aux;
         std::uint32_t nx = b->start;
         for (;;) {
+            const std::uint32_t prev = s;
             bit = s & 1u;
             s >>= 1;
             if (bit == z1) {
@@ -1480,6 +1709,27 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
             }
             if (cycles + cNot > cycleBudget)
                 break;
+            if (s == prev) {
+                // The LFSR's fixed point (steady-loop fast-forward): the
+                // bit register is written before it is read, so s and
+                // the counter carry all the state, and every later
+                // iteration repeats this one.  Apply those whose
+                // worst-case budget check passes, up to and including
+                // the exit.
+                const bool taken = bit == z1;
+                const std::uint64_t each = taken ? cTak : cNot;
+                const std::uint64_t fit =
+                    (cycleBudget - cycles - cNot) / each + 1;
+                const std::uint64_t toExit = cnt - z2;
+                const std::uint64_t n = fit < toExit ? fit : toExit;
+                cnt -= static_cast<std::uint32_t>(n);
+                cycles += n * each;
+                instrs += n * (taken ? 5 : 6);
+                steadyIters_ += n;
+                if (n == toExit)
+                    nx = b->start + 6;
+                break;
+            }
         }
         regs[u->rd] = bit;
         regs[u->rs1] = s;

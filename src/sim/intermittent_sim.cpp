@@ -1086,6 +1086,7 @@ IntermittentSim::runLoop(double end, std::uint64_t targetCompletions)
     }
     stats.simTimeS = now_;
     stats.replayedCompletions = machine_.replayedCompletions();
+    stats.steadyLoopIterations = machine_.steadyLoopIterations();
 }
 
 void

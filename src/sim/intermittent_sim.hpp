@@ -119,6 +119,9 @@ struct SimStats {
     /// Completions the machine applied from its record instead of
     /// executing them (Machine::replayedCompletions).
     std::uint64_t replayedCompletions = 0;
+    /// Loop iterations the machine applied in closed form instead of
+    /// executing them (Machine::steadyLoopIterations).
+    std::uint64_t steadyLoopIterations = 0;
 
     bool operator==(const SimStats&) const = default;
 
@@ -146,6 +149,8 @@ struct SimStats {
         fn({"coalesced_sleep_samples", false},
            &SimStats::coalescedSleepSamples);
         fn({"replayed_completions", false}, &SimStats::replayedCompletions);
+        fn({"steady_loop_iterations", false},
+           &SimStats::steadyLoopIterations);
     }
 };
 static_assert(metrics::listsEveryField<SimStats>());

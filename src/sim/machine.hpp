@@ -157,6 +157,14 @@ class Machine
     std::uint64_t replayedCompletions() const { return replayed_; }
 
     /**
+     * Loop iterations the block tier applied in closed form instead of
+     * executing them (steady-loop fast-forward, DESIGN.md §12).  A
+     * diagnostic outside ExecStats like replayedCompletions(), never
+     * archived.
+     */
+    std::uint64_t steadyLoopIterations() const { return steadyIters_; }
+
+    /**
      * Execute until ~`cycleBudget` cycles are consumed (may overshoot by
      * one instruction).  A faulted machine spins, consuming the budget
      * without progress.
@@ -302,6 +310,25 @@ class Machine
     void replayCompletions(std::uint64_t budget, std::uint64_t& cycles,
                            std::uint64_t& instrs);
 
+    /// Decide at compile time whether `b` is a steady-loop candidate
+    /// (sets SuperBlock::steadyCounter/steadyStep).
+    void markSteadyLoop(SuperBlock& b) const;
+    /// One run's steady-loop probe: the doubling probe interval in
+    /// cycles, and the registers snapshotted at a candidate's back edge
+    /// (exec_block.cpp).
+    struct SteadyProbe {
+        std::uint64_t interval = 0;
+        const SuperBlock* block = nullptr;
+        std::uint64_t instrs = 0;
+        std::array<std::uint32_t, 16> regs{};
+    };
+    /// Probe at a self-loop back edge of `b` whose next iteration fits
+    /// the budget; fast-forwards a steady candidate.  Returns the cycle
+    /// count up to which self-loops chain before the next probe.
+    std::uint64_t steadyProbe(SteadyProbe& probe, const SuperBlock& b,
+                              std::uint64_t budget, std::uint64_t& cycles,
+                              std::uint64_t& instrs);
+
     const compiler::CompiledProgram* prog_;
     Nvm* nvm_;
     IoHub* io_;
@@ -334,6 +361,7 @@ class Machine
     /// listed in record_.liveIns/writes are ever nonzero.
     std::vector<std::uint8_t> recordMarks_;
     std::uint64_t replayed_ = 0;
+    std::uint64_t steadyIters_ = 0;
 
     std::array<std::uint32_t, 16> regs_{};
     std::uint32_t pc_ = 0;

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 
+#include "ir/instr.hpp"
+
 /**
  * @file
  * Data structures of the block-compiled execution tier.
@@ -217,6 +219,21 @@ struct Uop {
 };
 
 /**
+ * Steady-loop fast-forward's latch count (exec_block.cpp): how many of
+ * the next iterations, at most `cap`, take the latch `branch` whose
+ * counter operand — the left one if `counterLhs` — has just taken it
+ * at value `counter` and moves by `step` (mod 2^32) per iteration
+ * against the fixed `bound`.  Exact in the compare's signed or unsigned
+ * 32-bit order, with wrap-around.
+ */
+std::uint64_t steadyLatchRun(ir::Opcode branch, bool counterLhs,
+                             std::uint32_t counter, std::uint32_t step,
+                             std::uint32_t bound, std::uint64_t cap);
+
+/** SuperBlock::steadyCounter of a block that is no steady-loop candidate. */
+inline constexpr std::uint8_t kNoSteadyCounter = 0xff;
+
+/**
  * One straight-line superblock of the predecoded program.  Compiled
  * micro-ops live in the machine's flattened arena (one contiguous pool
  * for every block), addressed by the [uopStart, uopStart + uopCount)
@@ -230,6 +247,12 @@ struct SuperBlock {
     std::uint32_t execCount = 0;  ///< profile counter (pre-promotion)
     std::uint32_t uopStart = 0;   ///< first micro-op in the arena pool
     std::uint32_t uopCount = 0;   ///< micro-ops in this block's slice
+    /// Steady-loop fast-forward (exec_block.cpp): the counter's
+    /// per-iteration step (mod 2^32) of a register-only counted
+    /// self-loop, decided at compile time.
+    std::uint32_t steadyStep = 0;
+    /// That loop's counter register, or kNoSteadyCounter.
+    std::uint8_t steadyCounter = kNoSteadyCounter;
     bool compiled = false;        ///< arena slice valid
     bool threaded = false;        ///< handler pointers patched
 };

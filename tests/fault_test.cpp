@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bitset>
 
 #include "compiler/pipeline.hpp"
@@ -439,33 +440,63 @@ TEST(CampaignTest, CorpusCasesReplayStandalone)
     }
 }
 
+/** Every field of a case result that the minimiser hands on. */
+void
+expectSameResult(const CaseResult& got, const CaseResult& want,
+                 const std::string& line)
+{
+    EXPECT_EQ(formatCorpusLine(got), formatCorpusLine(want)) << line;
+    EXPECT_EQ(got.outcome, want.outcome) << line;
+    EXPECT_EQ(got.detail, want.detail) << line;
+    EXPECT_EQ(got.injectAt, want.injectAt) << line;
+    EXPECT_EQ(got.word, want.word) << line;
+    EXPECT_EQ(got.defended, want.defended) << line;
+    EXPECT_TRUE(got.counters == want.counters) << line;
+}
+
 TEST(CampaignTest, MinimisedCaseEqualsAFreshRunOfItsSpec)
 {
-    // The minimiser may hand back bisection's last failing probe instead
-    // of re-running the final spec: that result must be exactly what a
-    // standalone run of the minimised spec produces.
-    CampaignConfig config;
-    config.cases = 160;
-    config.seed = 42;
+    // The minimiser hands back bisection's last failing probe, or — when
+    // no probe failed — the case's own primary run with its effective
+    // injection point and word pinned as overrides, instead of running
+    // the final spec again.  Either must be exactly what a standalone
+    // run of the minimised spec produces; for the primary run that rests
+    // on the injectors drawing every value before applying an override.
+    // The extra campaigns reach the pinned-primary path for the
+    // multibitflip, operandflip, instrskip, opcodecorrupt, staleimage and
+    // ackcorrupt injectors.
     exp::ThreadPool pool(2);
-    config.pool = &pool;
-    CampaignResult result = runCampaign(config);
-    int minimised = 0;
-    for (const CaseResult& r : result.corpusCases) {
-        if (!r.minimized)
-            continue;
-        ++minimised;
-        const CaseResult fresh = runCase(r.spec);
-        const std::string line = formatCorpusLine(r);
-        EXPECT_EQ(formatCorpusLine(fresh), line);
-        EXPECT_EQ(fresh.outcome, r.outcome) << line;
-        EXPECT_EQ(fresh.detail, r.detail) << line;
-        EXPECT_EQ(fresh.injectAt, r.injectAt) << line;
-        EXPECT_EQ(fresh.word, r.word) << line;
-        EXPECT_EQ(fresh.defended, r.defended) << line;
-        EXPECT_TRUE(fresh.counters == r.counters) << line;
+    int minimised = 0, pinned = 0;
+    const struct {
+        int cases;
+        std::uint64_t seed;
+    } campaigns[] = {{160, 42}, {160, 5}, {160, 11}, {320, 2}, {320, 3}};
+    for (const auto& campaign : campaigns) {
+        CampaignConfig config;
+        config.cases = campaign.cases;
+        config.seed = campaign.seed;
+        config.pool = &pool;
+        CampaignResult result = runCampaign(config);
+        for (const CaseResult& r : result.corpusCases) {
+            if (!r.minimized)
+                continue;
+            ++minimised;
+            const CaseResult fresh = runCase(r.spec);
+            const std::string line = formatCorpusLine(r);
+            expectSameResult(fresh, r, line);
+            const auto primary = std::find_if(
+                result.cases.begin(), result.cases.end(),
+                [&](const CaseResult& c) { return c.spec.seed == r.spec.seed; });
+            ASSERT_NE(primary, result.cases.end()) << line;
+            if (r.spec.injectAtOverride == primary->injectAt &&
+                r.spec.wordOverride == primary->word) {
+                ++pinned;
+                expectSameResult(fresh, *primary, line);
+            }
+        }
     }
     EXPECT_GT(minimised, 0);
+    EXPECT_GE(pinned, 6);
 }
 
 }  // namespace

@@ -637,6 +637,60 @@ TEST(BackendFaultDifferentialTest, AllInjectorsAgreeAcrossTiers)
     }
 }
 
+TEST(BackendFaultDifferentialTest, SteadyLivelocksAgreeAcrossTiers)
+{
+    // Livelocks the block tier fast-forwards (DESIGN.md §12): two bitcnt
+    // victims restored with a corrupted inner-loop bound (the first is
+    // the 160-case seed-42 campaign's) and a crc16 victim spinning at the
+    // CRC-16/ARC LFSR's fixed point 0xC001.  Traced, so the trace stream
+    // is compared too.
+    using fault::CaseResult;
+    using fault::CaseSpec;
+    using fault::InjectorKind;
+    const struct {
+        const char* workload;
+        InjectorKind kind;
+        std::uint64_t seed;
+    } cases[] = {
+        {"bitcnt", InjectorKind::kMultiBitFlip, 3680978280238149192ull},
+        {"bitcnt", InjectorKind::kBitFlip, 16795810471334282639ull},
+        {"crc16", InjectorKind::kMultiBitFlip, 11416784783944378102ull},
+    };
+    for (const auto& k : cases) {
+        CaseSpec spec;
+        spec.workload = k.workload;
+        spec.scheme = Scheme::kNvp;
+        spec.injector = k.kind;
+        spec.seed = k.seed;
+        fault::runCase(spec, 0.5, 0, sim::ExecBackend::kBlock);  // oracle
+        trace::Buffer refBuffer, buffer;
+        CaseResult ref, r;
+        {
+            trace::BufferScope scope(&refBuffer);
+            ref = fault::runCase(spec, 0.5, 0, sim::ExecBackend::kStep);
+        }
+        {
+            trace::BufferScope scope(&buffer);
+            r = fault::runCase(spec, 0.5, 0, sim::ExecBackend::kBlock);
+        }
+        const std::string label =
+            std::string(k.workload) + " seed " + std::to_string(k.seed);
+        EXPECT_EQ(ref.outcome, fault::CaseOutcome::kLivelock) << label;
+        EXPECT_EQ(r.outcome, ref.outcome) << label;
+        EXPECT_EQ(r.detail, ref.detail) << label;
+        EXPECT_EQ(r.injectAt, ref.injectAt) << label;
+        EXPECT_EQ(r.word, ref.word) << label;
+        EXPECT_EQ(test::firstArchivedDifference(r.counters, ref.counters), "")
+            << label;
+        EXPECT_TRUE(buffer.events() == refBuffer.events()) << label;
+        EXPECT_EQ(ref.counters.sim.steadyLoopIterations, 0u) << label;
+        EXPECT_GT(r.counters.sim.steadyLoopIterations * 10,
+                  r.counters.exec.instrs / 6)
+            << label << ": fast-forwarded only "
+            << r.counters.sim.steadyLoopIterations << " iterations";
+    }
+}
+
 // ---------------------------------------------------------------------
 // Coalescing differential under EMI (DESIGN.md §14).  Every EMI
 // differential above installs a trace buffer, which disables bursts;
@@ -837,6 +891,122 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReplayFuzzTest,
                          [](const auto& info) {
                              return "seed" + std::to_string(info.param);
                          });
+
+// ---------------------------------------------------------------------
+// Steady-loop fast-forward (DESIGN.md §12).  Random register-only
+// self-loops: a counter r1 against r2 under a random latch, and a body
+// of random ALU ops over r3..r8 that never reads r1 — draining shifts,
+// masks and zero multiplies often reach a fixed point, accumulators and
+// toggles never do.  Step and block run in lockstep under random
+// budgets until the program halts.
+// ---------------------------------------------------------------------
+
+CompiledProgram
+randomSelfLoop(std::uint32_t seed)
+{
+    Rng rng(seed * 2654435761u + 17);
+    const ir::Opcode latches[] = {ir::Opcode::kBeq,  ir::Opcode::kBne,
+                                  ir::Opcode::kBlt,  ir::Opcode::kBge,
+                                  ir::Opcode::kBltu, ir::Opcode::kBgeu};
+    const std::uint32_t steps[] = {1u, 0u - 1u, 3u, 0u - 3u, 1000u};
+    const std::uint32_t anchors[] = {1000u, 0x7fffff00u, 0xffffff00u,
+                                     rng.next()};
+    ir::Opcode br = ir::Opcode::kBlt;
+    bool lhs = true;
+    std::uint32_t step = 1, bound = 3000, c0 = 0;
+    for (int attempt = 0; attempt < 50; ++attempt) {
+        br = latches[rng.pick(6)];
+        lhs = rng.pick(2) == 0;
+        step = steps[rng.pick(5)];
+        bound = anchors[rng.pick(4)];
+        c0 = bound - (50 + rng.pick(3000)) * step;
+        if (test::latchTakenOneByOne(br, lhs, c0, step, bound, 4000) < 4000)
+            break;
+    }
+    ir::ProgramBuilder b("steady_fuzz");
+    b.movi(1, static_cast<std::int32_t>(c0))
+        .movi(2, static_cast<std::int32_t>(bound));
+    for (ir::Reg r = 3; r <= 8; ++r)
+        b.movi(r, rng.pick(3) == 0 ? 0
+                                   : static_cast<std::int32_t>(rng.next()));
+    b.label("loop");
+    const auto reg = [&] { return static_cast<ir::Reg>(3 + rng.pick(6)); };
+    const auto src = [&] { return static_cast<ir::Reg>(2 + rng.pick(7)); };
+    const int ops = 1 + static_cast<int>(rng.pick(5));
+    for (int i = 0; i < ops; ++i) {
+        const ir::Reg rd = reg();
+        switch (rng.pick(10)) {
+          case 0: b.shri(rd, rd, 1 + static_cast<std::int32_t>(rng.pick(4))); break;
+          case 1: b.andi(rd, src(), static_cast<std::int32_t>(rng.pick(16))); break;
+          case 2: b.muli(rd, src(), static_cast<std::int32_t>(rng.pick(3))); break;
+          case 3: b.add(rd, src(), src()); break;
+          case 4: b.xor_(rd, src(), src()); break;
+          case 5: b.or_(rd, src(), src()); break;
+          case 6: b.mov(rd, src()); break;
+          case 7: b.movi(rd, static_cast<std::int32_t>(rng.pick(100))); break;
+          case 8: b.addi(rd, rd, static_cast<std::int32_t>(rng.pick(3))); break;
+          default: b.not_(rd, src()); break;
+        }
+    }
+    if (step == 1u || step == 3u || step == 1000u)
+        b.addi(1, 1, static_cast<std::int32_t>(step));
+    else
+        b.subi(1, 1, static_cast<std::int32_t>(0u - step));
+    const ir::Reg x = lhs ? 1 : 2, y = lhs ? 2 : 1;
+    switch (br) {
+      case ir::Opcode::kBeq: b.beq(x, y, "loop"); break;
+      case ir::Opcode::kBne: b.bne(x, y, "loop"); break;
+      case ir::Opcode::kBlt: b.blt(x, y, "loop"); break;
+      case ir::Opcode::kBge: b.bge(x, y, "loop"); break;
+      case ir::Opcode::kBltu: b.bltu(x, y, "loop"); break;
+      default: b.bgeu(x, y, "loop"); break;
+    }
+    for (ir::Reg r = 1; r <= 8; ++r)
+        b.out(0, r);
+    b.halt();
+    CompiledProgram c;
+    c.prog = b.take();
+    c.scheme = Scheme::kNvp;
+    return c;
+}
+
+TEST(SteadyLoopFuzzTest, RandomSelfLoopsAgreeAcrossTiers)
+{
+    int fired = 0;
+    for (std::uint32_t seed = 1; seed <= 48; ++seed) {
+        const CompiledProgram c = randomSelfLoop(seed);
+        ASSERT_EQ(c.prog.validate(), "") << "seed " << seed;
+        sim::Nvm stepNvm(1024), blockNvm(1024);
+        sim::IoHub stepIo, blockIo;
+        sim::Machine step(c, stepNvm, stepIo), block(c, blockNvm, blockIo);
+        step.setExecBackend(sim::ExecBackend::kStep);
+        block.setExecBackend(sim::ExecBackend::kBlock);
+        Rng budgets(seed ^ 0x5eadu);
+        for (int run = 0; run < 400 && !step.halted(); ++run) {
+            const std::uint64_t budget = budgets.pick(4) == 0
+                                             ? 1 + budgets.pick(20000)
+                                             : 1 + budgets.pick(300);
+            std::uint64_t stepUsed = 0, blockUsed = 0;
+            ASSERT_EQ(block.run(budget, &blockUsed),
+                      step.run(budget, &stepUsed))
+                << "seed " << seed << " run " << run;
+            ASSERT_EQ(blockUsed, stepUsed) << "seed " << seed;
+            ASSERT_TRUE(block.stats == step.stats)
+                << "seed " << seed << " run " << run << ": instrs "
+                << block.stats.instrs << " vs " << step.stats.instrs;
+            ASSERT_EQ(block.pc(), step.pc()) << "seed " << seed;
+            ASSERT_EQ(block.regs(), step.regs()) << "seed " << seed;
+            ASSERT_EQ(blockIo.output(0).values(), stepIo.output(0).values())
+                << "seed " << seed;
+        }
+        ASSERT_TRUE(step.halted()) << "seed " << seed;
+        EXPECT_EQ(step.steadyLoopIterations(), 0u);
+        if (block.steadyLoopIterations() > 0)
+            ++fired;
+    }
+    std::cout << "[steady fuzz] " << fired << " of 48 loops fast-forwarded\n";
+    EXPECT_GE(fired, 8);
+}
 
 }  // namespace
 }  // namespace gecko

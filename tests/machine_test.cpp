@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <iostream>
+#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -9,6 +11,7 @@
 #include "ir/builder.hpp"
 #include "sim/intermittent_sim.hpp"
 #include "sim/machine.hpp"
+#include "test_util.hpp"
 #include "trace/trace.hpp"
 #include "workloads/workloads.hpp"
 
@@ -410,14 +413,16 @@ archived(State& state)
     return ar.takePayload();
 }
 
-/** A step and a block machine in continuous mode, each on its own rig. */
+/** A step and a block machine (in continuous mode unless told
+ *  otherwise), each on its own rig. */
 struct Lockstep {
     Rig stepRig;
     Rig blockRig;
     Machine step;
     Machine block;
 
-    Lockstep(const CompiledProgram& c, const std::string& workload)
+    Lockstep(const CompiledProgram& c, const std::string& workload,
+             bool continuous = true)
         : step(c, stepRig.nvm, stepRig.io), block(c, blockRig.nvm, blockRig.io)
     {
         if (!workload.empty()) {
@@ -428,7 +433,7 @@ struct Lockstep {
         block.setExecBackend(ExecBackend::kBlock);
         for (Machine* m : {&step, &block}) {
             m->setStagedIo(c.scheme != Scheme::kNvp);
-            m->setContinuous(true);
+            m->setContinuous(continuous);
         }
     }
 
@@ -468,6 +473,8 @@ struct Lockstep {
         ASSERT_TRUE(archived(blockRig.io) == archived(stepRig.io))
             << label << ": output indices";
         ASSERT_EQ(step.replayedCompletions(), 0u) << "the step tier replayed";
+        ASSERT_EQ(step.steadyLoopIterations(), 0u)
+            << "the step tier fast-forwarded";
     }
 
     /** Overwrite every checkpoint slot's four words in both rigs alike
@@ -671,6 +678,257 @@ TEST(CompletionReplayMachineTest, TraceBufferDisablesReplay)
     // Untraced, the same machine replays.
     ASSERT_NO_FATAL_FAILURE(ls.run(12 * len, "untraced"));
     EXPECT_GT(ls.block.replayedCompletions(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Steady-loop fast-forward (DESIGN.md §12): a register-only counted
+// self-loop whose other registers stop changing is applied in closed
+// form by the block tier; the step tier executes every iteration.
+// ---------------------------------------------------------------------
+
+constexpr ir::Opcode kLatches[] = {ir::Opcode::kBeq,  ir::Opcode::kBne,
+                                   ir::Opcode::kBlt,  ir::Opcode::kBge,
+                                   ir::Opcode::kBltu, ir::Opcode::kBgeu};
+
+TEST(SteadyLatchRunTest, MatchesCountingOneByOne)
+{
+    // Counters next to the exit and to the INT32 and UINT32 wraps, steps
+    // of ±1, ±7 and two that jump most of the circle.
+    const std::uint32_t steps[] = {1u, 0u - 1u, 7u, 0u - 7u, 0x7fffffffu,
+                                   0x80000001u};
+    const std::uint32_t bounds[] = {0u, 1000u, 0x7fffffffu, 0x80000000u,
+                                    0xffffffffu};
+    int checked = 0;
+    for (ir::Opcode op : kLatches)
+        for (bool lhs : {true, false})
+            for (std::uint32_t step : steps)
+                for (std::uint32_t bound : bounds)
+                    for (std::uint32_t anchor :
+                         {bound, 0u, 0x7fffffffu, 0x80000000u, 0xffffffffu})
+                        for (std::uint32_t j : {0u, 1u, 40u})
+                            for (std::uint32_t d : {0u, 1u, 0u - 1u}) {
+                                const std::uint32_t c = anchor - j * step + d;
+                                // Only a value whose latch was just taken.
+                                if (!(lhs ? ir::evalBranch(op, c, bound)
+                                          : ir::evalBranch(op, bound, c)))
+                                    continue;
+                                for (std::uint64_t cap : {3u, 300u}) {
+                                    ASSERT_EQ(steadyLatchRun(op, lhs, c, step,
+                                                             bound, cap),
+                                              test::latchTakenOneByOne(
+                                                  op, lhs, c, step, bound, cap))
+                                        << ir::mnemonic(op) << " lhs=" << lhs
+                                        << " c=" << c << " step=" << step
+                                        << " bound=" << bound
+                                        << " cap=" << cap;
+                                    ++checked;
+                                }
+                            }
+    EXPECT_GT(checked, 5000);
+}
+
+/** An NVP program around one self-loop block: r1 counts by
+ *  `alu r1, r1, #imm` against r2 (`counterLhs`: `br r1, r2`), after
+ *  `body`; r5 = 0 and r6 = 7 on entry, so the default bitcnt-style body
+ *  is steady from the first iteration. */
+CompiledProgram
+selfLoop(const std::string& alu, std::int32_t imm, ir::Opcode br,
+         bool counterLhs, std::uint32_t c0, std::uint32_t bound,
+         const std::string& body = "and r7, r5, #1\n add r6, r6, r7\n"
+                                   "shr r5, r5, #1\n")
+{
+    std::ostringstream src;
+    src << "movi r1, " << static_cast<std::int32_t>(c0) << "\n"
+        << "movi r2, " << static_cast<std::int32_t>(bound) << "\n"
+        << "movi r5, 0\nmovi r6, 7\nmovi r9, 100\n"
+        << "loop:\n"
+        << body << alu << " r1, r1, #" << imm << "\n"
+        << ir::mnemonic(br) << (counterLhs ? " r1, r2, loop\n"
+                                           : " r2, r1, loop\n")
+        << "out 0, r1\nout 0, r6\nhalt\n";
+    CompiledProgram c;
+    c.prog = ir::Assembler::assemble("steady", src.str());
+    c.scheme = Scheme::kNvp;
+    return c;
+}
+
+/** Runs in lockstep until both halt: budgets 1..24 (no probe fits),
+ *  every other one of 64..120 (a probe with a budget a few iterations
+ *  away), then large ones.  Every run's state must agree (Lockstep::run). */
+void
+runSteadyPlan(Lockstep& ls, const std::string& label)
+{
+    std::vector<std::uint64_t> budgets;
+    for (std::uint64_t b = 1; b <= 24; ++b)
+        budgets.push_back(b);
+    for (std::uint64_t b = 64; b <= 120; b += 2)
+        budgets.push_back(b);
+    for (std::uint64_t b : budgets) {
+        ASSERT_NO_FATAL_FAILURE(ls.run(b, label + " budget " + std::to_string(b)));
+        if (ls.step.halted())
+            return;
+    }
+    for (int run = 0; run < 4 && !ls.step.halted(); ++run)
+        ASSERT_NO_FATAL_FAILURE(ls.run(1u << 22, label + " large"));
+    ASSERT_TRUE(ls.step.halted()) << label;
+}
+
+TEST(SteadyLoopTest, BlockTierMatchesStepAndFastForwards)
+{
+    int programs = 0, fired = 0;
+    for (const char* alu : {"add", "sub"})
+        for (std::int32_t imm : {1, -1, 7})  // with sub: steps ±1, ±7
+            for (ir::Opcode br : kLatches)
+                for (bool lhs : {true, false})
+                    for (std::uint32_t bound :
+                         {1000u, 0x80000010u, 0xfffffff0u})
+                        for (std::uint32_t anchor :
+                             {bound, 0x7fffffffu, 0xffffffffu})
+                            for (std::uint32_t m : {20u, 600u}) {
+                                const std::uint32_t step =
+                                    std::string(alu) == "add"
+                                        ? static_cast<std::uint32_t>(imm)
+                                        : 0u - static_cast<std::uint32_t>(imm);
+                                const std::uint32_t c0 = anchor - m * step;
+                                const std::uint64_t trips =
+                                    test::latchTakenOneByOne(br, lhs, c0, step,
+                                                             bound, 4000) +
+                                    1;
+                                if (trips > 4000)
+                                    continue;
+                                std::ostringstream label;
+                                label << alu << " #" << imm << " "
+                                      << ir::mnemonic(br)
+                                      << (lhs ? " c,b" : " b,c")
+                                      << " c0=" << c0 << " bound=" << bound;
+                                const CompiledProgram c =
+                                    selfLoop(alu, imm, br, lhs, c0, bound);
+                                Lockstep ls(c, "", false);
+                                ASSERT_NO_FATAL_FAILURE(
+                                    runSteadyPlan(ls, label.str()));
+                                ++programs;
+                                if (trips >= 200) {
+                                    EXPECT_GT(ls.block.steadyLoopIterations(),
+                                              0u)
+                                        << label.str();
+                                    ++fired;
+                                }
+                            }
+    EXPECT_GT(programs, 200);
+    EXPECT_GT(fired, 50);
+    std::cout << "[steady] " << programs << " programs, " << fired
+              << " long enough to fast-forward\n";
+}
+
+TEST(SteadyLoopTest, LongSteadyLoopRunsInClosedForm)
+{
+    // 2^31 iterations — unsteppable in a test on the step tier — in a
+    // handful of large runs: the counter, ExecStats and outputs follow
+    // from the iteration count alone.
+    const CompiledProgram c =
+        selfLoop("add", 1, ir::Opcode::kBltu, true, 0, 0x80000000u);
+    Rig rig;
+    Machine m(c, rig.nvm, rig.io);
+    m.setExecBackend(ExecBackend::kBlock);
+    std::uint64_t runs = 0;
+    while (!m.halted() && runs < 100) {
+        std::uint64_t consumed = 0;
+        m.run(std::uint64_t{1} << 36, &consumed);
+        ++runs;
+    }
+    ASSERT_TRUE(m.halted());
+    EXPECT_EQ(rig.io.output(0).values(),
+              (std::vector<std::uint32_t>{0x80000000u, 7u}));
+    // Five prologue movis, five instructions per iteration, three after.
+    EXPECT_EQ(m.stats.instrs, 5u + 5u * 0x80000000ull + 3u);
+    EXPECT_GT(m.steadyLoopIterations(), 0x7fff0000u);
+}
+
+TEST(SteadyLoopTest, FastForwardAppliesEveryTakenIteration)
+{
+    // The count is the largest one, not just a safe one.  White-box on
+    // the probe schedule: a run that enters the hot loop's head at cycle
+    // 0 chains while its next iteration ends by cycle 64, snapshots at
+    // the first back edge past that, compares one iteration later and
+    // then applies every taken iteration left — all of a T-iteration
+    // loop but floor(64 / cost) + 2.
+    const CompiledProgram c =
+        selfLoop("add", 1, ir::Opcode::kBlt, true, 0, 1000);
+    constexpr std::uint32_t kHead = 5;  // after the five prologue movis
+    std::uint64_t cost = 0;
+    for (std::uint32_t pc = kHead; pc < kHead + 5; ++pc)
+        cost += static_cast<std::uint64_t>(ir::cycleCost(c.prog.at(pc)));
+    const std::uint64_t before = 64 / cost + 2;
+    Rig rig;
+    Machine m(c, rig.nvm, rig.io);
+    m.setExecBackend(ExecBackend::kBlock);
+    std::uint64_t consumed = 0;
+    m.run(300, &consumed);  // compiles the loop block
+    ASSERT_FALSE(m.halted());
+    for (std::uint64_t trips :
+         {before + 1, before + 2, before + 3, std::uint64_t{500}}) {
+        m.clearHalt();
+        m.setPc(kHead);
+        m.regs()[1] = static_cast<std::uint32_t>(1000 - trips);
+        m.regs()[7] = 0;
+        const std::uint64_t applied = m.steadyLoopIterations();
+        ASSERT_EQ(m.run(1u << 20, &consumed), RunExit::kHalted);
+        EXPECT_EQ(m.steadyLoopIterations() - applied, trips - before)
+            << trips << " iterations of cost " << cost;
+        EXPECT_EQ(m.regs()[1], 1000u);
+    }
+}
+
+/** Run `c` in lockstep to its halt; the fast-forward must never fire. */
+void
+expectNeverFires(const CompiledProgram& c, const std::string& label)
+{
+    Lockstep ls(c, "", false);
+    ASSERT_NO_FATAL_FAILURE(runSteadyPlan(ls, label));
+    EXPECT_EQ(ls.block.steadyLoopIterations(), 0u) << label;
+}
+
+TEST(SteadyLoopTest, BodyReadingTheCounterNeverFires)
+{
+    // r7 = the counter's sign bit: constant until the counter crosses
+    // INT32_MAX, then it feeds r6.  An unchanged iteration before the
+    // crossing proves nothing.
+    expectNeverFires(selfLoop("add", 1, ir::Opcode::kBltu, true,
+                              0x7fffffffu - 500, 0x80000200u,
+                              "shr r7, r1, #31\nadd r6, r6, r7\n"),
+                     "sign bit");
+}
+
+TEST(SteadyLoopTest, RegisterChangingEveryIterationNeverFires)
+{
+    // A 16-bit Galois LFSR (r6 = 7 on entry) never revisits a state
+    // within the loop.
+    expectNeverFires(
+        selfLoop("add", 1, ir::Opcode::kBlt, true, 0, 3000,
+                 "shr r7, r6, #1\nand r8, r6, #1\nmul r8, r8, #0xB400\n"
+                 "xor r6, r7, r8\n"),
+        "lfsr");
+}
+
+TEST(SteadyLoopTest, MemoryIoAndPseudoOpsNeverFire)
+{
+    // Each body leaves the registers unchanged, but touches NVM, an
+    // output port or the checkpoint protocol in every iteration.
+    for (const char* body :
+         {"load r7, [r9+4]\n", "store [r9+4], r6\n", "out 2, r6\n",
+          "ckpt r6, 1, 0\n", "boundary 3\n"})
+        expectNeverFires(selfLoop("add", 1, ir::Opcode::kBlt, true, 0, 3000,
+                                  body),
+                         body);
+}
+
+TEST(SteadyLoopTest, MultiBlockLoopNeverFires)
+{
+    // The latch block branches back to the loop head, not to itself.
+    expectNeverFires(selfLoop("add", 1, ir::Opcode::kBlt, true, 0, 3000,
+                              "and r7, r5, #1\nbeq r7, r5, skip\n"
+                              "add r6, r6, r7\nskip:\n"),
+                     "two blocks");
 }
 
 const std::vector<std::string>&

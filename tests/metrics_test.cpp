@@ -26,7 +26,7 @@ TEST(BenchJsonTest, ReportLeadsWithSchemaVersion)
     std::string json = report.toJson();
     // schema_version is the first key so even a truncated record
     // identifies its format.
-    EXPECT_EQ(json.rfind("{\"schema_version\":8,", 0), 0u) << json;
+    EXPECT_EQ(json.rfind("{\"schema_version\":9,", 0), 0u) << json;
     JsonValue parsed;
     ASSERT_TRUE(parseJson(json, &parsed)) << json;
     EXPECT_EQ(parsed.getNumber("schema_version"),
@@ -79,6 +79,7 @@ TEST(BenchJsonTest, CounterKeysReadTheCounterSet)
     report.counters.sim.quanta = 45;
     report.counters.sim.coalescedQuanta = 6;
     report.counters.sim.replayedCompletions = 10;
+    report.counters.sim.steadyLoopIterations = 11;
     report.counters.runtime.corruptedRestores = 7;
     report.counters.runtime.crcRejects = 8;
     report.counters.runtime.retriesExhausted = 9;
@@ -88,6 +89,7 @@ TEST(BenchJsonTest, CounterKeysReadTheCounterSet)
     EXPECT_EQ(json.getNumber("quanta"), 45.0);
     EXPECT_EQ(json.getNumber("coalesced_quanta"), 6.0);
     EXPECT_EQ(json.getNumber("replayed_completions"), 10.0);
+    EXPECT_EQ(json.getNumber("steady_loop_iterations"), 11.0);
     EXPECT_EQ(json.getNumber("corrupted_restores"), 7.0);
     EXPECT_EQ(json.getNumber("crc_rejects"), 8.0);
     EXPECT_EQ(json.getNumber("retries_exhausted"), 9.0);
@@ -228,12 +230,13 @@ TEST(CounterRegistryTest, NamesAreUniqueAndOnlyFastPathDiagnosticsUnarchived)
         if (!field.archived)
             unarchived.push_back(field.name);
     });
-    EXPECT_EQ(names.size(), 6u + 18u + 15u + 13u);
+    EXPECT_EQ(names.size(), 6u + 19u + 15u + 13u);
     EXPECT_EQ(unarchived,
               (std::vector<std::string>{"quanta", "coalesced_quanta",
                                         "coalesced_bursts", "sleep_samples",
                                         "coalesced_sleep_samples",
-                                        "replayed_completions"}));
+                                        "replayed_completions",
+                                        "steady_loop_iterations"}));
 }
 
 TEST(CounterRegistryTest, SumsAddCountersAndLeaveTheDoubles)

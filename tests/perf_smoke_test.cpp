@@ -13,8 +13,10 @@
 #include "defense/controller.hpp"
 #include "device/device_db.hpp"
 #include "energy/harvester.hpp"
+#include "fault/campaign.hpp"
 #include "sim/intermittent_sim.hpp"
 #include "sim/machine.hpp"
+#include "test_util.hpp"
 #include "workloads/workloads.hpp"
 
 /**
@@ -336,6 +338,46 @@ TEST(PerfSmokeTest, RepeatedCompletionsReplay)
               << qsort.exec.completions << " completions; sensor_loop "
               << sensor.sim.replayedCompletions << "/"
               << sensor.exec.completions << "\n";
+}
+
+/**
+ * Steady-loop fast-forward guard (DESIGN.md §12): the 160-case seed-42
+ * campaign's bitcnt livelock — restored with a corrupted inner-loop
+ * bound, it spins in a five-instruction self-loop to the cycle cap —
+ * must apply ≥ 95 % of its instructions in closed form, with the step
+ * tier's result; an input-reading victim applies none.  Counts only.
+ */
+TEST(PerfSmokeTest, SteadyLivelockFastForwards)
+{
+    fault::CaseSpec spec;
+    spec.workload = "bitcnt";
+    spec.scheme = compiler::Scheme::kNvp;
+    spec.injector = fault::InjectorKind::kMultiBitFlip;
+    spec.seed = 3680978280238149192ull;
+    const fault::CaseResult block =
+        fault::runCase(spec, 0.5, 0, sim::ExecBackend::kBlock);
+    const fault::CaseResult step =
+        fault::runCase(spec, 0.5, 0, sim::ExecBackend::kStep);
+    ASSERT_EQ(step.outcome, fault::CaseOutcome::kLivelock);
+    EXPECT_EQ(block.outcome, step.outcome);
+    EXPECT_EQ(block.detail, step.detail);
+    EXPECT_EQ(block.injectAt, step.injectAt);
+    EXPECT_EQ(block.word, step.word);
+    EXPECT_EQ(test::firstArchivedDifference(block.counters, step.counters),
+              "");
+    const std::uint64_t applied = block.counters.sim.steadyLoopIterations * 5;
+    EXPECT_GE(applied * 100, block.counters.exec.instrs * 95)
+        << "applied " << applied << " of " << block.counters.exec.instrs
+        << " instructions in closed form";
+
+    const sim::Counters sensor = runHarvestVictim("sensor_loop", 1.0);
+    ASSERT_GT(sensor.exec.completions, 100u) << "slice too short";
+    EXPECT_EQ(sensor.sim.steadyLoopIterations, 0u)
+        << "sensor_loop fast-forwarded a loop";
+    std::cout << "[perf_smoke] bitcnt livelock applied " << applied << "/"
+              << block.counters.exec.instrs
+              << " instructions in closed form; sensor_loop "
+              << sensor.sim.steadyLoopIterations << " iterations\n";
 }
 
 }  // namespace

@@ -65,6 +65,24 @@ firstArchivedDifference(const sim::Counters& a, const sim::Counters& b)
     return first.str();
 }
 
+/** Iterations i = 1, 2, … (at most `cap`) whose latch `op` on the
+ *  counter `c + i·step` (its left operand if `counterLhs`) against
+ *  `bound` is taken, counted one by one: the reference for the steady
+ *  loop fast-forward's closed-form count (sim::steadyLatchRun). */
+inline std::uint64_t
+latchTakenOneByOne(ir::Opcode op, bool counterLhs, std::uint32_t c,
+                   std::uint32_t step, std::uint32_t bound, std::uint64_t cap)
+{
+    std::uint64_t n = 0;
+    for (; n < cap; ++n) {
+        c += step;
+        if (!(counterLhs ? ir::evalBranch(op, c, bound)
+                         : ir::evalBranch(op, bound, c)))
+            break;
+    }
+    return n;
+}
+
 }  // namespace gecko::test
 
 #endif  // GECKO_TESTS_TEST_UTIL_HPP_
