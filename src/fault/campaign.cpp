@@ -599,8 +599,7 @@ bisectDown(std::int64_t hi, Probe failsAt)
  * pure function of its spec, so bisection's last failing probe stands
  * for a re-run; and when no probe failed, the final spec pins the
  * primary run's own effective values, which the injectors draw before
- * applying any override — so `failing` stands for it.  If shrinking
- * ever stops reproducing, the original result is kept.
+ * applying any override — so `failing` stands for it.
  */
 CaseResult
 minimizeCase(const CaseResult& failing, std::uint64_t watchdogBudget)
@@ -632,24 +631,11 @@ minimizeCase(const CaseResult& failing, std::uint64_t watchdogBudget)
                 return fails(probe);
             }));
     }
-    // Every probe copies `spec`, so the overrides identify the run.
-    const bool probed =
-        lastFailing &&
-        lastFailing->spec.injectAtOverride == spec.injectAtOverride &&
-        lastFailing->spec.wordOverride == spec.wordOverride;
-    const bool primary = spec.injectAtOverride == failing.injectAt &&
-                         spec.wordOverride == failing.word;
-    CaseResult minimized;
-    if (probed) {
-        minimized = std::move(*lastFailing);
-    } else if (primary) {
-        minimized = failing;
-        minimized.spec = spec;
-    } else {
-        minimized = runMachineCase(spec, watchdogBudget);
-    }
-    if (!isCorruption(minimized.outcome))
-        return failing;
+    // bisectDown moves a knob only on a failing probe, so the last
+    // failing probe ran the final spec; with none, the final spec is
+    // the primary case's own effective values.
+    CaseResult minimized = lastFailing ? std::move(*lastFailing) : failing;
+    minimized.spec = spec;
     minimized.minimized = true;
     return minimized;
 }

@@ -1,3 +1,5 @@
+#include <algorithm>
+
 #include "compiler/block_metadata.hpp"
 #include "sim/machine.hpp"
 #include "trace/trace.hpp"
@@ -70,16 +72,19 @@
  *     largest count whose iterations all pass the block-entry budget
  *     guard and take the latch (computed exactly in the compare's
  *     32-bit order, with wrap-around), and resumes normal dispatch for
- *     the exit or budget tail.  The check costs the hot back edge
- *     nothing: a self-loop chains up to a cycle limit instead of the
- *     budget, and the first iteration past it probes — at a candidate
- *     it snapshots the registers and compares them at the next back
- *     edge.  The first probe comes kSteadyArmCycles into a run and a
- *     failed one doubles the interval, so an ordinary loop pays a
- *     logarithmic number of probes per run.  The kCrcBitLoop handler
- *     applies the same rule to the CRC LFSR's fixed point.  A register-only body emits no trace event, so the
- *     fast-forward stays on under a trace buffer; nothing is kept
- *     across runs, and the step tier never fast-forwards.
+ *     the exit or budget tail.  The check stays off the hot back edge,
+ *     which keeps its one compare: a self-loop chains up to a cycle
+ *     limit instead of the budget, and the first iteration past it
+ *     probes — at a candidate it snapshots the registers and compares
+ *     them at the next back edge.  The first probe comes
+ *     kSteadyArmCycles into a run and a failed one doubles the
+ *     interval, so an ordinary loop pays a logarithmic number of
+ *     probes per run.  The kCrcBitLoop handler applies the same rule
+ *     to the CRC LFSR's fixed point, checked once per entry that has
+ *     more than kCrcSteadyArmIters iterations left.  A register-only
+ *     body emits no trace event, so the fast-forward stays on under a
+ *     trace buffer; nothing is kept across runs, and the step tier
+ *     never fast-forwards.
  *
  * The ALU and branch rules are not restated here: stepDecoded and the
  * micro-op handlers call ir::evalBinary/evalUnary/evalBranch with a
@@ -139,6 +144,10 @@ constexpr std::uint64_t kNone = ~std::uint64_t{0};
 /// Cycles of a run before its first steady-loop probe; the interval
 /// doubles after each failed probe.
 constexpr std::uint64_t kSteadyArmCycles = 64;
+
+/// Iterations a kCrcBitLoop entry must have left to check for the
+/// LFSR's fixed point (a byte's natural loop runs 8).
+constexpr std::uint32_t kCrcSteadyArmIters = 32;
 
 /// 2^32: the period of a 32-bit counter.
 constexpr std::uint64_t kWordSpan = std::uint64_t{1} << 32;
@@ -697,18 +706,18 @@ Machine::markSteadyLoop(SuperBlock& b) const
         bool clean = true;
         std::uint32_t step = 0;
         for (std::uint32_t i = 0; i + 1 < b.len && clean; ++i) {
-            const Decoded& d = code[i];
-            const bool writes = d.op != Opcode::kNop && d.rd == c;
-            const bool update =
-                writes && (d.op == Opcode::kAdd || d.op == Opcode::kSub) &&
-                d.useImm && d.rs1 == c && d.imm != 0;
+            const ir::Instr& ins = prog_->prog.at(b.start + i);
+            const bool writes = ir::writesReg(ins) && ins.rd == c;
+            const std::vector<ir::Reg> read = ir::regsRead(ins);
             const bool reads =
-                d.op != Opcode::kNop && d.op != Opcode::kMovi &&
-                (d.rs1 == c || (ir::isBinaryAlu(d.op) && !d.useImm &&
-                                d.rs2 == c));
+                std::find(read.begin(), read.end(), c) != read.end();
+            const bool update =
+                writes && (ins.op == Opcode::kAdd || ins.op == Opcode::kSub) &&
+                ins.useImm && ins.rs1 == c && ins.imm != 0;
             if (update) {
                 ++updates;
-                step = d.op == Opcode::kAdd ? d.imm : 0u - d.imm;
+                const auto k = static_cast<std::uint32_t>(ins.imm);
+                step = ins.op == Opcode::kAdd ? k : 0u - k;
             } else if (writes || reads) {
                 clean = false;
             }
@@ -1690,45 +1699,48 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         const std::uint64_t cTak = u->imm2;
         const std::uint64_t cNot = u->aux;
         std::uint32_t nx = b->start;
-        for (;;) {
-            const std::uint32_t prev = s;
+        // An entry with more than kCrcSteadyArmIters iterations to go
+        // checks first for the LFSR's fixed point (steady-loop
+        // fast-forward): if the next iteration leaves s as it is, every
+        // later one repeats it — the bit register is written before it
+        // is read, so s and the counter carry all the state.  Apply
+        // those whose worst-case budget check passes, up to and
+        // including the exit.  A check inside the loop would cost every
+        // crc16 iteration (~3 %, DESIGN.md §12).
+        const bool taken = (s & 1u) == z1;
+        if (cnt - z2 > kCrcSteadyArmIters &&
+            ((s >> 1) ^ (taken ? 0u : poly)) == s) {
+            const std::uint64_t each = taken ? cTak : cNot;
+            const std::uint64_t fit =
+                (cycleBudget - cycles - cNot) / each + 1;
+            const std::uint64_t toExit = cnt - z2;
+            const std::uint64_t n = fit < toExit ? fit : toExit;
             bit = s & 1u;
-            s >>= 1;
-            if (bit == z1) {
-                cycles += cTak;
-                instrs += 5;
-            } else {
-                s ^= poly;
-                cycles += cNot;
-                instrs += 6;
-            }
-            --cnt;
-            if (cnt == z2) {
+            cnt -= static_cast<std::uint32_t>(n);
+            cycles += n * each;
+            instrs += n * (taken ? 5 : 6);
+            steadyIters_ += n;
+            if (n == toExit)
                 nx = b->start + 6;
-                break;
-            }
-            if (cycles + cNot > cycleBudget)
-                break;
-            if (s == prev) {
-                // The LFSR's fixed point (steady-loop fast-forward): the
-                // bit register is written before it is read, so s and
-                // the counter carry all the state, and every later
-                // iteration repeats this one.  Apply those whose
-                // worst-case budget check passes, up to and including
-                // the exit.
-                const bool taken = bit == z1;
-                const std::uint64_t each = taken ? cTak : cNot;
-                const std::uint64_t fit =
-                    (cycleBudget - cycles - cNot) / each + 1;
-                const std::uint64_t toExit = cnt - z2;
-                const std::uint64_t n = fit < toExit ? fit : toExit;
-                cnt -= static_cast<std::uint32_t>(n);
-                cycles += n * each;
-                instrs += n * (taken ? 5 : 6);
-                steadyIters_ += n;
-                if (n == toExit)
+        } else {
+            for (;;) {
+                bit = s & 1u;
+                s >>= 1;
+                if (bit == z1) {
+                    cycles += cTak;
+                    instrs += 5;
+                } else {
+                    s ^= poly;
+                    cycles += cNot;
+                    instrs += 6;
+                }
+                --cnt;
+                if (cnt == z2) {
                     nx = b->start + 6;
-                break;
+                    break;
+                }
+                if (cycles + cNot > cycleBudget)
+                    break;
             }
         }
         regs[u->rd] = bit;

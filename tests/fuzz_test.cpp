@@ -5,6 +5,8 @@
 #include <iterator>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "attack/attack_schedule.hpp"
 #include "campaign/snapshot.hpp"
@@ -579,14 +581,48 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotFuzzTest,
                              return "seed" + std::to_string(info.param);
                          });
 
+/**
+ * Run `spec` traced on the step tier (the oracle) and on the block tier
+ * and expect the same CaseResult (outcome, injection coordinates,
+ * archived counters) and trace stream.  Returns {step, block}.
+ */
+std::pair<fault::CaseResult, fault::CaseResult>
+expectTiersAgree(const fault::CaseSpec& spec, const std::string& label)
+{
+    // Warm the golden-oracle cache outside any trace buffer so the
+    // first tier doesn't record the golden run's own events.
+    fault::runCase(spec, 0.5, 0, sim::ExecBackend::kBlock);
+
+    trace::Buffer refBuffer, buffer;
+    fault::CaseResult ref, r;
+    {
+        trace::BufferScope scope(&refBuffer);
+        ref = fault::runCase(spec, 0.5, 0, sim::ExecBackend::kStep);
+    }
+    {
+        trace::BufferScope scope(&buffer);
+        r = fault::runCase(spec, 0.5, 0, sim::ExecBackend::kBlock);
+    }
+    EXPECT_EQ(r.outcome, ref.outcome) << label;
+    EXPECT_EQ(r.detail, ref.detail) << label;
+    EXPECT_EQ(r.injectAt, ref.injectAt) << label;
+    EXPECT_EQ(r.word, ref.word) << label;
+    EXPECT_EQ(test::firstArchivedDifference(r.counters, ref.counters), "")
+        << label;
+    EXPECT_EQ(r.defended, ref.defended) << label;
+    EXPECT_TRUE(buffer.events() == refBuffer.events())
+        << label << " diverged in the trace stream ("
+        << buffer.events().size() << " vs " << refBuffer.events().size()
+        << " events)";
+    return {ref, r};
+}
+
 TEST(BackendFaultDifferentialTest, AllInjectorsAgreeAcrossTiers)
 {
     // Every injector class, replayed bit-identically per tier: the
     // CaseResult (outcome, injection coordinates, defence counters) and
     // the victim's trace stream must not depend on the dispatch
     // strategy.
-    using fault::CaseResult;
-    using fault::CaseSpec;
     using fault::InjectorKind;
     const InjectorKind kinds[] = {
         InjectorKind::kBitFlip,      InjectorKind::kMultiBitFlip,
@@ -598,41 +634,14 @@ TEST(BackendFaultDifferentialTest, AllInjectorsAgreeAcrossTiers)
     };
     for (InjectorKind kind : kinds) {
         for (Scheme scheme : {Scheme::kNvp, Scheme::kGecko}) {
-            CaseSpec spec;
+            fault::CaseSpec spec;
             spec.injector = kind;
             spec.scheme = scheme;
             spec.workload =
                 fault::isSimLevel(kind) ? "sensor_loop" : "crc16";
             spec.seed = exp::applyGlobalSeed(
                 exp::mixSeed(0xd1ffu, static_cast<std::uint64_t>(kind)));
-
-            // Warm the golden-oracle cache outside any trace buffer so
-            // the first tier doesn't record the oracle's own events.
-            fault::runCase(spec, 0.5, 0, sim::ExecBackend::kBlock);
-
-            trace::Buffer refBuffer, buffer;
-            CaseResult ref, r;
-            {
-                trace::BufferScope scope(&refBuffer);
-                ref = fault::runCase(spec, 0.5, 0, sim::ExecBackend::kStep);
-            }
-            {
-                trace::BufferScope scope(&buffer);
-                r = fault::runCase(spec, 0.5, 0, sim::ExecBackend::kBlock);
-            }
-            const char* inj = fault::injectorName(kind);
-            EXPECT_EQ(r.outcome, ref.outcome) << inj;
-            EXPECT_EQ(r.detail, ref.detail) << inj;
-            EXPECT_EQ(r.injectAt, ref.injectAt) << inj;
-            EXPECT_EQ(r.word, ref.word) << inj;
-            EXPECT_EQ(test::firstArchivedDifference(r.counters, ref.counters),
-                      "")
-                << inj;
-            EXPECT_EQ(r.defended, ref.defended) << inj;
-            EXPECT_TRUE(buffer.events() == refBuffer.events())
-                << inj << " diverged in the trace stream ("
-                << buffer.events().size() << " vs "
-                << refBuffer.events().size() << " events)";
+            expectTiersAgree(spec, fault::injectorName(kind));
         }
     }
 }
@@ -644,8 +653,6 @@ TEST(BackendFaultDifferentialTest, SteadyLivelocksAgreeAcrossTiers)
     // the 160-case seed-42 campaign's) and a crc16 victim spinning at the
     // CRC-16/ARC LFSR's fixed point 0xC001.  Traced, so the trace stream
     // is compared too.
-    using fault::CaseResult;
-    using fault::CaseSpec;
     using fault::InjectorKind;
     const struct {
         const char* workload;
@@ -657,32 +664,15 @@ TEST(BackendFaultDifferentialTest, SteadyLivelocksAgreeAcrossTiers)
         {"crc16", InjectorKind::kMultiBitFlip, 11416784783944378102ull},
     };
     for (const auto& k : cases) {
-        CaseSpec spec;
+        fault::CaseSpec spec;
         spec.workload = k.workload;
         spec.scheme = Scheme::kNvp;
         spec.injector = k.kind;
         spec.seed = k.seed;
-        fault::runCase(spec, 0.5, 0, sim::ExecBackend::kBlock);  // oracle
-        trace::Buffer refBuffer, buffer;
-        CaseResult ref, r;
-        {
-            trace::BufferScope scope(&refBuffer);
-            ref = fault::runCase(spec, 0.5, 0, sim::ExecBackend::kStep);
-        }
-        {
-            trace::BufferScope scope(&buffer);
-            r = fault::runCase(spec, 0.5, 0, sim::ExecBackend::kBlock);
-        }
         const std::string label =
             std::string(k.workload) + " seed " + std::to_string(k.seed);
+        const auto [ref, r] = expectTiersAgree(spec, label);
         EXPECT_EQ(ref.outcome, fault::CaseOutcome::kLivelock) << label;
-        EXPECT_EQ(r.outcome, ref.outcome) << label;
-        EXPECT_EQ(r.detail, ref.detail) << label;
-        EXPECT_EQ(r.injectAt, ref.injectAt) << label;
-        EXPECT_EQ(r.word, ref.word) << label;
-        EXPECT_EQ(test::firstArchivedDifference(r.counters, ref.counters), "")
-            << label;
-        EXPECT_TRUE(buffer.events() == refBuffer.events()) << label;
         EXPECT_EQ(ref.counters.sim.steadyLoopIterations, 0u) << label;
         EXPECT_GT(r.counters.sim.steadyLoopIterations * 10,
                   r.counters.exec.instrs / 6)

@@ -952,5 +952,61 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, CompletionReplayTest,
                          ::testing::ValuesIn(allWorkloads()),
                          [](const auto& info) { return info.param; });
 
+/** An NVP program around the CRC-16/ARC bit loop that kCrcBitLoop
+ *  runs natively, entered `entries` times: shift register r7 = `s0`,
+ *  bit register r10 = 5 (stale) against r11 = 0, bit counter r8 =
+ *  `cnt` counting down to r12 = `z2`. */
+CompiledProgram
+crcBitLoop(std::uint32_t s0, std::uint32_t cnt, std::uint32_t z2,
+           int entries)
+{
+    std::ostringstream src;
+    src << "movi r11, 0\nmovi r12, " << static_cast<std::int32_t>(z2) << "\n"
+        << "movi r13, 0\nmovi r14, " << entries << "\n"
+        << "outer:\nmovi r7, " << static_cast<std::int32_t>(s0) << "\n"
+        << "movi r8, " << static_cast<std::int32_t>(cnt) << "\nmovi r10, 5\n"
+        << "loop:\nand r10, r7, #1\nshr r7, r7, #1\nbeq r10, r11, skip\n"
+        << "xor r7, r7, #0xA001\nskip:\nsub r8, r8, #1\nbne r8, r12, loop\n"
+        << "add r13, r13, #1\nblt r13, r14, outer\n"
+        << "out 0, r7\nout 0, r8\nout 0, r10\nhalt\n";
+    CompiledProgram c;
+    c.prog = ir::Assembler::assemble("crc_bits", src.str());
+    c.scheme = Scheme::kNvp;
+    return c;
+}
+
+TEST(SteadyLoopTest, CrcFixedPointMatchesStep)
+{
+    // kCrcBitLoop fast-forwards at the LFSR's fixed points: 0xC001
+    // (0xC001 >> 1 ^ 0xA001, the xor path) and 0 (the xor skipped);
+    // 0x18002 drains into 0xC001 in one iteration, a counter may wrap
+    // through 0 to its exit, and a compiled loop entered at the fixed
+    // point still holds a stale bit register.  A byte's natural 8
+    // iterations never check, and a state on an LFSR cycle never fires.
+    const struct {
+        std::uint32_t s0, cnt, z2;
+        int entries;
+        bool fires;
+    } cases[] = {
+        {0xC001u, 3000u, 0u, 1, true},   {0u, 3000u, 0u, 1, true},
+        {0x18002u, 3000u, 0u, 1, true},  {0xC001u, 3005u, 5u, 1, true},
+        {0xC001u, 100u, 0u - 2900u, 1, true},
+        {0xC001u, 100u, 0u, 40, true},   {0xC001u, 8u, 0u, 40, false},
+        {0xC078u, 3000u, 0u, 1, false},
+    };
+    for (const auto& k : cases) {
+        std::ostringstream label;
+        label << "s0=" << std::hex << k.s0 << " cnt=" << k.cnt
+              << " z2=" << k.z2 << " entries=" << std::dec << k.entries;
+        const CompiledProgram c = crcBitLoop(k.s0, k.cnt, k.z2, k.entries);
+        Lockstep ls(c, "", false);
+        ASSERT_NO_FATAL_FAILURE(runSteadyPlan(ls, label.str()));
+        if (k.fires)
+            EXPECT_GT(ls.block.steadyLoopIterations(), 0u) << label.str();
+        else
+            EXPECT_EQ(ls.block.steadyLoopIterations(), 0u) << label.str();
+    }
+}
+
 }  // namespace
 }  // namespace gecko::sim

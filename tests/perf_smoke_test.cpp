@@ -16,7 +16,6 @@
 #include "fault/campaign.hpp"
 #include "sim/intermittent_sim.hpp"
 #include "sim/machine.hpp"
-#include "test_util.hpp"
 #include "workloads/workloads.hpp"
 
 /**
@@ -344,8 +343,10 @@ TEST(PerfSmokeTest, RepeatedCompletionsReplay)
  * Steady-loop fast-forward guard (DESIGN.md §12): the 160-case seed-42
  * campaign's bitcnt livelock — restored with a corrupted inner-loop
  * bound, it spins in a five-instruction self-loop to the cycle cap —
- * must apply ≥ 95 % of its instructions in closed form, with the step
- * tier's result; an input-reading victim applies none.  Counts only.
+ * must apply ≥ 95 % of its instructions in closed form; an
+ * input-reading victim applies none.  Counts only: fuzz_test's
+ * BackendFaultDifferentialTest.SteadyLivelocksAgreeAcrossTiers holds
+ * the same case to the step tier's result.
  */
 TEST(PerfSmokeTest, SteadyLivelockFastForwards)
 {
@@ -356,15 +357,7 @@ TEST(PerfSmokeTest, SteadyLivelockFastForwards)
     spec.seed = 3680978280238149192ull;
     const fault::CaseResult block =
         fault::runCase(spec, 0.5, 0, sim::ExecBackend::kBlock);
-    const fault::CaseResult step =
-        fault::runCase(spec, 0.5, 0, sim::ExecBackend::kStep);
-    ASSERT_EQ(step.outcome, fault::CaseOutcome::kLivelock);
-    EXPECT_EQ(block.outcome, step.outcome);
-    EXPECT_EQ(block.detail, step.detail);
-    EXPECT_EQ(block.injectAt, step.injectAt);
-    EXPECT_EQ(block.word, step.word);
-    EXPECT_EQ(test::firstArchivedDifference(block.counters, step.counters),
-              "");
+    ASSERT_EQ(block.outcome, fault::CaseOutcome::kLivelock);
     const std::uint64_t applied = block.counters.sim.steadyLoopIterations * 5;
     EXPECT_GE(applied * 100, block.counters.exec.instrs * 95)
         << "applied " << applied << " of " << block.counters.exec.instrs
