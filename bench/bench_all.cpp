@@ -313,9 +313,10 @@ main(int argc, char** argv)
         std::remove(jsonPath.c_str());
         std::cerr << "[bench_all] " << fig << " (threads=" << threads
                   << ") ... " << std::flush;
-        // The campaign driver writes a durable work directory; keep it
-        // inside the suite scratch area and start it clean (resume
-        // semantics are the kill-resume oracle's job, not the suite's).
+        // The campaign drivers write a durable work directory; keep it
+        // inside the suite scratch area and start it clean, in the
+        // serial pass too (resume semantics are the kill-resume
+        // oracle's job, not the suite's).
         std::string extraArgs;
         // The quick pass doubles as a freshness check on the example
         // scenario spec: the fault campaign is driven from the file the
@@ -357,7 +358,7 @@ main(int argc, char** argv)
         if (baseline && r.ok) {
             std::cerr << "[bench_all] " << fig << " (serial) ... "
                       << std::flush;
-            double serial = runFigure(binary, jsonPath, 1);
+            double serial = runFigure(binary, jsonPath, 1, extraArgs);
             r.serialWallS = std::abs(serial);
             std::cerr << gecko::metrics::fmt(r.serialWallS, 2) << "s\n";
         }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "campaign/archive.hpp"
 #include "trace/trace.hpp"
@@ -15,6 +16,26 @@ namespace {
 traceScore(double s)
 {
     return s > 0 ? static_cast<std::uint64_t>(std::llround(s * 1000.0)) : 0;
+}
+
+/** `since` advanced by `n` samples, saturating at "never". */
+std::uint64_t
+advanced(std::uint64_t since, std::uint64_t n)
+{
+    constexpr std::uint64_t kNever = ~std::uint64_t{0};
+    return n >= kNever - since ? kNever : since + n;
+}
+
+/** Call `fn(&DefenseStats::field)` for each per-sample counter. */
+template <class Fn>
+void
+forEachCount(Fn&& fn)
+{
+    DefenseStats::forEachField([&](const metrics::CounterField&, auto m) {
+        if constexpr (std::is_integral_v<
+                          std::remove_cvref_t<decltype(DefenseStats{}.*m)>>)
+            fn(m);
+    });
 }
 
 }  // namespace
@@ -83,42 +104,39 @@ DefenseController::DefenseController(const DefenseConfig& config,
             ? config.energyDebtBudgetJ
             : 8.0 * 0.5 * c * (plant.vOn * plant.vOn -
                                plant.vOff * plant.vOff);
-    commitCreditJ_ = config.commitCreditJ > 0 ? config.commitCreditJ
-                                              : plant.bootEnergyJ;
 }
 
 void
 DefenseController::setMode(double t, Mode next)
 {
-    if (next == mode_)
+    if (next == state_.mode)
         return;
-    const Mode prev = mode_;
-    mode_ = next;
+    const Mode prev = state_.mode;
+    state_.mode = next;
     if (next > prev) {
-        ++stats_.escalations;
-        if (stats_.firstEscalationT < 0)
-            stats_.firstEscalationT = t;
+        ++state_.stats.escalations;
+        if (state_.stats.firstEscalationT < 0)
+            state_.stats.firstEscalationT = t;
         // Relapse: escalating again soon after we calmed down.  Each
         // one doubles the calm dwell (capped), so an attacker
         // duty-cycled to just outlast the hysteresis loses the race —
         // its off-time requirement grows geometrically while its
         // disruption stays fixed.
-        if (prev == Mode::kNominal && config_.relapseWindowSamples > 0 &&
-            sinceDeescalation_ <
-                static_cast<std::uint64_t>(config_.relapseWindowSamples)) {
-            relapseLevel_ =
-                std::min(relapseLevel_ + 1, config_.relapseLevelCap);
-            ++stats_.relapses;
+        if (prev == Mode::kNominal &&
+            sinceDeescalation_ < kRelapseWindowSamples) {
+            state_.relapseLevel =
+                std::min(state_.relapseLevel + 1, kRelapseLevelCap);
+            ++state_.stats.relapses;
         }
     } else {
-        ++stats_.deEscalations;
+        ++state_.stats.deEscalations;
         sinceDeescalation_ = 0;
     }
     if (next == Mode::kDegraded)
-        committedSinceDegrade_ = false;
+        state_.committedSinceDegrade = false;
     if (next < Mode::kDegraded)
-        wakeNotBefore_ = -1.0;
-    calmRun_ = 0;
+        state_.wakeNotBefore = -1.0;
+    state_.calmRun = 0;
     GECKO_TRACE_EVENT(trace::EventKind::kDefenseModeChange, 0,
                       static_cast<std::uint64_t>(next),
                       static_cast<std::uint64_t>(prev));
@@ -127,7 +145,7 @@ DefenseController::setMode(double t, Mode next)
 void
 DefenseController::escalateTo(double t, Mode target)
 {
-    if (target > mode_)
+    if (target > state_.mode)
         setMode(t, target);
 }
 
@@ -136,7 +154,7 @@ DefenseController::tripRatchet(double t,
                                [[maybe_unused]] std::uint32_t regionId,
                                [[maybe_unused]] std::uint64_t count)
 {
-    ++stats_.ratchetTrips;
+    ++state_.stats.ratchetTrips;
     GECKO_TRACE_EVENT(trace::EventKind::kDefenseRatchetTrip, 0,
                       static_cast<std::uint64_t>(regionId), count);
     escalateTo(t, Mode::kDegraded);
@@ -146,17 +164,17 @@ void
 DefenseController::addEvidence(double t, double weight,
                                [[maybe_unused]] std::uint64_t evidence)
 {
-    score_ = std::min(score_ + weight, kScoreMax);
-    calmRun_ = 0;
-    if (!aboveSuspicion_ && score_ >= config_.scoreSuspicious) {
-        aboveSuspicion_ = true;
-        ++stats_.anomalies;
+    state_.score = std::min(state_.score + weight, kScoreMax);
+    state_.calmRun = 0;
+    if (!state_.aboveSuspicion && state_.score >= config_.scoreSuspicious) {
+        state_.aboveSuspicion = true;
+        ++state_.stats.anomalies;
         GECKO_TRACE_EVENT(trace::EventKind::kDefenseAnomaly, 0,
-                          traceScore(score_), evidence);
+                          traceScore(state_.score), evidence);
     }
-    if (score_ >= config_.scoreAttack)
+    if (state_.score >= config_.scoreAttack)
         escalateTo(t, Mode::kUnderAttack);
-    else if (score_ >= config_.scoreSuspicious)
+    else if (state_.score >= config_.scoreSuspicious)
         escalateTo(t, Mode::kSuspicious);
 }
 
@@ -174,7 +192,7 @@ DefenseController::trackEdge(PendingEdge& pending, bool primaryPulse,
         if (pending.lead == -lead) {
             // The other monitor confirmed the earlier pulse: benign
             // sampling skew at a real crossing, not evidence.
-            ++stats_.edgeSkews;
+            ++state_.stats.edgeSkews;
             pending = PendingEdge{};
             return 0;
         }
@@ -187,7 +205,7 @@ DefenseController::trackEdge(PendingEdge& pending, bool primaryPulse,
     }
     // Quiet sample: age the window; an unmatched pulse matures into a
     // disagreement charge once the skew grace is exhausted.
-    if (pending.lead != 0 && ++pending.age > config_.edgeSkewSamples) {
+    if (pending.lead != 0 && ++pending.age > kEdgeSkewSamples) {
         pending = PendingEdge{};
         return 1;
     }
@@ -197,41 +215,42 @@ DefenseController::trackEdge(PendingEdge& pending, bool primaryPulse,
 int
 DefenseController::calmDwell() const
 {
-    const int shift = std::min(relapseLevel_, config_.relapseLevelCap);
-    const long long dwell =
-        static_cast<long long>(config_.calmSamples) << std::min(shift, 20);
+    const int shift = std::min(state_.relapseLevel, kRelapseLevelCap);
+    const long long dwell = static_cast<long long>(config_.calmSamples)
+                            << shift;
     return static_cast<int>(std::min<long long>(dwell, 1 << 20));
 }
 
 void
 DefenseController::decayAndMaybeDeescalate(double t)
 {
-    score_ = std::max(0.0, score_ * (1.0 - config_.decayPerSample));
-    if (score_ < kScoreClear)
-        aboveSuspicion_ = false;
-    if (score_ > kScoreClear) {
-        calmRun_ = 0;
+    state_.score =
+        std::max(0.0, state_.score * (1.0 - config_.decayPerSample));
+    if (state_.score < kScoreClear)
+        state_.aboveSuspicion = false;
+    if (state_.score > kScoreClear) {
+        state_.calmRun = 0;
         return;
     }
-    if (mode_ == Mode::kNominal) {
+    if (state_.mode == Mode::kNominal) {
         // Sustained nominal calm forgives one relapse level per calm
         // dwell — a one-off incident doesn't tax the node forever.
-        if (relapseLevel_ > 0 && ++calmRun_ >= calmDwell()) {
-            --relapseLevel_;
-            calmRun_ = 0;
+        if (state_.relapseLevel > 0 && ++state_.calmRun >= calmDwell()) {
+            --state_.relapseLevel;
+            state_.calmRun = 0;
         }
         return;
     }
-    if (++calmRun_ < calmDwell())
+    if (++state_.calmRun < calmDwell())
         return;
     // One level per calm dwell — the hysteresis that keeps an attacker
     // from flapping the policy with a 50% duty-cycle tone.  Leaving
     // kDegraded additionally requires proven forward progress.
-    if (mode_ == Mode::kDegraded && !committedSinceDegrade_) {
-        calmRun_ = 0;
+    if (state_.mode == Mode::kDegraded && !state_.committedSinceDegrade) {
+        state_.calmRun = 0;
         return;
     }
-    setMode(t, static_cast<Mode>(static_cast<std::uint8_t>(mode_) - 1));
+    setMode(t, static_cast<Mode>(static_cast<std::uint8_t>(state_.mode) - 1));
 }
 
 void
@@ -239,9 +258,8 @@ DefenseController::observeSample(double t, double vLo, double vHi,
                                  const analog::MonitorEvent& primary,
                                  const analog::MonitorEvent& shadow)
 {
-    ++stats_.samples;
-    if (sinceDeescalation_ != ~std::uint64_t{0})
-        ++sinceDeescalation_;
+    ++state_.stats.samples;
+    sinceDeescalation_ = advanced(sinceDeescalation_, 1);
     std::uint64_t evidence = 0;
 
     if (lastSampleT_ >= 0.0 && t > lastSampleT_) {
@@ -252,34 +270,28 @@ DefenseController::observeSample(double t, double vLo, double vHi,
         const double mid = 0.5 * (vLo + vHi);
         if ((vHi - vLo) > bound || std::abs(mid - lastSampleV_) > bound) {
             evidence |= kEvidencePhysics;
-            ++stats_.physicsViolations;
+            ++state_.stats.physicsViolations;
         }
     }
     if (primary.backup != shadow.backup || primary.wake != shadow.wake) {
         evidence |= kEvidenceDisagree;
-        ++stats_.disagreements;
+        ++state_.stats.disagreements;
     }
 
     decayAndMaybeDeescalate(t);
     if (evidence & kEvidencePhysics)
-        addEvidence(t, config_.physicsWeight, evidence);
-    if (config_.edgeSkewSamples <= 0) {
-        if (evidence & kEvidenceDisagree)
-            addEvidence(t, config_.disagreeWeight, evidence);
-    } else {
-        // Edge-skew reconciliation: a lone pulse waits for the other
-        // monitor's matching pulse before it becomes evidence, so the
-        // one-sample trip skew at a genuine supply crossing (ADC
-        // quantization vs comparator hysteresis) stops scoring as
-        // forgery.  Unmatched pulses still mature into the full
-        // disagreement weight when the window closes.
-        int charges = trackEdge(pendingBackup_, primary.backup,
-                                shadow.backup) +
-                      trackEdge(pendingWake_, primary.wake, shadow.wake);
-        for (int i = 0; i < charges; ++i)
-            addEvidence(t, config_.disagreeWeight,
-                        evidence | kEvidenceDisagree);
-    }
+        addEvidence(t, kPhysicsWeight, evidence);
+    // Edge-skew reconciliation: a lone pulse waits for the other
+    // monitor's matching pulse before it becomes evidence, so the
+    // one-sample trip skew at a genuine supply crossing (ADC
+    // quantization vs comparator hysteresis) stops scoring as forgery.
+    // Unmatched pulses still mature into the full disagreement weight
+    // when the window closes.
+    const int charges =
+        trackEdge(state_.pendingBackup, primary.backup, shadow.backup) +
+        trackEdge(state_.pendingWake, primary.wake, shadow.wake);
+    for (int i = 0; i < charges; ++i)
+        addEvidence(t, kDisagreeWeight, evidence | kEvidenceDisagree);
 
     lastSampleT_ = t;
     lastSampleV_ = 0.5 * (vLo + vHi);
@@ -305,35 +317,35 @@ DefenseController::noteRollback(double t, std::uint32_t regionId)
     // frontier stays put.  Only >=2 commits since the previous rollback
     // (the redo plus something new) re-arm the budget.
     const std::uint64_t commitsSince =
-        lastCommitCount_ - commitCountAtRollback_;
-    commitCountAtRollback_ = lastCommitCount_;
-    redoCommitPending_ = true;
-    if (regionId == lastRollbackRegion_ && commitsSince <= 1) {
-        ++consecutiveRollbacks_;
+        state_.lastCommitCount - state_.commitCountAtRollback;
+    state_.commitCountAtRollback = state_.lastCommitCount;
+    state_.redoCommitPending = true;
+    if (regionId == state_.lastRollbackRegion && commitsSince <= 1) {
+        ++state_.consecutiveRollbacks;
     } else {
-        lastRollbackRegion_ = regionId;
-        consecutiveRollbacks_ = 1;
+        state_.lastRollbackRegion = regionId;
+        state_.consecutiveRollbacks = 1;
     }
-    if (mode_ != Mode::kDegraded &&
-        consecutiveRollbacks_ >
+    if (state_.mode != Mode::kDegraded &&
+        state_.consecutiveRollbacks >
             static_cast<std::uint64_t>(config_.rollbackBudgetPerRegion))
-        tripRatchet(t, regionId, consecutiveRollbacks_);
+        tripRatchet(t, regionId, state_.consecutiveRollbacks);
 }
 
 void
 DefenseController::noteCommit(std::uint64_t commitCount)
 {
-    if (commitCount <= lastCommitCount_)
+    if (commitCount <= state_.lastCommitCount)
         return;
-    std::uint64_t committed = commitCount - lastCommitCount_;
-    lastCommitCount_ = commitCount;
+    std::uint64_t committed = commitCount - state_.lastCommitCount;
+    state_.lastCommitCount = commitCount;
     // The first commit after a rollback merely redoes the rolled-back
     // region: the frontier hasn't moved, so it earns no credit.
     // Without this gate an outage-phase-locked burst that forces one
     // rollback per power cycle farms a boot-quantum of credit from
     // every redo and the debt ledger never trips.
-    if (redoCommitPending_) {
-        redoCommitPending_ = false;
+    if (state_.redoCommitPending) {
+        state_.redoCommitPending = false;
         --committed;
     }
     // Each committed region pays one boot-quantum of debt back.  The
@@ -341,11 +353,11 @@ DefenseController::noteCommit(std::uint64_t commitCount)
     // a trickle of progress through cannot keep the ledger from
     // integrating its boot churn.  The rollback budget re-arms in
     // noteRollback, which can tell a redo-commit from real progress.
-    stats_.energyDebtJ = std::max(
-        0.0, stats_.energyDebtJ -
-                 commitCreditJ_ * static_cast<double>(committed));
-    if (mode_ == Mode::kDegraded)
-        committedSinceDegrade_ = true;
+    state_.stats.energyDebtJ = std::max(
+        0.0, state_.stats.energyDebtJ -
+                 plant_.bootEnergyJ * static_cast<double>(committed));
+    if (state_.mode == Mode::kDegraded)
+        state_.committedSinceDegrade = true;
 }
 
 void
@@ -360,27 +372,28 @@ DefenseController::noteRetriesExhausted(double t)
 void
 DefenseController::noteSleepEnter(double t, double fullChargeEstS)
 {
-    if (mode_ == Mode::kDegraded && fullChargeEstS >= 0.0)
-        wakeNotBefore_ = t + fullChargeEstS;
+    if (state_.mode == Mode::kDegraded && fullChargeEstS >= 0.0)
+        state_.wakeNotBefore = t + fullChargeEstS;
     else
-        wakeNotBefore_ = -1.0;
+        state_.wakeNotBefore = -1.0;
 }
 
 void
 DefenseController::noteEnergyCost(double t, double joules)
 {
-    stats_.energyDebtJ += joules;
-    stats_.peakEnergyDebtJ =
-        std::max(stats_.peakEnergyDebtJ, stats_.energyDebtJ);
-    if (mode_ != Mode::kDegraded && stats_.energyDebtJ > debtBudgetJ_)
-        tripRatchet(t, lastRollbackRegion_, consecutiveRollbacks_);
+    state_.stats.energyDebtJ += joules;
+    state_.stats.peakEnergyDebtJ =
+        std::max(state_.stats.peakEnergyDebtJ, state_.stats.energyDebtJ);
+    if (state_.mode != Mode::kDegraded &&
+        state_.stats.energyDebtJ > debtBudgetJ_)
+        tripRatchet(t, state_.lastRollbackRegion, state_.consecutiveRollbacks);
 }
 
 bool
 DefenseController::wakeDwellElapsed(double t) const
 {
-    return mode_ != Mode::kDegraded || wakeNotBefore_ < 0.0 ||
-           t >= wakeNotBefore_ - 1e-12;
+    return state_.mode != Mode::kDegraded || state_.wakeNotBefore < 0.0 ||
+           t >= state_.wakeNotBefore - 1e-12;
 }
 
 bool
@@ -388,86 +401,59 @@ DefenseController::wakeAllowed(double t)
 {
     if (wakeDwellElapsed(t))
         return true;
-    ++stats_.wakesDeferred;
+    ++state_.stats.wakesDeferred;
     return false;
 }
 
-int
-DefenseController::steadyEdgeCharges(const PendingEdge& pending,
-                                     bool primaryPulse, bool shadowPulse)
-{
-    if (primaryPulse && shadowPulse)
-        return pending.lead == 0 && pending.age == 0 ? 0 : -1;
-    if (primaryPulse != shadowPulse) {
-        // A repeating lone pulse re-arms its own window and charges the
-        // previous one: steady only once that window is armed.
-        const int lead = primaryPulse ? 1 : -1;
-        return pending.lead == lead && pending.age == 0 ? 1 : -1;
-    }
-    return pending.lead == 0 ? 0 : -1;
-}
-
-bool
+std::optional<DefenseStats>
 DefenseController::steadyUnder(const SteadyRun& run) const
 {
-    if (mode_ < Mode::kUnderAttack || score_ != kScoreMax ||
-        !aboveSuspicion_ || calmRun_ != 0)
-        return false;
     // Every sample must carry physics evidence: the first against its
     // real gap since the previous sample, the rest against the widest
     // gap of the run (the bound is monotone in the gap).
     if (lastSampleT_ < 0.0 || !(run.tFirst > lastSampleT_) ||
         !(run.spanMin > physicsBound(run.tFirst - lastSampleT_)) ||
         !(run.spanMin > physicsBound(run.gapMax)))
-        return false;
-    const bool disagree = run.primary.backup != run.shadow.backup ||
-                          run.primary.wake != run.shadow.wake;
-    int charges = disagree ? 1 : 0;
-    if (config_.edgeSkewSamples > 0) {
-        const int backup = steadyEdgeCharges(
-            pendingBackup_, run.primary.backup, run.shadow.backup);
-        const int wake = steadyEdgeCharges(pendingWake_, run.primary.wake,
-                                           run.shadow.wake);
-        if (backup < 0 || wake < 0)
-            return false;
-        charges = backup + wake;
-    }
-    // One sample's score update from kScoreMax, in observeSample's
-    // order: decay (which must stay above kScoreClear, the calm-reset
-    // branch), then each piece of evidence.  It must land on kScoreMax
-    // again exactly.
-    double s = std::max(0.0, kScoreMax * (1.0 - config_.decayPerSample));
-    if (!(s > kScoreClear))
-        return false;
-    s = std::min(s + config_.physicsWeight, kScoreMax);
-    for (int i = 0; i < charges; ++i)
-        s = std::min(s + config_.disagreeWeight, kScoreMax);
-    if (s != kScoreMax)
-        return false;
-    if (run.sleeping)
+        return std::nullopt;
+    if (run.sleeping) {
         // wakeAllowed is monotone in t: elapsed at the first sample
         // means elapsed, and side-effect free, for the whole run.
-        return !run.primary.wake || wakeDwellElapsed(run.tFirst);
-    // One noteCommit with the final count equals one per quantum only
-    // while the debt ledger is empty: max(0, 0 − credit) clamps to 0
-    // however the commits are grouped.
-    return stats_.energyDebtJ <= 0.0;
+        if (run.primary.wake && !wakeDwellElapsed(run.tFirst))
+            return std::nullopt;
+    } else if (!commitsFold()) {
+        return std::nullopt;
+    }
+    // One sample on a copy.  observeSample reads the last-sample record
+    // only in the physics test, which the bounds above settle for every
+    // sample; the time only on a mode change and sinceDeescalation_
+    // only on an escalation; and every sample sees the same views.  So
+    // a sample that leaves the state equal, with no de-escalation (the
+    // count since one advanced), leaves it equal for all of them.  Any
+    // envelope of span spanMin carries the run's physics evidence.
+    DefenseController copy = *this;
+    {
+        trace::BufferScope untraced(nullptr);
+        copy.observeSample(run.tFirst, 0.0, run.spanMin, run.primary,
+                           run.shadow);
+    }
+    DefenseStats perSample;
+    forEachCount([&](auto field) {
+        perSample.*field = copy.state_.stats.*field - state_.stats.*field;
+        copy.state_.stats.*field = state_.stats.*field;
+    });
+    if (copy.state_ != state_ ||
+        copy.sinceDeescalation_ != advanced(sinceDeescalation_, 1))
+        return std::nullopt;
+    return perSample;
 }
 
 void
-DefenseController::fastForward(const SteadyRun& run, std::uint64_t n,
-                               double tLast, double vLast)
+DefenseController::fastForward(const DefenseStats& perSample,
+                               std::uint64_t n, double tLast, double vLast)
 {
-    stats_.samples += n;
-    stats_.physicsViolations += n;
-    if (run.primary.backup != run.shadow.backup ||
-        run.primary.wake != run.shadow.wake)
-        stats_.disagreements += n;
-    constexpr std::uint64_t kSaturated = ~std::uint64_t{0};
-    if (sinceDeescalation_ != kSaturated)
-        sinceDeescalation_ = n >= kSaturated - sinceDeescalation_
-                                 ? kSaturated
-                                 : sinceDeescalation_ + n;
+    forEachCount(
+        [&](auto field) { state_.stats.*field += n * perSample.*field; });
+    sinceDeescalation_ = advanced(sinceDeescalation_, n);
     lastSampleT_ = tLast;
     lastSampleV_ = vLast;
 }
@@ -476,7 +462,7 @@ int
 DefenseController::backoffCycles(int attempt) const
 {
     const int a = std::max(attempt, 0);
-    if (mode_ == Mode::kNominal)
+    if (state_.mode == Mode::kNominal)
         return linearBackoffCycles(a);
     const int shift = std::min(a, 20);
     const long long exp = static_cast<long long>(kBackoffBaseCycles) << shift;
@@ -488,32 +474,32 @@ void
 DefenseController::archiveState(campaign::Archive& ar)
 {
     ar.section("defense_controller");
-    std::uint8_t mode = static_cast<std::uint8_t>(mode_);
+    std::uint8_t mode = static_cast<std::uint8_t>(state_.mode);
     ar.u8(mode);
     if (!ar.saving()) {
         if (mode > static_cast<std::uint8_t>(Mode::kDegraded))
             throw campaign::SnapshotError("defense: bad mode encoding");
-        mode_ = static_cast<Mode>(mode);
+        state_.mode = static_cast<Mode>(mode);
     }
-    ar.f64(score_);
-    ar.boolean(aboveSuspicion_);
-    ar.i32(calmRun_);
-    ar.i32(relapseLevel_);
+    ar.f64(state_.score);
+    ar.boolean(state_.aboveSuspicion);
+    ar.i32(state_.calmRun);
+    ar.i32(state_.relapseLevel);
     ar.u64(sinceDeescalation_);
-    ar.boolean(redoCommitPending_);
+    ar.boolean(state_.redoCommitPending);
     ar.f64(lastSampleT_);
     ar.f64(lastSampleV_);
-    ar.i32(pendingBackup_.lead);
-    ar.i32(pendingBackup_.age);
-    ar.i32(pendingWake_.lead);
-    ar.i32(pendingWake_.age);
-    ar.u32(lastRollbackRegion_);
-    ar.u64(consecutiveRollbacks_);
-    ar.u64(lastCommitCount_);
-    ar.u64(commitCountAtRollback_);
-    ar.boolean(committedSinceDegrade_);
-    ar.f64(wakeNotBefore_);
-    ar.counters(stats_);
+    ar.i32(state_.pendingBackup.lead);
+    ar.i32(state_.pendingBackup.age);
+    ar.i32(state_.pendingWake.lead);
+    ar.i32(state_.pendingWake.age);
+    ar.u32(state_.lastRollbackRegion);
+    ar.u64(state_.consecutiveRollbacks);
+    ar.u64(state_.lastCommitCount);
+    ar.u64(state_.commitCountAtRollback);
+    ar.boolean(state_.committedSinceDegrade);
+    ar.f64(state_.wakeNotBefore);
+    ar.counters(state_.stats);
 }
 
 }  // namespace gecko::defense

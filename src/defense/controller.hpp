@@ -2,6 +2,7 @@
 #define GECKO_DEFENSE_CONTROLLER_HPP_
 
 #include <cstdint>
+#include <optional>
 
 #include "analog/voltage_monitor.hpp"
 #include "defense/defense.hpp"
@@ -78,11 +79,11 @@ class DefenseController
     // ------------------------------------------------------------------
     // Policy queries (controller → runtime / simulator).
     // ------------------------------------------------------------------
-    Mode mode() const { return mode_; }
-    double score() const { return score_; }
+    Mode mode() const { return state_.mode; }
+    double score() const { return state_.score; }
 
     /** May the JIT checkpoint protocol be trusted right now? */
-    bool jitAllowed() const { return mode_ <= Mode::kSuspicious; }
+    bool jitAllowed() const { return state_.mode <= Mode::kSuspicious; }
 
     /**
      * May a monitor wake signal boot the node at time `t`?  Always true
@@ -112,25 +113,22 @@ class DefenseController
     };
 
     /**
-     * Fixed-point certificate (DESIGN.md §14): true iff every sample
-     * of `run` provably maps the controller onto itself — each one
-     * violates the physics bound, the score stays pinned at kScoreMax
-     * in a mode at or above kUnderAttack, and the latches, calm run
-     * and edge-skew windows keep their values — and the run's other
-     * notifications are inert or batch exactly.  Only the per-sample
-     * counters and the last-sample record then move, which
-     * fastForward replays in one step.  Conservative: `false` means
-     * "unknown".
+     * Fixed-point certificate (DESIGN.md §14): every sample of `run`
+     * carries physics evidence and maps the controller onto itself,
+     * and the run's other notifications are inert or batch exactly.
+     * Decided by one observeSample of the run's first sample on a copy:
+     * @return the counter increments of one sample of the run (the
+     * integer fields; the doubles are unused), or nullopt.
      */
-    bool steadyUnder(const SteadyRun& run) const;
+    std::optional<DefenseStats> steadyUnder(const SteadyRun& run) const;
 
     /**
-     * Replay `n` samples of a run steadyUnder certified: the counter
-     * adds of n observeSample calls, then the last sample's time
-     * `tLast` and envelope midpoint `vLast`.
+     * Replay `n` samples of a run steadyUnder certified with per-sample
+     * increments `perSample`: n times each increment, then the last
+     * sample's time `tLast` and envelope midpoint `vLast`.
      */
-    void fastForward(const SteadyRun& run, std::uint64_t n, double tLast,
-                     double vLast);
+    void fastForward(const DefenseStats& perSample, std::uint64_t n,
+                     double tLast, double vLast);
 
     /**
      * Whether the noteCommit calls of a run of running samples may fold
@@ -141,8 +139,9 @@ class DefenseController
      */
     bool commitsFold() const
     {
-        return stats_.energyDebtJ <= 0.0 &&
-               (mode_ != Mode::kDegraded || committedSinceDegrade_);
+        return state_.stats.energyDebtJ <= 0.0 &&
+               (state_.mode != Mode::kDegraded ||
+                state_.committedSinceDegrade);
     }
 
     /**
@@ -153,7 +152,7 @@ class DefenseController
      */
     int backoffCycles(int attempt) const;
 
-    const DefenseStats& stats() const { return stats_; }
+    const DefenseStats& stats() const { return state_.stats; }
     const DefenseConfig& config() const { return config_; }
 
     /**
@@ -180,15 +179,12 @@ class DefenseController
     struct PendingEdge {
         int lead = 0;
         int age = 0;
+        bool operator==(const PendingEdge&) const = default;
     };
     /// Track one edge kind (backup or wake) through the skew window;
     /// returns the number of disagreement charges that matured.
     int trackEdge(PendingEdge& pending, bool primaryPulse,
                   bool shadowPulse);
-    /// Charges trackEdge matures per sample when the same pulse pair
-    /// repeats and leaves `pending` unchanged; -1 if the window moves.
-    static int steadyEdgeCharges(const PendingEdge& pending,
-                                 bool primaryPulse, bool shadowPulse);
     void escalateTo(double t, Mode target);
     void setMode(double t, Mode next);
     void tripRatchet(double t, std::uint32_t regionId,
@@ -199,40 +195,47 @@ class DefenseController
     /// Max legitimate |dV/dt| (V/s): discharge + charge slew.
     double maxSlewVps_ = 0.0;
     double debtBudgetJ_ = 0.0;
-    double commitCreditJ_ = 0.0;
 
-    Mode mode_ = Mode::kNominal;
-    double score_ = 0.0;
-    bool aboveSuspicion_ = false;  ///< anomaly-edge latch (traced once)
-    int calmRun_ = 0;
-    // Relapse-hardened hysteresis: dwell doublings earned by
-    // re-escalating soon after a de-escalation, and the (saturating)
-    // sample count since the last de-escalation.
-    int relapseLevel_ = 0;
+    /// All controller state but the sample clock below.  steadyUnder
+    /// compares it across one sample on a copy, the per-sample counters
+    /// rebased: a sample that leaves it equal is a fixed point.
+    struct State {
+        Mode mode = Mode::kNominal;
+        double score = 0.0;
+        bool aboveSuspicion = false;  ///< anomaly-edge latch (traced once)
+        int calmRun = 0;
+        /// Relapse-hardened hysteresis: dwell doublings earned by
+        /// re-escalating soon after a de-escalation.
+        int relapseLevel = 0;
+        // Edge-skew reconciliation windows (one per edge kind).
+        PendingEdge pendingBackup;
+        PendingEdge pendingWake;
+
+        // Ratchet state.
+        std::uint32_t lastRollbackRegion = ~std::uint32_t{0};
+        std::uint64_t consecutiveRollbacks = 0;
+        std::uint64_t lastCommitCount = 0;
+        /// Commit count at the previous rollback: distinguishes a redo
+        /// of the rolled-back region (not progress) from the frontier
+        /// moving.
+        std::uint64_t commitCountAtRollback = 0;
+        /// Set by a rollback: the next commit is the redo of the
+        /// rolled-back region and earns no energy-debt credit.
+        bool redoCommitPending = false;
+        bool committedSinceDegrade = false;
+
+        /// Recharge dwell (kDegraded wake gate).
+        double wakeNotBefore = -1.0;
+
+        DefenseStats stats;
+
+        bool operator==(const State&) const = default;
+    };
+    State state_;
+    /// Samples since the last de-escalation, saturating at "never".
     std::uint64_t sinceDeescalation_ = ~std::uint64_t{0};
-
     double lastSampleT_ = -1.0;
     double lastSampleV_ = -1.0;
-    // Edge-skew reconciliation windows (one per edge kind).
-    PendingEdge pendingBackup_;
-    PendingEdge pendingWake_;
-
-    // Ratchet state.
-    std::uint32_t lastRollbackRegion_ = ~std::uint32_t{0};
-    std::uint64_t consecutiveRollbacks_ = 0;
-    std::uint64_t lastCommitCount_ = 0;
-    /// Commit count at the previous rollback: distinguishes a redo of
-    /// the rolled-back region (not progress) from the frontier moving.
-    std::uint64_t commitCountAtRollback_ = 0;
-    /// Set by a rollback: the next commit is the redo of the
-    /// rolled-back region and earns no energy-debt credit.
-    bool redoCommitPending_ = false;
-    bool committedSinceDegrade_ = false;
-
-    // Recharge dwell (kDegraded wake gate).
-    double wakeNotBefore_ = -1.0;
-
-    DefenseStats stats_;
 };
 
 }  // namespace gecko::defense

@@ -47,9 +47,31 @@ inline constexpr double kScoreClear = 0.5;
 inline constexpr double kScoreMax = 8.0;
 /// Evidence weight of each boot-time ACK/timer detection (§VI-A).
 inline constexpr double kBootEvidenceWeight = 1.5;
+/// Evidence weight: the two monitor views disagree on an edge.
+inline constexpr double kDisagreeWeight = 0.4;
+/// Evidence weight: observed dV/dt violates the RC physics bound.
+inline constexpr double kPhysicsWeight = 1.2;
 /// Slack (V) added to the physics bound — absorbs quantization and
 /// sampling-phase error without admitting volt-scale EMI swings.
 inline constexpr double kPhysicsMarginV = 0.05;
+/// Redundant monitors with different quantization and sampling cadence
+/// legitimately flag the *same* supply edge a sample or two apart (e.g.
+/// the wake crossing during a harvester-outage restore ramp).  A lone
+/// edge pulse is therefore held pending this many samples; a matching
+/// pulse from the other monitor inside the window reconciles the pair
+/// as benign skew instead of evidence.  An attacker gains nothing from
+/// the grace: a forged trough couples into only one sensing path, never
+/// earns the matching pulse, and is charged when the window closes
+/// (one-sample detection latency).
+inline constexpr int kEdgeSkewSamples = 1;
+/// A re-escalation out of kNominal within this many samples of the last
+/// de-escalation is a *relapse*: each relapse doubles the calm dwell (up
+/// to kRelapseLevelCap doublings), so a duty-cycled tone that waits out
+/// the dwell and re-attacks pays a geometrically growing price instead
+/// of farming the fixed hysteresis.
+inline constexpr int kRelapseWindowSamples = 256;
+/// Cap on dwell doublings (dwell <= calmSamples << cap).
+inline constexpr int kRelapseLevelCap = 4;
 /// Unit of every checkpoint-save retry backoff (cycles).
 inline constexpr int kBackoffBaseCycles = 256;
 
@@ -76,34 +98,10 @@ struct DefenseConfig {
     double scoreAttack = 2.5;
     /// Exponential decay applied per monitor sample: s *= (1 - decay).
     double decayPerSample = 0.04;
-    /// Evidence weight: the two monitor views disagree on an edge.
-    double disagreeWeight = 0.4;
-    /// Evidence weight: observed dV/dt violates the RC physics bound.
-    double physicsWeight = 1.2;
-    /// Redundant monitors with different quantization and sampling
-    /// cadence legitimately flag the *same* supply edge a sample or two
-    /// apart (e.g. the wake crossing during a harvester-outage restore
-    /// ramp).  A lone edge pulse is therefore held pending this many
-    /// samples; a matching pulse from the other monitor inside the
-    /// window reconciles the pair as benign skew instead of evidence.
-    /// An attacker gains nothing from the grace: a forged trough
-    /// couples into only one sensing path, never earns the matching
-    /// pulse, and is charged when the window closes (one-sample
-    /// detection latency).  0 restores immediate per-sample charging.
-    int edgeSkewSamples = 1;
 
     // --- hysteretic de-escalation ---
     /// Consecutive calm samples required to step *one* level down.
     int calmSamples = 64;
-    /// A re-escalation out of kNominal within this many samples of the
-    /// last de-escalation is a *relapse*: each relapse doubles the calm
-    /// dwell (up to relapseLevelCap doublings), so a duty-cycled tone
-    /// that waits out the dwell and re-attacks pays a geometrically
-    /// growing price instead of farming the fixed hysteresis.  0
-    /// disables relapse hardening.
-    int relapseWindowSamples = 256;
-    /// Cap on dwell doublings (dwell <= calmSamples << cap).
-    int relapseLevelCap = 4;
 
     // --- escalated checkpoint-save policy ---
     /// Cap of the exponential backoff used at kSuspicious and above.
@@ -116,11 +114,6 @@ struct DefenseConfig {
     /// Energy-debt ceiling (J); 0 = derive from the physics at
     /// construction (a few full-buffer discharges).
     double energyDebtBudgetJ = 0.0;
-    /// Debt paid back per committed region (J); 0 = one boot's worth
-    /// (PlantModel::bootEnergyJ).  A bounded credit — rather than
-    /// clearing the ledger — keeps a trickle of forced progress from
-    /// masking sustained forged-wake boot churn.
-    double commitCreditJ = 0.0;
 };
 
 /**
@@ -137,8 +130,10 @@ struct PlantModel {
     double maxV = 3.3;
     double vOn = 3.0;
     double vOff = 2.08;
-    /// Fixed cold-boot energy (clock settling, re-init) — the per-boot
-    /// quantum of the debt ledger's commit credit.
+    /// Fixed cold-boot energy (clock settling, re-init) — the debt
+    /// paid back per committed region.  A bounded credit — rather than
+    /// clearing the ledger — keeps a trickle of forced progress from
+    /// masking sustained forged-wake boot churn.
     double bootEnergyJ = 4.8e-5;
 };
 
@@ -162,7 +157,7 @@ struct DefenseStats {
     /// edge-skew reconciliation).
     std::uint64_t disagreements = 0;
     /// Mismatch pairs reconciled as benign sampling skew (the other
-    /// monitor confirmed the same edge within edgeSkewSamples).
+    /// monitor confirmed the same edge within kEdgeSkewSamples).
     std::uint64_t edgeSkews = 0;
     /// Samples carrying physics-violation evidence.
     std::uint64_t physicsViolations = 0;

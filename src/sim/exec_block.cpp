@@ -441,9 +441,6 @@ Machine::compileBlock(SuperBlock& b)
                              n.kind == UopKind::kXorRR)
                         fk = UopKind::kShrRIXorRR;
                     else if (a.kind == UopKind::kAndRI &&
-                             n.kind == UopKind::kShrRI)
-                        fk = UopKind::kAndRIShrRI;
-                    else if (a.kind == UopKind::kAndRI &&
                              n.kind == UopKind::kAddRR)
                         fk = UopKind::kAndRIAddRR;
                     else if (a.kind == UopKind::kMulRI &&
@@ -1080,8 +1077,8 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         &&u_in_staged, &&u_in_direct, &&u_out_staged, &&u_out_direct,
         &&u_boundary_staged, &&u_boundary_plain, &&u_ckpt, &&u_bad_io,
         &&u_andi_addi,
-        &&u_mulri_addri, &&u_shrri_xorrr, &&u_andri_shrri, &&u_andri_addrr,
-        &&u_mulri_addrr, &&u_andri_xorrr, &&u_movi_addrr, &&u_addrr_load,
+        &&u_mulri_addri, &&u_shrri_xorrr, &&u_andri_addrr, &&u_mulri_addrr,
+        &&u_andri_xorrr, &&u_movi_addrr, &&u_addrr_load,
         &&u_movi_add_load, &&u_movi_add_store, &&u_ckpt_ckpt,
         &&u_beq, &&u_bne, &&u_blt, &&u_bge, &&u_bltu, &&u_bgeu,
         &&u_jmp, &&u_call, &&u_ret, &&u_halt, &&u_fall,
@@ -1372,12 +1369,6 @@ Machine::runBlock(std::uint64_t cycleBudget, std::uint64_t* consumed)
         const std::uint32_t t = regs[u->rs1] >> u->imm;
         regs[u->rd] = t;
         regs[u->rd2] = t ^ regs[u->rx];
-        GECKO_NEXT;
-      }
-      u_andri_shrri: {
-        const std::uint32_t t = regs[u->rs1] & u->imm;
-        regs[u->rd] = t;
-        regs[u->rd2] = t >> u->imm2;  // pre-masked
         GECKO_NEXT;
       }
       u_andri_addrr: {

@@ -737,7 +737,7 @@ IntermittentSim::certify(BurstKind kind, double dt) const
         // 2A − 2ε(v + A); sample gaps to at most dt + 2ε(dt + t).
         const double tMax =
             now_ + dt * static_cast<double>(coalesceLimit_ + 1);
-        auto& run = c.run.emplace();
+        defense::DefenseController::SteadyRun run;
         run.tFirst = now_ + dt;
         run.gapMax = dt + 4.0 * DBL_EPSILON * (dt + tMax);
         run.spanMin = 2.0 * c.amp -
@@ -745,7 +745,8 @@ IntermittentSim::certify(BurstKind kind, double dt) const
         run.primary = c.views.primary;
         run.shadow = c.views.shadow;
         run.sleeping = !running;
-        if (!defense_->steadyUnder(run))
+        c.perSample = defense_->steadyUnder(run);
+        if (!c.perSample)
             return std::nullopt;
     }
     return c;
@@ -794,9 +795,9 @@ IntermittentSim::certifiedBurst(BurstKind kind, const Certificate& c,
     // envelope read under a tone draws none.
     if (emi_ && !(kind != BurstKind::kQuiet && monitor_->continuous()))
         sampleSeq_ += static_cast<std::uint32_t>(k);
-    if (c.run) {
+    if (c.perSample) {
         const double v = std::sqrt(2.0 * b.energy / cf);
-        defense_->fastForward(*c.run, k, b.now,
+        defense_->fastForward(*c.perSample, k, b.now,
                               0.5 * ((v - c.amp) + (v + c.amp)));
     }
     commitBurst(kind, b, plan.vOc);

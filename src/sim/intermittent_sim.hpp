@@ -373,11 +373,12 @@ class IntermittentSim
     };
     /// What a certified burst's skipped samples repeat: the views, the
     /// tone amplitude they were certified under, and (with a
-    /// controller) the run its fixed point covers.
+    /// controller) the counter increments of each sample at its fixed
+    /// point.
     struct Certificate {
         SteadyViews views;
         double amp = 0.0;
-        std::optional<defense::DefenseController::SteadyRun> run;
+        std::optional<defense::DefenseStats> perSample;
     };
     /// Prove a burst of `kind` indistinguishable from per-sample
     /// stepping and commit it.  @return true if it advanced the

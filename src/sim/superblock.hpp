@@ -80,11 +80,10 @@ enum class UopKind : std::uint8_t {
      * written, so dataflow is exactly the sequential execution's.
      * Fields: rd/rs1/imm = op1; rd2 = op2 dest, rx/imm2 = op2 source.
      * Selected by profiling the benchmark corpus (see DESIGN.md §12);
-     * these four cover the hot loop bodies of the workload suite.
+     * these six cover the hot loop bodies of the workload suite.
      */
     kMulRIAddRI,  ///< mul rT,rS,#a ; add rD,rT,#b
     kShrRIXorRR,  ///< shr rT,rS,#a ; xor rD,rT,rX
-    kAndRIShrRI,  ///< and rT,rS,#a ; shr rD,rT,#b (b pre-masked)
     kAndRIAddRR,  ///< and rT,rS,#a ; add rD,rT,rX
     kMulRIAddRR,  ///< mul rT,rS,#a ; add rD,rT,rX
     kAndRIXorRR,  ///< and rT,rS,#a ; xor rD,rT,rX

@@ -2,6 +2,9 @@
 
 #include <cfloat>
 #include <cstdint>
+#include <optional>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "campaign/archive.hpp"
@@ -153,23 +156,6 @@ TEST(DefenseTest, UnmatchedEdgePulseMaturesIntoEvidence)
         dc.observeSample(t += 1e-5, 3.0, 3.0, none, forged);
     EXPECT_GE(dc.mode(), Mode::kSuspicious);
     EXPECT_EQ(dc.stats().edgeSkews, 0u);
-}
-
-TEST(DefenseTest, EdgeSkewZeroRestoresImmediateCharging)
-{
-    DefenseConfig config = fastConfig();
-    config.edgeSkewSamples = 0;
-    DefenseController dc(config, PlantModel{});
-    double t = 0.0;
-    analog::MonitorEvent none, primaryWake, shadowWake;
-    primaryWake.wake = true;
-    shadowWake.wake = true;
-    // The same benign skewed pair now charges both samples immediately.
-    dc.observeSample(t += 1e-5, 3.0, 3.0, primaryWake, none);
-    dc.observeSample(t += 1e-5, 3.0, 3.0, none, shadowWake);
-    EXPECT_EQ(dc.stats().edgeSkews, 0u);
-    EXPECT_EQ(dc.stats().disagreements, 2u);
-    EXPECT_GT(dc.score(), 0.0);
 }
 
 TEST(DefenseTest, HysteresisStepsDownOneLevelPerCalmDwell)
@@ -371,7 +357,6 @@ TEST(DefenseTest, RelapseDoublesCalmDwell)
     // to nominal, then re-attacks.  Each such relapse must double the
     // dwell so the attacker's required off-time grows geometrically.
     DefenseConfig config = fastConfig();
-    config.relapseWindowSamples = 64;
     DefenseController dc(config, PlantModel{});
     double t = 0.0, v = 3.0;
 
@@ -405,37 +390,38 @@ TEST(DefenseTest, RelapseDoublesCalmDwell)
 TEST(DefenseTest, RelapseLevelIsCappedAndForgiven)
 {
     DefenseConfig config = fastConfig();
-    config.relapseWindowSamples = 64;
-    config.relapseLevelCap = 2;
     DefenseController dc(config, PlantModel{});
     double t = 0.0, v = 3.0;
 
-    for (int round = 0; round < 5; ++round) {
+    // Six rounds: five relapses, one past the kRelapseLevelCap (4)
+    // doublings.
+    std::vector<int> dwells;
+    for (int round = 0; round < 6; ++round) {
         while (dc.mode() == Mode::kNominal)
             violate(dc, t, v);
-        while (dc.mode() != Mode::kNominal)
+        int dwell = 0;
+        for (; dc.mode() != Mode::kNominal; ++dwell)
             calm(dc, t, v);
+        dwells.push_back(dwell);
     }
-    // 4 relapses happened but the dwell stops doubling at the cap.
-    EXPECT_EQ(dc.stats().relapses, 4u);
+    EXPECT_EQ(dc.stats().relapses, 5u);
+    // Each relapse up to the cap doubles the dwell; past it the dwell
+    // stops growing.
+    EXPECT_GE(dwells[4], dwells[3] + 8 * config.calmSamples);
+    EXPECT_EQ(dwells[5], dwells[4]);
 
-    // A long clean stretch forgives the penalty: after it, escalating
-    // again is no longer treated as a relapse-dwell marathon.  Relapse
-    // *counting* still works (the de-escalation was recent relative to
-    // a fresh attack), so measure via the dwell, not the counter.
+    // A long clean stretch forgives the penalty one level per dwell and
+    // outlasts the relapse window, so a fresh incident calms down at
+    // the undoubled dwell again.
     for (int i = 0; i < 64 * 64; ++i)
         calm(dc, t, v);
     while (dc.mode() == Mode::kNominal)
         violate(dc, t, v);
     int dwell = 0;
-    while (dc.mode() != Mode::kNominal) {
+    for (; dc.mode() != Mode::kNominal; ++dwell)
         calm(dc, t, v);
-        ++dwell;
-    }
-    // Forgiven to level 0, the fresh incident re-escalates one relapse
-    // level (the counter window is sample-based), so the dwell is at
-    // most the one-doubling cost — far below the capped 4x dwell.
-    EXPECT_LT(dwell, 3 * 2 * config.calmSamples);
+    EXPECT_EQ(dc.stats().relapses, 5u);
+    EXPECT_EQ(dwell, dwells[0]);
 }
 
 TEST(DefenseTest, RedoCreditGateTripsLedgerOnRedoOnlyCycles)
@@ -476,8 +462,10 @@ TEST(DefenseTest, RedoCreditGateTripsLedgerOnRedoOnlyCycles)
 // The storm fixed point (DESIGN.md §14): a comparator primary tripping
 // backup and wake on every sample under a volt-scale tone, an ADC
 // shadow reading the quiet rail.  Every sample is a physics violation
-// plus two matured disagreement charges, which pins the score at
-// kScoreMax — the state the simulator's bursts fast-forward.
+// plus two matured disagreement charges, which pins the score — the
+// state the simulator's bursts fast-forward.  steadyUnder decides a run
+// by one observeSample on a copy, so every fixed point observeSample
+// has certifies.
 // ---------------------------------------------------------------------
 
 constexpr double kStormDt = 0.5e-6;  // comparator check interval
@@ -531,30 +519,69 @@ adaptiveConfig()
     return config;
 }
 
+/** A dwell of one sample and a decay that takes every storm sample
+ *  below kScoreClear: the calm path runs on every sample. */
+DefenseConfig
+flappingConfig()
+{
+    DefenseConfig config = adaptiveConfig();
+    config.decayPerSample = 0.9;
+    config.calmSamples = 1;
+    config.scoreAttack = 2.0;
+    return config;
+}
+
 TEST(DefenseSteadyTest, FastForwardEqualsObservedSamples)
 {
-    for (bool sleeping : {false, true}) {
-        DefenseController stepped(adaptiveConfig(), PlantModel{});
-        DefenseController skipped(adaptiveConfig(), PlantModel{});
-        double t = 0.0;
-        double t2 = 0.0;
-        saturate(stepped, t);
-        saturate(skipped, t2);
-        ASSERT_EQ(stepped.mode(), Mode::kUnderAttack);
-        const DefenseController::SteadyRun run = stormRun(t, sleeping);
-        ASSERT_TRUE(skipped.steadyUnder(run));
-        // Per-sample path: the rail wanders inside its band.
-        const int n = 1000;
-        double v = 0.0;
-        for (int i = 0; i < n; ++i) {
-            v = 2.4 + 0.0005 * (i % 7);
-            stormSample(stepped, t, v);
+    // The storm saturates the adaptive preset at kUnderAttack; with the
+    // attack threshold out of reach, at kSuspicious; after retry
+    // exhaustion and a commit it holds kDegraded.
+    DefenseConfig suspicious = adaptiveConfig();
+    suspicious.scoreAttack = 100.0;
+    struct Case {
+        DefenseConfig config;
+        bool degrade;
+        Mode mode;
+    };
+    const Case cases[] = {{adaptiveConfig(), false, Mode::kUnderAttack},
+                          {suspicious, false, Mode::kSuspicious},
+                          {adaptiveConfig(), true, Mode::kDegraded}};
+    for (const Case& c : cases) {
+        for (bool sleeping : {false, true}) {
+            const std::string label = std::string(modeName(c.mode)) +
+                                      (sleeping ? " sleep" : " running");
+            DefenseController stepped(c.config, PlantModel{});
+            double t = 0.0;
+            saturate(stepped, t);
+            if (c.degrade) {
+                stepped.noteRetriesExhausted(t);
+                stepped.noteCommit(1);
+            }
+            ASSERT_EQ(stepped.mode(), c.mode) << label;
+            ASSERT_EQ(stepped.score(), kScoreMax) << label;
+            DefenseController skipped = stepped;
+            const DefenseController::SteadyRun run = stormRun(t, sleeping);
+            const std::optional<DefenseStats> perSample =
+                skipped.steadyUnder(run);
+            ASSERT_TRUE(perSample) << label;
+            EXPECT_EQ(perSample->samples, 1u) << label;
+            EXPECT_EQ(perSample->physicsViolations, 1u) << label;
+            EXPECT_EQ(perSample->disagreements, 1u) << label;
+            // Per-sample path: the rail wanders inside its band.
+            const int n = 1000;
+            double v = 0.0;
+            for (int i = 0; i < n; ++i) {
+                v = 2.4 + 0.0005 * (i % 7);
+                stormSample(stepped, t, v);
+                if (sleeping) {
+                    EXPECT_TRUE(stepped.wakeAllowed(t)) << label;
+                }
+            }
+            skipped.fastForward(*perSample, n, t,
+                                0.5 * ((v - kStormAmp) + (v + kStormAmp)));
+            EXPECT_EQ(archived(skipped), archived(stepped)) << label;
+            EXPECT_TRUE(skipped.steadyUnder(stormRun(t, sleeping))) << label;
         }
-        skipped.fastForward(run, n, t,
-                            0.5 * ((v - kStormAmp) + (v + kStormAmp)));
-        EXPECT_EQ(archived(skipped), archived(stepped))
-            << (sleeping ? "sleep" : "running");
-        EXPECT_TRUE(skipped.steadyUnder(stormRun(t, sleeping)));
     }
 }
 
@@ -570,11 +597,10 @@ TEST(DefenseSteadyTest, RefusesOffTheFixedPoint)
         EXPECT_FALSE(dc.steadyUnder(stormRun(t)));
     }
     // At kScoreMax, but one decay + evidence step falls short of it:
-    // 8 · 0.96 + 0.1 + 2 · 0.1 < 8.
+    // 8 · 0.5 + 1.2 + 2 · 0.4 < 8.
     {
         DefenseConfig config = adaptiveConfig();
-        config.physicsWeight = 0.1;
-        config.disagreeWeight = 0.1;
+        config.decayPerSample = 0.5;
         DefenseController dc(config, PlantModel{});
         stormSample(dc, t, 2.6);
         stormSample(dc, t, 2.6);  // arms the edge windows
@@ -582,16 +608,6 @@ TEST(DefenseSteadyTest, RefusesOffTheFixedPoint)
             dc.noteBootEvidence(t, true, true);
         ASSERT_EQ(dc.score(), kScoreMax);
         ASSERT_GE(dc.mode(), Mode::kUnderAttack);
-        EXPECT_FALSE(dc.steadyUnder(stormRun(t)));
-    }
-    // Saturated score below kUnderAttack: escalation still pending.
-    {
-        DefenseConfig config = adaptiveConfig();
-        config.scoreAttack = 100.0;
-        DefenseController dc(config, PlantModel{});
-        saturate(dc, t);
-        ASSERT_EQ(dc.score(), kScoreMax);
-        ASSERT_EQ(dc.mode(), Mode::kSuspicious);
         EXPECT_FALSE(dc.steadyUnder(stormRun(t)));
     }
     // An agreeing pulse pair clears the edge windows (lead 0): the next
@@ -618,7 +634,36 @@ TEST(DefenseSteadyTest, RefusesOffTheFixedPoint)
         run = stormRun(t);
         run.tFirst = t + 0.1;
         EXPECT_FALSE(dc.steadyUnder(run));
+        // A first sample inside the bound says nothing of later ones a
+        // millisecond apart (bound ≈ 0.72 V).
+        run = stormRun(t);
+        run.spanMin = 0.2;
+        EXPECT_TRUE(dc.steadyUnder(run));
+        run.gapMax = 1e-3;
+        EXPECT_FALSE(dc.steadyUnder(run));
     }
+}
+
+TEST(DefenseSteadyTest, RefusesASampleThatStepsDownAndBackUp)
+{
+    // Each storm sample decays the score below kScoreClear, steps down
+    // one level after the one-sample dwell, and its evidence escalates
+    // straight back: mode, score and latches repeat, but the count since
+    // the last de-escalation restarts every sample, so n samples are not
+    // the fast-forward's n-sample advance.
+    DefenseController dc(flappingConfig(), PlantModel{});
+    double t = 0.0;
+    saturate(dc, t);
+    ASSERT_EQ(dc.mode(), Mode::kUnderAttack);
+    const DefenseStats before = dc.stats();
+    const double score = dc.score();
+    stormSample(dc, t, 2.6);
+    EXPECT_EQ(dc.mode(), Mode::kUnderAttack);
+    EXPECT_EQ(dc.score(), score);
+    EXPECT_EQ(dc.stats().deEscalations, before.deEscalations + 1);
+    EXPECT_EQ(dc.stats().escalations, before.escalations + 1);
+    EXPECT_FALSE(dc.steadyUnder(stormRun(t, false)));
+    EXPECT_FALSE(dc.steadyUnder(stormRun(t, true)));
 }
 
 TEST(DefenseSteadyTest, RefusesNotificationsThatDoNotBatch)
@@ -630,6 +675,7 @@ TEST(DefenseSteadyTest, RefusesNotificationsThatDoNotBatch)
         saturate(dc, t);
         dc.noteRetriesExhausted(t);
         ASSERT_EQ(dc.mode(), Mode::kDegraded);
+        dc.noteCommit(1);
         dc.noteSleepEnter(t, 1.0);
         EXPECT_FALSE(dc.steadyUnder(stormRun(t, true)));
         // Running samples never query the wake gate.
@@ -646,16 +692,17 @@ TEST(DefenseSteadyTest, RefusesNotificationsThatDoNotBatch)
     // from one call per quantum.
     {
         DefenseConfig config = adaptiveConfig();
-        config.commitCreditJ = 0.1;
         config.energyDebtBudgetJ = 10.0;
-        DefenseController dc(config, PlantModel{});
+        PlantModel plant;
+        plant.bootEnergyJ = 0.1;  // the commit credit
+        DefenseController dc(config, plant);
         saturate(dc, t);
         dc.noteEnergyCost(t, 0.7);
         EXPECT_FALSE(dc.steadyUnder(stormRun(t, false)));
         EXPECT_TRUE(dc.steadyUnder(stormRun(t, true)));
 
-        DefenseController perQuantum(config, PlantModel{});
-        DefenseController bulk(config, PlantModel{});
+        DefenseController perQuantum(config, plant);
+        DefenseController bulk(config, plant);
         perQuantum.noteEnergyCost(0.0, 0.7);
         bulk.noteEnergyCost(0.0, 0.7);
         perQuantum.noteCommit(1);
@@ -663,6 +710,245 @@ TEST(DefenseSteadyTest, RefusesNotificationsThatDoNotBatch)
         bulk.noteCommit(2);
         EXPECT_NE(perQuantum.stats().energyDebtJ, bulk.stats().energyDebtJ);
     }
+    // A kDegraded calm dwell waiting on its first commit: a commit
+    // inside a running run would let a later sample step down.
+    {
+        DefenseController dc(flappingConfig(), PlantModel{});
+        saturate(dc, t);
+        dc.noteRetriesExhausted(t);
+        saturate(dc, t);
+        ASSERT_EQ(dc.mode(), Mode::kDegraded);
+        EXPECT_TRUE(dc.steadyUnder(stormRun(t, true)));
+        EXPECT_FALSE(dc.steadyUnder(stormRun(t, false)));
+
+        DefenseController committed = dc;
+        committed.noteCommit(1);
+        stormSample(committed, t, 2.6);
+        EXPECT_EQ(committed.mode(), Mode::kUnderAttack);
+        dc.noteCommit(1);
+        EXPECT_FALSE(dc.steadyUnder(stormRun(t, false)));  // it steps down
+    }
+}
+
+/** A uniform draw from [0, n). */
+int
+draw(std::mt19937_64& rng, int n)
+{
+    return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+}
+
+/** The edge-skew window a pulse pair repeated on every sample keeps. */
+int
+steadyLead(bool primaryPulse, bool shadowPulse)
+{
+    return primaryPulse == shadowPulse ? 0 : primaryPulse ? 1 : -1;
+}
+
+/**
+ * A controller restored from a random snapshot: archiveState's field
+ * order with every field drawn, last sample at `t` and the commit count
+ * at `commits`.  It reaches states no history under `config` does: a
+ * score past a threshold the mode never climbed, a latch or calm run
+ * out of step with the score, a relapse level past the dwell.  Half the
+ * draws keep `score` (a history's fixed point) and most keep the edge
+ * windows the pulses `primary`/`shadow` repeat, so the rest of the
+ * draw is often the only thing off a fixed point.
+ */
+DefenseController
+randomState(const DefenseConfig& config, std::mt19937_64& rng, double t,
+            std::uint64_t commits, double score,
+            const analog::MonitorEvent& primary,
+            const analog::MonitorEvent& shadow)
+{
+    const double scores[] = {0.0, 0.3, 1.2, 2.4, 8.0, 0.01 * draw(rng, 800)};
+    std::uint8_t mode = static_cast<std::uint8_t>(draw(rng, 4));
+    if (draw(rng, 2) != 0)
+        score = scores[draw(rng, 6)];
+    bool latch = draw(rng, 2) != 0;
+    int calmRun = draw(rng, 3);
+    int relapseLevel = draw(rng, 5);
+    std::uint64_t since = draw(rng, 2) != 0
+                              ? ~std::uint64_t{0}
+                              : static_cast<std::uint64_t>(draw(rng, 300));
+    bool redo = draw(rng, 2) != 0;
+    double lastT = t;
+    double lastV = 2.4;
+    int edges[4] = {steadyLead(primary.backup, shadow.backup), 0,
+                    steadyLead(primary.wake, shadow.wake), 0};
+    if (draw(rng, 4) == 0)
+        edges[draw(rng, 4)] = draw(rng, 2);
+    std::uint32_t region = static_cast<std::uint32_t>(draw(rng, 2));
+    std::uint64_t rollbacks = static_cast<std::uint64_t>(draw(rng, 6));
+    std::uint64_t atRollback = commits;
+    bool committedSinceDegrade = draw(rng, 2) != 0;
+    double wakeNotBefore = draw(rng, 2) != 0 ? -1.0 : t + 1e-6 * draw(rng, 50);
+    DefenseStats stats;
+    stats.samples = static_cast<std::uint64_t>(draw(rng, 1000));
+    stats.escalations = static_cast<std::uint64_t>(draw(rng, 5));
+    stats.firstEscalationT = draw(rng, 2) != 0 ? -1.0 : 0.5 * t;
+    stats.energyDebtJ = draw(rng, 2) != 0 ? 0.0 : 1e-5;
+    stats.peakEnergyDebtJ = 2e-5;
+
+    campaign::Archive out = campaign::Archive::saver();
+    out.section("defense_controller");
+    out.u8(mode);
+    out.f64(score);
+    out.boolean(latch);
+    out.i32(calmRun);
+    out.i32(relapseLevel);
+    out.u64(since);
+    out.boolean(redo);
+    out.f64(lastT);
+    out.f64(lastV);
+    for (int& field : edges)
+        out.i32(field);
+    out.u32(region);
+    out.u64(rollbacks);
+    out.u64(commits);
+    out.u64(atRollback);
+    out.boolean(committedSinceDegrade);
+    out.f64(wakeNotBefore);
+    out.counters(stats);
+    DefenseController dc(config, PlantModel{});
+    campaign::Archive in = campaign::Archive::loader(out.takePayload());
+    dc.archiveState(in);
+    return dc;
+}
+
+/**
+ * Fixed-point differential over random controller histories: storms
+ * and single samples with lone or paired pulses on either edge from
+ * either monitor, with or without physics evidence; boot evidence,
+ * rollbacks with their energy cost, commits, sleep entries, retry
+ * exhaustion and restores of random snapshots.  After every event a
+ * random run is proposed; whenever steadyUnder certifies one,
+ * fastForward(n) must archive-equal n observeSample calls — with the
+ * wake-gate query of each primary wake of a sleeping run, and a running
+ * run's commits interleaved where the fast-forward takes them in one
+ * noteCommit after the run.
+ */
+TEST(DefenseSteadyTest, RandomHistoriesFastForwardExactly)
+{
+    DefenseConfig suspicious = adaptiveConfig();
+    suspicious.scoreAttack = 100.0;
+    // Never escalates on evidence, and steps its relapse level down on
+    // every calm sample.
+    DefenseConfig numb = flappingConfig();
+    numb.calmSamples = 0;
+    numb.scoreSuspicious = 100.0;
+    numb.scoreAttack = 100.0;
+    const DefenseConfig configs[] = {adaptiveConfig(), suspicious,
+                                     fastConfig(), flappingConfig(), numb};
+    int certified[4] = {};
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        std::mt19937_64 rng(seed);
+        const auto coin = [&rng](int n) { return draw(rng, n); };
+        const auto randomEvent = [&coin] {
+            analog::MonitorEvent ev;
+            ev.backup = coin(2) != 0;
+            ev.wake = coin(2) != 0;
+            return ev;
+        };
+        const DefenseConfig& config = configs[seed % 5];
+        DefenseController dc(config, PlantModel{});
+        double t = 0.0;
+        double v = 2.5;
+        std::uint64_t commits = 0;
+        analog::MonitorEvent stormPrimary = kTrip;
+        analog::MonitorEvent stormShadow = kQuiet;
+        for (int step = 0; step < 1500; ++step) {
+            switch (coin(10)) {
+              case 0:
+              case 1:
+              case 2: {
+                // A storm: one sample repeated.
+                stormPrimary = randomEvent();
+                stormShadow = randomEvent();
+                const double amp = coin(4) != 0 ? kStormAmp : 0.0;
+                for (int k = 1 + coin(40); k > 0; --k) {
+                    t += kStormDt;
+                    dc.observeSample(t, v - amp, v + amp, stormPrimary,
+                                     stormShadow);
+                }
+                if (coin(4) == 0)
+                    dc = randomState(config, rng, t, commits, dc.score(),
+                                     stormPrimary, stormShadow);
+                break;
+              }
+              case 3:
+                // One point sample, quiet or a volt-scale jump.
+                t += kStormDt;
+                if (coin(2) != 0)
+                    v = v > 2.0 ? 0.5 : 3.3;
+                dc.observeSample(t, v, v, randomEvent(), randomEvent());
+                break;
+              case 4:
+                dc.noteBootEvidence(t, coin(2) != 0, coin(2) != 0);
+                break;
+              case 5:
+                dc.noteRollback(t, static_cast<std::uint32_t>(coin(2)));
+                dc.noteEnergyCost(t, 1e-5 * coin(3));
+                break;
+              case 6:
+                commits += static_cast<std::uint64_t>(coin(3));
+                dc.noteCommit(commits);
+                break;
+              case 7:
+                dc.noteSleepEnter(t, coin(3) == 0 ? -1.0 : 1e-5 * coin(200));
+                break;
+              case 8:
+                if (coin(8) == 0)
+                    dc.noteRetriesExhausted(t);
+                break;
+              default:
+                t += 1e-4 * coin(3);  // an idle gap
+                break;
+            }
+
+            DefenseController::SteadyRun run;
+            run.tFirst = t + (coin(8) == 0 ? 0.1 : kStormDt);
+            run.gapMax = coin(4) == 0 ? 1e-3 : kStormDt;
+            run.spanMin = coin(6) == 0 ? 0.2 : 2.0 * kStormAmp;
+            run.primary = coin(4) == 0 ? randomEvent() : stormPrimary;
+            run.shadow = coin(4) == 0 ? randomEvent() : stormShadow;
+            run.sleeping = coin(2) != 0;
+            const std::optional<DefenseStats> perSample = dc.steadyUnder(run);
+            if (!perSample)
+                continue;
+            ++certified[static_cast<int>(dc.mode())];
+
+            DefenseController skipped = dc;
+            const int n = 1 + coin(300);
+            double tk = run.tFirst;
+            double mid = 0.0;
+            for (int i = 0; i < n; ++i) {
+                if (i > 0)
+                    tk += run.gapMax * (0.5 + 0.01 * coin(50));
+                const double vk = 2.4 + 1e-4 * coin(5);
+                const double half = 0.5 * run.spanMin + 1e-3 * (1 + coin(3));
+                dc.observeSample(tk, vk - half, vk + half, run.primary,
+                                 run.shadow);
+                mid = 0.5 * ((vk - half) + (vk + half));
+                if (run.sleeping && run.primary.wake)
+                    dc.wakeAllowed(tk);
+                if (!run.sleeping && coin(4) == 0) {
+                    commits += 1 + static_cast<std::uint64_t>(coin(2));
+                    dc.noteCommit(commits);
+                }
+            }
+            skipped.fastForward(*perSample, static_cast<std::uint64_t>(n),
+                                tk, mid);
+            if (!run.sleeping)
+                skipped.noteCommit(commits);
+            ASSERT_EQ(archived(skipped), archived(dc))
+                << "seed " << seed << " step " << step << " n " << n;
+            t = tk;
+            v = 2.4;
+        }
+    }
+    EXPECT_GT(certified[static_cast<int>(Mode::kSuspicious)], 0);
+    EXPECT_GT(certified[static_cast<int>(Mode::kUnderAttack)], 0);
+    EXPECT_GT(certified[static_cast<int>(Mode::kDegraded)], 0);
 }
 
 }  // namespace
