@@ -87,7 +87,7 @@ int
 main(int argc, char** argv)
 {
     bench::init(argc, argv);
-    // First ^C/SIGTERM latches the cooperative stop flag: shards
+    // First ^C/SIGTERM latches the cooperative stop flag: workers
     // snapshot their in-flight jobs and the journal is flushed before
     // exit.  A second one force-quits.
     bench::installSignalStop();
@@ -213,8 +213,7 @@ main(int argc, char** argv)
               << report.jobsQuarantined << " requeued="
               << report.jobsRequeued << " resumed_snapshots="
               << report.resumedFromSnapshot << " failed_attempts="
-              << report.attemptsFailed << " shard_deaths="
-              << report.shardDeaths << " torn_lines="
+              << report.attemptsFailed << " torn_lines="
               << report.tornManifestLines + report.tornResultLines
               << (report.complete ? " COMPLETE" : " INCOMPLETE") << "\n";
     if (report.complete)

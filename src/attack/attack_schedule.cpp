@@ -1,66 +1,74 @@
 #include "attack/attack_schedule.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <cstdint>
+#include <iterator>
+#include <set>
 #include <stdexcept>
 
 namespace gecko::attack {
 
-std::optional<AttackWindow>
-AttackSchedule::activeAt(double t) const
+AttackSchedule::AttackSchedule(const std::vector<AttackWindow>& windows)
 {
-    // Insertion-order scan on purpose: with overlapping windows the
-    // first-added one wins, and callers (updateAttack) depend on that
-    // tie-break.  The list is a handful of entries; the per-quantum
-    // cost lives in overlapsRange, not here.
-    for (const AttackWindow& w : windows_)
-        if (t >= w.startS && t < w.endS)
-            return w;
-    return std::nullopt;
-}
-
-void
-AttackSchedule::buildIndex()
-{
-    byStart_.resize(windows_.size());
-    for (std::uint32_t i = 0; i < windows_.size(); ++i)
-        byStart_[i] = i;
-    std::stable_sort(byStart_.begin(), byStart_.end(),
-                     [this](std::uint32_t a, std::uint32_t b) {
-                         return windows_[a].startS < windows_[b].startS;
-                     });
-    prefixMaxEndS_.resize(windows_.size());
-    double maxEnd = -1e300;
-    for (std::size_t i = 0; i < byStart_.size(); ++i) {
-        maxEnd = std::max(maxEnd, windows_[byStart_[i]].endS);
-        prefixMaxEndS_[i] = maxEnd;
+    // One sweep over the window edges in time order.  After the edges
+    // at one instant, the open window listed first owns the time up to
+    // the next edge; a change of owner closes one timeline window and
+    // opens the next.
+    struct Edge {
+        double t;
+        std::uint32_t window;
+        bool opens;
+    };
+    std::vector<Edge> edges;
+    edges.reserve(2 * windows.size());
+    for (std::uint32_t i = 0; i < windows.size(); ++i) {
+        const AttackWindow& w = windows[i];
+        if (!(w.startS < w.endS))
+            throw std::invalid_argument(
+                "attack window needs startS < endS");
+        edges.push_back({w.startS, i, true});
+        edges.push_back({w.endS, i, false});
+    }
+    std::sort(edges.begin(), edges.end(),
+              [](const Edge& a, const Edge& b) { return a.t < b.t; });
+    std::set<std::uint32_t> open;
+    const AttackWindow* owner = nullptr;
+    for (std::size_t e = 0; e < edges.size();) {
+        const double t = edges[e].t;
+        for (; e < edges.size() && edges[e].t == t; ++e) {
+            if (edges[e].opens)
+                open.insert(edges[e].window);
+            else
+                open.erase(edges[e].window);
+        }
+        const AttackWindow* next =
+            open.empty() ? nullptr : &windows[*open.begin()];
+        if (next == owner)
+            continue;
+        if (owner)
+            timeline_.back().endS = t;
+        if (next) {
+            timeline_.push_back(*next);
+            timeline_.back().startS = t;
+        }
+        owner = next;
     }
 }
 
-bool
-AttackSchedule::overlapsRange(double t0, double t1) const
+AttackSchedule::Tone
+AttackSchedule::toneAt(double t) const
 {
-    // A window w overlaps [t0, t1) iff w.startS < t1 && w.endS > t0.
-    // Candidates are exactly the sorted prefix with startS < t1; the
-    // running max-end decides whether any of them reaches past t0.
-    auto it = std::lower_bound(byStart_.begin(), byStart_.end(), t1,
-                               [this](std::uint32_t idx, double t) {
-                                   return windows_[idx].startS < t;
-                               });
-    const std::size_t k =
-        static_cast<std::size_t>(it - byStart_.begin());
-    return k > 0 && prefixMaxEndS_[k - 1] > t0;
-}
-
-double
-AttackSchedule::nextStartAfter(double t) const
-{
-    auto it = std::upper_bound(byStart_.begin(), byStart_.end(), t,
-                               [this](double x, std::uint32_t idx) {
-                                   return x < windows_[idx].startS;
-                               });
-    return it == byStart_.end() ? std::numeric_limits<double>::infinity()
-                                : windows_[*it].startS;
+    // The first window starting after t; only the one before it can
+    // cover t.
+    auto next = std::upper_bound(
+        timeline_.begin(), timeline_.end(), t,
+        [](double x, const AttackWindow& w) { return x < w.startS; });
+    if (next != timeline_.begin() && t < std::prev(next)->endS)
+        return {&*std::prev(next), std::prev(next)->endS};
+    Tone tone;
+    if (next != timeline_.end())
+        tone.until = next->startS;
+    return tone;
 }
 
 namespace {

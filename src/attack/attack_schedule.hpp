@@ -1,8 +1,7 @@
 #ifndef GECKO_ATTACK_ATTACK_SCHEDULE_HPP_
 #define GECKO_ATTACK_ATTACK_SCHEDULE_HPP_
 
-#include <cstdint>
-#include <optional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -21,37 +20,32 @@ struct AttackWindow {
     double powerDbm = 35.0;
 };
 
-/** A sequence of attack windows applied to an EmiSource over time. */
+/**
+ * A sequence of attack windows applied to an EmiSource over time.
+ *
+ * The constructor folds the listed windows into a timeline of disjoint
+ * windows in time order: each instant belongs to the first-listed
+ * window that covers it.  Schedules are frozen before the simulation
+ * starts, and the simulator asks one question per quantum, toneAt.
+ */
 class AttackSchedule
 {
   public:
+    /** What the schedule plays at one instant, and until when. */
+    struct Tone {
+        /// The window on (nullptr = none).
+        const AttackWindow* window = nullptr;
+        /// The tone holds until then: the window's end, or the next
+        /// window's start (infinity if none follows).
+        double until = std::numeric_limits<double>::infinity();
+    };
+
     AttackSchedule() = default;
-    explicit AttackSchedule(std::vector<AttackWindow> windows)
-        : windows_(std::move(windows))
-    {
-        buildIndex();
-    }
+    /** @throws std::invalid_argument on a window without startS < endS. */
+    explicit AttackSchedule(const std::vector<AttackWindow>& windows);
 
-    /** The window active at time `t`, if any. */
-    std::optional<AttackWindow> activeAt(double t) const;
-
-    /**
-     * True iff any window intersects the half-open span [t0, t1) — the
-     * simulator's horizon query.  The sleeping-state analytic wake jump
-     * and the running-state quantum-coalescing guard both ask this once
-     * per horizon instead of scanning the window list per quantum;
-     * answered in O(log n) from a start-sorted index with a running
-     * max-end, so overlapping or out-of-order window sets stay exact.
-     */
-    bool overlapsRange(double t0, double t1) const;
-
-    /**
-     * The earliest window start strictly after `t` (infinity if none),
-     * in O(log n) from the same index.  No window but the one active at
-     * t can become active before it, so the simulator bounds a burst's
-     * horizon by it and the active window's end.
-     */
-    double nextStartAfter(double t) const;
+    /** The tone at time `t`, in O(log n) over the timeline. */
+    Tone toneAt(double t) const;
 
     /**
      * Fig. 13 scenarios (a)–(f).  The paper schedules attacks at minute
@@ -71,19 +65,11 @@ class AttackSchedule
     /** Human-readable description of scenario `s` ("attacks at 20, 40 min"). */
     static std::string scenarioDescription(char scenario);
 
-    const std::vector<AttackWindow>& windows() const { return windows_; }
+    /** The timeline: disjoint windows in time order. */
+    const std::vector<AttackWindow>& windows() const { return timeline_; }
 
   private:
-    void buildIndex();
-
-    std::vector<AttackWindow> windows_;
-    /// Window indices ordered by startS, and the running maximum of
-    /// endS over that order (prefixMaxEndS_[i] = max endS among the
-    /// first i+1 sorted windows).  Built once by the constructor:
-    /// schedules are frozen before the simulation starts, while the
-    /// overlap query runs on the per-horizon hot path.
-    std::vector<std::uint32_t> byStart_;
-    std::vector<double> prefixMaxEndS_;
+    std::vector<AttackWindow> timeline_;
 };
 
 }  // namespace gecko::attack

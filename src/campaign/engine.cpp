@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <mutex>
 #include <optional>
@@ -18,6 +17,7 @@
 #include "compiler/compile_cache.hpp"
 #include "defense/defense.hpp"
 #include "device/device_db.hpp"
+#include "exp/parallel.hpp"
 #include "exp/rng.hpp"
 #include "sim/intermittent_sim.hpp"
 #include "sim/io_devices.hpp"
@@ -176,6 +176,13 @@ constexpr std::size_t kJournalSyncEvery = 8;
 /// aggregate.json is rewritten every this many new results (and at the
 /// end of the run).
 constexpr std::uint64_t kCompactEvery = 64;
+/// Consecutive queue positions a worker claims per cursor bump.
+/// Neighbouring job ids share a program (jobAt varies the seed, defense
+/// and scenario fastest), so workers that claimed one position at a
+/// time would queue on the same CompileCache compile.
+constexpr std::uint64_t kClaimJobs = 16;
+/// Linear retry backoff unit: attempt n sleeps n times this.
+constexpr int kRetryBackoffMs = 1;
 
 /** Slice plan: count and per-slice duration (deterministic). */
 struct SlicePlan {
@@ -313,15 +320,13 @@ runJobOnce(const EngineConfig& config, const JobSpec& spec,
                 throw SnapshotError("snapshot slice count out of range");
             out.resumedFromSnapshot = true;
         } catch (const SnapshotError&) {
-            // Corrupt/foreign snapshot: drop it and start clean — the
-            // job is deterministic, so restarting is always safe.
-            std::remove(snapPath.c_str());
-            firstSlice = 0;
-            out.resumedFromSnapshot = false;
-            // Rebuild pristine state by re-running the constructor
-            // path: the cheapest correct way is to signal the caller
-            // to retry this attempt from scratch.
-            throw;
+            // Damaged or foreign snapshot: drop it and run the job from
+            // the start on fresh objects — the job is deterministic, so
+            // the fresh run is exact.  A file that cannot be removed
+            // fails the attempt instead, so this cannot loop.
+            if (std::remove(snapPath.c_str()) != 0)
+                throw;
+            return runJobOnce(config, spec, plan);
         }
     }
 
@@ -355,7 +360,7 @@ runJobOnce(const EngineConfig& config, const JobSpec& spec,
     return out;
 }
 
-/** Everything the shards share. */
+/** Everything the workers share. */
 struct Shared {
     const EngineConfig* config = nullptr;
     SlicePlan plan;
@@ -367,11 +372,9 @@ struct Shared {
 
     std::atomic<std::uint64_t> cursor{0};
     std::atomic<std::uint64_t> started{0};
-    std::atomic<bool> capReached{false};
-
-    // Work a dead shard spilled; drained before fresh chunks.
-    std::mutex overflowMutex;
-    std::vector<std::uint64_t> overflow;
+    /// Set when a throw escapes processJob: no worker claims another
+    /// job, and parallelMap rethrows the exception after the join.
+    std::atomic<bool> failed{false};
 
     // The journal lock serializes manifest/results/aggregate updates.
     std::mutex journalMutex;
@@ -381,19 +384,13 @@ struct Shared {
     sim::Counters totals;
     std::uint64_t resultsSinceCompact = 0;
     std::uint64_t quarantinedTotal = 0;
-    /// The first failed durable write (set under journalMutex): every
-    /// shard stops and runCampaign throws it.
-    std::atomic<bool> writeFailed{false};
-    std::string writeFailure;
 
     std::atomic<std::uint64_t> attemptsFailed{0};
-    std::atomic<std::uint64_t> quarantinedThisRun{0};
     std::atomic<std::uint64_t> resumedFromSnapshot{0};
-    std::atomic<std::uint64_t> shardDeaths{0};
 
     bool stop() const
     {
-        return writeFailed.load() ||
+        return failed.load() ||
                (config->stopRequested && config->stopRequested());
     }
 
@@ -433,15 +430,11 @@ bool
 processJob(Shared& sh, std::uint64_t id)
 {
     const EngineConfig& config = *sh.config;
-    if (config.maxJobsThisRun != 0) {
-        if (sh.started.fetch_add(1) >= config.maxJobsThisRun) {
-            sh.capReached.store(true);
-            return false;
-        }
-    }
-    // Deliberately OUTSIDE per-attempt containment: a throw here is a
-    // shard-infrastructure failure, not a job failure (see
-    // EngineConfig::beforeJob).
+    if (config.maxJobsThisRun != 0 &&
+        sh.started.fetch_add(1) >= config.maxJobsThisRun)
+        return false;
+    // Deliberately OUTSIDE per-attempt containment: a throw here ends
+    // the run, it is not a job failure (see EngineConfig::beforeJob).
     if (config.beforeJob)
         config.beforeJob(id);
 
@@ -490,9 +483,7 @@ processJob(Shared& sh, std::uint64_t id)
             std::string note = e.what();
             if (note.size() > 120)
                 note.resize(120);
-            const bool exhausted =
-                attempt + 1 >= static_cast<std::uint32_t>(
-                                   std::max(1, config.maxAttempts));
+            const bool exhausted = attempt + 1 >= kMaxAttempts;
             {
                 std::lock_guard<std::mutex> lock(sh.journalMutex);
                 sh.journal({id, JobState::kFailed, attempt, 0, note});
@@ -506,73 +497,36 @@ processJob(Shared& sh, std::uint64_t id)
                 }
             }
             if (exhausted) {
-                ++sh.quarantinedThisRun;
                 std::remove(snapshotPath(config.dir, id).c_str());
                 return true;
             }
             ++attempt;
             std::this_thread::sleep_for(std::chrono::milliseconds(
-                config.retryBackoffMs * static_cast<int>(attempt)));
+                kRetryBackoffMs * static_cast<int>(attempt)));
         }
     }
 }
 
+/** One worker's share of the queue: claims of kClaimJobs consecutive
+ *  positions until the queue drains or a job asks to stop. */
 void
-shardWorker(Shared& sh)
+runWorker(Shared& sh)
 {
-    const std::uint64_t shardSize = std::max<std::uint64_t>(
-        1, sh.config->shardSize);
-    // Claimed-but-unprocessed job ids; lives outside the try so the
-    // handler can spill it when this shard dies.
-    std::vector<std::uint64_t> claimed;
     try {
-        while (true) {
-            if (sh.stop() || sh.capReached.load())
+        while (!sh.stop()) {
+            const std::uint64_t c = sh.cursor.fetch_add(kClaimJobs);
+            if (c >= sh.queueTotal)
                 return;
-            claimed.clear();
-            // Drain spilled work from dead shards first.
-            {
-                std::lock_guard<std::mutex> lock(sh.overflowMutex);
-                if (!sh.overflow.empty()) {
-                    claimed.push_back(sh.overflow.back());
-                    sh.overflow.pop_back();
-                }
-            }
-            if (claimed.empty()) {
-                std::uint64_t c = sh.cursor.fetch_add(shardSize);
-                if (c >= sh.queueTotal)
+            const std::uint64_t end = std::min(c + kClaimJobs, sh.queueTotal);
+            for (std::uint64_t i = c; i < end; ++i)
+                if (sh.stop() || !processJob(sh, sh.jobIdAt(i)))
                     return;
-                std::uint64_t end = std::min(c + shardSize, sh.queueTotal);
-                for (std::uint64_t i = c; i < end; ++i)
-                    claimed.push_back(sh.jobIdAt(i));
-            }
-            while (!claimed.empty()) {
-                if (sh.stop() || sh.capReached.load())
-                    return;
-                // The in-flight job stays in `claimed` until it either
-                // finishes or is contained, so a shard-killing throw
-                // spills it along with the rest.
-                bool keepGoing = processJob(sh, claimed.front());
-                claimed.erase(claimed.begin());
-                if (!keepGoing)
-                    return;
-            }
         }
-    } catch (const WriteError& e) {
-        // Not a shard death: the whole run ends (runCampaign throws).
-        std::lock_guard<std::mutex> lock(sh.journalMutex);
-        if (!sh.writeFailed.exchange(true))
-            sh.writeFailure = e.what();
     } catch (...) {
-        // Shard death: spill the claimed-but-unprocessed remainder so
-        // surviving shards pick it up (graceful degradation).  The
-        // killer job is spilled too — if it reliably kills shards it
-        // will take them all down, and the run ends incomplete rather
-        // than wrong.
-        ++sh.shardDeaths;
-        std::lock_guard<std::mutex> lock(sh.overflowMutex);
-        for (std::uint64_t id : claimed)
-            sh.overflow.push_back(id);
+        // A failed durable write or a throwing beforeJob.  The job
+        // keeps its journal state, so the next run re-queues it.
+        sh.failed.store(true);
+        throw;
     }
 }
 
@@ -665,31 +619,11 @@ runCampaign(const EngineConfig& config, exp::ThreadPool& pool)
     sh.results = &results;
     sh.agg = &agg;
 
-    // ---- Shards: pool workers + the calling thread. ----
-    const int extraShards = std::max(0, pool.threadCount() - 1);
-    std::atomic<int> liveShards{extraShards};
-    std::mutex doneMutex;
-    std::condition_variable doneCv;
-    for (int i = 0; i < extraShards; ++i) {
-        pool.submit([&sh, &liveShards, &doneMutex, &doneCv] {
-            shardWorker(sh);
-            // Notify under the mutex: the waiter owns the condvar's
-            // storage and destroys it right after its predicate turns
-            // true, so the broadcast must complete before the waiter
-            // can reacquire the lock and return from wait().
-            std::lock_guard<std::mutex> lock(doneMutex);
-            --liveShards;
-            doneCv.notify_all();
-        });
-    }
-    shardWorker(sh);
-    {
-        std::unique_lock<std::mutex> lock(doneMutex);
-        doneCv.wait(lock, [&] { return liveShards.load() <= 0; });
-    }
-
-    if (sh.writeFailed.load())
-        throw WriteError(sh.writeFailure);
+    // ---- Workers: one per pool thread, the caller among them. ----
+    exp::parallelMap(pool, std::vector<int>(pool.threadCount()), [&sh](int) {
+        runWorker(sh);
+        return 0;
+    });
 
     // ---- Final compaction + report. ----
     EngineReport report;
@@ -707,7 +641,6 @@ runCampaign(const EngineConfig& config, exp::ThreadPool& pool)
     report.jobsQuarantined = sh.quarantinedTotal;
     report.jobsRequeued = static_cast<std::uint64_t>(sh.requeued.size());
     report.resumedFromSnapshot = sh.resumedFromSnapshot.load();
-    report.shardDeaths = sh.shardDeaths.load();
     report.tornManifestLines = rec.tornLines;
     report.tornResultLines = tornResults;
     report.totals = sh.totals;

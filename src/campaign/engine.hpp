@@ -25,9 +25,11 @@
  *    stopped, re-queuing in-flight jobs;
  *  - per-job simulator snapshots (campaign/snapshot) let long jobs
  *    resume mid-simulation at slice granularity;
- *  - work-stealing shards over exp::ThreadPool execute jobs with
- *    retry-with-backoff, poison-job quarantine, and shard-death
- *    degradation (a dead shard's claimed work spills to the others);
+ *  - one worker per pool thread (exp::parallelMap) claims runs of
+ *    consecutive queue positions and executes each job with
+ *    retry-with-backoff and poison-job quarantine; a throw outside
+ *    per-job containment ends the run, and a resume re-queues the
+ *    unfinished jobs;
  *  - results stream to `results.jsonl` and fold into a deterministic
  *    aggregate (campaign/aggregate) compacted periodically to
  *    `aggregate.json`.
@@ -89,6 +91,9 @@ struct JobSpec {
 /** Decode job `id` from the space (mixed-radix; id < jobCount()). */
 JobSpec jobAt(const CampaignSpace& space, std::uint64_t id);
 
+/// Total attempts per job before quarantine.
+inline constexpr int kMaxAttempts = 3;
+
 /** Engine knobs. */
 struct EngineConfig {
     /// Campaign directory: manifest.jsonl, results.jsonl,
@@ -102,12 +107,6 @@ struct EngineConfig {
     /// flag-driven).  Recorded in quarantine notes so a poisoned
     /// spec-driven job names its spec in the manifest.
     std::string specPath;
-    /// Total attempts per job before quarantine.
-    int maxAttempts = 3;
-    /// Linear retry backoff unit (attempt n sleeps n * this).
-    int retryBackoffMs = 1;
-    /// Jobs a shard claims per cursor bump (work-stealing granule).
-    std::uint64_t shardSize = 16;
     /// Cap on jobs *started* this run (0 = no cap); the rest stay
     /// pending for a later resume.  Lets tests/drivers make bounded
     /// progress deliberately.
@@ -116,9 +115,9 @@ struct EngineConfig {
     /// between slices.  A mid-job stop snapshots and journals progress
     /// without consuming an attempt.
     std::function<bool()> stopRequested;
-    /// Test hook: runs on the shard thread before each job's attempt
-    /// loop.  A throw here is OUTSIDE per-job containment and kills
-    /// the shard — exercised by the shard-death degradation test.
+    /// Test hook: runs on the worker thread before each job's attempt
+    /// loop.  A throw here is OUTSIDE per-job containment: it ends the
+    /// run and runCampaign rethrows it; the job is re-queued on resume.
     std::function<void(std::uint64_t job)> beforeJob;
 };
 
@@ -134,8 +133,6 @@ struct EngineReport {
     std::uint64_t jobsRequeued = 0;
     /// Requeued jobs that resumed from a mid-job snapshot.
     std::uint64_t resumedFromSnapshot = 0;
-    /// Shards that died; their claimed work spilled to the others.
-    std::uint64_t shardDeaths = 0;
     /// Torn journal lines dropped during recovery.
     std::uint64_t tornManifestLines = 0;
     std::uint64_t tornResultLines = 0;
@@ -153,13 +150,14 @@ struct EngineReport {
 
 /**
  * Run (or resume) the campaign in `config.dir` on `pool`.  The calling
- * thread participates as a shard.  Throws std::runtime_error when the
+ * thread takes part as a worker.  Throws std::runtime_error when the
  * directory holds a manifest for a *different* campaign (config-hash /
  * seed / job-count mismatch) or job records behind no valid header —
  * resuming someone else's journal would silently corrupt the aggregate
  * — and when another writer holds the directory's journals.  Throws
  * WriteError (campaign/snapshot) naming the file when a journal,
- * snapshot or aggregate write fails: the run ends there.
+ * snapshot or aggregate write fails, and rethrows a throwing beforeJob:
+ * the run ends there, and a resume re-queues every unfinished job.
  */
 EngineReport runCampaign(const EngineConfig& config, exp::ThreadPool& pool);
 

@@ -11,6 +11,9 @@ namespace gecko::defense {
 
 namespace {
 
+/// Longest calm dwell: calmDwell's ceiling on the doubled calmSamples.
+constexpr int kMaxCalmDwell = 1 << 20;
+
 /** Score in integer milli-units for trace payloads (clamped at 0). */
 [[maybe_unused]] std::uint64_t
 traceScore(double s)
@@ -218,7 +221,7 @@ DefenseController::calmDwell() const
     const int shift = std::min(state_.relapseLevel, kRelapseLevelCap);
     const long long dwell = static_cast<long long>(config_.calmSamples)
                             << shift;
-    return static_cast<int>(std::min<long long>(dwell, 1 << 20));
+    return static_cast<int>(std::min<long long>(dwell, kMaxCalmDwell));
 }
 
 void
@@ -500,6 +503,20 @@ DefenseController::archiveState(campaign::Archive& ar)
     ar.boolean(state_.committedSinceDegrade);
     ar.f64(state_.wakeNotBefore);
     ar.counters(state_.stats);
+    if (ar.saving())
+        return;
+    // The counters the controller shifts by or keeps incrementing must
+    // be ones it could have reached: calmDwell shifts by the relapse
+    // level, and calmRun and the edge windows count up from there.
+    auto inRange = [](int v, int lo, int hi) { return lo <= v && v <= hi; };
+    if (!inRange(state_.relapseLevel, 0, kRelapseLevelCap))
+        throw campaign::SnapshotError("defense: relapse level out of range");
+    if (!inRange(state_.calmRun, 0, kMaxCalmDwell))
+        throw campaign::SnapshotError("defense: calm run out of range");
+    for (const PendingEdge* edge : {&state_.pendingBackup, &state_.pendingWake})
+        if (!inRange(edge->lead, -1, 1) ||
+            !inRange(edge->age, 0, kEdgeSkewSamples))
+            throw campaign::SnapshotError("defense: edge window out of range");
 }
 
 }  // namespace gecko::defense

@@ -196,11 +196,9 @@ IntermittentSim::updateAttack()
     toneUntil_ = std::numeric_limits<double>::infinity();
     if (!schedule_ || !emi_)
         return;
-    auto window = schedule_->activeAt(now_);
-    // No window but this one can take over before the next start.
-    toneUntil_ = schedule_->nextStartAfter(now_);
-    if (window) {
-        toneUntil_ = std::min(toneUntil_, window->endS);
+    const attack::AttackSchedule::Tone tone = schedule_->toneAt(now_);
+    toneUntil_ = tone.until;
+    if (const attack::AttackWindow* window = tone.window) {
         if (!emi_->enabled() || emi_->freqHz() != window->freqHz ||
             emi_->powerDbm() != window->powerDbm)
             emi_->setTone(window->freqHz, window->powerDbm);
@@ -995,7 +993,9 @@ IntermittentSim::stepSleeping(double end)
         bool tone_later = false;
         if (schedule_ && emi_) {
             double horizon = t_wake >= 0 ? now_ + t_wake : now_ + 1.0;
-            tone_later = schedule_->overlapsRange(now_, horizon);
+            const attack::AttackSchedule::Tone tone =
+                schedule_->toneAt(now_);
+            tone_later = tone.window || tone.until < horizon;
         }
         if (!tone_later && t_wake >= 0 &&
             harvester_.steadyOver(now_, t_wake) &&

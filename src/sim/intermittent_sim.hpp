@@ -437,10 +437,9 @@ class IntermittentSim
     std::unique_ptr<defense::DefenseController> defense_;
     attack::EmiSource* emi_ = nullptr;
     const attack::AttackSchedule* schedule_ = nullptr;
-    /// Until when the tone updateAttack last set holds: the active
-    /// window's end or the next window start, whichever comes first
-    /// (infinity without a schedule).  Set at the top of every loop
-    /// iteration, before any burst reads it.
+    /// Until when the tone updateAttack last set holds
+    /// (AttackSchedule::Tone::until; infinity without a schedule).  Set
+    /// at the top of every loop iteration, before any burst reads it.
     double toneUntil_ = std::numeric_limits<double>::infinity();
     std::function<double(double v, double t)> monitorFault_;
     std::function<bool(int word)> jitWriteFault_;

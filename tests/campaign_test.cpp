@@ -754,7 +754,6 @@ engineConfig(const std::string& dir)
     config.dir = dir;
     config.space = smallSpace();
     config.seed = 99;
-    config.retryBackoffMs = 0;
     return config;
 }
 
@@ -815,17 +814,15 @@ TEST(EngineTest, ReportTotalsEqualTheAggregateSums)
     EXPECT_GT(report.totals.sim.quanta, 0u);
 }
 
-TEST(EngineTest, MidJobInterruptSnapshotsAndResumesByteIdentical)
+/** Run the campaign in `dir`, stopping it two slices into job 2. */
+campaign::EngineReport
+interruptInJob2(const std::string& dir, exp::ThreadPool& pool)
 {
-    TempDir ref("intref"), cut("intcut");
-    exp::ThreadPool pool(1);
-    auto expected = campaign::runCampaign(engineConfig(ref.str()), pool);
-
     // Arm the stop flag once job 2 starts; a couple of slice checks
     // later the engine must snapshot mid-job and drain.
     std::atomic<bool> armed{false};
     std::atomic<int> checks{0};
-    auto config = engineConfig(cut.str());
+    auto config = engineConfig(dir);
     config.beforeJob = [&](std::uint64_t job) {
         if (job == 2)
             armed.store(true);
@@ -833,7 +830,16 @@ TEST(EngineTest, MidJobInterruptSnapshotsAndResumesByteIdentical)
     config.stopRequested = [&] {
         return armed.load() && ++checks > 2;
     };
-    auto interrupted = campaign::runCampaign(config, pool);
+    return campaign::runCampaign(config, pool);
+}
+
+TEST(EngineTest, MidJobInterruptSnapshotsAndResumesByteIdentical)
+{
+    TempDir ref("intref"), cut("intcut");
+    exp::ThreadPool pool(1);
+    auto expected = campaign::runCampaign(engineConfig(ref.str()), pool);
+
+    auto interrupted = interruptInJob2(cut.str(), pool);
     EXPECT_FALSE(interrupted.complete);
     EXPECT_LT(interrupted.jobsDone, interrupted.jobsTotal);
     EXPECT_TRUE(fs::exists(cut.str() + "/snap_2.bin"));
@@ -845,6 +851,27 @@ TEST(EngineTest, MidJobInterruptSnapshotsAndResumesByteIdentical)
     EXPECT_GE(resumed.jobsRequeued, 1u);
     EXPECT_EQ(resumed.aggregateJson, expected.aggregateJson);
     EXPECT_FALSE(fs::exists(cut.str() + "/snap_2.bin"));
+}
+
+TEST(EngineTest, DamagedSnapshotRestartsItsJobClean)
+{
+    TempDir ref("dsref"), cut("dscut");
+    exp::ThreadPool pool(1);
+    auto expected = campaign::runCampaign(engineConfig(ref.str()), pool);
+
+    ASSERT_FALSE(interruptInJob2(cut.str(), pool).complete);
+    const std::string snap = cut.str() + "/snap_2.bin";
+    ASSERT_TRUE(fs::exists(snap));
+    fs::resize_file(snap, fs::file_size(snap) / 2);
+
+    // The damaged snapshot is dropped and job 2 runs from its start:
+    // no attempt is charged and nothing resumes from the file.
+    auto resumed = campaign::runCampaign(engineConfig(cut.str()), pool);
+    EXPECT_TRUE(resumed.complete);
+    EXPECT_EQ(resumed.attemptsFailed, 0u);
+    EXPECT_EQ(resumed.resumedFromSnapshot, 0u);
+    EXPECT_FALSE(fs::exists(snap));
+    EXPECT_EQ(resumed.aggregateJson, expected.aggregateJson);
 }
 
 TEST(EngineTest, BoundedProgressChunksConvergeByteIdentical)
@@ -870,7 +897,6 @@ TEST(EngineTest, PoisonJobsAreQuarantinedAndCampaignCompletes)
     exp::ThreadPool pool(2);
     auto config = engineConfig(dir.str());
     config.space.workloads = {"sensor_loop", "__poison__"};
-    config.maxAttempts = 2;
     auto report = campaign::runCampaign(config, pool);
     EXPECT_TRUE(report.complete);
     // Half the job space names the unknown workload: every attempt
@@ -878,7 +904,8 @@ TEST(EngineTest, PoisonJobsAreQuarantinedAndCampaignCompletes)
     // without taking the campaign down.
     EXPECT_EQ(report.jobsQuarantined, report.jobsTotal / 2);
     EXPECT_EQ(report.jobsDone, report.jobsTotal / 2);
-    EXPECT_EQ(report.attemptsFailed, report.jobsQuarantined * 2);
+    EXPECT_EQ(report.attemptsFailed,
+              report.jobsQuarantined * campaign::kMaxAttempts);
     EXPECT_EQ(report.aggregateJson.find("__poison__"), std::string::npos);
 
     // Quarantine is durable: a resume re-queues nothing.
@@ -888,27 +915,31 @@ TEST(EngineTest, PoisonJobsAreQuarantinedAndCampaignCompletes)
     EXPECT_EQ(again.attemptsFailed, 0u);
 }
 
-TEST(EngineTest, ShardDeathSpillsWorkAndDegradesGracefully)
+TEST(EngineTest, ThrowOutsideJobContainmentEndsTheRunAndResumes)
 {
-    TempDir ref("sdref"), dir("sdeath");
+    TempDir ref("throwref"), dir("throw");
     exp::ThreadPool pool(2);
     auto expected = campaign::runCampaign(engineConfig(ref.str()), pool);
 
+    // A throw outside per-job containment ends the run and reaches the
+    // caller; the job it hit keeps its journal state.
     std::atomic<bool> thrown{false};
     auto config = engineConfig(dir.str());
-    config.shardSize = 1;
     config.beforeJob = [&](std::uint64_t job) {
         if (job == 1 && !thrown.exchange(true))
-            throw std::runtime_error("shard infrastructure failure");
+            throw std::runtime_error("worker infrastructure failure");
     };
-    auto report = campaign::runCampaign(config, pool);
-    EXPECT_EQ(report.shardDeaths, 1u);
-    if (!report.complete) {
-        // The spilled job can land after the surviving shards drained
-        // the queue; one resume must finish it.
-        report = campaign::runCampaign(engineConfig(dir.str()), pool);
+    try {
+        campaign::runCampaign(config, pool);
+        ADD_FAILURE() << "runCampaign swallowed the beforeJob throw";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "worker infrastructure failure");
     }
+
+    // A plain resume re-queues what the run left and completes.
+    auto report = campaign::runCampaign(engineConfig(dir.str()), pool);
     EXPECT_TRUE(report.complete);
+    EXPECT_EQ(report.attemptsFailed, 0u);
     EXPECT_EQ(report.aggregateJson, expected.aggregateJson);
 }
 
@@ -1196,7 +1227,6 @@ TEST(EngineTest, QuarantineNoteRecordsSpecPath)
     exp::ThreadPool pool(1);
     auto config = engineConfig(dir.str());
     config.space.workloads = {"__poison__"};
-    config.maxAttempts = 1;
     config.specPath = "examples/emi_grid_spec.json";
     auto report = campaign::runCampaign(config, pool);
     EXPECT_TRUE(report.complete);

@@ -951,5 +951,67 @@ TEST(DefenseSteadyTest, RandomHistoriesFastForwardExactly)
     EXPECT_GT(certified[static_cast<int>(Mode::kDegraded)], 0);
 }
 
+TEST(DefenseTest, RestoreRefusesCountersOutOfRange)
+{
+    DefenseController saved(fastConfig(), PlantModel{});
+    double t = 0.0, v = 3.0;
+    while (saved.mode() == Mode::kNominal)
+        violate(saved, t, v);
+    const std::vector<std::uint8_t> payload = archived(saved);
+    // Restore into a fresh controller and archive it again.
+    const auto restore = [](const std::vector<std::uint8_t>& bytes) {
+        DefenseController dc(fastConfig(), PlantModel{});
+        campaign::Archive in = campaign::Archive::loader(bytes);
+        dc.archiveState(in);
+        in.finishLoad();
+        return archived(dc);
+    };
+    ASSERT_EQ(restore(payload), payload);
+
+    // Payload offsets of the patched i32 fields, after the section tag
+    // (4 bytes), mode (1), score (8), the suspicion latch (1),
+    // sinceDeescalation (8), the redo latch (1) and the last sample's
+    // time and voltage (8 + 8).  SnapshotLayoutTest pins this layout.
+    constexpr std::size_t kCalmRun = 14, kRelapseLevel = 18,
+                          kBackupLead = 47, kBackupAge = 51, kWakeLead = 55,
+                          kWakeAge = 59;
+    const auto patched = [&](std::size_t offset, std::int32_t value) {
+        std::vector<std::uint8_t> bytes = payload;
+        const auto u = static_cast<std::uint32_t>(value);
+        for (int i = 0; i < 4; ++i)
+            bytes[offset + i] = static_cast<std::uint8_t>(u >> (8 * i));
+        return bytes;
+    };
+    struct Field {
+        std::size_t offset;
+        int lo, hi;
+        const char* what;
+    };
+    const Field fields[] = {
+        {kRelapseLevel, 0, kRelapseLevelCap, "relapse level"},
+        {kCalmRun, 0, 1 << 20, "calm run"},
+        {kBackupLead, -1, 1, "edge window"},
+        {kBackupAge, 0, kEdgeSkewSamples, "edge window"},
+        {kWakeLead, -1, 1, "edge window"},
+        {kWakeAge, 0, kEdgeSkewSamples, "edge window"},
+    };
+    for (const Field& f : fields) {
+        for (int value : {f.lo, f.hi}) {
+            const std::vector<std::uint8_t> bytes = patched(f.offset, value);
+            EXPECT_EQ(restore(bytes), bytes) << f.what << " " << value;
+        }
+        for (int value : {f.lo - 1, f.hi + 1}) {
+            try {
+                restore(patched(f.offset, value));
+                ADD_FAILURE() << f.what << " " << value << " restored";
+            } catch (const campaign::SnapshotError& e) {
+                EXPECT_NE(std::string(e.what()).find(f.what),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
 }  // namespace
 }  // namespace gecko::defense

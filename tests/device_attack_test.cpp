@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <limits>
+#include <random>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "attack/attack_schedule.hpp"
 #include "attack/emi_source.hpp"
@@ -119,64 +125,138 @@ TEST(EmiSourceTest, ToneAndEnable)
 
 TEST(AttackScheduleTest, WindowsActivate)
 {
+    constexpr double kNever = std::numeric_limits<double>::infinity();
     AttackSchedule sched({{1.0, 2.0, 27e6, 35.0}, {5.0, 6.0, 17e6, 20.0}});
-    EXPECT_FALSE(sched.activeAt(0.5).has_value());
-    ASSERT_TRUE(sched.activeAt(1.5).has_value());
-    EXPECT_EQ(sched.activeAt(1.5)->freqHz, 27e6);
-    EXPECT_FALSE(sched.activeAt(2.0).has_value());  // half-open
-    EXPECT_EQ(sched.activeAt(5.5)->powerDbm, 20.0);
+    EXPECT_EQ(sched.toneAt(0.5).window, nullptr);
+    EXPECT_EQ(sched.toneAt(0.5).until, 1.0);
+    ASSERT_NE(sched.toneAt(1.5).window, nullptr);
+    EXPECT_EQ(sched.toneAt(1.5).window->freqHz, 27e6);
+    EXPECT_EQ(sched.toneAt(1.5).until, 2.0);
+    EXPECT_EQ(sched.toneAt(2.0).window, nullptr);  // half-open
+    EXPECT_EQ(sched.toneAt(2.0).until, 5.0);
+    ASSERT_NE(sched.toneAt(5.5).window, nullptr);
+    EXPECT_EQ(sched.toneAt(5.5).window->powerDbm, 20.0);
+    EXPECT_EQ(sched.toneAt(6.0).until, kNever);
+    EXPECT_EQ(AttackSchedule().toneAt(0.0).window, nullptr);
+    EXPECT_EQ(AttackSchedule().toneAt(0.0).until, kNever);
 }
 
-TEST(AttackScheduleTest, NextStartBoundsTheActiveWindow)
+TEST(AttackScheduleTest, OverlapsFoldIntoTheFirstListedWindow)
 {
-    // The simulator's burst horizon ends by min(active window's end,
-    // nextStartAfter(t0)).  That bound must be sound — activeAt returns
-    // the same window (or none) at every t in [t0, bound) — and, for
-    // disjoint windows, tight: a span past it sees a change.  Brute-
-    // forced on a fine grid; the overlapping schedule also exercises
-    // activeAt's first-added tie-break (a later-starting window added
-    // earlier takes over at its start).
-    const AttackSchedule overlapping({{2.0, 3.0, 5e6, 30.0},
-                                      {1.0, 6.0, 27e6, 35.0},
-                                      {4.0, 5.0, 17e6, 20.0},
-                                      {7.0, 8.0, 27e6, 35.0}});
-    const AttackSchedule disjoint({{5.0, 6.0, 17e6, 20.0},
-                                   {1.0, 2.5, 27e6, 35.0},
-                                   {7.0, 8.0, 5e6, 30.0}});
-    for (const AttackSchedule* sched : {&overlapping, &disjoint}) {
-        const auto sameAt = [sched](double t0, double t1) {
-            const auto first = sched->activeAt(t0);
-            for (double t = t0; t < t1; t += 1.0 / 64) {
-                const auto w = sched->activeAt(t);
-                if (w.has_value() != first.has_value() ||
-                    (w && (w->startS != first->startS ||
-                           w->endS != first->endS)))
-                    return false;
+    // {2, 3} is listed first, so it takes over inside {1, 6}; {4, 5} is
+    // listed after {1, 6} and never plays.  The timeline keeps {1, 6}'s
+    // tone constant over [3, 6), so a tone there holds until 6, past
+    // {4, 5}'s start.
+    const AttackSchedule sched({{2.0, 3.0, 5e6, 30.0},
+                                {1.0, 6.0, 27e6, 35.0},
+                                {4.0, 5.0, 17e6, 20.0},
+                                {7.0, 8.0, 27e6, 35.0}});
+    const double expected[][3] = {
+        {1.0, 2.0, 27e6}, {2.0, 3.0, 5e6}, {3.0, 6.0, 27e6}, {7.0, 8.0, 27e6}};
+    ASSERT_EQ(sched.windows().size(), std::size(expected));
+    for (std::size_t i = 0; i < std::size(expected); ++i) {
+        EXPECT_EQ(sched.windows()[i].startS, expected[i][0]) << i;
+        EXPECT_EQ(sched.windows()[i].endS, expected[i][1]) << i;
+        EXPECT_EQ(sched.windows()[i].freqHz, expected[i][2]) << i;
+    }
+    EXPECT_EQ(sched.toneAt(3.5).until, 6.0);
+    EXPECT_EQ(sched.toneAt(6.5).until, 7.0);
+}
+
+TEST(AttackScheduleTest, EmptyWindowsAreRejected)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(AttackSchedule({{1.0, 1.0, 27e6, 35.0}}),
+                 std::invalid_argument);
+    EXPECT_THROW(AttackSchedule({{0.0, 1.0, 27e6, 35.0},
+                                 {3.0, 2.0, 27e6, 35.0}}),
+                 std::invalid_argument);
+    EXPECT_THROW(AttackSchedule({{nan, 1.0, 27e6, 35.0}}),
+                 std::invalid_argument);
+}
+
+/**
+ * A random schedule of up to eight windows on a 1/16 s grid, each with
+ * its own frequency.  An overlapping one starts its second window
+ * inside its first; a disjoint one lays its windows end to end with
+ * gaps (some zero) and lists them shuffled.
+ */
+std::vector<attack::AttackWindow>
+randomWindows(std::mt19937_64& rng, bool overlapping)
+{
+    const int n = (overlapping ? 2 : 1) + static_cast<int>(rng() % 7);
+    std::vector<attack::AttackWindow> windows;
+    double t = 0.0;
+    for (int i = 0; i < n; ++i) {
+        const double len = static_cast<double>(1 + rng() % 32) / 16;
+        double start = t + static_cast<double>(rng() % 4) / 16;
+        if (overlapping)
+            start = i == 1 ? (windows[0].startS + windows[0].endS) / 2
+                           : static_cast<double>(rng() % 160) / 16;
+        windows.push_back({start, start + len, 1e6 * (i + 1), 30.0});
+        t = start + len;
+    }
+    if (!overlapping)
+        std::shuffle(windows.begin(), windows.end(), rng);
+    return windows;
+}
+
+TEST(AttackScheduleTest, ToneAtMatchesTheFirstListedWindowEverywhere)
+{
+    // Brute-force oracle: the first-listed window covering t (-1 = none).
+    const auto oracle = [](const std::vector<attack::AttackWindow>& ws,
+                           double t) {
+        for (std::size_t i = 0; i < ws.size(); ++i)
+            if (ws[i].startS <= t && t < ws[i].endS)
+                return static_cast<int>(i);
+        return -1;
+    };
+    int overlapped = 0;
+    for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+        std::mt19937_64 rng(seed);
+        const std::vector<attack::AttackWindow> ws =
+            randomWindows(rng, seed % 2 == 0);
+        const AttackSchedule sched(ws);
+        // Every change of the oracle sits on a window edge, so the grid
+        // of edges and 1/32 s steps sees all of them.
+        std::vector<double> grid;
+        for (int k = -8; k <= 18 * 32; ++k)
+            grid.push_back(static_cast<double>(k) / 32);
+        for (const attack::AttackWindow& w : ws) {
+            grid.push_back(w.startS);
+            grid.push_back(w.endS);
+        }
+        std::sort(grid.begin(), grid.end());
+        overlapped += std::any_of(grid.begin(), grid.end(), [&](double t) {
+            return std::count_if(ws.begin(), ws.end(), [t](const auto& w) {
+                       return w.startS <= t && t < w.endS;
+                   }) > 1;
+        });
+
+        for (std::size_t g = 0; g < grid.size(); ++g) {
+            const double t = grid[g];
+            const int on = oracle(ws, t);
+            const AttackSchedule::Tone tone = sched.toneAt(t);
+            const std::string where =
+                "seed " + std::to_string(seed) + " t " + std::to_string(t);
+            ASSERT_EQ(tone.window != nullptr, on >= 0) << where;
+            if (on >= 0) {
+                EXPECT_EQ(tone.window->freqHz, ws[on].freqHz) << where;
             }
-            return true;
-        };
-        for (double t0 = 0.0; t0 < 9.0; t0 += 0.25) {
-            const auto active = sched->activeAt(t0);
-            const double bound =
-                std::min(sched->nextStartAfter(t0),
-                         active ? active->endS
-                                : std::numeric_limits<double>::infinity());
-            for (double len : {0.25, 0.5, 1.0, 2.5}) {
-                const std::string span = "[" + std::to_string(t0) + ", " +
-                                         std::to_string(t0 + len) + ")";
-                if (t0 + len <= bound) {
-                    EXPECT_TRUE(sameAt(t0, t0 + len)) << span;
-                } else if (sched == &disjoint) {
-                    EXPECT_FALSE(sameAt(t0, t0 + len)) << span;
-                }
-            }
+            ASSERT_GT(tone.until, t) << where;
+            for (std::size_t h = g; h < grid.size() && grid[h] < tone.until;
+                 ++h)
+                ASSERT_EQ(oracle(ws, grid[h]), on)
+                    << where << " changes at " << grid[h];
+            if (std::isinf(tone.until))
+                continue;
+            EXPECT_EQ(oracle(ws, std::nextafter(tone.until, t)), on)
+                << where;
+            // The timeline is tight: the tone changes at `until`.
+            EXPECT_NE(oracle(ws, tone.until), on) << where;
         }
     }
-    EXPECT_EQ(overlapping.nextStartAfter(0.0), 1.0);
-    EXPECT_EQ(overlapping.nextStartAfter(1.0), 2.0);  // strictly after
-    EXPECT_EQ(overlapping.nextStartAfter(2.5), 4.0);
-    EXPECT_EQ(overlapping.nextStartAfter(7.0),
-              std::numeric_limits<double>::infinity());
+    EXPECT_EQ(overlapped, 120);
 }
 
 TEST(AttackScheduleTest, PaperScenarios)
