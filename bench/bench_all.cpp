@@ -275,7 +275,8 @@ main(int argc, char** argv)
         } else if (arg == "--quick") {
             quick = true;
         } else if (arg.rfind("--threads=", 0) == 0) {
-            threads = gecko::bench::flagValue(arg, 1, 1024);
+            threads = gecko::bench::flagValue(
+                arg, 1, gecko::exp::ThreadPool::kMaxThreads);
         } else if (arg.rfind("--out=", 0) == 0) {
             outPath = arg.substr(6);
         } else if (arg.rfind("--", 0) == 0) {

@@ -169,7 +169,8 @@ init(int argc, char** argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--threads=", 0) == 0) {
-            exp::ThreadPool::setGlobalThreads(flagValue(arg, 1, 1024));
+            exp::ThreadPool::setGlobalThreads(
+                flagValue(arg, 1, exp::ThreadPool::kMaxThreads));
         } else if (arg.rfind("--seed=", 0) == 0) {
             exp::setGlobalSeed(flagValue<std::uint64_t>(arg, 0));
         } else if (arg.rfind("--trace=", 0) == 0) {

@@ -56,6 +56,8 @@ using namespace gecko;
 using bench::flagValue;
 using bench::splitList;
 
+/** Job counts by journal state and the damaged records of both
+ *  journals, each named "<path>:<line>". */
 void
 printStatus(const std::string& dir)
 {
@@ -75,10 +77,15 @@ printStatus(const std::string& dir)
             case campaign::JobState::kPending: break;
         }
     }
+    const std::uint64_t tornResults = campaign::readResults(
+        dir + "/results.jsonl", rec.totalJobs,
+        [](const campaign::JobResult&) {}, &rec.damagedRecords);
     std::cout << "campaign " << dir << ": jobs=" << rec.totalJobs
               << " done=" << done << " running=" << running
               << " failed=" << failed << " quarantined=" << quarantined
-              << " torn_lines=" << rec.tornLines << "\n";
+              << " torn_lines=" << rec.tornLines + tornResults << "\n";
+    for (const std::string& name : rec.damagedRecords)
+        std::cout << "damaged " << name << "\n";
 }
 
 }  // namespace
@@ -216,6 +223,8 @@ main(int argc, char** argv)
               << report.attemptsFailed << " torn_lines="
               << report.tornManifestLines + report.tornResultLines
               << (report.complete ? " COMPLETE" : " INCOMPLETE") << "\n";
+    for (const std::string& name : report.damagedRecords)
+        std::cerr << "[campaign] damaged " << name << "\n";
     if (report.complete)
         std::cout << report.aggregateJson << "\n";
 

@@ -1,7 +1,6 @@
 #ifndef GECKO_ANALOG_VOLTAGE_MONITOR_HPP_
 #define GECKO_ANALOG_VOLTAGE_MONITOR_HPP_
 
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -13,11 +12,16 @@
  * Voltage monitors — the heart (and attack surface) of the intermittent
  * system (paper §II-C).
  *
- * The monitor periodically observes what it believes to be V_CC (the
+ * A monitor periodically observes what it believes to be V_CC (the
  * real capacitor voltage plus any EMI-induced component) and emits
  *  - a *backup* event on a downward crossing of V_backup (triggering the
  *    JIT checkpoint), and
  *  - a *wake* event on an upward crossing of V_on (triggering restore).
+ *
+ * The two kinds are value types with the same members, called
+ * statically.  `continuous()` is a compile-time constant: true for
+ * hardware that reacts to any excursion within an observation window,
+ * which the simulator then reports as the window's envelope.
  */
 
 namespace gecko::campaign {
@@ -42,46 +46,12 @@ enum class MonitorKind {
 /** @return display name of a monitor kind. */
 const char* monitorKindName(MonitorKind kind);
 
-/** Abstract voltage monitor. */
-class VoltageMonitor
-{
-  public:
-    virtual ~VoltageMonitor() = default;
-
-    /**
-     * Observe the (possibly EMI-distorted) supply voltage at one sample
-     * instant.  Events are edge-triggered: one backup per downward
-     * V_backup crossing, one wake per upward V_on crossing.
-     */
-    virtual MonitorEvent observe(double seenV) = 0;
-
-    /** Interval between observations (s). */
-    virtual double sampleIntervalS() const = 0;
-
-    /**
-     * True for continuous (analog) monitors: hardware that reacts to any
-     * excursion within an observation window, not just the sampled
-     * instant.  The simulator then reports the window's envelope
-     * (observeEnvelope) instead of point samples.
-     */
-    virtual bool continuous() const { return false; }
-
-    /** Re-initialise state as if the supply were at `v`. */
-    virtual void reset(double v) = 0;
-
-    /**
-     * Serialize/restore the edge-detection latches (thresholds and
-     * rates are construction parameters, not archived).
-     */
-    virtual void archiveState(campaign::Archive& ar) = 0;
-};
-
 /**
  * ADC-based monitor (Fig. 2a): samples V_CC at a modest rate through an
  * n-bit converter and compares codes against the thresholds.  The slow
  * sampling is exactly what makes it aliasing-prone under EMI.
  */
-class AdcMonitor final : public VoltageMonitor
+class AdcMonitor
 {
   public:
     /**
@@ -94,7 +64,9 @@ class AdcMonitor final : public VoltageMonitor
     AdcMonitor(int adcBits, double fullScaleV, double vBackup, double vWake,
                double sampleHz);
 
-    MonitorEvent observe(double seenV) override
+    /** Observe `seenV`: one backup per downward V_backup crossing, one
+     *  wake per upward V_on crossing. */
+    MonitorEvent observe(double seenV)
     {
         MonitorEvent ev;
         const std::uint32_t code = adc_.sample(seenV);
@@ -108,14 +80,16 @@ class AdcMonitor final : public VoltageMonitor
         aboveWake_ = above;
         return ev;
     }
-    double sampleIntervalS() const override { return 1.0 / sampleHz_; }
+    double sampleIntervalS() const { return 1.0 / sampleHz_; }
+    static constexpr bool continuous() { return false; }
     /** The edge-detection latches (what archiveState saves). */
     std::pair<bool, bool> latches() const
     {
         return {belowBackup_, aboveWake_};
     }
-    void reset(double v) override;
-    void archiveState(campaign::Archive& ar) override;
+    /** Re-initialise as if the supply were at `v`. */
+    void reset(double v);
+    void archiveState(campaign::Archive& ar);
 
   private:
     Adc adc_;
@@ -132,7 +106,7 @@ class AdcMonitor final : public VoltageMonitor
  * the paper measures minimum forward progress two orders of magnitude
  * below the ADC monitors' (Table I).
  */
-class ComparatorMonitor final : public VoltageMonitor
+class ComparatorMonitor
 {
   public:
     /**
@@ -146,7 +120,7 @@ class ComparatorMonitor final : public VoltageMonitor
 
     /** A falling backup comparator is a backup edge, a rising wake
      *  comparator a wake edge. */
-    MonitorEvent observe(double seenV) override
+    MonitorEvent observe(double seenV)
     {
         const bool backupWas = backupComp_.output();
         const bool wakeWas = wakeComp_.output();
@@ -154,15 +128,15 @@ class ComparatorMonitor final : public VoltageMonitor
         const bool wakeNow = wakeComp_.evaluate(seenV);
         return {backupWas && !backupNow, !wakeWas && wakeNow};
     }
-    double sampleIntervalS() const override { return 1.0 / checkHz_; }
-    bool continuous() const override { return true; }
+    double sampleIntervalS() const { return 1.0 / checkHz_; }
+    static constexpr bool continuous() { return true; }
     /** The comparator outputs (what archiveState saves). */
     std::pair<bool, bool> latches() const
     {
         return {backupComp_.output(), wakeComp_.output()};
     }
-    void reset(double v) override;
-    void archiveState(campaign::Archive& ar) override;
+    void reset(double v);
+    void archiveState(campaign::Archive& ar);
 
   private:
     Comparator backupComp_;
@@ -173,8 +147,7 @@ class ComparatorMonitor final : public VoltageMonitor
 /**
  * Observe a window during which the input covered [low, high]
  * (continuous monitors): trough first, then crest — a backup trigger on
- * the trough re-arms on the crest.  A template, so a final monitor's
- * observe binds statically and inlines.
+ * the trough re-arms on the crest.
  */
 template <class Monitor>
 MonitorEvent
@@ -183,20 +156,6 @@ observeEnvelope(Monitor& monitor, double low, double high)
     const MonitorEvent trough = monitor.observe(low);
     const MonitorEvent crest = monitor.observe(high);
     return {trough.backup || crest.backup, trough.wake || crest.wake};
-}
-
-/**
- * Call `fn` with `monitor` as its final class — the continuous one is
- * the comparator monitor — so the monitor calls inside `fn` bind
- * statically and inline.
- */
-template <class Fn>
-decltype(auto)
-visit(const VoltageMonitor& monitor, Fn&& fn)
-{
-    if (monitor.continuous())
-        return fn(static_cast<const ComparatorMonitor&>(monitor));
-    return fn(static_cast<const AdcMonitor&>(monitor));
 }
 
 /**
@@ -239,9 +198,10 @@ steadyEvent(const Monitor& monitor, double lo, double hi, double amplitude)
         return std::nullopt;
     const auto at = [amplitude](double v, double read) {
         return [=](Monitor& m) {
-            return m.continuous()
-                       ? observeEnvelope(m, v - amplitude, v + amplitude)
-                       : m.observe(read);
+            if constexpr (Monitor::continuous())
+                return observeEnvelope(m, v - amplitude, v + amplitude);
+            else
+                return m.observe(read);
         };
     };
     return steadyEvent(monitor, at(lo, lo - amplitude),

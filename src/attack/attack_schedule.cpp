@@ -23,7 +23,7 @@ AttackSchedule::AttackSchedule(const std::vector<AttackWindow>& windows)
     edges.reserve(2 * windows.size());
     for (std::uint32_t i = 0; i < windows.size(); ++i) {
         const AttackWindow& w = windows[i];
-        if (!(w.startS < w.endS))
+        if (w.empty())
             throw std::invalid_argument(
                 "attack window needs startS < endS");
         edges.push_back({w.startS, i, true});

@@ -18,6 +18,9 @@ struct AttackWindow {
     double endS = 0.0;
     double freqHz = 27e6;
     double powerDbm = 35.0;
+
+    /** No instant lies in it: AttackSchedule refuses such a window. */
+    bool empty() const { return !(startS < endS); }
 };
 
 /**
@@ -41,7 +44,7 @@ class AttackSchedule
     };
 
     AttackSchedule() = default;
-    /** @throws std::invalid_argument on a window without startS < endS. */
+    /** @throws std::invalid_argument on an empty() window. */
     explicit AttackSchedule(const std::vector<AttackWindow>& windows);
 
     /** The tone at time `t`, in O(log n) over the timeline. */

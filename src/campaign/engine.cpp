@@ -222,23 +222,33 @@ constexpr std::uint64_t kMaxScheduleWindows = 1u << 18;
 /// planSlices() must never see a larger one.  In-tree spaces plan 4.
 constexpr std::uint64_t kMaxSlices = 1u << 20;
 
-/** Refuse a space whose jobs would build unbounded state: duty windows
- *  and slices both multiply as their period shrinks. */
+/** Refuse a space whose jobs could not run: duty windows and slices
+ *  multiply as their period shrinks, and AttackSchedule refuses an
+ *  empty window. */
 void
 checkBounds(const CampaignSpace& space)
 {
     using metrics::roundTripNumber;
     for (const Scenario& sc : space.scenarios) {
-        if (sc.kind == ScenarioKind::kClean || sc.dutyPeriodS <= 0.0)
-            continue;
-        const double windows =
-            (space.simSeconds - sc.phaseS) / sc.dutyPeriodS;
-        if (windows > static_cast<double>(kMaxScheduleWindows))
+        const bool duty =
+            sc.kind != ScenarioKind::kClean && sc.dutyPeriodS > 0.0;
+        if (duty && (space.simSeconds - sc.phaseS) / sc.dutyPeriodS >
+                        static_cast<double>(kMaxScheduleWindows))
             throw std::runtime_error(
                 "campaign: duty.period_s " +
                 roundTripNumber(sc.dutyPeriodS) + " over sim_s " +
                 roundTripNumber(space.simSeconds) + " makes more than " +
                 std::to_string(kMaxScheduleWindows) + " attack windows");
+        for (const std::uint64_t seed : space.seeds)
+            for (const attack::AttackWindow& w :
+                 attackWindows(sc, seed, space.simSeconds))
+                if (w.empty())
+                    throw std::runtime_error(
+                        "campaign: " +
+                        (duty ? "duty.on_frac " + roundTripNumber(sc.dutyOnFrac)
+                              : "burst.on_s " + roundTripNumber(sc.burstOnS)) +
+                        " makes an empty attack window at " +
+                        roundTripNumber(w.startS) + " s");
     }
     if (space.sliceSimSeconds <= 0.0)
         return;
@@ -572,15 +582,13 @@ runCampaign(const EngineConfig& config, exp::ThreadPool& pool)
 
     Aggregator agg(total);
     std::uint64_t resultFrontier = 0;
-    const std::uint64_t tornResults = metrics::readJsonl(
-        resultsPath, [&](const metrics::JsonValue& v) {
-            const std::optional<JobResult> r = JobResult::fromJson(v);
-            if (!r || r->job >= total)
-                return false;
-            agg.add(*r);
-            resultFrontier = std::max(resultFrontier, r->job + 1);
-            return true;
-        });
+    const std::uint64_t tornResults = readResults(
+        resultsPath, total,
+        [&](const JobResult& r) {
+            agg.add(r);
+            resultFrontier = std::max(resultFrontier, r.job + 1);
+        },
+        &rec.damagedRecords);
 
     // Fresh-work frontier: nothing above it was ever touched.
     std::uint64_t frontier = resultFrontier;
@@ -643,9 +651,25 @@ runCampaign(const EngineConfig& config, exp::ThreadPool& pool)
     report.resumedFromSnapshot = sh.resumedFromSnapshot.load();
     report.tornManifestLines = rec.tornLines;
     report.tornResultLines = tornResults;
+    report.damagedRecords = std::move(rec.damagedRecords);
     report.totals = sh.totals;
     report.complete = report.jobsDone + report.jobsQuarantined >= total;
     return report;
+}
+
+std::uint64_t
+readResults(const std::string& path, std::uint64_t total,
+            const std::function<void(const JobResult&)>& fn,
+            std::vector<std::string>* damaged)
+{
+    const auto record = [&](const metrics::JsonValue& v) {
+        const std::optional<JobResult> r = JobResult::fromJson(v);
+        const bool inSpace = r && r->job < total;
+        if (inSpace)
+            fn(*r);
+        return inSpace;
+    };
+    return metrics::readJsonl(path, record, damaged);
 }
 
 }  // namespace gecko::campaign

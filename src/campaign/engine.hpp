@@ -136,6 +136,8 @@ struct EngineReport {
     /// Torn journal lines dropped during recovery.
     std::uint64_t tornManifestLines = 0;
     std::uint64_t tornResultLines = 0;
+    /// Each as "<path>:<line>", the manifest's first.
+    std::vector<std::string> damagedRecords;
     /// Every job done or quarantined.
     bool complete = false;
     /// The deterministic aggregate (also compacted to aggregate.json).
@@ -160,6 +162,12 @@ struct EngineReport {
  * the run ends there, and a resume re-queues every unfinished job.
  */
 EngineReport runCampaign(const EngineConfig& config, exp::ThreadPool& pool);
+
+/** Replay a `total`-job results journal as recovery does: `fn` sees
+ *  each result in the space, any other line is torn (metrics::readJsonl). */
+std::uint64_t readResults(const std::string& path, std::uint64_t total,
+                          const std::function<void(const JobResult&)>& fn,
+                          std::vector<std::string>* damaged = nullptr);
 
 }  // namespace gecko::campaign
 

@@ -117,9 +117,9 @@ readManifest(const std::string& path)
 {
     ManifestRecovery rec;
     rec.tornLines = metrics::readJsonl(
-        path, [&rec](const metrics::JsonValue& v) {
-            return replayLine(v, &rec);
-        });
+        path,
+        [&rec](const metrics::JsonValue& v) { return replayLine(v, &rec); },
+        &rec.damagedRecords);
     return rec;
 }
 

@@ -102,6 +102,8 @@ struct ManifestRecovery {
     /// only the tail; the next writer terminates it, so it reads as
     /// one damaged line ever after.
     std::uint64_t tornLines = 0;
+    /// Torn lines as "<path>:<line>"; readResults appends its own.
+    std::vector<std::string> damagedRecords;
 
     JobState stateOf(std::uint64_t job) const
     {

@@ -86,6 +86,12 @@ struct Scenario {
  */
 Scenario cleanBaseline(double outagePeriodS = 0.0, double outageOnFrac = 0.0);
 
+/** The attack windows ScenarioEnv schedules for `sc` over `horizonS`
+ *  (`jobSeed` draws a kBurst scenario's unscripted ones). */
+std::vector<attack::AttackWindow> attackWindows(const Scenario& sc,
+                                                std::uint64_t jobSeed,
+                                                double horizonS);
+
 /**
  * The simulator objects a Scenario implies: the supply (constant, or
  * the square-wave outage cycle), the remote rig (grid-decorated when
@@ -116,7 +122,7 @@ class ScenarioEnv
 
   private:
     const bool attacked_;
-    bool scheduled_ = false;
+    const bool scheduled_;
     const bool outage_;
     energy::ConstantHarvester constantSupply_;
     energy::SquareWaveHarvester outageSupply_;

@@ -1,7 +1,6 @@
 #ifndef GECKO_DEVICE_DEVICE_PROFILE_HPP_
 #define GECKO_DEVICE_DEVICE_PROFILE_HPP_
 
-#include <memory>
 #include <string>
 
 #include "analog/resonance.hpp"
@@ -52,12 +51,6 @@ struct DeviceProfile {
     double vOff = 2.08;    ///< brown-out: CPU dies below this
 
     energy::PowerModel power;
-
-    /** Instantiate the requested monitor for this device, tripping
-     *  backup at `vBackupV` and wake at `vOnV`. */
-    std::unique_ptr<analog::VoltageMonitor>
-    makeMonitor(analog::MonitorKind kind, double vBackupV,
-                double vOnV) const;
 
     /** Remote coupling curve of the monitor path for `kind`. */
     const analog::ResonanceCurve&

@@ -1,6 +1,8 @@
 #include "exp/thread_pool.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <cstring>
+#include <stdexcept>
 #include <string>
 
 namespace gecko::exp {
@@ -108,19 +110,19 @@ ThreadPool::workerLoop(std::size_t self)
 }
 
 int
-ThreadPool::defaultThreads()
+ThreadPool::defaultThreads(const char* value)
 {
-    if (const char* env = std::getenv("GECKO_THREADS")) {
-        try {
-            int n = std::stoi(env);
-            if (n >= 1)
-                return n;
-        } catch (...) {
-            // Malformed value: fall through to hardware concurrency.
-        }
+    if (value == nullptr || *value == '\0') {
+        const unsigned hw = std::thread::hardware_concurrency();
+        return hw >= 1 ? static_cast<int>(hw) : 1;
     }
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw >= 1 ? static_cast<int>(hw) : 1;
+    int n = 0;
+    const auto [ptr, ec] = std::from_chars(value, value + std::strlen(value), n);
+    if (ec != std::errc() || *ptr != '\0' || n < 1 || n > kMaxThreads)
+        throw std::invalid_argument(
+            std::string("GECKO_THREADS=") + value +
+            ": expected a worker count in 1.." + std::to_string(kMaxThreads));
+    return n;
 }
 
 ThreadPool&

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdlib>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -36,6 +37,9 @@ namespace gecko::exp {
 class ThreadPool
 {
   public:
+    /// Largest worker count GECKO_THREADS or --threads may ask for.
+    static constexpr int kMaxThreads = 1024;
+
     /**
      * @param threads worker count; <= 0 means defaultThreads().
      */
@@ -65,10 +69,13 @@ class ThreadPool
     bool tryRunOne();
 
     /**
-     * Resolve the configured parallelism: `GECKO_THREADS` if set (>= 1),
-     * else std::thread::hardware_concurrency (>= 1).
+     * Resolve the configured parallelism from a `GECKO_THREADS` value,
+     * read whole: 1..kMaxThreads; null or empty (unset) means
+     * std::thread::hardware_concurrency (>= 1).
+     * @throws std::invalid_argument naming the variable otherwise.
      */
-    static int defaultThreads();
+    static int
+    defaultThreads(const char* value = std::getenv("GECKO_THREADS"));
 
     /**
      * Process-wide pool shared by the bench harnesses.  Created on

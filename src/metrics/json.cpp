@@ -1,5 +1,6 @@
 #include "metrics/json.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <chrono>
@@ -393,7 +394,8 @@ parseJson(std::string_view text, JsonValue* out, std::string* error)
 
 std::uint64_t
 readJsonl(const std::string& path,
-          const std::function<bool(const JsonValue&)>& record)
+          const std::function<bool(const JsonValue&)>& record,
+          std::vector<std::string>* damaged)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
@@ -405,18 +407,19 @@ readJsonl(const std::string& path,
     const std::string text = all.str();
 
     std::uint64_t torn = 0;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        const std::size_t nl = text.find('\n', pos);
-        if (nl == std::string::npos)
-            return torn + 1;  // the record the crash interrupted
+    std::uint64_t lineNo = 1;
+    for (std::size_t pos = 0; pos < text.size(); ++lineNo) {
+        const std::size_t nl = std::min(text.find('\n', pos), text.size());
         const std::string_view line(text.data() + pos, nl - pos);
         pos = nl + 1;
-        if (line.empty())
-            continue;
+        // An unterminated tail is the record the crash interrupted.
         JsonValue v;
-        if (!parseJson(line, &v) || !record(v))
-            ++torn;
+        if (line.empty() ||
+            (nl < text.size() && parseJson(line, &v) && record(v)))
+            continue;
+        ++torn;
+        if (damaged)
+            damaged->push_back(path + ":" + std::to_string(lineNo));
     }
     return torn;
 }

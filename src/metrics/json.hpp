@@ -71,10 +71,12 @@ bool parseU64(std::string_view digits, std::uint64_t* out);
  * that parses, in file order, and returns false to reject it.  An
  * unterminated tail, an unparseable line and a rejected record each
  * count as torn; empty lines are skipped; a missing file is empty.
+ * `damaged`, when given, gains "<path>:<line>" (1-based) for each.
  * @return the torn lines
  */
 std::uint64_t readJsonl(const std::string& path,
-                        const std::function<bool(const JsonValue&)>& record);
+                        const std::function<bool(const JsonValue&)>& record,
+                        std::vector<std::string>* damaged = nullptr);
 
 /**
  * Durable append-only JSONL writer (campaign manifests / result

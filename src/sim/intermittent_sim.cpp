@@ -59,9 +59,10 @@ template <class Monitor>
 analog::MonitorEvent
 shadowView(Monitor& shadow, double lo, double hi)
 {
-    return shadow.continuous() && hi > lo
-               ? analog::observeEnvelope(shadow, lo, hi)
-               : shadow.observe(0.5 * (lo + hi));
+    if constexpr (Monitor::continuous())
+        if (hi > lo)
+            return analog::observeEnvelope(shadow, lo, hi);
+    return shadow.observe(0.5 * (lo + hi));
 }
 
 /** Voltage in integer millivolt for trace payloads (clamped at 0). */
@@ -110,23 +111,24 @@ IntermittentSim::IntermittentSim(const compiler::CompiledProgram& compiled,
                                  energy::Harvester& harvester, IoHub& io)
     : device_(device), config_(config), harvester_(harvester),
       nvm_(config.memWords), machine_(compiled, nvm_, io),
-      runtime_(compiled, machine_, nvm_), cap_(config.cap)
+      runtime_(compiled, machine_, nvm_), cap_(config.cap),
+      // V_backup may be overridden (capacitor-size sweep).
+      vBackup_(config.vBackupOverride > 0 ? config.vBackupOverride
+                                          : device.vBackup),
+      adc_(device.adcBits, device.vccNominal, vBackup_, device.vOn,
+           device.adcSampleHz),
+      comparator_(vBackup_, device.vOn, device.compHysteresisV,
+                  device.compCheckHz)
 {
-    vOn_ = config.vOnOverride > 0 ? config.vOnOverride : device.vOn;
-    vBackup_ =
-        config.vBackupOverride > 0 ? config.vBackupOverride : device.vBackup;
-    vOff_ = device.vOff;
-    energyAtVoff_ = 0.5 * cap_.capacitance() * vOff_ * vOff_;
+    energyAtVoff_ = 0.5 * cap_.capacitance() * device.vOff * device.vOff;
     energyAtVbackup_ = 0.5 * cap_.capacitance() * vBackup_ * vBackup_;
-    energyLockout_ = cap_.ceilingEnergy(vOff_ + kBootLockoutV);
+    energyLockout_ = cap_.ceilingEnergy(device.vOff + kBootLockoutV);
     epc_ = device.power.energyPerCycleJ;
     spc_ = device.power.secondsPerCycle();
 
-    // The thresholds may be overridden (capacitor-size sweep).
-    monitor_ = device.makeMonitor(config.monitorKind, vBackup_, vOn_);
-    monitor_->reset(cap_.voltage());
-    adcMonitor_ = dynamic_cast<analog::AdcMonitor*>(monitor_.get());
-    quietMarginE_ = 4.0 * (monitor_->sampleIntervalS() * config.quietStride *
+    adc_.reset(cap_.voltage());
+    comparator_.reset(cap_.voltage());
+    quietMarginE_ = 4.0 * (sampleIntervalS() * config.quietStride *
                            device.power.clockHz * epc_);
 
     coalesceLimit_ = resolveCoalesceLimit(config.coalesceQuanta);
@@ -148,16 +150,6 @@ IntermittentSim::IntermittentSim(const compiler::CompiledProgram& compiled,
     if (config.defense.enabled &&
         (compiled.scheme == Scheme::kGecko ||
          compiled.scheme == Scheme::kGeckoNoPrune)) {
-        shadowMonitor_ = device.makeMonitor(
-            config.monitorKind == analog::MonitorKind::kAdc
-                ? analog::MonitorKind::kComparator
-                : analog::MonitorKind::kAdc,
-            vBackup_, vOn_);
-        shadowMonitor_->reset(cap_.voltage());
-        if (adcMonitor_)
-            shadowComparator_ = dynamic_cast<analog::ComparatorMonitor*>(
-                shadowMonitor_.get());
-
         defense::PlantModel plant;
         plant.clockHz = device.power.clockHz;
         plant.energyPerCycleJ = device.power.energyPerCycleJ;
@@ -166,8 +158,8 @@ IntermittentSim::IntermittentSim(const compiler::CompiledProgram& compiled,
         plant.sourceResistance =
             std::max(harvester.seriesResistance(0.0), 1e-3);
         plant.maxV = device.vccNominal;
-        plant.vOn = vOn_;
-        plant.vOff = vOff_;
+        plant.vOn = device.vOn;
+        plant.vOff = device.vOff;
         plant.bootEnergyJ =
             static_cast<double>(config.bootOverheadCycles) *
             device.power.energyPerCycleJ;
@@ -180,7 +172,7 @@ IntermittentSim::IntermittentSim(const compiler::CompiledProgram& compiled,
 #if GECKO_TRACE
     // Arm trace emission of threshold crossings and outage edges; inert
     // unless a trace buffer is installed for the running case.
-    cap_.watchThresholds(vOff_, vBackup_, vOn_);
+    cap_.watchThresholds(device.vOff, vBackup_, device.vOn);
 #endif
 }
 
@@ -243,7 +235,7 @@ IntermittentSim::sampleMonitor(Primary& primary, Shadow* shadow,
     // Continuous (comparator) monitors react to every excursion inside
     // the window: feed them the window's envelope under attack.
     const bool attacked = attackActive();
-    const bool envelope = primary.continuous() && attacked;
+    const bool envelope = Primary::continuous() && attacked;
     Reading r = reading(v, t, envelope, seq);
     if (r.faulted && !monitorFaultTraced_) {
         monitorFaultTraced_ = true;
@@ -281,9 +273,11 @@ analog::MonitorEvent
 IntermittentSim::observeMonitor()
 {
     GECKO_TRACE_TIME(now_);
-    return *sampleMonitor(*monitor_, shadowMonitor_.get(), defense_.get(),
-                          cap_.voltage(), now_, sampleSeq_,
-                          [](const analog::MonitorEvent&) { return true; });
+    return withMonitors(*this, [this](auto& primary, auto* shadow) {
+        return *sampleMonitor(primary, shadow, defense_.get(), cap_.voltage(),
+                              now_, sampleSeq_,
+                              [](const analog::MonitorEvent&) { return true; });
+    });
 }
 
 void
@@ -363,7 +357,9 @@ IntermittentSim::doJitCheckpoint()
                 // EMI-distorted rail, never the envelope.
                 const Reading r = reading(cap_.voltage(), now_,
                                           /*envelope=*/false, sampleSeq_);
-                if (monitor_->observe(r.hi).wake) {
+                if (withMonitors(*this, [&r](auto& primary, auto*) {
+                        return primary.observe(r.hi).wake;
+                    })) {
                     writer.write(paid - 1);
                     aborted = true;
                     break;
@@ -450,7 +446,7 @@ IntermittentSim::enterSleep()
         // Physics estimate of the full recharge; in kDegraded this arms
         // the dwell that gates forgeable monitor wakes.
         defense_->noteSleepEnter(
-            now_, cap_.timeToReach(vOn_,
+            now_, cap_.timeToReach(device_.vOn,
                                    harvester_.openCircuitVoltage(now_),
                                    harvester_.seriesResistance(now_)));
     }
@@ -509,7 +505,7 @@ IntermittentSim::stepRunning(double end)
 {
     const bool attacked = attackActive();
     const int stride = runningStride(cap_.energy(), attacked);
-    const double dt = monitor_->sampleIntervalS() * stride;
+    const double dt = sampleIntervalS() * stride;
 
     if (tryBurst(attacked ? BurstKind::kStorm : BurstKind::kQuiet, stride,
                  dt, end))
@@ -595,30 +591,29 @@ IntermittentSim::stepRunning(double end)
 std::optional<IntermittentSim::SteadyViews>
 IntermittentSim::steadyViews(double vLo, double vHi, double amp) const
 {
-    SteadyViews views;
-    const auto primary = analog::visit(*monitor_, [&](const auto& m) {
-        return analog::steadyEvent(m, vLo, vHi, amp);
-    });
-    if (!primary)
-        return std::nullopt;
-    views.primary = *primary;
-    if (shadowMonitor_) {
-        // The shadow's view of a sample is shadowView of the envelope
-        // [v − A, v + A], monotone in the rail: the band's ends give
-        // its extreme samples.
-        const auto at = [amp](double v) {
-            return [=](auto& shadow) {
-                return shadowView(shadow, v - amp, v + amp);
-            };
-        };
-        const auto shadow = analog::visit(*shadowMonitor_, [&](const auto& m) {
-            return analog::steadyEvent(m, at(vLo), at(vHi));
-        });
-        if (!shadow)
+    return withMonitors(*this, [&](const auto& primary, const auto* shadow)
+                                   -> std::optional<SteadyViews> {
+        SteadyViews views;
+        const auto ev = analog::steadyEvent(primary, vLo, vHi, amp);
+        if (!ev)
             return std::nullopt;
-        views.shadow = *shadow;
-    }
-    return views;
+        views.primary = *ev;
+        if (shadow) {
+            // The shadow's view of a sample is shadowView of the envelope
+            // [v − A, v + A], monotone in the rail: the band's ends give
+            // its extreme samples.
+            const auto at = [amp](double v) {
+                return [=](auto& copy) {
+                    return shadowView(copy, v - amp, v + amp);
+                };
+            };
+            const auto seen = analog::steadyEvent(*shadow, at(vLo), at(vHi));
+            if (!seen)
+                return std::nullopt;
+            views.shadow = *seen;
+        }
+        return views;
+    });
 }
 
 template <class Sample>
@@ -714,7 +709,7 @@ IntermittentSim::certify(BurstKind kind, double dt) const
         c.amp = emi_ ? emi_->amplitude() : 0.0;
         return c;
     }
-    if (defense_ && !monitor_->continuous())
+    if (defense_ && config_.monitorKind == analog::MonitorKind::kAdc)
         return std::nullopt;
     const bool running = kind != BurstKind::kSleep;
     c.amp = emi_->amplitude();
@@ -791,7 +786,8 @@ IntermittentSim::certifiedBurst(BurstKind kind, const Certificate& c,
         b.wakes = k;
     // A point read draws one DCO jitter sample per observation; the
     // envelope read under a tone draws none.
-    if (emi_ && !(kind != BurstKind::kQuiet && monitor_->continuous()))
+    if (emi_ && !(kind != BurstKind::kQuiet &&
+                  config_.monitorKind == analog::MonitorKind::kComparator))
         sampleSeq_ += static_cast<std::uint32_t>(k);
     if (c.perSample) {
         const double v = std::sqrt(2.0 * b.energy / cf);
@@ -828,19 +824,18 @@ IntermittentSim::evaluatedBurst(BurstKind kind, int maxSteps, int stride,
     const defense::Mode mode = defense_ ? defense_->mode()
                                         : defense::Mode::kNominal;
 
-    analog::AdcMonitor monitor = *adcMonitor_;
-    std::optional<analog::ComparatorMonitor> shadow;
+    analog::AdcMonitor monitor = adc_;
+    analog::ComparatorMonitor shadow = comparator_;
     std::optional<defense::DefenseController> controller;
     std::uint32_t seq = 0;
     std::uint64_t backups = 0;
     std::uint64_t wakes = 0;
     bool modeChanged = false;
     const auto startTrial = [&] {
-        monitor = *adcMonitor_;
-        if (defense_) {
-            shadow = *shadowComparator_;
+        monitor = adc_;
+        shadow = comparator_;
+        if (defense_)
             controller = *defense_;
-        }
         seq = sampleSeq_;
         backups = wakes = 0;
     };
@@ -852,7 +847,7 @@ IntermittentSim::evaluatedBurst(BurstKind kind, int maxSteps, int stride,
                            : !(ev.wake && e > energyLockout_);
         };
         const std::optional<analog::MonitorEvent> ev = sampleMonitor(
-            read, shadow ? &*shadow : nullptr,
+            read, controller ? &shadow : nullptr,
             controller ? &*controller : nullptr, std::sqrt(2.0 * e / cf),
             t, next, inert);
         if (!ev)
@@ -885,9 +880,9 @@ IntermittentSim::evaluatedBurst(BurstKind kind, int maxSteps, int stride,
         return false;
 
     sampleSeq_ = seq;
-    *adcMonitor_ = monitor;
+    adc_ = monitor;
     if (controller) {
-        *shadowComparator_ = *shadow;
+        comparator_ = shadow;
         *defense_ = *controller;
     }
     b.backups = running ? backups : 0;
@@ -954,7 +949,8 @@ IntermittentSim::tryBurst(BurstKind kind, int stride, double dt, double end)
         return false;
     const std::optional<Certificate> cert = certify(kind, dt);
     // An ADC's point reads under a tone can be evaluated one by one.
-    const bool evaluable = adcMonitor_ && emi_ && emi_->enabled();
+    const bool evaluable = config_.monitorKind == analog::MonitorKind::kAdc &&
+                           emi_ && emi_->enabled();
     if (!cert && !evaluable)
         return false;
 
@@ -989,7 +985,7 @@ IntermittentSim::stepSleeping(double end)
     if (!attackActive() && !monitorFault_) {
         double voc = harvester_.openCircuitVoltage(now_);
         double rs = harvester_.seriesResistance(now_);
-        double t_wake = cap_.timeToReach(vOn_, voc, rs);
+        double t_wake = cap_.timeToReach(device_.vOn, voc, rs);
         bool tone_later = false;
         if (schedule_ && emi_) {
             double horizon = t_wake >= 0 ? now_ + t_wake : now_ + 1.0;
@@ -1002,10 +998,9 @@ IntermittentSim::stepSleeping(double end)
             (defense_ == nullptr ||
              defense_->wakeAllowed(now_ + t_wake))) {
             cap_.chargeFrom(voc, rs, t_wake);
-            now_ += t_wake + monitor_->sampleIntervalS();
-            monitor_->reset(cap_.voltage());
-            if (shadowMonitor_)
-                shadowMonitor_->reset(cap_.voltage());
+            now_ += t_wake + sampleIntervalS();
+            adc_.reset(cap_.voltage());
+            comparator_.reset(cap_.voltage());
             ++stats.wakeSignals;
             GECKO_TRACE_TIME(now_);
             GECKO_TRACE_EVENT(trace::EventKind::kWakeSignal, 0,
@@ -1016,8 +1011,7 @@ IntermittentSim::stepSleeping(double end)
     }
 
     bool attacked = attackActive();
-    double dt = monitor_->sampleIntervalS() *
-                (attacked ? 1 : config_.quietStride);
+    double dt = sampleIntervalS() * (attacked ? 1 : config_.quietStride);
     if (attacked && tryBurst(BurstKind::kSleep, 1, dt, end))
         return;
     ++stats.sleepSamples;
@@ -1033,7 +1027,7 @@ IntermittentSim::stepSleeping(double end)
         // V_off plus hysteresis.  A fake wake can only boot the system
         // inside the paper's malicious window V_off < V_fail < V_backup
         // (or legitimately above).
-        const bool clear = cap_.voltage() > vOff_ + kBootLockoutV;
+        const bool clear = cap_.voltage() > device_.vOff + kBootLockoutV;
         // In kDegraded the controller distrusts the forgeable monitor
         // wake and defers the boot until the physics-timed recharge
         // dwell has elapsed (forward-progress ratchet, DESIGN.md §11).
@@ -1057,7 +1051,7 @@ IntermittentSim::runLoop(double end, std::uint64_t targetCompletions)
         return;
     GECKO_TRACE_TIME(now_);
     // Initial power-up.
-    if (nvm_.bootCount == 0 && cap_.voltage() >= vOn_ &&
+    if (nvm_.bootCount == 0 && cap_.voltage() >= device_.vOn &&
         state_ == State::kSleeping) {
         ++stats.wakeSignals;
         GECKO_TRACE_EVENT(trace::EventKind::kWakeSignal, 0,
@@ -1173,7 +1167,7 @@ IntermittentSim::archiveState(campaign::Archive& ar)
     ar.check(config_.defense.enabled ? 1 : 0, "defense enabled");
     ar.check(emi_ != nullptr ? 1 : 0, "emi source attached");
     ar.check(schedule_ != nullptr ? 1 : 0, "attack schedule attached");
-    ar.check(shadowMonitor_ != nullptr ? 1 : 0, "shadow monitor");
+    ar.check(defense_ != nullptr ? 1 : 0, "shadow monitor");
 
     std::uint8_t state = static_cast<std::uint8_t>(state_);
     ar.u8(state);
@@ -1195,9 +1189,11 @@ IntermittentSim::archiveState(campaign::Archive& ar)
     machine_.archiveState(ar);
     runtime_.archiveState(ar);
     cap_.archiveState(ar);
-    monitor_->archiveState(ar);
-    if (shadowMonitor_)
-        shadowMonitor_->archiveState(ar);
+    withMonitors(*this, [&ar](auto& primary, auto* shadow) {
+        primary.archiveState(ar);
+        if (shadow)
+            shadow->archiveState(ar);
+    });
     if (defense_)
         defense_->archiveState(ar);
     if (emi_)

@@ -57,9 +57,8 @@ struct SimConfig {
     std::uint64_t bootOverheadCycles = 16000;
     /// Restart the program on completion (continuous sensing loop).
     bool continuous = true;
-    /// Threshold overrides; any value <= 0 (the default -1) means "use
+    /// V_backup override; any value <= 0 (the default -1) means "use
     /// the device profile's value".
-    double vOnOverride = -1.0;
     double vBackupOverride = -1.0;
     /// Stride multiplier applied to the monitor sampling interval while
     /// no attack tone is active (pure speed knob; crossings detect a few
@@ -297,6 +296,23 @@ class IntermittentSim
     SimStats stats;
 
   private:
+    /// Call `fn(primary, shadow)` with each monitor as its own type: the
+    /// one SimConfig::monitorKind names, and the other (null without a
+    /// controller).  `self` is `*this`, const or not.
+    template <class Self, class Fn>
+    static decltype(auto) withMonitors(Self& self, Fn&& fn)
+    {
+        if (self.config_.monitorKind == analog::MonitorKind::kAdc)
+            return fn(self.adc_, self.defense_ ? &self.comparator_ : nullptr);
+        return fn(self.comparator_, self.defense_ ? &self.adc_ : nullptr);
+    }
+    /// The primary's sample interval.
+    double sampleIntervalS() const
+    {
+        return withMonitors(*this, [](const auto& primary, const auto*) {
+            return primary.sampleIntervalS();
+        });
+    }
     bool attackActive() const;
     void updateAttack();
     /// One monitor reading: the window [lo, hi] a continuous monitor
@@ -426,14 +442,11 @@ class IntermittentSim
     Machine machine_;
     runtime::GeckoRuntime runtime_;
     energy::Capacitor cap_;
-    std::unique_ptr<analog::VoltageMonitor> monitor_;
-    /// Redundant monitor of the opposite kind, feeding the defense
-    /// controller's cross-validation (null when defense is off).
-    std::unique_ptr<analog::VoltageMonitor> shadowMonitor_;
-    /// The same monitors by type when the primary is an ADC (else
-    /// null): an evaluated burst advances value copies of them.
-    analog::AdcMonitor* adcMonitor_ = nullptr;
-    analog::ComparatorMonitor* shadowComparator_ = nullptr;
+    /// V_backup: the profile's, or SimConfig::vBackupOverride.
+    double vBackup_;
+    /// The board's two monitor paths (withMonitors).
+    analog::AdcMonitor adc_;
+    analog::ComparatorMonitor comparator_;
     std::unique_ptr<defense::DefenseController> defense_;
     attack::EmiSource* emi_ = nullptr;
     const attack::AttackSchedule* schedule_ = nullptr;
@@ -459,9 +472,6 @@ class IntermittentSim
     std::int64_t debt_ = 0;
     std::uint64_t cyclesAtBoot_ = 0;
     std::uint32_t sampleSeq_ = 0;
-    double vOn_;
-    double vBackup_;
-    double vOff_;
     double energyAtVoff_;
     double energyAtVbackup_;
     /// runningStride's V_backup proximity margin: four coarse quanta.

@@ -130,8 +130,9 @@ TEST(VoltageMonitorTest, ComparatorMonitorEdges)
 }
 
 /** The monitor's latches as archived bytes (thresholds are ctor state). */
+template <class Monitor>
 std::vector<std::uint8_t>
-latches(VoltageMonitor& mon)
+latches(Monitor& mon)
 {
     campaign::Archive ar = campaign::Archive::saver();
     mon.archiveState(ar);

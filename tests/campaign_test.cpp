@@ -1068,6 +1068,55 @@ TEST(EngineTest, DamagedInteriorResultLineReRunsItsJob)
     }
 }
 
+TEST(EngineTest, NamesEachDamagedJournalRecord)
+{
+    // One interior line of each journal loses its closing brace: the
+    // journal reads --status makes and the resumed run's report name
+    // both records as file:line, and the torn-line counts stay one per
+    // journal.
+    TempDir ref("namedref"), dir("named");
+    exp::ThreadPool pool(1);
+    const campaign::EngineReport expected =
+        campaign::runCampaign(engineConfig(ref.str()), pool);
+    auto config = engineConfig(dir.str());
+    config.maxJobsThisRun = 3;
+    campaign::runCampaign(config, pool);
+
+    const auto cutLine = [](const std::string& path, int line) {
+        std::string text = slurp(path);
+        std::size_t start = 0;
+        for (int i = 1; i < line; ++i)
+            start = text.find('\n', start) + 1;
+        const std::size_t end = text.find('\n', start);
+        ASSERT_NE(text.find('\n', end + 1), std::string::npos)
+            << path << ":" << line << " is not interior";
+        ASSERT_EQ(text[end - 1], '}');
+        text.erase(end - 1, 1);
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+    };
+    const std::string manifest = dir.str() + "/manifest.jsonl";
+    const std::string results = dir.str() + "/results.jsonl";
+    cutLine(manifest, 3);
+    cutLine(results, 2);
+
+    const std::vector<std::string> names{manifest + ":3", results + ":2"};
+    campaign::ManifestRecovery rec = campaign::readManifest(manifest);
+    EXPECT_EQ(rec.tornLines, 1u);
+    EXPECT_EQ(campaign::readResults(results, rec.totalJobs,
+                                    [](const campaign::JobResult&) {},
+                                    &rec.damagedRecords),
+              1u);
+    EXPECT_EQ(rec.damagedRecords, names);
+
+    const campaign::EngineReport resumed =
+        campaign::runCampaign(engineConfig(dir.str()), pool);
+    EXPECT_TRUE(resumed.complete);
+    EXPECT_EQ(resumed.tornManifestLines, 1u);
+    EXPECT_EQ(resumed.tornResultLines, 1u);
+    EXPECT_EQ(resumed.damagedRecords, names);
+    EXPECT_EQ(resumed.aggregateJson, expected.aggregateJson);
+}
+
 TEST(EngineTest, RefusesJobRecordsBehindADamagedHeader)
 {
     // The header is the journal's identity guard: job records without a

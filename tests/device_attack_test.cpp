@@ -73,13 +73,12 @@ TEST(DeviceDbTest, Fr5994ComparatorPathResonatesAt5And6MHz)
 TEST(DeviceDbTest, MonitorsInstantiable)
 {
     const auto& dev = DeviceDb::msp430fr5994();
-    auto adc = dev.makeMonitor(analog::MonitorKind::kAdc, dev.vBackup,
-                               dev.vOn);
-    auto comp = dev.makeMonitor(analog::MonitorKind::kComparator,
-                                dev.vBackup, dev.vOn);
-    ASSERT_NE(adc, nullptr);
-    ASSERT_NE(comp, nullptr);
-    EXPECT_LT(comp->sampleIntervalS(), adc->sampleIntervalS());
+    const analog::AdcMonitor adc(dev.adcBits, dev.vccNominal, dev.vBackup,
+                                 dev.vOn, dev.adcSampleHz);
+    const analog::ComparatorMonitor comp(dev.vBackup, dev.vOn,
+                                         dev.compHysteresisV,
+                                         dev.compCheckHz);
+    EXPECT_LT(comp.sampleIntervalS(), adc.sampleIntervalS());
 }
 
 TEST(RigTest, P2CouplesWiderThanP1)

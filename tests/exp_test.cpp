@@ -195,5 +195,32 @@ TEST(ThreadPoolTest, EnvDefaultRespectsOverride)
     EXPECT_EQ(exp::ThreadPool::global().threadCount(), 3);
 }
 
+TEST(ThreadPoolTest, ThreadCountIsReadWholeAndBounded)
+{
+    // Unset or empty defers to the hardware count.
+    const unsigned hw = std::thread::hardware_concurrency();
+    const int hwThreads = hw >= 1 ? static_cast<int>(hw) : 1;
+    EXPECT_EQ(exp::ThreadPool::defaultThreads(nullptr), hwThreads);
+    EXPECT_EQ(exp::ThreadPool::defaultThreads(""), hwThreads);
+    EXPECT_EQ(exp::ThreadPool::defaultThreads("1"), 1);
+    EXPECT_EQ(exp::ThreadPool::defaultThreads("04"), 4);
+    EXPECT_EQ(exp::ThreadPool::defaultThreads("1024"), 1024);
+    // A prefix is not a count, and neither is anything out of 1..1024:
+    // each is refused naming the variable, never read as a prefix or
+    // replaced by the hardware count.
+    for (const char* bad : {"4x", "2.5", "abc", "0", "-3", " 4", "4 ", "+4",
+                            "1025", "16384", "99999999999",
+                            "99999999999999999999999"}) {
+        try {
+            exp::ThreadPool::defaultThreads(bad);
+            ADD_FAILURE() << "GECKO_THREADS=" << bad << " was accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("GECKO_THREADS"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 }  // namespace
 }  // namespace gecko

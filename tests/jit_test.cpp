@@ -148,7 +148,7 @@ runJitVictim(int ramWords, int marginWords, int phase, bool dark,
 {
     static const compiler::CompiledProgram compiled = compiler::compile(
         workloads::build("sensor_loop"), compiler::Scheme::kNvp);
-    const auto& dev = device::DeviceDb::msp430fr5994();
+    device::DeviceProfile dev = device::DeviceDb::msp430fr5994();
     const double c = 1e-4;
     const double word = kJitStoreCycles * dev.power.energyPerCycleJ;
     const double eOff = 0.5 * c * dev.vOff * dev.vOff;
@@ -159,7 +159,7 @@ runJitVictim(int ramWords, int marginWords, int phase, bool dark,
     cfg.bootOverheadCycles = 0;
     cfg.vBackupOverride = volts(eOff + marginWords * word);
     cfg.cap.initialV = volts(eOff + (marginWords + 400 + phase) * word);
-    cfg.vOnOverride = cfg.cap.initialV - 1e-6;
+    dev.vOn = cfg.cap.initialV - 1e-6;
     cfg.coalesceQuanta = 0;
 
     IoHub io;
