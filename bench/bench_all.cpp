@@ -53,13 +53,14 @@ const std::vector<std::string> kFigures = {
 /// by the suite (0 when a record predates a key).
 enum Counter {
     kSimCycles, kQuanta, kCoalescedQuanta, kReplayedCompletions,
-    kSteadyLoopIterations, kCorruptedRestores, kCrcRejects,
-    kRetriesExhausted, kCounterKeys
+    kSteadyLoopIterations, kPointReads, kExactReads, kCorruptedRestores,
+    kCrcRejects, kRetriesExhausted, kCounterKeys
 };
 constexpr const char* kCounterKey[kCounterKeys] = {
     "sim_cycles",           "quanta",
     "coalesced_quanta",     "replayed_completions",
-    "steady_loop_iterations", "corrupted_restores",
+    "steady_loop_iterations", "point_reads",
+    "exact_reads",          "corrupted_restores",
     "crc_rejects",          "retries_exhausted"};
 using CounterValues = std::array<std::uint64_t, kCounterKeys>;
 
@@ -176,6 +177,8 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
        << ",\"total_replayed_completions\":" << total[kReplayedCompletions]
        << ",\"total_steady_loop_iterations\":"
        << total[kSteadyLoopIterations]
+       << ",\"total_point_reads\":" << total[kPointReads]
+       << ",\"total_exact_reads\":" << total[kExactReads]
        << ",\"quanta_per_s\":"
        << gecko::metrics::fmt(perS(total[kQuanta], totalWall), 0)
        << ",\"failures\":" << failures << ",\"status\":\""
@@ -207,6 +210,8 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
            << ",\"coalesced_quanta\":" << c[kCoalescedQuanta]
            << ",\"replayed_completions\":" << c[kReplayedCompletions]
            << ",\"steady_loop_iterations\":" << c[kSteadyLoopIterations]
+           << ",\"point_reads\":" << c[kPointReads]
+           << ",\"exact_reads\":" << c[kExactReads]
            << ",\"exec_backend\":\""
            << gecko::metrics::jsonEscape(r.execBackend)
            << "\",\"corrupted_restores\":" << c[kCorruptedRestores]

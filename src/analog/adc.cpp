@@ -1,7 +1,9 @@
 #include "analog/adc.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 namespace gecko::analog {
 
@@ -20,6 +22,27 @@ Adc::sample(double v) const
     if (code >= maxCode_)
         return maxCode_;
     return static_cast<std::uint32_t>(code);
+}
+
+double
+Adc::edge(std::uint32_t code) const
+{
+    if (code == 0)
+        return -std::numeric_limits<double>::infinity();
+    // Every input ≤ 0 has code 0, and positive doubles order like their
+    // bit patterns: bisect those between +0 (code 0) and the largest
+    // double (maxCode).
+    std::uint64_t lo = std::bit_cast<std::uint64_t>(0.0);
+    std::uint64_t hi =
+        std::bit_cast<std::uint64_t>(std::numeric_limits<double>::max());
+    while (hi - lo > 1) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        if (sample(std::bit_cast<double>(mid)) >= code)
+            hi = mid;
+        else
+            lo = mid;
+    }
+    return std::bit_cast<double>(hi);
 }
 
 double

@@ -24,6 +24,12 @@ class Adc
     /** Convert an input voltage to a code (clamped to the range). */
     std::uint32_t sample(double v) const;
 
+    /**
+     * The smallest input whose code is at least `code` (≤ maxCode()):
+     * sample(v) ≥ code exactly when v ≥ edge(code), sample being
+     * monotone in v.  −∞ for code 0.
+     */
+    double edge(std::uint32_t code) const;
     /** Convert a code back to the voltage at the code's lower edge. */
     double toVoltage(std::uint32_t code) const;
 

@@ -16,17 +16,18 @@ monitorKindName(MonitorKind kind)
 
 AdcMonitor::AdcMonitor(int adcBits, double fullScaleV, double vBackup,
                        double vWake, double sampleHz)
-    : adc_(adcBits, fullScaleV), backupCode_(adc_.sample(vBackup)),
-      wakeCode_(adc_.sample(vWake)), sampleHz_(sampleHz)
+    : sampleHz_(sampleHz)
 {
+    const Adc adc(adcBits, fullScaleV);
+    backupEdgeV_ = adc.edge(adc.sample(vBackup));
+    wakeEdgeV_ = adc.edge(adc.sample(vWake));
 }
 
 void
 AdcMonitor::reset(double v)
 {
-    std::uint32_t code = adc_.sample(v);
-    belowBackup_ = code < backupCode_;
-    aboveWake_ = code >= wakeCode_;
+    belowBackup_ = !(v >= backupEdgeV_);
+    aboveWake_ = v >= wakeEdgeV_;
 }
 
 ComparatorMonitor::ComparatorMonitor(double vBackup, double vWake,

@@ -49,7 +49,10 @@ const char* monitorKindName(MonitorKind kind);
 /**
  * ADC-based monitor (Fig. 2a): samples V_CC at a modest rate through an
  * n-bit converter and compares codes against the thresholds.  The slow
- * sampling is exactly what makes it aliasing-prone under EMI.
+ * sampling is exactly what makes it aliasing-prone under EMI.  A read's
+ * code is below a threshold code exactly when the read is below that
+ * code's edge (Adc::edge), so each observation compares the read with
+ * the two edges, found once.
  */
 class AdcMonitor
 {
@@ -68,14 +71,13 @@ class AdcMonitor
      *  wake per upward V_on crossing. */
     MonitorEvent observe(double seenV)
     {
+        // Selects, not branches: under a strong tone each read lands in a
+        // random zone.
+        const bool below = !(seenV >= backupEdgeV_);
+        const bool above = seenV >= wakeEdgeV_;
         MonitorEvent ev;
-        const std::uint32_t code = adc_.sample(seenV);
-        const bool below = code < backupCode_;
-        const bool above = code >= wakeCode_;
-        if (below && !belowBackup_)
-            ev.backup = true;
-        if (above && !aboveWake_)
-            ev.wake = true;
+        ev.backup = below & !belowBackup_;
+        ev.wake = above & !aboveWake_;
         belowBackup_ = below;
         aboveWake_ = above;
         return ev;
@@ -92,9 +94,9 @@ class AdcMonitor
     void archiveState(campaign::Archive& ar);
 
   private:
-    Adc adc_;
-    std::uint32_t backupCode_;
-    std::uint32_t wakeCode_;
+    /// Adc::edge of the backup and the wake code.
+    double backupEdgeV_;
+    double wakeEdgeV_;
     double sampleHz_;
     bool belowBackup_ = false;
     bool aboveWake_ = true;
@@ -159,25 +161,42 @@ observeEnvelope(Monitor& monitor, double low, double high)
 }
 
 /**
+ * Observe a bracketed sample (DESIGN.md §14): run `low(copy)` and
+ * `high(copy)` on two value copies of `monitor`, each observing one end
+ * of a range of readings.  A monitor's decision is monotone in its
+ * reading, so if both ends return the same event and leave the same
+ * latches, every reading between them does too: commit that end state
+ * to `monitor` and return the event.  Otherwise leave `monitor` as it
+ * was and return `std::nullopt` — "unknown", never "unsafe is fine".
+ */
+template <class Monitor, class Low, class High>
+std::optional<MonitorEvent>
+bracketEvent(Monitor& monitor, Low&& low, High&& high)
+{
+    Monitor atLow = monitor;
+    Monitor atHigh = monitor;
+    const MonitorEvent ev = low(atLow);
+    if (ev != high(atHigh) || atLow.latches() != atHigh.latches())
+        return std::nullopt;
+    monitor = atLow;
+    return ev;
+}
+
+/**
  * The steady-event certificate, the monitor side of the simulator's
- * burst guard (DESIGN.md §14): observe a band's two extreme samples on
- * value copies of `monitor` — `low(copy)` and `high(copy)` each observe
- * one — and return their event if both return the same one and leave
- * every latch as it was.  A monitor's decision is monotone in its
- * reading, so every sample between the two then repeats that event
- * with the latches unchanged: `{}` for a quiet band, `{backup, wake}`
- * for a comparator a tone drives through both thresholds on every
- * window.  `std::nullopt` means "unknown", never "unsafe is fine".
+ * burst guard (DESIGN.md §14): the bracket of a band's two extreme
+ * samples, certified only if it also leaves every latch as it was.
+ * Every sample between the two then repeats that event with the
+ * latches unchanged: `{}` for a quiet band, `{backup, wake}` for a
+ * comparator a tone drives through both thresholds on every window.
  */
 template <class Monitor, class Low, class High>
 std::optional<MonitorEvent>
 steadyEvent(const Monitor& monitor, Low&& low, High&& high)
 {
-    Monitor atLow = monitor;
-    Monitor atHigh = monitor;
-    const MonitorEvent ev = low(atLow);
-    if (ev == high(atHigh) && atLow.latches() == monitor.latches() &&
-        atHigh.latches() == monitor.latches())
+    Monitor copy = monitor;
+    const std::optional<MonitorEvent> ev = bracketEvent(copy, low, high);
+    if (ev && copy.latches() == monitor.latches())
         return ev;
     return std::nullopt;
 }

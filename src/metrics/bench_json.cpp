@@ -40,6 +40,8 @@ BenchReport::toJson() const
        << counters.sim.replayedCompletions
        << ",\"steady_loop_iterations\":"
        << counters.sim.steadyLoopIterations
+       << ",\"point_reads\":" << counters.sim.pointReads
+       << ",\"exact_reads\":" << counters.sim.exactReads
        << ",\"quanta_per_s\":"
        << num(wallS > 0 ? static_cast<double>(quanta) / wallS : 0.0);
     if (!status.empty())

@@ -74,7 +74,7 @@ traceMv(double v)
 
 /**
  * Resolve the burst limit: explicit config wins, then GECKO_COALESCE
- * (0 or 1 = off), default 64 quanta — one coarse quiet-stride burst.
+ * (0 or 1 = off), default 1024 quanta.
  */
 int
 resolveCoalesceLimit(int configured)
@@ -91,14 +91,14 @@ int
 parseCoalesceLimit(const char* value)
 {
     if (value == nullptr || *value == '\0')
-        return 64;
+        return 1024;
     long long limit = 0;
     for (const char* c = value; *c != '\0'; ++c) {
         if (*c < '0' || *c > '9')
             throw std::invalid_argument(
                 std::string("GECKO_COALESCE=") + value +
                 ": expected a non-negative integer burst limit (0 or 1 = "
-                "off, default 64)");
+                "off, default 1024)");
         limit = std::min<long long>(limit * 10 + (*c - '0'),
                                     kMaxCoalesceLimit);
     }
@@ -200,20 +200,37 @@ IntermittentSim::updateAttack()
     }
 }
 
+template <class Monitor>
 IntermittentSim::Reading
-IntermittentSim::reading(double v, double t, bool envelope,
-                         std::uint32_t& seq) const
+IntermittentSim::observeReading(Monitor& monitor, double v, double t,
+                                bool envelope, bool exact,
+                                std::uint32_t& seq)
 {
     Reading r;
+    r.lo = r.hi = v;
     if (envelope) {
         r.lo = v - emi_->amplitude();
         r.hi = v + emi_->amplitude();
-    } else {
+    } else if (emi_) {
         // DCO-clocked sampling: the conversion trigger jitters by tens
         // of nanoseconds, decorrelating the carrier phase between
         // samples.
-        r.hi = r.lo =
-            v + (emi_ ? emi_->voltageAt(t + sampleJitter(++seq)) : 0.0);
+        const double tj = t + sampleJitter(++seq);
+        if (emi_->enabled()) {
+            ++stats.pointReads;
+            const double a = emi_->amplitude();
+            const double x = emi_->phaseAt(tj);
+            if (!exact && !monitorFault_ && trace::current() == nullptr) {
+                const auto [ev, sinRan] =
+                    attack::observePointRead(monitor, v, a, x);
+                stats.exactReads += sinRan ? 1 : 0;
+                r.ev = ev;
+                r.lo = r.hi = std::numeric_limits<double>::quiet_NaN();
+                return r;
+            }
+            ++stats.exactReads;
+            r.lo = r.hi = attack::pointRead(v, a, std::sin(x));
+        }
     }
     if (monitorFault_) {
         const double lo = monitorFault_(r.lo, t);
@@ -221,6 +238,12 @@ IntermittentSim::reading(double v, double t, bool envelope,
         r.faulted = lo != r.lo || hi != r.hi;
         r.lo = lo;
         r.hi = hi;
+    }
+    if (envelope) {
+        const auto [lo, hi] = std::minmax(r.lo, r.hi);
+        r.ev = analog::observeEnvelope(monitor, lo, hi);
+    } else {
+        r.ev = monitor.observe(r.hi);
     }
     return r;
 }
@@ -236,7 +259,9 @@ IntermittentSim::sampleMonitor(Primary& primary, Shadow* shadow,
     // the window: feed them the window's envelope under attack.
     const bool attacked = attackActive();
     const bool envelope = Primary::continuous() && attacked;
-    Reading r = reading(v, t, envelope, seq);
+    // A controller fed the point read of a weak tone sees its value.
+    Reading r = observeReading(primary, v, t, envelope,
+                               controller != nullptr && !attacked, seq);
     if (r.faulted && !monitorFaultTraced_) {
         monitorFaultTraced_ = true;
         GECKO_TRACE_EVENT(trace::EventKind::kFaultInject, 0,
@@ -244,9 +269,7 @@ IntermittentSim::sampleMonitor(Primary& primary, Shadow* shadow,
     }
     if (r.lo > r.hi)
         std::swap(r.lo, r.hi);
-    const analog::MonitorEvent ev =
-        envelope ? analog::observeEnvelope(primary, r.lo, r.hi)
-                 : primary.observe(r.hi);
+    const analog::MonitorEvent ev = r.ev;
     if (ev.backup || ev.wake)
         GECKO_TRACE_EVENT(
             trace::EventKind::kMonitorTrip,
@@ -355,10 +378,11 @@ IntermittentSim::doJitCheckpoint()
                 // monitor read (a single ADC conversion / one
                 // comparator-output read) — a point sample of the
                 // EMI-distorted rail, never the envelope.
-                const Reading r = reading(cap_.voltage(), now_,
-                                          /*envelope=*/false, sampleSeq_);
-                if (withMonitors(*this, [&r](auto& primary, auto*) {
-                        return primary.observe(r.hi).wake;
+                if (withMonitors(*this, [this](auto& primary, auto*) {
+                        return observeReading(primary, cap_.voltage(), now_,
+                                              /*envelope=*/false,
+                                              /*exact=*/false, sampleSeq_)
+                            .ev.wake;
                     })) {
                     writer.write(paid - 1);
                     aborted = true;

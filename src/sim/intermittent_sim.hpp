@@ -72,7 +72,7 @@ struct SimConfig {
     /// samples fused into one burst — running quanta into one machine
     /// run, or locked-out sleep samples — when the guard proves the
     /// burst indistinguishable from per-sample stepping.
-    /// -1 = resolve from GECKO_COALESCE (default 64); 0 or 1 = off.
+    /// -1 = resolve from GECKO_COALESCE (default 1024); 0 or 1 = off.
     int coalesceQuanta = -1;
     /// Adaptive defense controller (DESIGN.md §11).  Off by default:
     /// the static-paper configurations and their byte-exact outputs are
@@ -121,6 +121,12 @@ struct SimStats {
     /// Loop iterations the machine applied in closed form instead of
     /// executing them (Machine::steadyLoopIterations).
     std::uint64_t steadyLoopIterations = 0;
+    /// Point reads formed under a keyed tone (an evaluated burst's
+    /// trial reads included).
+    std::uint64_t pointReads = 0;
+    /// Point reads that called glibc `sin`: the zone read could not
+    /// decide, or the read's value is observed (DESIGN.md §14).
+    std::uint64_t exactReads = 0;
 
     bool operator==(const SimStats&) const = default;
 
@@ -150,6 +156,8 @@ struct SimStats {
         fn({"replayed_completions", false}, &SimStats::replayedCompletions);
         fn({"steady_loop_iterations", false},
            &SimStats::steadyLoopIterations);
+        fn({"point_reads", false}, &SimStats::pointReads);
+        fn({"exact_reads", false}, &SimStats::exactReads);
     }
 };
 static_assert(metrics::listsEveryField<SimStats>());
@@ -192,7 +200,7 @@ struct Counters {
 /**
  * Parse a GECKO_COALESCE value: a non-negative decimal integer burst
  * limit (0 or 1 = off, values above 65536 clamp to 65536); null or
- * empty means the default, 64.
+ * empty means the default, 1024.
  * @throws std::invalid_argument on any other value.
  */
 int parseCoalesceLimit(const char* value);
@@ -315,22 +323,29 @@ class IntermittentSim
     }
     bool attackActive() const;
     void updateAttack();
-    /// One monitor reading: the window [lo, hi] a continuous monitor
-    /// sees, or a point read (lo == hi).
+    /// One monitor reading and the event it raised: the window [lo, hi]
+    /// a continuous monitor sees, or a point read (lo == hi; NaN when a
+    /// zone read decided the event without forming the read).
     struct Reading {
+        analog::MonitorEvent ev;
         double lo = 0.0;
         double hi = 0.0;
         /// The monitor-fault hook changed it.
         bool faulted = false;
     };
-    /// The reading of rail `v` at `t`: the envelope [v − A, v + A] when
-    /// `envelope`, else the point read v + tone(t + jitter(++seq)); then
-    /// the monitor-fault hook (not ordered: a hook may invert a window).
-    Reading reading(double v, double t, bool envelope,
-                    std::uint32_t& seq) const;
+    /// Form the reading of rail `v` at `t` and observe it on `monitor`:
+    /// the envelope [v − A, v + A] when `envelope`, else the point read
+    /// v + tone(t + jitter(++seq)); then the monitor-fault hook (not
+    /// ordered: a hook may invert a window; `monitor` sees it ordered).
+    /// A point read under a tone takes its event from its zone
+    /// (attack::observePointRead) unless its value is observed:
+    /// `exact`, the fault hook or a trace buffer.
+    template <class Monitor>
+    Reading observeReading(Monitor& monitor, double v, double t,
+                           bool envelope, bool exact, std::uint32_t& seq);
     /// One monitor sample of rail `v` at `t`, on the live monitors
-    /// (observeMonitor) or an evaluated burst's trial copies: form the
-    /// reading, observe it, trace a trip, and — unless `admit(event)`
+    /// (observeMonitor) or an evaluated burst's trial copies: observe
+    /// the reading, trace a trip, and — unless `admit(event)`
     /// refuses the sample (then nullopt) — feed the shadow and the
     /// controller (both null without a controller) through the
     /// shadow-view rule.

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <random>
 #include <vector>
@@ -28,6 +30,21 @@ TEST(AdcTest, QuantizationAndClamping)
     EXPECT_NEAR(adc.quantize(v), v, 3.3 / 4096 + 1e-12);
     // Monotone.
     EXPECT_LE(adc.sample(1.0), adc.sample(1.1));
+}
+
+TEST(AdcTest, EdgeIsTheFirstInputOfEachCode)
+{
+    for (int bits : {10, 12, 14}) {
+        const Adc adc(bits, 3.3);
+        EXPECT_EQ(adc.edge(0), -std::numeric_limits<double>::infinity());
+        for (std::uint32_t code = 1; code <= adc.maxCode(); ++code) {
+            const double e = adc.edge(code);
+            ASSERT_GT(e, 0.0);
+            EXPECT_GE(adc.sample(e), code) << bits << "-bit code " << code;
+            EXPECT_LT(adc.sample(std::nextafter(e, 0.0)), code)
+                << bits << "-bit code " << code;
+        }
+    }
 }
 
 TEST(AdcTest, ResolutionMatters)
@@ -108,6 +125,39 @@ TEST(VoltageMonitorTest, AdcMonitorBackupEdge)
     // Rising above and dipping again re-fires.
     mon.observe(3.1);
     EXPECT_TRUE(mon.observe(2.1).backup);
+}
+
+TEST(VoltageMonitorTest, AdcMonitorEdgesDecideLikeCodes)
+{
+    // The monitor compares each read with its threshold codes' edges;
+    // that must latch exactly where comparing the read's code does, at
+    // random reads, within ulps of either edge, and past both ends of
+    // the converter's range.
+    const double vBackup = 2.2;
+    const double vWake = 3.0;
+    const Adc adc(12, 3.3);
+    const std::uint32_t backupCode = adc.sample(vBackup);
+    const std::uint32_t wakeCode = adc.sample(vWake);
+    std::vector<double> reads = {-1e300, -1.0, -0.0, 0.0, 1e-320, 3.3,
+                                 1e300,
+                                 std::numeric_limits<double>::infinity()};
+    for (const std::uint32_t code : {backupCode, wakeCode}) {
+        const auto e = std::bit_cast<std::int64_t>(adc.edge(code));
+        for (std::int64_t u = -4; u <= 4; ++u)
+            reads.push_back(std::bit_cast<double>(e + u));
+    }
+    std::mt19937_64 rng(3);
+    std::uniform_real_distribution<double> span(-12.0, 16.0);
+    for (int i = 0; i < 100000; ++i)
+        reads.push_back(span(rng));
+    for (const double read : reads) {
+        AdcMonitor mon(12, 3.3, vBackup, vWake, 100e3);
+        mon.observe(read);
+        const std::uint32_t code = adc.sample(read);
+        EXPECT_EQ(mon.latches(),
+                  std::make_pair(code < backupCode, code >= wakeCode))
+            << read;
+    }
 }
 
 TEST(VoltageMonitorTest, AdcMonitorWakeEdge)

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "fault/campaign.hpp"
 #include "sim/intermittent_sim.hpp"
 #include "test_util.hpp"
+#include "trace/trace.hpp"
 #include "workloads/workloads.hpp"
 
 /**
@@ -120,8 +122,8 @@ expectSame(const Obs& on, const Obs& off, const std::string& label)
 
 TEST(CoalesceLimitTest, GeckoCoalesceParsesStrictly)
 {
-    EXPECT_EQ(sim::parseCoalesceLimit(nullptr), 64);
-    EXPECT_EQ(sim::parseCoalesceLimit(""), 64);
+    EXPECT_EQ(sim::parseCoalesceLimit(nullptr), 1024);
+    EXPECT_EQ(sim::parseCoalesceLimit(""), 1024);
     EXPECT_EQ(sim::parseCoalesceLimit("0"), 0);
     EXPECT_EQ(sim::parseCoalesceLimit("1"), 1);
     EXPECT_EQ(sim::parseCoalesceLimit("64"), 64);
@@ -878,6 +880,117 @@ TEST(CoalesceEvaluatedTest, SustainedToneRatchetUnchangedByBursts)
             EXPECT_GT(off.counters.defense.wakesDeferred, 0u) << label;
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Zone reads (DESIGN.md §14 "Zone reads"): a point read under a tone
+// takes its event from a bounded libm-free sine unless the read's value
+// is observed.  Each victim runs three ways — a trace buffer installed
+// (every read exact, no bursts), bursts off (zone reads on the slow
+// path) and the default (zone reads in evaluated bursts too) — and the
+// three must agree on every archived counter, the snapshot, the NVM
+// and the outputs.  The attack_sweep ADC points run NVP and adaptive
+// GECKO victims past 1 s, where the carrier phase has passed the
+// 1.05e8 rad at which glibc's sin turns slow.  Two more victims observe
+// the read's value: a monitor-fault hook maps every read, and an
+// adaptive controller under a weak tone is fed each point read.
+// ---------------------------------------------------------------------
+
+/** One victim run the three ways. */
+struct ZoneArms {
+    Obs traced;
+    Obs slow;
+    Obs fast;
+};
+
+template <class Build>
+ZoneArms
+runThreeWays(Build&& build, double seconds)
+{
+    const auto run = [&](int coalesceQuanta, bool traced) {
+        StormEnv env;
+        build(env, coalesceQuanta);
+        trace::Buffer buffer;
+        {
+            std::optional<trace::BufferScope> scope;
+            if (traced)
+                scope.emplace(&buffer);
+            env.simulation->run(seconds);
+        }
+        return capture(*env.simulation, env.io);
+    };
+    return {run(-1, true), run(0, false), run(-1, false)};
+}
+
+/**
+ * The three ways agree, the traced run formed every read with glibc's
+ * sin, and the untraced ones formed at most `exactPerMille` of theirs
+ * with it.
+ */
+void
+expectZoneReadsExact(const ZoneArms& arms, const std::string& label,
+                     std::uint64_t exactPerMille)
+{
+    expectSame(arms.slow, arms.traced, label + ": bursts off vs traced");
+    expectSame(arms.fast, arms.traced, label + ": default vs traced");
+    const sim::SimStats& traced = arms.traced.counters.sim;
+    ASSERT_GT(traced.pointReads, 1000u) << label;
+    EXPECT_EQ(traced.exactReads, traced.pointReads) << label;
+    for (const Obs* o : {&arms.slow, &arms.fast}) {
+        const sim::SimStats& s = o->counters.sim;
+        EXPECT_LE(s.exactReads * 1000, s.pointReads * exactPerMille)
+            << label << ": " << s.exactReads << " of " << s.pointReads
+            << " point reads called sin";
+    }
+}
+
+TEST(CoalesceZoneReadTest, AttackSweepAdcPointsAgreeThreeWays)
+{
+    for (const AdcPoint& point : kAdcPoints) {
+        for (Victim victim : {Victim::kNvp, Victim::kGeckoAdaptive}) {
+            const std::string label =
+                std::string(point.device) + "/" + victimName(victim);
+            const ZoneArms arms = runThreeWays(
+                [&](StormEnv& env, int coalesceQuanta) {
+                    buildAdcEnv(env, point, victim, sim::ExecBackend::kBlock,
+                                coalesceQuanta);
+                },
+                1.2);
+            expectZoneReadsExact(arms, label, 1);
+            EXPECT_GT(arms.fast.counters.sim.coalescedSleepSamples, 0u)
+                << label;
+        }
+    }
+}
+
+TEST(CoalesceZoneReadTest, ObservedReadValuesStayExact)
+{
+    // A monitor-fault hook maps every read, so no read may skip it.
+    const ZoneArms faulted = runThreeWays(
+        [](StormEnv& env, int coalesceQuanta) {
+            buildAdcEnv(env, kAdcPoints[0], Victim::kNvp,
+                        sim::ExecBackend::kBlock, coalesceQuanta);
+            env.simulation->setMonitorFault(
+                [](double v, double) { return v - 0.3; });
+        },
+        1.2);
+    expectZoneReadsExact(faulted, "monitor fault", 1000);
+    EXPECT_EQ(faulted.slow.counters.sim.exactReads,
+              faulted.slow.counters.sim.pointReads);
+
+    // A tone of at most 0.1 mV is no attack: the controller is fed each
+    // point read's value, and the shadow comparator observes it.
+    const ZoneArms weak = runThreeWays(
+        [](StormEnv& env, int coalesceQuanta) {
+            buildAdcEnv(env, kAdcPoints[0], Victim::kGeckoAdaptive,
+                        sim::ExecBackend::kBlock, coalesceQuanta);
+            env.source->setTone(27e6, -65.0);
+            ASSERT_GT(env.source->amplitude(), 0.0);
+            ASSERT_LE(env.source->amplitude(), 1e-4);
+        },
+        2.0);
+    expectZoneReadsExact(weak, "weak tone", 1000);
+    EXPECT_GT(weak.fast.counters.defense.samples, 1000u);
 }
 
 }  // namespace

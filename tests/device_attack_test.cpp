@@ -107,14 +107,12 @@ TEST(EmiSourceTest, ToneAndEnable)
     EmiSource src(rig, 27e6, 35.0);
     EXPECT_GT(src.amplitude(), 0.0);
 
-    // Sine at t = period/4 is (nearly — ppm clock skew) the peak.
+    // The phase at t = period/4 is (nearly — ppm clock skew) π/2.
     double quarter = 0.25 / 27e6;
-    EXPECT_NEAR(src.voltageAt(quarter), src.amplitude(),
-                1e-6 * src.amplitude());
-    EXPECT_NEAR(src.voltageAt(0.0), 0.0, 1e-6);
+    EXPECT_NEAR(std::sin(src.phaseAt(quarter)), 1.0, 1e-6);
+    EXPECT_EQ(src.phaseAt(0.0), 0.0);
 
     src.setEnabled(false);
-    EXPECT_EQ(src.voltageAt(quarter), 0.0);
     EXPECT_EQ(src.amplitude(), 0.0);
 
     src.setEnabled(true);

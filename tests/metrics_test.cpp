@@ -26,7 +26,7 @@ TEST(BenchJsonTest, ReportLeadsWithSchemaVersion)
     std::string json = report.toJson();
     // schema_version is the first key so even a truncated record
     // identifies its format.
-    EXPECT_EQ(json.rfind("{\"schema_version\":9,", 0), 0u) << json;
+    EXPECT_EQ(json.rfind("{\"schema_version\":10,", 0), 0u) << json;
     JsonValue parsed;
     ASSERT_TRUE(parseJson(json, &parsed)) << json;
     EXPECT_EQ(parsed.getNumber("schema_version"),
@@ -80,6 +80,8 @@ TEST(BenchJsonTest, CounterKeysReadTheCounterSet)
     report.counters.sim.coalescedQuanta = 6;
     report.counters.sim.replayedCompletions = 10;
     report.counters.sim.steadyLoopIterations = 11;
+    report.counters.sim.pointReads = 12;
+    report.counters.sim.exactReads = 13;
     report.counters.runtime.corruptedRestores = 7;
     report.counters.runtime.crcRejects = 8;
     report.counters.runtime.retriesExhausted = 9;
@@ -90,6 +92,8 @@ TEST(BenchJsonTest, CounterKeysReadTheCounterSet)
     EXPECT_EQ(json.getNumber("coalesced_quanta"), 6.0);
     EXPECT_EQ(json.getNumber("replayed_completions"), 10.0);
     EXPECT_EQ(json.getNumber("steady_loop_iterations"), 11.0);
+    EXPECT_EQ(json.getNumber("point_reads"), 12.0);
+    EXPECT_EQ(json.getNumber("exact_reads"), 13.0);
     EXPECT_EQ(json.getNumber("corrupted_restores"), 7.0);
     EXPECT_EQ(json.getNumber("crc_rejects"), 8.0);
     EXPECT_EQ(json.getNumber("retries_exhausted"), 9.0);
@@ -230,13 +234,14 @@ TEST(CounterRegistryTest, NamesAreUniqueAndOnlyFastPathDiagnosticsUnarchived)
         if (!field.archived)
             unarchived.push_back(field.name);
     });
-    EXPECT_EQ(names.size(), 6u + 19u + 15u + 13u);
+    EXPECT_EQ(names.size(), 6u + 21u + 15u + 13u);
     EXPECT_EQ(unarchived,
               (std::vector<std::string>{"quanta", "coalesced_quanta",
                                         "coalesced_bursts", "sleep_samples",
                                         "coalesced_sleep_samples",
                                         "replayed_completions",
-                                        "steady_loop_iterations"}));
+                                        "steady_loop_iterations",
+                                        "point_reads", "exact_reads"}));
 }
 
 TEST(CounterRegistryTest, SumsAddCountersAndLeaveTheDoubles)

@@ -16,6 +16,7 @@
 #include "fault/campaign.hpp"
 #include "sim/intermittent_sim.hpp"
 #include "sim/machine.hpp"
+#include "trace/trace.hpp"
 #include "workloads/workloads.hpp"
 
 /**
@@ -293,6 +294,34 @@ TEST(PerfSmokeTest, EvaluatedAdcBurstsEngage)
               << " sleep samples absorbed; weak tone: "
               << weak.coalescedQuanta << "/" << weak.quanta
               << " quanta coalesced\n";
+}
+
+/**
+ * Zone-read guard (DESIGN.md §14 "Zone reads"): the same FR5994 ADC
+ * point for 1 s, whose carrier phase passes the 1.05e8 rad where
+ * glibc's sin turns slow, must take at most 0.1 % of its point reads'
+ * events from glibc's sin.  With a trace buffer installed a trip traces
+ * the read's value, so every read is exact.  Counts only.
+ */
+TEST(PerfSmokeTest, ZoneReadsSkipGlibcSin)
+{
+    const sim::SimStats zone = runAdcSlice(27e6, true, 1.0);
+    ASSERT_GT(zone.pointReads, 20'000u) << "slice too short";
+    EXPECT_LE(zone.exactReads * 1000, zone.pointReads)
+        << zone.exactReads << " of " << zone.pointReads
+        << " point reads called sin";
+
+    trace::Buffer buffer;
+    sim::SimStats traced;
+    {
+        trace::BufferScope scope(&buffer);
+        traced = runAdcSlice(27e6, true, 1.0);
+    }
+    ASSERT_GT(traced.pointReads, 20'000u) << "slice too short";
+    EXPECT_EQ(traced.exactReads, traced.pointReads);
+    std::cout << "[perf_smoke] zone reads: " << zone.exactReads << "/"
+              << zone.pointReads << " point reads called sin; traced: "
+              << traced.exactReads << "/" << traced.pointReads << "\n";
 }
 
 /**
