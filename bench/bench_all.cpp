@@ -1,4 +1,3 @@
-#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -49,21 +48,6 @@ const std::vector<std::string> kFigures = {
     "ablation_pruning", "ablation_wcet",    "extension_wearout",
     "fault_campaign",   "campaign_runner",  "fig_adversarial"};
 
-/// The counter keys of a child's report, carried per figure and summed
-/// by the suite (0 when a record predates a key).
-enum Counter {
-    kSimCycles, kQuanta, kCoalescedQuanta, kReplayedCompletions,
-    kSteadyLoopIterations, kPointReads, kExactReads, kCorruptedRestores,
-    kCrcRejects, kRetriesExhausted, kCounterKeys
-};
-constexpr const char* kCounterKey[kCounterKeys] = {
-    "sim_cycles",           "quanta",
-    "coalesced_quanta",     "replayed_completions",
-    "steady_loop_iterations", "point_reads",
-    "exact_reads",          "corrupted_restores",
-    "crc_rejects",          "retries_exhausted"};
-using CounterValues = std::array<std::uint64_t, kCounterKeys>;
-
 struct FigureResult {
     std::string figure;
     /// Child telemetry schema version; records predating the
@@ -71,7 +55,10 @@ struct FigureResult {
     int schemaVersion = 1;
     double wallS = 0.0;
     double serialWallS = 0.0;
-    CounterValues counters{};
+    /// The report's counter keys: `sim_cycles` in `exec.cycles`, each
+    /// of metrics::kBenchCounterKeys in its own field (0 when a record
+    /// predates the key).
+    gecko::sim::Counters counters;
     /// "pass" or "fail": exit status combined with the bench's own
     /// verdict from its JSON telemetry (benches without a verdict
     /// report "pass" when they exit 0).
@@ -129,15 +116,14 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
                 const std::string& forceStatus)
 {
     double totalWall = 0.0, totalSerial = 0.0;
-    CounterValues total{};
+    gecko::sim::Counters total;
     int failures = 0;
     for (const FigureResult& r : results) {
         if (r.status != "pass")
             ++failures;
         totalWall += r.wallS;
         totalSerial += r.serialWallS;
-        for (int c = 0; c < kCounterKeys; ++c)
-            total[c] += r.counters[c];
+        total += r.counters;
     }
     const auto perS = [](std::uint64_t n, double wall) {
         return wall > 0 ? static_cast<double>(n) / wall : 0.0;
@@ -169,25 +155,20 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
         os << ",\"total_serial_wall_s\":"
            << gecko::metrics::fmt(totalSerial, 3) << ",\"speedup\":"
            << gecko::metrics::fmt(totalSerial / totalWall, 3);
-    os << ",\"total_sim_cycles\":" << total[kSimCycles]
+    os << ",\"total_sim_cycles\":" << total.exec.cycles
        << ",\"sim_cycles_per_s\":"
-       << gecko::metrics::fmt(perS(total[kSimCycles], totalWall), 0)
-       << ",\"total_quanta\":" << total[kQuanta]
-       << ",\"total_coalesced_quanta\":" << total[kCoalescedQuanta]
-       << ",\"total_replayed_completions\":" << total[kReplayedCompletions]
-       << ",\"total_steady_loop_iterations\":"
-       << total[kSteadyLoopIterations]
-       << ",\"total_point_reads\":" << total[kPointReads]
-       << ",\"total_exact_reads\":" << total[kExactReads]
-       << ",\"quanta_per_s\":"
-       << gecko::metrics::fmt(perS(total[kQuanta], totalWall), 0)
+       << gecko::metrics::fmt(perS(total.exec.cycles, totalWall), 0);
+    gecko::metrics::forEachBenchCounter(
+        [&](const gecko::metrics::BenchCounterKey& key, auto get) {
+            os << ",\"" << (key.suiteTotal ? "total_" : "") << key.name
+               << "\":" << get(total);
+        });
+    os << ",\"quanta_per_s\":"
+       << gecko::metrics::fmt(perS(total.sim.quanta, totalWall), 0)
        << ",\"failures\":" << failures << ",\"status\":\""
        << (forceStatus.empty() ? (failures == 0 ? "pass" : "fail")
                                : forceStatus.c_str())
-       << "\",\"corrupted_restores\":" << total[kCorruptedRestores]
-       << ",\"crc_rejects\":" << total[kCrcRejects]
-       << ",\"retries_exhausted\":" << total[kRetriesExhausted]
-       << ",\"figures\":[";
+       << "\",\"figures\":[";
     for (std::size_t i = 0; i < results.size(); ++i) {
         const FigureResult& r = results[i];
         if (i)
@@ -202,22 +183,15 @@ renderSuiteJson(const std::vector<FigureResult>& results, int threads,
                << gecko::metrics::fmt(r.serialWallS, 3) << ",\"speedup\":"
                << gecko::metrics::fmt(
                       r.wallS > 0 ? r.serialWallS / r.wallS : 0.0, 3);
-        const CounterValues& c = r.counters;
-        os << ",\"sim_cycles\":" << c[kSimCycles]
+        os << ",\"sim_cycles\":" << r.counters.exec.cycles
            << ",\"sim_cycles_per_s\":"
-           << gecko::metrics::fmt(perS(c[kSimCycles], r.wallS), 0)
-           << ",\"quanta\":" << c[kQuanta]
-           << ",\"coalesced_quanta\":" << c[kCoalescedQuanta]
-           << ",\"replayed_completions\":" << c[kReplayedCompletions]
-           << ",\"steady_loop_iterations\":" << c[kSteadyLoopIterations]
-           << ",\"point_reads\":" << c[kPointReads]
-           << ",\"exact_reads\":" << c[kExactReads]
-           << ",\"exec_backend\":\""
-           << gecko::metrics::jsonEscape(r.execBackend)
-           << "\",\"corrupted_restores\":" << c[kCorruptedRestores]
-           << ",\"crc_rejects\":" << c[kCrcRejects]
-           << ",\"retries_exhausted\":" << c[kRetriesExhausted]
-           << "}";
+           << gecko::metrics::fmt(perS(r.counters.exec.cycles, r.wallS), 0);
+        gecko::metrics::forEachBenchCounter(
+            [&](const gecko::metrics::BenchCounterKey& key, auto get) {
+                os << ",\"" << key.name << "\":" << get(r.counters);
+            });
+        os << ",\"exec_backend\":\""
+           << gecko::metrics::jsonEscape(r.execBackend) << "\"}";
     }
     os << "]}";
     return os.str();
@@ -354,8 +328,11 @@ main(int argc, char** argv)
         gecko::metrics::parseJson(readFile(jsonPath), &child);
         r.schemaVersion = static_cast<int>(
             child.getU64("schema_version").value_or(1));
-        for (int c = 0; c < kCounterKeys; ++c)
-            r.counters[c] = child.getU64(kCounterKey[c]).value_or(0);
+        r.counters.exec.cycles = child.getU64("sim_cycles").value_or(0);
+        gecko::metrics::forEachBenchCounter(
+            [&](const gecko::metrics::BenchCounterKey& key, auto get) {
+                get(r.counters) = child.getU64(key.name).value_or(0);
+            });
         r.status = child.getString("status").value_or(r.ok ? "pass" : "fail");
         r.execBackend = child.getString("exec_backend").value_or("unknown");
         if (!r.ok)

@@ -41,13 +41,14 @@
  * @file
  * Shared helpers for the per-figure/per-table benchmark binaries.
  *
- * Sweeps run on the exp::ThreadPool via runSweep(): every sweep point
- * is an independent task owning its own simulator, and results come
- * back in input order, so stdout is byte-identical no matter how many
- * threads run (`GECKO_THREADS=1` vs `=8`).  Telemetry (wall time per
- * sweep, simulated cycles, thread count) accumulates process-wide and
- * is written as JSON by writeBenchReport() when `GECKO_BENCH_JSON`
- * names an output file — see bench_all and BENCH_sweeps.json.
+ * Sweeps run through exp::parallelMap at the global pool's width via
+ * runSweep(): every sweep point is an independent task owning its own
+ * simulator, and results come back in input order, so stdout is
+ * byte-identical no matter how many threads run (`GECKO_THREADS=1` vs
+ * `=8`).  Telemetry (wall time per sweep, simulated cycles, thread
+ * count) accumulates process-wide and is written as JSON by
+ * writeBenchReport() when `GECKO_BENCH_JSON` names an output file —
+ * see bench_all and BENCH_sweeps.json.
  */
 
 namespace gecko::bench {
@@ -154,7 +155,8 @@ splitList(const std::string& s)
 /**
  * Bench entry hook: parse the shared CLI flags before the global pool
  * exists.  Supported: `--threads=N` (1..1024; overrides
- * `GECKO_THREADS`), `--seed=N` (overrides `GECKO_SEED`; see
+ * `GECKO_THREADS`), `--seed=N` (overrides `GECKO_SEED`, which is
+ * resolved here, so a malformed one is refused before any work; see
  * exp/rng.hpp), and
  * `--trace=PATH` (overrides `GECKO_TRACE_OUT`) to write a merged event
  * trace of every sweep point — `.json` gets Chrome-trace/Perfetto
@@ -177,6 +179,7 @@ init(int argc, char** argv)
             traceOut = arg.substr(8);
         }
     }
+    exp::globalSeed();  // a malformed GECKO_SEED throws before any work
     if (!traceOut.empty()) {
         if (trace::compiledIn()) {
             telemetry().traceOut = traceOut;
@@ -305,11 +308,11 @@ namespace detail {
 
 /**
  * Block SIGINT/SIGTERM in the calling thread and every thread it
- * spawns afterwards, then hand them to `onSignal` on a dedicated
- * sigwait watcher.  Must run before the global pool's first use so
- * workers inherit the mask; only the watcher ever sees the signals,
- * which keeps the handler path free of async-signal-safety limits
- * (it may take locks and do file I/O, unlike a real signal handler).
+ * spawns afterwards (a parallel loop's helpers start from their caller
+ * and inherit the mask), then hand them to `onSignal` on a dedicated
+ * sigwait watcher.  Only the watcher ever sees the signals, which
+ * keeps the handler path free of async-signal-safety limits (it may
+ * take locks and do file I/O, unlike a real signal handler).
  */
 inline void
 watchSignals(std::function<void(int)> onSignal)

@@ -17,7 +17,6 @@
 #include "compiler/compile_cache.hpp"
 #include "defense/defense.hpp"
 #include "device/device_db.hpp"
-#include "exp/parallel.hpp"
 #include "exp/rng.hpp"
 #include "sim/intermittent_sim.hpp"
 #include "sim/io_devices.hpp"
@@ -176,7 +175,7 @@ constexpr std::size_t kJournalSyncEvery = 8;
 /// aggregate.json is rewritten every this many new results (and at the
 /// end of the run).
 constexpr std::uint64_t kCompactEvery = 64;
-/// Consecutive queue positions a worker claims per cursor bump.
+/// Consecutive queue positions a worker claims at once.
 /// Neighbouring job ids share a program (jobAt varies the seed, defense
 /// and scenario fastest), so workers that claimed one position at a
 /// time would queue on the same CompileCache compile.
@@ -380,11 +379,7 @@ struct Shared {
     std::vector<std::uint64_t> requeued;              // const after build
     std::unordered_map<std::uint64_t, std::uint32_t> attemptBase;  // const
 
-    std::atomic<std::uint64_t> cursor{0};
     std::atomic<std::uint64_t> started{0};
-    /// Set when a throw escapes processJob: no worker claims another
-    /// job, and parallelMap rethrows the exception after the join.
-    std::atomic<bool> failed{false};
 
     // The journal lock serializes manifest/results/aggregate updates.
     std::mutex journalMutex;
@@ -397,12 +392,6 @@ struct Shared {
 
     std::atomic<std::uint64_t> attemptsFailed{0};
     std::atomic<std::uint64_t> resumedFromSnapshot{0};
-
-    bool stop() const
-    {
-        return failed.load() ||
-               (config->stopRequested && config->stopRequested());
-    }
 
     std::uint64_t jobIdAt(std::uint64_t i) const
     {
@@ -517,29 +506,6 @@ processJob(Shared& sh, std::uint64_t id)
     }
 }
 
-/** One worker's share of the queue: claims of kClaimJobs consecutive
- *  positions until the queue drains or a job asks to stop. */
-void
-runWorker(Shared& sh)
-{
-    try {
-        while (!sh.stop()) {
-            const std::uint64_t c = sh.cursor.fetch_add(kClaimJobs);
-            if (c >= sh.queueTotal)
-                return;
-            const std::uint64_t end = std::min(c + kClaimJobs, sh.queueTotal);
-            for (std::uint64_t i = c; i < end; ++i)
-                if (sh.stop() || !processJob(sh, sh.jobIdAt(i)))
-                    return;
-        }
-    } catch (...) {
-        // A failed durable write or a throwing beforeJob.  The job
-        // keeps its journal state, so the next run re-queues it.
-        sh.failed.store(true);
-        throw;
-    }
-}
-
 }  // namespace
 
 EngineReport
@@ -627,11 +593,21 @@ runCampaign(const EngineConfig& config, exp::ThreadPool& pool)
     sh.results = &results;
     sh.agg = &agg;
 
-    // ---- Workers: one per pool thread, the caller among them. ----
-    exp::parallelMap(pool, std::vector<int>(pool.threadCount()), [&sh](int) {
-        runWorker(sh);
-        return 0;
-    });
+    // ---- Workers: the caller and the pool's helpers claim chunks of
+    // kClaimJobs consecutive queue positions.  A throw (a failed durable
+    // write or a throwing beforeJob) ends the run; its job keeps its
+    // journal state, so a resume re-queues it. ----
+    exp::parallelFor(
+        pool, (sh.queueTotal + kClaimJobs - 1) / kClaimJobs,
+        [&](std::size_t chunk) {
+            const std::uint64_t end =
+                std::min((chunk + 1) * kClaimJobs, sh.queueTotal);
+            for (std::uint64_t i = chunk * kClaimJobs; i < end; ++i)
+                if ((config.stopRequested && config.stopRequested()) ||
+                    !processJob(sh, sh.jobIdAt(i)))
+                    return false;
+            return true;
+        });
 
     // ---- Final compaction + report. ----
     EngineReport report;

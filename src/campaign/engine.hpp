@@ -25,8 +25,8 @@
  *    stopped, re-queuing in-flight jobs;
  *  - per-job simulator snapshots (campaign/snapshot) let long jobs
  *    resume mid-simulation at slice granularity;
- *  - one worker per pool thread (exp::parallelMap) claims runs of
- *    consecutive queue positions and executes each job with
+ *  - the pool's threads (exp::parallelFor) claim chunks of
+ *    consecutive queue positions and execute each job with
  *    retry-with-backoff and poison-job quarantine; a throw outside
  *    per-job containment ends the run, and a resume re-queues the
  *    unfinished jobs;

@@ -1,13 +1,10 @@
 #ifndef GECKO_EXP_PARALLEL_HPP_
 #define GECKO_EXP_PARALLEL_HPP_
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
-#include <exception>
-#include <mutex>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "exp/thread_pool.hpp"
@@ -24,10 +21,9 @@
  * point (each sweep task must own its simulator/rig instances — see
  * DESIGN.md, "The experiment engine").
  *
- * Exceptions thrown by tasks are captured; the first one (by
- * completion time) is rethrown on the calling thread after all tasks
- * of the map have finished, so no task is left running against
- * destroyed result storage.
+ * It is parallelFor over the point indices, so a throwing task stops
+ * the map and its exception is rethrown on the calling thread after
+ * every thread has left, never while a task still writes the results.
  */
 
 namespace gecko::exp {
@@ -35,8 +31,8 @@ namespace gecko::exp {
 /**
  * Map `fn` over `items` on `pool`, preserving input order of results.
  *
- * The calling thread participates in execution while it waits.  The
- * result type must be default-constructible and movable.
+ * The calling thread takes part in the work.  The result type must be
+ * default-constructible and movable.
  *
  * @param taskSeconds optional out: per-task wall time, indexed like
  *                    `items`.
@@ -47,71 +43,15 @@ parallelMap(ThreadPool& pool, const std::vector<T>& items, Fn fn,
             std::vector<double>* taskSeconds = nullptr)
     -> std::vector<std::invoke_result_t<Fn&, const T&>>
 {
-    using R = std::invoke_result_t<Fn&, const T&>;
     using Clock = std::chrono::steady_clock;
-    const std::size_t n = items.size();
-    std::vector<R> results(n);
-    std::vector<double> times(n, 0.0);
-
-    auto runOne = [&](std::size_t i) {
-        auto t0 = Clock::now();
+    std::vector<std::invoke_result_t<Fn&, const T&>> results(items.size());
+    std::vector<double> times(items.size(), 0.0);
+    parallelFor(pool, items.size(), [&](std::size_t i) {
+        const auto t0 = Clock::now();
         results[i] = fn(items[i]);
         times[i] = std::chrono::duration<double>(Clock::now() - t0).count();
-    };
-
-    if (pool.threadCount() <= 1 || n <= 1) {
-        // Degenerate serial case: run inline, in order, on the caller.
-        for (std::size_t i = 0; i < n; ++i)
-            runOne(i);
-    } else {
-        struct Job {
-            std::atomic<std::size_t> done{0};
-            std::mutex mutex;
-            std::condition_variable cv;
-            std::exception_ptr error;
-        } job;
-
-        for (std::size_t i = 0; i < n; ++i) {
-            pool.submit([&, i] {
-                try {
-                    runOne(i);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(job.mutex);
-                    if (!job.error)
-                        job.error = std::current_exception();
-                }
-                // The increment and notify stay inside one critical
-                // section, and nothing touches `job` after the unlock:
-                // once the caller sees done == n and passes its barrier
-                // lock below, every worker is fully out of the Job and
-                // the stack object can die.
-                {
-                    std::lock_guard<std::mutex> lock(job.mutex);
-                    if (job.done.fetch_add(1, std::memory_order_acq_rel) +
-                            1 ==
-                        n)
-                        job.cv.notify_all();
-                }
-            });
-        }
-        // Work while waiting: the submitting thread executes queued
-        // tasks (of this map or any concurrent one) instead of idling.
-        while (job.done.load(std::memory_order_acquire) < n) {
-            if (!pool.tryRunOne()) {
-                std::unique_lock<std::mutex> lock(job.mutex);
-                job.cv.wait_for(lock, std::chrono::milliseconds(5), [&] {
-                    return job.done.load(std::memory_order_acquire) >= n;
-                });
-            }
-        }
-        // Barrier: wait for the final worker to leave its critical
-        // section before `job` is read and destroyed.
-        std::unique_lock<std::mutex> barrier(job.mutex);
-        if (job.error)
-            std::rethrow_exception(job.error);
-        barrier.unlock();
-    }
-
+        return true;
+    });
     if (taskSeconds)
         *taskSeconds = std::move(times);
     return results;

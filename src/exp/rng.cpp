@@ -1,7 +1,11 @@
 #include "exp/rng.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 
 namespace gecko::exp {
 
@@ -19,27 +23,32 @@ splitmix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-std::uint64_t
-resolveSeed()
-{
-    if (g_staged)
-        return g_staged_seed;
-    const char* env = std::getenv("GECKO_SEED");
-    if (!env || !*env)
-        return 0;
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(env, &end, 0);
-    return (end && *end == '\0') ? static_cast<std::uint64_t>(v) : 0;
-}
-
 }  // namespace
+
+std::uint64_t
+parseSeed(const char* value)
+{
+    if (value == nullptr || *value == '\0')
+        return 0;
+    std::uint64_t seed = 0;
+    const char* end = value + std::strlen(value);
+    const auto [ptr, ec] = std::from_chars(value, end, seed);
+    if (ec != std::errc() || ptr != end)
+        throw std::invalid_argument(
+            std::string("GECKO_SEED=") + value +
+            ": expected a decimal seed in 0..18446744073709551615");
+    return seed;
+}
 
 std::uint64_t
 globalSeed()
 {
     static std::once_flag once;
     static std::uint64_t seed = 0;
-    std::call_once(once, [] { seed = resolveSeed(); });
+    std::call_once(once, [] {
+        seed = g_staged ? g_staged_seed
+                        : parseSeed(std::getenv("GECKO_SEED"));
+    });
     return seed;
 }
 

@@ -25,8 +25,16 @@ namespace gecko::exp {
 /**
  * The process-wide seed: `GECKO_SEED` (parsed once, cached), or the
  * value staged with setGlobalSeed().  0 = unseeded baseline.
+ * @throws std::invalid_argument when `GECKO_SEED` is malformed.
  */
 std::uint64_t globalSeed();
+
+/**
+ * Read a `GECKO_SEED` value whole, as the decimal digits `--seed=`
+ * takes: null or empty (unset) means 0.
+ * @throws std::invalid_argument naming the variable otherwise.
+ */
+std::uint64_t parseSeed(const char* value);
 
 /**
  * Stage the global seed (CLI `--seed=N` override).  Must be called

@@ -1,9 +1,15 @@
 #include "exp/thread_pool.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <charconv>
 #include <cstring>
+#include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 namespace gecko::exp {
 
@@ -12,102 +18,10 @@ namespace {
 /** Staged worker count for the global pool (0 = not staged). */
 std::atomic<int> g_globalThreads{0};
 
+/** Set while this thread runs the bodies of a fanned-out loop. */
+thread_local bool t_inLoop = false;
+
 }  // namespace
-
-ThreadPool::ThreadPool(int threads)
-{
-    int n = threads > 0 ? threads : defaultThreads();
-    queues_.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-        queues_.push_back(std::make_unique<WorkerQueue>());
-    workers_.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-        workers_.emplace_back(
-            [this, i] { workerLoop(static_cast<std::size_t>(i)); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    // Drain: workers only exit once every queue is empty, so pending
-    // tasks (which parallelMap callers may be blocked on) still run.
-    {
-        std::lock_guard<std::mutex> lock(idleMutex_);
-        stop_.store(true, std::memory_order_relaxed);
-    }
-    idleCv_.notify_all();
-    for (std::thread& worker : workers_)
-        worker.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    std::size_t slot = nextQueue_.fetch_add(1, std::memory_order_relaxed) %
-                       queues_.size();
-    {
-        std::lock_guard<std::mutex> lock(queues_[slot]->mutex);
-        queues_[slot]->tasks.push_back(std::move(task));
-    }
-    queued_.fetch_add(1, std::memory_order_release);
-    idleCv_.notify_one();
-}
-
-bool
-ThreadPool::popTask(std::size_t preferred, std::function<void()>* out)
-{
-    std::size_t n = queues_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        WorkerQueue& q = *queues_[(preferred + i) % n];
-        std::lock_guard<std::mutex> lock(q.mutex);
-        if (q.tasks.empty())
-            continue;
-        if (i == 0) {
-            // Own queue: drain in submission order.
-            *out = std::move(q.tasks.front());
-            q.tasks.pop_front();
-        } else {
-            // Steal from the cold end of the victim's deque.
-            *out = std::move(q.tasks.back());
-            q.tasks.pop_back();
-        }
-        queued_.fetch_sub(1, std::memory_order_relaxed);
-        return true;
-    }
-    return false;
-}
-
-bool
-ThreadPool::tryRunOne()
-{
-    std::function<void()> task;
-    // External callers have no own queue; start stealing anywhere.
-    std::size_t start = nextQueue_.load(std::memory_order_relaxed) %
-                        queues_.size();
-    if (!popTask(start, &task))
-        return false;
-    task();
-    return true;
-}
-
-void
-ThreadPool::workerLoop(std::size_t self)
-{
-    for (;;) {
-        std::function<void()> task;
-        if (popTask(self, &task)) {
-            task();
-            continue;
-        }
-        std::unique_lock<std::mutex> lock(idleMutex_);
-        idleCv_.wait(lock, [this] {
-            return stop_.load(std::memory_order_relaxed) ||
-                   queued_.load(std::memory_order_acquire) > 0;
-        });
-        if (stop_.load(std::memory_order_relaxed) &&
-            queued_.load(std::memory_order_acquire) == 0)
-            return;
-    }
-}
 
 int
 ThreadPool::defaultThreads(const char* value)
@@ -136,6 +50,59 @@ void
 ThreadPool::setGlobalThreads(int threads)
 {
     g_globalThreads.store(threads, std::memory_order_release);
+}
+
+void
+parallelFor(const ThreadPool& pool, std::size_t n,
+            const std::function<bool(std::size_t)>& body)
+{
+    const std::size_t width =
+        std::min(static_cast<std::size_t>(pool.threadCount()), n);
+    if (width <= 1 || t_inLoop) {
+        for (std::size_t i = 0; i < n; ++i)
+            if (!body(i))
+                return;
+        return;
+    }
+
+    std::atomic<std::size_t> cursor{0};
+    std::atomic<bool> stop{false};
+    std::mutex errorMutex;
+    std::exception_ptr error;
+    const auto fail = [&] {
+        std::lock_guard<std::mutex> lock(errorMutex);
+        if (!error)
+            error = std::current_exception();
+    };
+    const auto claim = [&] {
+        t_inLoop = true;
+        try {
+            while (!stop) {
+                const std::size_t i = cursor++;
+                if (i >= n || !body(i))
+                    break;
+            }
+        } catch (...) {
+            fail();
+        }
+        stop = true;
+        t_inLoop = false;
+    };
+
+    std::vector<std::thread> helpers;
+    helpers.reserve(width - 1);
+    try {
+        while (helpers.size() + 1 < width)
+            helpers.emplace_back(claim);
+    } catch (...) {
+        fail();
+        stop = true;
+    }
+    claim();
+    for (std::thread& helper : helpers)
+        helper.join();
+    if (error)
+        std::rethrow_exception(error);
 }
 
 }  // namespace gecko::exp

@@ -1,39 +1,31 @@
 #ifndef GECKO_EXP_THREAD_POOL_HPP_
 #define GECKO_EXP_THREAD_POOL_HPP_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdlib>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 /**
  * @file
- * Work-stealing thread pool for the experiment engine.
+ * Parallel index loops for the experiment engine.
  *
  * Every attacked-victim run of a sweep is independent, so the figure
- * and table benches are embarrassingly parallel.  The pool keeps one
- * task deque per worker: submissions are distributed round-robin, a
- * worker drains its own deque from the front and steals from the back
- * of a victim's deque when it runs dry.  Deques are mutex-guarded (the
- * tasks are whole simulator runs, microseconds to seconds each, so
- * queue overhead is irrelevant and the simple locking stays clean
- * under ThreadSanitizer).
+ * and table benches are embarrassingly parallel.  exp::parallelFor is
+ * the one claim loop behind every fan-out: the caller and up to
+ * `width - 1` helper threads, started for the loop and joined before
+ * it returns, take indices from one atomic cursor.  The tasks are
+ * whole simulator runs, microseconds to seconds each, so one claim per
+ * index costs nothing measurable, and no thread outlives its loop.
  *
- * The pool size is `GECKO_THREADS` (environment) when set, else the
+ * The width is `GECKO_THREADS` (environment) when set, else the
  * hardware concurrency; benches additionally accept a `--threads=N`
- * override (see bench_util).  A pool of one thread is the degenerate
- * serial case: exp::parallelMap then runs entirely on the caller.
+ * override (see bench_util).  A width of one is the serial case: the
+ * loop runs entirely on the caller and starts no thread.
  */
 
 namespace gecko::exp {
 
-/** Work-stealing pool of worker threads executing submitted tasks. */
+/** The width of the parallel loops run on it: a thread count. */
 class ThreadPool
 {
   public:
@@ -43,30 +35,13 @@ class ThreadPool
     /**
      * @param threads worker count; <= 0 means defaultThreads().
      */
-    explicit ThreadPool(int threads = 0);
-
-    /** Joins all workers; pending tasks are completed first. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool&) = delete;
-    ThreadPool& operator=(const ThreadPool&) = delete;
-
-    /** Number of worker threads. */
-    int threadCount() const
+    explicit ThreadPool(int threads = 0)
+        : width_(threads > 0 ? threads : defaultThreads())
     {
-        return static_cast<int>(workers_.size());
     }
 
-    /** Enqueue a task (round-robin over the worker deques). */
-    void submit(std::function<void()> task);
-
-    /**
-     * Steal and execute one queued task on the calling thread.
-     * Used by parallelMap so the submitting thread works too instead
-     * of blocking idle.
-     * @return true if a task was executed.
-     */
-    bool tryRunOne();
+    /** Threads a loop on this pool may run at once, the caller's one. */
+    int threadCount() const { return width_; }
 
     /**
      * Resolve the configured parallelism from a `GECKO_THREADS` value,
@@ -91,22 +66,26 @@ class ThreadPool
     static void setGlobalThreads(int threads);
 
   private:
-    struct WorkerQueue {
-        std::mutex mutex;
-        std::deque<std::function<void()>> tasks;
-    };
-
-    void workerLoop(std::size_t self);
-    bool popTask(std::size_t preferred, std::function<void()>* out);
-
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
-    std::vector<std::thread> workers_;
-    std::mutex idleMutex_;
-    std::condition_variable idleCv_;
-    std::atomic<std::size_t> queued_{0};
-    std::atomic<std::size_t> nextQueue_{0};
-    std::atomic<bool> stop_{false};
+    int width_;
 };
+
+/**
+ * Run `body(i)` for every i in [0, n), on the caller and
+ * `min(width, n) - 1` helper threads that claim indices from one
+ * atomic cursor; every helper is joined before the call returns, and
+ * helpers inherit the caller's signal mask.
+ *
+ * The first exception a body throws, or a body that returns false,
+ * stops every thread from claiming another index (bodies already
+ * running finish); the exception is rethrown on the caller after the
+ * join, as is a failure to start a helper.  A loop called while this
+ * thread runs a body of another parallel loop runs inline, so a
+ * process never runs more threads than the outer width.  A loop that
+ * runs inline only because `n <= 1` or the width is 1 does not count
+ * as running: loops its body starts still fan out.
+ */
+void parallelFor(const ThreadPool& pool, std::size_t n,
+                 const std::function<bool(std::size_t)>& body);
 
 }  // namespace gecko::exp
 

@@ -31,24 +31,15 @@ BenchReport::toJson() const
        << ",\"wall_s\":" << num(wallS);
     const std::uint64_t simCycles = counters.exec.cycles;
     const std::uint64_t quanta = counters.sim.quanta;
-    const runtime::RuntimeStats& rt = counters.runtime;
     os << ",\"sim_cycles\":" << simCycles << ",\"sim_cycles_per_s\":"
-       << num(wallS > 0 ? static_cast<double>(simCycles) / wallS : 0.0)
-       << ",\"quanta\":" << quanta
-       << ",\"coalesced_quanta\":" << counters.sim.coalescedQuanta
-       << ",\"replayed_completions\":"
-       << counters.sim.replayedCompletions
-       << ",\"steady_loop_iterations\":"
-       << counters.sim.steadyLoopIterations
-       << ",\"point_reads\":" << counters.sim.pointReads
-       << ",\"exact_reads\":" << counters.sim.exactReads
-       << ",\"quanta_per_s\":"
+       << num(wallS > 0 ? static_cast<double>(simCycles) / wallS : 0.0);
+    forEachBenchCounter([&](const BenchCounterKey& key, auto get) {
+        os << ",\"" << key.name << "\":" << get(counters);
+    });
+    os << ",\"quanta_per_s\":"
        << num(wallS > 0 ? static_cast<double>(quanta) / wallS : 0.0);
     if (!status.empty())
         os << ",\"status\":\"" << jsonEscape(status) << "\"";
-    os << ",\"corrupted_restores\":" << rt.corruptedRestores
-       << ",\"crc_rejects\":" << rt.crcRejects
-       << ",\"retries_exhausted\":" << rt.retriesExhausted;
     if (!traceOut.empty())
         os << ",\"trace_out\":\"" << jsonEscape(traceOut) << "\"";
     if (!figureData.empty())

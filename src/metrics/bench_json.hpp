@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "metrics/counter_field.hpp"
 #include "metrics/json.hpp"
 #include "sim/intermittent_sim.hpp"
 
@@ -79,6 +81,45 @@ struct SweepRecord {
  */
 inline constexpr int kBenchSchemaVersion = 10;
 
+/** One bench-JSON counter key (beside `sim_cycles`). */
+struct BenchCounterKey {
+    /// Counter-registry name (DESIGN.md "Counters"), also the key.
+    std::string_view name;
+    /// bench_all's suite line writes the sum as `total_<name>` (the
+    /// stepping diagnostics); false keeps the name (the defence
+    /// counters).
+    bool suiteTotal;
+};
+
+/// The bench-JSON counter keys besides `sim_cycles`.  Explicit: the
+/// format is frozen, so a new registry field joins it only when listed
+/// here.  BenchReport::toJson writes them and bench_all reads, sums
+/// and renders them, through forEachBenchCounter.
+inline constexpr BenchCounterKey kBenchCounterKeys[] = {
+    {"quanta", true},
+    {"coalesced_quanta", true},
+    {"replayed_completions", true},
+    {"steady_loop_iterations", true},
+    {"point_reads", true},
+    {"exact_reads", true},
+    {"corrupted_restores", false},
+    {"crc_rejects", false},
+    {"retries_exhausted", false}};
+
+/** `fn(key, get)` per kBenchCounterKeys entry, in field-list order;
+ *  `get(c)` is that counter of a sim::Counters `c`. */
+template <class Fn>
+void
+forEachBenchCounter(Fn&& fn)
+{
+    sim::Counters::forEachField(
+        [&fn](const CounterField& field, auto get) {
+            for (const BenchCounterKey& key : kBenchCounterKeys)
+                if (key.name == field.name)
+                    fn(key, get);
+        });
+}
+
 /** Telemetry of one bench binary run. */
 struct BenchReport {
     std::string figure;
@@ -96,11 +137,7 @@ struct BenchReport {
     /// Process wall time from bench::init to report write (s).
     double wallS = 0.0;
     /// Counter totals of every simulation the bench ran; the report
-    /// names ten: `sim_cycles`, the schema-v5 `quanta` and
-    /// `coalesced_quanta`, the schema-v8 `replayed_completions`, the
-    /// schema-v9 `steady_loop_iterations`, the schema-v10 `point_reads`
-    /// and `exact_reads`, and the defence counters `corrupted_restores`,
-    /// `crc_rejects` and `retries_exhausted`.
+    /// names ten: `sim_cycles` (`exec.cycles`) and kBenchCounterKeys.
     sim::Counters counters;
     /// Bench verdict: "pass", "fail", or "" (bench has no pass/fail
     /// semantics — treated as pass by aggregation).

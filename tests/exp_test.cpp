@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <limits>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -11,42 +15,148 @@
 #include "../bench/bench_util.hpp"
 #include "compiler/compile_cache.hpp"
 #include "exp/parallel.hpp"
+#include "exp/rng.hpp"
 #include "exp/thread_pool.hpp"
 
 /**
  * @file
- * Tests for the parallel sweep-execution engine: thread-pool ordering
- * and determinism, exception propagation, and the shared compile
- * cache.  exp_test is the suite the TSan build gate runs
- * (`-DGECKO_SANITIZE=thread`).
+ * Tests for the parallel sweep-execution engine: the parallelFor claim
+ * loop's width, stop and nesting rules, parallelMap's ordering and
+ * determinism, exception propagation, the shared compile cache, and
+ * the GECKO_THREADS / GECKO_SEED parsers.  exp_test is the suite the
+ * TSan build gate runs (`-DGECKO_SANITIZE=thread`).
  */
 
 namespace gecko {
 namespace {
 
-TEST(ThreadPoolTest, RunsSubmittedTasks)
+/** What one parallelFor of `n` 2 ms bodies on a `width` pool ran on. */
+struct LoopThreads {
+    /// Most bodies running at once.
+    int peak = 0;
+    /// Distinct threads that ran a body.
+    std::set<std::thread::id> ids;
+};
+
+LoopThreads
+loopThreads(int width, std::size_t n)
 {
-    exp::ThreadPool pool(4);
-    EXPECT_EQ(pool.threadCount(), 4);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&counter] { counter.fetch_add(1); });
-    while (counter.load() < 100)
-        std::this_thread::yield();
-    EXPECT_EQ(counter.load(), 100);
+    exp::ThreadPool pool(width);
+    LoopThreads out;
+    std::mutex mutex;
+    int running = 0;
+    exp::parallelFor(pool, n, [&](std::size_t) {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            out.peak = std::max(out.peak, ++running);
+            out.ids.insert(std::this_thread::get_id());
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        std::lock_guard<std::mutex> lock(mutex);
+        --running;
+        return true;
+    });
+    return out;
 }
 
-TEST(ThreadPoolTest, CallerCanStealWork)
+TEST(ParallelForTest, RunsAtMostTheWidthOrNThreads)
 {
-    exp::ThreadPool pool(2);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 50; ++i)
-        pool.submit([&counter] { counter.fetch_add(1); });
-    // The submitting thread may drain tasks too; either way all run.
-    while (counter.load() < 50)
-        if (!pool.tryRunOne())
-            std::this_thread::yield();
-    EXPECT_EQ(counter.load(), 50);
+    const LoopThreads wide = loopThreads(4, 64);
+    EXPECT_LE(wide.peak, 4);
+    EXPECT_LE(wide.ids.size(), 4u);
+    EXPECT_GT(wide.ids.size(), 1u);
+    // Fewer indices than the width start only n - 1 helpers.
+    EXPECT_LE(loopThreads(8, 3).ids.size(), 3u);
+    // Width 1 (and a single index) runs entirely on the caller.
+    for (const LoopThreads& serial : {loopThreads(1, 16), loopThreads(4, 1)}) {
+        EXPECT_EQ(serial.peak, 1);
+        ASSERT_EQ(serial.ids.size(), 1u);
+        EXPECT_EQ(*serial.ids.begin(), std::this_thread::get_id());
+    }
+}
+
+/**
+ * Indices a loop over 1000 slow bodies starts after the body of index 8
+ * stops it, by throwing or by returning false.  The other bodies take
+ * 20 ms, far longer than the stopping body needs to raise the flag, so
+ * each other thread starts at most the index it claimed meanwhile.
+ */
+int
+startsAfterStop(exp::ThreadPool& pool, bool throws)
+{
+    std::atomic<int> started{0};
+    std::atomic<int> atStop{0};
+    const auto body = [&](std::size_t i) {
+        const int k = ++started;
+        if (i == 8) {
+            atStop = k;
+            if (throws)
+                throw std::runtime_error("index 8 failed");
+            return false;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return true;
+    };
+    if (throws)
+        EXPECT_THROW(exp::parallelFor(pool, 1000, body), std::runtime_error);
+    else
+        exp::parallelFor(pool, 1000, body);
+    EXPECT_GT(atStop.load(), 0);
+    return started - atStop;
+}
+
+TEST(ParallelForTest, AThrowStopsEveryThreadAndIsRethrown)
+{
+    exp::ThreadPool pool(4);
+    EXPECT_LE(startsAfterStop(pool, true), 3);
+    // The next loop on the same pool still runs every index.
+    std::atomic<std::size_t> sum{0};
+    exp::parallelFor(pool, 100, [&](std::size_t i) {
+        sum += i;
+        return true;
+    });
+    EXPECT_EQ(sum.load(), 4950u);
+}
+
+TEST(ParallelForTest, ABodyReturningFalseStopsEveryThread)
+{
+    exp::ThreadPool pool(4);
+    EXPECT_LE(startsAfterStop(pool, false), 3);
+    exp::ThreadPool serial(1);
+    EXPECT_EQ(startsAfterStop(serial, false), 0);
+}
+
+TEST(ParallelForTest, NestedLoopRunsInline)
+{
+    exp::ThreadPool pool(4);
+    std::atomic<int> offThread{0};
+    exp::parallelFor(pool, 16, [&](std::size_t) {
+        const std::thread::id self = std::this_thread::get_id();
+        // Slow enough that helpers, had any started, would claim some.
+        exp::parallelFor(pool, 16, [&](std::size_t) {
+            if (std::this_thread::get_id() != self)
+                ++offThread;
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            return true;
+        });
+        return true;
+    });
+    EXPECT_EQ(offThread.load(), 0);
+}
+
+TEST(ParallelForTest, LoopInsideAnInlineLoopFansOut)
+{
+    // A one-item map (fault_campaign's runSweep around the campaign)
+    // and a width-1 loop run inline without counting as running, so a
+    // loop their body starts still fans out.
+    exp::ThreadPool pool(4);
+    const auto innerThreads = [](int) { return loopThreads(4, 64).ids.size(); };
+    EXPECT_GT(exp::parallelMap(pool, std::vector<int>{0}, innerThreads)[0],
+              1u);
+    exp::ThreadPool serial(1);
+    for (std::size_t threads :
+         exp::parallelMap(serial, std::vector<int>{0, 1}, innerThreads))
+        EXPECT_GT(threads, 1u);
 }
 
 TEST(ParallelMapTest, PreservesInputOrdering)
@@ -216,6 +326,31 @@ TEST(ThreadPoolTest, ThreadCountIsReadWholeAndBounded)
             ADD_FAILURE() << "GECKO_THREADS=" << bad << " was accepted";
         } catch (const std::invalid_argument& e) {
             EXPECT_NE(std::string(e.what()).find("GECKO_THREADS"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(SeedTest, GeckoSeedIsReadWholeAsDecimal)
+{
+    // Unset or empty is the unseeded baseline; anything else reads as
+    // the digits --seed= takes, so 010 is ten, never octal eight.
+    EXPECT_EQ(exp::parseSeed(nullptr), 0u);
+    EXPECT_EQ(exp::parseSeed(""), 0u);
+    EXPECT_EQ(exp::parseSeed("0"), 0u);
+    EXPECT_EQ(exp::parseSeed("42"), 42u);
+    EXPECT_EQ(exp::parseSeed("010"), 10u);
+    EXPECT_EQ(exp::parseSeed("18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+    for (const char* bad : {"0x10", "-1", "+5", " 5", "5 ", "4x", "abc",
+                            "1e3", "18446744073709551616",
+                            "99999999999999999999999"}) {
+        try {
+            exp::parseSeed(bad);
+            ADD_FAILURE() << "GECKO_SEED=" << bad << " was accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("GECKO_SEED"),
                       std::string::npos)
                 << e.what();
         }

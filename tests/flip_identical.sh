@@ -2,8 +2,8 @@
 # Run a binary with one environment variable set and with it unset, and
 # require byte-identical stdout, and identical files wherever the
 # arguments name an output directory as @OUT@: an execution strategy
-# (the burst fast path, the block tier) is never a model change
-# (DESIGN.md §12, §14).
+# (the burst fast path, the block tier, the thread count) is never a
+# model change (DESIGN.md §8, §12, §14).
 #
 # Usage: flip_identical.sh VAR=VALUE BINARY [ARGS...]
 #   flip_identical.sh GECKO_COALESCE=0 ./build/bench/fig05_remote_adc

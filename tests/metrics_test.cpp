@@ -74,29 +74,32 @@ TEST(BenchJsonTest, ReadersTolerateUnknownKeys)
 
 TEST(BenchJsonTest, CounterKeysReadTheCounterSet)
 {
+    // The frozen key set: every listed name is a registry field (the
+    // walk reaches all nine), and each key carries its own counter.
+    std::vector<std::string> names;
+    for (const BenchCounterKey& key : kBenchCounterKeys)
+        names.emplace_back(key.name);
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "quanta", "coalesced_quanta",
+                         "replayed_completions", "steady_loop_iterations",
+                         "point_reads", "exact_reads", "corrupted_restores",
+                         "crc_rejects", "retries_exhausted"}));
     BenchReport report;
     report.counters.exec.cycles = 123;
-    report.counters.sim.quanta = 45;
-    report.counters.sim.coalescedQuanta = 6;
-    report.counters.sim.replayedCompletions = 10;
-    report.counters.sim.steadyLoopIterations = 11;
-    report.counters.sim.pointReads = 12;
-    report.counters.sim.exactReads = 13;
-    report.counters.runtime.corruptedRestores = 7;
-    report.counters.runtime.crcRejects = 8;
-    report.counters.runtime.retriesExhausted = 9;
+    std::uint64_t next = 1000;
+    std::set<std::string> walked;
+    forEachBenchCounter([&](const BenchCounterKey& key, auto get) {
+        get(report.counters) = ++next;
+        walked.emplace(key.name);
+    });
+    EXPECT_EQ(walked, std::set<std::string>(names.begin(), names.end()));
     JsonValue json;
     ASSERT_TRUE(parseJson(report.toJson(), &json));
-    EXPECT_EQ(json.getNumber("sim_cycles"), 123.0);
-    EXPECT_EQ(json.getNumber("quanta"), 45.0);
-    EXPECT_EQ(json.getNumber("coalesced_quanta"), 6.0);
-    EXPECT_EQ(json.getNumber("replayed_completions"), 10.0);
-    EXPECT_EQ(json.getNumber("steady_loop_iterations"), 11.0);
-    EXPECT_EQ(json.getNumber("point_reads"), 12.0);
-    EXPECT_EQ(json.getNumber("exact_reads"), 13.0);
-    EXPECT_EQ(json.getNumber("corrupted_restores"), 7.0);
-    EXPECT_EQ(json.getNumber("crc_rejects"), 8.0);
-    EXPECT_EQ(json.getNumber("retries_exhausted"), 9.0);
+    EXPECT_EQ(json.getU64("sim_cycles"), 123u);
+    next = 1000;
+    forEachBenchCounter([&](const BenchCounterKey& key, auto) {
+        EXPECT_EQ(json.getU64(key.name), ++next) << key.name;
+    });
 }
 
 // ---------------------------------------------------------------------
