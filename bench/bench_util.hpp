@@ -155,8 +155,7 @@ splitList(const std::string& s)
 /**
  * Bench entry hook: parse the shared CLI flags before the global pool
  * exists.  Supported: `--threads=N` (1..1024; overrides
- * `GECKO_THREADS`), `--seed=N` (overrides `GECKO_SEED`, which is
- * resolved here, so a malformed one is refused before any work; see
+ * `GECKO_THREADS`), `--seed=N` (overrides `GECKO_SEED`; see
  * exp/rng.hpp), and
  * `--trace=PATH` (overrides `GECKO_TRACE_OUT`) to write a merged event
  * trace of every sweep point — `.json` gets Chrome-trace/Perfetto
@@ -168,18 +167,22 @@ init(int argc, char** argv)
     std::string traceOut;
     if (const char* env = std::getenv("GECKO_TRACE_OUT"); env && *env)
         traceOut = env;
+    int threads = 0;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--threads=", 0) == 0) {
-            exp::ThreadPool::setGlobalThreads(
-                flagValue(arg, 1, exp::ThreadPool::kMaxThreads));
+            threads = flagValue(arg, 1, exp::ThreadPool::kMaxThreads);
         } else if (arg.rfind("--seed=", 0) == 0) {
             exp::setGlobalSeed(flagValue<std::uint64_t>(arg, 0));
         } else if (arg.rfind("--trace=", 0) == 0) {
             traceOut = arg.substr(8);
         }
     }
-    exp::globalSeed();  // a malformed GECKO_SEED throws before any work
+    // GECKO_THREADS and GECKO_SEED are resolved here, so a malformed
+    // one throws before any work, whether or not the run fans out.
+    exp::ThreadPool::setGlobalThreads(
+        threads > 0 ? threads : exp::ThreadPool::defaultThreads());
+    exp::globalSeed();
     if (!traceOut.empty()) {
         if (trace::compiledIn()) {
             telemetry().traceOut = traceOut;

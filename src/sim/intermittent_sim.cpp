@@ -719,6 +719,9 @@ IntermittentSim::certify(BurstKind kind, double dt) const
     // marching so a refusal costs a few branches.  Quiet: no controller
     // and the re-enable probe idle, so the only observation is a point
     // read (of the rail plus at most a weak tone) that must be a no-op.
+    // A defended victim's quiet samples are evaluated instead: once a
+    // controller has seen evidence its score decays for ~18 000 samples
+    // before it reaches a fixed point.
     // Under an active tone a continuous monitor's envelope read, or an
     // ADC's point read of a tone too weak to move a latch (victims
     // without a controller), can be steady; the events it repeats must
@@ -822,15 +825,17 @@ IntermittentSim::certifiedBurst(BurstKind kind, const Certificate& c,
     return true;
 }
 
+template <class Primary, class Shadow>
 bool
-IntermittentSim::evaluatedBurst(BurstKind kind, int maxSteps, int stride,
+IntermittentSim::evaluatedBurst(Primary& primary, Shadow* shadow,
+                                BurstKind kind, int maxSteps, int stride,
                                 double dt, double end,
                                 const energy::Capacitor::ChargePlan& plan)
 {
     // ------------------------------------------------------------------
     // Each skipped sample is evaluated by observeMonitor's own
-    // sampleMonitor, on a trial copy of the ADC latches and the jitter
-    // sequence; with a controller, the shadow comparator and the
+    // sampleMonitor, on a trial copy of the primary's latches and the
+    // jitter sequence; with a controller, the shadow monitor and the
     // controller (and wakeAllowed on a forged sleep wake) run on copies
     // too.  The march stops before the first sample that is not
     // inert: a backup while JIT is armed or the probe could re-arm it,
@@ -848,30 +853,32 @@ IntermittentSim::evaluatedBurst(BurstKind kind, int maxSteps, int stride,
     const defense::Mode mode = defense_ ? defense_->mode()
                                         : defense::Mode::kNominal;
 
-    analog::AdcMonitor monitor = adc_;
-    analog::ComparatorMonitor shadow = comparator_;
+    Primary monitor = primary;
+    // The shadow runs with the controller, and only then.
+    std::optional<Shadow> trialShadow;
     std::optional<defense::DefenseController> controller;
     std::uint32_t seq = 0;
     std::uint64_t backups = 0;
     std::uint64_t wakes = 0;
     bool modeChanged = false;
     const auto startTrial = [&] {
-        monitor = adc_;
-        shadow = comparator_;
-        if (defense_)
+        monitor = primary;
+        if (defense_) {
+            trialShadow = *shadow;
             controller = *defense_;
+        }
         seq = sampleSeq_;
         backups = wakes = 0;
     };
     const auto step = [&](double e, double t) {
-        analog::AdcMonitor read = monitor;
+        Primary read = monitor;
         std::uint32_t next = seq;
         const auto inert = [&](const analog::MonitorEvent& ev) {
             return running ? !(ev.backup && jitArmed)
                            : !(ev.wake && e > energyLockout_);
         };
         const std::optional<analog::MonitorEvent> ev = sampleMonitor(
-            read, controller ? &shadow : nullptr,
+            read, controller ? &*trialShadow : nullptr,
             controller ? &*controller : nullptr, std::sqrt(2.0 * e / cf),
             t, next, inert);
         if (!ev)
@@ -904,9 +911,9 @@ IntermittentSim::evaluatedBurst(BurstKind kind, int maxSteps, int stride,
         return false;
 
     sampleSeq_ = seq;
-    adc_ = monitor;
+    primary = monitor;
     if (controller) {
-        comparator_ = shadow;
+        *shadow = *trialShadow;
         *defense_ = *controller;
     }
     b.backups = running ? backups : 0;
@@ -972,9 +979,13 @@ IntermittentSim::tryBurst(BurstKind kind, int stride, double dt, double end)
     if (coalesceLimit_ < 2 || monitorFault_ || trace::current() != nullptr)
         return false;
     const std::optional<Certificate> cert = certify(kind, dt);
-    // An ADC's point reads under a tone can be evaluated one by one.
-    const bool evaluable = config_.monitorKind == analog::MonitorKind::kAdc &&
-                           emi_ && emi_->enabled();
+    // An ADC's point reads under a tone, and every quiet sample of a
+    // defended victim (certify refuses a controller there), can be
+    // evaluated one by one.
+    const bool evaluable =
+        (config_.monitorKind == analog::MonitorKind::kAdc && emi_ &&
+         emi_->enabled()) ||
+        (kind == BurstKind::kQuiet && defense_);
     if (!cert && !evaluable)
         return false;
 
@@ -997,7 +1008,11 @@ IntermittentSim::tryBurst(BurstKind kind, int stride, double dt, double end)
     const auto plan = cap_.chargePlan(harvester_.openCircuitVoltage(now_),
                                       harvester_.seriesResistance(now_), dt);
     return (cert && certifiedBurst(kind, *cert, m, stride, dt, end, plan)) ||
-           (evaluable && evaluatedBurst(kind, m, stride, dt, end, plan));
+           (evaluable &&
+            withMonitors(*this, [&](auto& primary, auto* shadow) {
+                return evaluatedBurst(primary, shadow, kind, m, stride, dt,
+                                      end, plan);
+            }));
 }
 
 void

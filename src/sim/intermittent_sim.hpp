@@ -380,7 +380,8 @@ class IntermittentSim
     /// quanta (no active tone), running quanta under an active tone,
     /// and sleep samples under an active tone.  Each burst either
     /// certifies that every skipped observation repeats one known event
-    /// or, for an ADC primary under a tone, evaluates each one.
+    /// or, for an ADC primary under a tone and for the quiet samples of
+    /// a victim with a controller, evaluates each one.
     enum class BurstKind { kQuiet, kStorm, kSleep };
     /// Monitor events every skipped sample repeats: the primary's, and
     /// the shadow's (defense cross-validation; `{}` without one).
@@ -422,10 +423,13 @@ class IntermittentSim
     bool certifiedBurst(BurstKind kind, const Certificate& c, int maxSteps,
                         int stride, double dt, double end,
                         const energy::Capacitor::ChargePlan& plan);
-    /// A burst whose observations (ADC primary under a tone) are each
-    /// evaluated on trial copies, up to the first eventful one.
-    bool evaluatedBurst(BurstKind kind, int maxSteps, int stride,
-                        double dt, double end,
+    /// A burst whose observations (an ADC primary under a tone, or a
+    /// defended victim's quiet samples) are each evaluated on trial
+    /// copies of `primary`, `shadow` (null without a controller) and
+    /// the controller, up to the first one that is not inert.
+    template <class Primary, class Shadow>
+    bool evaluatedBurst(Primary& primary, Shadow* shadow, BurstKind kind,
+                        int maxSteps, int stride, double dt, double end,
                         const energy::Capacitor::ChargePlan& plan);
     /// Commit a marched burst: energy, clock, counters, and for running
     /// quanta one fused machine run.

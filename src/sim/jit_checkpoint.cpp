@@ -39,20 +39,23 @@ JitWriter::JitWriter(const Machine& machine, Nvm& nvm, int ramPaddingWords)
         image_[w++] = machine.pendingOut()[static_cast<std::size_t>(p)];
     image_[Nvm::kJitEpochIndex] = nvm.jitEpoch + 1;
     image_[Nvm::kJitAckIndex] = nvm.jit[Nvm::kJitAckIndex] ^ 1u;
-    image_[Nvm::kJitCrcIndex] =
-        imageCrc(image_.data(), image_[Nvm::kJitAckIndex]);
+    // The CRC word is filled in by write() when it is reached: most
+    // attempts that tear or are vetoed never get that far.
 }
 
 void
 JitWriter::write(int count)
 {
-    const int end = written_ + std::min(count, words() - written_);
-    for (; written_ < end; ++written_) {
-        if (written_ >= padding_)
-            nvm_.jit[static_cast<std::size_t>(written_ - padding_)] =
-                image_[static_cast<std::size_t>(written_ - padding_)];
-        ++nvm_.jitAreaWrites;
+    const int end = written_ + std::clamp(count, 0, words() - written_);
+    // Padding words are cost only: counted, never stored.
+    nvm_.jitAreaWrites += static_cast<std::uint64_t>(end - written_);
+    for (int w = std::max(written_, padding_); w < end; ++w) {
+        const auto i = static_cast<std::size_t>(w - padding_);
+        if (i == Nvm::kJitCrcIndex)
+            image_[i] = imageCrc(image_.data(), image_[Nvm::kJitAckIndex]);
+        nvm_.jit[i] = image_[i];
     }
+    written_ = end;
 }
 
 JitResult

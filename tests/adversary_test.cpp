@@ -15,6 +15,7 @@
 #include "exp/thread_pool.hpp"
 #include "fault/spec.hpp"
 #include "metrics/json.hpp"
+#include "test_util.hpp"
 
 /**
  * @file
@@ -32,24 +33,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/** Fresh scratch dir per test, removed on destruction. */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string& tag)
-        : path_(fs::temp_directory_path() /
-                ("gecko_adversary_" + tag + "_" +
-                 std::to_string(::getpid())))
-    {
-        fs::remove_all(path_);
-        fs::create_directories(path_);
-    }
-    ~TempDir() { fs::remove_all(path_); }
-    std::string str() const { return path_.string(); }
-
-  private:
-    fs::path path_;
-};
+using test::TempDir;
 
 std::string
 slurp(const std::string& path)

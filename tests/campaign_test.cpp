@@ -60,24 +60,7 @@ using campaign::Archive;
 using campaign::SnapshotError;
 using compiler::Scheme;
 
-/** Fresh scratch dir per test, removed on destruction. */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string& tag)
-        : path_(fs::temp_directory_path() /
-                ("gecko_campaign_" + tag + "_" +
-                 std::to_string(::getpid())))
-    {
-        fs::remove_all(path_);
-        fs::create_directories(path_);
-    }
-    ~TempDir() { fs::remove_all(path_); }
-    std::string str() const { return path_.string(); }
-
-  private:
-    fs::path path_;
-};
+using test::TempDir;
 
 std::string
 slurp(const std::string& path)

@@ -11,6 +11,7 @@
 #include "attack/attack_schedule.hpp"
 #include "attack/emi_source.hpp"
 #include "attack/rigs.hpp"
+#include "campaign/scenario.hpp"
 #include "campaign/snapshot.hpp"
 #include "compiler/pipeline.hpp"
 #include "defense/controller.hpp"
@@ -991,6 +992,235 @@ TEST(CoalesceZoneReadTest, ObservedReadValuesStayExact)
         2.0);
     expectZoneReadsExact(weak, "weak tone", 1000);
     EXPECT_GT(weak.fast.counters.defense.samples, 1000u);
+}
+
+// ---------------------------------------------------------------------
+// Defended quiet bursts (DESIGN.md §14): the quiet samples of a victim
+// with a controller take evaluated bursts, with either monitor as
+// primary.  Campaign jobs — the engine's victim on a ScenarioEnv — run
+// under both controller presets and both primaries on four
+// environments: a clean constant supply; the campaign's seed-drawn
+// burst windows, after which the controller's score decays through its
+// de-escalations; the same windows on an outage supply (boots, the
+// energy-debt ledger, the re-enable probe armed by detections); and a
+// tone too weak to count as an attack, whose point reads the
+// controller is fed exactly.
+// ---------------------------------------------------------------------
+
+struct DefendedEnv {
+    sim::IoHub io;
+    std::unique_ptr<campaign::ScenarioEnv> scenario;
+    std::unique_ptr<sim::IntermittentSim> simulation;
+};
+
+/** One defended job: the environment, preset and primary it runs. */
+struct DefendedCase {
+    std::string env;
+    campaign::Scenario scenario;
+    std::string preset;
+    analog::MonitorKind monitor;
+
+    std::string label() const
+    {
+        return env + "/" + preset + "/" +
+               (monitor == analog::MonitorKind::kAdc ? "adc" : "comparator");
+    }
+};
+
+std::vector<DefendedCase>
+defendedCases()
+{
+    campaign::Scenario burst;
+    burst.kind = campaign::ScenarioKind::kBurst;
+    campaign::Scenario outage = burst;
+    outage.outagePeriodS = 0.02;
+    outage.outageOnFrac = 0.5;
+    campaign::Scenario weak;
+    weak.kind = campaign::ScenarioKind::kTone;
+    weak.powerDbm = -65.0;
+    const std::pair<const char*, campaign::Scenario> envs[] = {
+        {"clean", campaign::cleanBaseline()},
+        {"burst", burst},
+        {"outage", outage},
+        {"weak tone", weak},
+    };
+    std::vector<DefendedCase> cases;
+    for (const auto& [name, scenario] : envs)
+        for (const char* preset : {"adaptive", "strict"})
+            for (analog::MonitorKind monitor :
+                 {analog::MonitorKind::kAdc,
+                  analog::MonitorKind::kComparator}) {
+                DefendedCase c{name, scenario, preset, monitor};
+                // The burst windows hit each primary at its own path's
+                // resonance (attack_sweep's points).
+                if (scenario.kind == campaign::ScenarioKind::kBurst &&
+                    monitor == analog::MonitorKind::kComparator)
+                    c.scenario.freqHz = 5e6;
+                cases.push_back(c);
+            }
+    return cases;
+}
+
+/** The campaign engine's victim configuration (runJobOnce). */
+void
+buildDefendedEnv(DefendedEnv& env, const DefendedCase& c, int coalesceQuanta)
+{
+    static const CompiledProgram gecko = compiler::compile(
+        workloads::build("sensor_loop"), Scheme::kGecko);
+    const auto& dev = device::DeviceDb::msp430fr5994();
+    sim::SimConfig cfg;
+    cfg.monitorKind = c.monitor;
+    cfg.memWords = 4096;
+    cfg.jitRamWords = 64;
+    cfg.bootOverheadCycles = 1000;
+    cfg.cap.capacitanceF = 20e-6;
+    cfg.cap.initialV = 3.3;
+    cfg.monitorSeed = 11;
+    cfg.coalesceQuanta = coalesceQuanta;
+    ASSERT_TRUE(defense::presetByName(c.preset, &cfg.defense));
+    workloads::setupIo("sensor_loop", env.io);
+    env.scenario = std::make_unique<campaign::ScenarioEnv>(
+        c.scenario, dev, c.monitor, 3, 0.1);
+    env.simulation = std::make_unique<sim::IntermittentSim>(
+        gecko, dev, cfg, env.scenario->supply(), env.io);
+    env.scenario->attach(*env.simulation);
+}
+
+Obs
+runDefended(const DefendedCase& c, int coalesceQuanta, double seconds)
+{
+    DefendedEnv env;
+    buildDefendedEnv(env, c, coalesceQuanta);
+    env.simulation->run(seconds);
+    return capture(*env.simulation, env.io);
+}
+
+TEST(CoalesceDefendedTest, QuietSamplesUnchangedByBursts)
+{
+    std::uint64_t reenables = 0;
+    for (const DefendedCase& c : defendedCases()) {
+        const std::string label = c.label();
+        Obs on = runDefended(c, -1, 0.1);
+        Obs off = runDefended(c, 0, 0.1);
+        ASSERT_GT(off.counters.exec.cycles, 0u) << label;
+        EXPECT_EQ(off.counters.sim.coalescedQuanta, 0u) << label;
+        expectSame(on, off, label);
+        const sim::SimStats& onSim = on.counters.sim;
+        EXPECT_GT(onSim.coalescedQuanta * 10, onSim.quanta * 9)
+            << label << ": " << onSim.coalescedQuanta << " of "
+            << onSim.quanta << " quanta coalesced";
+        // Each environment exercises what it is here for.
+        if (c.env == "burst") {
+            EXPECT_GT(off.counters.defense.deEscalations, 0u) << label;
+        } else if (c.env == "outage") {
+            EXPECT_GT(off.counters.sim.reboots, 1u) << label;
+            EXPECT_GT(off.counters.defense.peakEnergyDebtJ, 0.0) << label;
+            reenables += off.counters.runtime.jitReenables;
+        } else if (c.env == "weak tone") {
+            EXPECT_GT(off.counters.sim.pointReads, 1000u) << label;
+            EXPECT_EQ(onSim.exactReads, onSim.pointReads) << label;
+        }
+    }
+    EXPECT_GT(reenables, 0u) << "no outage case re-enabled JIT";
+}
+
+TEST(CoalesceDefendedTest, SnapshotSlicesCutDefendedBursts)
+{
+    // The adaptive ADC victim on the outage supply under the burst
+    // windows: odd slices cut its quiet, storm and sleep bursts, and
+    // each cut is saved, torn down and restored into a fresh build.
+    constexpr double kSliceS = 0.0123457;
+    constexpr int kSlices = 8;
+    const DefendedCase c = defendedCases()[8];
+    ASSERT_EQ(c.label(), "outage/adaptive/adc");
+    auto env = std::make_unique<DefendedEnv>();
+    buildDefendedEnv(*env, c, -1);
+    for (int k = 0; k < kSlices; ++k) {
+        env->simulation->run(kSliceS);
+        std::vector<std::uint8_t> blob =
+            campaign::saveSimSnapshot(*env->simulation, env->io);
+        env = std::make_unique<DefendedEnv>();
+        buildDefendedEnv(*env, c, -1);
+        campaign::restoreSimSnapshot(*env->simulation, env->io, blob);
+    }
+    DefendedEnv sliced;
+    buildDefendedEnv(sliced, c, 0);
+    for (int k = 0; k < kSlices; ++k)
+        sliced.simulation->run(kSliceS);
+
+    Obs resumed = capture(*env->simulation, env->io);
+    Obs reference = capture(*sliced.simulation, sliced.io);
+    ASSERT_GT(reference.counters.sim.reboots, 1u);
+    expectSameState(resumed, reference, "defended slices");
+    EXPECT_TRUE(resumed.snapshot == reference.snapshot);
+}
+
+TEST(CoalesceDefendedTest, ArmedProbeConcludesBeforeAnyQuietBurst)
+{
+    // A node left in rollback mode by an earlier attack (the NVM's JIT
+    // disable flag set) arms the re-enable probe at boot.  A running
+    // burst folds its quanta's onProgress calls into one at its end,
+    // exact because the march stops before any backup while the probe
+    // could still re-enable JIT.  With a controller attached no running
+    // burst even starts while the probe is armed: the rollback boot's
+    // energy debt needs two credited commits after the uncredited redo
+    // before commitsFold() holds, and the second commit concludes the
+    // probe.
+    for (analog::MonitorKind monitor :
+         {analog::MonitorKind::kAdc, analog::MonitorKind::kComparator}) {
+        const DefendedCase c{"clean", campaign::cleanBaseline(), "adaptive",
+                             monitor};
+        const std::string label = c.label();
+        const auto build = [&](DefendedEnv& env, int coalesceQuanta) {
+            buildDefendedEnv(env, c, coalesceQuanta);
+            env.simulation->nvm().jitDisabledFlag = 1;
+        };
+        const auto run = [&](int coalesceQuanta) {
+            DefendedEnv env;
+            build(env, coalesceQuanta);
+            env.simulation->run(0.05);
+            return capture(*env.simulation, env.io);
+        };
+        Obs on = run(-1);
+        Obs off = run(0);
+        expectSame(on, off, label);
+        EXPECT_EQ(off.counters.runtime.jitReenables, 1u) << label;
+        EXPECT_GT(on.counters.sim.coalescedQuanta * 2, on.counters.sim.quanta)
+            << label;
+
+        // Two quanta per slice: a burst inside a slice starts at its
+        // first quantum, so none may run in a slice the probe entered
+        // armed.  The quantum is read off a copy of the run: its first
+        // call boots and steps once, its second steps once more.
+        double dt = 0.0;
+        {
+            DefendedEnv probe;
+            build(probe, -1);
+            probe.simulation->run(1e-12);
+            const double t0 = probe.simulation->now();
+            probe.simulation->run(1e-12);
+            dt = probe.simulation->now() - t0;
+        }
+        DefendedEnv env;
+        build(env, -1);
+        sim::IntermittentSim& simulation = *env.simulation;
+        bool armedSeen = false;
+        while (simulation.now() < 0.05) {
+            const bool armed = simulation.geckoRuntime().probeArmed();
+            armedSeen = armedSeen || armed;
+            const std::uint64_t before = simulation.stats.coalescedQuanta;
+            simulation.run(1.5 * dt);
+            if (armed) {
+                ASSERT_EQ(simulation.stats.coalescedQuanta, before)
+                    << label << ": a burst began with the probe armed at t="
+                    << simulation.now();
+            }
+        }
+        EXPECT_TRUE(armedSeen) << label;
+        EXPECT_GT(simulation.stats.coalescedQuanta, 0u)
+            << label << ": no slice held a burst";
+        EXPECT_EQ(simulation.counters().runtime.jitReenables, 1u) << label;
+    }
 }
 
 }  // namespace

@@ -9,13 +9,17 @@
 #include "attack/attack_schedule.hpp"
 #include "attack/emi_source.hpp"
 #include "attack/rigs.hpp"
+#include "campaign/engine.hpp"
+#include "campaign/scenario.hpp"
 #include "compiler/pipeline.hpp"
 #include "defense/controller.hpp"
 #include "device/device_db.hpp"
 #include "energy/harvester.hpp"
+#include "exp/thread_pool.hpp"
 #include "fault/campaign.hpp"
 #include "sim/intermittent_sim.hpp"
 #include "sim/machine.hpp"
+#include "test_util.hpp"
 #include "trace/trace.hpp"
 #include "workloads/workloads.hpp"
 
@@ -322,6 +326,56 @@ TEST(PerfSmokeTest, ZoneReadsSkipGlibcSin)
     std::cout << "[perf_smoke] zone reads: " << zone.exactReads << "/"
               << zone.pointReads << " point reads called sin; traced: "
               << traced.exactReads << "/" << traced.pointReads << "\n";
+}
+
+/**
+ * Defended quiet-burst guard (DESIGN.md §14): the adaptive GECKO
+ * sensor_loop job of perfbench's campaign leg (FR5994, 0.05 s in four
+ * slices), run by the campaign engine.  Its quiet samples take
+ * evaluated bursts: the clean arm must coalesce ≥ 99 % of its quanta,
+ * and the burst arm — whose controller escalates under the windows and
+ * steps back down after them — ≥ 95 %.  Counts only.
+ */
+sim::SimStats
+runAdaptiveJob(campaign::ScenarioKind kind)
+{
+    test::TempDir dir(std::string("perf_adaptive_") +
+                      campaign::scenarioName(kind));
+    campaign::EngineConfig config;
+    config.dir = dir.str();
+    campaign::CampaignSpace& space = config.space;
+    space.workloads = {"sensor_loop"};
+    space.schemes = {compiler::Scheme::kGecko};
+    space.devices = {"MSP430FR5994"};
+    space.scenarios.resize(1);
+    space.scenarios[0].kind = kind;
+    space.defenses = {"adaptive"};
+    space.seeds = {1};
+    space.simSeconds = 0.05;
+    space.sliceSimSeconds = 0.0125;
+    exp::ThreadPool pool(1);
+    const campaign::EngineReport report = campaign::runCampaign(config, pool);
+    EXPECT_TRUE(report.complete);
+    return report.totals.sim;
+}
+
+TEST(PerfSmokeTest, DefendedQuietSamplesCoalesce)
+{
+    const sim::SimStats clean =
+        runAdaptiveJob(campaign::ScenarioKind::kClean);
+    ASSERT_GT(clean.quanta, 4000u) << "job too short";
+    EXPECT_GE(clean.coalescedQuanta * 100, clean.quanta * 99)
+        << "clean arm: " << clean.coalescedQuanta << " of " << clean.quanta
+        << " quanta coalesced";
+    const sim::SimStats burst =
+        runAdaptiveJob(campaign::ScenarioKind::kBurst);
+    ASSERT_GT(burst.quanta, 4000u) << "job too short";
+    EXPECT_GE(burst.coalescedQuanta * 100, burst.quanta * 95)
+        << "burst arm: " << burst.coalescedQuanta << " of " << burst.quanta
+        << " quanta coalesced";
+    std::cout << "[perf_smoke] adaptive job: clean " << clean.coalescedQuanta
+              << "/" << clean.quanta << ", burst " << burst.coalescedQuanta
+              << "/" << burst.quanta << " quanta coalesced\n";
 }
 
 /**

@@ -2,9 +2,12 @@
 #define GECKO_TESTS_TEST_UTIL_HPP_
 
 #include <cstdint>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "compiler/pipeline.hpp"
 #include "sim/intermittent_sim.hpp"
@@ -13,6 +16,27 @@
 #include "workloads/workloads.hpp"
 
 namespace gecko::test {
+
+/** A fresh scratch directory `gecko_<tag>_<pid>` under the system's
+ *  temporary directory, removed with everything in it on destruction. */
+class TempDir
+{
+  public:
+    explicit TempDir(const std::string& tag)
+        : path_(std::filesystem::temp_directory_path() /
+                ("gecko_" + tag + "_" + std::to_string(::getpid())))
+    {
+        std::filesystem::remove_all(path_);
+        std::filesystem::create_directories(path_);
+    }
+    ~TempDir() { std::filesystem::remove_all(path_); }
+    TempDir(const TempDir&) = delete;
+    TempDir& operator=(const TempDir&) = delete;
+    std::string str() const { return path_.string(); }
+
+  private:
+    std::filesystem::path path_;
+};
 
 /** Result of a failure-free ("golden") run. */
 struct GoldenRun {
