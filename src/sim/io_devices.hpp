@@ -74,31 +74,42 @@ class FunctionInput : public InputDevice
     std::function<std::uint32_t(std::uint64_t)> fn_;
 };
 
-/** Keyed, idempotent output sink. */
+/**
+ * Keyed, idempotent output sink.
+ *
+ * Outputs arrive in index order, so the set indices [0, n) live in a
+ * dense vector and only an index written past a gap goes to an ordered
+ * side map.  Every side key stays > n: the entry at n moves into the
+ * vector as soon as the write that fills the gap appends.  An append or
+ * a rewrite below n costs O(1) and allocates only when the vector grows;
+ * no index value ever sizes an allocation.
+ */
 class OutputSink
 {
   public:
     /** Record the value written at output `index`. */
     void set(std::uint64_t index, std::uint32_t value)
     {
-        auto [it, inserted] = values_.emplace(index, value);
-        if (!inserted && it->second != value) {
-            ++conflicts_;
-            it->second = value;
-        }
+        if (index < dense_.size())
+            rewrite(dense_[index], value);
+        else if (index == dense_.size() && side_.empty())
+            dense_.push_back(value);
+        else
+            setPastEnd(index, value);
     }
 
-    /** Values in index order. */
+    /** Values in index order (unset indices are skipped). */
     std::vector<std::uint32_t> values() const
     {
         std::vector<std::uint32_t> out;
-        out.reserve(values_.size());
-        for (const auto& [idx, v] : values_)
+        out.reserve(count());
+        out.insert(out.end(), dense_.begin(), dense_.end());
+        for (const auto& [idx, v] : side_)
             out.push_back(v);
         return out;
     }
 
-    std::size_t count() const { return values_.size(); }
+    std::size_t count() const { return dense_.size() + side_.size(); }
 
     /**
      * Writes that re-targeted an index with a *different* value — never
@@ -109,15 +120,34 @@ class OutputSink
 
     void clear()
     {
-        values_.clear();
+        dense_.clear();
+        side_.clear();
         conflicts_ = 0;
     }
 
-    /** Serialize/restore the keyed values and the conflict counter. */
+    /**
+     * Serialize/restore the keyed values and the conflict counter: the
+     * count, then ascending (u64 index, u32 value) pairs, then the
+     * conflict count.  A restore refuses a key not above its
+     * predecessor.
+     */
     void archiveState(campaign::Archive& ar);
 
   private:
-    std::map<std::uint64_t, std::uint32_t> values_;
+    /** A write to a set index: a different value is one conflict. */
+    void rewrite(std::uint32_t& slot, std::uint32_t value)
+    {
+        if (slot != value) {
+            ++conflicts_;
+            slot = value;
+        }
+    }
+
+    /** `set` at an index >= the dense size that is not a plain append. */
+    void setPastEnd(std::uint64_t index, std::uint32_t value);
+
+    std::vector<std::uint32_t> dense_;              // indices [0, n)
+    std::map<std::uint64_t, std::uint32_t> side_;   // keys > n
     std::uint64_t conflicts_ = 0;
 };
 

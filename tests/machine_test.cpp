@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <iostream>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "campaign/archive.hpp"
 #include "compiler/pipeline.hpp"
+#include "exp/rng.hpp"
 #include "ir/assembler.hpp"
 #include "ir/builder.hpp"
 #include "sim/intermittent_sim.hpp"
@@ -493,6 +496,186 @@ struct Lockstep {
                 }
     }
 };
+
+// ---------------------------------------------------------------------
+// Output sink (DESIGN.md §6 "I/O semantics"): a dense vector of the
+// set prefix plus a side map past the first gap must behave, byte for
+// byte, like one ordered map of every set index.
+// ---------------------------------------------------------------------
+
+/** Sink archive bytes in the snapshot layout: the count, the (u64 index,
+ *  u32 value) pairs in the order given, then the conflict count. */
+std::vector<std::uint8_t>
+sinkArchive(const std::vector<std::pair<std::uint64_t, std::uint32_t>>& pairs,
+            std::uint64_t conflicts)
+{
+    campaign::Archive ar = campaign::Archive::saver();
+    ar.section("output_sink");
+    std::uint64_t n = pairs.size();
+    ar.u64(n);
+    for (auto [k, v] : pairs) {
+        ar.u64(k);
+        ar.u32(v);
+    }
+    ar.u64(conflicts);
+    return ar.takePayload();
+}
+
+/** The sink's rules on one ordered map: a rewrite with a different value
+ *  counts one conflict and takes the new value. */
+struct SinkModel {
+    std::map<std::uint64_t, std::uint32_t> values;
+    std::uint64_t conflicts = 0;
+
+    void set(std::uint64_t index, std::uint32_t value)
+    {
+        auto [it, inserted] = values.emplace(index, value);
+        if (!inserted && it->second != value) {
+            ++conflicts;
+            it->second = value;
+        }
+    }
+
+    std::vector<std::uint32_t> ordered() const
+    {
+        std::vector<std::uint32_t> out;
+        for (const auto& [index, value] : values)
+            out.push_back(value);
+        return out;
+    }
+
+    std::vector<std::uint8_t> archiveBytes() const
+    {
+        return sinkArchive({values.begin(), values.end()}, conflicts);
+    }
+
+    /** Smallest index not yet set. */
+    std::uint64_t end() const
+    {
+        std::uint64_t n = 0;
+        for (auto it = values.begin(); it != values.end() && it->first == n;
+             ++it)
+            ++n;
+        return n;
+    }
+};
+
+OutputSink
+restored(const std::vector<std::uint8_t>& bytes)
+{
+    campaign::Archive ar = campaign::Archive::loader(bytes);
+    OutputSink sink;
+    sink.archiveState(ar);
+    ar.finishLoad();
+    return sink;
+}
+
+TEST(OutputSinkTest, MatchesOrderedMapModel)
+{
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        exp::Rng rng(exp::mixSeed(seed, 0x51a4));
+        OutputSink sink;
+        SinkModel model;
+        for (int op = 0; op < 4000; ++op) {
+            const std::uint64_t end = model.end();
+            const std::uint32_t fresh = static_cast<std::uint32_t>(rng.next());
+            std::uint64_t index = end;
+            std::uint32_t value = fresh;
+            const std::uint32_t kind = rng.pick(1000);
+            if (kind < 400) {
+                // Append.
+            } else if (kind < 600 && !model.values.empty()) {
+                // Rewrite a set index, below the end or past a gap, with
+                // its own value or a different one.
+                auto it = model.values.begin();
+                std::advance(it, rng.pick(static_cast<std::uint32_t>(
+                                     model.values.size())));
+                index = it->first;
+                value = rng.pick(2) ? it->second : fresh;
+            } else if (kind < 750) {
+                // Past the end, leaving a hole.
+                index = end + 1 + rng.pick(8);
+            } else if (kind < 930) {
+                // Fill a hole, or rewrite, just above the end.
+                index = end + rng.pick(12);
+            } else if (kind < 998) {
+                index = (std::uint64_t{1} << 20) +
+                        rng.next() % (std::uint64_t{1} << 40);
+            } else {
+                sink.clear();
+                model = SinkModel{};
+            }
+            if (kind < 998) {
+                sink.set(index, value);
+                model.set(index, value);
+            }
+            const std::string where = "seed " + std::to_string(seed) +
+                                      " op " + std::to_string(op) +
+                                      " index " + std::to_string(index);
+            ASSERT_EQ(sink.values(), model.ordered()) << where;
+            ASSERT_EQ(sink.count(), model.values.size()) << where;
+            ASSERT_EQ(sink.conflicts(), model.conflicts) << where;
+            if (op % 97 == 0) {
+                const std::vector<std::uint8_t> bytes = archived(sink);
+                ASSERT_TRUE(bytes == model.archiveBytes()) << where;
+                // Go on from the restored copy, so later writes meet the
+                // layout a restore builds.
+                sink = restored(bytes);
+                ASSERT_TRUE(archived(sink) == bytes) << where;
+                ASSERT_EQ(sink.values(), model.ordered()) << where;
+                ASSERT_EQ(sink.conflicts(), model.conflicts) << where;
+            }
+        }
+    }
+}
+
+/** A hand-built sink archive of `keys` in the given order, each holding
+ *  7k + 1, with three conflicts. */
+std::vector<std::uint8_t>
+keyedArchive(const std::vector<std::uint64_t>& keys)
+{
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> pairs;
+    for (std::uint64_t k : keys)
+        pairs.emplace_back(k, static_cast<std::uint32_t>(k * 7 + 1));
+    return sinkArchive(pairs, 3);
+}
+
+TEST(OutputSinkTest, RestoreRefusesKeysOutOfOrder)
+{
+    for (const std::vector<std::uint64_t>& keys :
+         {std::vector<std::uint64_t>{0, 1, 1, 2},
+          std::vector<std::uint64_t>{0, 1, 5, 3},
+          std::vector<std::uint64_t>{0, 9, 9}}) {
+        try {
+            restored(keyedArchive(keys));
+            ADD_FAILURE() << "restored keys out of order";
+        } catch (const campaign::SnapshotError& e) {
+            EXPECT_NE(std::string(e.what()).find("output sink"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(OutputSinkTest, FarKeyRestoresBesideThePrefix)
+{
+    const std::uint64_t far = std::uint64_t{1} << 40;
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t k = 0; k < 100; ++k)
+        keys.push_back(k);
+    keys.push_back(far);
+    const std::vector<std::uint8_t> bytes = keyedArchive(keys);
+    OutputSink sink = restored(bytes);
+    EXPECT_TRUE(archived(sink) == bytes);
+    EXPECT_EQ(sink.count(), 101u);
+    EXPECT_EQ(sink.conflicts(), 3u);
+    EXPECT_EQ(sink.values().back(), static_cast<std::uint32_t>(far * 7 + 1));
+    sink.set(100, 5);
+    sink.set(keys.back(), static_cast<std::uint32_t>(far * 7 + 1));
+    EXPECT_EQ(sink.count(), 102u);
+    EXPECT_EQ(sink.conflicts(), 3u);
+    EXPECT_EQ(sink.values()[100], 5u);
+}
 
 /** Cycles of each of the first `n` completions of `c` from a fresh rig. */
 std::vector<std::uint64_t>

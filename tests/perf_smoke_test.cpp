@@ -3,6 +3,8 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -39,8 +41,83 @@
  * noise.
  */
 
+namespace {
+
+// Heap allocations counted per thread, only while a CountAllocations
+// lives on it.  Every plain operator new/delete is replaced so that
+// sanitizer runtimes see malloc paired with free.
+thread_local bool tCountArmed = false;
+thread_local std::uint64_t tAllocations = 0;
+
+// Out of line, so the compiler never sees free() take the pointer of an
+// inlined operator new.
+[[gnu::noinline]] void
+release(void* p) noexcept
+{
+    std::free(p);
+}
+
+}  // namespace
+
+void*
+operator new(std::size_t n)
+{
+    if (tCountArmed)
+        ++tAllocations;
+    if (void* p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void*
+operator new[](std::size_t n)
+{
+    return ::operator new(n);
+}
+
+void*
+operator new(std::size_t n, const std::nothrow_t&) noexcept
+{
+    try {
+        return ::operator new(n);
+    } catch (const std::bad_alloc&) {
+        return nullptr;
+    }
+}
+
+void*
+operator new[](std::size_t n, const std::nothrow_t& tag) noexcept
+{
+    return ::operator new(n, tag);
+}
+
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept
+{
+    release(p);
+}
+
 namespace gecko {
 namespace {
+
+/** Counts this thread's heap allocations from construction on. */
+class CountAllocations
+{
+  public:
+    CountAllocations()
+    {
+        tAllocations = 0;
+        tCountArmed = true;
+    }
+    ~CountAllocations() { tCountArmed = false; }
+    CountAllocations(const CountAllocations&) = delete;
+    CountAllocations& operator=(const CountAllocations&) = delete;
+    std::uint64_t count() const { return tAllocations; }
+};
 
 struct SliceResult {
     sim::ExecStats stats;
@@ -378,12 +455,20 @@ TEST(PerfSmokeTest, DefendedQuietSamplesCoalesce)
               << "/" << burst.quanta << " quanta coalesced\n";
 }
 
+/** One Fig. 14 victim's counters, its output values over every port,
+ *  and the operator-new calls its run made on this thread. */
+struct HarvestRun {
+    sim::Counters counters;
+    std::size_t outputs = 0;
+    std::uint64_t allocations = 0;
+};
+
 /**
  * Completion-replay engagement guard (DESIGN.md §12): a Fig. 14 victim
  * (GECKO on the RF harvesting trace) of an input-free kernel and of the
  * input-reading sensor loop.  Counts only — no wall-clock floor.
  */
-sim::Counters
+HarvestRun
 runHarvestVictim(const std::string& workload, double seconds)
 {
     const compiler::CompiledProgram compiled = compiler::compile(
@@ -398,20 +483,29 @@ runHarvestVictim(const std::string& workload, double seconds)
                                     device::DeviceDb::msp430fr5994(),
                                     config, trace, io);
     simulation.machine().setExecBackend(sim::ExecBackend::kBlock);
-    simulation.run(seconds);
-    return simulation.counters();
+    HarvestRun run;
+    {
+        CountAllocations count;
+        simulation.run(seconds);
+        run.allocations = count.count();
+    }
+    run.counters = simulation.counters();
+    for (int port = 0; port < sim::kIoPorts; ++port)
+        run.outputs += io.output(port).count();
+    return run;
 }
 
 TEST(PerfSmokeTest, RepeatedCompletionsReplay)
 {
-    const sim::Counters qsort = runHarvestVictim("qsort", 1.0);
+    const sim::Counters qsort = runHarvestVictim("qsort", 1.0).counters;
     ASSERT_GT(qsort.exec.completions, 100u) << "slice too short";
     EXPECT_GE(qsort.sim.replayedCompletions * 10,
               qsort.exec.completions * 8)
         << "replayed only " << qsort.sim.replayedCompletions << " of "
         << qsort.exec.completions << " qsort completions";
 
-    const sim::Counters sensor = runHarvestVictim("sensor_loop", 1.0);
+    const sim::Counters sensor =
+        runHarvestVictim("sensor_loop", 1.0).counters;
     ASSERT_GT(sensor.exec.completions, 100u) << "slice too short";
     EXPECT_EQ(sensor.sim.replayedCompletions, 0u)
         << "an input-reading kernel replayed";
@@ -446,7 +540,8 @@ TEST(PerfSmokeTest, SteadyLivelockFastForwards)
         << "applied " << applied << " of " << block.counters.exec.instrs
         << " instructions in closed form";
 
-    const sim::Counters sensor = runHarvestVictim("sensor_loop", 1.0);
+    const sim::Counters sensor =
+        runHarvestVictim("sensor_loop", 1.0).counters;
     ASSERT_GT(sensor.exec.completions, 100u) << "slice too short";
     EXPECT_EQ(sensor.sim.steadyLoopIterations, 0u)
         << "sensor_loop fast-forwarded a loop";
@@ -454,6 +549,23 @@ TEST(PerfSmokeTest, SteadyLivelockFastForwards)
               << block.counters.exec.instrs
               << " instructions in closed form; sensor_loop "
               << sensor.sim.steadyLoopIterations << " iterations\n";
+}
+
+/**
+ * Allocation guard (DESIGN.md §6 "I/O semantics"): a 1 s Fig. 14
+ * sensor_loop GECKO victim writes thousands of output values, which the
+ * output sink keeps in a vector, not a heap node each.  The run may
+ * allocate at most once per 20 output values.  Counts only.
+ */
+TEST(PerfSmokeTest, OutputValuesDoNotAllocate)
+{
+    const HarvestRun run = runHarvestVictim("sensor_loop", 1.0);
+    ASSERT_GT(run.outputs, 1000u) << "slice too short";
+    EXPECT_LE(run.allocations, run.outputs / 20)
+        << run.allocations << " allocations for " << run.outputs
+        << " output values";
+    std::cout << "[perf_smoke] sensor_loop: " << run.allocations
+              << " allocations for " << run.outputs << " output values\n";
 }
 
 }  // namespace
