@@ -1,3 +1,4 @@
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -20,7 +21,11 @@
  * Usage:
  *   gecko_cc <file.s> [nvp|ratchet|noprune|gecko] [--run] [--budget N]
  *
- * Exit status: 0 on success, 1 on assembly/compile errors.
+ * `--budget` takes the whole of N as a positive integer (the region
+ * budget in cycles).
+ *
+ * Exit status: 0 on success, 1 on assembly/compile errors, 2 on a
+ * missing, unknown or malformed argument (named on stderr).
  */
 
 int
@@ -31,7 +36,7 @@ main(int argc, char** argv)
     if (argc < 2) {
         std::cerr << "usage: gecko_cc <file.s> "
                      "[nvp|ratchet|noprune|gecko] [--run] [--budget N]\n";
-        return 1;
+        return 2;
     }
 
     std::string path = argv[1];
@@ -50,8 +55,21 @@ main(int argc, char** argv)
             scheme = compiler::Scheme::kGecko;
         else if (arg == "--run")
             run = true;
-        else if (arg == "--budget" && i + 1 < argc)
-            config.maxRegionCycles = std::atol(argv[++i]);
+        else if (arg == "--budget") {
+            const std::string text = i + 1 < argc ? argv[++i] : "";
+            const char* end = text.data() + text.size();
+            const auto [ptr, ec] =
+                std::from_chars(text.data(), end, config.maxRegionCycles);
+            if (ec != std::errc() || ptr != end ||
+                config.maxRegionCycles < 1) {
+                std::cerr << "gecko_cc: --budget: expected a positive "
+                             "integer, got \"" << text << "\"\n";
+                return 2;
+            }
+        } else {
+            std::cerr << "gecko_cc: unknown argument \"" << arg << "\"\n";
+            return 2;
+        }
     }
 
     std::ifstream in(path);

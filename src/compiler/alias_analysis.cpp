@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "compiler/dataflow.hpp"
+
 namespace gecko::compiler {
 
 using ir::Instr;
@@ -25,8 +27,9 @@ namespace {
 
 using RegLattice = std::array<ConstVal, ir::kNumRegs>;
 
-RegLattice
-transferInstr(const Instr& ins, RegLattice env)
+/** Constant-propagation step: apply `ins` to `env`. */
+void
+stepInstr(RegLattice& env, const Instr& ins)
 {
     auto operand = [&env](const Instr& i) -> ConstVal {
         if (i.useImm)
@@ -65,7 +68,6 @@ transferInstr(const Instr& ins, RegLattice env)
         }
         break;
     }
-    return env;
 }
 
 }  // namespace
@@ -80,55 +82,26 @@ AliasAnalysis::build(const Program& prog, const Cfg& cfg,
     aa.rdefs_ = &rdefs;
     const std::size_t n = prog.size();
     aa.in_.resize(n);
-    if (n == 0)
-        return aa;
-
-    const std::size_t nb = cfg.numBlocks();
-    std::vector<RegLattice> block_in(nb), block_out(nb);
 
     // Entry registers carry unknown values.
-    for (auto& v : block_in[static_cast<std::size_t>(cfg.entry())])
-        v = ConstVal::bottom();
-
-    auto transfer_block = [&prog](RegLattice env, const BasicBlock& block) {
-        for (std::size_t i = block.first; i <= block.last; ++i)
-            env = transferInstr(prog.at(i), env);
-        return env;
-    };
-
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (BlockId b : cfg.reversePostOrder()) {
-            std::size_t bi = static_cast<std::size_t>(b);
-            RegLattice out = transfer_block(block_in[bi], cfg.block(b));
-            if (out != block_out[bi]) {
-                block_out[bi] = out;
-                changed = true;
+    RegLattice entry;
+    entry.fill(ConstVal::bottom());
+    auto flow = solveForward(
+        cfg, entry,
+        [&prog](RegLattice& env, std::size_t i) {
+            stepInstr(env, prog.at(i));
+        },
+        [](RegLattice& into, const RegLattice& from) {
+            bool changed = false;
+            for (std::size_t r = 0; r < into.size(); ++r) {
+                ConstVal m = ConstVal::meet(into[r], from[r]);
+                changed |= !(m == into[r]);
+                into[r] = m;
             }
-            for (BlockId succ : cfg.block(b).succs) {
-                std::size_t si = static_cast<std::size_t>(succ);
-                RegLattice merged;
-                for (int r = 0; r < ir::kNumRegs; ++r)
-                    merged[static_cast<std::size_t>(r)] = ConstVal::meet(
-                        block_in[si][static_cast<std::size_t>(r)],
-                        block_out[bi][static_cast<std::size_t>(r)]);
-                if (merged != block_in[si]) {
-                    block_in[si] = merged;
-                    changed = true;
-                }
-            }
-        }
-    }
-
-    for (std::size_t b = 0; b < nb; ++b) {
-        const BasicBlock& block = cfg.block(static_cast<BlockId>(b));
-        RegLattice cur = block_in[b];
-        for (std::size_t i = block.first; i <= block.last; ++i) {
-            aa.in_[i] = cur;
-            cur = transferInstr(prog.at(i), cur);
-        }
-    }
+            return changed;
+        });
+    flow.replayEvery(
+        [&aa](std::size_t i, const RegLattice& env) { aa.in_[i] = env; });
 
     // Collect the set of written addresses for read-only classification.
     for (std::size_t i = 0; i < n; ++i) {

@@ -14,21 +14,11 @@ superblockLeaders(const CompiledProgram& compiled)
         return leaders;
     leaders.reserve(size / 4 + 4);
     leaders.push_back(0);
-
-    for (std::size_t i = 0; i < size; ++i) {
-        const ir::Instr& ins = p.at(i);
-        if (ir::isCondBranch(ins.op) || ins.op == ir::Opcode::kJmp ||
-            ins.op == ir::Opcode::kCall) {
-            leaders.push_back(
-                static_cast<std::uint32_t>(p.labelPos(ins.target)));
-        }
-        // Everything after a terminator starts fresh: fall-throughs of
-        // conditional branches, call-return sites (kRet lands at
-        // call+1), and the instruction after jmp/ret/halt (possibly
-        // unreachable — a harmless singleton block).
-        if (ir::isTerminator(ins.op) && i + 1 < size)
-            leaders.push_back(static_cast<std::uint32_t>(i + 1));
-    }
+    // The CFG's leaders: everything after a terminator starts fresh,
+    // call-return sites included (kRet lands at call+1).
+    p.forEachLeader([&leaders](std::size_t i) {
+        leaders.push_back(static_cast<std::uint32_t>(i));
+    });
 
     // Region metadata: entry sequences are their own blocks.
     for (const RegionInfo& region : compiled.regions) {

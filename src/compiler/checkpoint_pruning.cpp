@@ -4,9 +4,6 @@
 #include <map>
 #include <set>
 
-#include "compiler/alias_analysis.hpp"
-#include "compiler/cfg.hpp"
-#include "compiler/dominators.hpp"
 #include "compiler/recovery_block.hpp"
 
 namespace gecko::compiler {
@@ -22,11 +19,7 @@ CheckpointPruning::run(Program& prog, std::vector<RegionSeed>& seeds,
 {
     // Analyses over the frozen snapshot; all pruning decisions are made
     // before any instruction is removed.
-    Cfg cfg = Cfg::build(prog);
-    ReachingDefs rdefs = ReachingDefs::build(prog, cfg);
-    AliasAnalysis aa = AliasAnalysis::build(prog, cfg, rdefs);
-    Dominators dom = Dominators::build(cfg);
-    RecoveryBuilder::Context ctx{prog, cfg, rdefs, aa, dom};
+    FlowAnalyses ctx(prog);
 
     struct Candidate {
         std::size_t ckptIdx;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "compiler/dataflow.hpp"
+
 namespace gecko::compiler {
 
 using ir::Instr;
@@ -38,52 +40,30 @@ Liveness
 Liveness::build(const Program& prog, const Cfg& cfg)
 {
     Liveness live;
-    const std::size_t n = prog.size();
-    live.liveIn_.assign(n, 0);
-    live.liveOut_.assign(n, 0);
-    if (n == 0)
-        return live;
-
-    // Block-level fixpoint.
-    const std::size_t nb = cfg.numBlocks();
-    std::vector<RegMask> block_in(nb, 0), block_out(nb, 0);
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        // Iterate blocks in reverse RPO (approximately postorder) for
-        // faster convergence of the backward problem.
-        const auto& rpo = cfg.reversePostOrder();
-        for (auto it = rpo.rbegin(); it != rpo.rend(); ++it) {
-            BlockId b = *it;
-            const BasicBlock& block = cfg.block(b);
-            RegMask out = 0;
-            for (BlockId succ : block.succs)
-                out |= block_in[static_cast<std::size_t>(succ)];
-            RegMask in = out;
-            for (std::size_t i = block.last + 1; i-- > block.first;) {
-                const Instr& ins = prog.at(i);
-                in = static_cast<RegMask>((in & ~defMask(ins)) |
-                                          useMask(ins));
-            }
-            if (in != block_in[static_cast<std::size_t>(b)] ||
-                out != block_out[static_cast<std::size_t>(b)]) {
-                block_in[static_cast<std::size_t>(b)] = in;
-                block_out[static_cast<std::size_t>(b)] = out;
-                changed = true;
-            }
-        }
-    }
-
-    // Per-instruction propagation within each block.
-    for (std::size_t b = 0; b < nb; ++b) {
-        const BasicBlock& block = cfg.block(static_cast<BlockId>(b));
-        RegMask cur = block_out[b];
-        for (std::size_t i = block.last + 1; i-- > block.first;) {
+    live.liveIn_.assign(prog.size(), 0);
+    live.liveOut_.assign(prog.size(), 0);
+    auto flow = solveBackward<RegMask>(
+        cfg,
+        [&prog](RegMask& mask, std::size_t i) {
             const Instr& ins = prog.at(i);
-            live.liveOut_[i] = cur;
-            cur = static_cast<RegMask>((cur & ~defMask(ins)) | useMask(ins));
-            live.liveIn_[i] = cur;
-        }
+            mask = static_cast<RegMask>((mask & ~defMask(ins)) |
+                                        useMask(ins));
+        },
+        [](RegMask& into, RegMask from) {
+            RegMask old = into;
+            into |= from;
+            return into != old;
+        });
+    for (std::size_t b = 0; b < cfg.numBlocks(); ++b) {
+        const BasicBlock& block = cfg.block(static_cast<BlockId>(b));
+        // Inside a block an instruction's live-out is the live-in of the
+        // instruction after it.
+        live.liveIn_[block.first] = flow.replay(
+            static_cast<BlockId>(b), [&](std::size_t i, RegMask out) {
+                live.liveOut_[i] = out;
+                if (i < block.last)
+                    live.liveIn_[i + 1] = out;
+            });
     }
     return live;
 }
@@ -100,80 +80,38 @@ ReachingDefs::uniqueDefAt(std::size_t idx, ir::Reg r) const
 ReachingDefs
 ReachingDefs::build(const Program& prog, const Cfg& cfg)
 {
-    ReachingDefs rd;
-    const std::size_t n = prog.size();
-    rd.in_.resize(n);
-    if (n == 0)
-        return rd;
-
-    const std::size_t nb = cfg.numBlocks();
-
     using RegDefs = std::array<std::vector<std::int32_t>, ir::kNumRegs>;
-    auto merge_into = [](RegDefs& dst, const RegDefs& src) {
-        bool changed = false;
-        for (int r = 0; r < ir::kNumRegs; ++r) {
-            for (std::int32_t d : src[static_cast<std::size_t>(r)]) {
-                auto& v = dst[static_cast<std::size_t>(r)];
-                auto it = std::lower_bound(v.begin(), v.end(), d);
-                if (it == v.end() || *it != d) {
-                    v.insert(it, d);
-                    changed = true;
-                }
-            }
-        }
-        return changed;
-    };
-
-    auto transfer = [&prog](RegDefs defs, const BasicBlock& block) {
-        for (std::size_t i = block.first; i <= block.last; ++i) {
+    ReachingDefs rd;
+    rd.in_.resize(prog.size());
+    // Entry: all registers carry the pseudo entry definition.
+    RegDefs entry;
+    entry.fill({kEntryDef});
+    auto flow = solveForward(
+        cfg, std::move(entry),
+        [&prog](RegDefs& defs, std::size_t i) {
             const Instr& ins = prog.at(i);
             if (ir::writesReg(ins)) {
                 Reg target = (ins.op == Opcode::kCall) ? ir::kLinkReg
                                                        : ins.rd;
                 defs[target] = {static_cast<std::int32_t>(i)};
             }
-        }
-        return defs;
-    };
-
-    std::vector<RegDefs> block_in(nb), block_out(nb);
-    // Entry: all registers carry the pseudo entry definition.
-    for (int r = 0; r < ir::kNumRegs; ++r)
-        block_in[static_cast<std::size_t>(cfg.entry())]
-                [static_cast<std::size_t>(r)] = {kEntryDef};
-
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (BlockId b : cfg.reversePostOrder()) {
-            std::size_t bi = static_cast<std::size_t>(b);
-            RegDefs out = transfer(block_in[bi], cfg.block(b));
-            if (out != block_out[bi]) {
-                block_out[bi] = out;
-                changed = true;
+        },
+        [](RegDefs& into, const RegDefs& from) {
+            bool changed = false;
+            for (std::size_t r = 0; r < into.size(); ++r) {
+                for (std::int32_t d : from[r]) {
+                    auto it = std::lower_bound(into[r].begin(),
+                                               into[r].end(), d);
+                    if (it == into[r].end() || *it != d) {
+                        into[r].insert(it, d);
+                        changed = true;
+                    }
+                }
             }
-            for (BlockId succ : cfg.block(b).succs) {
-                if (merge_into(block_in[static_cast<std::size_t>(succ)],
-                               block_out[bi]))
-                    changed = true;
-            }
-        }
-    }
-
-    // Per-instruction IN sets.
-    for (std::size_t b = 0; b < nb; ++b) {
-        const BasicBlock& block = cfg.block(static_cast<BlockId>(b));
-        RegDefs cur = block_in[b];
-        for (std::size_t i = block.first; i <= block.last; ++i) {
-            rd.in_[i] = cur;
-            const Instr& ins = prog.at(i);
-            if (ir::writesReg(ins)) {
-                Reg target = (ins.op == Opcode::kCall) ? ir::kLinkReg
-                                                       : ins.rd;
-                cur[target] = {static_cast<std::int32_t>(i)};
-            }
-        }
-    }
+            return changed;
+        });
+    flow.replayEvery(
+        [&rd](std::size_t i, const RegDefs& defs) { rd.in_[i] = defs; });
     return rd;
 }
 

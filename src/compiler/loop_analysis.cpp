@@ -1,6 +1,8 @@
 #include "compiler/loop_analysis.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 
 namespace gecko::compiler {
@@ -40,9 +42,10 @@ collectBody(const Cfg& cfg, BlockId header, BlockId latch,
  * constant at the latch.
  */
 std::optional<long>
-tripBound(const Program& prog, const Cfg& cfg, const ReachingDefs& rdefs,
-          const AliasAnalysis& aa, NaturalLoop& loop)
+tripBound(const FlowAnalyses& flow, NaturalLoop& loop)
 {
+    const Program& prog = flow.prog;
+    const Cfg& cfg = flow.cfg;
     if (loop.latches.size() != 1)
         return std::nullopt;
     const BasicBlock& latch = cfg.block(loop.latches.front());
@@ -56,7 +59,7 @@ tripBound(const Program& prog, const Cfg& cfg, const ReachingDefs& rdefs,
     // Identify counter and bound operands: counter varies in the loop,
     // bound is constant at the latch.
     auto const_at = [&](Reg r) -> std::optional<long> {
-        ConstVal v = aa.regAt(latch.last, r);
+        ConstVal v = flow.aa.regAt(latch.last, r);
         if (!v.isConst())
             return std::nullopt;
         return static_cast<long>(static_cast<std::int32_t>(v.value));
@@ -100,7 +103,7 @@ tripBound(const Program& prog, const Cfg& cfg, const ReachingDefs& rdefs,
         // be constants; take the worst (largest trip count) initial value.
         std::optional<long> worst_init;
         bool ok = true;
-        for (std::int32_t d : rdefs.defsAt(header_first, counter)) {
+        for (std::int32_t d : flow.rdefs.defsAt(header_first, counter)) {
             if (d == ReachingDefs::kEntryDef) {
                 // Boot value 0 — a valid constant initialiser.
                 long init = 0;
@@ -154,12 +157,22 @@ tripBound(const Program& prog, const Cfg& cfg, const ReachingDefs& rdefs,
           default:
             break;
         }
-        if (trips >= 0 && trips <= LoopAnalysis::kMaxTripBound) {
-            loop.counterReg = counter;
-            loop.counterInit = init;
-            loop.counterStep = increasing ? step : -step;
-            return std::max<long>(trips, 1);
-        }
+        if (trips < 0 || trips > LoopAnalysis::kMaxTripBound)
+            continue;
+        // The machine compares and wraps 32-bit words: an unsigned latch
+        // reads a negative init, bound or last value as a huge one, and a
+        // counter whose last step leaves int32 wraps instead of exiting.
+        const long last = init + (increasing ? step : -step) * trips;
+        const bool is_unsigned =
+            br.op == Opcode::kBltu || br.op == Opcode::kBgeu;
+        if ((is_unsigned && std::min({init, bound, last}) < 0) ||
+            last < std::numeric_limits<std::int32_t>::min() ||
+            last > std::numeric_limits<std::int32_t>::max())
+            continue;
+        loop.counterReg = counter;
+        loop.counterInit = init;
+        loop.counterStep = increasing ? step : -step;
+        return std::max<long>(trips, 1);
     }
     return std::nullopt;
 }
@@ -167,16 +180,15 @@ tripBound(const Program& prog, const Cfg& cfg, const ReachingDefs& rdefs,
 }  // namespace
 
 std::vector<NaturalLoop>
-LoopAnalysis::analyze(const Program& prog, const Cfg& cfg,
-                      const Dominators& dom, const ReachingDefs& rdefs,
-                      const AliasAnalysis& aa)
+LoopAnalysis::analyze(const FlowAnalyses& flow)
 {
+    const Cfg& cfg = flow.cfg;
     // Back edges: succ edge b -> h where h dominates b.
     std::map<BlockId, NaturalLoop> by_header;
     for (std::size_t b = 0; b < cfg.numBlocks(); ++b) {
         BlockId from = static_cast<BlockId>(b);
         for (BlockId to : cfg.block(from).succs) {
-            if (!dom.dominates(to, from))
+            if (!flow.dom.dominates(to, from))
                 continue;
             NaturalLoop& loop = by_header[to];
             loop.header = to;
@@ -187,7 +199,7 @@ LoopAnalysis::analyze(const Program& prog, const Cfg& cfg,
 
     std::vector<NaturalLoop> loops;
     for (auto& [h, loop] : by_header) {
-        loop.tripBound = tripBound(prog, cfg, rdefs, aa, loop);
+        loop.tripBound = tripBound(flow, loop);
         loops.push_back(std::move(loop));
     }
     // Innermost first (smaller bodies first).
@@ -205,7 +217,10 @@ RangeAnalysis::addrRange(std::size_t idx) const
     if (ins.op != Opcode::kLoad && ins.op != Opcode::kStore)
         return std::nullopt;
     auto base = valueRange(ins.rs1, idx);
-    if (!base)
+    // Addresses are 32-bit words: a range that leaves [0, 2^32) wraps
+    // onto words it does not name.
+    if (!base || base->first + ins.imm < 0 ||
+        base->second + ins.imm >= (1L << 32))
         return std::nullopt;
     return std::make_pair(base->first + ins.imm, base->second + ins.imm);
 }
@@ -240,6 +255,14 @@ RangeAnalysis::valueRange(Reg r, std::size_t point, int depth) const
     if (!dom_.dominatesInstr(cfg_, def, point))
         return std::nullopt;
     const Instr& ins = prog_.at(def);
+    // Past [INT32_MIN, UINT32_MAX] the machine's 32-bit value has
+    // wrapped, and a further product could overflow `long`: no range.
+    auto word = [](long lo, long hi) -> std::optional<std::pair<long, long>> {
+        if (lo < std::numeric_limits<std::int32_t>::min() ||
+            hi > std::numeric_limits<std::uint32_t>::max())
+            return std::nullopt;
+        return std::make_pair(lo, hi);
+    };
     switch (ins.op) {
       case Opcode::kMovi:
         return std::make_pair<long, long>(ins.imm, ins.imm);
@@ -260,9 +283,8 @@ RangeAnalysis::valueRange(Reg r, std::size_t point, int depth) const
             b = *rb;
         }
         if (ins.op == Opcode::kAdd)
-            return std::make_pair(a->first + b.first,
-                                  a->second + b.second);
-        return std::make_pair(a->first - b.second, a->second - b.first);
+            return word(a->first + b.first, a->second + b.second);
+        return word(a->first - b.second, a->second - b.first);
       }
       case Opcode::kMul: {
         if (!ins.useImm || ins.imm < 0)
@@ -270,7 +292,7 @@ RangeAnalysis::valueRange(Reg r, std::size_t point, int depth) const
         auto a = valueRange(ins.rs1, def, depth + 1);
         if (!a)
             return std::nullopt;
-        return std::make_pair(a->first * ins.imm, a->second * ins.imm);
+        return word(a->first * ins.imm, a->second * ins.imm);
       }
       default:
         return std::nullopt;

@@ -5,9 +5,7 @@
 #include <set>
 #include <vector>
 
-#include "compiler/alias_analysis.hpp"
-#include "compiler/cfg.hpp"
-#include "compiler/dominators.hpp"
+#include "compiler/flow_analyses.hpp"
 #include "ir/program.hpp"
 
 /**
@@ -62,14 +60,10 @@ class LoopAnalysis
 {
   public:
     /**
-     * Find all natural loops of `prog` (loops sharing a header are
+     * Find all natural loops of `flow.prog` (loops sharing a header are
      * merged) and compute trip bounds where the counted pattern matches.
      */
-    static std::vector<NaturalLoop> analyze(const ir::Program& prog,
-                                            const Cfg& cfg,
-                                            const Dominators& dom,
-                                            const ReachingDefs& rdefs,
-                                            const AliasAnalysis& aa);
+    static std::vector<NaturalLoop> analyze(const FlowAnalyses& flow);
 
     /** @return true if any instruction of `loop` is a kBoundary. */
     static bool hasInternalBoundary(const ir::Program& prog, const Cfg& cfg,

@@ -13,7 +13,7 @@ namespace {
 
 /** Is `ins` re-executable inside a recovery block? */
 bool
-safeSliceInstr(const RecoveryBuilder::Context& ctx, std::size_t idx)
+safeSliceInstr(const FlowAnalyses& ctx, std::size_t idx)
 {
     const Instr& ins = ctx.prog.at(idx);
     switch (ins.op) {
@@ -32,7 +32,7 @@ safeSliceInstr(const RecoveryBuilder::Context& ctx, std::size_t idx)
 class SliceWalker
 {
   public:
-    SliceWalker(const RecoveryBuilder::Context& ctx, std::size_t boundary,
+    SliceWalker(const FlowAnalyses& ctx, std::size_t boundary,
                 RegMask live_in, int max_instrs)
         : ctx_(ctx), boundary_(boundary), liveIn_(live_in),
           maxInstrs_(max_instrs) {}
@@ -110,7 +110,7 @@ class SliceWalker
     }
 
   private:
-    const RecoveryBuilder::Context& ctx_;
+    const FlowAnalyses& ctx_;
     std::size_t boundary_;
     RegMask liveIn_;
     int maxInstrs_;
@@ -121,8 +121,8 @@ class SliceWalker
 }  // namespace
 
 std::optional<RecoverySpec>
-RecoveryBuilder::build(const Context& ctx, std::size_t boundaryIdx, Reg reg,
-                       RegMask liveIn, int maxInstrs)
+RecoveryBuilder::build(const FlowAnalyses& ctx, std::size_t boundaryIdx,
+                       Reg reg, RegMask liveIn, int maxInstrs)
 {
     // A register never written since boot holds 0 at the boundary (the
     // machine boots with a zeroed register file and rollback re-zeroes

@@ -3,10 +3,7 @@
 
 #include <optional>
 
-#include "compiler/alias_analysis.hpp"
-#include "compiler/cfg.hpp"
-#include "compiler/dominators.hpp"
-#include "compiler/liveness.hpp"
+#include "compiler/flow_analyses.hpp"
 #include "compiler/pipeline.hpp"
 #include "ir/program.hpp"
 
@@ -29,19 +26,10 @@
 
 namespace gecko::compiler {
 
-/** Recovery-block builder over a frozen program snapshot. */
+/** Recovery-block builder over the analyses of a frozen snapshot. */
 class RecoveryBuilder
 {
   public:
-    /** Shared analyses over the snapshot. */
-    struct Context {
-        const ir::Program& prog;
-        const Cfg& cfg;
-        const ReachingDefs& rdefs;
-        const AliasAnalysis& aa;
-        const Dominators& dom;
-    };
-
     /**
      * Try to build the recovery block reconstructing `reg` at the region
      * whose kBoundary sits at `boundaryIdx`.
@@ -51,7 +39,7 @@ class RecoveryBuilder
      *                  instructions (the paper reports ~6 on average).
      * @return the block, or nullopt if the checkpoint must be kept.
      */
-    static std::optional<RecoverySpec> build(const Context& ctx,
+    static std::optional<RecoverySpec> build(const FlowAnalyses& ctx,
                                              std::size_t boundaryIdx,
                                              ir::Reg reg, RegMask liveIn,
                                              int maxInstrs = 16);

@@ -4,12 +4,8 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <unordered_set>
 
-#include "compiler/alias_analysis.hpp"
-#include "compiler/cfg.hpp"
-#include "compiler/dominators.hpp"
-#include "compiler/liveness.hpp"
+#include "compiler/dataflow.hpp"
 #include "compiler/loop_analysis.hpp"
 
 namespace gecko::compiler {
@@ -92,13 +88,11 @@ RegionFormation::insertStructuralBoundaries(Program& prog,
 int
 RegionFormation::cutAntiDependences(Program& prog, bool preciseAliasing)
 {
-    Cfg graph = Cfg::build(prog);
-    ReachingDefs rdefs = ReachingDefs::build(prog, graph);
-    AliasAnalysis aa = AliasAnalysis::build(prog, graph, rdefs);
-    Dominators dom = Dominators::build(graph);
-    std::vector<NaturalLoop> loops =
-        LoopAnalysis::analyze(prog, graph, dom, rdefs, aa);
-    RangeAnalysis ranges(prog, graph, dom, rdefs, aa, loops);
+    FlowAnalyses flow(prog);
+    const Cfg& graph = flow.cfg;
+    const AliasAnalysis& aa = flow.aa;
+    std::vector<NaturalLoop> loops = LoopAnalysis::analyze(flow);
+    RangeAnalysis ranges(prog, graph, flow.dom, flow.rdefs, aa, loops);
 
     // May the accesses at `l` (load) and `s` (store) touch the same word?
     auto accesses_may_alias = [&](std::size_t l, std::size_t s) {
@@ -124,103 +118,77 @@ RegionFormation::cutAntiDependences(Program& prog, bool preciseAliasing)
     struct State {
         std::set<std::size_t> reads;
         std::optional<std::set<std::uint32_t>> written;  // nullopt = top
-
-        bool operator==(const State&) const = default;
     };
 
-    auto meet = [](State a, const State& b) {
-        a.reads.insert(b.reads.begin(), b.reads.end());
-        if (!a.written) {
-            a.written = b.written;
-        } else if (b.written) {
-            std::set<std::uint32_t> inter;
-            std::set_intersection(a.written->begin(), a.written->end(),
-                                  b.written->begin(), b.written->end(),
-                                  std::inserter(inter, inter.begin()));
-            a.written = std::move(inter);
+    auto join = [](State& into, const State& from) {
+        bool changed = false;
+        for (std::size_t l : from.reads)
+            changed |= into.reads.insert(l).second;
+        if (!into.written) {
+            changed |= from.written.has_value();
+            into.written = from.written;
+        } else if (from.written) {
+            changed |= std::erase_if(*into.written, [&](std::uint32_t a) {
+                return !from.written->count(a);
+            }) > 0;
         }
-        return a;
+        return changed;
     };
 
-    // store instr -> one witnessing earlier load (for hoisting).
+    // store instr -> one witnessing earlier load (for hoisting), recorded
+    // only by the replay of the solved states.
     std::map<std::size_t, std::size_t> violations;
+    bool record = false;
 
-    auto transfer = [&](State s, const BasicBlock& block) {
+    auto step = [&](State& s, std::size_t i) {
         if (!s.written)
             s.written.emplace();
-        for (std::size_t i = block.first; i <= block.last; ++i) {
-            const Instr& ins = prog.at(i);
-            switch (ins.op) {
-              case Opcode::kBoundary:
+        const Instr& ins = prog.at(i);
+        switch (ins.op) {
+          case Opcode::kBoundary:
+            s.reads.clear();
+            s.written->clear();
+            break;
+          case Opcode::kCall:
+            // Callee effects unknown; surrounding boundaries normally
+            // clear state, but stay conservative regardless.
+            s.reads.clear();
+            s.written->clear();
+            break;
+          case Opcode::kLoad: {
+            auto addr = aa.constAddr(i);
+            if (!preciseAliasing || !(addr && s.written->count(*addr)))
+                s.reads.insert(i);
+            break;
+          }
+          case Opcode::kStore: {
+            auto witness = std::find_if(
+                s.reads.begin(), s.reads.end(),
+                [&](std::size_t l) { return accesses_may_alias(l, i); });
+            if (witness != s.reads.end()) {
+                if (record)
+                    violations.emplace(i, *witness);
+                // Model the boundary that will be inserted before i.
                 s.reads.clear();
                 s.written->clear();
-                break;
-              case Opcode::kCall:
-                // Callee effects unknown; surrounding boundaries normally
-                // clear state, but stay conservative regardless.
-                s.reads.clear();
-                s.written->clear();
-                break;
-              case Opcode::kLoad: {
-                auto addr = aa.constAddr(i);
-                if (!preciseAliasing || !(addr && s.written->count(*addr)))
-                    s.reads.insert(i);
-                break;
-              }
-              case Opcode::kStore: {
-                bool war = false;
-                std::size_t witness = 0;
-                for (std::size_t l : s.reads) {
-                    if (accesses_may_alias(l, i)) {
-                        war = true;
-                        witness = l;
-                        break;
-                    }
-                }
-                if (war) {
-                    violations.emplace(i, witness);
-                    // Model the boundary that will be inserted before i.
-                    s.reads.clear();
-                    s.written->clear();
-                }
-                if (auto addr = aa.constAddr(i))
-                    s.written->insert(*addr);
-                break;
-              }
-              default:
-                break;
             }
+            if (auto addr = aa.constAddr(i))
+                s.written->insert(*addr);
+            break;
+          }
+          default:
+            break;
         }
-        return s;
     };
 
-    const std::size_t nb = graph.numBlocks();
-    std::vector<State> in(nb), out(nb);
     // Entry starts a fresh region (a boundary is always present at 0 after
-    // structural placement, but be robust without it).
-    in[static_cast<std::size_t>(graph.entry())].written.emplace();
-
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        violations.clear();
-        for (BlockId b : graph.reversePostOrder()) {
-            std::size_t bi = static_cast<std::size_t>(b);
-            State o = transfer(in[bi], graph.block(b));
-            if (!(o == out[bi])) {
-                out[bi] = o;
-                changed = true;
-            }
-            for (BlockId succ : graph.block(b).succs) {
-                std::size_t si = static_cast<std::size_t>(succ);
-                State merged = meet(in[si], out[bi]);
-                if (!(merged == in[si])) {
-                    in[si] = std::move(merged);
-                    changed = true;
-                }
-            }
-        }
-    }
+    // structural placement, but be robust without it).  An unreachable
+    // block cannot add a cut: only the blocks the schedule visits replay.
+    State entry;
+    entry.written.emplace();
+    auto solved = solveForward(graph, std::move(entry), step, join);
+    record = true;
+    solved.replayReached([](std::size_t, const State&) {});
 
     // Pick each violation's boundary position.  A store whose
     // anti-dependent load lives *outside* the store's loop only

@@ -1,11 +1,12 @@
 #include "compiler/slot_coloring.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 #include <stdexcept>
 
-#include "compiler/cfg.hpp"
+#include "compiler/dataflow.hpp"
 
 namespace gecko::compiler {
 
@@ -19,122 +20,61 @@ namespace {
 /** Sentinel "no checkpoint yet" in reaching sets. */
 constexpr long kNoCkpt = -1;
 
+/** Reaching kept checkpoints of one register: idx / kNoCkpt -> dirty. */
+using PerReg = std::map<long, bool>;
+using CkptState = std::array<PerReg, ir::kNumRegs>;
+
 /**
- * Reaching-checkpoint dataflow.  For every kCkpt instruction (not in
- * `removed`), the set of most-recent kept checkpoints of the same
- * register that can reach it, each tagged with whether the register may
- * have been redefined since (dirty).  kNoCkpt entries mark paths from
- * the program entry with no prior checkpoint.
+ * Reaching-checkpoint dataflow.  Calls `fn(idx, ins, reaching)` for
+ * every kCkpt instruction not in `removed`, with the set of most-recent
+ * kept checkpoints of the same register that can reach it, each tagged
+ * with whether the register may have been redefined since (dirty).
+ * kNoCkpt entries mark paths from the program entry with no prior
+ * checkpoint.
  */
-class ReachingCkpts
+template <typename Fn>
+void
+forEachKeptCkpt(const Program& prog, const std::set<std::size_t>& removed,
+                Fn&& fn)
 {
-  public:
-    using PerReg = std::map<long, bool>;  // kept ckpt idx / kNoCkpt -> dirty
-    using State = std::map<Reg, PerReg>;
-
-    ReachingCkpts(const Program& prog, const Cfg& cfg,
-                  const std::set<std::size_t>& removed)
-        : prog_(prog), cfg_(cfg), removed_(removed)
-    {
-        const std::size_t nb = cfg.numBlocks();
-        in_.resize(nb);
-        // Entry: every register starts with "no checkpoint".
-        State entry;
-        for (int r = 0; r < ir::kNumRegs; ++r)
-            entry[static_cast<Reg>(r)] = {{kNoCkpt, false}};
-        in_[static_cast<std::size_t>(cfg.entry())] = entry;
-
-        bool changed = true;
-        while (changed) {
-            changed = false;
-            for (BlockId b : cfg.reversePostOrder()) {
-                std::size_t bi = static_cast<std::size_t>(b);
-                State out = transfer(in_[bi], cfg.block(b), nullptr);
-                for (BlockId succ : cfg.block(b).succs) {
-                    if (merge(in_[static_cast<std::size_t>(succ)], out))
-                        changed = true;
-                }
-            }
-        }
-    }
-
-    /** Visit every kept checkpoint with its reaching set. */
-    template <typename Fn>
-    void
-    forEachCkpt(Fn&& fn) const
-    {
-        for (std::size_t b = 0; b < cfg_.numBlocks(); ++b) {
-            State s = in_[b];
-            transfer(s, cfg_.block(static_cast<BlockId>(b)), &fn);
-        }
-    }
-
-  private:
-    static bool
-    merge(State& dst, const State& src)
-    {
-        bool changed = false;
-        for (const auto& [r, per] : src) {
-            for (const auto& [idx, dirty] : per) {
-                auto [it, inserted] = dst[r].emplace(idx, dirty);
-                if (inserted) {
-                    changed = true;
-                } else if (dirty && !it->second) {
-                    it->second = true;
-                    changed = true;
-                }
-            }
-        }
-        return changed;
-    }
-
-    template <typename Fn>
-    State
-    transfer(State s, const BasicBlock& block, Fn* visit) const
-    {
-        for (std::size_t i = block.first; i <= block.last; ++i) {
-            const Instr& ins = prog_.at(i);
+    Cfg cfg = Cfg::build(prog);
+    // Entry: every register starts with "no checkpoint".
+    CkptState entry;
+    entry.fill({{kNoCkpt, false}});
+    auto flow = solveForward(
+        cfg, std::move(entry),
+        [&](CkptState& s, std::size_t i) {
+            const Instr& ins = prog.at(i);
             if (ins.op == Opcode::kCkpt) {
-                if (removed_.count(i))
-                    continue;  // transparent
-                Reg r = ins.rs1;
-                if (visit)
-                    (*visit)(i, ins, s[r]);
-                s[r] = {{static_cast<long>(i), false}};
+                if (!removed.count(i))  // removed ones are transparent
+                    s[ins.rs1] = {{static_cast<long>(i), false}};
             } else if (ir::writesReg(ins)) {
                 Reg rd = (ins.op == Opcode::kCall) ? ir::kLinkReg : ins.rd;
                 for (auto& [idx, dirty] : s[rd])
                     dirty = true;
             }
-        }
-        return s;
-    }
-
-    // Overload for the fixpoint phase (no visitor).
-    State
-    transfer(const State& s, const BasicBlock& block, std::nullptr_t) const
-    {
-        State copy = s;
-        for (std::size_t i = block.first; i <= block.last; ++i) {
-            const Instr& ins = prog_.at(i);
-            if (ins.op == Opcode::kCkpt) {
-                if (removed_.count(i))
-                    continue;
-                copy[ins.rs1] = {{static_cast<long>(i), false}};
-            } else if (ir::writesReg(ins)) {
-                Reg rd = (ins.op == Opcode::kCall) ? ir::kLinkReg : ins.rd;
-                for (auto& [idx, dirty] : copy[rd])
-                    dirty = true;
+        },
+        [](CkptState& into, const CkptState& from) {
+            bool changed = false;
+            for (std::size_t r = 0; r < into.size(); ++r) {
+                for (const auto& [idx, dirty] : from[r]) {
+                    auto [it, inserted] = into[r].emplace(idx, dirty);
+                    if (inserted) {
+                        changed = true;
+                    } else if (dirty && !it->second) {
+                        it->second = true;
+                        changed = true;
+                    }
+                }
             }
-        }
-        return copy;
-    }
-
-    const Program& prog_;
-    const Cfg& cfg_;
-    const std::set<std::size_t>& removed_;
-    std::vector<State> in_;
-};
+            return changed;
+        });
+    flow.replayEvery([&](std::size_t i, const CkptState& s) {
+        const Instr& ins = prog.at(i);
+        if (ins.op == Opcode::kCkpt && !removed.count(i))
+            fn(i, ins, s[ins.rs1]);
+    });
+}
 
 /** Conflict edges between kept checkpoints (dirty consecutive pairs). */
 struct CkptGraph {
@@ -145,11 +85,9 @@ struct CkptGraph {
 CkptGraph
 buildGraph(const Program& prog, const std::set<std::size_t>& removed)
 {
-    Cfg cfg = Cfg::build(prog);
-    ReachingCkpts reach(prog, cfg, removed);
     CkptGraph graph;
-    reach.forEachCkpt([&](std::size_t i, const Instr& ins,
-                          const ReachingCkpts::PerReg& entries) {
+    forEachKeptCkpt(prog, removed, [&](std::size_t i, const Instr& ins,
+                                       const PerReg& entries) {
         Reg r = ins.rs1;
         for (const auto& [prev, dirty] : entries) {
             if (prev == kNoCkpt || !dirty)
@@ -245,12 +183,10 @@ SlotColoring::run(Program& prog, std::vector<RegionSeed>& seeds,
             bool changed = true;
             while (changed) {
                 changed = false;
-                Cfg cfg = Cfg::build(prog);
-                ReachingCkpts reach(prog, cfg, removed);
                 std::map<std::size_t, std::size_t> candidates;
-                reach.forEachCkpt([&](std::size_t i, const Instr& ins,
-                                      const ReachingCkpts::PerReg&
-                                          entries) {
+                forEachKeptCkpt(prog, removed, [&](std::size_t i,
+                                                   const Instr& ins,
+                                                   const PerReg& entries) {
                     (void)ins;
                     if (removed.count(i) || protected_ckpts.count(i))
                         return;

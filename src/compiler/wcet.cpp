@@ -15,50 +15,18 @@ using ir::Program;
 
 namespace {
 
-/** Instruction-level control successors. */
-std::vector<std::size_t>
-instrSuccs(const Program& prog, std::size_t i)
-{
-    const Instr& ins = prog.at(i);
-    std::vector<std::size_t> succs;
-    switch (ins.op) {
-      case Opcode::kJmp:
-        succs.push_back(prog.labelPos(ins.target));
-        break;
-      case Opcode::kCall:
-        // The path continues into the callee; the return point carries
-        // its own boundary, so also walking the fall-through is sound
-        // for the region-local longest path.
-        succs.push_back(prog.labelPos(ins.target));
-        if (i + 1 < prog.size())
-            succs.push_back(i + 1);
-        break;
-      case Opcode::kRet:
-      case Opcode::kHalt:
-        break;
-      default:
-        if (ir::isCondBranch(ins.op)) {
-            succs.push_back(prog.labelPos(ins.target));
-            if (i + 1 < prog.size())
-                succs.push_back(i + 1);
-        } else if (i + 1 < prog.size()) {
-            succs.push_back(i + 1);
-        }
-        break;
-    }
-    return succs;
-}
-
-/** Shared analysis context for one program snapshot. */
+/**
+ * Shared analysis context for one program snapshot.  Paths follow
+ * Program::successors: a kCall continues into the callee, and walking
+ * its fall-through too is sound for the region-local longest path
+ * because the return point carries its own boundary.
+ */
 class WcetContext
 {
   public:
     explicit WcetContext(const Program& prog)
-        : prog_(prog), cfg_(Cfg::build(prog)),
-          dom_(Dominators::build(cfg_)),
-          rdefs_(ReachingDefs::build(prog, cfg_)),
-          aa_(AliasAnalysis::build(prog, cfg_, rdefs_)),
-          loops_(LoopAnalysis::analyze(prog, cfg_, dom_, rdefs_, aa_)),
+        : prog_(prog), flow_(prog), cfg_(flow_.cfg),
+          loops_(LoopAnalysis::analyze(flow_)),
           extra_(prog.size(), 0), memo_(prog.size(), kUnvisited)
     {
         buildSummaries();
@@ -110,7 +78,7 @@ class WcetContext
             return slot;
         slot = kOpen;
         long best = 0;
-        for (std::size_t s : instrSuccs(prog_, i)) {
+        for (std::size_t s : prog_.successors(i)) {
             if (cutEdges_.count({i, s}))
                 continue;
             best = std::max(best, wcetFrom(s));
@@ -164,7 +132,7 @@ class WcetContext
             }
             memo[i] = kOpen;
             long best = 0;
-            for (std::size_t s : instrSuccs(prog_, i)) {
+            for (std::size_t s : prog_.successors(i)) {
                 if (s == header)
                     continue;  // own back edge
                 if (cutEdges_.count({i, s}))
@@ -181,10 +149,8 @@ class WcetContext
     }
 
     const Program& prog_;
-    Cfg cfg_;
-    Dominators dom_;
-    ReachingDefs rdefs_;
-    AliasAnalysis aa_;
+    FlowAnalyses flow_;
+    const Cfg& cfg_;
     std::vector<NaturalLoop> loops_;
     std::vector<bool> summarized_;
     std::set<std::pair<std::size_t, std::size_t>> cutEdges_;
@@ -292,7 +258,7 @@ Wcet::enforce(Program& prog, long bound)
                 best_extra = ctx.extra(i);
                 best_header = i;
             }
-            for (std::size_t s : instrSuccs(prog, i))
+            for (std::size_t s : prog.successors(i))
                 stack.push_back(s);
         }
         Instr boundary;
@@ -327,7 +293,7 @@ Wcet::enforce(Program& prog, long bound)
             advanced = true;
             std::size_t best = Program::npos;
             long best_cost = -1;
-            for (std::size_t s : instrSuccs(prog, pos)) {
+            for (std::size_t s : prog.successors(pos)) {
                 if (ctx.isCut(pos, s))
                     continue;
                 long c = ctx.wcetFrom(s);

@@ -39,6 +39,12 @@ isTerminator(Opcode op)
 }
 
 bool
+hasLabelTarget(Opcode op)
+{
+    return isCondBranch(op) || op == Opcode::kJmp || op == Opcode::kCall;
+}
+
+bool
 isBinaryAlu(Opcode op)
 {
     switch (op) {

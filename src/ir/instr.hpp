@@ -135,6 +135,9 @@ bool isUncondTransfer(Opcode op);
 /** @return true if `op` ends a basic block. */
 bool isTerminator(Opcode op);
 
+/** @return true if `op` transfers control to a label (branches, jmp, call). */
+bool hasLabelTarget(Opcode op);
+
 /** @return true if `op` is a binary ALU operation (rd = rs1 op rs2/imm). */
 bool isBinaryAlu(Opcode op);
 

@@ -98,23 +98,35 @@ Program::findLabel(const std::string& name) const
     return it->second;
 }
 
+Successors
+Program::successors(std::size_t idx) const
+{
+    Successors succs;
+    const Instr& ins = code_.at(idx);
+    if (hasLabelTarget(ins.op))
+        succs.idx_[succs.n_++] = labelPos(ins.target);
+    bool falls = ins.op != Opcode::kJmp && ins.op != Opcode::kRet &&
+                 ins.op != Opcode::kHalt;
+    if (falls && idx + 1 < code_.size())
+        succs.idx_[succs.n_++] = idx + 1;
+    return succs;
+}
+
 std::string
 Program::validate() const
 {
     std::ostringstream err;
     for (std::size_t i = 0; i < code_.size(); ++i) {
         const Instr& ins = code_[i];
-        bool needs_label = isCondBranch(ins.op) || ins.op == Opcode::kJmp ||
-                           ins.op == Opcode::kCall;
-        if (needs_label) {
+        if (hasLabelTarget(ins.op)) {
             if (ins.target < 0 ||
                 static_cast<std::size_t>(ins.target) >= labels_.size()) {
                 err << "instr " << i << ": bad label id " << ins.target;
                 return err.str();
             }
-            if (labelPos(ins.target) == npos) {
-                err << "instr " << i << ": unbound label '"
-                    << labelName(ins.target) << "'";
+            if (labelPos(ins.target) >= code_.size()) {
+                err << "instr " << i << ": label '" << labelName(ins.target)
+                    << "' is unbound or past the last instruction";
                 return err.str();
             }
         }

@@ -19,6 +19,19 @@ namespace gecko::ir {
 /** Identifier of a label inside a Program (index into the label table). */
 using LabelId = std::int32_t;
 
+/** The control successors of one instruction (at most two, in order). */
+class Successors
+{
+  public:
+    const std::size_t* begin() const { return idx_; }
+    const std::size_t* end() const { return idx_ + n_; }
+
+  private:
+    friend class Program;
+    std::size_t idx_[2] = {};
+    int n_ = 0;
+};
+
 /**
  * A straight-line instruction list with a symbolic label table.
  *
@@ -84,6 +97,34 @@ class Program
 
     /** @return label id for `name`, if defined. */
     std::optional<LabelId> findLabel(const std::string& name) const;
+
+    /**
+     * Control successors of instruction `idx`: the label target first,
+     * then the fall-through.  kJmp has only its target, kCall its callee
+     * and its return point ("the callee eventually returns here"), kRet
+     * and kHalt none; the last instruction has no fall-through.  The CFG,
+     * WCET's longest path and the superblock leaders all derive from it.
+     */
+    Successors successors(std::size_t idx) const;
+
+    /**
+     * Call `fn(idx)` for every basic-block leader other than instruction
+     * 0: each successor of a terminator and the instruction after it
+     * (possibly unreachable).  An index may come more than once.
+     */
+    template <typename Fn>
+    void
+    forEachLeader(Fn&& fn) const
+    {
+        for (std::size_t i = 0; i < code_.size(); ++i) {
+            if (!isTerminator(code_[i].op))
+                continue;
+            for (std::size_t s : successors(i))
+                fn(s);
+            if (i + 1 < code_.size())
+                fn(i + 1);
+        }
+    }
 
     /** Sentinel for "label not bound". */
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);

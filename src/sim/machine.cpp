@@ -53,11 +53,9 @@ Machine::Machine(const compiler::CompiledProgram& prog, Nvm& nvm, IoHub& io)
     decoded_.resize(p.size());
     for (std::size_t i = 0; i < p.size(); ++i) {
         const Instr& ins = p.at(i);
-        if (ir::isCondBranch(ins.op) || ins.op == Opcode::kJmp ||
-            ins.op == Opcode::kCall) {
+        if (ir::hasLabelTarget(ins.op))
             targets_[i] =
                 static_cast<std::uint32_t>(p.labelPos(ins.target));
-        }
         if (ins.op == Opcode::kIn)
             inFree_ = false;
         Decoded& d = decoded_[i];

@@ -86,6 +86,15 @@ TEST(AssemblerTest, RejectsUndefinedLabel)
                  AsmError);
 }
 
+TEST(AssemblerTest, RejectsBranchPastTheLastInstruction)
+{
+    // `end` is bound after the final instruction: a branch to it would
+    // run off the program, and the CFG would index past its blocks.
+    EXPECT_THROW(Assembler::assemble(
+                     "bad", "movi r1, 0\nbeq r1, r0, end\nhalt\nend:\n"),
+                 AsmError);
+}
+
 TEST(AssemblerTest, RejectsTrailingTokens)
 {
     EXPECT_THROW(Assembler::assemble("bad", "movi r1, 1 r2\nhalt\n"),

@@ -11,18 +11,11 @@ namespace {
 using ir::Program;
 using ir::ProgramBuilder;
 
-struct Analyses {
-    Cfg cfg;
-    Dominators dom;
-    ReachingDefs rdefs;
-    AliasAnalysis aa;
+struct Analyses : FlowAnalyses {
     std::vector<NaturalLoop> loops;
 
     explicit Analyses(const Program& p)
-        : cfg(Cfg::build(p)), dom(Dominators::build(cfg)),
-          rdefs(ReachingDefs::build(p, cfg)),
-          aa(AliasAnalysis::build(p, cfg, rdefs)),
-          loops(LoopAnalysis::analyze(p, cfg, dom, rdefs, aa))
+        : FlowAnalyses(p), loops(LoopAnalysis::analyze(*this))
     {
     }
 };
@@ -154,6 +147,83 @@ TEST(LoopAnalysisTest, InternalBoundaryDetection)
     Analyses a2(p);
     EXPECT_TRUE(
         LoopAnalysis::hasInternalBoundary(p, a2.cfg, a2.loops[0]));
+}
+
+/**
+ * The machine compares and wraps 32-bit words, so each wrap loop below
+ * runs far past the trip count unbounded arithmetic reads off its latch:
+ * it gets no trip bound, and the WCET pass cuts its header.
+ */
+void
+expectWrapLoopUnbounded(Program p)
+{
+    {
+        Analyses a(p);
+        ASSERT_EQ(a.loops.size(), 1u);
+        EXPECT_FALSE(a.loops[0].tripBound.has_value());
+    }
+    RegionFormationConfig cfg;
+    cfg.cutLoopHeaders = false;
+    RegionFormation::run(p, cfg);
+    Wcet::enforceLoopInvariant(p);
+    std::size_t head = p.labelPos(*p.findLabel("head"));
+    EXPECT_EQ(p.at(head).op, ir::Opcode::kBoundary);
+}
+
+TEST(LoopAnalysisTest, UnsignedLatchWithNegativeBoundIsUnbounded)
+{
+    // bltu against 0xffffffff: 2^32 - 1 iterations, not 1.
+    ProgramBuilder b("t");
+    expectWrapLoopUnbounded(b.movi(1, 0)
+                                .movi(2, -1)
+                                .label("head")
+                                .addi(3, 3, 5)
+                                .addi(1, 1, 1)
+                                .bltu(1, 2, "head")
+                                .halt()
+                                .take());
+}
+
+TEST(LoopAnalysisTest, UnsignedLatchWithNegativeInitIsUnbounded)
+{
+    // 0xfffffff0 counts down to 15 under bgeu, not once.
+    ProgramBuilder b("t");
+    expectWrapLoopUnbounded(b.movi(1, -16)
+                                .movi(2, 16)
+                                .label("head")
+                                .addi(3, 3, 5)
+                                .subi(1, 1, 1)
+                                .bgeu(1, 2, "head")
+                                .halt()
+                                .take());
+}
+
+TEST(LoopAnalysisTest, UnsignedCounterWrappingBelowZeroIsUnbounded)
+{
+    // 4 - 5 wraps to 0xffffffff, which is still >= 3 unsigned.
+    ProgramBuilder b("t");
+    expectWrapLoopUnbounded(b.movi(1, 4)
+                                .movi(2, 3)
+                                .label("head")
+                                .addi(3, 3, 5)
+                                .subi(1, 1, 5)
+                                .bgeu(1, 2, "head")
+                                .halt()
+                                .take());
+}
+
+TEST(LoopAnalysisTest, CounterOverflowingInt32IsUnbounded)
+{
+    // The third step wraps the counter negative, still < the bound.
+    ProgramBuilder b("t");
+    expectWrapLoopUnbounded(b.movi(1, 2147483637)
+                                .movi(2, 2147483646)
+                                .label("head")
+                                .addi(3, 3, 5)
+                                .addi(1, 1, 4)
+                                .blt(1, 2, "head")
+                                .halt()
+                                .take());
 }
 
 TEST(RangeAnalysisTest, ConstPlusCounterAddress)

@@ -568,5 +568,37 @@ TEST(PerfSmokeTest, OutputValuesDoNotAllocate)
               << " allocations for " << run.outputs << " output values\n";
 }
 
+/**
+ * Compile allocation gate (DESIGN.md §6): the 42 compiles of the 14
+ * workloads for Ratchet, GECKO-noprune and GECKO at the default config
+ * may allocate at most 5 % more often than the count recorded in
+ * EXPERIMENTS.md when reaching-checkpoint states became one map per
+ * register in a fixed array.  Counts only.
+ */
+TEST(PerfSmokeTest, CompilesStayWithinAllocationBudget)
+{
+    constexpr std::uint64_t kRecorded = 808183;
+    std::vector<ir::Program> programs;
+    for (const char* name :
+         {"basicmath", "bitcnt", "blink", "crc16", "crc32", "dhrystone",
+          "dijkstra", "fft", "fir", "qsort", "stringsearch", "sensor_loop",
+          "sensor_app", "xtea"})
+        programs.push_back(workloads::build(name));
+    std::uint64_t allocations = 0;
+    {
+        CountAllocations count;
+        for (const ir::Program& prog : programs)
+            for (compiler::Scheme scheme :
+                 {compiler::Scheme::kRatchet, compiler::Scheme::kGeckoNoPrune,
+                  compiler::Scheme::kGecko})
+                compiler::compile(prog, scheme);
+        allocations = count.count();
+    }
+    EXPECT_LE(allocations, kRecorded + kRecorded / 20)
+        << allocations << " allocations for 42 compiles";
+    std::cout << "[perf_smoke] 42 compiles: " << allocations
+              << " allocations\n";
+}
+
 }  // namespace
 }  // namespace gecko

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "compiler/alias_analysis.hpp"
-#include "compiler/cfg.hpp"
-#include "compiler/dominators.hpp"
+#include "compiler/flow_analyses.hpp"
 #include "compiler/recovery_block.hpp"
 #include "ir/builder.hpp"
 
@@ -13,24 +11,7 @@ using ir::Opcode;
 using ir::Program;
 using ir::ProgramBuilder;
 
-struct Analyses {
-    Cfg cfg;
-    ReachingDefs rdefs;
-    AliasAnalysis aa;
-    Dominators dom;
-
-    explicit Analyses(const Program& p)
-        : cfg(Cfg::build(p)), rdefs(ReachingDefs::build(p, cfg)),
-          aa(AliasAnalysis::build(p, cfg, rdefs)),
-          dom(Dominators::build(cfg))
-    {
-    }
-
-    RecoveryBuilder::Context ctx(const Program& p) const
-    {
-        return {p, cfg, rdefs, aa, dom};
-    }
-};
+using Analyses = FlowAnalyses;
 
 /** Find the instruction index of the n-th occurrence of `op`. */
 std::size_t
@@ -59,7 +40,7 @@ TEST(RecoveryBlockTest, ConstantIsPrunable)
 
     Analyses a(p);
     std::size_t bidx = findOp(p, Opcode::kBoundary);
-    auto spec = RecoveryBuilder::build(a.ctx(p), bidx, 2, regBit(2));
+    auto spec = RecoveryBuilder::build(a, bidx, 2, regBit(2));
     ASSERT_TRUE(spec.has_value());
     ASSERT_EQ(spec->code.size(), 1u);
     EXPECT_EQ(spec->code[0].op, Opcode::kMovi);
@@ -85,7 +66,7 @@ TEST(RecoveryBlockTest, DerivedValueUsesTerminal)
     Analyses a(p);
     std::size_t bidx = findOp(p, Opcode::kBoundary);
     RegMask live_in = regBit(1) | regBit(3);
-    auto spec = RecoveryBuilder::build(a.ctx(p), bidx, 3, live_in);
+    auto spec = RecoveryBuilder::build(a, bidx, 3, live_in);
     ASSERT_TRUE(spec.has_value());
     ASSERT_EQ(spec->code.size(), 1u);
     EXPECT_EQ(spec->code[0].op, Opcode::kShl);
@@ -114,7 +95,7 @@ TEST(RecoveryBlockTest, AmbiguousDefFails)
 
     Analyses a(p);
     std::size_t bidx = findOp(p, Opcode::kBoundary);
-    auto spec = RecoveryBuilder::build(a.ctx(p), bidx, 2, regBit(2));
+    auto spec = RecoveryBuilder::build(a, bidx, 2, regBit(2));
     EXPECT_FALSE(spec.has_value());
 }
 
@@ -129,7 +110,7 @@ TEST(RecoveryBlockTest, InputReadFails)
 
     Analyses a(p);
     std::size_t bidx = findOp(p, Opcode::kBoundary);
-    auto spec = RecoveryBuilder::build(a.ctx(p), bidx, 2, regBit(2));
+    auto spec = RecoveryBuilder::build(a, bidx, 2, regBit(2));
     EXPECT_FALSE(spec.has_value());
 }
 
@@ -154,8 +135,8 @@ TEST(RecoveryBlockTest, MutableLoadFailsReadOnlyLoadSucceeds)
     std::size_t bidx = findOp(p, Opcode::kBoundary);
     RegMask live_in = regBit(1) | regBit(2) | regBit(3);
     EXPECT_FALSE(
-        RecoveryBuilder::build(a.ctx(p), bidx, 2, live_in).has_value());
-    auto spec3 = RecoveryBuilder::build(a.ctx(p), bidx, 3, live_in);
+        RecoveryBuilder::build(a, bidx, 2, live_in).has_value());
+    auto spec3 = RecoveryBuilder::build(a, bidx, 3, live_in);
     ASSERT_TRUE(spec3.has_value());
     EXPECT_EQ(spec3->code.back().op, Opcode::kLoad);
 }
@@ -180,7 +161,7 @@ TEST(RecoveryBlockTest, ChainedSliceInOrder)
     Analyses a(p);
     std::size_t bidx = findOp(p, Opcode::kBoundary);
     RegMask live_in = regBit(1) | regBit(4);
-    auto spec = RecoveryBuilder::build(a.ctx(p), bidx, 4, live_in);
+    auto spec = RecoveryBuilder::build(a, bidx, 4, live_in);
     ASSERT_TRUE(spec.has_value());
     ASSERT_EQ(spec->code.size(), 2u);
     EXPECT_EQ(spec->code[0].op, Opcode::kAdd);
@@ -199,7 +180,7 @@ TEST(RecoveryBlockTest, EntryOnlyRegisterPrunesToZero)
     Analyses a(p);
     std::size_t bidx = findOp(p, Opcode::kBoundary);
     // r9 never written: holds the boot value 0.
-    auto spec = RecoveryBuilder::build(a.ctx(p), bidx, 9, regBit(9));
+    auto spec = RecoveryBuilder::build(a, bidx, 9, regBit(9));
     ASSERT_TRUE(spec.has_value());
     ASSERT_EQ(spec->code.size(), 1u);
     EXPECT_EQ(spec->code[0].op, Opcode::kMovi);
@@ -227,7 +208,7 @@ TEST(RecoveryBlockTest, ValueChangedSinceDefRecursesOrFails)
     Analyses a(p);
     std::size_t bidx = findOp(p, Opcode::kBoundary);
     RegMask live_in = regBit(1) | regBit(2);
-    auto spec = RecoveryBuilder::build(a.ctx(p), bidx, 2, live_in);
+    auto spec = RecoveryBuilder::build(a, bidx, 2, live_in);
     ASSERT_TRUE(spec.has_value());
     // Slice must contain movi r1,5 (old def) then addi — and must NOT
     // clobber the restored r1... which it would. The builder must refuse

@@ -163,6 +163,54 @@ TEST(RegionFormationTest, UnknownAddressesCutConservatively)
     EXPECT_TRUE(boundaryBetween(p, load_pos + 1, store_pos));
 }
 
+TEST(RegionFormationTest, AddressRangePast32BitsStillCut)
+{
+    // r3 = r1 << 30 for r1 in [4, 5] wraps to word 0 (then 2^30), the
+    // word the store writes: a range past 2^32 proves nothing disjoint.
+    ProgramBuilder b("t");
+    b.movi(1, 4)
+        .movi(2, 5)
+        .movi(7, 0)
+        .label("head")
+        .muli(3, 1, 1073741824)
+        .load(4, 3, 0)
+        .addi(4, 4, 1)
+        .store(7, 0, 4)
+        .addi(1, 1, 1)
+        .blt(1, 2, "head")
+        .halt();
+    Program p = b.take();
+    RegionFormation::run(p, {});
+    std::size_t load_pos = findOp(p, Opcode::kLoad);
+    std::size_t store_pos = findOp(p, Opcode::kStore);
+    EXPECT_TRUE(boundaryBetween(p, load_pos + 1, store_pos));
+}
+
+TEST(RegionFormationTest, WrappedProductRangeStillCut)
+{
+    // r4 = r1 * (2^31 - 1)^2 is 0 in the first iteration, the word the
+    // store writes; in unbounded arithmetic its range overflows `long`
+    // and reads as disjoint from [0, 0].
+    ProgramBuilder b("t");
+    b.movi(1, 0)
+        .movi(2, 4)
+        .movi(7, 0)
+        .label("head")
+        .muli(3, 1, 2147483647)
+        .muli(4, 3, 2147483647)
+        .load(6, 4, 0)
+        .addi(6, 6, 1)
+        .store(7, 0, 6)
+        .addi(1, 1, 1)
+        .blt(1, 2, "head")
+        .halt();
+    Program p = b.take();
+    RegionFormation::run(p, {});
+    std::size_t load_pos = findOp(p, Opcode::kLoad);
+    std::size_t store_pos = findOp(p, Opcode::kStore);
+    EXPECT_TRUE(boundaryBetween(p, load_pos + 1, store_pos));
+}
+
 TEST(RegionFormationTest, CrossIterationWarCutByLoopHeader)
 {
     // The loop reads then writes the same address across iterations; the
