@@ -104,8 +104,7 @@ compile(const Program& prog, Scheme scheme, const PipelineConfig& config)
             if (round > 32)
                 throw std::runtime_error(
                     "WCET/region-formation loop did not converge");
-            int split = Wcet::enforceLoopInvariant(work);
-            split += Wcet::enforce(work, bound);
+            const int split = Wcet::enforce(work, bound);
             int cut = 0;
             while (true) {
                 int k = RegionFormation::cutAntiDependences(work);

@@ -31,6 +31,9 @@ class WcetContext
     {
         buildSummaries();
     }
+    // `cfg_` refers to the context's own `flow_`.
+    WcetContext(const WcetContext&) = delete;
+    WcetContext& operator=(const WcetContext&) = delete;
 
     const std::vector<NaturalLoop>& loops() const { return loops_; }
     const Cfg& cfg() const { return cfg_; }
@@ -158,6 +161,28 @@ class WcetContext
     std::vector<long> memo_;
 };
 
+/**
+ * Insert a header boundary before every loop of `ctx`'s program that
+ * needs one, in one pass (highest index first, so the others stay put);
+ * `ctx` describes the program as it was.
+ * @return the number of boundaries inserted.
+ */
+int
+insertLoopHeaders(const WcetContext& ctx, Program& prog)
+{
+    std::set<std::size_t> headers;
+    for (const NaturalLoop& loop : ctx.loops())
+        if (ctx.needsHeaderBoundary(loop))
+            headers.insert(ctx.cfg().block(loop.header).first);
+    for (auto it = headers.rbegin(); it != headers.rend(); ++it) {
+        Instr boundary;
+        boundary.op = Opcode::kBoundary;
+        boundary.imm = -1;
+        prog.insertBefore(*it, boundary, /*before_label=*/true);
+    }
+    return static_cast<int>(headers.size());
+}
+
 }  // namespace
 
 long
@@ -190,20 +215,11 @@ Wcet::enforceLoopInvariant(Program& prog)
     // Header insertions can make outer loops boundary-containing, so
     // iterate to a fixpoint.
     for (int round = 0; round < 64; ++round) {
-        WcetContext ctx(prog);
-        std::set<std::size_t> headers;
-        for (const NaturalLoop& loop : ctx.loops())
-            if (ctx.needsHeaderBoundary(loop))
-                headers.insert(ctx.cfg().block(loop.header).first);
-        if (headers.empty())
+        const WcetContext ctx(prog);
+        const int headers = insertLoopHeaders(ctx, prog);
+        if (headers == 0)
             return inserted;
-        for (auto it = headers.rbegin(); it != headers.rend(); ++it) {
-            Instr boundary;
-            boundary.op = Opcode::kBoundary;
-            boundary.imm = -1;
-            prog.insertBefore(*it, boundary, /*before_label=*/true);
-            ++inserted;
-        }
+        inserted += headers;
     }
     throw std::runtime_error("WCET: loop invariant did not converge");
 }
@@ -214,8 +230,14 @@ Wcet::enforce(Program& prog, long bound)
     int inserted = 0;
     const int max_rounds = static_cast<int>(prog.size()) * 4 + 64;
     for (int round = 0; round < max_rounds; ++round) {
-        inserted += enforceLoopInvariant(prog);
+        // The loop invariant first: a round that inserts loop headers
+        // analyzes the changed program afresh, and one that inserts none
+        // splits on the context it built.
         WcetContext ctx(prog);
+        if (const int headers = insertLoopHeaders(ctx, prog)) {
+            inserted += headers;
+            continue;
+        }
 
         // Find the worst splittable region.  A region that is already a
         // single instruction (e.g. one I/O transaction, which the ISA

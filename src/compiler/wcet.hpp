@@ -56,9 +56,10 @@ class Wcet
     static int enforceLoopInvariant(ir::Program& prog);
 
     /**
-     * Split regions until every region's WCET is at most `bound` cycles.
-     * Requires the loop invariant.
-     * @return the number of boundaries inserted.
+     * Split regions until every region's WCET is at most `bound` cycles,
+     * keeping the loop invariant: each round inserts the loop headers it
+     * lacks before it splits anything.
+     * @return the number of boundaries inserted, headers included.
      * @throws std::runtime_error if the bound cannot be met.
      */
     static int enforce(ir::Program& prog, long bound);

@@ -75,11 +75,13 @@ struct SweepRecord {
  *  - 10: added `point_reads` and `exact_reads`, the point reads formed
  *    under a keyed tone and those that called glibc `sin` (zone reads,
  *    DESIGN.md §14).
+ *  - 11: added `march_steps`, the steps burst marches stepped, committed
+ *    or not (DESIGN.md §14), beside the `coalesced_quanta` they commit.
  * Readers must tolerate unknown keys so newer records keep
  * aggregating under older readers: they look up the keys they know in
  * the parsed object and never reject one they don't.
  */
-inline constexpr int kBenchSchemaVersion = 10;
+inline constexpr int kBenchSchemaVersion = 11;
 
 /** One bench-JSON counter key (beside `sim_cycles`). */
 struct BenchCounterKey {
@@ -98,6 +100,7 @@ struct BenchCounterKey {
 inline constexpr BenchCounterKey kBenchCounterKeys[] = {
     {"quanta", true},
     {"coalesced_quanta", true},
+    {"march_steps", true},
     {"replayed_completions", true},
     {"steady_loop_iterations", true},
     {"point_reads", true},
@@ -137,7 +140,7 @@ struct BenchReport {
     /// Process wall time from bench::init to report write (s).
     double wallS = 0.0;
     /// Counter totals of every simulation the bench ran; the report
-    /// names ten: `sim_cycles` (`exec.cycles`) and kBenchCounterKeys.
+    /// names eleven: `sim_cycles` (`exec.cycles`) and kBenchCounterKeys.
     sim::Counters counters;
     /// Bench verdict: "pass", "fail", or "" (bench has no pass/fail
     /// semantics — treated as pass by aggregation).

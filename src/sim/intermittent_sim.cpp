@@ -640,11 +640,11 @@ IntermittentSim::steadyViews(double vLo, double vHi, double amp) const
     });
 }
 
-template <class Sample>
+template <class Sample, class Check>
 IntermittentSim::Burst
 IntermittentSim::march(BurstKind kind, int maxSteps, int stride, double dt,
                        double end, const energy::Capacitor::ChargePlan& plan,
-                       Sample&& sample) const
+                       Sample&& sample, Check&& check) const
 {
     const double cf = cap_.capacitance();
     const double maxV = cap_.maxVoltage();
@@ -707,7 +707,12 @@ IntermittentSim::march(BurstKind kind, int maxSteps, int stride, double dt,
         b.eLo = b.steps == 0 ? e : std::min(b.eLo, e);
         b.eHi = b.steps == 0 ? e : std::max(b.eHi, e);
         ++b.steps;
+        if ((b.steps & (b.steps - 1)) == 0 && !check(b))
+            return b;
     }
+    // A march that ended between two powers of two gets its own look.
+    if ((b.steps & (b.steps - 1)) != 0)
+        check(b);
     return b;
 }
 
@@ -781,30 +786,57 @@ IntermittentSim::certifiedBurst(BurstKind kind, const Certificate& c,
     // ------------------------------------------------------------------
     // Trajectory proof.  With the source proven constant the burst's
     // evolution is fully determined: march the slow path's exact
-    // per-step arithmetic on locals, then certify that every skipped
-    // observation — each one samples an end-of-step rail inside the
-    // marched band — repeats the predicted events with every latch
-    // unchanged.  When that fails (typically a declining tail
-    // approaching V_backup), halve: the shorter prefix spans a tighter
-    // band.  The certified try's end state is committed by assignment.
+    // per-step arithmetic on locals, once, and certify as it goes that
+    // every skipped observation — each one samples an end-of-step rail
+    // inside the marched band — repeats the predicted events with every
+    // latch unchanged.  Any prefix whose band certifies is a valid
+    // burst, and a prefix's band only grows with its length, so the
+    // check at each power of two (and at the march's end) stops the
+    // march at the first band that fails (typically a tail reaching a
+    // monitor edge), and the last band that certified is committed by
+    // assignment.
     // ------------------------------------------------------------------
     const bool lockout = kind == BurstKind::kSleep && c.views.primary.wake;
     const auto belowLockout = [this, lockout](double e, double) {
         return !lockout || e <= energyLockout_;
     };
     const double cf = cap_.capacitance();
+    const auto certifies = [&](double eLo, double eHi) {
+        const double vLo = std::sqrt(2.0 * eLo / cf);
+        const double vHi = eHi == eLo ? vLo : std::sqrt(2.0 * eHi / cf);
+        return steadyViews(vLo, vHi, c.amp) == c.views;
+    };
+    // The certified band of energies.  For the storm and sleep kinds it
+    // starts at the current rail, where certify() took the prediction
+    // (cap_.voltage() is the same sqrt(2E/C)); for the quiet kind it
+    // starts empty.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const bool predicted = kind != BurstKind::kQuiet;
+    double lo = predicted ? cap_.energy() : kInf;
+    double hi = predicted ? cap_.energy() : -kInf;
+    // The longest prefix checked so far whose band certified.
     Burst b;
-    for (int mTry = maxSteps;;) {
-        b = march(kind, mTry, stride, dt, end, plan, belowLockout);
-        if (b.steps < 2)
-            return false;
-        if (steadyViews(std::sqrt(2.0 * b.eLo / cf),
-                        std::sqrt(2.0 * b.eHi / cf), c.amp) == c.views)
-            break;
-        if (mTry == 2)
-            return false;
-        mTry = std::max(2, b.steps >> 1);
-    }
+    const auto check = [&](const Burst& prefix) {
+        // A monitor's decision is monotone in its reading, so a band
+        // holding a certified one certifies iff each end that moved past
+        // it certifies as a point: look only at those.
+        const bool lower = prefix.eLo < lo;
+        const bool upper = prefix.eHi > hi;
+        if (lower || upper) {
+            if (!certifies(lower ? prefix.eLo : prefix.eHi,
+                           upper ? prefix.eHi : prefix.eLo))
+                return false;
+            lo = std::min(lo, prefix.eLo);
+            hi = std::max(hi, prefix.eHi);
+        }
+        b = prefix;
+        return true;
+    };
+    stats.marchSteps += static_cast<std::uint64_t>(
+        march(kind, maxSteps, stride, dt, end, plan, belowLockout, check)
+            .steps);
+    if (b.steps < 2)
+        return false;
 
     const auto k = static_cast<std::uint64_t>(b.steps);
     if (kind != BurstKind::kSleep && c.views.primary.backup)
@@ -898,14 +930,18 @@ IntermittentSim::evaluatedBurst(Primary& primary, Shadow* shadow,
         return true;
     };
 
-    startTrial();
-    Burst b = march(kind, maxSteps, stride, dt, end, plan, step);
+    const auto trial = [&](int steps) {
+        startTrial();
+        const Burst b = march(kind, steps, stride, dt, end, plan, step,
+                              [](const Burst&) { return true; });
+        stats.marchSteps += static_cast<std::uint64_t>(b.steps);
+        return b;
+    };
+    Burst b = trial(maxSteps);
     if (modeChanged && b.steps >= 2) {
         // The shadow and controller copies ran one sample too far:
         // replay the prefix alone.
-        const int steps = b.steps;
-        startTrial();
-        b = march(kind, steps, stride, dt, end, plan, step);
+        b = trial(b.steps);
     }
     if (b.steps < 2)
         return false;

@@ -115,6 +115,8 @@ struct SimStats {
     std::uint64_t sleepSamples = 0;
     /// Sleep samples absorbed by sleep bursts (never counted in quanta).
     std::uint64_t coalescedSleepSamples = 0;
+    /// Steps burst marches stepped on locals, committed or not.
+    std::uint64_t marchSteps = 0;
     /// Completions the machine applied from its record instead of
     /// executing them (Machine::replayedCompletions).
     std::uint64_t replayedCompletions = 0;
@@ -153,6 +155,7 @@ struct SimStats {
         fn({"sleep_samples", false}, &SimStats::sleepSamples);
         fn({"coalesced_sleep_samples", false},
            &SimStats::coalescedSleepSamples);
+        fn({"march_steps", false}, &SimStats::marchSteps);
         fn({"replayed_completions", false}, &SimStats::replayedCompletions);
         fn({"steady_loop_iterations", false},
            &SimStats::steadyLoopIterations);
@@ -419,7 +422,8 @@ class IntermittentSim
     /// The certificate predicted at the current rail, or nullopt.
     std::optional<Certificate> certify(BurstKind kind, double dt) const;
     /// A burst whose skipped observations all repeat the events `c`
-    /// predicts.
+    /// predicts: the longest checked prefix of one march whose band
+    /// certifies.
     bool certifiedBurst(BurstKind kind, const Certificate& c, int maxSteps,
                         int stride, double dt, double end,
                         const energy::Capacitor::ChargePlan& plan);
@@ -442,11 +446,14 @@ class IntermittentSim
     /// per-step arithmetic of the slow path, stopping before a step it
     /// would end differently (stride change, brown-out) and at `end`.
     /// `sample(e, t)` sees each step's end-of-step energy and sample
-    /// time, and returns false to stop before that step.
-    template <class Sample>
+    /// time, and returns false to stop before that step.  `check(b)`
+    /// sees the march after every step whose count is a power of two
+    /// and, if it ended anywhere else, at its end; it returns false to
+    /// stop the march there.  @return the whole march.
+    template <class Sample, class Check>
     Burst march(BurstKind kind, int maxSteps, int stride, double dt,
                 double end, const energy::Capacitor::ChargePlan& plan,
-                Sample&& sample) const;
+                Sample&& sample, Check&& check) const;
     void doJitCheckpoint();
     void hardDeath();
     void boot();

@@ -1223,5 +1223,60 @@ TEST(CoalesceDefendedTest, ArmedProbeConcludesBeforeAnyQuietBurst)
     }
 }
 
+// ---------------------------------------------------------------------
+// Fig. 14 victims on the RF harvesting trace: the quiet bursts there
+// reach a monitor edge mid-march more often than anywhere else, so a
+// certified march keeps failing a band check and committing the last
+// prefix that passed.  Burst limits 2, 3 and 37 end marches on and off
+// a power of two; every arm must match the arm without bursts.
+// ---------------------------------------------------------------------
+
+Obs
+runHarvest(const CompiledProgram& compiled, const std::string& workload,
+           int coalesceQuanta)
+{
+    constexpr double kSeconds = 1.0;
+    sim::IoHub io;
+    workloads::setupIo(workload, io);
+    energy::TraceHarvester trace =
+        energy::makeRfTrace(3.3, 5.0, 1.0, 0.55, kSeconds, 7);
+    sim::SimConfig cfg;
+    cfg.cap.capacitanceF = 1e-3;
+    cfg.coalesceQuanta = coalesceQuanta;
+    sim::IntermittentSim simulation(compiled,
+                                    device::DeviceDb::msp430fr5994(), cfg,
+                                    trace, io);
+    simulation.machine().setExecBackend(sim::ExecBackend::kBlock);
+    simulation.run(kSeconds);
+    return capture(simulation, io);
+}
+
+TEST(CoalesceHarvestTest, Fig14VictimsUnchangedAtEveryBurstLimit)
+{
+    for (const char* workload : {"crc16", "qsort", "sensor_loop"})
+        for (Scheme scheme : {Scheme::kNvp, Scheme::kRatchet, Scheme::kGecko}) {
+            const CompiledProgram compiled =
+                compiler::compile(workloads::build(workload), scheme);
+            const std::string label =
+                std::string(workload) + "/" + compiler::schemeName(scheme);
+            const Obs off = runHarvest(compiled, workload, 0);
+            ASSERT_GT(off.counters.exec.completions, 0u) << label;
+            EXPECT_EQ(off.counters.sim.marchSteps, 0u) << label;
+            for (int limit : {2, 3, 37})
+                expectSame(runHarvest(compiled, workload, limit), off,
+                           label + " at limit " + std::to_string(limit));
+            const Obs on = runHarvest(compiled, workload, -1);
+            expectSame(on, off, label + " at the default limit");
+            // Some band failed mid-march: the marches stepped past what
+            // their bursts committed.
+            const sim::SimStats& bursts = on.counters.sim;
+            EXPECT_GT(bursts.coalescedQuanta * 10, bursts.quanta * 9)
+                << label;
+            EXPECT_GT(bursts.marchSteps,
+                      bursts.coalescedQuanta + bursts.coalescedSleepSamples)
+                << label;
+        }
+}
+
 }  // namespace
 }  // namespace gecko

@@ -26,7 +26,7 @@ TEST(BenchJsonTest, ReportLeadsWithSchemaVersion)
     std::string json = report.toJson();
     // schema_version is the first key so even a truncated record
     // identifies its format.
-    EXPECT_EQ(json.rfind("{\"schema_version\":10,", 0), 0u) << json;
+    EXPECT_EQ(json.rfind("{\"schema_version\":11,", 0), 0u) << json;
     JsonValue parsed;
     ASSERT_TRUE(parseJson(json, &parsed)) << json;
     EXPECT_EQ(parsed.getNumber("schema_version"),
@@ -75,12 +75,12 @@ TEST(BenchJsonTest, ReadersTolerateUnknownKeys)
 TEST(BenchJsonTest, CounterKeysReadTheCounterSet)
 {
     // The frozen key set: every listed name is a registry field (the
-    // walk reaches all nine), and each key carries its own counter.
+    // walk reaches all ten), and each key carries its own counter.
     std::vector<std::string> names;
     for (const BenchCounterKey& key : kBenchCounterKeys)
         names.emplace_back(key.name);
     EXPECT_EQ(names, (std::vector<std::string>{
-                         "quanta", "coalesced_quanta",
+                         "quanta", "coalesced_quanta", "march_steps",
                          "replayed_completions", "steady_loop_iterations",
                          "point_reads", "exact_reads", "corrupted_restores",
                          "crc_rejects", "retries_exhausted"}));
@@ -237,11 +237,12 @@ TEST(CounterRegistryTest, NamesAreUniqueAndOnlyFastPathDiagnosticsUnarchived)
         if (!field.archived)
             unarchived.push_back(field.name);
     });
-    EXPECT_EQ(names.size(), 6u + 21u + 15u + 13u);
+    EXPECT_EQ(names.size(), 6u + 22u + 15u + 13u);
     EXPECT_EQ(unarchived,
               (std::vector<std::string>{"quanta", "coalesced_quanta",
                                         "coalesced_bursts", "sleep_samples",
                                         "coalesced_sleep_samples",
+                                        "march_steps",
                                         "replayed_completions",
                                         "steady_loop_iterations",
                                         "point_reads", "exact_reads"}));
